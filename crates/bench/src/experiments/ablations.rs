@@ -3,7 +3,7 @@
 use crate::workloads::*;
 use crate::{save, Effort};
 use mdp_core::cluster::{collectives, run_spmd, Communicator, Machine, TimeModel};
-use mdp_core::lattice::cluster::{price_cluster, Decomposition};
+use mdp_core::lattice::cluster::Decomposition;
 use mdp_core::prelude::*;
 use mdp_perf::report::fmt_sig;
 use mdp_perf::Table;
@@ -90,11 +90,7 @@ pub fn a2_decomposition(effort: Effort) {
     let prod = max_call();
     let n = effort.scale(96, 256);
     let p = 8;
-    let run = |d: Decomposition| {
-        price_cluster(&m, &prod, n, p, Machine::cluster2002(), d)
-            .unwrap()
-            .time
-    };
+    let run = |d: Decomposition| cluster_lattice(&m, &prod, n, p, Machine::cluster2002(), d).time;
     let block = run(Decomposition::Block);
     let mut push = |name: &str, tm: &TimeModel| {
         t.push(&[
@@ -222,12 +218,10 @@ pub fn a4_machine_parameters(effort: Effort) {
         ("bw÷10", Machine::cluster2002().with_bandwidth_factor(0.1)),
     ];
     for (name, machine) in machines {
-        let t1 = price_cluster(&m, &prod, n, 1, machine, Decomposition::Block)
-            .unwrap()
+        let t1 = cluster_lattice(&m, &prod, n, 1, machine, Decomposition::Block)
             .time
             .makespan;
-        let tp = price_cluster(&m, &prod, n, p, machine, Decomposition::Block)
-            .unwrap()
+        let tp = cluster_lattice(&m, &prod, n, p, machine, Decomposition::Block)
             .time
             .makespan;
         t.push(&[

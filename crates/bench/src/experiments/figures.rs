@@ -4,8 +4,7 @@
 use crate::workloads::*;
 use crate::{save, Effort};
 use mdp_core::cluster::Machine;
-use mdp_core::lattice::cluster::{price_cluster, Decomposition};
-use mdp_core::mc::cluster_driver::price_mc_cluster;
+use mdp_core::lattice::cluster::Decomposition;
 use mdp_core::prelude::*;
 use mdp_perf::isoefficiency::isoefficiency_point;
 use mdp_perf::laws;
@@ -21,7 +20,7 @@ fn lattice_curve(n: usize) -> ScalingCurve {
     let times: Vec<f64> = PROCS
         .iter()
         .map(|&ranks| {
-            price_cluster(
+            cluster_lattice(
                 &m,
                 &p,
                 n,
@@ -29,7 +28,6 @@ fn lattice_curve(n: usize) -> ScalingCurve {
                 Machine::cluster2002(),
                 Decomposition::Block,
             )
-            .unwrap()
             .time
             .makespan
         })
@@ -49,8 +47,7 @@ fn mc_curve(paths: u64) -> ScalingCurve {
     let times: Vec<f64> = PROCS
         .iter()
         .map(|&ranks| {
-            price_mc_cluster(&m, &p, cfg, ranks, Machine::cluster2002())
-                .unwrap()
+            cluster_mc(&m, &p, cfg, ranks, Machine::cluster2002())
                 .time
                 .makespan
         })
@@ -256,7 +253,7 @@ pub fn f5_weak_scaling(effort: Effort) {
                 block_size: (paths / 64).max(1),
                 ..Default::default()
             };
-            let out = price_mc_cluster(&m, &p, cfg, ranks, Machine::cluster2002()).unwrap();
+            let out = cluster_mc(&m, &p, cfg, ranks, Machine::cluster2002());
             if ranks == 1 {
                 t1 = out.time.makespan;
             }
@@ -280,15 +277,14 @@ pub fn f5_weak_scaling(effort: Effort) {
         let mut t1 = 0.0;
         for &ranks in procs {
             let n = (base_n as f64 * (ranks as f64).powf(1.0 / 3.0)).round() as usize;
-            let out = price_cluster(
+            let out = cluster_lattice(
                 &m,
                 &p,
                 n,
                 ranks,
                 Machine::cluster2002(),
                 Decomposition::Block,
-            )
-            .unwrap();
+            );
             if ranks == 1 {
                 t1 = out.time.makespan;
             }
@@ -323,7 +319,7 @@ pub fn f6_isoefficiency(effort: Effort) {
         let m = market(2);
         let prod = max_call();
         let time = |n: u64, p: usize| {
-            price_cluster(
+            cluster_lattice(
                 &m,
                 &prod,
                 n as usize,
@@ -331,7 +327,6 @@ pub fn f6_isoefficiency(effort: Effort) {
                 Machine::cluster2002(),
                 Decomposition::Block,
             )
-            .unwrap()
             .time
             .makespan
         };
@@ -369,8 +364,7 @@ pub fn f6_isoefficiency(effort: Effort) {
                 block_size: 512,
                 ..Default::default()
             };
-            price_mc_cluster(&m, &prod, cfg, p, Machine::cluster2002())
-                .unwrap()
+            cluster_mc(&m, &prod, cfg, p, Machine::cluster2002())
                 .time
                 .makespan
         };

@@ -2,7 +2,7 @@
 
 use crate::workloads::*;
 use crate::{save, Effort};
-use mdp_core::cluster::Machine;
+use mdp_core::cluster::{CheckpointMode, Machine};
 use mdp_core::lattice::cluster::{price_cluster, Decomposition};
 use mdp_core::mc::cluster_driver::{price_lsmc_cluster, price_mc_cluster};
 use mdp_core::prelude::*;
@@ -68,15 +68,8 @@ pub fn t2_parallel_lattice(effort: Effort) {
         let p = max_call();
         let mut t1 = 0.0;
         for &ranks in &procs {
-            let out = price_cluster(
-                &m,
-                &p,
-                n,
-                ranks,
-                Machine::cluster2002(),
-                Decomposition::Block,
-            )
-            .expect("cluster lattice");
+            let block = Decomposition::Block;
+            let out = cluster_lattice(&m, &p, n, ranks, Machine::cluster2002(), block);
             if ranks == 1 {
                 t1 = out.time.makespan;
             }
@@ -824,15 +817,8 @@ pub fn t6_communication_overhead(effort: Effort) {
     let m2 = market(2);
     let n = effort.scale(128, 512);
     for &ranks in &procs {
-        let out = price_cluster(
-            &m2,
-            &max_call(),
-            n,
-            ranks,
-            Machine::cluster2002(),
-            Decomposition::Block,
-        )
-        .unwrap();
+        let block = Decomposition::Block;
+        let out = cluster_lattice(&m2, &max_call(), n, ranks, Machine::cluster2002(), block);
         t.push(&[
             format!("lattice d=2 N={n}"),
             ranks.to_string(),
@@ -844,18 +830,11 @@ pub fn t6_communication_overhead(effort: Effort) {
     let m5 = market_vol(5, 0.3);
     let paths = effort.scale64(20_000, 200_000);
     for &ranks in &procs {
-        let out = price_mc_cluster(
-            &m5,
-            &basket_call(5),
-            McConfig {
+        let out = cluster_mc(&m5, &basket_call(5), McConfig {
                 paths,
                 block_size: (paths / 64).max(1),
                 ..Default::default()
-            },
-            ranks,
-            Machine::cluster2002(),
-        )
-        .unwrap();
+            }, ranks, Machine::cluster2002());
         t.push(&[
             format!("mc d=5 {paths} paths"),
             ranks.to_string(),
@@ -872,16 +851,13 @@ pub fn t6_communication_overhead(effort: Effort) {
 ///
 /// Part 1 prices the d=2 lattice under an inert [`FaultPlan`] (no
 /// faults, checkpoints still written) across checkpoint intervals and
-/// reports the modelled overhead against the plain driver. Part 2
-/// injects a single rank crash at several boundaries and reports the
-/// recovery makespan — checkpoint replay included — for the lattice
+/// reports the modelled overhead against a run without checkpoints.
+/// Part 2 injects a single rank crash at several boundaries and reports
+/// the recovery makespan — checkpoint replay included — for the lattice
 /// and MC drivers, asserting every recovered price is bit-identical to
 /// the fault-free run. Writes `BENCH_fault_tolerance.json` so CI can
 /// gate on the overhead and recovery fields.
 pub fn t6b_fault_tolerance(effort: Effort) {
-    use mdp_core::lattice::cluster::price_cluster_ft;
-    use mdp_core::mc::cluster_driver::price_mc_cluster_ft;
-
     let mut t = Table::new(
         "T6b: checkpoint overhead and crash recovery (2002 cluster)",
         &["engine", "interval", "crash step", "T_model [ms]", "overhead %"],
@@ -890,15 +866,7 @@ pub fn t6b_fault_tolerance(effort: Effort) {
     let prod = max_call();
     let n = effort.scale(64, 128);
     let ranks = 4usize;
-    let plain = price_cluster(
-        &m2,
-        &prod,
-        n,
-        ranks,
-        Machine::cluster2002(),
-        Decomposition::Block,
-    )
-    .unwrap();
+    let plain = cluster_lattice(&m2, &prod, n, ranks, Machine::cluster2002(), Decomposition::Block);
     let base_ms = plain.time.makespan * 1e3;
 
     let mut json = String::from("{\n  \"experiment\": \"t6b\",\n  \"checkpoint_overhead\": [\n");
@@ -907,14 +875,15 @@ pub fn t6b_fault_tolerance(effort: Effort) {
         Effort::Full => &[1, 4, 8, 16, 32],
     };
     for (i, &interval) in intervals.iter().enumerate() {
-        let ft = price_cluster_ft(
+        let ft = price_cluster(
             &m2,
             &prod,
             n,
             ranks,
             Machine::cluster2002(),
+            Decomposition::Block,
             FaultPlan::new(0),
-            interval,
+            Some(interval),
         )
         .unwrap();
         assert_eq!(
@@ -954,7 +923,17 @@ pub fn t6b_fault_tolerance(effort: Effort) {
     let mut rows: Vec<String> = Vec::new();
     for &crash_at in &crash_steps {
         let plan = FaultPlan::new(0).with_crash(1, crash_at);
-        let ft = price_cluster_ft(&m2, &prod, n, ranks, Machine::cluster2002(), plan, 16).unwrap();
+        let ft = price_cluster(
+            &m2,
+            &prod,
+            n,
+            ranks,
+            Machine::cluster2002(),
+            Decomposition::Block,
+            plan,
+            Some(16),
+        )
+        .unwrap();
         assert_eq!(
             ft.price.to_bits(),
             plain.price.to_bits(),
@@ -984,19 +963,18 @@ pub fn t6b_fault_tolerance(effort: Effort) {
         block_size: (paths / 64).max(1),
         ..Default::default()
     };
-    let mc_plain = price_mc_cluster(&m5, &basket_call(5), cfg, ranks, Machine::cluster2002()).unwrap();
+    let mc_plain = cluster_mc(&m5, &basket_call(5), cfg, ranks, Machine::cluster2002());
     let mc_base_ms = mc_plain.time.makespan * 1e3;
     for &crash_at in &[4usize, 12] {
         let plan = FaultPlan::new(0).with_crash(1, crash_at);
-        let ft = price_mc_cluster_ft(
+        let ft = price_mc_cluster(
             &m5,
             &basket_call(5),
             cfg,
             ranks,
             Machine::cluster2002(),
             plan,
-            16,
-            4,
+            Some(4),
         )
         .unwrap();
         assert_eq!(
@@ -1056,7 +1034,7 @@ pub fn t7_lsmc_american(effort: Effort) {
     ]);
 
     let mut scaling = Table::new(
-        "T7b: distributed LSMC modelled scaling (per-date allreduce regression)",
+        "T7b: distributed LSMC modelled scaling (per-date per-block regression fold)",
         &[
             "p",
             "T_model [ms]",
@@ -1067,7 +1045,9 @@ pub fn t7_lsmc_american(effort: Effort) {
     );
     let mut t1 = 0.0;
     for ranks in [1usize, 2, 4, 8, 16] {
-        let out = price_lsmc_cluster(&m, &p, cfg, ranks, Machine::cluster2002()).unwrap();
+        let (machine, sync) = (Machine::cluster2002(), CheckpointMode::Sync);
+        let out = price_lsmc_cluster(&m, &p, cfg, ranks, machine, FaultPlan::new(0), None, sync)
+            .unwrap();
         if ranks == 1 {
             t1 = out.time.makespan;
         }
@@ -1231,7 +1211,9 @@ pub fn t9_barriers_and_pde_scaling(effort: Effort) {
     for machine in [Machine::cluster2002(), Machine::smp()] {
         let mut t1v = 0.0;
         for ranks in [1usize, 2, 4, 8] {
-            let out = cfg.price(&m1, &vanilla, ranks, machine).unwrap();
+            let out = cfg
+                .price(&m1, &vanilla, ranks, machine, FaultPlan::new(0), None)
+                .unwrap();
             if ranks == 1 {
                 t1v = out.time.makespan;
             }
@@ -2351,13 +2333,12 @@ pub fn t14_resilience(effort: Effort) {
 /// two measured runs at each P and reports the work needed to hold 50%
 /// efficiency through `mdp_perf::isoefficiency`. **Checkpointing**:
 /// compares the synchronous and asynchronous-incremental checkpoint
-/// modes of the fault-tolerant LSMC driver against an effectively
-/// checkpoint-free run. Writes `BENCH_cluster_scale.json` so CI can
-/// gate on the hierarchical/flat ratio at P ≥ 256 and on the async
-/// checkpoint overhead staying under the 6.5% T6b budget.
+/// modes of the LSMC driver against a run that checkpoints once.
+/// Writes `BENCH_cluster_scale.json` so CI can gate on the
+/// hierarchical/flat ratio at P ≥ 256 and on the async checkpoint
+/// overhead staying under the 6.5% T6b budget.
 pub fn t15_cluster_scale(effort: Effort) {
-    use mdp_core::cluster::{CheckpointMode, CollectiveAlgo, CollectiveChoice, CollectiveEngine};
-    use mdp_core::mc::cluster_driver::price_lsmc_cluster_ft;
+    use mdp_core::cluster::{CollectiveAlgo, CollectiveChoice, CollectiveEngine};
     use mdp_core::mc::LsmcConfig;
     use mdp_perf::isoefficiency::isoefficiency_point;
 
@@ -2401,8 +2382,8 @@ pub fn t15_cluster_scale(effort: Effort) {
         ..Default::default()
     };
     for &p in mc_procs {
-        let flat = price_mc_cluster(&m5, &prod5, mc_cfg, p, flat_machine).unwrap();
-        let hier = price_mc_cluster(&m5, &prod5, mc_cfg, p, auto_machine).unwrap();
+        let flat = cluster_mc(&m5, &prod5, mc_cfg, p, flat_machine);
+        let hier = cluster_mc(&m5, &prod5, mc_cfg, p, auto_machine);
         assert_eq!(
             flat.result.price.to_bits(),
             hier.result.price.to_bits(),
@@ -2438,8 +2419,8 @@ pub fn t15_cluster_scale(effort: Effort) {
     let prod2 = max_call();
     let n_lat = effort.scale(128, 512);
     for &p in lat_procs {
-        let flat = price_cluster(&m2, &prod2, n_lat, p, flat_machine, Decomposition::Block).unwrap();
-        let hier = price_cluster(&m2, &prod2, n_lat, p, auto_machine, Decomposition::Block).unwrap();
+        let flat = cluster_lattice(&m2, &prod2, n_lat, p, flat_machine, Decomposition::Block);
+        let hier = cluster_lattice(&m2, &prod2, n_lat, p, auto_machine, Decomposition::Block);
         assert_eq!(
             flat.price.to_bits(),
             hier.price.to_bits(),
@@ -2486,8 +2467,7 @@ pub fn t15_cluster_scale(effort: Effort) {
                 block_size: (paths / 2048).max(1),
                 ..Default::default()
             };
-            price_mc_cluster(&m5, &prod5, cfg, p, machine)
-                .unwrap()
+            cluster_mc(&m5, &prod5, cfg, p, machine)
                 .time
                 .makespan
         };
@@ -2526,8 +2506,8 @@ pub fn t15_cluster_scale(effort: Effort) {
     }
     save("t15b_isoefficiency", &iso);
 
-    // Part 3: checkpoint modes on the fault-tolerant LSMC driver. The
-    // baseline checkpoints once (interval ≥ date count); sync and async
+    // Part 3: checkpoint modes on the LSMC driver. The baseline
+    // checkpoints once (interval ≥ date count); sync and async
     // checkpoint every other date. All three prices are bit-identical.
     let m1 = market(1);
     let am = american_min_put();
@@ -2539,14 +2519,14 @@ pub fn t15_cluster_scale(effort: Effort) {
     };
     let ranks = 8usize;
     let ckpt_run = |interval: usize, mode: CheckpointMode| {
-        price_lsmc_cluster_ft(
+        price_lsmc_cluster(
             &m1,
             &am,
             lsmc_cfg,
             ranks,
             Machine::cluster2002(),
             FaultPlan::new(0),
-            interval,
+            Some(interval),
             mode,
         )
         .unwrap()

@@ -1,6 +1,8 @@
 //! Canonical workloads shared by the repro experiments and the criterion
 //! benches, so a bench and a table row always measure the same thing.
 
+use mdp_core::lattice::cluster::{price_cluster, ClusterLatticeOutcome, Decomposition};
+use mdp_core::mc::cluster_driver::{price_mc_cluster, McClusterOutcome};
 use mdp_core::prelude::*;
 
 /// The symmetric d-asset market used throughout the evaluation:
@@ -56,6 +58,41 @@ pub fn vanilla_call() -> Product {
 /// The closed form for [`geometric_call`] on [`market`]`(d)`.
 pub fn geometric_exact(d: usize) -> f64 {
     analytic::geometric_basket_call(&market(d), &Product::equal_weights(d), 100.0, 1.0)
+}
+
+/// The distributed BEG lattice on `ranks` ranks, without faults or
+/// checkpoints.
+pub fn cluster_lattice(
+    m: &GbmMarket,
+    prod: &Product,
+    steps: usize,
+    ranks: usize,
+    machine: Machine,
+    decomp: Decomposition,
+) -> ClusterLatticeOutcome {
+    price_cluster(
+        m,
+        prod,
+        steps,
+        ranks,
+        machine,
+        decomp,
+        FaultPlan::new(0),
+        None,
+    )
+    .expect("cluster lattice")
+}
+
+/// Distributed European Monte Carlo on `ranks` ranks, without faults or
+/// checkpoints.
+pub fn cluster_mc(
+    m: &GbmMarket,
+    prod: &Product,
+    cfg: McConfig,
+    ranks: usize,
+    machine: Machine,
+) -> McClusterOutcome {
+    price_mc_cluster(m, prod, cfg, ranks, machine, FaultPlan::new(0), None).expect("cluster mc")
 }
 
 #[cfg(test)]

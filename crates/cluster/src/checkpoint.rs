@@ -62,11 +62,25 @@
 //! always receives **full**, era-keyed records, so recovery reads the
 //! same pool and replays bit-identically; the mode moves virtual-time
 //! cost, never data.
+//!
+//! # One driver, with or without checkpoints
+//!
+//! Every distributed pricing driver runs its single SPMD body under a
+//! [`Supervisor`], whether or not the run checkpoints: the interval is
+//! an `Option` (`None` never writes a checkpoint) and the supervisor
+//! owns the run's collectives. While the full roster is alive they are
+//! the machine's [`CollectiveEngine`] schedules — exactly what a
+//! supervisor-free run would send — and only a roster shrunk by a
+//! crash falls back to the active-list fan-out. A run without
+//! checkpoints therefore costs the same messages, bytes and virtual
+//! time as a checkpointed fault-free run minus the checkpoint writes.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use crate::comm::Communicator;
+use crate::engine::CollectiveEngine;
+use crate::fault::FaultPlan;
 use crate::message::{Message, Tag, FT_TAG_BASE};
 use crate::thread_comm::ThreadComm;
 
@@ -213,18 +227,36 @@ pub struct Recovery {
     pub records: Vec<(usize, CheckpointRecord)>,
 }
 
-/// Per-rank driver-side coordinator for checkpointing and recovery.
+/// Reject a checkpoint policy no driver can honour: a zero interval, or
+/// a plan that crashes ranks on a run that never checkpoints (the
+/// survivors would have nothing to roll back to). Drivers call this
+/// before any rank starts; the message names the problem.
+pub fn check_policy(plan: &FaultPlan, interval: Option<usize>) -> Result<(), String> {
+    match interval {
+        Some(0) => Err("checkpoint_interval must be >= 1".into()),
+        None if !plan.crashes.is_empty() => Err(
+            "a fault plan that crashes ranks needs a checkpoint_interval to recover from".into(),
+        ),
+        _ => Ok(()),
+    }
+}
+
+/// Per-rank driver-side coordinator for checkpointing, recovery and
+/// collectives.
 ///
 /// Drivers construct one per rank, call [`Supervisor::boundary`] at
-/// every step boundary, and react to the returned [`Recovery`] by
+/// every step boundary, react to the returned [`Recovery`] by
 /// rebuilding their shard from the pooled records over the shrunken
-/// [`Supervisor::active`] set.
+/// [`Supervisor::active`] set, and run their collectives through
+/// [`Supervisor::broadcast`] and [`Supervisor::gather_varied`].
 #[derive(Debug)]
 pub struct Supervisor {
-    interval: usize,
+    interval: Option<usize>,
     store: CheckpointStore,
     plan_crashes: Vec<(usize, usize)>,
     active: Vec<usize>,
+    /// The full roster's schedules, used while no rank has died.
+    engine: CollectiveEngine,
     last_ckpt: Option<usize>,
     era: usize,
     mode: CheckpointMode,
@@ -236,19 +268,23 @@ pub struct Supervisor {
 
 impl Supervisor {
     /// A supervisor for `comm`'s run, checkpointing every `interval`
-    /// steps into `store` with the original synchronous scheme.
-    pub fn new(comm: &ThreadComm, interval: usize, store: &CheckpointStore) -> Self {
+    /// steps (never, for `None`) into `store` with the original
+    /// synchronous scheme.
+    pub fn new(comm: &ThreadComm, interval: Option<usize>, store: &CheckpointStore) -> Self {
         Self::new_with_mode(comm, interval, store, CheckpointMode::Sync)
     }
 
     /// A supervisor with an explicit [`CheckpointMode`].
+    ///
+    /// # Panics
+    /// Panics on `Some(0)`; see [`check_policy`].
     pub fn new_with_mode(
         comm: &ThreadComm,
-        interval: usize,
+        interval: Option<usize>,
         store: &CheckpointStore,
         mode: CheckpointMode,
     ) -> Self {
-        assert!(interval >= 1, "checkpoint interval must be >= 1");
+        assert!(interval != Some(0), "checkpoint interval must be >= 1");
         Supervisor {
             interval,
             store: store.clone(),
@@ -257,6 +293,7 @@ impl Supervisor {
                 .map(|p| p.crashes.clone())
                 .unwrap_or_default(),
             active: (0..comm.size()).collect(),
+            engine: CollectiveEngine::for_machine(comm.machine(), comm.size()),
             last_ckpt: None,
             era: 0,
             mode,
@@ -328,7 +365,7 @@ impl Supervisor {
     ) -> Option<Recovery> {
         // Checkpoint before the crash point: a rank dying at this
         // boundary still contributes its shard to the recovery pool.
-        if step % self.interval == 0 {
+        if self.interval.is_some_and(|k| step % k == 0) {
             let (lo, data) = snapshot();
             let era = self.era;
             match self.mode {
@@ -379,6 +416,35 @@ impl Supervisor {
             from_step: self.last_ckpt,
             records,
         })
+    }
+
+    /// Broadcast `data` from `root` to every active rank. While the full
+    /// roster is alive this is the machine's [`CollectiveEngine`]
+    /// schedule; after a death, the active-list fan-out.
+    pub fn broadcast(&self, comm: &mut ThreadComm, root: usize, data: &mut [f64]) {
+        if self.active.len() == comm.size() {
+            self.engine.broadcast(comm, root, data);
+        } else {
+            let out = broadcast_active(comm, &self.active, root, data);
+            data.copy_from_slice(&out);
+        }
+    }
+
+    /// Gather every active rank's `data` to `root` in rank order:
+    /// `Some(parts)` on `root`, `None` elsewhere. Same schedule rule as
+    /// [`Supervisor::broadcast`].
+    pub fn gather_varied(
+        &self,
+        comm: &mut ThreadComm,
+        root: usize,
+        data: &[f64],
+    ) -> Option<Vec<Vec<f64>>> {
+        if self.active.len() == comm.size() {
+            self.engine.gather_varied(comm, root, data)
+        } else {
+            let parts = gather_active(comm, &self.active, root, data);
+            (comm.rank() == root).then_some(parts)
+        }
     }
 
     /// Flat failure-agreement exchange at a crash boundary. Every
@@ -533,15 +599,15 @@ fn dirty_values(prev: Option<&(usize, Vec<f64>)>, lo: usize, data: &[f64]) -> us
 
 /// Active-set size at which [`broadcast_active`] switches from the
 /// linear fan-out to a binomial tree over dense indices.
-pub const BCAST_TREE_THRESHOLD: usize = 64;
+const BCAST_TREE_THRESHOLD: usize = 64;
 
 /// Broadcast `data` from `root` to every rank in `active`
-/// (deterministic order). Recovery-path collective: the tree
-/// algorithms in [`crate::collectives`] assume the full communicator,
-/// so this one runs over dense active-list indices instead — linear
-/// below [`BCAST_TREE_THRESHOLD`] ranks, a binomial tree at or above
-/// (O(log s) depth instead of an O(s) root serial fan-out).
-pub fn broadcast_active(
+/// (deterministic order). Survivor-roster collective: the engine's
+/// schedules assume the full communicator, so this one runs over dense
+/// active-list indices instead — linear below [`BCAST_TREE_THRESHOLD`]
+/// ranks, a binomial tree at or above (O(log s) depth instead of an
+/// O(s) root serial fan-out).
+fn broadcast_active(
     comm: &mut ThreadComm,
     active: &[usize],
     root: usize,
@@ -588,7 +654,7 @@ pub fn broadcast_active(
 
 /// Gather each active rank's `data` to `root` (linear, in active-list
 /// order). Returns the per-rank payloads on `root`, empty elsewhere.
-pub fn gather_active(
+fn gather_active(
     comm: &mut ThreadComm,
     active: &[usize],
     root: usize,
@@ -691,7 +757,7 @@ mod tests {
             Machine::ideal(),
             FaultPlan::new(0),
             move |comm| {
-                let mut sup = Supervisor::new(comm, 4, &st);
+                let mut sup = Supervisor::new(comm, Some(4), &st);
                 let mut snaps = 0;
                 for step in 0..10 {
                     let r = sup.boundary(comm, step, || {
@@ -710,6 +776,27 @@ mod tests {
         }
     }
 
+    #[test]
+    fn no_interval_never_checkpoints_and_needs_no_crashes() {
+        let store = CheckpointStore::new();
+        let st = store.clone();
+        let out = run_spmd_ft(2, Machine::ideal(), FaultPlan::new(0), move |comm| {
+            let mut sup = Supervisor::new(comm, None, &st);
+            for step in 0..10 {
+                assert!(sup.boundary(comm, step, || unreachable!()).is_none());
+            }
+            sup.last_checkpoint()
+        })
+        .unwrap();
+        assert!(out.survivors.iter().all(|s| s.value.is_none()));
+        assert!(store.is_empty());
+        let crash = FaultPlan::new(0).with_crash(1, 3);
+        assert!(check_policy(&crash, None).is_err());
+        assert!(check_policy(&crash, Some(2)).is_ok());
+        assert!(check_policy(&FaultPlan::new(0).with_drops(0.1), None).is_ok());
+        assert!(check_policy(&FaultPlan::new(0), Some(0)).is_err());
+    }
+
     fn comm_rank_lo(step: usize) -> usize {
         step // arbitrary payload for the snapshot closure
     }
@@ -721,7 +808,7 @@ mod tests {
         let plan = FaultPlan::new(0).with_crash(1, 5);
         let out = run_spmd_ft(4, Machine::cluster2002(), plan, move |comm| {
             let me = comm.rank() as f64;
-            let mut sup = Supervisor::new(comm, 4, &st);
+            let mut sup = Supervisor::new(comm, Some(4), &st);
             let mut recovered_at = None;
             let mut step = 0;
             while step < 10 {
@@ -752,7 +839,7 @@ mod tests {
         let plan2 = FaultPlan::new(0).with_crash(1, 5);
         let out2 = run_spmd_ft(4, Machine::cluster2002(), plan2, move |comm| {
             let me = comm.rank() as f64;
-            let mut sup = Supervisor::new(comm, 4, &st2);
+            let mut sup = Supervisor::new(comm, Some(4), &st2);
             let mut step = 0;
             while step < 10 {
                 if let Some(rec) = sup.boundary(comm, step, || (0, vec![me])) {
@@ -775,7 +862,7 @@ mod tests {
         let st = store.clone();
         let plan = FaultPlan::new(0).with_crash(3, 2).with_crash(1, 6);
         let out = run_spmd_ft(4, Machine::cluster2002(), plan, move |comm| {
-            let mut sup = Supervisor::new(comm, 2, &st);
+            let mut sup = Supervisor::new(comm, Some(2), &st);
             let mut step = 0;
             while step < 8 {
                 if let Some(rec) = sup.boundary(comm, step, || (0, vec![0.0])) {
@@ -805,7 +892,7 @@ mod tests {
             let store = CheckpointStore::new();
             let st = store.clone();
             let out = run_spmd_ft(2, Machine::cluster2002(), FaultPlan::new(0), move |comm| {
-                let mut sup = Supervisor::new_with_mode(comm, 1, &st, mode);
+                let mut sup = Supervisor::new_with_mode(comm, Some(1), &st, mode);
                 let data = vec![1.25; 4096];
                 for step in 0..8 {
                     sup.boundary(comm, step, || (0, data.clone()));
@@ -832,7 +919,7 @@ mod tests {
         let out = run_spmd_ft(4, Machine::cluster2002(), plan, move |comm| {
             let me = comm.rank() as f64;
             let mut sup =
-                Supervisor::new_with_mode(comm, 4, &st, CheckpointMode::AsyncIncremental);
+                Supervisor::new_with_mode(comm, Some(4), &st, CheckpointMode::AsyncIncremental);
             let mut recovered = None;
             let mut step = 0;
             while step < 10 {
@@ -881,7 +968,7 @@ mod tests {
         let st = store.clone();
         let plan = FaultPlan::new(0).with_crash(17, 3).with_crash(40, 3);
         let out = run_spmd_ft(72, Machine::cluster2002(), plan, move |comm| {
-            let mut sup = Supervisor::new(comm, 2, &st);
+            let mut sup = Supervisor::new(comm, Some(2), &st);
             let mut step = 0;
             while step < 6 {
                 if let Some(rec) = sup.boundary(comm, step, || (0, vec![0.0])) {

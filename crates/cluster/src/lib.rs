@@ -58,7 +58,9 @@ pub mod thread_comm;
 pub mod topology;
 pub mod trace;
 
-pub use checkpoint::{CheckpointMode, CheckpointRecord, CheckpointStore, Recovery, Supervisor};
+pub use checkpoint::{
+    check_policy, CheckpointMode, CheckpointRecord, CheckpointStore, Recovery, Supervisor,
+};
 pub use collectives::{canonical_fold, ReduceOp};
 pub use comm::Communicator;
 pub use engine::{CollectiveAlgo, CollectiveEngine};

@@ -29,7 +29,7 @@ use crate::error::ClusterError;
 use crate::fault::{FaultPlan, InjectedCrash};
 use crate::machine::Machine;
 use crate::message::{Message, Tag, POISON_TAG};
-use crate::stats::{CommStats, SpmdResult};
+use crate::stats::{CommStats, SpmdResult, TimeModel};
 use crate::trace::TraceEvent;
 
 /// Per-rank fault-injection state: the shared plan plus the counters
@@ -467,6 +467,23 @@ pub struct FtRunOutcome<T> {
     pub survivors: Vec<SpmdResult<T>>,
     /// Scheduled crashes that fired, ordered by rank.
     pub crashed: Vec<CrashInfo>,
+}
+
+impl<T> FtRunOutcome<T> {
+    /// The run's aggregate time model, crashed ranks' clocks and
+    /// counters included.
+    pub fn time_model(&self) -> TimeModel {
+        let mut time = TimeModel::from_results(&self.survivors);
+        for c in &self.crashed {
+            time.absorb_crashed(c.time, &c.stats);
+        }
+        time
+    }
+
+    /// The crashes that fired, as `(rank, boundary)` pairs.
+    pub fn crash_sites(&self) -> Vec<(usize, usize)> {
+        self.crashed.iter().map(|c| (c.rank, c.step)).collect()
+    }
 }
 
 /// How one rank's execution ended, for the classification pass.

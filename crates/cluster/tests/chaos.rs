@@ -87,7 +87,7 @@ proptest! {
         let store = CheckpointStore::new();
         let expected = expected_active.clone();
         let out = run_spmd_ft(p, Machine::cluster2002(), plan, move |comm| {
-            let mut sup = Supervisor::new(comm, 3, &store);
+            let mut sup = Supervisor::new(comm, Some(3), &store);
             let me = comm.rank() as f64;
             let mut step = 0;
             while step < steps {
@@ -136,7 +136,7 @@ proptest! {
         let run = |plan: FaultPlan| {
             let store = CheckpointStore::new();
             run_spmd_ft(4, Machine::cluster2002(), plan, move |comm| {
-                let mut sup = Supervisor::new(comm, 2, &store);
+                let mut sup = Supervisor::new(comm, Some(2), &store);
                 let me = comm.rank() as f64;
                 let mut step = 0;
                 while step < 8 {

@@ -10,16 +10,14 @@
 //! per product, paying the setup once — with results bitwise-identical
 //! to one-shot calls. [`crate::Portfolio`] builds on the same split.
 
-use mdp_cluster::{CheckpointMode, FaultPlan, Machine, TimeModel};
+use mdp_cluster::{check_policy, CheckpointMode, FaultPlan, Machine, TimeModel};
 use mdp_lattice::{
-    cluster::{price_cluster, price_cluster_ft, Decomposition},
+    cluster::{price_cluster, Decomposition},
     BinomialKind, BinomialLattice, LatticeError, LatticePlan, LatticeScratch, MultiLattice,
     TrinomialLattice,
 };
 use mdp_mc::{
-    cluster_driver::{
-        price_lsmc_cluster, price_lsmc_cluster_ft, price_mc_cluster, price_mc_cluster_ft,
-    },
+    cluster_driver::{price_lsmc_cluster, price_mc_cluster},
     lsmc::{price_lsmc, price_lsmc_rayon},
     qmc::price_qmc,
     LsmcConfig, McConfig, McEngine, McError, McPlan, QmcConfig,
@@ -30,11 +28,6 @@ use mdp_pde::{
     Fd1dPlan, Fd1dScratch, PdeError, Scheme, StencilKernel,
 };
 use std::fmt;
-
-/// Checkpoint boundaries used by the fault-tolerant Monte Carlo cluster
-/// driver when routed through [`Pricer`]: the block range is processed
-/// in this many batches, with a recovery boundary before each.
-const MC_FT_BATCHES: usize = 16;
 
 /// The pricing method (engine + its configuration).
 #[derive(Debug, Clone)]
@@ -320,17 +313,16 @@ pub enum Backend {
         ranks: usize,
         /// Machine model.
         machine: Machine,
-        /// When set, the run goes through the fault-tolerant
-        /// checkpoint/restart driver, writing a checkpoint every this
-        /// many step boundaries. Combine with [`Pricer::fault_plan`] to
-        /// inject crashes; the recovered price is bit-identical to the
-        /// fault-free run.
+        /// When set, the driver writes a coordinated checkpoint every
+        /// this many step boundaries (`None`: never). Crashes injected
+        /// through [`Pricer::fault_plan`] need one to recover from; the
+        /// recovered price is bit-identical to the fault-free run.
         checkpoint_interval: Option<usize>,
     },
 }
 
 impl Backend {
-    /// Plain (non-fault-tolerant) cluster backend.
+    /// Cluster backend without checkpoints.
     pub fn cluster(ranks: usize, machine: Machine) -> Self {
         Backend::Cluster {
             ranks,
@@ -508,9 +500,12 @@ impl Pricer {
         self
     }
 
-    /// Inject a deterministic fault schedule into fault-tolerant
-    /// cluster runs (those with a `checkpoint_interval`). Without one,
-    /// checkpointed runs execute fault-free (checkpoints still written).
+    /// Inject a deterministic fault schedule into every cluster run.
+    /// Message drops and delays go through reliable delivery; crashes
+    /// need a `checkpoint_interval` to recover from (a plan that
+    /// crashes ranks on a run without one is
+    /// [`PriceError::Unsupported`]). Without a plan, cluster runs
+    /// execute fault-free.
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = Some(plan);
         self
@@ -625,7 +620,7 @@ impl Pricer {
     }
 
     /// The one-shot dispatch for method/backend pairs without reusable
-    /// planned state (and the cluster fault-tolerance routing).
+    /// planned state (every cluster run among them).
     fn price_one_shot(
         &self,
         market: &GbmMarket,
@@ -638,19 +633,17 @@ impl Pricer {
                 self.backend
             )))
         };
-        // The fault schedule for checkpointed cluster runs; absent a
-        // user-supplied plan, a fault-free schedule (checkpoints still
-        // written, so the overhead is observable in the time model).
-        let fault = || self.fault_plan.clone().unwrap_or_else(|| FaultPlan::new(0));
-        let check_interval = |k: usize| {
-            if k == 0 {
-                Err(PriceError::Unsupported(
-                    "checkpoint_interval must be >= 1".into(),
-                ))
-            } else {
-                Ok(k)
-            }
-        };
+        // The fault schedule of a cluster run; absent a user-supplied
+        // plan, a fault-free one. A policy no driver can honour is
+        // rejected before any rank starts.
+        let fault = self.fault_plan.clone().unwrap_or_else(|| FaultPlan::new(0));
+        if let Backend::Cluster {
+            checkpoint_interval,
+            ..
+        } = self.backend
+        {
+            check_policy(&fault, checkpoint_interval).map_err(PriceError::Unsupported)?;
+        }
         Ok(match (&self.method, self.backend) {
             (Method::Analytic, Backend::Sequential) => {
                 let p = mdp_model::analytic::price_product(market, product).ok_or_else(|| {
@@ -695,31 +688,19 @@ impl Pricer {
                     machine,
                     checkpoint_interval,
                 },
-            ) => match checkpoint_interval {
-                None => {
-                    let out = price_cluster(
-                        market,
-                        product,
-                        *steps,
-                        ranks,
-                        machine,
-                        Decomposition::Block,
-                    )?;
-                    (out.price, None, Some(out.time))
-                }
-                Some(k) => {
-                    let out = price_cluster_ft(
-                        market,
-                        product,
-                        *steps,
-                        ranks,
-                        machine,
-                        fault(),
-                        check_interval(k)?,
-                    )?;
-                    (out.price, None, Some(out.time))
-                }
-            },
+            ) => {
+                let out = price_cluster(
+                    market,
+                    product,
+                    *steps,
+                    ranks,
+                    machine,
+                    Decomposition::Block,
+                    fault,
+                    checkpoint_interval,
+                )?;
+                (out.price, None, Some(out.time))
+            }
 
             (Method::MonteCarlo(cfg), Backend::Sequential) => {
                 let r = McEngine::new(*cfg).price(market, product)?;
@@ -736,25 +717,18 @@ impl Pricer {
                     machine,
                     checkpoint_interval,
                 },
-            ) => match checkpoint_interval {
-                None => {
-                    let out = price_mc_cluster(market, product, *cfg, ranks, machine)?;
-                    (out.result.price, Some(out.result.std_error), Some(out.time))
-                }
-                Some(k) => {
-                    let out = price_mc_cluster_ft(
-                        market,
-                        product,
-                        *cfg,
-                        ranks,
-                        machine,
-                        fault(),
-                        MC_FT_BATCHES,
-                        check_interval(k)?,
-                    )?;
-                    (out.result.price, Some(out.result.std_error), Some(out.time))
-                }
-            },
+            ) => {
+                let out = price_mc_cluster(
+                    market,
+                    product,
+                    *cfg,
+                    ranks,
+                    machine,
+                    fault,
+                    checkpoint_interval,
+                )?;
+                (out.result.price, Some(out.result.std_error), Some(out.time))
+            }
 
             (Method::Qmc(cfg), Backend::Sequential) => {
                 let r = price_qmc(market, product, *cfg)?;
@@ -777,25 +751,19 @@ impl Pricer {
                     machine,
                     checkpoint_interval,
                 },
-            ) => match checkpoint_interval {
-                None => {
-                    let out = price_lsmc_cluster(market, product, *cfg, ranks, machine)?;
-                    (out.result.price, Some(out.result.std_error), Some(out.time))
-                }
-                Some(k) => {
-                    let out = price_lsmc_cluster_ft(
-                        market,
-                        product,
-                        *cfg,
-                        ranks,
-                        machine,
-                        fault(),
-                        check_interval(k)?,
-                        CheckpointMode::AsyncIncremental,
-                    )?;
-                    (out.result.price, Some(out.result.std_error), Some(out.time))
-                }
-            },
+            ) => {
+                let out = price_lsmc_cluster(
+                    market,
+                    product,
+                    *cfg,
+                    ranks,
+                    machine,
+                    fault,
+                    checkpoint_interval,
+                    CheckpointMode::AsyncIncremental,
+                )?;
+                (out.result.price, Some(out.result.std_error), Some(out.time))
+            }
 
             (Method::Fd1d(cfg), Backend::Sequential) => {
                 (cfg.price(market, product)?.price, None, None)
@@ -815,28 +783,20 @@ impl Pricer {
                             .into(),
                     ));
                 }
-                let cl = ClusterFd1d {
+                let out = ClusterFd1d {
                     space_points: cfg.space_points,
                     time_steps: cfg.time_steps,
                     width: cfg.width,
-                };
-                match checkpoint_interval {
-                    None => {
-                        let out = cl.price(market, product, ranks, machine)?;
-                        (out.price, None, Some(out.time))
-                    }
-                    Some(k) => {
-                        let out = cl.price_ft(
-                            market,
-                            product,
-                            ranks,
-                            machine,
-                            fault(),
-                            check_interval(k)?,
-                        )?;
-                        (out.price, None, Some(out.time))
-                    }
                 }
+                .price(
+                    market,
+                    product,
+                    ranks,
+                    machine,
+                    fault,
+                    checkpoint_interval,
+                )?;
+                (out.price, None, Some(out.time))
             }
             (Method::Fd1d(_), _) => return unsupported_backend(),
 

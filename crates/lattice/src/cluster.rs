@@ -28,12 +28,16 @@
 //! derives the full communication pattern locally — no coordination
 //! messages, exactly like the static decompositions of the era's MPI
 //! codes.
+//!
+//! The one SPMD body runs under a [`Supervisor`]: it writes coordinated
+//! checkpoints when the run has an interval and, after a crash,
+//! repartitions the last checkpointed layer over the survivors (the
+//! fault model is in DESIGN.md).
 
 use crate::multidim::{branch_probabilities, StepCtx, StepScratch};
 use crate::LatticeError;
-use mdp_cluster::checkpoint::broadcast_active;
 use mdp_cluster::{
-    partition, run_spmd_ft, CheckpointStore, CollectiveEngine, Communicator, FaultPlan, Machine,
+    check_policy, partition, run_spmd_ft, CheckpointStore, Communicator, FaultPlan, Machine,
     Supervisor, ThreadComm, TimeModel,
 };
 use mdp_model::{GbmMarket, Product};
@@ -72,18 +76,30 @@ fn node_work(d: usize) -> f64 {
 /// Per-run outcome of the distributed lattice.
 #[derive(Debug, Clone)]
 pub struct ClusterLatticeOutcome {
-    /// Present value (identical on every rank; cross-checked).
+    /// Present value (identical on every surviving rank).
     pub price: f64,
-    /// Aggregated virtual-time model of the run.
+    /// Aggregated virtual-time model of the run, crashed ranks' time
+    /// included.
     pub time: TimeModel,
+    /// Injected crashes that fired, as `(rank, boundary)` pairs.
+    pub crashed: Vec<(usize, usize)>,
 }
 
 /// Price a product on `p` ranks under `machine`, decomposing the lattice
-/// rows by `decomp`.
+/// rows by `decomp`, under the fault schedule `plan`, writing a
+/// coordinated checkpoint of every rank's owned rows each
+/// `ckpt_interval` time steps (`None`: never).
 ///
-/// The result is bit-identical to [`crate::MultiLattice::price`] — the parallel
-/// algorithm only re-partitions the same floating-point operations in
-/// the same order within each row.
+/// The result is bit-identical to [`crate::MultiLattice::price`] — the
+/// parallel algorithm only re-partitions the same floating-point
+/// operations in the same order within each row. When a rank crashes,
+/// survivors agree on the death, repartition the checkpointed layer
+/// over the shrunken rank set and replay from the last checkpoint; the
+/// price stays bit-identical (only ownership changes). Recovery
+/// repartitions with the block arithmetic used at start, so a
+/// checkpointed run needs [`Decomposition::Block`], and a plan that
+/// crashes ranks needs a checkpoint interval; both are typed errors.
+#[allow(clippy::too_many_arguments)]
 pub fn price_cluster(
     market: &GbmMarket,
     product: &Product,
@@ -91,7 +107,15 @@ pub fn price_cluster(
     p: usize,
     machine: Machine,
     decomp: Decomposition,
+    plan: FaultPlan,
+    ckpt_interval: Option<usize>,
 ) -> Result<ClusterLatticeOutcome, LatticeError> {
+    let unsupported = |why: String| {
+        LatticeError::Model(mdp_model::ModelError::Unsupported {
+            engine: "BEG cluster lattice",
+            why,
+        })
+    };
     // Validate once up front so parameter errors surface as LatticeError
     // rather than rank panics.
     product.validate_for(market)?;
@@ -99,39 +123,59 @@ pub fn price_cluster(
         return Err(LatticeError::ZeroSteps);
     }
     if product.payoff.is_path_dependent() {
-        return Err(LatticeError::Model(mdp_model::ModelError::Unsupported {
-            engine: "BEG cluster lattice",
-            why: "path-dependent payoff".into(),
-        }));
+        return Err(unsupported("path-dependent payoff".into()));
     }
+    if ckpt_interval.is_some() && decomp != Decomposition::Block {
+        return Err(unsupported(
+            "checkpointed runs need Decomposition::Block".into(),
+        ));
+    }
+    check_policy(&plan, ckpt_interval).map_err(unsupported)?;
     let dt = product.maturity / steps as f64;
     let probs = branch_probabilities(market, dt)?;
     let disc = (-market.rate() * dt).exp();
     let d = market.dim();
+    let store = CheckpointStore::new();
 
-    let results = mdp_cluster::run_spmd(p, machine, |comm| {
-        run_rank(comm, market, product, steps, &probs, disc, d, decomp)
+    let outcome = run_spmd_ft(p, machine, plan, |comm| {
+        run_rank(
+            comm,
+            market,
+            product,
+            steps,
+            &probs,
+            disc,
+            d,
+            decomp,
+            &store,
+            ckpt_interval,
+        )
     })
-    .map_err(|e| {
-        LatticeError::Model(mdp_model::ModelError::Unsupported {
-            engine: "BEG cluster lattice",
-            why: e.to_string(),
-        })
-    })?;
+    .map_err(|e| unsupported(e.to_string()))?;
 
-    let price = results[0].value;
+    let price = outcome.survivors[0].value;
     debug_assert!(
-        results.iter().all(|r| r.value.to_bits() == price.to_bits()),
-        "broadcast must make the price identical on every rank"
+        outcome
+            .survivors
+            .iter()
+            .all(|r| r.value.to_bits() == price.to_bits()),
+        "broadcast must make the price identical on every survivor"
     );
-    let time = TimeModel::from_results(&results);
-    Ok(ClusterLatticeOutcome { price, time })
+    Ok(ClusterLatticeOutcome {
+        price,
+        time: outcome.time_model(),
+        crashed: outcome.crash_sites(),
+    })
 }
 
-/// The SPMD body: one rank's share of the backward induction.
+/// The SPMD body: one rank's share of the backward induction. Boundary
+/// `k` precedes lattice step `n-1-k`, so `k` counts completed steps and
+/// grows monotonically — the ascending index [`Supervisor::boundary`]
+/// expects. Rows are owned over the supervisor's active list: rank
+/// `active[j]` owns dense share `j` of `active.len()`.
 #[allow(clippy::too_many_arguments)]
-fn run_rank<C: Communicator>(
-    comm: &mut C,
+fn run_rank(
+    comm: &mut ThreadComm,
     market: &GbmMarket,
     product: &Product,
     steps: usize,
@@ -139,10 +183,13 @@ fn run_rank<C: Communicator>(
     disc: f64,
     d: usize,
     decomp: Decomposition,
+    store: &CheckpointStore,
+    interval: Option<usize>,
 ) -> f64 {
-    let p = comm.size();
-    let rank = comm.rank();
     let n = steps;
+    let rank = comm.rank();
+    let mut sup = Supervisor::new(comm, interval, store);
+    let mut me = sup.dense_index(rank);
 
     // Per-rank buffers, allocated once and reused every time step.
     let mut scratch = StepScratch::new();
@@ -151,51 +198,75 @@ fn run_rank<C: Communicator>(
     let mut send_buf: Vec<f64> = Vec::new();
     let mut spare: Vec<f64> = Vec::new();
 
-    // Terminal layer: evaluate owned rows.
+    // Terminal layer over the (initially full) active set.
     let term_ctx = StepCtx::new(market, product, n, n, probs, disc);
-    let row_len_term = term_ctx.row_cur();
-    let mut owned_next: Vec<usize> = decomp.owned(n + 1, p, rank);
-    let mut values: Vec<f64> = vec![0.0; owned_next.len() * row_len_term];
+    let mut row_len_next = term_ctx.row_cur();
+    let mut owned_next = decomp.owned(n + 1, sup.active().len(), me);
+    let mut values: Vec<f64> = vec![0.0; owned_next.len() * row_len_next];
     for (slot, &j0) in owned_next.iter().enumerate() {
         term_ctx.eval_terminal_slab(
             j0,
-            &mut values[slot * row_len_term..(slot + 1) * row_len_term],
+            &mut values[slot * row_len_next..(slot + 1) * row_len_next],
             &mut scratch,
         );
     }
     comm.compute_units(values.len() as f64 * (d as f64 + 2.0));
 
-    let mut row_len_next = row_len_term;
-    for step in (0..n).rev() {
+    let mut k = 0usize; // completed lattice steps == boundary index
+    while k < n {
+        let snap_lo = owned_next.first().copied().unwrap_or(0);
+        if let Some(rec) = sup.boundary(comm, k, || (snap_lo, values.clone())) {
+            // Roll back: rebuild the checkpointed layer from the
+            // pooled records and repartition it over the survivors
+            // (checkpointed runs are Block, so shards are contiguous).
+            let k0 = rec.from_step.expect("boundary 0 always checkpoints");
+            let layer_rows = n - k0 + 1;
+            let row_len = StepCtx::new(market, product, n, n - k0, probs, disc).row_cur();
+            let mut full = vec![0.0; layer_rows * row_len];
+            for (_, r) in &rec.records {
+                full[r.lo * row_len..r.lo * row_len + r.data.len()].copy_from_slice(&r.data);
+            }
+            me = sup.dense_index(rank);
+            owned_next = decomp.owned(layer_rows, sup.active().len(), me);
+            let lo = owned_next.first().copied().unwrap_or(0);
+            values = full[lo * row_len..lo * row_len + owned_next.len() * row_len].to_vec();
+            row_len_next = row_len;
+            k = k0;
+            continue; // re-enter boundary k0: it checkpoints a fresh era
+        }
+
+        let step = n - 1 - k;
+        let active = sup.active();
+        let a = active.len();
         let ctx = StepCtx::new(market, product, n, step, probs, disc);
         let row_cur = ctx.row_cur();
         let row_next = ctx.row_next;
         debug_assert_eq!(row_next, row_len_next);
         let next_rows_total = step + 2;
 
-        let owned_cur = decomp.owned(step + 1, p, rank);
+        let owned_cur = decomp.owned(step + 1, a, me);
         // Rows of the next grid this rank needs: children of owned rows.
         let needed = needed_rows(&owned_cur, next_rows_total);
 
-        // --- Post the halo sends -------------------------------------------
-        // For each candidate peer, the intersection of their needs with
-        // my owned rows. Under Block decomposition the candidates are an
-        // O(1) arithmetic range; Cyclic scans all peers. Sends are
-        // asynchronous: they are in flight while the interior sweep
-        // below runs.
+        // --- Post the halo sends -----------------------------------
+        // For each candidate peer, the intersection of their needs
+        // with my owned rows. Under Block decomposition the
+        // candidates are an O(1) arithmetic range; Cyclic scans all
+        // peers. Sends are asynchronous: they are in flight while
+        // the interior sweep below runs.
         let send_peers = match decomp {
             Decomposition::Block => {
                 let lo_n = owned_next.first().copied().unwrap_or(0);
                 let hi_n = owned_next.last().map_or(0, |&x| x + 1);
-                send_candidates(lo_n, hi_n, step + 1, p)
+                send_candidates(lo_n, hi_n, step + 1, a)
             }
-            Decomposition::Cyclic(_) => 0..p,
+            Decomposition::Cyclic(_) => 0..a,
         };
-        for r in send_peers {
-            if r == rank {
+        for j in send_peers {
+            if j == me {
                 continue;
             }
-            let their_cur = decomp.owned(step + 1, p, r);
+            let their_cur = decomp.owned(step + 1, a, j);
             let their_needed = needed_rows(&their_cur, next_rows_total);
             let send_rows = intersect(&their_needed, &owned_next);
             if send_rows.is_empty() {
@@ -207,7 +278,7 @@ fn run_rank<C: Communicator>(
                 let slot = slot_of(&owned_next, row);
                 send_buf.extend_from_slice(&values[slot * row_next..(slot + 1) * row_next]);
             }
-            comm.send(r, T_HALO, &send_buf);
+            comm.send(active[j], T_HALO, &send_buf);
         }
 
         // Stage the locally owned part of the needed window.
@@ -220,22 +291,22 @@ fn run_rank<C: Communicator>(
             }
         }
 
-        // --- Interior sweep (overlapped with the halo exchange) ------------
+        // --- Interior sweep (overlapped with the halo exchange) ----
         // Rows whose two child rows are both local can be computed
-        // before touching the network; charging their work ahead of the
-        // receives is what lets the virtual-time model hide message
-        // latency behind computation.
+        // before touching the network; charging their work ahead of
+        // the receives is what lets the virtual-time model hide
+        // message latency behind computation.
         spare.clear();
         spare.resize(owned_cur.len() * row_cur, 0.0);
         two_rows.clear();
         two_rows.resize(2 * row_next, 0.0);
         let child_is_local = |row: usize| owned_next.binary_search(&row).is_ok();
         let sweep = |j0: usize,
-                         slot: usize,
-                         window: &[f64],
-                         spare: &mut [f64],
-                         two_rows: &mut [f64],
-                         scratch: &mut StepScratch| {
+                     slot: usize,
+                     window: &[f64],
+                     spare: &mut [f64],
+                     two_rows: &mut [f64],
+                     scratch: &mut StepScratch| {
             let w0 = slot_of(&needed, j0);
             let w1 = slot_of(&needed, j0 + 1);
             // The two rows are contiguous in the window for block
@@ -258,301 +329,21 @@ fn run_rank<C: Communicator>(
         }
         comm.compute_units(interior_nodes as f64 * node_work(d));
 
-        // --- Complete the halo exchange ------------------------------------
+        // --- Complete the halo exchange ----------------------------
         let recv_peers = match decomp {
-            Decomposition::Block => recv_candidates(&needed, step + 2, p),
-            Decomposition::Cyclic(_) => 0..p,
+            Decomposition::Block => recv_candidates(&needed, step + 2, a),
+            Decomposition::Cyclic(_) => 0..a,
         };
-        for r in recv_peers {
-            if r == rank {
+        for j in recv_peers {
+            if j == me {
                 continue;
             }
-            let their_owned_next = decomp.owned(step + 2, p, r);
+            let their_owned_next = decomp.owned(step + 2, a, j);
             let recv_rows = intersect(&needed, &their_owned_next);
             if recv_rows.is_empty() {
                 continue;
             }
-            let buf = comm.recv(r, T_HALO);
-            debug_assert_eq!(buf.len(), recv_rows.len() * row_next);
-            for (k, &row) in recv_rows.iter().enumerate() {
-                let wslot = slot_of(&needed, row);
-                window[wslot * row_next..(wslot + 1) * row_next]
-                    .copy_from_slice(&buf[k * row_next..(k + 1) * row_next]);
-            }
-        }
-
-        // --- Boundary sweep (rows that needed remote children) -------------
-        let mut boundary_nodes = 0u64;
-        for (slot, &j0) in owned_cur.iter().enumerate() {
-            if !(child_is_local(j0) && child_is_local(j0 + 1)) {
-                sweep(j0, slot, &window, &mut spare, &mut two_rows, &mut scratch);
-                boundary_nodes += row_cur as u64;
-            }
-        }
-        comm.compute_units(boundary_nodes as f64 * node_work(d));
-
-        std::mem::swap(&mut values, &mut spare);
-        owned_next = owned_cur;
-        row_len_next = row_cur;
-    }
-
-    // Step 0 has one row, one node; its owner broadcasts the price
-    // through the topology-aware engine (bitwise-identical to the flat
-    // broadcast — only the schedule depends on the machine).
-    let root = owner_of_row0(decomp, p);
-    let engine = CollectiveEngine::for_machine(comm.machine(), p);
-    let mut price = [if rank == root { values[0] } else { 0.0 }];
-    engine.broadcast(comm, root, &mut price);
-    price[0]
-}
-
-/// Per-run outcome of the fault-tolerant distributed lattice.
-#[derive(Debug, Clone)]
-pub struct ClusterLatticeFtOutcome {
-    /// Present value — bit-identical to the fault-free run.
-    pub price: f64,
-    /// Aggregated virtual-time model, crashed ranks' time included.
-    pub time: TimeModel,
-    /// Injected crashes that fired, as `(rank, boundary)` pairs.
-    pub crashed: Vec<(usize, usize)>,
-}
-
-/// Fault-tolerant variant of [`price_cluster`]: runs under a
-/// [`FaultPlan`], writing a coordinated checkpoint of every rank's
-/// owned rows each `ckpt_interval` time steps. When a rank crashes,
-/// survivors agree on the death, repartition the checkpointed layer
-/// over the shrunken rank set and replay from the last checkpoint; the
-/// final price is bit-identical to the fault-free run (same per-row
-/// arithmetic, only ownership changes). Block decomposition only —
-/// recovery repartitions with the same block arithmetic used at start.
-pub fn price_cluster_ft(
-    market: &GbmMarket,
-    product: &Product,
-    steps: usize,
-    p: usize,
-    machine: Machine,
-    plan: FaultPlan,
-    ckpt_interval: usize,
-) -> Result<ClusterLatticeFtOutcome, LatticeError> {
-    product.validate_for(market)?;
-    if steps == 0 {
-        return Err(LatticeError::ZeroSteps);
-    }
-    if product.payoff.is_path_dependent() {
-        return Err(LatticeError::Model(mdp_model::ModelError::Unsupported {
-            engine: "BEG cluster lattice",
-            why: "path-dependent payoff".into(),
-        }));
-    }
-    let dt = product.maturity / steps as f64;
-    let probs = branch_probabilities(market, dt)?;
-    let disc = (-market.rate() * dt).exp();
-    let d = market.dim();
-    let store = CheckpointStore::new();
-
-    let outcome = run_spmd_ft(p, machine, plan, |comm| {
-        run_rank_ft(
-            comm,
-            market,
-            product,
-            steps,
-            &probs,
-            disc,
-            d,
-            &store,
-            ckpt_interval,
-        )
-    })
-    .map_err(|e| {
-        LatticeError::Model(mdp_model::ModelError::Unsupported {
-            engine: "BEG cluster lattice",
-            why: e.to_string(),
-        })
-    })?;
-
-    let price = outcome.survivors[0].value;
-    debug_assert!(
-        outcome
-            .survivors
-            .iter()
-            .all(|r| r.value.to_bits() == price.to_bits()),
-        "broadcast must make the price identical on every survivor"
-    );
-    let mut time = TimeModel::from_results(&outcome.survivors);
-    for c in &outcome.crashed {
-        time.absorb_crashed(c.time, &c.stats);
-    }
-    Ok(ClusterLatticeFtOutcome {
-        price,
-        time,
-        crashed: outcome.crashed.iter().map(|c| (c.rank, c.step)).collect(),
-    })
-}
-
-/// The fault-tolerant SPMD body. Boundary `k` precedes lattice step
-/// `n-1-k`, so `k` counts completed steps and grows monotonically —
-/// the ascending index [`Supervisor::boundary`] expects. The step body
-/// is the same halo-exchange sweep as [`run_rank`], generalised from
-/// "all `p` ranks" to the supervisor's active list.
-#[allow(clippy::too_many_arguments)]
-fn run_rank_ft(
-    comm: &mut ThreadComm,
-    market: &GbmMarket,
-    product: &Product,
-    steps: usize,
-    probs: &[f64],
-    disc: f64,
-    d: usize,
-    store: &CheckpointStore,
-    interval: usize,
-) -> f64 {
-    let n = steps;
-    let rank = comm.rank();
-    let mut sup = Supervisor::new(comm, interval, store);
-
-    let mut scratch = StepScratch::new();
-    let mut window: Vec<f64> = Vec::new();
-    let mut two_rows: Vec<f64> = Vec::new();
-    let mut send_buf: Vec<f64> = Vec::new();
-    let mut spare: Vec<f64> = Vec::new();
-
-    // Owned rows of a `rows`-row layer for dense index `i` of an
-    // `a`-rank active set.
-    let owned_of = |rows: usize, a: usize, i: usize| -> Vec<usize> {
-        let (lo, hi) = partition::block_range(rows, a, i);
-        (lo..hi).collect()
-    };
-
-    // Terminal layer over the (initially full) active set.
-    let term_ctx = StepCtx::new(market, product, n, n, probs, disc);
-    let mut row_len_next = term_ctx.row_cur();
-    let mut owned_next = owned_of(n + 1, sup.active().len(), sup.dense_index(rank));
-    let mut values: Vec<f64> = vec![0.0; owned_next.len() * row_len_next];
-    for (slot, &j0) in owned_next.iter().enumerate() {
-        term_ctx.eval_terminal_slab(
-            j0,
-            &mut values[slot * row_len_next..(slot + 1) * row_len_next],
-            &mut scratch,
-        );
-    }
-    comm.compute_units(values.len() as f64 * (d as f64 + 2.0));
-
-    let mut k = 0usize; // completed lattice steps == boundary index
-    while k < n {
-        let snap_lo = owned_next.first().copied().unwrap_or(0);
-        if let Some(rec) = sup.boundary(comm, k, || (snap_lo, values.clone())) {
-            // Roll back: rebuild the checkpointed layer from the pooled
-            // records and repartition it over the survivors.
-            let k0 = rec.from_step.expect("boundary 0 always checkpoints");
-            let layer_rows = n - k0 + 1;
-            let layer_ctx = StepCtx::new(market, product, n, n - k0, probs, disc);
-            let row_len = layer_ctx.row_cur();
-            let mut full = vec![0.0; layer_rows * row_len];
-            for (_, r) in &rec.records {
-                full[r.lo * row_len..r.lo * row_len + r.data.len()].copy_from_slice(&r.data);
-            }
-            owned_next = owned_of(layer_rows, sup.active().len(), sup.dense_index(rank));
-            let lo = owned_next.first().copied().unwrap_or(0);
-            values = full[lo * row_len..lo * row_len + owned_next.len() * row_len].to_vec();
-            row_len_next = row_len;
-            k = k0;
-            continue; // re-enter boundary k0: it checkpoints a fresh era
-        }
-
-        let step = n - 1 - k;
-        let active = sup.active().to_vec();
-        let a = active.len();
-        let ctx = StepCtx::new(market, product, n, step, probs, disc);
-        let row_cur = ctx.row_cur();
-        let row_next = ctx.row_next;
-        debug_assert_eq!(row_next, row_len_next);
-        let next_rows_total = step + 2;
-
-        let owned_cur = owned_of(step + 1, a, sup.dense_index(rank));
-        let needed = needed_rows(&owned_cur, next_rows_total);
-
-        // --- Post the halo sends (peers drawn from the active list) --------
-        // The active set always uses Block decomposition, so the
-        // candidate dense indices are an O(1) arithmetic range.
-        let send_peers = {
-            let lo_n = owned_next.first().copied().unwrap_or(0);
-            let hi_n = owned_next.last().map_or(0, |&x| x + 1);
-            send_candidates(lo_n, hi_n, step + 1, a)
-        };
-        for j in send_peers {
-            let r = active[j];
-            if r == rank {
-                continue;
-            }
-            let their_cur = owned_of(step + 1, a, j);
-            let their_needed = needed_rows(&their_cur, next_rows_total);
-            let send_rows = intersect(&their_needed, &owned_next);
-            if send_rows.is_empty() {
-                continue;
-            }
-            send_buf.clear();
-            send_buf.reserve(send_rows.len() * row_next);
-            for &row in &send_rows {
-                let slot = slot_of(&owned_next, row);
-                send_buf.extend_from_slice(&values[slot * row_next..(slot + 1) * row_next]);
-            }
-            comm.send(r, T_HALO, &send_buf);
-        }
-
-        // Stage the locally owned part of the needed window.
-        window.clear();
-        window.resize(needed.len() * row_next, 0.0);
-        for (wslot, &row) in needed.iter().enumerate() {
-            if let Ok(slot) = owned_next.binary_search(&row) {
-                window[wslot * row_next..(wslot + 1) * row_next]
-                    .copy_from_slice(&values[slot * row_next..(slot + 1) * row_next]);
-            }
-        }
-
-        // --- Interior sweep (overlapped with the halo exchange) ------------
-        spare.clear();
-        spare.resize(owned_cur.len() * row_cur, 0.0);
-        two_rows.clear();
-        two_rows.resize(2 * row_next, 0.0);
-        let child_is_local = |row: usize| owned_next.binary_search(&row).is_ok();
-        let sweep = |j0: usize,
-                     slot: usize,
-                     window: &[f64],
-                     spare: &mut [f64],
-                     two_rows: &mut [f64],
-                     scratch: &mut StepScratch| {
-            let w0 = slot_of(&needed, j0);
-            let w1 = slot_of(&needed, j0 + 1);
-            two_rows[..row_next].copy_from_slice(&window[w0 * row_next..(w0 + 1) * row_next]);
-            two_rows[row_next..].copy_from_slice(&window[w1 * row_next..(w1 + 1) * row_next]);
-            ctx.compute_slab(
-                j0,
-                two_rows,
-                &mut spare[slot * row_cur..(slot + 1) * row_cur],
-                scratch,
-            );
-        };
-        let mut interior_nodes = 0u64;
-        for (slot, &j0) in owned_cur.iter().enumerate() {
-            if child_is_local(j0) && child_is_local(j0 + 1) {
-                sweep(j0, slot, &window, &mut spare, &mut two_rows, &mut scratch);
-                interior_nodes += row_cur as u64;
-            }
-        }
-        comm.compute_units(interior_nodes as f64 * node_work(d));
-
-        // --- Complete the halo exchange ------------------------------------
-        for j in recv_candidates(&needed, step + 2, a) {
-            let r = active[j];
-            if r == rank {
-                continue;
-            }
-            let their_owned_next = owned_of(step + 2, a, j);
-            let recv_rows = intersect(&needed, &their_owned_next);
-            if recv_rows.is_empty() {
-                continue;
-            }
-            let buf = comm.recv(r, T_HALO);
+            let buf = comm.recv(active[j], T_HALO);
             debug_assert_eq!(buf.len(), recv_rows.len() * row_next);
             for (m, &row) in recv_rows.iter().enumerate() {
                 let wslot = slot_of(&needed, row);
@@ -561,7 +352,7 @@ fn run_rank_ft(
             }
         }
 
-        // --- Boundary sweep ------------------------------------------------
+        // --- Boundary sweep (rows that needed remote children) -----
         let mut boundary_nodes = 0u64;
         for (slot, &j0) in owned_cur.iter().enumerate() {
             if !(child_is_local(j0) && child_is_local(j0 + 1)) {
@@ -577,15 +368,14 @@ fn run_rank_ft(
         k += 1;
     }
 
-    // Step 0 has one row, owned by the first active rank.
-    let active = sup.active().to_vec();
-    let root = active[0];
-    let price = if rank == root {
-        vec![values[0]]
-    } else {
-        vec![0.0]
-    };
-    broadcast_active(comm, &active, root, &price)[0]
+    // Step 0 has one row, one node; its owner broadcasts the price
+    // through the supervisor (the topology-aware engine while every
+    // rank lives — only the schedule depends on the machine).
+    let active = sup.active();
+    let root = active[owner_of_row0(decomp, active.len())];
+    let mut price = [if rank == root { values[0] } else { 0.0 }];
+    sup.broadcast(comm, root, &mut price);
+    price[0]
 }
 
 /// The rank owning row 0 of a 1-row grid under the decomposition.
@@ -683,14 +473,45 @@ mod tests {
         Product::european(Payoff::MaxCall { strike: 100.0 }, 1.0)
     }
 
+    /// A run without faults or checkpoints.
+    fn run(
+        m: &GbmMarket,
+        prod: &Product,
+        steps: usize,
+        p: usize,
+        machine: Machine,
+        decomp: Decomposition,
+    ) -> ClusterLatticeOutcome {
+        price_cluster(m, prod, steps, p, machine, decomp, FaultPlan::new(0), None).unwrap()
+    }
+
+    /// A 4-rank Block run on the 2002 cluster under `plan`.
+    fn faulted(
+        prod: &Product,
+        steps: usize,
+        plan: FaultPlan,
+        interval: usize,
+    ) -> Result<ClusterLatticeOutcome, LatticeError> {
+        let (m, machine) = (market2(), Machine::cluster2002());
+        price_cluster(
+            &m,
+            prod,
+            steps,
+            4,
+            machine,
+            Decomposition::Block,
+            plan,
+            Some(interval),
+        )
+    }
+
     #[test]
     fn matches_sequential_bitwise_block() {
         let m = market2();
         let prod = maxcall();
         let seq = MultiLattice::new(32).price(&m, &prod).unwrap();
         for p in [1usize, 2, 3, 4, 7] {
-            let par =
-                price_cluster(&m, &prod, 32, p, Machine::ideal(), Decomposition::Block).unwrap();
+            let par = run(&m, &prod, 32, p, Machine::ideal(), Decomposition::Block);
             assert_eq!(
                 par.price.to_bits(),
                 seq.price.to_bits(),
@@ -707,8 +528,7 @@ mod tests {
         let prod = maxcall();
         let seq = MultiLattice::new(24).price(&m, &prod).unwrap();
         for b in [1usize, 2, 4] {
-            let par = price_cluster(&m, &prod, 24, 3, Machine::ideal(), Decomposition::Cyclic(b))
-                .unwrap();
+            let par = run(&m, &prod, 24, 3, Machine::ideal(), Decomposition::Cyclic(b));
             assert_eq!(par.price.to_bits(), seq.price.to_bits(), "b={b}");
         }
     }
@@ -718,15 +538,14 @@ mod tests {
         let m = GbmMarket::symmetric(3, 100.0, 0.25, 0.02, 0.05, 0.3).unwrap();
         let prod = Product::american(Payoff::MinPut { strike: 105.0 }, 1.0);
         let seq = MultiLattice::new(16).price(&m, &prod).unwrap();
-        let par = price_cluster(
+        let par = run(
             &m,
             &prod,
             16,
             4,
             Machine::cluster2002(),
             Decomposition::Block,
-        )
-        .unwrap();
+        );
         assert_eq!(par.price.to_bits(), seq.price.to_bits());
     }
 
@@ -735,22 +554,21 @@ mod tests {
         let m = market2();
         let prod = maxcall();
         let seq = MultiLattice::new(4).price(&m, &prod).unwrap();
-        let par = price_cluster(&m, &prod, 4, 8, Machine::ideal(), Decomposition::Block).unwrap();
+        let par = run(&m, &prod, 4, 8, Machine::ideal(), Decomposition::Block);
         assert_eq!(par.price.to_bits(), seq.price.to_bits());
     }
 
     #[test]
     fn single_rank_time_has_no_comm() {
         let m = market2();
-        let out = price_cluster(
+        let out = run(
             &m,
             &maxcall(),
             16,
             1,
             Machine::cluster2002(),
             Decomposition::Block,
-        )
-        .unwrap();
+        );
         assert_eq!(out.time.total_msgs, 0);
         assert!(out.time.mean_comm == 0.0);
         assert!(out.time.makespan > 0.0);
@@ -764,29 +582,19 @@ mod tests {
         let m = market2();
         let prod = maxcall();
         let speedup = |n: usize, p: usize| {
-            let t1 = price_cluster(
-                &m,
-                &prod,
-                n,
-                1,
-                Machine::cluster2002(),
-                Decomposition::Block,
-            )
-            .unwrap()
-            .time
-            .makespan;
-            let tp = price_cluster(
-                &m,
-                &prod,
-                n,
-                p,
-                Machine::cluster2002(),
-                Decomposition::Block,
-            )
-            .unwrap()
-            .time
-            .makespan;
-            t1 / tp
+            let time = |p| {
+                run(
+                    &m,
+                    &prod,
+                    n,
+                    p,
+                    Machine::cluster2002(),
+                    Decomposition::Block,
+                )
+                .time
+                .makespan
+            };
+            time(1) / time(p)
         };
         let s_small = speedup(64, 4);
         let s_large = speedup(256, 4);
@@ -802,24 +610,22 @@ mod tests {
     fn cyclic_one_costs_more_communication_than_block() {
         let m = market2();
         let prod = maxcall();
-        let block = price_cluster(
+        let block = run(
             &m,
             &prod,
             48,
             4,
             Machine::cluster2002(),
             Decomposition::Block,
-        )
-        .unwrap();
-        let cyclic = price_cluster(
+        );
+        let cyclic = run(
             &m,
             &prod,
             48,
             4,
             Machine::cluster2002(),
             Decomposition::Cyclic(1),
-        )
-        .unwrap();
+        );
         // Cyclic(1) batches its halo rows into one message per neighbour,
         // so the message count is similar — but nearly every row needs a
         // remote child, so the *bytes* moved explode.
@@ -838,15 +644,14 @@ mod tests {
         // left is waiting on load imbalance, which must be a sliver of
         // the compute time for a balanced block decomposition.
         let m = market2();
-        let out = price_cluster(
+        let out = run(
             &m,
             &maxcall(),
             16,
             2,
             Machine::ideal(),
             Decomposition::Block,
-        )
-        .unwrap();
+        );
         assert!(out.time.mean_compute > 0.0);
         assert!(
             out.time.mean_comm < 0.1 * out.time.mean_compute,
@@ -859,44 +664,47 @@ mod tests {
     #[test]
     fn rejects_bad_inputs() {
         let m = market2();
+        let price = |prod: &Product, steps, decomp, plan, interval| {
+            price_cluster(&m, prod, steps, 2, Machine::ideal(), decomp, plan, interval)
+        };
+        let block = Decomposition::Block;
         assert!(matches!(
-            price_cluster(&m, &maxcall(), 0, 2, Machine::ideal(), Decomposition::Block),
+            price(&maxcall(), 0, block, FaultPlan::new(0), None),
             Err(LatticeError::ZeroSteps)
         ));
         let asian = Product::european(Payoff::AsianCall { strike: 1.0 }, 1.0);
-        assert!(price_cluster(&m, &asian, 8, 2, Machine::ideal(), Decomposition::Block).is_err());
+        assert!(price(&asian, 8, block, FaultPlan::new(0), None).is_err());
+        // Recovery repartitions blocks, so a checkpointed cyclic run is a
+        // typed error, and so is a crash with nothing to roll back to.
+        let cyclic = Decomposition::Cyclic(2);
+        let err = price(&maxcall(), 8, cyclic, FaultPlan::new(0), Some(4));
+        assert!(matches!(err, Err(LatticeError::Model(_))), "{err:?}");
+        let crash = FaultPlan::new(0).with_crash(1, 2);
+        let err = price(&maxcall(), 8, block, crash, None);
+        assert!(matches!(err, Err(LatticeError::Model(_))), "{err:?}");
     }
 
     #[test]
     fn ft_without_faults_matches_plain_run_bitwise() {
         let m = market2();
         let prod = maxcall();
-        let plain =
-            price_cluster(&m, &prod, 32, 4, Machine::cluster2002(), Decomposition::Block).unwrap();
-        let ft = price_cluster_ft(
-            &m,
-            &prod,
-            32,
-            4,
-            Machine::cluster2002(),
-            mdp_cluster::FaultPlan::new(1),
-            8,
-        )
-        .unwrap();
+        let (machine, block) = (Machine::cluster2002(), Decomposition::Block);
+        let plain = run(&m, &prod, 32, 4, machine, block);
+        let ft = faulted(&prod, 32, FaultPlan::new(1), 8).unwrap();
         assert_eq!(ft.price.to_bits(), plain.price.to_bits());
         assert!(ft.crashed.is_empty());
         assert!(ft.time.total_ckpt_time > 0.0, "checkpoints were written");
+        assert_eq!(plain.time.total_ckpt_time, 0.0);
     }
 
     #[test]
     fn recovers_bit_identically_from_a_mid_run_crash() {
         let m = market2();
         let prod = maxcall();
-        let seq = crate::multidim::MultiLattice::new(32).price(&m, &prod).unwrap();
+        let seq = MultiLattice::new(32).price(&m, &prod).unwrap();
         for crash_at in [1usize, 10, 29] {
             let plan = mdp_cluster::FaultPlan::new(7).with_crash(1, crash_at);
-            let ft =
-                price_cluster_ft(&m, &prod, 32, 4, Machine::cluster2002(), plan, 4).unwrap();
+            let ft = faulted(&prod, 32, plan, 4).unwrap();
             assert_eq!(
                 ft.price.to_bits(),
                 seq.price.to_bits(),
@@ -910,11 +718,11 @@ mod tests {
     fn recovers_from_two_staggered_crashes() {
         let m = market2();
         let prod = maxcall();
-        let seq = crate::multidim::MultiLattice::new(24).price(&m, &prod).unwrap();
+        let seq = MultiLattice::new(24).price(&m, &prod).unwrap();
         let plan = mdp_cluster::FaultPlan::new(3)
             .with_crash(3, 5)
             .with_crash(0, 15);
-        let ft = price_cluster_ft(&m, &prod, 24, 4, Machine::cluster2002(), plan, 3).unwrap();
+        let ft = faulted(&prod, 24, plan, 3).unwrap();
         assert_eq!(ft.price.to_bits(), seq.price.to_bits());
         assert_eq!(ft.crashed.len(), 2);
     }
@@ -926,7 +734,17 @@ mod tests {
         let plan = mdp_cluster::FaultPlan::new(0)
             .with_crash(0, 2)
             .with_crash(1, 2);
-        let err = price_cluster_ft(&m, &prod, 16, 2, Machine::ideal(), plan, 4).unwrap_err();
+        let err = price_cluster(
+            &m,
+            &prod,
+            16,
+            2,
+            Machine::ideal(),
+            Decomposition::Block,
+            plan,
+            Some(4),
+        )
+        .unwrap_err();
         assert!(
             err.to_string().contains("injected crash"),
             "unexpected error: {err}"

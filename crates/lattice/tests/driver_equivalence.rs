@@ -4,7 +4,7 @@
 //! prices, because they re-partition the same floating-point operations
 //! without reordering any node's branch accumulation.
 
-use mdp_cluster::Machine;
+use mdp_cluster::{FaultPlan, Machine};
 use mdp_lattice::cluster::{price_cluster, Decomposition};
 use mdp_lattice::MultiLattice;
 use mdp_model::{GbmMarket, Payoff, Product};
@@ -67,6 +67,8 @@ proptest! {
             ranks,
             Machine::ideal(),
             Decomposition::Block,
+            FaultPlan::new(0),
+            None,
         )
         .unwrap();
         prop_assert_eq!(seq.price.to_bits(), block.price.to_bits());
@@ -78,6 +80,8 @@ proptest! {
             ranks,
             Machine::ideal(),
             Decomposition::Cyclic(1),
+            FaultPlan::new(0),
+            None,
         )
         .unwrap();
         prop_assert_eq!(seq.price.to_bits(), cyclic.price.to_bits());

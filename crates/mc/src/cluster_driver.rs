@@ -2,203 +2,154 @@
 //!
 //! **European** ([`price_mc_cluster`]): rank `r` simulates its block range
 //! of the fixed block-substream partition, charges the machine model for
-//! the path work, and the ranks allreduce one 6-wide accumulator. The
+//! the path work, and the ranks gather their block-id-tagged
+//! accumulators to one root that folds them in global block order. The
 //! price equals the sequential engine's bit for bit; the virtual time
 //! gives experiments T3/F3 their near-ideal speedup curves (a single
-//! log₂p-deep reduction at the end of an arbitrarily large compute
-//! phase).
+//! gather at the end of an arbitrarily large compute phase).
 //!
 //! **LSMC** ([`price_lsmc_cluster`]): each rank owns a share of the path
-//! panel; every exercise date requires an allreduce of the
-//! normal-equation sums (`k² + k + 1` doubles) before any rank can make
-//! its exercise decisions. That per-step synchronisation is the serial
-//! fraction that separates the LSMC speedup curve from the European one
-//! (experiment T7).
+//! panel; every exercise date requires a global fold of the per-block
+//! normal-equation sums (`k² + k + 1` doubles each) before any rank can
+//! make its exercise decisions. That per-step synchronisation is the
+//! serial fraction that separates the LSMC speedup curve from the
+//! European one (experiment T7).
+//!
+//! Both drivers run one SPMD body under a [`Supervisor`], which writes
+//! checkpoints when the run has an interval and recovers from the
+//! crashes a [`FaultPlan`] injects. Every cross-rank reduction folds
+//! per-block partial results in global block order, so the price does
+//! not depend on which rank owns which block — before or after a
+//! recovery.
 
 use crate::engine::{McConfig, McResult, RunContext};
 use crate::lsmc::{self, LsmcConfig, LsmcResult, RegressionSums};
 use crate::variance::{merge_in_chunks, BlockAccum, ACCUM_WIDTH};
 use crate::McError;
-use mdp_cluster::checkpoint::{broadcast_active, gather_active};
 use mdp_cluster::{
-    partition, run_spmd_ft, CheckpointMode, CheckpointStore, CollectiveEngine, Communicator,
-    FaultPlan, Machine, Supervisor, TimeModel,
+    check_policy, partition, run_spmd_ft, CheckpointMode, CheckpointStore, Communicator, FaultPlan,
+    Machine, Supervisor, TimeModel,
 };
 use mdp_model::{GbmMarket, Product};
+
+/// Checkpoint boundaries of the European driver: each rank cuts its
+/// block range into this many batches, with a boundary before each.
+pub const BATCHES: usize = 16;
+
+/// The `width`-double entries of gathered `parts`, each led by its
+/// block id, sorted into global block order.
+fn by_block(parts: &[Vec<f64>], width: usize) -> Vec<&[f64]> {
+    let mut entries: Vec<&[f64]> = parts.iter().flat_map(|p| p.chunks_exact(width)).collect();
+    entries.sort_by_key(|e| e[0] as u64);
+    entries
+}
 
 /// Outcome of a distributed European Monte Carlo run.
 #[derive(Debug, Clone)]
 pub struct McClusterOutcome {
     /// The estimate (identical to the sequential engine's).
     pub result: McResult,
-    /// Virtual-time model of the run.
+    /// Virtual-time model of the run, crashed ranks' time included.
     pub time: TimeModel,
+    /// Injected crashes that fired, as `(rank, boundary)` pairs.
+    pub crashed: Vec<(usize, usize)>,
 }
 
-/// Price a European product on `p` ranks under `machine`.
+/// Price a European product on `p` ranks under `machine` and the fault
+/// schedule `plan`, checkpointing every `ckpt_interval` batch
+/// boundaries (`None`: never).
+///
+/// Rank `r` owns block range `r` of the global block partition and
+/// simulates it in [`BATCHES`] batches. A checkpoint persists this
+/// rank's completed accumulators *tagged with their block ids* (7
+/// doubles per block). After a crash the survivors share the
+/// checkpointed accumulators and re-spread the blocks missing from the
+/// checkpoint evenly over themselves; block substreams make each
+/// block's accumulator owner-independent, and the root folds them in
+/// global block order, so the estimate is bit-identical to the
+/// sequential engine through any number of recoveries. A plan that
+/// crashes ranks needs a checkpoint interval (a typed error otherwise).
 pub fn price_mc_cluster(
     market: &GbmMarket,
     product: &Product,
     cfg: McConfig,
     p: usize,
     machine: Machine,
+    plan: FaultPlan,
+    ckpt_interval: Option<usize>,
 ) -> Result<McClusterOutcome, McError> {
     let ctx = RunContext::new(market, product, cfg)?;
-    let work_per_path = cfg.path_work_units(market.dim());
-    let engine = CollectiveEngine::for_machine(&machine, p);
-    let results = mdp_cluster::run_spmd(p, machine, |comm| {
-        let blocks = ctx.num_blocks() as usize;
-        let (lo, hi) = partition::block_range(blocks, comm.size(), comm.rank());
-        // Keep per-block accumulators separate: the root folds them in
-        // global block order with the engine's canonical chunked
-        // association, which makes the result bit-identical to the
-        // sequential engine (floating-point addition is order-sensitive;
-        // a tree allreduce would differ in the last couple of ULPs).
-        let mut local = Vec::with_capacity((hi - lo) * ACCUM_WIDTH);
-        let mut paths = 0u64;
-        for b in lo..hi {
-            local.extend_from_slice(&ctx.simulate_block(b as u64).to_vec());
-            paths += ctx.config().block_paths(b as u64);
-        }
-        comm.compute_units(paths as f64 * work_per_path);
-        let gathered = engine.gather_varied(comm, 0, &local);
-        let mut merged = [0.0; ACCUM_WIDTH];
-        if let Some(parts) = gathered {
-            // Rank ranges are contiguous and ascending, so flattening the
-            // gathered parts restores global block order; merging via
-            // `merge_in_chunks` reproduces the sequential association.
-            let total = merge_in_chunks(
-                parts
-                    .iter()
-                    .flat_map(|part| part.chunks_exact(ACCUM_WIDTH))
-                    .map(BlockAccum::from_slice),
-            );
-            merged = total.to_vec();
-        }
-        engine.broadcast(comm, 0, &mut merged);
-        BlockAccum::from_slice(&merged)
-    })
-    .map_err(|e| McError::Unsupported(e.to_string()))?;
-
-    let result = ctx.finish(&results[0].value);
-    let time = TimeModel::from_results(&results);
-    Ok(McClusterOutcome { result, time })
-}
-
-/// Outcome of a fault-tolerant distributed European Monte Carlo run.
-#[derive(Debug, Clone)]
-pub struct McClusterFtOutcome {
-    /// The estimate — bit-identical to the fault-free run.
-    pub result: McResult,
-    /// Virtual-time model, crashed ranks' time included.
-    pub time: TimeModel,
-    /// Injected crashes that fired, as `(rank, boundary)` pairs.
-    pub crashed: Vec<(usize, usize)>,
-}
-
-/// Fault-tolerant variant of [`price_mc_cluster`]: the global block
-/// range is processed in `batches` contiguous batches with a
-/// checkpoint/recovery boundary before each one. A checkpoint persists
-/// this rank's per-block accumulators *tagged with their block ids*
-/// (7 doubles per block), so recovery can repartition completed blocks
-/// over the survivors without rerunning them, and the root can fold
-/// the final accumulators in global block order — which is what keeps
-/// the estimate bit-identical to the sequential engine through any
-/// number of recoveries (block substreams make each block's accumulator
-/// owner-independent).
-#[allow(clippy::too_many_arguments)]
-pub fn price_mc_cluster_ft(
-    market: &GbmMarket,
-    product: &Product,
-    cfg: McConfig,
-    p: usize,
-    machine: Machine,
-    plan: FaultPlan,
-    batches: usize,
-    ckpt_interval: usize,
-) -> Result<McClusterFtOutcome, McError> {
-    if batches == 0 {
-        return Err(McError::Unsupported("batches must be >= 1".into()));
-    }
-    let ctx = RunContext::new(market, product, cfg)?;
+    check_policy(&plan, ckpt_interval).map_err(McError::Unsupported)?;
     let work_per_path = cfg.path_work_units(market.dim());
     let store = CheckpointStore::new();
+    let entry = 1 + ACCUM_WIDTH;
 
     let outcome = run_spmd_ft(p, machine, plan, |comm| {
         let blocks = ctx.num_blocks() as usize;
         let rank = comm.rank();
         let mut sup = Supervisor::new(comm, ckpt_interval, &store);
+        // This era's blocks, simulated over batches `first..BATCHES`.
+        let (lo, hi) = partition::block_range(blocks, comm.size(), rank);
+        let mut todo: Vec<u64> = (lo as u64..hi as u64).collect();
+        let mut first = 0usize;
         // Completed blocks as (id, accum) pairs: [id, a0..a5] each.
         let mut local: Vec<f64> = Vec::new();
 
         let mut t = 0usize; // completed batches == boundary index
-        while t < batches {
+        while t < BATCHES {
             if let Some(rec) = sup.boundary(comm, t, || (0, local.clone())) {
-                // Roll back: pool every survivor's and the victim's
-                // completed (id, accum) pairs and repartition them over
-                // the active set by global block order.
+                // Roll back: share the pooled completed pairs (the
+                // victim's included) evenly over the survivors, and
+                // re-spread the blocks the checkpoint lacks.
                 let t0 = rec.from_step.expect("boundary 0 always checkpoints");
-                let mut entries: Vec<&[f64]> = rec
-                    .records
-                    .iter()
-                    .flat_map(|(_, r)| r.data.chunks_exact(1 + ACCUM_WIDTH))
-                    .collect();
-                entries.sort_by_key(|e| e[0] as u64);
+                let pool: Vec<Vec<f64>> = rec.records.into_iter().map(|(_, r)| r.data).collect();
+                let done = by_block(&pool, entry);
                 let a = sup.active().len();
                 let i = sup.dense_index(rank);
-                let (elo, ehi) = partition::block_range(entries.len(), a, i);
-                local.clear();
-                for e in &entries[elo..ehi] {
-                    local.extend_from_slice(e);
-                }
+                let (dlo, dhi) = partition::block_range(done.len(), a, i);
+                local = done[dlo..dhi].concat();
+                let mut done_ids = done.iter().map(|e| e[0] as u64).peekable();
+                let missing: Vec<u64> = (0..blocks as u64)
+                    .filter(|&b| done_ids.next_if_eq(&b).is_none())
+                    .collect();
+                let (mlo, mhi) = partition::block_range(missing.len(), a, i);
+                todo = missing[mlo..mhi].to_vec();
+                first = t0;
                 t = t0;
                 continue; // re-enter boundary t0: fresh-era checkpoint
             }
-            // Batch t's global block range, split over the active set.
-            let (blo, bhi) = partition::block_range(blocks, batches, t);
-            let a = sup.active().len();
-            let i = sup.dense_index(rank);
-            let (mlo, mhi) = partition::block_range(bhi - blo, a, i);
+            let (blo, bhi) = partition::block_range(todo.len(), BATCHES - first, t - first);
             let mut paths = 0u64;
-            for b in blo + mlo..blo + mhi {
+            for &b in &todo[blo..bhi] {
                 local.push(b as f64);
-                local.extend_from_slice(&ctx.simulate_block(b as u64).to_vec());
-                paths += ctx.config().block_paths(b as u64);
+                local.extend_from_slice(&ctx.simulate_block(b).to_vec());
+                paths += ctx.config().block_paths(b);
             }
             comm.compute_units(paths as f64 * work_per_path);
             t += 1;
         }
 
         // Gather every (id, accum) pair to the first active rank, fold
-        // in global block order, broadcast the total.
-        let active = sup.active().to_vec();
-        let root = active[0];
-        let gathered = gather_active(comm, &active, root, &local);
-        let mut merged = vec![0.0; ACCUM_WIDTH];
-        if rank == root {
-            let mut entries: Vec<&[f64]> = gathered
-                .iter()
-                .flat_map(|part| part.chunks_exact(1 + ACCUM_WIDTH))
-                .collect();
-            entries.sort_by_key(|e| e[0] as u64);
+        // in global block order with the engine's canonical chunked
+        // association (bit-identical to the sequential engine), and
+        // broadcast the total.
+        let root = sup.active()[0];
+        let mut merged = [0.0; ACCUM_WIDTH];
+        if let Some(parts) = sup.gather_varied(comm, root, &local) {
+            let entries = by_block(&parts, entry);
             debug_assert_eq!(entries.len(), blocks, "every block exactly once");
-            let total = merge_in_chunks(entries.iter().map(|e| BlockAccum::from_slice(&e[1..])));
-            merged = total.to_vec().to_vec();
+            merged =
+                merge_in_chunks(entries.iter().map(|e| BlockAccum::from_slice(&e[1..]))).to_vec();
         }
-        let merged = broadcast_active(comm, &active, root, &merged);
+        sup.broadcast(comm, root, &mut merged);
         BlockAccum::from_slice(&merged)
     })
     .map_err(|e| McError::Unsupported(e.to_string()))?;
 
-    let result = ctx.finish(&outcome.survivors[0].value);
-    let mut time = TimeModel::from_results(&outcome.survivors);
-    for c in &outcome.crashed {
-        time.absorb_crashed(c.time, &c.stats);
-    }
-    Ok(McClusterFtOutcome {
-        result,
-        time,
-        crashed: outcome.crashed.iter().map(|c| (c.rank, c.step)).collect(),
+    Ok(McClusterOutcome {
+        result: ctx.finish(&outcome.survivors[0].value),
+        time: outcome.time_model(),
+        crashed: outcome.crash_sites(),
     })
 }
 
@@ -207,119 +158,52 @@ pub fn price_mc_cluster_ft(
 pub struct LsmcClusterOutcome {
     /// The estimate.
     pub result: LsmcResult,
-    /// Virtual-time model of the run.
+    /// Virtual-time model of the run, crashed ranks' time included.
     pub time: TimeModel,
+    /// Injected crashes that fired, as `(rank, boundary)` pairs.
+    pub crashed: Vec<(usize, usize)>,
 }
 
-/// Price an American product with distributed LSMC on `p` ranks.
+/// Price an American product with distributed LSMC on `p` ranks under
+/// the fault schedule `plan`.
+///
+/// The backward sweep runs one exercise date per
+/// [`Supervisor::boundary`], checkpointing every rank's per-block
+/// `(cashflow, cf_time)` state each `ckpt_interval` dates (`None`:
+/// never) in the given [`CheckpointMode`]. On a crash, survivors
+/// restore the sweep state of every block from the pooled era-keyed
+/// records, repartition the substream blocks over the shrunken active
+/// set, re-simulate their newly owned path panels (deterministic block
+/// substreams) and replay from the last checkpoint.
+///
+/// Every cross-rank reduction runs over **per-block** partial results
+/// folded in global block order at the first active rank: the per-date
+/// normal-equation sums and the final `[n, Σ, Σ²]` statistics. The
+/// price is therefore independent of the rank count and bit-identical
+/// through any recovery; it differs from the sequential engine's
+/// path-order accumulation only in the last ulps of the fitted betas.
 ///
 /// Work accounting: path simulation and the per-date regression scans
-/// are charged per local path; the per-date allreduce of the
-/// normal-equation sums is costed by the machine model through the
-/// collective's real message structure.
+/// are charged per local path; the per-date fold is costed by the
+/// machine model through the collectives' real message structure.
+#[allow(clippy::too_many_arguments)]
 pub fn price_lsmc_cluster(
     market: &GbmMarket,
     product: &Product,
     cfg: LsmcConfig,
     p: usize,
     machine: Machine,
+    plan: FaultPlan,
+    ckpt_interval: Option<usize>,
+    mode: CheckpointMode,
 ) -> Result<LsmcClusterOutcome, McError> {
     lsmc::validate(market, product, &cfg)?;
+    check_policy(&plan, ckpt_interval).map_err(McError::Unsupported)?;
     let d = market.dim();
-    let basis = mdp_math::poly::TensorBasis::new(d, cfg.degree, cfg.basis);
-    let k = basis.size();
+    let k = mdp_math::poly::TensorBasis::new(d, cfg.degree, cfg.basis).size();
+    let sums_width = k * k + k + 1;
     // Work units: simulation ~ steps·(d²/2 + 8d + 6); each date's scan is
     // ~ d + k² per path (basis eval + rank-1 update), twice (sum + apply).
-    let sim_work = cfg.steps as f64 * ((d * d) as f64 / 2.0 + 8.0 * d as f64 + 6.0);
-    let date_work = 2.0 * (d as f64 + (k * k) as f64);
-
-    let engine = CollectiveEngine::for_machine(&machine, p);
-    let results = mdp_cluster::run_spmd(p, machine, |comm| {
-        let blocks = lsmc::num_blocks(&cfg) as usize;
-        let (lo, hi) = partition::block_range(blocks, comm.size(), comm.rank());
-        let panel = lsmc::simulate_panel(market, product, &cfg, lo as u64..hi as u64);
-        comm.compute_units(panel.paths as f64 * sim_work);
-
-        // The backward sweep needs a global regression at each date: we
-        // thread the communicator through the `regress` hook.
-        let comm_cell = std::cell::RefCell::new(comm);
-        let discounted = lsmc::backward_sweep(market, product, &cfg, &panel, |_, sums| {
-            let mut c = comm_cell.borrow_mut();
-            c.compute_units(panel.paths as f64 * date_work);
-            let merged = engine.allreduce_sum(&mut **c, &sums.to_vec());
-            lsmc::RegressionSums::from_slice(k, &merged).solve(cfg.ridge)
-        });
-        // Global mean/SE via one final reduction of [n, Σ, Σ²].
-        let local: [f64; 3] = [
-            discounted.len() as f64,
-            discounted.iter().sum(),
-            discounted.iter().map(|c| c * c).sum(),
-        ];
-        let comm = comm_cell.into_inner();
-        engine.allreduce_sum(comm, &local)
-    })
-    .map_err(|e| McError::Unsupported(e.to_string()))?;
-
-    let g = &results[0].value;
-    let n = g[0];
-    let mean = g[1] / n;
-    let var = (g[2] - n * mean * mean) / (n - 1.0);
-    let intrinsic = product.payoff.eval(market.spots());
-    let result = LsmcResult {
-        price: mean.max(intrinsic),
-        std_error: (var.max(0.0) / n).sqrt(),
-        paths: n as u64,
-    };
-    let time = TimeModel::from_results(&results);
-    Ok(LsmcClusterOutcome { result, time })
-}
-
-/// Outcome of a fault-tolerant distributed LSMC run.
-#[derive(Debug, Clone)]
-pub struct LsmcClusterFtOutcome {
-    /// The estimate — bit-identical to the fault-free run of the same
-    /// driver (see [`price_lsmc_cluster_ft`] on why it is *not* bitwise
-    /// against [`price_lsmc_cluster`]).
-    pub result: LsmcResult,
-    /// Virtual-time model, crashed ranks' time included.
-    pub time: TimeModel,
-    /// Injected crashes that fired, as `(rank, boundary)` pairs.
-    pub crashed: Vec<(usize, usize)>,
-}
-
-/// Fault-tolerant distributed LSMC: the backward sweep runs one
-/// exercise date per [`Supervisor::boundary`], checkpointing every
-/// rank's per-block `(cashflow, cf_time)` state each `ckpt_interval`
-/// dates. On a crash, survivors restore the sweep state of every block
-/// from the pooled era-keyed records, repartition the substream blocks
-/// over the shrunken active set, re-simulate their newly owned path
-/// panels (deterministic block substreams) and replay from the last
-/// checkpoint.
-///
-/// To make the price independent of *which* ranks own which blocks,
-/// all cross-rank reductions run over **per-block** partial results
-/// folded in global block order at the first active rank: the per-date
-/// normal-equation sums and the final `[n, Σ, Σ²]` statistics. A
-/// faulted run is therefore bit-identical to a fault-free run of this
-/// driver at any rank count. (It is *not* bitwise against
-/// [`price_lsmc_cluster`], which reduces rank-local sums via the
-/// canonical allreduce — a different, partition-dependent association.)
-#[allow(clippy::too_many_arguments)]
-pub fn price_lsmc_cluster_ft(
-    market: &GbmMarket,
-    product: &Product,
-    cfg: LsmcConfig,
-    p: usize,
-    machine: Machine,
-    plan: FaultPlan,
-    ckpt_interval: usize,
-    mode: CheckpointMode,
-) -> Result<LsmcClusterFtOutcome, McError> {
-    lsmc::validate(market, product, &cfg)?;
-    let d = market.dim();
-    let basis = mdp_math::poly::TensorBasis::new(d, cfg.degree, cfg.basis);
-    let k = basis.size();
-    let sums_width = k * k + k + 1;
     let sim_work = cfg.steps as f64 * ((d * d) as f64 / 2.0 + 8.0 * d as f64 + 6.0);
     let date_work = 2.0 * (d as f64 + (k * k) as f64);
     let store = CheckpointStore::new();
@@ -328,30 +212,22 @@ pub fn price_lsmc_cluster_ft(
         let blocks = lsmc::num_blocks(&cfg) as usize;
         let rank = comm.rank();
         let mut sup = Supervisor::new_with_mode(comm, ckpt_interval, &store, mode);
-        let dt = product.maturity / cfg.steps as f64;
-        let disc_dt = (-market.rate() * dt).exp();
-        let payoff = &product.payoff;
-        let spots0 = market.spots();
+        let mut kernel = lsmc::SweepKernel::new(market, product, &cfg);
 
         // Initial partition: contiguous block range over the full set.
-        let (lo0, hi0) =
-            partition::block_range(blocks, sup.active().len(), sup.dense_index(rank));
+        let (lo0, hi0) = partition::block_range(blocks, comm.size(), rank);
         let (mut blo, mut bhi) = (lo0 as u64, hi0 as u64);
         let mut panel = lsmc::simulate_panel(market, product, &cfg, blo..bhi);
         comm.compute_units(panel.paths as f64 * sim_work);
+        let (mut cashflow, mut cf_time) = kernel.terminal(&panel);
 
-        // Terminal sweep state (identical math to `lsmc::backward_sweep`).
-        let mut cashflow: Vec<f64> = (0..panel.paths)
-            .map(|q| payoff.eval(&panel.spots[cfg.steps - 1][q * d..(q + 1) * d]))
-            .collect();
-        let mut cf_time: Vec<u32> = vec![cfg.steps as u32; panel.paths];
-
-        let mut phi = vec![0.0; k];
-        let mut x = vec![0.0; d];
         let mut j = 0usize; // processed dates == boundary index
         while j < cfg.steps - 1 {
             if let Some(rec) = sup.boundary(comm, j, || {
-                (blo as usize, encode_sweep_state(&cfg, blo, bhi, &cashflow, &cf_time))
+                (
+                    blo as usize,
+                    encode_sweep_state(&cfg, blo, bhi, &cashflow, &cf_time),
+                )
             }) {
                 // Roll back: restore every block's sweep state from the
                 // pooled records, repartition over the survivors and
@@ -387,18 +263,7 @@ pub fn price_lsmc_cluster_ft(
             for b in blo..bhi {
                 let nb = lsmc::block_paths(&cfg, b) as usize;
                 let mut sums = RegressionSums::new(k);
-                for q in off..off + nb {
-                    let s = &layer[q * d..(q + 1) * d];
-                    let intrinsic = payoff.eval(s);
-                    if intrinsic > 0.0 {
-                        for (xi, (si, s0)) in x.iter_mut().zip(s.iter().zip(spots0)) {
-                            *xi = si / s0;
-                        }
-                        basis.eval(&x, &mut phi);
-                        let y = cashflow[q] * disc_dt.powi((cf_time[q] - t as u32) as i32);
-                        sums.push(&phi, y);
-                    }
-                }
+                kernel.regression_sums(layer, t, &cashflow, &cf_time, off..off + nb, &mut sums);
                 payload.push(b as f64);
                 payload.extend(sums.to_vec());
                 off += nb;
@@ -407,16 +272,10 @@ pub fn price_lsmc_cluster_ft(
 
             // Fold the per-block sums in global block order at the
             // first active rank — a partition-independent association.
-            let active = sup.active().to_vec();
-            let root = active[0];
-            let gathered = gather_active(comm, &active, root, &payload);
+            let root = sup.active()[0];
             let mut merged = vec![0.0; sums_width];
-            if rank == root {
-                let mut entries: Vec<&[f64]> = gathered
-                    .iter()
-                    .flat_map(|part| part.chunks_exact(1 + sums_width))
-                    .collect();
-                entries.sort_by_key(|e| e[0] as u64);
+            if let Some(parts) = sup.gather_varied(comm, root, &payload) {
+                let entries = by_block(&parts, 1 + sums_width);
                 debug_assert_eq!(entries.len(), blocks, "every block exactly once");
                 for e in &entries {
                     for (m, v) in merged.iter_mut().zip(&e[1..]) {
@@ -424,26 +283,10 @@ pub fn price_lsmc_cluster_ft(
                     }
                 }
             }
-            let merged = broadcast_active(comm, &active, root, &merged);
+            sup.broadcast(comm, root, &mut merged);
 
             if let Some(beta) = RegressionSums::from_slice(k, &merged).solve(cfg.ridge) {
-                // Exercise where intrinsic beats the fitted continuation.
-                for q in 0..panel.paths {
-                    let s = &layer[q * d..(q + 1) * d];
-                    let intrinsic = payoff.eval(s);
-                    if intrinsic > 0.0 {
-                        for (xi, (si, s0)) in x.iter_mut().zip(s.iter().zip(spots0)) {
-                            *xi = si / s0;
-                        }
-                        basis.eval(&x, &mut phi);
-                        let continuation: f64 =
-                            beta.iter().zip(&phi).map(|(b, f)| b * f).sum();
-                        if intrinsic >= continuation {
-                            cashflow[q] = intrinsic;
-                            cf_time[q] = t as u32;
-                        }
-                    }
-                }
+                kernel.exercise(layer, t, &beta, &mut cashflow, &mut cf_time);
             }
             j += 1;
         }
@@ -451,11 +294,7 @@ pub fn price_lsmc_cluster_ft(
 
         // Final per-block [count, Σ, Σ²] over time-0 discounted
         // cashflows, folded in block order — partition-independent.
-        let discounted: Vec<f64> = cashflow
-            .iter()
-            .zip(&cf_time)
-            .map(|(cf, tt)| cf * disc_dt.powi(*tt as i32))
-            .collect();
+        let discounted = kernel.discounted(&cashflow, &cf_time);
         let mut payload: Vec<f64> = Vec::new();
         let mut off = 0usize;
         for b in blo..bhi {
@@ -467,44 +306,33 @@ pub fn price_lsmc_cluster_ft(
             payload.push(slice.iter().map(|c| c * c).sum());
             off += nb;
         }
-        let active = sup.active().to_vec();
-        let root = active[0];
-        let gathered = gather_active(comm, &active, root, &payload);
-        let mut stats = vec![0.0; 3];
-        if rank == root {
-            let mut entries: Vec<&[f64]> = gathered
-                .iter()
-                .flat_map(|part| part.chunks_exact(4))
-                .collect();
-            entries.sort_by_key(|e| e[0] as u64);
-            for e in &entries {
+        let root = sup.active()[0];
+        let mut stats = [0.0; 3];
+        if let Some(parts) = sup.gather_varied(comm, root, &payload) {
+            for e in by_block(&parts, 4) {
                 stats[0] += e[1];
                 stats[1] += e[2];
                 stats[2] += e[3];
             }
         }
-        broadcast_active(comm, &active, root, &stats)
+        sup.broadcast(comm, root, &mut stats);
+        stats
     })
     .map_err(|e| McError::Unsupported(e.to_string()))?;
 
-    let g = &outcome.survivors[0].value;
-    let n = g[0];
-    let mean = g[1] / n;
-    let var = (g[2] - n * mean * mean) / (n - 1.0);
+    let [n, sum, sum_sq] = outcome.survivors[0].value;
+    let mean = sum / n;
+    let var = (sum_sq - n * mean * mean) / (n - 1.0);
     let intrinsic = product.payoff.eval(market.spots());
     let result = LsmcResult {
         price: mean.max(intrinsic),
         std_error: (var.max(0.0) / n).sqrt(),
         paths: n as u64,
     };
-    let mut time = TimeModel::from_results(&outcome.survivors);
-    for c in &outcome.crashed {
-        time.absorb_crashed(c.time, &c.stats);
-    }
-    Ok(LsmcClusterFtOutcome {
+    Ok(LsmcClusterOutcome {
         result,
-        time,
-        crashed: outcome.crashed.iter().map(|c| (c.rank, c.step)).collect(),
+        time: outcome.time_model(),
+        crashed: outcome.crash_sites(),
     })
 }
 
@@ -531,7 +359,10 @@ fn encode_sweep_state(
 }
 
 /// Inverse of [`encode_sweep_state`], merging into a per-block pool.
-fn decode_sweep_state(data: &[f64], pool: &mut std::collections::HashMap<u64, (Vec<f64>, Vec<u32>)>) {
+fn decode_sweep_state(
+    data: &[f64],
+    pool: &mut std::collections::HashMap<u64, (Vec<f64>, Vec<u32>)>,
+) {
     let mut i = 0usize;
     while i < data.len() {
         let b = data[i] as u64;
@@ -564,6 +395,29 @@ mod tests {
         )
     }
 
+    /// A European run without faults or checkpoints.
+    fn mc(
+        m: &GbmMarket,
+        p: &Product,
+        cfg: McConfig,
+        ranks: usize,
+        machine: Machine,
+    ) -> McClusterOutcome {
+        price_mc_cluster(m, p, cfg, ranks, machine, FaultPlan::new(0), None).unwrap()
+    }
+
+    /// An LSMC run without faults or checkpoints.
+    fn lsmc_run(
+        m: &GbmMarket,
+        p: &Product,
+        cfg: LsmcConfig,
+        ranks: usize,
+        machine: Machine,
+    ) -> LsmcClusterOutcome {
+        let sync = CheckpointMode::Sync;
+        price_lsmc_cluster(m, p, cfg, ranks, machine, FaultPlan::new(0), None, sync).unwrap()
+    }
+
     #[test]
     fn cluster_price_equals_sequential_bitwise() {
         let (m, p) = basket3();
@@ -574,7 +428,7 @@ mod tests {
         };
         let seq = McEngine::new(cfg).price(&m, &p).unwrap();
         for ranks in [1usize, 2, 4, 5] {
-            let par = price_mc_cluster(&m, &p, cfg, ranks, Machine::ideal()).unwrap();
+            let par = mc(&m, &p, cfg, ranks, Machine::ideal());
             assert_eq!(
                 par.result.price.to_bits(),
                 seq.price.to_bits(),
@@ -593,8 +447,8 @@ mod tests {
             variance_reduction: VarianceReduction::Antithetic,
             ..Default::default()
         };
-        let a = price_mc_cluster(&m, &p, cfg, 2, Machine::cluster2002()).unwrap();
-        let b = price_mc_cluster(&m, &p, cfg, 7, Machine::cluster2002()).unwrap();
+        let a = mc(&m, &p, cfg, 2, Machine::cluster2002());
+        let b = mc(&m, &p, cfg, 7, Machine::cluster2002());
         assert_eq!(a.result.price.to_bits(), b.result.price.to_bits());
     }
 
@@ -606,14 +460,8 @@ mod tests {
             block_size: 1000,
             ..Default::default()
         };
-        let t1 = price_mc_cluster(&m, &p, cfg, 1, Machine::cluster2002())
-            .unwrap()
-            .time
-            .makespan;
-        let t8 = price_mc_cluster(&m, &p, cfg, 8, Machine::cluster2002())
-            .unwrap()
-            .time
-            .makespan;
+        let t1 = mc(&m, &p, cfg, 1, Machine::cluster2002()).time.makespan;
+        let t8 = mc(&m, &p, cfg, 8, Machine::cluster2002()).time.makespan;
         let s8 = t1 / t8;
         assert!(s8 > 7.0, "MC should scale near-ideally: {s8}");
         assert!(s8 <= 8.0 + 1e-9);
@@ -633,14 +481,8 @@ mod tests {
             ..Default::default()
         };
         let sp = |cfg: McConfig| {
-            let t1 = price_mc_cluster(&m, &p, cfg, 1, Machine::cluster2002())
-                .unwrap()
-                .time
-                .makespan;
-            let t8 = price_mc_cluster(&m, &p, cfg, 8, Machine::cluster2002())
-                .unwrap()
-                .time
-                .makespan;
+            let t1 = mc(&m, &p, cfg, 1, Machine::cluster2002()).time.makespan;
+            let t8 = mc(&m, &p, cfg, 8, Machine::cluster2002()).time.makespan;
             t1 / t8
         };
         let s_small = sp(small);
@@ -668,9 +510,9 @@ mod tests {
             ..Default::default()
         };
         let seq = lsmc::price_lsmc(&m, &p, cfg).unwrap();
-        let par = price_lsmc_cluster(&m, &p, cfg, 4, Machine::ideal()).unwrap();
-        // Same panel, same regression math; only the summation order of
-        // the allreduce differs from the sequential fold.
+        let par = lsmc_run(&m, &p, cfg, 4, Machine::ideal());
+        // Same panel, same regression math; only the per-block fold of
+        // the regression sums differs from the sequential path order.
         assert!(
             (par.result.price - seq.price).abs() < 1e-6,
             "{} vs {}",
@@ -682,7 +524,7 @@ mod tests {
 
     #[test]
     fn lsmc_scales_worse_than_european_mc() {
-        // The per-date allreduce is LSMC's serial fraction.
+        // The per-date regression fold is LSMC's serial fraction.
         let m = GbmMarket::single(100.0, 0.2, 0.0, 0.05).unwrap();
         let am = Product::american(
             Payoff::BasketPut {
@@ -705,7 +547,7 @@ mod tests {
             ..Default::default()
         };
         // Same paths and the same 25-step simulation work, so the only
-        // structural difference is LSMC's per-date allreduce.
+        // structural difference is LSMC's per-date regression fold.
         let mc_cfg = McConfig {
             paths: 4_000,
             steps: 25,
@@ -713,25 +555,17 @@ mod tests {
             ..Default::default()
         };
         let s_lsmc = {
-            let t1 = price_lsmc_cluster(&m, &am, lsmc_cfg, 1, Machine::cluster2002())
-                .unwrap()
+            let t1 = lsmc_run(&m, &am, lsmc_cfg, 1, Machine::cluster2002())
                 .time
                 .makespan;
-            let t8 = price_lsmc_cluster(&m, &am, lsmc_cfg, 8, Machine::cluster2002())
-                .unwrap()
+            let t8 = lsmc_run(&m, &am, lsmc_cfg, 8, Machine::cluster2002())
                 .time
                 .makespan;
             t1 / t8
         };
         let s_mc = {
-            let t1 = price_mc_cluster(&m, &eu, mc_cfg, 1, Machine::cluster2002())
-                .unwrap()
-                .time
-                .makespan;
-            let t8 = price_mc_cluster(&m, &eu, mc_cfg, 8, Machine::cluster2002())
-                .unwrap()
-                .time
-                .makespan;
+            let t1 = mc(&m, &eu, mc_cfg, 1, Machine::cluster2002()).time.makespan;
+            let t8 = mc(&m, &eu, mc_cfg, 8, Machine::cluster2002()).time.makespan;
             t1 / t8
         };
         assert!(
@@ -749,17 +583,8 @@ mod tests {
             ..Default::default()
         };
         let seq = McEngine::new(cfg).price(&m, &p).unwrap();
-        let ft = price_mc_cluster_ft(
-            &m,
-            &p,
-            cfg,
-            4,
-            Machine::cluster2002(),
-            mdp_cluster::FaultPlan::new(5),
-            8,
-            2,
-        )
-        .unwrap();
+        let plan = FaultPlan::new(5);
+        let ft = price_mc_cluster(&m, &p, cfg, 4, Machine::cluster2002(), plan, Some(2)).unwrap();
         assert_eq!(ft.result.price.to_bits(), seq.price.to_bits());
         assert_eq!(ft.result.paths, seq.paths);
         assert!(ft.crashed.is_empty());
@@ -776,9 +601,9 @@ mod tests {
         };
         let seq = McEngine::new(cfg).price(&m, &p).unwrap();
         for crash_at in [1usize, 4, 7] {
-            let plan = mdp_cluster::FaultPlan::new(11).with_crash(2, crash_at);
+            let plan = FaultPlan::new(11).with_crash(2, crash_at);
             let ft =
-                price_mc_cluster_ft(&m, &p, cfg, 4, Machine::cluster2002(), plan, 8, 2).unwrap();
+                price_mc_cluster(&m, &p, cfg, 4, Machine::cluster2002(), plan, Some(2)).unwrap();
             assert_eq!(
                 ft.result.price.to_bits(),
                 seq.price.to_bits(),
@@ -798,11 +623,11 @@ mod tests {
             ..Default::default()
         };
         let seq = McEngine::new(cfg).price(&m, &p).unwrap();
-        let plan = mdp_cluster::FaultPlan::new(1)
+        let plan = FaultPlan::new(1)
             .with_crash(0, 2)
             .with_crash(1, 4)
             .with_crash(2, 4);
-        let ft = price_mc_cluster_ft(&m, &p, cfg, 4, Machine::cluster2002(), plan, 6, 1).unwrap();
+        let ft = price_mc_cluster(&m, &p, cfg, 4, Machine::cluster2002(), plan, Some(1)).unwrap();
         assert_eq!(ft.result.price.to_bits(), seq.price.to_bits());
         assert_eq!(ft.crashed.len(), 3);
     }
@@ -829,14 +654,14 @@ mod tests {
     fn lsmc_ft_matches_sequential_within_tolerance() {
         let (m, p, cfg) = lsmc_ft_case();
         let seq = lsmc::price_lsmc(&m, &p, cfg).unwrap();
-        let ft = price_lsmc_cluster_ft(
+        let ft = price_lsmc_cluster(
             &m,
             &p,
             cfg,
             4,
             Machine::cluster2002(),
-            mdp_cluster::FaultPlan::new(5),
-            4,
+            FaultPlan::new(5),
+            Some(4),
             CheckpointMode::Sync,
         )
         .unwrap();
@@ -858,31 +683,23 @@ mod tests {
     fn lsmc_ft_recovers_bit_identically_from_mid_sweep_crashes() {
         let (m, p, cfg) = lsmc_ft_case();
         for mode in [CheckpointMode::Sync, CheckpointMode::AsyncIncremental] {
-            let clean = price_lsmc_cluster_ft(
+            let clean = price_lsmc_cluster(
                 &m,
                 &p,
                 cfg,
                 4,
                 Machine::cluster2002(),
-                mdp_cluster::FaultPlan::new(7),
-                3,
+                FaultPlan::new(7),
+                Some(3),
                 mode,
             )
             .unwrap();
             assert!(clean.crashed.is_empty());
             for crash_at in [1usize, 4, 8] {
-                let plan = mdp_cluster::FaultPlan::new(13).with_crash(2, crash_at);
-                let ft = price_lsmc_cluster_ft(
-                    &m,
-                    &p,
-                    cfg,
-                    4,
-                    Machine::cluster2002(),
-                    plan,
-                    3,
-                    mode,
-                )
-                .unwrap();
+                let plan = FaultPlan::new(13).with_crash(2, crash_at);
+                let ft =
+                    price_lsmc_cluster(&m, &p, cfg, 4, Machine::cluster2002(), plan, Some(3), mode)
+                        .unwrap();
                 assert_eq!(
                     ft.result.price.to_bits(),
                     clean.result.price.to_bits(),
@@ -898,14 +715,14 @@ mod tests {
     fn lsmc_ft_async_checkpoints_cost_less_than_sync() {
         let (m, p, cfg) = lsmc_ft_case();
         let run = |mode| {
-            price_lsmc_cluster_ft(
+            price_lsmc_cluster(
                 &m,
                 &p,
                 cfg,
                 4,
                 Machine::cluster2002(),
-                mdp_cluster::FaultPlan::new(3),
-                2,
+                FaultPlan::new(3),
+                Some(2),
                 mode,
             )
             .unwrap()
@@ -929,15 +746,15 @@ mod tests {
     fn lsmc_ft_rejects_european_products() {
         let (m, _, cfg) = lsmc_ft_case();
         let eu = Product::european(Payoff::MaxCall { strike: 100.0 }, 1.0);
-        assert!(price_lsmc_cluster_ft(
+        assert!(price_lsmc_cluster(
             &m,
             &eu,
             cfg,
             2,
             Machine::ideal(),
-            mdp_cluster::FaultPlan::new(1),
-            2,
-            CheckpointMode::Sync,
+            FaultPlan::new(1),
+            Some(2),
+            CheckpointMode::Sync
         )
         .is_err());
     }
@@ -952,8 +769,27 @@ mod tests {
     fn errors_propagate() {
         let (m, _) = basket3();
         let am = Product::american(Payoff::MaxCall { strike: 100.0 }, 1.0);
-        assert!(price_mc_cluster(&m, &am, McConfig::default(), 2, Machine::ideal()).is_err());
+        assert!(price_mc_cluster(
+            &m,
+            &am,
+            McConfig::default(),
+            2,
+            Machine::ideal(),
+            FaultPlan::new(0),
+            None
+        )
+        .is_err());
         let eu = Product::european(Payoff::MaxCall { strike: 100.0 }, 1.0);
-        assert!(price_lsmc_cluster(&m, &eu, LsmcConfig::default(), 2, Machine::ideal()).is_err());
+        assert!(price_lsmc_cluster(
+            &m,
+            &eu,
+            LsmcConfig::default(),
+            2,
+            Machine::ideal(),
+            FaultPlan::new(0),
+            None,
+            CheckpointMode::Sync
+        )
+        .is_err());
     }
 }

@@ -9,17 +9,20 @@
 //! `(XᵀX)β = Xᵀy` with a tiny ridge for safety. That choice is
 //! deliberate: the normal-equation sums are small `k×k` matrices that
 //! merge by addition, so the distributed driver
-//! ([`crate::cluster_driver::price_lsmc_cluster`]) computes local sums,
-//! allreduces them, and solves the same tiny system on every rank — the
-//! classic parallel-LSMC structure in which the regression is the
-//! *serial* fraction that Amdahl's law punishes (experiment T7).
+//! ([`crate::cluster_driver::price_lsmc_cluster`]) computes per-block
+//! sums, folds them in block order, and solves the same tiny system on
+//! every rank — the classic parallel-LSMC structure in which the
+//! regression is the *serial* fraction that Amdahl's law punishes
+//! (experiment T7). Both drivers run the per-date loops of
+//! [`SweepKernel`].
 
 use crate::path::GbmStepper;
 use crate::McError;
 use mdp_math::linalg::{Cholesky, Matrix};
 use mdp_math::poly::{BasisKind, TensorBasis};
 use mdp_math::rng::{NormalPolar, NormalSampler, Substreams, Xoshiro256StarStar};
-use mdp_model::{ExerciseStyle, GbmMarket, Product};
+use mdp_model::{ExerciseStyle, GbmMarket, Payoff, Product};
+use std::ops::Range;
 
 /// Configuration of an LSMC run.
 #[derive(Debug, Clone, Copy)]
@@ -215,70 +218,98 @@ impl RegressionSums {
     }
 }
 
-/// Run the backward LSMC sweep over a simulated panel, returning the
-/// final per-path discounted cashflows (valued at time 0).
-///
-/// `regress` abstracts the reduction: the sequential engine solves the
-/// local sums directly; the cluster driver allreduces them first. It
-/// receives the local sums and must return the regression coefficients
-/// (or `None` to skip exercise at that date).
-pub fn backward_sweep<F>(
-    market: &GbmMarket,
-    product: &Product,
-    cfg: &LsmcConfig,
-    panel: &PathPanel,
-    mut regress: F,
-) -> Vec<f64>
-where
-    F: FnMut(usize, &RegressionSums) -> Option<Vec<f64>>,
-{
-    let d = panel.dim;
-    let n = panel.paths;
-    let dt = product.maturity / cfg.steps as f64;
-    let disc_dt = (-market.rate() * dt).exp();
-    let basis = TensorBasis::new(d, cfg.degree, cfg.basis);
-    let k = basis.size();
-    let payoff = &product.payoff;
-    let spots0 = market.spots();
+/// The per-date loops of the backward sweep, shared by the sequential
+/// sweep ([`backward_sweep`]) and the cluster driver (which runs them
+/// per substream block over its share of the panel). Cashflows are
+/// valued at their exercise date `cf_time`, discounted on demand.
+pub struct SweepKernel<'a> {
+    payoff: &'a Payoff,
+    spots0: &'a [f64],
+    basis: TensorBasis,
+    disc_dt: f64,
+    phi: Vec<f64>,
+    x: Vec<f64>,
+}
 
-    // Terminal cashflows (discount factor measured from time 0).
-    let mut cashflow: Vec<f64> = (0..n)
-        .map(|p| payoff.eval(&panel.spots[cfg.steps - 1][p * d..(p + 1) * d]))
-        .collect();
-    let mut cf_time: Vec<u32> = vec![cfg.steps as u32; n];
+impl<'a> SweepKernel<'a> {
+    /// The kernel for one run.
+    pub fn new(market: &'a GbmMarket, product: &'a Product, cfg: &LsmcConfig) -> Self {
+        let d = market.dim();
+        let basis = TensorBasis::new(d, cfg.degree, cfg.basis);
+        let dt = product.maturity / cfg.steps as f64;
+        SweepKernel {
+            payoff: &product.payoff,
+            spots0: market.spots(),
+            phi: vec![0.0; basis.size()],
+            basis,
+            disc_dt: (-market.rate() * dt).exp(),
+            x: vec![0.0; d],
+        }
+    }
 
-    let mut phi = vec![0.0; k];
-    let mut x = vec![0.0; d];
-    // Backward over exercise dates t = steps−1 .. 1.
-    for t in (1..cfg.steps).rev() {
-        let layer = &panel.spots[t - 1];
-        // Local regression sums over ITM paths.
-        let mut sums = RegressionSums::new(k);
-        for p in 0..n {
+    /// Basis size `k` of the regression.
+    pub fn basis_size(&self) -> usize {
+        self.basis.size()
+    }
+
+    /// Terminal cashflows of every path of `panel`, with their date.
+    pub fn terminal(&self, panel: &PathPanel) -> (Vec<f64>, Vec<u32>) {
+        let d = panel.dim;
+        let last = &panel.spots[panel.steps - 1];
+        let cashflow = (0..panel.paths)
+            .map(|p| self.payoff.eval(&last[p * d..(p + 1) * d]))
+            .collect();
+        (cashflow, vec![panel.steps as u32; panel.paths])
+    }
+
+    /// Basis row of the normalised spots `s` into the scratch `phi`.
+    fn eval_basis(&mut self, s: &[f64]) {
+        for (xi, (si, s0)) in self.x.iter_mut().zip(s.iter().zip(self.spots0)) {
+            *xi = si / s0;
+        }
+        self.basis.eval(&self.x, &mut self.phi);
+    }
+
+    /// Add the in-the-money paths `paths` of date `t` (spot layer
+    /// `layer`) to `sums`, each regressed on its cashflow discounted to
+    /// date `t`.
+    pub fn regression_sums(
+        &mut self,
+        layer: &[f64],
+        t: usize,
+        cashflow: &[f64],
+        cf_time: &[u32],
+        paths: Range<usize>,
+        sums: &mut RegressionSums,
+    ) {
+        let d = self.x.len();
+        for p in paths {
             let s = &layer[p * d..(p + 1) * d];
-            let intrinsic = payoff.eval(s);
-            if intrinsic > 0.0 {
-                for (xi, (si, s0)) in x.iter_mut().zip(s.iter().zip(spots0)) {
-                    *xi = si / s0;
-                }
-                basis.eval(&x, &mut phi);
-                let y = cashflow[p] * disc_dt.powi((cf_time[p] - t as u32) as i32);
-                sums.push(&phi, y);
+            if self.payoff.eval(s) > 0.0 {
+                self.eval_basis(s);
+                let y = cashflow[p] * self.disc_dt.powi((cf_time[p] - t as u32) as i32);
+                sums.push(&self.phi, y);
             }
         }
-        let Some(beta) = regress(t, &sums) else {
-            continue;
-        };
-        // Exercise where intrinsic beats the fitted continuation.
-        for p in 0..n {
+    }
+
+    /// Exercise at date `t` on every path whose intrinsic value beats
+    /// the continuation fitted by `beta`.
+    pub fn exercise(
+        &mut self,
+        layer: &[f64],
+        t: usize,
+        beta: &[f64],
+        cashflow: &mut [f64],
+        cf_time: &mut [u32],
+    ) {
+        let d = self.x.len();
+        for p in 0..cashflow.len() {
             let s = &layer[p * d..(p + 1) * d];
-            let intrinsic = payoff.eval(s);
+            let intrinsic = self.payoff.eval(s);
             if intrinsic > 0.0 {
-                for (xi, (si, s0)) in x.iter_mut().zip(s.iter().zip(spots0)) {
-                    *xi = si / s0;
-                }
-                basis.eval(&x, &mut phi);
-                let continuation: f64 = beta.iter().zip(&phi).map(|(b, f)| b * f).sum();
+                self.eval_basis(s);
+                let continuation: f64 = beta.iter().zip(&self.phi).map(|(b, f)| b * f).sum();
                 if intrinsic >= continuation {
                     cashflow[p] = intrinsic;
                     cf_time[p] = t as u32;
@@ -286,12 +317,38 @@ where
             }
         }
     }
-    // Discount every cashflow to time 0.
-    cashflow
-        .iter()
-        .zip(&cf_time)
-        .map(|(cf, t)| cf * disc_dt.powi(*t as i32))
-        .collect()
+
+    /// Every cashflow discounted to time 0.
+    pub fn discounted(&self, cashflow: &[f64], cf_time: &[u32]) -> Vec<f64> {
+        cashflow
+            .iter()
+            .zip(cf_time)
+            .map(|(cf, t)| cf * self.disc_dt.powi(*t as i32))
+            .collect()
+    }
+}
+
+/// Run the backward LSMC sweep over a simulated panel, regressing each
+/// date on all of its paths, and return the final per-path discounted
+/// cashflows (valued at time 0).
+pub fn backward_sweep(
+    market: &GbmMarket,
+    product: &Product,
+    cfg: &LsmcConfig,
+    panel: &PathPanel,
+) -> Vec<f64> {
+    let mut kernel = SweepKernel::new(market, product, cfg);
+    let (mut cashflow, mut cf_time) = kernel.terminal(panel);
+    // Backward over exercise dates t = steps−1 .. 1.
+    for t in (1..cfg.steps).rev() {
+        let layer = &panel.spots[t - 1];
+        let mut sums = RegressionSums::new(kernel.basis_size());
+        kernel.regression_sums(layer, t, &cashflow, &cf_time, 0..panel.paths, &mut sums);
+        if let Some(beta) = sums.solve(cfg.ridge) {
+            kernel.exercise(layer, t, &beta, &mut cashflow, &mut cf_time);
+        }
+    }
+    kernel.discounted(&cashflow, &cf_time)
 }
 
 /// Sequential LSMC pricing.
@@ -302,9 +359,7 @@ pub fn price_lsmc(
 ) -> Result<LsmcResult, McError> {
     validate(market, product, &cfg)?;
     let panel = simulate_panel(market, product, &cfg, 0..num_blocks(&cfg));
-    let discounted = backward_sweep(market, product, &cfg, &panel, |_, sums| {
-        sums.solve(cfg.ridge)
-    });
+    let discounted = backward_sweep(market, product, &cfg, &panel);
     Ok(summarise(&discounted, product, market))
 }
 
@@ -342,9 +397,7 @@ pub fn price_lsmc_rayon(
         paths: total,
         spots,
     };
-    let discounted = backward_sweep(market, product, &cfg, &panel, |_, sums| {
-        sums.solve(cfg.ridge)
-    });
+    let discounted = backward_sweep(market, product, &cfg, &panel);
     Ok(summarise(&discounted, product, market))
 }
 

@@ -20,10 +20,9 @@
 use crate::grid::LogGrid;
 use crate::stencil::explicit_point;
 use crate::PdeError;
-use mdp_cluster::checkpoint::broadcast_active;
 use mdp_cluster::{
-    partition, run_spmd_ft, CheckpointStore, Communicator, FaultPlan, Machine, Supervisor,
-    TimeModel,
+    check_policy, partition, run_spmd_ft, CheckpointStore, Communicator, FaultPlan, Machine,
+    Supervisor, TimeModel,
 };
 use mdp_model::{ExerciseStyle, GbmMarket, Product};
 
@@ -56,12 +55,13 @@ impl Default for ClusterFd1d {
 pub struct ClusterFdOutcome {
     /// Present value at the spot.
     pub price: f64,
-    /// Virtual-time model of the run.
+    /// Virtual-time model of the run, crashed ranks' time included.
     pub time: TimeModel,
+    /// Injected crashes that fired, as `(rank, boundary)` pairs.
+    pub crashed: Vec<(usize, usize)>,
 }
 
-/// Precomputed scheme coefficients and grid data shared by the plain
-/// and fault-tolerant drivers.
+/// Precomputed scheme coefficients and grid data of one run.
 struct FdSetup {
     m: usize,
     n: usize,
@@ -126,155 +126,33 @@ impl ClusterFd1d {
         })
     }
 
-    /// Price a European single-asset product on `p` ranks.
+    /// Price a European single-asset product on `p` ranks under the
+    /// fault schedule `plan`, checkpointing every rank's owned grid
+    /// points each `ckpt_interval` time steps (`None`: never).
+    ///
+    /// Survivors of a crash repartition the checkpointed grid layer
+    /// over the shrunken rank set and replay; the per-point update is
+    /// owner-independent, so the price is bit-identical to the
+    /// sequential explicit engine with or without faults. A plan that
+    /// crashes ranks needs a checkpoint interval (a typed error
+    /// otherwise).
     pub fn price(
         &self,
         market: &GbmMarket,
         product: &Product,
         p: usize,
         machine: Machine,
+        plan: FaultPlan,
+        ckpt_interval: Option<usize>,
     ) -> Result<ClusterFdOutcome, PdeError> {
-        let setup = self.setup(market, product)?;
-        let FdSetup {
-            m,
-            n,
-            dt,
-            r,
-            a,
-            b,
-            c,
-            intrinsic,
-            center,
-        } = setup;
-        let intrinsic = &intrinsic;
-
-        let results = mdp_cluster::run_spmd(p, machine, |comm| {
-            let rank = comm.rank();
-            let size = comm.size();
-            let (lo, hi) = partition::block_range(m, size, rank);
-            let len = hi - lo;
-            // Local values with one ghost cell on each side.
-            let mut v = vec![0.0; len + 2];
-            v[1..len + 1].copy_from_slice(&intrinsic[lo..hi]);
-            comm.compute_units(len as f64 * 2.0);
-
-            let mut new_v = vec![0.0; len + 2];
-            // The owners of the ghost indices are fixed across steps
-            // (skips over empty blocks when p > m).
-            let left_owner = if len > 0 && lo > 0 {
-                Some(partition::block_owner(m, size, lo - 1))
-            } else {
-                None
-            };
-            let right_owner = if len > 0 && hi < m {
-                Some(partition::block_owner(m, size, hi))
-            } else {
-                None
-            };
-            // A local point needs a ghost value only if it sits at a
-            // block edge with a neighbouring rank *and* is not a global
-            // Dirichlet boundary row (those read no neighbours at all).
-            let needs_ghost = |k: usize| {
-                let gidx = lo + k;
-                gidx != 0
-                    && gidx != m - 1
-                    && ((k == 0 && left_owner.is_some()) || (k + 1 == len && right_owner.is_some()))
-            };
-            for step in 1..=n {
-                let tau = step as f64 * dt;
-                let df = (-r * tau).exp();
-                let update = |k: usize, v: &[f64], new_v: &mut [f64]| {
-                    let gidx = lo + k;
-                    if gidx == 0 {
-                        new_v[k + 1] = df * intrinsic[0];
-                    } else if gidx == m - 1 {
-                        new_v[k + 1] = df * intrinsic[m - 1];
-                    } else {
-                        // Same per-point kernel as the sequential
-                        // engine and the trapezoid base case.
-                        new_v[k + 1] = explicit_point(dt, a, b, c, v[k], v[k + 1], v[k + 2]);
-                    }
-                };
-                // --- post the halo sends, then update the interior
-                // while the edge values are in flight: the virtual-time
-                // model charges the interior compute before the recvs,
-                // so it overlaps (hides) the message latency exactly
-                // like the lattice cluster driver's halo exchange. The
-                // arithmetic per point is unchanged, so prices stay
-                // bit-identical to the sequential engine.
-                if let Some(l) = left_owner {
-                    comm.send(l, T_EDGE, &[v[1]]);
-                }
-                if let Some(r) = right_owner {
-                    comm.send(r, T_EDGE, &[v[len]]);
-                }
-                let mut interior_pts = 0u64;
-                for k in 0..len {
-                    if !needs_ghost(k) {
-                        update(k, &v, &mut new_v);
-                        interior_pts += 1;
-                    }
-                }
-                comm.compute_units(interior_pts as f64 * 8.0);
-                // --- complete the exchange and finish the edge points -
-                if let Some(l) = left_owner {
-                    v[0] = comm.recv(l, T_EDGE)[0];
-                }
-                if let Some(r) = right_owner {
-                    v[len + 1] = comm.recv(r, T_EDGE)[0];
-                }
-                let mut edge_pts = 0u64;
-                for k in 0..len {
-                    if needs_ghost(k) {
-                        update(k, &v, &mut new_v);
-                        edge_pts += 1;
-                    }
-                }
-                comm.compute_units(edge_pts as f64 * 8.0);
-                std::mem::swap(&mut v, &mut new_v);
-            }
-
-            // Owner of the centre point broadcasts the price through
-            // the topology-aware engine (bitwise-identical to the flat
-            // broadcast on every machine).
-            let owner = partition::block_owner(m, size, center);
-            let engine = mdp_cluster::CollectiveEngine::for_machine(comm.machine(), size);
-            let mut price = [0.0];
-            if rank == owner {
-                price[0] = v[center - lo + 1];
-            }
-            engine.broadcast(comm, owner, &mut price);
-            price[0]
-        })
-        .map_err(|e| {
+        let unsupported = |why: String| {
             PdeError::Model(mdp_model::ModelError::Unsupported {
                 engine: "distributed explicit FD",
-                why: e.to_string(),
+                why,
             })
-        })?;
-
-        Ok(ClusterFdOutcome {
-            price: results[0].value,
-            time: TimeModel::from_results(&results),
-        })
-    }
-
-    /// Fault-tolerant variant of [`ClusterFd1d::price`]: runs under a
-    /// [`FaultPlan`], checkpointing every rank's owned grid points each
-    /// `ckpt_interval` time steps. Survivors of a crash repartition the
-    /// checkpointed grid layer over the shrunken rank set and replay;
-    /// the per-point update is owner-independent, so the price is
-    /// bit-identical to the fault-free run.
-    pub fn price_ft(
-        &self,
-        market: &GbmMarket,
-        product: &Product,
-        p: usize,
-        machine: Machine,
-        plan: FaultPlan,
-        ckpt_interval: usize,
-    ) -> Result<ClusterFdFtOutcome, PdeError> {
+        };
         let s = self.setup(market, product)?;
+        check_policy(&plan, ckpt_interval).map_err(unsupported)?;
         let store = CheckpointStore::new();
 
         let outcome = run_spmd_ft(p, machine, plan, |comm| {
@@ -311,7 +189,7 @@ impl ClusterFd1d {
                     continue; // re-enter boundary k0: fresh-era checkpoint
                 }
 
-                let active = sup.active().to_vec();
+                let active = sup.active();
                 let an = active.len();
                 let step = k + 1;
                 // Ghost owners under the current active partition.
@@ -325,6 +203,10 @@ impl ClusterFd1d {
                 } else {
                     None
                 };
+                // A local point needs a ghost value only if it sits at
+                // a block edge with a neighbouring rank *and* is not a
+                // global Dirichlet boundary row (those read no
+                // neighbours at all).
                 let needs_ghost = |kk: usize| {
                     let gidx = lo + kk;
                     gidx != 0
@@ -341,9 +223,16 @@ impl ClusterFd1d {
                     } else if gidx == m - 1 {
                         new_v[kk + 1] = df * s.intrinsic[m - 1];
                     } else {
-                        new_v[kk + 1] = explicit_point(s.dt, s.a, s.b, s.c, v[kk], v[kk + 1], v[kk + 2]);
+                        // Same per-point kernel as the sequential
+                        // engine and the trapezoid base case.
+                        new_v[kk + 1] =
+                            explicit_point(s.dt, s.a, s.b, s.c, v[kk], v[kk + 1], v[kk + 2]);
                     }
                 };
+                // Post the halo sends, then update the interior while
+                // the edge values are in flight: the virtual-time model
+                // charges the interior compute before the receives, so
+                // it hides the message latency.
                 if let Some(l) = left_owner {
                     comm.send(l, T_EDGE, &[v[1]]);
                 }
@@ -376,44 +265,26 @@ impl ClusterFd1d {
                 k += 1;
             }
 
-            let active = sup.active().to_vec();
+            // Owner of the centre point broadcasts the price through
+            // the supervisor (the topology-aware engine while every
+            // rank lives).
+            let active = sup.active();
             let owner = active[partition::block_owner(m, active.len(), s.center)];
-            let price = if rank == owner {
-                vec![v[s.center - lo + 1]]
-            } else {
-                vec![0.0]
-            };
-            broadcast_active(comm, &active, owner, &price)[0]
+            let mut price = [0.0];
+            if rank == owner {
+                price[0] = v[s.center - lo + 1];
+            }
+            sup.broadcast(comm, owner, &mut price);
+            price[0]
         })
-        .map_err(|e| {
-            PdeError::Model(mdp_model::ModelError::Unsupported {
-                engine: "distributed explicit FD",
-                why: e.to_string(),
-            })
-        })?;
+        .map_err(|e| unsupported(e.to_string()))?;
 
-        let price = outcome.survivors[0].value;
-        let mut time = TimeModel::from_results(&outcome.survivors);
-        for c in &outcome.crashed {
-            time.absorb_crashed(c.time, &c.stats);
-        }
-        Ok(ClusterFdFtOutcome {
-            price,
-            time,
-            crashed: outcome.crashed.iter().map(|c| (c.rank, c.step)).collect(),
+        Ok(ClusterFdOutcome {
+            price: outcome.survivors[0].value,
+            time: outcome.time_model(),
+            crashed: outcome.crash_sites(),
         })
     }
-}
-
-/// Outcome of a fault-tolerant distributed PDE run.
-#[derive(Debug, Clone)]
-pub struct ClusterFdFtOutcome {
-    /// Present value at the spot — bit-identical to the fault-free run.
-    pub price: f64,
-    /// Virtual-time model, crashed ranks' time included.
-    pub time: TimeModel,
-    /// Injected crashes that fired, as `(rank, boundary)` pairs.
-    pub crashed: Vec<(usize, usize)>,
 }
 
 #[cfg(test)]
@@ -455,7 +326,7 @@ mod tests {
                 time_steps: 2000,
                 ..Default::default()
             }
-            .price(&m, &p, ranks, Machine::ideal())
+            .price(&m, &p, ranks, Machine::ideal(), FaultPlan::new(0), None)
             .unwrap()
             .price;
             assert_eq!(par.to_bits(), seq.to_bits(), "ranks={ranks}");
@@ -478,12 +349,12 @@ mod tests {
             ..Default::default()
         };
         let t1 = cfg
-            .price(&m, &p, 1, Machine::cluster2002())
+            .price(&m, &p, 1, Machine::cluster2002(), FaultPlan::new(0), None)
             .unwrap()
             .time
             .makespan;
         let t8 = cfg
-            .price(&m, &p, 8, Machine::cluster2002())
+            .price(&m, &p, 8, Machine::cluster2002(), FaultPlan::new(0), None)
             .unwrap()
             .time
             .makespan;
@@ -492,8 +363,16 @@ mod tests {
             s8_cluster < 1.0,
             "the high-latency cluster should *lose* on this kernel: {s8_cluster}"
         );
-        let t1_smp = cfg.price(&m, &p, 1, Machine::smp()).unwrap().time.makespan;
-        let t8_smp = cfg.price(&m, &p, 8, Machine::smp()).unwrap().time.makespan;
+        let t1_smp = cfg
+            .price(&m, &p, 1, Machine::smp(), FaultPlan::new(0), None)
+            .unwrap()
+            .time
+            .makespan;
+        let t8_smp = cfg
+            .price(&m, &p, 8, Machine::smp(), FaultPlan::new(0), None)
+            .unwrap()
+            .time
+            .makespan;
         let s8_smp = t1_smp / t8_smp;
         assert!(
             s8_smp > s8_cluster,
@@ -512,7 +391,7 @@ mod tests {
             ..Default::default()
         };
         assert!(matches!(
-            cfg.price(&m, &p, 2, Machine::ideal()),
+            cfg.price(&m, &p, 2, Machine::ideal(), FaultPlan::new(0), None),
             Err(PdeError::Unstable { .. })
         ));
     }
@@ -528,10 +407,14 @@ mod tests {
             1.0,
         );
         let cfg = ClusterFd1d::default();
-        assert!(cfg.price(&m, &am, 2, Machine::ideal()).is_err());
+        assert!(cfg
+            .price(&m, &am, 2, Machine::ideal(), FaultPlan::new(0), None)
+            .is_err());
         let m2 = GbmMarket::symmetric(2, 100.0, 0.2, 0.0, 0.05, 0.3).unwrap();
         let rainbow = Product::european(Payoff::MaxCall { strike: 100.0 }, 1.0);
-        assert!(cfg.price(&m2, &rainbow, 2, Machine::ideal()).is_err());
+        assert!(cfg
+            .price(&m2, &rainbow, 2, Machine::ideal(), FaultPlan::new(0), None)
+            .is_err());
     }
 
     #[test]
@@ -543,20 +426,17 @@ mod tests {
             time_steps: 2000,
             ..Default::default()
         };
-        let plain = cfg.price(&m, &p, 4, Machine::cluster2002()).unwrap();
-        let ft = cfg
-            .price_ft(
-                &m,
-                &p,
-                4,
-                Machine::cluster2002(),
-                mdp_cluster::FaultPlan::new(2),
-                500,
-            )
-            .unwrap();
+        let machine = Machine::cluster2002();
+        let run = |interval| {
+            let plan = FaultPlan::new(2);
+            cfg.price(&m, &p, 4, machine, plan, interval).unwrap()
+        };
+        let plain = run(None);
+        let ft = run(Some(500));
         assert_eq!(ft.price.to_bits(), plain.price.to_bits());
         assert!(ft.crashed.is_empty());
         assert!(ft.time.total_ckpt_time > 0.0);
+        assert_eq!(plain.time.total_ckpt_time, 0.0);
     }
 
     #[test]
@@ -580,7 +460,7 @@ mod tests {
         for crash_at in [150usize, 1999] {
             let plan = mdp_cluster::FaultPlan::new(4).with_crash(1, crash_at);
             let ft = cfg
-                .price_ft(&m, &p, 4, Machine::cluster2002(), plan, 250)
+                .price(&m, &p, 4, Machine::cluster2002(), plan, Some(250))
                 .unwrap();
             assert_eq!(
                 ft.price.to_bits(),
@@ -600,8 +480,14 @@ mod tests {
             time_steps: 50,
             ..Default::default()
         };
-        let seq = cfg.price(&m, &p, 1, Machine::ideal()).unwrap().price;
-        let par = cfg.price(&m, &p, 9, Machine::ideal()).unwrap().price;
+        let seq = cfg
+            .price(&m, &p, 1, Machine::ideal(), FaultPlan::new(0), None)
+            .unwrap()
+            .price;
+        let par = cfg
+            .price(&m, &p, 9, Machine::ideal(), FaultPlan::new(0), None)
+            .unwrap()
+            .price;
         assert_eq!(seq.to_bits(), par.to_bits());
     }
 }

@@ -9,7 +9,7 @@
 //! * a knock-out barrier pushed to the far edge of the domain must
 //!   reproduce the vanilla Crank–Nicolson price to machine precision.
 
-use mdp_cluster::Machine;
+use mdp_cluster::{FaultPlan, Machine};
 use mdp_model::{GbmMarket, Payoff, Product};
 use mdp_pde::{Adi2d, AdiKernel, ClusterFd1d, Fd1d, Fd1dBarrier, LogGrid, Scheme};
 use proptest::prelude::*;
@@ -116,7 +116,7 @@ proptest! {
             time_steps: n,
             ..Default::default()
         }
-        .price(&market, &product, ranks, Machine::ideal())
+        .price(&market, &product, ranks, Machine::ideal(), FaultPlan::new(0), None)
         .unwrap();
         prop_assert_eq!(seq.price.to_bits(), par.price.to_bits(), "ranks={}", ranks);
     }

@@ -6,8 +6,8 @@
 //! run (recovery succeeded) or a clean typed error (all ranks died) —
 //! never a hang, never a silently wrong number.
 
-use mdp_core::lattice::cluster::{price_cluster, price_cluster_ft, Decomposition};
-use mdp_core::mc::cluster_driver::{price_mc_cluster, price_mc_cluster_ft};
+use mdp_core::lattice::cluster::{price_cluster, Decomposition};
+use mdp_core::mc::cluster_driver::price_mc_cluster;
 use mdp_core::pde::cluster::ClusterFd1d;
 use mdp_core::prelude::*;
 use proptest::prelude::*;
@@ -34,11 +34,11 @@ proptest! {
         let prod = maxcall();
         let n = 16usize;
         let reference = price_cluster(
-            &m, &prod, n, 4, Machine::cluster2002(), Decomposition::Block,
+            &m, &prod, n, 4, Machine::cluster2002(), Decomposition::Block, FaultPlan::new(0), None,
         ).unwrap();
         let plan = FaultPlan::new(seed).with_crash(crash_rank, crash_step);
-        let ft = price_cluster_ft(
-            &m, &prod, n, 4, Machine::cluster2002(), plan, interval,
+        let ft = price_cluster(
+            &m, &prod, n, 4, Machine::cluster2002(), Decomposition::Block, plan, Some(interval),
         ).unwrap();
         prop_assert_eq!(ft.price.to_bits(), reference.price.to_bits());
         prop_assert_eq!(ft.crashed.clone(), vec![(crash_rank, crash_step)]);
@@ -57,10 +57,12 @@ proptest! {
             1.0,
         );
         let cfg = McConfig { paths: 2_000, block_size: 125, ..Default::default() };
-        let reference = price_mc_cluster(&m, &prod, cfg, 4, Machine::cluster2002()).unwrap();
+        let reference = price_mc_cluster(
+            &m, &prod, cfg, 4, Machine::cluster2002(), FaultPlan::new(0), None,
+        ).unwrap();
         let plan = FaultPlan::new(seed).with_crash(crash_rank, crash_step);
-        let ft = price_mc_cluster_ft(
-            &m, &prod, cfg, 4, Machine::cluster2002(), plan, 8, interval,
+        let ft = price_mc_cluster(
+            &m, &prod, cfg, 4, Machine::cluster2002(), plan, Some(interval),
         ).unwrap();
         prop_assert_eq!(ft.result.price.to_bits(), reference.result.price.to_bits());
         prop_assert_eq!(ft.result.paths, reference.result.paths);
@@ -80,9 +82,11 @@ proptest! {
             1.0,
         );
         let cfg = ClusterFd1d { space_points: 51, time_steps: 200, ..Default::default() };
-        let reference = cfg.price(&m, &prod, 4, Machine::cluster2002()).unwrap();
+        let reference = cfg
+            .price(&m, &prod, 4, Machine::cluster2002(), FaultPlan::new(0), None)
+            .unwrap();
         let plan = FaultPlan::new(seed).with_crash(crash_rank, crash_step);
-        let ft = cfg.price_ft(&m, &prod, 4, Machine::cluster2002(), plan, interval).unwrap();
+        let ft = cfg.price(&m, &prod, 4, Machine::cluster2002(), plan, Some(interval)).unwrap();
         prop_assert_eq!(ft.price.to_bits(), reference.price.to_bits());
         prop_assert_eq!(ft.crashed.clone(), vec![(crash_rank, crash_step)]);
     }
@@ -98,8 +102,8 @@ proptest! {
         for r in 0..3 {
             plan = plan.with_crash(r, step + r % 2);
         }
-        let lat = price_cluster_ft(
-            &m2, &prod, 16, 3, Machine::cluster2002(), plan.clone(), 4,
+        let lat = price_cluster(
+            &m2, &prod, 16, 3, Machine::cluster2002(), Decomposition::Block, plan.clone(), Some(4),
         );
         let err = lat.expect_err("all-crash lattice run must fail");
         prop_assert!(
@@ -113,7 +117,7 @@ proptest! {
             1.0,
         );
         let cfg = ClusterFd1d { space_points: 51, time_steps: 200, ..Default::default() };
-        let pde = cfg.price_ft(&m1, &call1, 3, Machine::cluster2002(), plan.clone(), 16);
+        let pde = cfg.price(&m1, &call1, 3, Machine::cluster2002(), plan.clone(), Some(16));
         let err = pde.expect_err("all-crash pde run must fail");
         prop_assert!(
             err.to_string().contains("injected crash"),
@@ -121,14 +125,14 @@ proptest! {
         );
 
         let mc_cfg = McConfig { paths: 1_000, block_size: 125, ..Default::default() };
-        let mc = price_mc_cluster_ft(
+        let mc = price_mc_cluster(
             &m2,
             &Product::european(
                 Payoff::BasketCall { weights: Product::equal_weights(2), strike: 100.0 },
                 1.0,
             ),
             // 16 batches: every scheduled crash boundary (≤ 8) fires.
-            mc_cfg, 3, Machine::cluster2002(), plan, 16, 2,
+            mc_cfg, 3, Machine::cluster2002(), plan, Some(2),
         );
         let err = mc.expect_err("all-crash mc run must fail");
         prop_assert!(
@@ -147,13 +151,15 @@ proptest! {
         let m = market2();
         let prod = maxcall();
         let reference = price_cluster(
-            &m, &prod, 16, 4, Machine::cluster2002(), Decomposition::Block,
+            &m, &prod, 16, 4, Machine::cluster2002(), Decomposition::Block, FaultPlan::new(0), None,
         ).unwrap();
         let plan = FaultPlan::new(seed)
             .with_drops(drop_pct as f64 / 100.0)
             .with_delays(0.1, 1e-4)
             .with_max_retries(30);
-        let ft = price_cluster_ft(&m, &prod, 16, 4, Machine::cluster2002(), plan, 4).unwrap();
+        let ft = price_cluster(
+            &m, &prod, 16, 4, Machine::cluster2002(), Decomposition::Block, plan, Some(4),
+        ).unwrap();
         prop_assert_eq!(ft.price.to_bits(), reference.price.to_bits());
         if drop_pct > 0 {
             prop_assert!(ft.time.total_retransmits >= ft.time.total_dropped.min(1));

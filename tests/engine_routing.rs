@@ -393,3 +393,60 @@ fn zero_checkpoint_interval_is_rejected() {
         .unwrap_err();
     assert!(matches!(err, PriceError::Unsupported(_)));
 }
+
+/// A plan that crashes ranks on a run without a checkpoint interval has
+/// nothing to recover from: every engine rejects it as a typed
+/// configuration error before any rank starts.
+#[test]
+fn crash_plan_without_checkpoint_interval_is_rejected() {
+    let m1 = GbmMarket::single(100.0, 0.2, 0.0, 0.05).unwrap();
+    let m2 = GbmMarket::symmetric(2, 100.0, 0.2, 0.0, 0.05, 0.3).unwrap();
+    let max_call = Product::european(Payoff::MaxCall { strike: 100.0 }, 1.0);
+    let min_put = Product::american(Payoff::MinPut { strike: 100.0 }, 1.0);
+    let explicit = Fd1d {
+        space_points: 51,
+        time_steps: 500,
+        scheme: mdp_core::pde::Scheme::Explicit,
+        ..Default::default()
+    };
+    let cases = [
+        (Method::MultiLattice { steps: 16 }, &m2, max_call.clone()),
+        (Method::monte_carlo(2_000), &m2, max_call),
+        (Method::Lsmc(LsmcConfig::default()), &m2, min_put),
+        (Method::Fd1d(explicit), &m1, euro_call_1d(100.0)),
+    ];
+    for (method, market, product) in cases {
+        let err = Pricer::new(method.clone())
+            .backend(Backend::cluster(4, Machine::cluster2002()))
+            .fault_plan(FaultPlan::new(1).with_crash(2, 3))
+            .price(market, &product)
+            .unwrap_err();
+        assert!(
+            matches!(err, PriceError::Unsupported(_)),
+            "{}: {err:?}",
+            method.name()
+        );
+    }
+}
+
+/// A fault plan reaches every cluster run, not only checkpointed ones:
+/// its drops go through reliable delivery, which retransmits without
+/// moving the price.
+#[test]
+fn fault_plan_reaches_runs_without_checkpoints() {
+    let market = GbmMarket::symmetric(2, 100.0, 0.2, 0.0, 0.05, 0.3).unwrap();
+    let product = Product::european(Payoff::MaxCall { strike: 100.0 }, 1.0);
+    let pricer = Pricer::new(Method::MultiLattice { steps: 24 })
+        .backend(Backend::cluster(4, Machine::cluster2002()));
+    let clean = pricer.price(&market, &product).unwrap();
+    let lossy = pricer
+        .fault_plan(FaultPlan::new(5).with_drops(0.2).with_max_retries(30))
+        .price(&market, &product)
+        .unwrap();
+    assert_eq!(clean.price.to_bits(), lossy.price.to_bits());
+    let (clean, lossy) = (clean.time.unwrap(), lossy.time.unwrap());
+    assert_eq!(clean.total_dropped, 0);
+    assert!(lossy.total_dropped > 0, "the plan's drops never fired");
+    assert_eq!(lossy.total_retransmits, lossy.total_dropped);
+    assert!(lossy.makespan > clean.makespan);
+}

@@ -40,13 +40,31 @@ fn lattice_bitwise_identical_across_backends_and_ranks() {
 fn lattice_decompositions_agree() {
     let m = market(2);
     let p = Product::european(Payoff::MaxCall { strike: 100.0 }, 1.0);
-    let block = price_cluster(&m, &p, 32, 4, Machine::ideal(), Decomposition::Block)
+    let block = price_cluster(
+        &m,
+        &p,
+        32,
+        4,
+        Machine::ideal(),
+        Decomposition::Block,
+        FaultPlan::new(0),
+        None,
+    )
+    .unwrap()
+    .price;
+    for b in [1usize, 2, 5] {
+        let cyc = price_cluster(
+            &m,
+            &p,
+            32,
+            4,
+            Machine::ideal(),
+            Decomposition::Cyclic(b),
+            FaultPlan::new(0),
+            None,
+        )
         .unwrap()
         .price;
-    for b in [1usize, 2, 5] {
-        let cyc = price_cluster(&m, &p, 32, 4, Machine::ideal(), Decomposition::Cyclic(b))
-            .unwrap()
-            .price;
         assert_eq!(block.to_bits(), cyc.to_bits(), "cyclic({b})");
     }
 }
@@ -250,4 +268,100 @@ fn lsmc_cluster_close_to_sequential_for_multiasset() {
         seq.price,
         par.price
     );
+}
+
+/// One driver per engine: checkpointing a fault-free run adds checkpoint
+/// writes and nothing else. Against the same run without an interval
+/// the price is bitwise-equal, messages and bytes are equal, and the
+/// run without checkpoints spends no checkpoint time; the checkpointed
+/// Monte Carlo run stays within 10% of its makespan at every P.
+#[test]
+fn checkpointing_a_fault_free_run_adds_only_checkpoint_time() {
+    let m1 = GbmMarket::single(100.0, 0.2, 0.0, 0.05).unwrap();
+    let m2 = market(2);
+    let m5 = market(5);
+    let basket = Product::european(
+        Payoff::BasketCall {
+            weights: vec![0.2; 5],
+            strike: 100.0,
+        },
+        1.0,
+    );
+    let call = Product::european(
+        Payoff::BasketCall {
+            weights: vec![1.0],
+            strike: 100.0,
+        },
+        1.0,
+    );
+    let cases = [
+        (
+            Method::MultiLattice { steps: 64 },
+            &m2,
+            Product::european(Payoff::MaxCall { strike: 100.0 }, 1.0),
+            16,
+        ),
+        (
+            Method::MonteCarlo(McConfig {
+                paths: 65_536,
+                block_size: 256,
+                ..Default::default()
+            }),
+            &m5,
+            basket,
+            4,
+        ),
+        (
+            Method::Lsmc(LsmcConfig {
+                paths: 4_096,
+                steps: 8,
+                block_size: 64,
+                ..Default::default()
+            }),
+            &m2,
+            Product::american(Payoff::MinPut { strike: 100.0 }, 1.0),
+            2,
+        ),
+        (
+            Method::Fd1d(Fd1d {
+                space_points: 101,
+                time_steps: 1_000,
+                scheme: mdp_core::pde::Scheme::Explicit,
+                ..Default::default()
+            }),
+            &m1,
+            call,
+            125,
+        ),
+    ];
+    for ranks in [4usize, 16, 64] {
+        for (method, market, product, interval) in &cases {
+            let run = |checkpoint_interval| {
+                Pricer::new(method.clone())
+                    .backend(Backend::Cluster {
+                        ranks,
+                        machine: Machine::smp_cluster2002(8),
+                        checkpoint_interval,
+                    })
+                    .price(market, product)
+                    .unwrap()
+            };
+            let (plain, ckpt) = (run(None), run(Some(*interval)));
+            let what = format!("{} p={ranks}", method.name());
+            assert_eq!(plain.price.to_bits(), ckpt.price.to_bits(), "{what}");
+            let (tp, tc) = (plain.time.unwrap(), ckpt.time.unwrap());
+            assert_eq!(tp.total_msgs, tc.total_msgs, "{what}");
+            assert_eq!(tp.total_bytes, tc.total_bytes, "{what}");
+            assert_eq!(tp.total_ckpt_time, 0.0, "{what}");
+            assert!(tc.total_ckpt_time > 0.0, "{what}");
+            if matches!(method, Method::MonteCarlo(_)) {
+                assert!(
+                    tc.makespan <= 1.1 * tp.makespan,
+                    "{what}: checkpointed {} vs {}",
+                    tc.makespan,
+                    tp.makespan
+                );
+            }
+        }
+    }
 }

@@ -165,7 +165,13 @@ proptest! {
         let cfg = McConfig { paths: 4_000, block_size: 200, ..Default::default() };
         let seq = McEngine::new(cfg).price(&m, &p).unwrap().price;
         let par = mdp_core::mc::cluster_driver::price_mc_cluster(
-            &m, &p, cfg, ranks, Machine::ideal(),
+            &m,
+            &p,
+            cfg,
+            ranks,
+            Machine::ideal(),
+            FaultPlan::new(0),
+            None,
         )
         .unwrap()
         .result
