@@ -198,7 +198,14 @@ pub fn t4b_lattice_kernel_throughput(effort: Effort) {
 
     let mut t = Table::new(
         "T4b: blocked BEG kernel vs scalar oracle — ns/node (European max-call)",
-        &["d", "N", "nodes", "scalar ns/node", "blocked ns/node", "speedup"],
+        &[
+            "d",
+            "N",
+            "nodes",
+            "scalar ns/node",
+            "blocked ns/node",
+            "speedup",
+        ],
     );
     let cases: &[(usize, usize)] = match effort {
         Effort::Quick => &[(1, 1024), (2, 128), (3, 24), (4, 10)],
@@ -830,11 +837,17 @@ pub fn t6_communication_overhead(effort: Effort) {
     let m5 = market_vol(5, 0.3);
     let paths = effort.scale64(20_000, 200_000);
     for &ranks in &procs {
-        let out = cluster_mc(&m5, &basket_call(5), McConfig {
+        let out = cluster_mc(
+            &m5,
+            &basket_call(5),
+            McConfig {
                 paths,
                 block_size: (paths / 64).max(1),
                 ..Default::default()
-            }, ranks, Machine::cluster2002());
+            },
+            ranks,
+            Machine::cluster2002(),
+        );
         t.push(&[
             format!("mc d=5 {paths} paths"),
             ranks.to_string(),
@@ -860,13 +873,26 @@ pub fn t6_communication_overhead(effort: Effort) {
 pub fn t6b_fault_tolerance(effort: Effort) {
     let mut t = Table::new(
         "T6b: checkpoint overhead and crash recovery (2002 cluster)",
-        &["engine", "interval", "crash step", "T_model [ms]", "overhead %"],
+        &[
+            "engine",
+            "interval",
+            "crash step",
+            "T_model [ms]",
+            "overhead %",
+        ],
     );
     let m2 = market(2);
     let prod = max_call();
     let n = effort.scale(64, 128);
     let ranks = 4usize;
-    let plain = cluster_lattice(&m2, &prod, n, ranks, Machine::cluster2002(), Decomposition::Block);
+    let plain = cluster_lattice(
+        &m2,
+        &prod,
+        n,
+        ranks,
+        Machine::cluster2002(),
+        Decomposition::Block,
+    );
     let base_ms = plain.time.makespan * 1e3;
 
     let mut json = String::from("{\n  \"experiment\": \"t6b\",\n  \"checkpoint_overhead\": [\n");
@@ -1046,8 +1072,8 @@ pub fn t7_lsmc_american(effort: Effort) {
     let mut t1 = 0.0;
     for ranks in [1usize, 2, 4, 8, 16] {
         let (machine, sync) = (Machine::cluster2002(), CheckpointMode::Sync);
-        let out = price_lsmc_cluster(&m, &p, cfg, ranks, machine, FaultPlan::new(0), None, sync)
-            .unwrap();
+        let out =
+            price_lsmc_cluster(&m, &p, cfg, ranks, machine, FaultPlan::new(0), None, sync).unwrap();
         if ranks == 1 {
             t1 = out.time.makespan;
         }
@@ -1311,7 +1337,10 @@ pub fn t10_portfolio_batch(effort: Effort) {
         .iter()
         .map(|&k| Product::european(Payoff::MaxCall { strike: k }, 1.0))
         .collect();
-    mc_book.push(Product::european(Payoff::GeometricCall { strike: 100.0 }, 1.0));
+    mc_book.push(Product::european(
+        Payoff::GeometricCall { strike: 100.0 },
+        1.0,
+    ));
     mc_book.push(Product::european(
         Payoff::BasketCall {
             weights: Product::equal_weights(d),
@@ -1373,8 +1402,8 @@ pub fn t10_portfolio_batch(effort: Effort) {
 /// `BENCH_serve.json` so CI can gate `coalesced ≥ naive` at every
 /// load point and check the latency percentiles are reported.
 pub fn t11_serve(effort: Effort) {
-    use mdp_serve::{PriceRequest, PricingService, ServeConfig, ServeError};
     use mdp_perf::latency_summary;
+    use mdp_serve::{PriceRequest, PricingService, ServeConfig, ServeError};
     use std::sync::Arc;
     use std::time::{Duration, Instant};
 
@@ -1434,7 +1463,10 @@ pub fn t11_serve(effort: Effort) {
         })
         .collect();
     for t in tickets {
-        t.wait().expect("calibration response").outcome.expect("calibration price");
+        t.wait()
+            .expect("calibration response")
+            .outcome
+            .expect("calibration price");
     }
     let naive_capacity_rps = calib_n as f64 / t0.elapsed().as_secs_f64();
     calib.shutdown();
@@ -1971,11 +2003,11 @@ fn assert_cube_rows_bitwise(a: &CubeResult, b: &CubeResult, what: &str) {
 ///
 /// Writes `BENCH_resilience.json` for the CI gates.
 pub fn t14_resilience(effort: Effort) {
+    use mdp_perf::latency_summary;
     use mdp_serve::{
         transitions_legal, BreakerConfig, Fidelity, PriceRequest, PricingService, RetryPolicy,
         ServeConfig, ServeError, ServeFaultPlan,
     };
-    use mdp_perf::latency_summary;
     use std::sync::Arc;
     use std::time::{Duration, Instant};
 
@@ -2026,12 +2058,19 @@ pub fn t14_resilience(effort: Effort) {
     let tickets: Vec<_> = (0..calib_n)
         .map(|i| {
             calib
-                .submit(PriceRequest::new(i as u64, Arc::clone(&market), product_for(i)))
+                .submit(PriceRequest::new(
+                    i as u64,
+                    Arc::clone(&market),
+                    product_for(i),
+                ))
                 .expect("calibration queue sized to the burst")
         })
         .collect();
     for t in tickets {
-        t.wait().expect("calibration response").outcome.expect("calibration price");
+        t.wait()
+            .expect("calibration response")
+            .outcome
+            .expect("calibration price");
     }
     let capacity_rps = calib_n as f64 / t0.elapsed().as_secs_f64();
     calib.shutdown();
@@ -2079,12 +2118,19 @@ pub fn t14_resilience(effort: Effort) {
         let warm: Vec<_> = (0..DISTINCT_STRIKES)
             .map(|i| {
                 service
-                    .submit(PriceRequest::new(i as u64, Arc::clone(&market), product_for(i)))
+                    .submit(PriceRequest::new(
+                        i as u64,
+                        Arc::clone(&market),
+                        product_for(i),
+                    ))
                     .expect("warmup fits")
             })
             .collect();
         for t in warm {
-            t.wait().expect("warmup response").outcome.expect("warmup price");
+            t.wait()
+                .expect("warmup response")
+                .outcome
+                .expect("warmup price");
         }
         // Open loop at 2.5x: identical seeded arrival schedule for both
         // runs.
@@ -2227,25 +2273,25 @@ pub fn t14_resilience(effort: Effort) {
                 .expect("burst accepted")
         })
         .collect();
-    t_wedge.wait().expect("wedge response").outcome.expect("wedge priced");
+    t_wedge
+        .wait()
+        .expect("wedge response")
+        .outcome
+        .expect("wedge priced");
     for t in doomed {
         let resp = t.wait().expect("doomed response");
         assert!(resp.outcome.is_err(), "expired queued request must miss");
     }
     // Mid-execute abort: a long MC run whose token trips between path
     // blocks.
-    let mc = PriceRequest::new(
-        99,
-        Arc::clone(&market),
-        product_for(0),
-    )
-    .with_method(Method::MonteCarlo(McConfig {
-        paths: 4_000_000,
-        steps: 50,
-        block_size: 50_000,
-        ..Default::default()
-    }))
-    .with_deadline(Duration::from_millis(30));
+    let mc = PriceRequest::new(99, Arc::clone(&market), product_for(0))
+        .with_method(Method::MonteCarlo(McConfig {
+            paths: 4_000_000,
+            steps: 50,
+            block_size: 50_000,
+            ..Default::default()
+        }))
+        .with_deadline(Duration::from_millis(30));
     let resp = cancel_svc.price(mc).expect("mc response");
     assert!(resp.outcome.is_err(), "the token must abort the long run");
     let cancel_stats = cancel_svc.shutdown();
@@ -2270,7 +2316,10 @@ pub fn t14_resilience(effort: Effort) {
     table.push(&[
         "Ok full / degraded".into(),
         format!("{} / {}", baseline.ok_full, baseline.degraded),
-        format!("{} / {}", with_degradation.ok_full, with_degradation.degraded),
+        format!(
+            "{} / {}",
+            with_degradation.ok_full, with_degradation.degraded
+        ),
     ]);
     table.push(&[
         "breaker trips / recovered".into(),
@@ -2467,9 +2516,7 @@ pub fn t15_cluster_scale(effort: Effort) {
                 block_size: (paths / 2048).max(1),
                 ..Default::default()
             };
-            cluster_mc(&m5, &prod5, cfg, p, machine)
-                .time
-                .makespan
+            cluster_mc(&m5, &prod5, cfg, p, machine).time.makespan
         };
         let (t1, t2) = (run(n0), run(2 * n0));
         let beta = (t2 - t1) / n0 as f64;
@@ -2535,7 +2582,10 @@ pub fn t15_cluster_scale(effort: Effort) {
     let sync = ckpt_run(2, CheckpointMode::Sync);
     let async_inc = ckpt_run(2, CheckpointMode::AsyncIncremental);
     assert_eq!(base.result.price.to_bits(), sync.result.price.to_bits());
-    assert_eq!(base.result.price.to_bits(), async_inc.result.price.to_bits());
+    assert_eq!(
+        base.result.price.to_bits(),
+        async_inc.result.price.to_bits()
+    );
     let base_ms = base.time.makespan * 1e3;
     let over = |ms: f64| (ms - base_ms) / base_ms * 100.0;
     let (sync_ms, async_ms) = (sync.time.makespan * 1e3, async_inc.time.makespan * 1e3);

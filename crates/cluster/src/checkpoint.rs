@@ -370,7 +370,15 @@ impl Supervisor {
             let era = self.era;
             match self.mode {
                 CheckpointMode::Sync => {
-                    comm.checkpoint_write(&self.store, CheckpointRecord { step, era, lo, data });
+                    comm.checkpoint_write(
+                        &self.store,
+                        CheckpointRecord {
+                            step,
+                            era,
+                            lo,
+                            data,
+                        },
+                    );
                 }
                 CheckpointMode::AsyncIncremental => {
                     // The previous background write must land before
@@ -384,8 +392,15 @@ impl Supervisor {
                     // Stable storage gets the FULL record either way:
                     // the diff moves cost, never data.
                     self.prev = Some((lo, data.clone()));
-                    self.store
-                        .write(comm.rank(), CheckpointRecord { step, era, lo, data });
+                    self.store.write(
+                        comm.rank(),
+                        CheckpointRecord {
+                            step,
+                            era,
+                            lo,
+                            data,
+                        },
+                    );
                 }
             }
             self.last_ckpt = Some(step);
@@ -752,23 +767,18 @@ mod tests {
     fn supervisor_checkpoints_on_interval_only() {
         let store = CheckpointStore::new();
         let st = store.clone();
-        let out = run_spmd_ft(
-            2,
-            Machine::ideal(),
-            FaultPlan::new(0),
-            move |comm| {
-                let mut sup = Supervisor::new(comm, Some(4), &st);
-                let mut snaps = 0;
-                for step in 0..10 {
-                    let r = sup.boundary(comm, step, || {
-                        snaps += 1;
-                        (comm_rank_lo(step), vec![step as f64])
-                    });
-                    assert!(r.is_none(), "no crashes scheduled");
-                }
-                (snaps, sup.last_checkpoint())
-            },
-        )
+        let out = run_spmd_ft(2, Machine::ideal(), FaultPlan::new(0), move |comm| {
+            let mut sup = Supervisor::new(comm, Some(4), &st);
+            let mut snaps = 0;
+            for step in 0..10 {
+                let r = sup.boundary(comm, step, || {
+                    snaps += 1;
+                    (comm_rank_lo(step), vec![step as f64])
+                });
+                assert!(r.is_none(), "no crashes scheduled");
+            }
+            (snaps, sup.last_checkpoint())
+        })
         .unwrap();
         for s in &out.survivors {
             assert_eq!(s.value.0, 3, "steps 0, 4, 8");
@@ -997,7 +1007,11 @@ mod tests {
             if comm.rank() == 7 {
                 return vec![];
             }
-            let data = if comm.rank() == 3 { vec![42.0, -1.0] } else { vec![] };
+            let data = if comm.rank() == 3 {
+                vec![42.0, -1.0]
+            } else {
+                vec![]
+            };
             broadcast_active(comm, &active, 3, &data)
         })
         .unwrap();

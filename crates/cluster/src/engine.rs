@@ -226,9 +226,7 @@ fn two_level_allreduce<C: Communicator + ?Sized>(
     // Phase 1: remainder fold — the same schedule as flat doubling, so
     // the canonical leaves are identical.
     if rank >= p2 {
-        collectives::charge_uplink_stall(comm, n, rank - p2, |m, r| {
-            r >= p2 && m.is_far(r, r - p2)
-        });
+        collectives::charge_uplink_stall(comm, n, rank - p2, |m, r| r >= p2 && m.is_far(r, r - p2));
         comm.send(rank - p2, T_EFOLD, &acc);
         return comm.recv(rank - p2, T_EFOLD);
     }
@@ -291,9 +289,7 @@ fn two_level_allreduce<C: Communicator + ?Sized>(
     }
     // Phase 3: return to the remainder ranks.
     if rank < rem {
-        collectives::charge_uplink_stall(comm, n, rank + p2, |m, r| {
-            r < rem && m.is_far(r, r + p2)
-        });
+        collectives::charge_uplink_stall(comm, n, rank + p2, |m, r| r < rem && m.is_far(r, r + p2));
         comm.send(rank + p2, T_EFOLD, &acc);
     }
     acc
@@ -322,9 +318,7 @@ fn two_level_reduce<C: Communicator + ?Sized>(
     let rem = p - p2;
     // Phase 1: remainder fold.
     if rank >= p2 {
-        collectives::charge_uplink_stall(comm, n, rank - p2, |m, r| {
-            r >= p2 && m.is_far(r, r - p2)
-        });
+        collectives::charge_uplink_stall(comm, n, rank - p2, |m, r| r >= p2 && m.is_far(r, r - p2));
         comm.send(rank - p2, T_EFOLD, &acc);
         return (rank == root).then(|| comm.recv(0, T_ER));
     }
@@ -403,7 +397,7 @@ fn two_level_broadcast<C: Communicator + ?Sized>(
         return;
     }
     let rl = root - root % g; // root's group leader
-    // Stage A: ship the payload to the root's leader.
+                              // Stage A: ship the payload to the root's leader.
     if root != rl {
         if rank == root {
             comm.send(rl, T_EB0, data);

@@ -228,7 +228,10 @@ mod tests {
 
     #[test]
     fn crash_schedule_queries() {
-        let p = FaultPlan::new(0).with_crash(2, 10).with_crash(2, 5).with_crash(0, 7);
+        let p = FaultPlan::new(0)
+            .with_crash(2, 10)
+            .with_crash(2, 5)
+            .with_crash(0, 7);
         assert_eq!(p.crash_step(2), Some(5));
         assert_eq!(p.crash_step(0), Some(7));
         assert_eq!(p.crash_step(1), None);

@@ -8,8 +8,9 @@
 //!   each holding a [`ThreadComm`]; the same closure runs on every rank
 //!   exactly as an MPI program would (`rank()`, `size()`, `send`, `recv`,
 //!   collectives).
-//! * **Typed point-to-point messages** over lock-free channels with
-//!   selective receive by `(source, tag)` — the MPI envelope discipline.
+//! * **Typed point-to-point messages** through one mailbox per rank (a
+//!   mutex-guarded FIFO shared by the run) with selective receive by
+//!   `(source, tag)` — the MPI envelope discipline.
 //! * **Collectives** ([`collectives`]) — barrier, broadcast, reduce,
 //!   allreduce, gather, scatter and all-to-all, each built from
 //!   point-to-point sends with the classic binomial-tree / recursive
@@ -68,6 +69,8 @@ pub use error::ClusterError;
 pub use fault::{FaultPlan, InjectedCrash};
 pub use machine::{CollectiveChoice, Machine};
 pub use message::Tag;
-pub use topology::TopologyKind;
 pub use stats::{CommStats, SpmdResult, TimeModel};
-pub use thread_comm::{run_spmd, run_spmd_ft, run_spmd_traced, CrashInfo, FtRunOutcome, ThreadComm};
+pub use thread_comm::{
+    run_spmd, run_spmd_ft, run_spmd_traced, CrashInfo, FtRunOutcome, ThreadComm,
+};
+pub use topology::TopologyKind;

@@ -272,10 +272,7 @@ mod tests {
     fn smp_cluster_charges_far_across_nodes_only() {
         let m = Machine::smp_cluster2002(8);
         assert!(m.message_time_between(0, 7, 1000) < m.message_time_between(0, 8, 1000));
-        assert_eq!(
-            m.message_time_between(0, 8, 1000),
-            m.far_message_time(1000)
-        );
+        assert_eq!(m.message_time_between(0, 8, 1000), m.far_message_time(1000));
         assert_eq!(m.message_time_between(1, 5, 1000), m.message_time(1000));
     }
 

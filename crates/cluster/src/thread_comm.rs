@@ -1,12 +1,15 @@
 //! Thread-backed SPMD runtime.
 //!
 //! [`run_spmd`] launches one OS thread per rank. Ranks exchange
-//! [`Message`]s over unbounded crossbeam channels (one inbox per rank,
-//! one sender handle per source so per-source FIFO order holds — the MPI
-//! non-overtaking guarantee). Oversubscription is fine: on the single-core
-//! build host 64 ranks simply time-slice, and because all *reported*
-//! times come from the deterministic virtual clock, results are identical
-//! to a run on a 64-core machine.
+//! [`Message`]s through one mailbox table shared by the whole run:
+//! `mailboxes[r]` is rank r's unbounded inbox, a mutex-guarded FIFO plus
+//! a condvar that a sender signals only while its owner is waiting.
+//! Every send appends under the lock, so messages from one source arrive
+//! in send order — the MPI non-overtaking guarantee — and a receive
+//! selects by `(source, tag)`, buffering the rest. Oversubscription is
+//! fine: on the single-core build host 64 ranks simply time-slice, and
+//! because all *reported* times come from the deterministic virtual
+//! clock, results are identical to a run on a 64-core machine.
 //!
 //! [`run_spmd_ft`] is the fault-tolerant entry point: it threads a
 //! [`FaultPlan`] into every rank's communicator, activating deterministic
@@ -19,10 +22,8 @@
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
-use std::time::Duration;
-
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
 
 use crate::comm::Communicator;
 use crate::error::ClusterError;
@@ -31,6 +32,84 @@ use crate::machine::Machine;
 use crate::message::{Message, Tag, POISON_TAG};
 use crate::stats::{CommStats, SpmdResult, TimeModel};
 use crate::trace::TraceEvent;
+
+/// One rank's inbox in the run's mailbox table.
+#[derive(Default)]
+struct Mailbox {
+    slot: Mutex<Slot>,
+    /// Signalled by a sender when the owner waits on an empty queue.
+    arrived: Condvar,
+}
+
+/// The lock-guarded state of a [`Mailbox`].
+#[derive(Default)]
+struct Slot {
+    /// Arrived messages, oldest first.
+    queue: VecDeque<Message>,
+    /// The owner sleeps on `arrived`; the next sender must signal it.
+    waiting: bool,
+    /// The owner has finished: sends are refused, as to a gone inbox.
+    closed: bool,
+}
+
+impl Mailbox {
+    /// The slot, whatever a panicking holder left behind: every update
+    /// under the lock is a single queue or flag write, so it is always
+    /// consistent.
+    fn lock(&self) -> MutexGuard<'_, Slot> {
+        self.slot.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Append `msg`, waking the owner if it waits. Hands the message
+    /// back when the owner has finished.
+    fn post(&self, msg: Message) -> Result<(), Message> {
+        let mut slot = self.lock();
+        if slot.closed {
+            return Err(msg);
+        }
+        slot.queue.push_back(msg);
+        let wake = std::mem::take(&mut slot.waiting);
+        drop(slot);
+        if wake {
+            self.arrived.notify_one();
+        }
+        Ok(())
+    }
+
+    /// The oldest message, waiting up to `deadline` for one to arrive;
+    /// `None` if none arrives in time.
+    fn take(&self, deadline: Duration) -> Option<Message> {
+        let mut slot = self.lock();
+        if let Some(msg) = slot.queue.pop_front() {
+            return Some(msg);
+        }
+        let until = Instant::now().checked_add(deadline);
+        loop {
+            // A deadline past the clock's range never expires.
+            let left = until.map_or(deadline, |u| u.saturating_duration_since(Instant::now()));
+            if left.is_zero() {
+                return None;
+            }
+            slot.waiting = true;
+            slot = self
+                .arrived
+                .wait_timeout(slot, left)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+            slot.waiting = false;
+            if let Some(msg) = slot.queue.pop_front() {
+                return Some(msg);
+            }
+        }
+    }
+
+    /// Refuse further messages and drop the queued ones.
+    fn close(&self) {
+        let mut slot = self.lock();
+        slot.closed = true;
+        slot.queue.clear();
+    }
+}
 
 /// Per-rank fault-injection state: the shared plan plus the counters
 /// and observations that drive deterministic replay.
@@ -52,9 +131,8 @@ pub struct ThreadComm {
     machine: Machine,
     clock: f64,
     stats: CommStats,
-    /// senders[d] feeds rank d's inbox.
-    senders: Vec<Sender<Message>>,
-    inbox: Receiver<Message>,
+    /// The run's mailbox table; `mailboxes[d]` is rank d's inbox.
+    mailboxes: Arc<[Mailbox]>,
     /// Out-of-order arrivals, keyed by envelope, FIFO within a key.
     pending: HashMap<(usize, Tag), VecDeque<Message>>,
     /// Virtual-time event log, when tracing is enabled.
@@ -64,21 +142,14 @@ pub struct ThreadComm {
 }
 
 impl ThreadComm {
-    fn new(
-        rank: usize,
-        size: usize,
-        machine: Machine,
-        senders: Vec<Sender<Message>>,
-        inbox: Receiver<Message>,
-    ) -> Self {
+    fn new(rank: usize, size: usize, machine: Machine, mailboxes: Arc<[Mailbox]>) -> Self {
         ThreadComm {
             rank,
             size,
             machine,
             clock: 0.0,
             stats: CommStats::default(),
-            senders,
-            inbox,
+            mailboxes,
             pending: HashMap::new(),
             trace: None,
             fault: None,
@@ -111,8 +182,15 @@ impl ThreadComm {
         );
     }
 
-    fn deadline(&self) -> Duration {
-        Duration::from_secs_f64(self.machine.recv_deadline)
+    /// The next message in this rank's inbox, in arrival order; a wait
+    /// longer than the machine's receive deadline fails the receive of
+    /// `(src, tag)` with [`ClusterError::DeadlineExceeded`].
+    fn next_message(&self, src: usize, tag: Tag) -> Message {
+        let deadline = Duration::from_secs_f64(self.machine.recv_deadline);
+        match self.mailboxes[self.rank].take(deadline) {
+            Some(msg) => msg,
+            None => self.deadline_panic(src, tag),
+        }
     }
 
     fn deadline_panic(&self, src: usize, tag: Tag) -> ! {
@@ -199,21 +277,19 @@ impl ThreadComm {
             m
         } else {
             loop {
-                match self.inbox.recv_timeout(self.deadline()) {
-                    Ok(m) if m.poison => {
-                        if !self.note_poison(&m) {
-                            self.handle_poison(&m);
-                        }
-                        if m.src == src {
-                            self.advance_wait_to(m.sent_at, src);
-                            return Err(src);
-                        }
+                let m = self.next_message(src, tag);
+                if m.poison {
+                    if !self.note_poison(&m) {
+                        self.handle_poison(&m);
                     }
-                    Ok(m) if m.src == src && m.tag == tag => break m,
-                    Ok(m) => {
-                        self.pending.entry((m.src, m.tag)).or_default().push_back(m);
+                    if m.src == src {
+                        self.advance_wait_to(m.sent_at, src);
+                        return Err(src);
                     }
-                    Err(_) => self.deadline_panic(src, tag),
+                } else if m.src == src && m.tag == tag {
+                    break m;
+                } else {
+                    self.pending.entry((m.src, m.tag)).or_default().push_back(m);
                 }
             }
         };
@@ -271,7 +347,7 @@ impl ThreadComm {
                     sent_at: self.clock + plan.delay(self.rank, dest, seq),
                     poison: false,
                 };
-                self.finish_channel_send(dest, msg);
+                self.post(dest, msg);
                 return;
             }
             // Dropped on the wire: count it, back off, retransmit.
@@ -302,13 +378,13 @@ impl ThreadComm {
         self.stats.ckpt_time += seconds;
     }
 
-    /// Push `msg` into `dest`'s inbox, accounting for a gone inbox.
+    /// Post `msg` to `dest`'s mailbox, accounting for a finished rank.
     /// A send to a rank with a *scheduled* crash is never counted as
     /// dropped — whether its thread has really exited yet is a host
     /// scheduling accident, and the fault layer accounts for its death
     /// separately; counting it would make `dropped_msgs` racy.
-    fn finish_channel_send(&mut self, dest: usize, msg: Message) {
-        if self.senders[dest].send(msg).is_err() {
+    fn post(&mut self, dest: usize, msg: Message) {
+        if self.mailboxes[dest].post(msg).is_err() {
             let scheduled = self
                 .fault
                 .as_ref()
@@ -323,6 +399,14 @@ impl ThreadComm {
                 }
             }
         }
+    }
+}
+
+impl Drop for ThreadComm {
+    /// A finished rank's inbox is gone: later sends to it are refused
+    /// (and counted as dropped) and its unread messages are freed.
+    fn drop(&mut self) {
+        self.mailboxes[self.rank].close();
     }
 }
 
@@ -379,10 +463,9 @@ impl Communicator for ThreadComm {
             sent_at: self.clock,
             poison: false,
         };
-        // Unbounded channel: never blocks; a send to a finished rank's
-        // gone inbox is counted as dropped (and traced) rather than
-        // vanishing silently.
-        self.finish_channel_send(dest, msg);
+        // Unbounded mailbox: never blocks; a send to a finished rank is
+        // counted as dropped (and traced) rather than vanishing silently.
+        self.post(dest, msg);
     }
 
     fn recv(&mut self, src: usize, tag: Tag) -> Vec<f64> {
@@ -391,21 +474,19 @@ impl Communicator for ThreadComm {
             m
         } else {
             loop {
-                match self.inbox.recv_timeout(self.deadline()) {
-                    Ok(m) if m.poison => {
-                        // A scheduled death is merely recorded (the
-                        // recovery protocol acts on it at the next
-                        // boundary, at a deterministic virtual time);
-                        // an unscheduled one cascades as before.
-                        if !self.note_poison(&m) {
-                            self.handle_poison(&m);
-                        }
+                let m = self.next_message(src, tag);
+                if m.poison {
+                    // A scheduled death is merely recorded (the recovery
+                    // protocol acts on it at the next boundary, at a
+                    // deterministic virtual time); an unscheduled one
+                    // cascades as before.
+                    if !self.note_poison(&m) {
+                        self.handle_poison(&m);
                     }
-                    Ok(m) if m.src == src && m.tag == tag => break m,
-                    Ok(m) => {
-                        self.pending.entry((m.src, m.tag)).or_default().push_back(m);
-                    }
-                    Err(_) => self.deadline_panic(src, tag),
+                } else if m.src == src && m.tag == tag {
+                    break m;
+                } else {
+                    self.pending.entry((m.src, m.tag)).or_default().push_back(m);
                 }
             }
         };
@@ -560,7 +641,14 @@ fn run_spmd_inner<T, F>(
     f: F,
     traced: bool,
     plan: Option<Arc<FaultPlan>>,
-) -> Result<(Vec<SpmdResult<T>>, Option<Vec<Vec<TraceEvent>>>, Vec<CrashInfo>), ClusterError>
+) -> Result<
+    (
+        Vec<SpmdResult<T>>,
+        Option<Vec<Vec<TraceEvent>>>,
+        Vec<CrashInfo>,
+    ),
+    ClusterError,
+>
 where
     T: Send,
     F: Fn(&mut ThreadComm) -> T + Sync,
@@ -568,25 +656,18 @@ where
     if p == 0 {
         return Err(ClusterError::ZeroRanks);
     }
-    // Build the mesh of channels: one inbox per rank, everyone holds a
-    // sender clone for every inbox.
-    let mut senders = Vec::with_capacity(p);
-    let mut inboxes = Vec::with_capacity(p);
-    for _ in 0..p {
-        let (tx, rx) = unbounded::<Message>();
-        senders.push(tx);
-        inboxes.push(rx);
-    }
+    // One mailbox per rank, shared by every rank of the run.
+    let mailboxes: Arc<[Mailbox]> = (0..p).map(|_| Mailbox::default()).collect();
 
     let f = &f;
     let plan = &plan;
     let results: Vec<Result<(SpmdResult<T>, Vec<TraceEvent>), (usize, Failure)>> =
         std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(p);
-            for (rank, inbox) in inboxes.into_iter().enumerate() {
-                let senders = senders.clone();
+            for rank in 0..p {
+                let mailboxes = Arc::clone(&mailboxes);
                 handles.push(scope.spawn(move || {
-                    let mut comm = ThreadComm::new(rank, p, machine, senders, inbox);
+                    let mut comm = ThreadComm::new(rank, p, machine, mailboxes);
                     if traced {
                         comm.enable_trace();
                     }
@@ -607,9 +688,9 @@ where
                         Err(payload) => {
                             // Poison everyone else so blocked recvs unwind
                             // (or, under a plan, observe the death).
-                            for (d, tx) in comm.senders.iter().enumerate() {
+                            for (d, mailbox) in comm.mailboxes.iter().enumerate() {
                                 if d != rank {
-                                    let _ = tx.send(Message {
+                                    let _ = mailbox.post(Message {
                                         src: rank,
                                         tag: POISON_TAG,
                                         data: Box::new([]),
@@ -618,9 +699,7 @@ where
                                     });
                                 }
                             }
-                            let failure = if let Some(c) =
-                                payload.downcast_ref::<InjectedCrash>()
-                            {
+                            let failure = if let Some(c) = payload.downcast_ref::<InjectedCrash>() {
                                 Failure::Injected(Box::new(CrashInfo {
                                     rank,
                                     step: c.step,
@@ -654,7 +733,13 @@ where
         match r {
             Ok(v) => ok.push(v),
             Err((rank, Failure::Panic { msg, cascade: true })) => cascades.push((rank, msg)),
-            Err((rank, Failure::Panic { msg, cascade: false })) => originators.push((rank, msg)),
+            Err((
+                rank,
+                Failure::Panic {
+                    msg,
+                    cascade: false,
+                },
+            )) => originators.push((rank, msg)),
             Err((_, Failure::Deadline(e))) => {
                 if deadline.is_none() {
                     deadline = Some(e);
@@ -700,6 +785,47 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn msg(src: usize, tag: Tag) -> Message {
+        Message {
+            src,
+            tag,
+            data: Box::new([]),
+            sent_at: 0.0,
+            poison: false,
+        }
+    }
+
+    #[test]
+    fn mailbox_is_fifo_times_out_and_refuses_when_closed() {
+        let mailbox = Mailbox::default();
+        for tag in 0..3 {
+            mailbox.post(msg(0, tag)).unwrap();
+        }
+        mailbox.post(msg(1, 9)).unwrap();
+        let order: Vec<(usize, Tag)> = (0..4)
+            .map(|_| mailbox.take(Duration::from_secs(1)).unwrap())
+            .map(|m| (m.src, m.tag))
+            .collect();
+        assert_eq!(order, vec![(0, 0), (0, 1), (0, 2), (1, 9)]);
+        assert!(mailbox.take(Duration::from_millis(10)).is_none());
+        // A post from another thread wakes a waiting owner: the poster
+        // waits until the owner sleeps on the empty queue.
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                while !mailbox.lock().waiting {
+                    std::thread::yield_now();
+                }
+                mailbox.post(msg(2, 4)).unwrap();
+            });
+            let m = mailbox.take(Duration::from_secs(10)).unwrap();
+            assert_eq!((m.src, m.tag), (2, 4));
+        });
+        mailbox.post(msg(0, 5)).unwrap();
+        mailbox.close();
+        assert!(mailbox.post(msg(0, 6)).is_err());
+        assert!(mailbox.take(Duration::from_millis(1)).is_none());
+    }
 
     #[test]
     fn single_rank_runs_sequentially() {
@@ -954,7 +1080,9 @@ mod fault_tests {
         .unwrap_err();
         match err {
             ClusterError::RanksFailed(rs) => {
-                assert!(rs.iter().any(|(r, m)| *r == 0 && m.contains("failed after")));
+                assert!(rs
+                    .iter()
+                    .any(|(r, m)| *r == 0 && m.contains("failed after")));
             }
             other => panic!("unexpected {other:?}"),
         }

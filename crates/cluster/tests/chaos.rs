@@ -7,9 +7,7 @@
 //! number: determinism under faults is the contract the recovery
 //! protocol is built on.
 
-use mdp_cluster::{
-    run_spmd_ft, CheckpointStore, Communicator, FaultPlan, Machine, Supervisor,
-};
+use mdp_cluster::{run_spmd_ft, CheckpointStore, Communicator, FaultPlan, Machine, Supervisor};
 use proptest::prelude::*;
 
 /// A 4-rank ring exchange: every rank sends 8 tagged values around the

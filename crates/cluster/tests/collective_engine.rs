@@ -66,7 +66,9 @@ fn check_allreduce_variants(p: usize, len: usize, salt: u64) {
                 assert_bits(&r.value, &want, &format!("{name} p={p} rank={}", r.rank));
             }
         };
-        run("doubling", &|c, d| collectives::allreduce_doubling(c, d, op));
+        run("doubling", &|c, d| {
+            collectives::allreduce_doubling(c, d, op)
+        });
         run("ring-canonical", &|c, d| {
             collectives::allreduce_ring_canonical(c, d, op)
         });
@@ -98,7 +100,11 @@ fn check_reduce_variants(p: usize, len: usize, salt: u64, root: usize) {
                 let got = r.value.as_ref().expect("root must hold the result");
                 assert_bits(got, &want, &format!("{name} p={p} root={root}"));
             } else {
-                assert!(r.value.is_none(), "{name}: non-root rank {} got data", r.rank);
+                assert!(
+                    r.value.is_none(),
+                    "{name}: non-root rank {} got data",
+                    r.rank
+                );
             }
         }
     };
@@ -135,7 +141,9 @@ fn check_broadcast_variants(p: usize, len: usize, salt: u64, root: usize) {
             assert_bits(&r.value, &want, &format!("{name} p={p} rank={}", r.rank));
         }
     };
-    run("bcast-tree", &|c, d| collectives::broadcast_tree(c, root, d));
+    run("bcast-tree", &|c, d| {
+        collectives::broadcast_tree(c, root, d)
+    });
     run("bcast-linear", &|c, d| {
         collectives::broadcast_linear(c, root, d)
     });

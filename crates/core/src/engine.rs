@@ -33,7 +33,9 @@ use crate::pricer::PriceError;
 use mdp_lattice::{LatticePlan, LatticeScratch, MultiLattice};
 use mdp_mc::{McEngine, McPlan};
 use mdp_model::{GbmMarket, MarketDelta, Product, TickOutcome};
-use mdp_pde::{Adi2d, Adi2dPlan, Adi2dScratch, Adi3d, Adi3dPlan, Adi3dScratch, Fd1d, Fd1dPlan, Fd1dScratch};
+use mdp_pde::{
+    Adi2d, Adi2dPlan, Adi2dScratch, Adi3d, Adi3dPlan, Adi3dScratch, Fd1d, Fd1dPlan, Fd1dScratch,
+};
 
 /// What one engine execution produced, engine-agnostically.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -264,7 +266,9 @@ impl EnginePlan for LatticeEnginePlan {
     }
 
     fn execute(&mut self, product: &Product) -> Result<EngineOutcome, PriceError> {
-        let r = self.plan.execute(product, self.parallel, &mut self.scratch)?;
+        let r = self
+            .plan
+            .execute(product, self.parallel, &mut self.scratch)?;
         Ok(EngineOutcome {
             price: r.price,
             std_error: None,

@@ -268,8 +268,7 @@ impl Portfolio {
                     (0..products.len()).partition(|&i| mc_plan.check_fusable(&products[i]).is_ok());
                 let mut slots: Vec<Option<PriceReport>> = vec![None; products.len()];
                 if !fusable.is_empty() {
-                    let book: Vec<Product> =
-                        fusable.iter().map(|&i| products[i].clone()).collect();
+                    let book: Vec<Product> = fusable.iter().map(|&i| products[i].clone()).collect();
                     let t1 = Instant::now();
                     let results = mc_plan.execute_multi(&book, parallel)?;
                     let exec_share = t1.elapsed().as_secs_f64() / book.len() as f64;
@@ -366,7 +365,10 @@ impl Portfolio {
 
         let wall_seconds = t_total.elapsed().as_secs_f64();
         Ok(BatchReport {
-            reports: reports.into_iter().map(|r| r.expect("every index filled")).collect(),
+            reports: reports
+                .into_iter()
+                .map(|r| r.expect("every index filled"))
+                .collect(),
             plan_seconds,
             execute_seconds: wall_seconds - plan_seconds,
             wall_seconds,
@@ -584,7 +586,11 @@ mod tests {
         }
         let a = coarse.price_batch(&market, &book).unwrap().reports[0].price;
         let b = fine.price_batch(&market, &book).unwrap().reports[0].price;
-        assert_ne!(a.to_bits(), b.to_bits(), "configs must stay distinguishable");
+        assert_ne!(
+            a.to_bits(),
+            b.to_bits(),
+            "configs must stay distinguishable"
+        );
     }
 
     #[test]
@@ -596,7 +602,9 @@ mod tests {
         let mut plan = portfolio.plan_group(&market, 1.0).unwrap();
         let mut cloned = plan.clone();
         let (a, _) = portfolio.execute_group(&mut plan, &products, 0.0).unwrap();
-        let (b, _) = portfolio.execute_group(&mut cloned, &products, 0.0).unwrap();
+        let (b, _) = portfolio
+            .execute_group(&mut cloned, &products, 0.0)
+            .unwrap();
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.price.to_bits(), y.price.to_bits());
         }

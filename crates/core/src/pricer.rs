@@ -237,12 +237,12 @@ impl Method {
             Method::MultiLattice { steps } => {
                 (*steps >= 32).then(|| Method::MultiLattice { steps: steps / 2 })
             }
-            Method::MonteCarlo(cfg) => (cfg.paths / 4 >= MIN_PATHS).then_some(Method::MonteCarlo(
-                McConfig {
+            Method::MonteCarlo(cfg) => {
+                (cfg.paths / 4 >= MIN_PATHS).then_some(Method::MonteCarlo(McConfig {
                     paths: cfg.paths / 4,
                     ..*cfg
-                },
-            )),
+                }))
+            }
             Method::Qmc(cfg) => (cfg.points / 4 >= MIN_PATHS).then_some(Method::Qmc(QmcConfig {
                 points: cfg.points / 4,
                 ..*cfg
@@ -572,9 +572,10 @@ impl Pricer {
             }));
         }
         let kind = match (&self.method, self.backend) {
-            (Method::Fd1d(cfg), Backend::Sequential) => {
-                PlanKind::Fd1d(Box::new(cfg.plan(market, maturity)?), Fd1dScratch::default())
-            }
+            (Method::Fd1d(cfg), Backend::Sequential) => PlanKind::Fd1d(
+                Box::new(cfg.plan(market, maturity)?),
+                Fd1dScratch::default(),
+            ),
             (Method::Adi2d(cfg), Backend::Sequential) => PlanKind::Adi2d(
                 Box::new(cfg.plan(market, maturity)?),
                 Adi2dScratch::default(),
@@ -1297,7 +1298,10 @@ mod tests {
                 .unwrap_err();
             assert!(matches!(
                 e,
-                PriceError::Model(ModelError::InvalidParameter { what: "maturity", .. })
+                PriceError::Model(ModelError::InvalidParameter {
+                    what: "maturity",
+                    ..
+                })
             ));
         }
     }

@@ -90,10 +90,9 @@ impl RiskCube {
     }
 
     fn shared_maturity(products: &[Product]) -> Result<f64, PriceError> {
-        let maturity = products
-            .first()
-            .map(|p| p.maturity)
-            .ok_or_else(|| PriceError::Unsupported("risk cube needs at least one product".into()))?;
+        let maturity = products.first().map(|p| p.maturity).ok_or_else(|| {
+            PriceError::Unsupported("risk cube needs at least one product".into())
+        })?;
         if products.iter().any(|p| p.maturity != maturity) {
             return Err(PriceError::Unsupported(
                 "risk cube products must share one maturity".into(),
@@ -103,7 +102,12 @@ impl RiskCube {
     }
 
     /// Whether `delta` can ride this plan's fused cube kernel.
-    fn scenario_fusable(&self, plan: &GroupPlan, products: &[Product], delta: &MarketDelta) -> bool {
+    fn scenario_fusable(
+        &self,
+        plan: &GroupPlan,
+        products: &[Product],
+        delta: &MarketDelta,
+    ) -> bool {
         match plan {
             GroupPlan::Fd1d(_) => {
                 matches!(delta, MarketDelta::Spot { asset: 0, .. })
@@ -218,7 +222,9 @@ impl RiskCube {
         for delta in scenarios {
             let scen_market = market.apply_delta(delta)?;
             let mut scen_plan = self.portfolio.plan_group(&scen_market, maturity)?;
-            let (reports, _) = self.portfolio.execute_group(&mut scen_plan, products, 0.0)?;
+            let (reports, _) = self
+                .portfolio
+                .execute_group(&mut scen_plan, products, 0.0)?;
             rows.push(reports.iter().map(|r| r.price).collect());
         }
         Ok(CubeResult {

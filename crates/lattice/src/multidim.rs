@@ -148,12 +148,7 @@ thread_local! {
 /// [`LatticePlan`] can precompute every step's ladders once and share
 /// them across executes (the tables depend on the market and horizon,
 /// never the payoff).
-pub fn spot_ladders(
-    market: &GbmMarket,
-    maturity: f64,
-    steps: usize,
-    step: usize,
-) -> Vec<Vec<f64>> {
+pub fn spot_ladders(market: &GbmMarket, maturity: f64, steps: usize, step: usize) -> Vec<Vec<f64>> {
     let dt = maturity / steps as f64;
     let sqdt = dt.sqrt();
     (0..market.dim())
@@ -353,8 +348,8 @@ impl<'a> StepCtx<'a> {
         debug_assert_eq!(out.len(), self.row_cur);
         let d = self.dim;
         let pts = self.step + 1; // points per inner axis in current grid
-        // Odometer over the inner axes; `base` tracks the flat index of
-        // the (j1..j_{d-1}) corner in the next grid's inner space.
+                                 // Odometer over the inner axes; `base` tracks the flat index of
+                                 // the (j1..j_{d-1}) corner in the next grid's inner space.
         let mut idx = vec![0usize; d.saturating_sub(1)];
         let mut spot = vec![0.0; d];
         spot[0] = self.spot_tables[0][j0];
@@ -362,7 +357,11 @@ impl<'a> StepCtx<'a> {
             spot[s] = self.spot_tables[s][0];
         }
         for o in out.iter_mut() {
-            let base: usize = idx.iter().zip(&self.inner_strides).map(|(j, s)| j * s).sum();
+            let base: usize = idx
+                .iter()
+                .zip(&self.inner_strides)
+                .map(|(j, s)| j * s)
+                .sum();
             let mut acc = 0.0;
             for (p, (up0, off)) in self.probs.iter().zip(&self.branch_offsets) {
                 acc += p * next_two_rows[up0 * self.row_next + base + off];
@@ -462,10 +461,12 @@ impl MultiLattice {
             });
         }
         if !maturity.is_finite() || maturity <= 0.0 {
-            return Err(LatticeError::Model(mdp_model::ModelError::InvalidParameter {
-                what: "maturity",
-                value: maturity,
-            }));
+            return Err(LatticeError::Model(
+                mdp_model::ModelError::InvalidParameter {
+                    what: "maturity",
+                    value: maturity,
+                },
+            ));
         }
         let dt = maturity / self.steps as f64;
         let probs = branch_probabilities(market, dt)?;
@@ -592,7 +593,10 @@ impl LatticePlan {
     /// a fresh plan on the ticked market. A tick that drives a branch
     /// probability out of `[0, 1]` fails without modifying the plan.
     pub fn apply_tick(&mut self, delta: &MarketDelta) -> Result<TickOutcome, LatticeError> {
-        let market = self.market.apply_delta(delta).map_err(LatticeError::Model)?;
+        let market = self
+            .market
+            .apply_delta(delta)
+            .map_err(LatticeError::Model)?;
         let dt = self.maturity / self.lat.steps as f64;
         match delta {
             MarketDelta::Spot { .. } => {
@@ -668,8 +672,7 @@ impl LatticePlan {
                 .par_chunks_mut(term_row)
                 .enumerate()
                 .for_each(|(j0, out)| {
-                    TLS_SCRATCH
-                        .with(|s| term_ctx.eval_terminal_slab(j0, out, &mut s.borrow_mut()))
+                    TLS_SCRATCH.with(|s| term_ctx.eval_terminal_slab(j0, out, &mut s.borrow_mut()))
                 });
         } else {
             for (j0, out) in values.chunks_mut(term_row).enumerate() {
@@ -683,8 +686,14 @@ impl LatticePlan {
             if self.cancel.is_cancelled() {
                 return Err(LatticeError::Cancelled);
             }
-            let ctx =
-                StepCtx::with_tables(market, product, step, probs, disc, self.ladders[step].clone());
+            let ctx = StepCtx::with_tables(
+                market,
+                product,
+                step,
+                probs,
+                disc,
+                self.ladders[step].clone(),
+            );
             let row_cur = ctx.row_cur();
             let row_next = ctx.row_next;
             let len = (step + 1) * row_cur;
@@ -696,8 +705,7 @@ impl LatticePlan {
                     .enumerate()
                     .for_each(|(j0, out)| {
                         let next = &values_ref[j0 * row_next..(j0 + 2) * row_next];
-                        TLS_SCRATCH
-                            .with(|s| ctx.compute_slab(j0, next, out, &mut s.borrow_mut()))
+                        TLS_SCRATCH.with(|s| ctx.compute_slab(j0, next, out, &mut s.borrow_mut()))
                     });
             } else {
                 for (j0, out) in new_values.chunks_mut(row_cur).enumerate() {

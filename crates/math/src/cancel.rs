@@ -92,8 +92,7 @@ impl CancelToken {
         match &self.shared {
             None => false,
             Some(s) => {
-                s.flag.load(Ordering::Acquire)
-                    || s.deadline.is_some_and(|d| Instant::now() >= d)
+                s.flag.load(Ordering::Acquire) || s.deadline.is_some_and(|d| Instant::now() >= d)
             }
         }
     }

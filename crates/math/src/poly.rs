@@ -103,15 +103,16 @@ impl TensorBasis {
     pub fn eval(&self, x: &[f64], out: &mut [f64]) {
         assert_eq!(x.len(), self.dim);
         assert_eq!(out.len(), self.size());
-        out[0] = 1.0;
-        let mut pos = 1;
-        // scratch: scalar basis includes the constant at index 0.
-        let mut scratch = vec![0.0; self.degree + 1];
-        for &xi in x {
-            eval_basis(self.kind, xi, self.degree + 1, &mut scratch);
-            out[pos..pos + self.degree].copy_from_slice(&scratch[1..=self.degree]);
-            pos += self.degree;
+        let deg = self.degree;
+        // Asset i's terms 1..=deg live at out[1 + i·deg ..]. Its scalar
+        // basis, constant included, is written one slot earlier, so the
+        // constant lands on asset i − 1's last term; going from the last
+        // asset down, asset i − 1 overwrites that slot next, and asset
+        // 0's constant becomes out[0]. No scratch buffer is needed.
+        for (i, &xi) in x.iter().enumerate().rev() {
+            eval_basis(self.kind, xi, deg + 1, &mut out[i * deg..=(i + 1) * deg]);
         }
+        let mut pos = 1 + self.dim * deg;
         if self.cross_terms {
             for i in 0..self.dim {
                 for j in (i + 1)..self.dim {
@@ -177,6 +178,33 @@ mod tests {
         assert_eq!(&out[3..5], &[3.0, 9.0]);
         assert_eq!(&out[5..7], &[5.0, 25.0]);
         assert_eq!(&out[7..10], &[6.0, 10.0, 15.0]); // cross terms
+    }
+
+    #[test]
+    fn tensor_basis_equals_per_asset_scalar_bases_bitwise() {
+        let x = [0.93, 1.07, 1.21];
+        for kind in [BasisKind::Monomial, BasisKind::Laguerre, BasisKind::Hermite] {
+            for dim in 1..=3 {
+                for degree in 1..=4 {
+                    let b = TensorBasis::new(dim, degree, kind);
+                    let mut out = vec![f64::NAN; b.size()];
+                    b.eval(&x[..dim], &mut out);
+                    let mut expect = vec![1.0];
+                    let mut scalar = vec![0.0; degree + 1];
+                    for &xi in &x[..dim] {
+                        eval_basis(kind, xi, degree + 1, &mut scalar);
+                        expect.extend_from_slice(&scalar[1..]);
+                    }
+                    for i in 0..dim {
+                        for j in i + 1..dim {
+                            expect.push(x[i] * x[j]);
+                        }
+                    }
+                    let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&out), bits(&expect), "{kind:?} d={dim} deg={degree}");
+                }
+            }
+        }
     }
 
     #[test]

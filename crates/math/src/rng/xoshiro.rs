@@ -86,6 +86,22 @@ impl Xoshiro256StarStar {
     pub fn long_jump(&mut self) {
         self.apply_jump(&LONG_JUMP);
     }
+
+    /// The start states of substreams `0..n`, in order: entry `k` is
+    /// bitwise [`Substreams::substream`]`(k)`. Each entry is one jump
+    /// past the previous, so the table costs `n − 1` jumps where a
+    /// `substream(k)` call per entry would cost `n(n − 1)/2`.
+    pub fn substreams(&self, n: u64) -> Vec<Self> {
+        let mut next = *self;
+        (0..n)
+            .map(|k| {
+                if k > 0 {
+                    next.jump();
+                }
+                next
+            })
+            .collect()
+    }
 }
 
 impl Rng64 for Xoshiro256StarStar {
@@ -98,11 +114,17 @@ impl Rng64 for Xoshiro256StarStar {
 }
 
 impl Substreams for Xoshiro256StarStar {
-    /// Substream `k` starts k·2^128 steps into the parent stream.
+    /// Substream `k` starts k·2^128 steps into the parent stream, so
+    /// substreams are *provably* non-overlapping (each is 2^128 long).
     ///
-    /// Cost is O(k) jumps; rank counts in this workspace are ≤ a few
-    /// hundred, so this is negligible and keeps substreams *provably*
-    /// non-overlapping (each is 2^128 long).
+    /// Cost is O(k): k jumps of 256 state updates each. The callers are
+    /// Monte Carlo drivers whose `k` is a block or stratum id, so a run
+    /// must not call this once per block (B blocks would cost B²/2
+    /// jumps). A driver reaches block `b` with one seek plus at most one
+    /// jump per block it simulates: a sequential loop keeps the next
+    /// block's state and jumps it once per block, and drivers that hand
+    /// blocks out index the table [`Xoshiro256StarStar::substreams`]
+    /// builds once per run with `B − 1` jumps.
     fn substream(&self, k: u64) -> Self {
         let mut g = *self;
         for _ in 0..k {
@@ -179,6 +201,17 @@ mod tests {
         let mut s1b = base.substream(1);
         let o1b: Vec<u64> = (0..16).map(|_| s1b.next_u64()).collect();
         assert_eq!(o1, o1b);
+    }
+
+    #[test]
+    fn substream_table_matches_direct_seeks() {
+        let base = Xoshiro256StarStar::seed_from(10);
+        let table = base.substreams(257);
+        assert_eq!(table.len(), 257);
+        for k in [0u64, 1, 2, 255, 256] {
+            assert_eq!(table[k as usize], base.substream(k), "substream {k}");
+        }
+        assert!(base.substreams(0).is_empty());
     }
 
     #[test]

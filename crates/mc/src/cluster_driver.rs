@@ -207,6 +207,8 @@ pub fn price_lsmc_cluster(
     let sim_work = cfg.steps as f64 * ((d * d) as f64 / 2.0 + 8.0 * d as f64 + 6.0);
     let date_work = 2.0 * (d as f64 + (k * k) as f64);
     let store = CheckpointStore::new();
+    // Every rank, recovery included, seeds its blocks from this table.
+    let streams = lsmc::block_streams(&cfg);
 
     let outcome = run_spmd_ft(p, machine, plan, |comm| {
         let blocks = lsmc::num_blocks(&cfg) as usize;
@@ -217,7 +219,7 @@ pub fn price_lsmc_cluster(
         // Initial partition: contiguous block range over the full set.
         let (lo0, hi0) = partition::block_range(blocks, comm.size(), rank);
         let (mut blo, mut bhi) = (lo0 as u64, hi0 as u64);
-        let mut panel = lsmc::simulate_panel(market, product, &cfg, blo..bhi);
+        let mut panel = lsmc::simulate_panel(market, product, &cfg, &streams, blo..bhi);
         comm.compute_units(panel.paths as f64 * sim_work);
         let (mut cashflow, mut cf_time) = kernel.terminal(&panel);
 
@@ -241,7 +243,7 @@ pub fn price_lsmc_cluster(
                 let (nlo, nhi) =
                     partition::block_range(blocks, sup.active().len(), sup.dense_index(rank));
                 (blo, bhi) = (nlo as u64, nhi as u64);
-                panel = lsmc::simulate_panel(market, product, &cfg, blo..bhi);
+                panel = lsmc::simulate_panel(market, product, &cfg, &streams, blo..bhi);
                 comm.compute_units(panel.paths as f64 * sim_work);
                 cashflow.clear();
                 cf_time.clear();

@@ -7,12 +7,17 @@
 //! the sample set is fixed by `(seed, paths, block_size)` alone. Every
 //! backend therefore returns the **same price to the last bit**, which
 //! turns "the parallel code is correct" into an equality test.
+//!
+//! Every driver reads the block start states from one table built per
+//! run with one jump per block
+//! ([`Xoshiro256StarStar::substreams`](mdp_math::rng::Xoshiro256StarStar::substreams)),
+//! so seeding a run of B blocks costs B − 1 jumps on any backend.
 
 use crate::panel::{eval_panel, eval_terminal_walked, walk_panel_terminal, CvSpec, PanelScratch};
 use crate::path::{walk_path_with_normals, GbmStepper, SoaPanel, PANEL};
 use crate::variance::{merge_in_chunks, try_merge_in_chunks, BlockAccum, MERGE_CHUNK};
 use crate::McError;
-use mdp_math::rng::{NormalPolar, NormalSampler, Substreams, Xoshiro256StarStar};
+use mdp_math::rng::{NormalPolar, NormalSampler, Xoshiro256StarStar};
 use mdp_math::CancelToken;
 use mdp_model::{
     analytic, ExerciseStyle, GbmMarket, MarketDelta, PathDependence, Payoff, Product, TickOutcome,
@@ -70,6 +75,13 @@ impl McConfig {
         let lo = b * self.block_size;
         let hi = (lo + self.block_size).min(self.paths);
         hi - lo
+    }
+
+    /// The start state of every block's RNG substream, built once per
+    /// run with one jump per block; entry `b` is
+    /// `Xoshiro256StarStar::seed_from(seed).substream(b)`.
+    pub(crate) fn block_streams(&self) -> Vec<Xoshiro256StarStar> {
+        Xoshiro256StarStar::seed_from(self.seed).substreams(self.num_blocks())
     }
 
     /// Modelled work units for one path (used by the virtual-time
@@ -138,6 +150,8 @@ pub struct RunContext<'a> {
     cfg: McConfig,
     stepper: GbmStepper,
     log0: Vec<f64>,
+    /// Start state of each block's substream (`McConfig::block_streams`).
+    streams: Vec<Xoshiro256StarStar>,
     /// Spot of the first asset at t=0 (seed for barrier extremes).
     s0_first: f64,
     disc: f64,
@@ -212,8 +226,7 @@ impl<'a> RunContext<'a> {
         product: &'a Product,
         cfg: McConfig,
     ) -> Result<Self, McError> {
-        let (cv_mean, cv_weights, cv_strike, cv_is_call) =
-            validate_and_cv(market, product, &cfg)?;
+        let (cv_mean, cv_weights, cv_strike, cv_is_call) = validate_and_cv(market, product, &cfg)?;
         let stepper = GbmStepper::new(market, product.maturity, cfg.steps);
         let log0 = market.spots().iter().map(|s| s.ln()).collect();
         Ok(RunContext {
@@ -222,6 +235,7 @@ impl<'a> RunContext<'a> {
             cfg,
             stepper,
             log0,
+            streams: cfg.block_streams(),
             s0_first: market.spots()[0],
             disc: market.discount(product.maturity),
             cv_mean,
@@ -303,8 +317,7 @@ impl<'a> RunContext<'a> {
     pub fn simulate_block_scalar(&self, block: u64) -> BlockAccum {
         let d = self.stepper.dim;
         let npath = self.stepper.normals_per_path();
-        let base = Xoshiro256StarStar::seed_from(self.cfg.seed);
-        let mut rng = base.substream(block);
+        let mut rng = self.streams[block as usize];
         let mut sampler = NormalPolar::new();
         let mut normals = vec![0.0; npath];
         let mut log_buf = vec![0.0; d];
@@ -338,8 +351,7 @@ impl<'a> RunContext<'a> {
     /// per-path f64 operation happens in the same order, and lanes push
     /// into the accumulator in path order.
     pub fn simulate_block_batched(&self, block: u64) -> BlockAccum {
-        let base = Xoshiro256StarStar::seed_from(self.cfg.seed);
-        let mut rng = base.substream(block);
+        let mut rng = self.streams[block as usize];
         let mut sampler = NormalPolar::new();
         let mut panel = SoaPanel::new(&self.stepper, PANEL);
         let mut scratch = PanelScratch::new(self.stepper.dim, PANEL);
@@ -504,6 +516,7 @@ impl McPlan {
             cfg: self.cfg,
             stepper: self.stepper.clone(),
             log0: self.log0.clone(),
+            streams: self.cfg.block_streams(),
             s0_first: self.s0_first,
             disc: self.disc,
             cv_mean,
@@ -563,13 +576,18 @@ impl McPlan {
         Ok(())
     }
 
-    /// Simulate one substream block once and evaluate every payoff on
-    /// its panels, pushing each payoff's discounted values into its own
-    /// accumulator in lane order — per payoff exactly the stream
-    /// [`RunContext::simulate_block_batched`] produces.
-    fn simulate_block_multi(&self, block: u64, payoffs: &[&Payoff], accs: &mut [BlockAccum]) {
-        let base = Xoshiro256StarStar::seed_from(self.cfg.seed);
-        let mut rng = base.substream(block);
+    /// Simulate one substream block, whose RNG starts at `rng`, once and
+    /// evaluate every payoff on its panels, pushing each payoff's
+    /// discounted values into its own accumulator in lane order — per
+    /// payoff exactly the stream [`RunContext::simulate_block_batched`]
+    /// produces.
+    fn simulate_block_multi(
+        &self,
+        block: u64,
+        mut rng: Xoshiro256StarStar,
+        payoffs: &[&Payoff],
+        accs: &mut [BlockAccum],
+    ) {
         let mut sampler = NormalPolar::new();
         let mut panel = SoaPanel::new(&self.stepper, PANEL);
         let mut scratch = PanelScratch::new(self.stepper.dim, PANEL);
@@ -609,6 +627,7 @@ impl McPlan {
         }
         let payoffs: Vec<&Payoff> = products.iter().map(|p| &p.payoff).collect();
         let blocks = self.cfg.num_blocks();
+        let streams = self.cfg.block_streams();
         // Reproduce the canonical chunked merge of `merge_in_chunks` /
         // `price_rayon` per payoff: blocks fold into MERGE_CHUNK-sized
         // chunk totals in block order, chunk totals fold in chunk order.
@@ -623,7 +642,7 @@ impl McPlan {
                 for a in per_block.iter_mut() {
                     *a = BlockAccum::new();
                 }
-                self.simulate_block_multi(b, &payoffs, &mut per_block);
+                self.simulate_block_multi(b, streams[b as usize], &payoffs, &mut per_block);
                 for (t, a) in chunk.iter_mut().zip(&per_block) {
                     t.merge(a);
                 }
@@ -695,21 +714,21 @@ impl McPlan {
         Ok(TickOutcome::Patched)
     }
 
-    /// Simulate one substream block once, correlate its normals once,
-    /// and walk the panel once **per scenario**, evaluating every payoff
-    /// on each walk. `accs` is scenario-major: `accs[s·k + p]` receives
-    /// payoff `p` under scenario `s`, in the exact lane order
+    /// Simulate one substream block, whose RNG starts at `rng`, once,
+    /// correlate its normals once, and walk the panel once **per
+    /// scenario**, evaluating every payoff on each walk. `accs` is
+    /// scenario-major: `accs[s·k + p]` receives payoff `p` under
+    /// scenario `s`, in the exact lane order
     /// [`McPlan::simulate_block_multi`] would produce for a plan ticked
     /// to that scenario.
     fn simulate_block_cube(
         &self,
         block: u64,
+        mut rng: Xoshiro256StarStar,
         scens: &[CubeScenario],
         payoffs: &[&Payoff],
         accs: &mut [BlockAccum],
     ) {
-        let base = Xoshiro256StarStar::seed_from(self.cfg.seed);
-        let mut rng = base.substream(block);
         let mut sampler = NormalPolar::new();
         let mut panel = SoaPanel::new(&self.stepper, PANEL);
         let mut scratch = PanelScratch::new(self.stepper.dim, PANEL);
@@ -724,7 +743,8 @@ impl McPlan {
             // Pay the triangular correlate once; every scenario walk
             // below reuses the same w rows (sound because the scenario
             // Cholesky factors were checked bitwise-equal to the base).
-            self.stepper.correlate_panel_in_place(&mut panel, n, &mut tmp);
+            self.stepper
+                .correlate_panel_in_place(&mut panel, n, &mut tmp);
             for (si, scen) in scens.iter().enumerate() {
                 scen.stepper
                     .walk_correlated_terminal(&scen.log0, &mut panel, n);
@@ -798,6 +818,7 @@ impl McPlan {
         let payoffs: Vec<&Payoff> = products.iter().map(|p| &p.payoff).collect();
         let m = scens.len() * k;
         let blocks = self.cfg.num_blocks();
+        let streams = self.cfg.block_streams();
         // Same canonical chunked merge as `execute_multi`, per
         // (scenario, payoff) accumulator.
         let chunks = blocks.div_ceil(MERGE_CHUNK as u64);
@@ -811,7 +832,7 @@ impl McPlan {
                 for a in per_block.iter_mut() {
                     *a = BlockAccum::new();
                 }
-                self.simulate_block_cube(b, &scens, &payoffs, &mut per_block);
+                self.simulate_block_cube(b, streams[b as usize], &scens, &payoffs, &mut per_block);
                 for (t, a) in chunk.iter_mut().zip(&per_block) {
                     t.merge(a);
                 }
@@ -1053,6 +1074,26 @@ mod tests {
         assert!(cv.variance_ratio > 25.0, "{}", cv.variance_ratio);
         // Both agree within errors.
         assert!((cv.price - plain.price).abs() < 4.0 * plain.std_error);
+    }
+
+    #[test]
+    fn block_streams_equal_direct_substreams() {
+        use mdp_math::rng::Substreams;
+        let (m, p) = call1();
+        let cfg = McConfig {
+            paths: 257 * 8,
+            block_size: 8,
+            ..Default::default()
+        };
+        let ctx = RunContext::new(&m, &p, cfg).unwrap();
+        let plan = McEngine::new(cfg).plan(&m, p.maturity).unwrap();
+        let planned = plan.context(&p).unwrap();
+        let base = Xoshiro256StarStar::seed_from(cfg.seed);
+        for k in [0u64, 1, 2, 255, 256] {
+            let direct = base.substream(k);
+            assert_eq!(ctx.streams[k as usize], direct, "block {k}");
+            assert_eq!(planned.streams[k as usize], direct, "planned block {k}");
+        }
     }
 
     #[test]
@@ -1572,7 +1613,11 @@ mod lookback_engine_tests {
             let cube = plan.execute_cube(&products, &scenarios, parallel).unwrap();
             assert_eq!(cube.len(), scenarios.len());
             for (scen, row) in scenarios.iter().zip(&cube) {
-                let naive = eng.plan(scen, 1.0).unwrap().execute_multi(&products, false).unwrap();
+                let naive = eng
+                    .plan(scen, 1.0)
+                    .unwrap()
+                    .execute_multi(&products, false)
+                    .unwrap();
                 for (a, b) in row.iter().zip(&naive) {
                     assert_eq!(a.price.to_bits(), b.price.to_bits());
                     assert_eq!(a.std_error.to_bits(), b.std_error.to_bits());

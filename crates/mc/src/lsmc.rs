@@ -20,7 +20,7 @@ use crate::path::GbmStepper;
 use crate::McError;
 use mdp_math::linalg::{Cholesky, Matrix};
 use mdp_math::poly::{BasisKind, TensorBasis};
-use mdp_math::rng::{NormalPolar, NormalSampler, Substreams, Xoshiro256StarStar};
+use mdp_math::rng::{NormalPolar, NormalSampler, Xoshiro256StarStar};
 use mdp_model::{ExerciseStyle, GbmMarket, Payoff, Product};
 use std::ops::Range;
 
@@ -87,32 +87,38 @@ pub struct PathPanel {
 /// Simulate the full path panel (block-substream design, identical
 /// panels across drivers for the same `(seed, block_size)`); `blocks`
 /// selects which substream blocks to simulate — the sequential engine
-/// passes all of them, a rank passes its share.
+/// passes all of them, a rank passes its share — and `streams` is the
+/// run's table of block start states ([`block_streams`]).
+///
+/// Each block's normals come from one bulk [`NormalPolar::fill`], which
+/// yields the same variates as drawing each path's `steps·d` normals in
+/// turn, so the panel does not depend on how the draws are batched.
 pub fn simulate_panel(
     market: &GbmMarket,
     product: &Product,
     cfg: &LsmcConfig,
-    blocks: std::ops::Range<u64>,
+    streams: &[Xoshiro256StarStar],
+    blocks: Range<u64>,
 ) -> PathPanel {
     let d = market.dim();
     let stepper = GbmStepper::new(market, product.maturity, cfg.steps);
     let log0: Vec<f64> = market.spots().iter().map(|s| s.ln()).collect();
-    let base = Xoshiro256StarStar::seed_from(cfg.seed);
     let num_paths: u64 = blocks.clone().map(|b| block_paths(cfg, b)).sum();
     let mut spots = vec![vec![0.0; num_paths as usize * d]; cfg.steps];
     let mut sampler = NormalPolar::new();
-    let mut z = vec![0.0; d];
+    let per_path = cfg.steps * d;
+    let mut normals = Vec::new();
     let mut log_buf = vec![0.0; d];
     let mut path_idx = 0usize;
     for b in blocks {
-        let mut rng = base.substream(b);
+        let mut rng = streams[b as usize];
         sampler.reset();
-        for _ in 0..block_paths(cfg, b) {
+        normals.resize(block_paths(cfg, b) as usize * per_path, 0.0);
+        sampler.fill(&mut rng, &mut normals);
+        for path in normals.chunks_exact(per_path) {
             log_buf.copy_from_slice(&log0);
-            for (t, layer) in spots.iter_mut().enumerate() {
-                let _ = t;
-                sampler.fill(&mut rng, &mut z);
-                stepper.step(&mut log_buf, &z);
+            for (layer, z) in spots.iter_mut().zip(path.chunks_exact(d)) {
+                stepper.step(&mut log_buf, z);
                 for (i, l) in log_buf.iter().enumerate() {
                     layer[path_idx * d + i] = l.exp();
                 }
@@ -140,13 +146,26 @@ pub fn num_blocks(cfg: &LsmcConfig) -> u64 {
     cfg.paths.div_ceil(cfg.block_size)
 }
 
+/// The start state of every block's RNG substream, built once per run
+/// with one jump per block; entry `b` is
+/// `Xoshiro256StarStar::seed_from(seed).substream(b)`.
+pub fn block_streams(cfg: &LsmcConfig) -> Vec<Xoshiro256StarStar> {
+    Xoshiro256StarStar::seed_from(cfg.seed).substreams(num_blocks(cfg))
+}
+
 /// Normal-equation sums for one exercise date: `XᵀX` (packed
 /// row-major `k×k`) and `Xᵀy` (`k`), plus the ITM count. Merge by
 /// addition — this is exactly what the cluster driver allreduces.
+///
+/// `XᵀX` is symmetric, so only its upper triangle (`j ≥ i`) is
+/// accumulated and the lower cells stay zero. A full accumulation would
+/// add the same products in the same path order to cell `(j, i)`, and
+/// `φᵢφⱼ = φⱼφᵢ` bitwise, so [`RegressionSums::solve`] mirrors the
+/// triangle into exactly that symmetric matrix.
 pub struct RegressionSums {
     /// Basis size k.
     pub k: usize,
-    /// Packed `XᵀX`.
+    /// Packed `XᵀX`, upper triangle only.
     pub xtx: Vec<f64>,
     /// `Xᵀy`.
     pub xty: Vec<f64>,
@@ -170,8 +189,8 @@ impl RegressionSums {
     pub fn push(&mut self, phi: &[f64], y: f64) {
         debug_assert_eq!(phi.len(), self.k);
         for (i, &pi) in phi.iter().enumerate() {
-            let row = &mut self.xtx[i * self.k..(i + 1) * self.k];
-            for (cell, &pj) in row.iter_mut().zip(phi) {
+            let row = &mut self.xtx[i * self.k + i..(i + 1) * self.k];
+            for (cell, &pj) in row.iter_mut().zip(&phi[i..]) {
                 *cell += pi * pj;
             }
             self.xty[i] += pi * y;
@@ -209,7 +228,7 @@ impl RegressionSums {
         let mut a = Matrix::zeros(k, k);
         for i in 0..k {
             for j in 0..k {
-                a[(i, j)] = self.xtx[i * k + j];
+                a[(i, j)] = self.xtx[i.min(j) * k + i.max(j)];
             }
             a[(i, i)] += ridge * (1.0 + self.xtx[i * k + i]);
         }
@@ -358,7 +377,8 @@ pub fn price_lsmc(
     cfg: LsmcConfig,
 ) -> Result<LsmcResult, McError> {
     validate(market, product, &cfg)?;
-    let panel = simulate_panel(market, product, &cfg, 0..num_blocks(&cfg));
+    let streams = block_streams(&cfg);
+    let panel = simulate_panel(market, product, &cfg, &streams, 0..num_blocks(&cfg));
     let discounted = backward_sweep(market, product, &cfg, &panel);
     Ok(summarise(&discounted, product, market))
 }
@@ -376,9 +396,10 @@ pub fn price_lsmc_rayon(
     use rayon::prelude::*;
     validate(market, product, &cfg)?;
     let blocks = num_blocks(&cfg);
+    let streams = block_streams(&cfg);
     let panels: Vec<PathPanel> = (0..blocks)
         .into_par_iter()
-        .map(|b| simulate_panel(market, product, &cfg, b..b + 1))
+        .map(|b| simulate_panel(market, product, &cfg, &streams, b..b + 1))
         .collect();
     // Splice the per-block panels in block order.
     let d = market.dim();

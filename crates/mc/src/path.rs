@@ -119,9 +119,7 @@ impl GbmStepper {
         let dt = maturity / self.steps as f64;
         let sqdt = dt.sqrt();
         self.drift_dt = (0..self.dim).map(|i| market.log_drift(i) * dt).collect();
-        self.vol_sqdt = (0..self.dim)
-            .map(|i| market.vols()[i] * sqdt)
-            .collect();
+        self.vol_sqdt = (0..self.dim).map(|i| market.vols()[i] * sqdt).collect();
     }
 
     /// Repack the Cholesky factor from the (re-factored) market after a

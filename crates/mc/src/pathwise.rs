@@ -11,7 +11,7 @@
 use crate::path::{walk_panel, GbmStepper, SoaPanel, PANEL};
 use crate::McConfig;
 use crate::McError;
-use mdp_math::rng::{NormalPolar, NormalSampler, Substreams, Xoshiro256StarStar};
+use mdp_math::rng::{NormalPolar, NormalSampler, Xoshiro256StarStar};
 use mdp_math::stats::OnlineStats;
 use mdp_model::{ExerciseStyle, GbmMarket, Payoff, Product};
 
@@ -192,7 +192,6 @@ pub fn pathwise_delta(
     let path_dep = payoff.is_path_dependent();
     let spots0 = market.spots();
 
-    let base = Xoshiro256StarStar::seed_from(cfg.seed);
     let mut sampler = NormalPolar::new();
     let mut grad = vec![0.0; d];
     let mut term = vec![0.0; d];
@@ -220,8 +219,11 @@ pub fn pathwise_delta(
     let mut asian_sum = vec![0.0; d * PANEL];
     let mut dvec = vec![0.0; d * PANEL];
 
+    // Block b's substream is the previous block's start jumped once.
+    let mut next = Xoshiro256StarStar::seed_from(cfg.seed);
     for b in 0..cfg.num_blocks() {
-        let mut rng = base.substream(b);
+        let mut rng = next;
+        next.jump();
         sampler.reset();
         let total = cfg.block_paths(b);
         let mut done = 0u64;

@@ -12,9 +12,7 @@ use crate::panel::{eval_panel, PanelScratch};
 use crate::path::{GbmStepper, SoaPanel, PANEL};
 use crate::McConfig;
 use crate::McError;
-use mdp_math::rng::{
-    NormalInverse, NormalPolar, NormalSampler, Rng64, Substreams, Xoshiro256StarStar,
-};
+use mdp_math::rng::{NormalInverse, NormalPolar, NormalSampler, Rng64, Xoshiro256StarStar};
 use mdp_math::stats::OnlineStats;
 use mdp_model::{ExerciseStyle, GbmMarket, Product};
 
@@ -64,7 +62,6 @@ pub fn price_stratified(
     let payoff = &product.payoff;
     let s0_first = market.spots()[0];
 
-    let base = Xoshiro256StarStar::seed_from(cfg.seed);
     let mut per_stratum = vec![OnlineStats::new(); strata as usize];
     let mut sampler = NormalPolar::new();
     // Strata ride the batched SoA kernel. The per-path RNG interleave —
@@ -78,8 +75,11 @@ pub fn price_stratified(
     let base_n = cfg.paths / strata as u64;
     let extra = (cfg.paths % strata as u64) as u32;
 
+    // Stratum m's substream is the previous stratum's start jumped once.
+    let mut next = Xoshiro256StarStar::seed_from(cfg.seed);
     for m in 0..strata {
-        let mut rng = base.substream(m as u64);
+        let mut rng = next;
+        next.jump();
         sampler.reset();
         let n_m = base_n + u64::from(m < extra);
         let mut done = 0u64;

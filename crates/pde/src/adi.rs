@@ -253,11 +253,7 @@ fn axis_coefficients(market: &GbmMarket, k: usize, dx: f64) -> (f64, f64, f64) {
     let sigma = market.vols()[k];
     let diff = 0.5 * sigma * sigma / (dx * dx);
     let conv = 0.5 * market.log_drift(k) / dx;
-    (
-        diff - conv,
-        -2.0 * diff - 0.5 * market.rate(),
-        diff + conv,
-    )
+    (diff - conv, -2.0 * diff - 0.5 * market.rate(), diff + conv)
 }
 
 /// Build one axis: the log-spot grid plus its operator coefficients.

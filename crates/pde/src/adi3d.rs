@@ -183,11 +183,7 @@ fn axis_coefficients(market: &GbmMarket, k: usize, dx: f64) -> (f64, f64, f64) {
     let sigma = market.vols()[k];
     let diff = 0.5 * sigma * sigma / (dx * dx);
     let conv = 0.5 * market.log_drift(k) / dx;
-    (
-        diff - conv,
-        -2.0 * diff - market.rate() / 3.0,
-        diff + conv,
-    )
+    (diff - conv, -2.0 * diff - market.rate() / 3.0, diff + conv)
 }
 
 /// Build one axis: the log-spot grid plus its operator coefficients.
@@ -390,19 +386,25 @@ impl Adi3dPlan {
                         for (l, slot) in out.iter_mut().enumerate() {
                             let k = klo + l;
                             let v0 = v[idx(i, j, k)];
-                            let l1 =
-                                ax1.a * v[idx(i - 1, j, k)] + ax1.b * v0 + ax1.c * v[idx(i + 1, j, k)];
-                            let l2 =
-                                ax2.a * v[idx(i, j - 1, k)] + ax2.b * v0 + ax2.c * v[idx(i, j + 1, k)];
-                            let l3 =
-                                ax3.a * v[idx(i, j, k - 1)] + ax3.b * v0 + ax3.c * v[idx(i, j, k + 1)];
-                            let c01 = v[idx(i + 1, j + 1, k)] - v[idx(i + 1, j - 1, k)]
+                            let l1 = ax1.a * v[idx(i - 1, j, k)]
+                                + ax1.b * v0
+                                + ax1.c * v[idx(i + 1, j, k)];
+                            let l2 = ax2.a * v[idx(i, j - 1, k)]
+                                + ax2.b * v0
+                                + ax2.c * v[idx(i, j + 1, k)];
+                            let l3 = ax3.a * v[idx(i, j, k - 1)]
+                                + ax3.b * v0
+                                + ax3.c * v[idx(i, j, k + 1)];
+                            let c01 = v[idx(i + 1, j + 1, k)]
+                                - v[idx(i + 1, j - 1, k)]
                                 - v[idx(i - 1, j + 1, k)]
                                 + v[idx(i - 1, j - 1, k)];
-                            let c02 = v[idx(i + 1, j, k + 1)] - v[idx(i + 1, j, k - 1)]
+                            let c02 = v[idx(i + 1, j, k + 1)]
+                                - v[idx(i + 1, j, k - 1)]
                                 - v[idx(i - 1, j, k + 1)]
                                 + v[idx(i - 1, j, k - 1)];
-                            let c12 = v[idx(i, j + 1, k + 1)] - v[idx(i, j + 1, k - 1)]
+                            let c12 = v[idx(i, j + 1, k + 1)]
+                                - v[idx(i, j + 1, k - 1)]
                                 - v[idx(i, j - 1, k + 1)]
                                 + v[idx(i, j - 1, k - 1)];
                             let l0 = mx01 * c01 + mx02 * c02 + mx12 * c12;

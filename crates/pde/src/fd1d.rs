@@ -707,8 +707,8 @@ impl Fd1dPlan {
                 let (v0, vp) = rest.split_at(w);
                 let out = &mut rhs[i * w..(i + 1) * w];
                 for lane in 0..w {
-                    out[lane] =
-                        v0[lane] + (1.0 - theta) * dt * (a * vm[lane] + b * v0[lane] + c * vp[lane]);
+                    out[lane] = v0[lane]
+                        + (1.0 - theta) * dt * (a * vm[lane] + b * v0[lane] + c * vp[lane]);
                 }
             }
             for lane in 0..w {
@@ -1070,8 +1070,12 @@ mod tests {
             ticked.apply_tick(delta).unwrap();
             market = market.apply_delta(delta).unwrap();
             let fresh = cfg.plan(&market, 1.0).unwrap();
-            let pt = ticked.execute(&product, &mut Fd1dScratch::default()).unwrap();
-            let pf = fresh.execute(&product, &mut Fd1dScratch::default()).unwrap();
+            let pt = ticked
+                .execute(&product, &mut Fd1dScratch::default())
+                .unwrap();
+            let pf = fresh
+                .execute(&product, &mut Fd1dScratch::default())
+                .unwrap();
             assert_eq!(pt.price.to_bits(), pf.price.to_bits(), "{delta:?}");
             for (x, y) in pt.values.iter().zip(&pf.values) {
                 assert_eq!(x.to_bits(), y.to_bits());
@@ -1095,11 +1099,8 @@ mod tests {
             TickOutcome::Patched
         );
         assert_eq!(
-            plan.apply_tick(&MarketDelta::Vol {
-                asset: 0,
-                vol: 0.3
-            })
-            .unwrap(),
+            plan.apply_tick(&MarketDelta::Vol { asset: 0, vol: 0.3 })
+                .unwrap(),
             TickOutcome::Rebuilt
         );
     }

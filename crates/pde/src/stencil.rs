@@ -159,16 +159,7 @@ impl TrapezoidSweep<'_> {
             // Tall: time cut, bottom half first.
             let s = h / 2;
             self.walk(t0, t0 + s, x0, dx0, x1, dx1, even, odd)
-                && self.walk(
-                    t0 + s,
-                    t1,
-                    x0 + dx0 * s,
-                    dx0,
-                    x1 + dx1 * s,
-                    dx1,
-                    even,
-                    odd,
-                )
+                && self.walk(t0 + s, t1, x0 + dx0 * s, dx0, x1 + dx1 * s, dx1, even, odd)
         }
     }
 
@@ -248,7 +239,13 @@ mod tests {
                     }
                 } else {
                     let e = explicit_point(
-                        sweep.dt, sweep.a, sweep.b, sweep.c, v[x - 1], v[x], v[x + 1],
+                        sweep.dt,
+                        sweep.a,
+                        sweep.b,
+                        sweep.c,
+                        v[x - 1],
+                        v[x],
+                        v[x + 1],
                     );
                     if sweep.american {
                         e.max(sweep.intrinsic[x])
@@ -298,8 +295,9 @@ mod tests {
         // parities, including heights well past BASE_HEIGHT.
         for (m, n) in [(3usize, 1usize), (7, 5), (33, 64), (128, 100), (401, 257)] {
             for american in [false, true] {
-                let intrinsic: Vec<f64> =
-                    (0..m).map(|i| ((i as f64) - m as f64 / 3.0).max(0.0)).collect();
+                let intrinsic: Vec<f64> = (0..m)
+                    .map(|i| ((i as f64) - m as f64 / 3.0).max(0.0))
+                    .collect();
                 let dt = 0.4 / n as f64;
                 let df: Vec<f64> = (0..=n).map(|t| (-0.05 * t as f64 * dt).exp()).collect();
                 let never = mdp_math::CancelToken::never();

@@ -40,7 +40,10 @@ pub fn karp_flatt(t1: f64, tp: f64, p: usize) -> f64 {
 /// Panics on an empty slice or `p` outside `[0, 100]`.
 pub fn percentile_nearest_rank(sorted: &[f64], p: f64) -> f64 {
     assert!(!sorted.is_empty(), "percentile of an empty sample set");
-    assert!((0.0..=100.0).contains(&p), "percentile {p} outside [0, 100]");
+    assert!(
+        (0.0..=100.0).contains(&p),
+        "percentile {p} outside [0, 100]"
+    );
     debug_assert!(
         sorted.windows(2).all(|w| w[0] <= w[1]),
         "samples must be sorted ascending"

@@ -112,17 +112,18 @@ impl PlanCache {
     pub fn retain_compatible(&mut self, delta: &MarketDelta) -> (u64, u64) {
         let mut patched = 0u64;
         let mut evicted = 0u64;
-        self.entries.retain_mut(|(key, plan)| match plan.apply_tick(delta) {
-            Ok(_) => {
-                key.market = plan.market().cache_key();
-                patched += 1;
-                true
-            }
-            Err(_) => {
-                evicted += 1;
-                false
-            }
-        });
+        self.entries
+            .retain_mut(|(key, plan)| match plan.apply_tick(delta) {
+                Ok(_) => {
+                    key.market = plan.market().cache_key();
+                    patched += 1;
+                    true
+                }
+                Err(_) => {
+                    evicted += 1;
+                    false
+                }
+            });
         self.stats.ticks_applied += patched;
         self.stats.tick_evictions += evicted;
         (patched, evicted)

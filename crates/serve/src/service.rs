@@ -132,7 +132,11 @@ impl PricingService {
             cv: Condvar::new(),
             cfg,
             base: pricer,
-            cache: Mutex::new(PlanCache::new(if cfg.coalesce { cfg.plan_cache } else { 0 })),
+            cache: Mutex::new(PlanCache::new(if cfg.coalesce {
+                cfg.plan_cache
+            } else {
+                0
+            })),
             counters: Counters::default(),
             breakers: BreakerRegistry::new(cfg.breaker),
             ewma: Mutex::new(HashMap::new()),
@@ -280,10 +284,7 @@ fn worker_loop(inner: Arc<Inner>) {
                 if state.closed {
                     return;
                 }
-                state = inner
-                    .cv
-                    .wait(state)
-                    .unwrap_or_else(PoisonError::into_inner);
+                state = inner.cv.wait(state).unwrap_or_else(PoisonError::into_inner);
             }
             let take = if inner.cfg.coalesce {
                 inner.cfg.max_batch.max(1).min(state.len)
@@ -477,9 +478,7 @@ fn serve_group(inner: &Inner, key: PlanKey, jobs: Vec<Job>, drained: Instant) {
             // The group token tripped: it carries the *latest* member
             // deadline, so every member's budget is gone. Partial
             // engine state was discarded by the abort.
-            inner
-                .counters
-                .add(&inner.counters.deadline_mid, n as u64);
+            inner.counters.add(&inner.counters.deadline_mid, n as u64);
             for job in jobs {
                 let queue_seconds = (drained - job.enqueued).as_secs_f64();
                 respond(
@@ -574,10 +573,7 @@ fn price_resilient(inner: &Inner, job: Job, drained: Instant, batch_size: usize)
         };
         let mkey = method.cache_key();
         let engine = method.name();
-        let fault = inner
-            .cfg
-            .fault
-            .and_then(|fp| fp.roll(job.req.id, attempt));
+        let fault = inner.cfg.fault.and_then(|fp| fp.roll(job.req.id, attempt));
         if fault.is_some() {
             inner.counters.add(&inner.counters.faults_injected, 1);
         }
@@ -977,7 +973,11 @@ mod tests {
         // First burst builds the plan; the follow-ups hit the cache.
         for round in 0..3 {
             let tickets: Vec<_> = (0..8)
-                .map(|i| service.submit(call(round * 8 + i, 90.0 + i as f64)).unwrap())
+                .map(|i| {
+                    service
+                        .submit(call(round * 8 + i, 90.0 + i as f64))
+                        .unwrap()
+                })
                 .collect();
             for t in tickets {
                 t.wait().unwrap();
@@ -988,8 +988,7 @@ mod tests {
         assert_eq!(stats.cache.misses, 1);
         // The hit path skips plan construction entirely.
         assert!(
-            stats.cache.hits == 0
-                || stats.mean_plan_seconds_hit() < stats.mean_plan_seconds_miss(),
+            stats.cache.hits == 0 || stats.mean_plan_seconds_hit() < stats.mean_plan_seconds_miss(),
             "hit plan time {} !< miss plan time {}",
             stats.mean_plan_seconds_hit(),
             stats.mean_plan_seconds_miss()
@@ -1115,10 +1114,7 @@ mod tests {
         assert!(t_slow.wait().unwrap().outcome.is_ok());
         for t in tickets {
             let resp = t.wait().unwrap();
-            assert!(matches!(
-                resp.outcome,
-                Err(PriceError::DeadlineExceeded)
-            ));
+            assert!(matches!(resp.outcome, Err(PriceError::DeadlineExceeded)));
         }
         let stats = service.shutdown();
         assert!(
@@ -1172,10 +1168,7 @@ mod tests {
             },
         );
         let resp = service.price(call(0, 100.0)).unwrap();
-        assert!(matches!(
-            resp.outcome,
-            Err(PriceError::Numerical { .. })
-        ));
+        assert!(matches!(resp.outcome, Err(PriceError::Numerical { .. })));
         let stats = service.shutdown();
         assert_eq!(stats.numerical, 1);
     }

@@ -13,11 +13,7 @@ use mdp_serve::{PriceRequest, PricingService, ServeConfig};
 use std::sync::Arc;
 use std::time::Instant;
 
-fn burst(
-    service: &PricingService,
-    market: &Arc<GbmMarket>,
-    strikes: &[f64],
-) -> (f64, f64, usize) {
+fn burst(service: &PricingService, market: &Arc<GbmMarket>, strikes: &[f64]) -> (f64, f64, usize) {
     let t0 = Instant::now();
     let tickets: Vec<_> = strikes
         .iter()
@@ -71,7 +67,10 @@ fn main() {
     let (warm_wall, warm_p_max, warm_batch) = burst(&service, &market, &strikes);
     let stats = service.shutdown();
 
-    println!("burst of {} strike requests, Fd1d default grid", strikes.len());
+    println!(
+        "burst of {} strike requests, Fd1d default grid",
+        strikes.len()
+    );
     println!(
         "  naive per-request : wall {:>8.2} ms  max latency {:>8.2} ms  ({} plan builds)",
         naive_wall * 1e3,

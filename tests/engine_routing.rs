@@ -78,7 +78,10 @@ fn auto_routes_every_documented_cell() {
     // lattice (both exercises). Note the 2-asset European max-call is
     // NOT such a cell: Stulz's formula catches it first.
     assert_eq!(
-        auto_engine(&m2, &Product::european(Payoff::MaxCall { strike: 100.0 }, 1.0)),
+        auto_engine(
+            &m2,
+            &Product::european(Payoff::MaxCall { strike: 100.0 }, 1.0)
+        ),
         "analytic"
     );
     assert_eq!(
@@ -97,7 +100,10 @@ fn auto_routes_every_documented_cell() {
     // 3 dimensions, terminal payoff → the 3-D Douglas ADI grid (both
     // exercises).
     assert_eq!(
-        auto_engine(&m3, &Product::american(Payoff::MinPut { strike: 100.0 }, 1.0)),
+        auto_engine(
+            &m3,
+            &Product::american(Payoff::MinPut { strike: 100.0 }, 1.0)
+        ),
         "adi-3d"
     );
     assert_eq!(
@@ -129,7 +135,10 @@ fn auto_routes_every_documented_cell() {
         "monte-carlo"
     );
     assert_eq!(
-        auto_engine(&m8, &Product::american(Payoff::MaxPut { strike: 100.0 }, 1.0)),
+        auto_engine(
+            &m8,
+            &Product::american(Payoff::MaxPut { strike: 100.0 }, 1.0)
+        ),
         "lsmc"
     );
 }
@@ -157,14 +166,19 @@ fn auto_choice_actually_prices_each_cell() {
         ),
         (
             GbmMarket::single(100.0, 0.2, 0.0, 0.05).unwrap(),
-            Product::european(Payoff::BasketCall {
-                weights: vec![1.0],
-                strike: 100.0,
-            }, 1.0),
+            Product::european(
+                Payoff::BasketCall {
+                    weights: vec![1.0],
+                    strike: 100.0,
+                },
+                1.0,
+            ),
         ),
     ];
     for (market, product) in &cases {
-        let r = Pricer::auto(market, product).price(market, product).unwrap();
+        let r = Pricer::auto(market, product)
+            .price(market, product)
+            .unwrap();
         assert!(r.price.is_finite() && r.price > 0.0);
         assert!(r.wall_seconds >= r.plan_seconds);
     }
@@ -254,10 +268,7 @@ fn method_backend_matrix_never_panics() {
             m2,
             Product::european(Payoff::MaxCall { strike: 100.0 }, 1.0),
         ),
-        (
-            m3,
-            Product::american(Payoff::MinPut { strike: 100.0 }, 1.0),
-        ),
+        (m3, Product::american(Payoff::MinPut { strike: 100.0 }, 1.0)),
         (
             m1,
             Product::european(
