@@ -19,7 +19,7 @@
 //!   dimensions, and [`brownian`] for Brownian-bridge path construction.
 //! * **Dense and banded linear algebra** ([`linalg`]) — a small row-major
 //!   [`linalg::Matrix`], Cholesky, partially pivoted LU, Householder QR
-//!   least-squares and tridiagonal (Thomas and cyclic-reduction) solvers.
+//!   least-squares and tridiagonal (Thomas) solvers.
 //! * **Statistics** ([`stats`]) — Welford online moments with O(1) merging
 //!   for parallel reduction, and confidence intervals.
 //! * **Polynomial bases** ([`poly`]) — monomial/Laguerre/Hermite bases used

@@ -9,8 +9,9 @@
 //! * [`Lu`] — general square solves and determinants.
 //! * [`Qr`] — least squares for the Longstaff–Schwartz regression, where
 //!   normal equations would be dangerously ill-conditioned.
-//! * [`tridiag`] — Thomas and parallel cyclic-reduction tridiagonal
-//!   solvers for Crank–Nicolson/ADI time stepping.
+//! * [`tridiag`] — Thomas tridiagonal solvers (unfactored, and factored
+//!   once for many right-hand sides) for Crank–Nicolson/ADI time
+//!   stepping.
 //!
 //! Sizes are small, so the implementations favour clarity and numerical
 //! robustness over blocking/SIMD; the hot loops of the engines are in path

@@ -1,11 +1,9 @@
-//! Tridiagonal solvers: sequential Thomas algorithm and parallel cyclic
-//! reduction.
+//! Tridiagonal solvers: the Thomas algorithm, unfactored and factored.
 //!
 //! Crank–Nicolson and ADI time stepping reduce each line of the PDE grid
-//! to a tridiagonal system. The Thomas algorithm is O(n) but inherently
-//! sequential; cyclic reduction is O(n log n) work with O(log n) span and
-//! is the classic way the 2002-era literature parallelised implicit
-//! sweeps, so both are provided (and the ablation bench compares them).
+//! to a tridiagonal system. The Thomas algorithm is O(n) and sequential
+//! down a line; the PDE drivers parallelise across independent lines
+//! instead ([`FactoredTridiag::solve_panel_transposed`]).
 
 use crate::MathError;
 
@@ -127,19 +125,6 @@ impl Tridiag {
     pub fn factor(&self) -> Result<FactoredTridiag, MathError> {
         FactoredTridiag::new(self)
     }
-
-    /// Solve with cyclic (odd–even) reduction — O(n log n) work,
-    /// O(log n) parallel span.
-    ///
-    /// Each level eliminates the odd-indexed unknowns in terms of their
-    /// even neighbours; after log₂ n levels a single unknown remains and
-    /// the recursion unwinds. Every level's eliminations are independent,
-    /// which is what a parallel PDE sweep exploits.
-    pub fn solve_cyclic_reduction(&self, d: &[f64]) -> Result<Vec<f64>, MathError> {
-        let n = self.n();
-        assert_eq!(d.len(), n);
-        cr_solve(&self.a, &self.b, &self.c, d)
-    }
 }
 
 /// Thomas elimination factors of a [`Tridiag`], computed once and reused
@@ -202,7 +187,8 @@ impl FactoredTridiag {
         self.piv.len()
     }
 
-    /// Solve one right-hand side into `x`.
+    /// Solve one right-hand side into `x`: [`Self::forward`] reading
+    /// `d`, then [`Self::backward`].
     ///
     /// Bitwise-equal to [`Tridiag::solve_thomas_into`] on the same
     /// system: `d'_i = (d_i − a_i·d'_{i−1}) / m_i` divides by the stored
@@ -211,20 +197,55 @@ impl FactoredTridiag {
     /// # Panics
     /// Panics when `d` or `x` disagree with the system size.
     pub fn solve_into(&self, d: &[f64], x: &mut [f64]) {
-        let n = self.n();
-        assert_eq!(d.len(), n);
-        assert_eq!(x.len(), n);
-        if n == 0 {
+        assert_eq!(d.len(), self.n());
+        self.forward(x, |i| d[i]);
+        self.backward(x, |_, _| {});
+    }
+
+    /// The forward-elimination half of a solve:
+    /// `d'_0 = d_0 / m_0`, `d'_i = (d_i − a_i·d'_{i−1}) / m_i`, top row
+    /// first, writing `d'` into `dp`.
+    ///
+    /// Row `i`'s right-hand side is `row(i)`, read only when the sweep
+    /// reaches that row, so a stepper can build each row inside this
+    /// pass instead of filling a right-hand-side buffer first.
+    ///
+    /// # Panics
+    /// Panics when `dp` disagrees with the system size.
+    pub fn forward(&self, dp: &mut [f64], mut row: impl FnMut(usize) -> f64) {
+        assert_eq!(dp.len(), self.n());
+        let Some((first, rest)) = dp.split_first_mut() else {
             return;
+        };
+        let mut prev = row(0) / self.piv[0];
+        *first = prev;
+        let factors = self.a[1..].iter().zip(&self.piv[1..]);
+        for (i, (x, (&a, &piv))) in rest.iter_mut().zip(factors).enumerate() {
+            prev = (row(i + 1) - a * prev) / piv;
+            *x = prev;
         }
-        // Forward sweep: x temporarily holds d'.
-        x[0] = d[0] / self.piv[0];
-        for i in 1..n {
-            x[i] = (d[i] - self.a[i] * x[i - 1]) / self.piv[i];
-        }
-        // Back substitution.
-        for i in (0..n - 1).rev() {
-            x[i] -= self.cp[i] * x[i + 1];
+    }
+
+    /// The back-substitution half of a solve: `x` holds the `d'` of
+    /// [`Self::forward`] on entry and the solution on exit
+    /// (`x_{n−1} = d'_{n−1}`, `x_i = d'_i − c'_i·x_{i+1}`). Each solved
+    /// `x_i` is also handed to `emit(i, x_i)`, bottom row first, so a
+    /// stepper can post-process and store it inside this pass.
+    ///
+    /// # Panics
+    /// Panics when `x` disagrees with the system size.
+    pub fn backward(&self, x: &mut [f64], mut emit: impl FnMut(usize, f64)) {
+        let n = self.n();
+        assert_eq!(x.len(), n);
+        let Some((last, rest)) = x.split_last_mut() else {
+            return;
+        };
+        let mut next = *last;
+        emit(n - 1, next);
+        for (i, (x, &cp)) in rest.iter_mut().zip(&self.cp[..n - 1]).enumerate().rev() {
+            next = *x - cp * next;
+            *x = next;
+            emit(i, next);
         }
     }
 
@@ -302,75 +323,6 @@ pub fn factored_theta_system(
     Ok((sys, fac))
 }
 
-/// One recursive level of odd–even reduction.
-///
-/// Keeps the even-indexed unknowns: row 2j is combined with rows 2j±1 to
-/// eliminate the odd unknowns, producing a tridiagonal system of size
-/// ⌈n/2⌉; the odd unknowns are recovered afterwards from their even
-/// neighbours. All eliminations within a level are independent.
-fn cr_solve(a: &[f64], b: &[f64], c: &[f64], d: &[f64]) -> Result<Vec<f64>, MathError> {
-    let n = b.len();
-    if n == 0 {
-        return Ok(Vec::new());
-    }
-    if n == 1 {
-        if b[0].abs() < 1e-300 {
-            return Err(MathError::Singular { index: 0 });
-        }
-        return Ok(vec![d[0] / b[0]]);
-    }
-    let m = n.div_ceil(2);
-    let mut ra = vec![0.0; m];
-    let mut rb = vec![0.0; m];
-    let mut rc = vec![0.0; m];
-    let mut rd = vec![0.0; m];
-    for j in 0..m {
-        let i = 2 * j;
-        let mut nb = b[i];
-        let mut nd = d[i];
-        let mut na = 0.0;
-        let mut nc = 0.0;
-        if i > 0 {
-            if b[i - 1].abs() < 1e-300 {
-                return Err(MathError::Singular { index: i - 1 });
-            }
-            let alpha = -a[i] / b[i - 1];
-            na = alpha * a[i - 1];
-            nb += alpha * c[i - 1];
-            nd += alpha * d[i - 1];
-        }
-        if i + 1 < n {
-            if b[i + 1].abs() < 1e-300 {
-                return Err(MathError::Singular { index: i + 1 });
-            }
-            let beta = -c[i] / b[i + 1];
-            nb += beta * a[i + 1];
-            nc = beta * c[i + 1];
-            nd += beta * d[i + 1];
-        }
-        ra[j] = na;
-        rb[j] = nb;
-        rc[j] = nc;
-        rd[j] = nd;
-    }
-    let xe = cr_solve(&ra, &rb, &rc, &rd)?;
-    let mut x = vec![0.0; n];
-    for (j, &v) in xe.iter().enumerate() {
-        x[2 * j] = v;
-    }
-    for i in (1..n).step_by(2) {
-        let mut v = d[i] - a[i] * x[i - 1];
-        if i + 1 < n {
-            v -= c[i] * x[i + 1];
-        }
-        if b[i].abs() < 1e-300 {
-            return Err(MathError::Singular { index: i });
-        }
-        x[i] = v / b[i];
-    }
-    Ok(x)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -413,32 +365,6 @@ mod tests {
     }
 
     #[test]
-    fn cyclic_reduction_matches_thomas_power_of_two() {
-        for n in [2usize, 4, 8, 16, 64, 128] {
-            let t = laplacian(n);
-            let d: Vec<f64> = (0..n).map(|i| 1.0 + (i as f64 * 0.37).cos()).collect();
-            let xt = t.solve_thomas(&d).unwrap();
-            let xc = t.solve_cyclic_reduction(&d).unwrap();
-            for (a, b) in xt.iter().zip(&xc) {
-                assert!(approx_eq(*a, *b, 1e-9), "n={n}: {a} vs {b}");
-            }
-        }
-    }
-
-    #[test]
-    fn cyclic_reduction_matches_thomas_odd_sizes() {
-        for n in [1usize, 3, 5, 7, 13, 100, 101] {
-            let t = laplacian(n);
-            let d: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).sin() - 0.2).collect();
-            let xt = t.solve_thomas(&d).unwrap();
-            let xc = t.solve_cyclic_reduction(&d).unwrap();
-            for (i, (a, b)) in xt.iter().zip(&xc).enumerate() {
-                assert!(approx_eq(*a, *b, 1e-8), "n={n} i={i}: {a} vs {b}");
-            }
-        }
-    }
-
-    #[test]
     fn solve_into_reuses_scratch_across_sizes_bitwise() {
         let mut scratch = ThomasScratch::default();
         let mut x = vec![0.0; 64];
@@ -473,6 +399,30 @@ mod tests {
             for (a, b) in xf.iter().zip(&xt) {
                 assert_eq!(a.to_bits(), b.to_bits(), "k={k}");
             }
+        }
+    }
+
+    #[test]
+    fn halves_read_rows_top_down_and_emit_the_solution_bottom_up() {
+        let n = 23;
+        let t = laplacian(n);
+        let fac = t.factor().unwrap();
+        let d: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
+        let want = t.solve_thomas(&d).unwrap();
+        let mut x = vec![0.0; n];
+        let mut read = Vec::new();
+        fac.forward(&mut x, |i| {
+            read.push(i);
+            d[i]
+        });
+        assert_eq!(read, (0..n).collect::<Vec<_>>());
+        let mut emitted = Vec::new();
+        fac.backward(&mut x, |i, xi| emitted.push((i, xi)));
+        assert_eq!(emitted.len(), n);
+        for (k, &(i, xi)) in emitted.iter().enumerate() {
+            assert_eq!(i, n - 1 - k);
+            assert_eq!(xi.to_bits(), want[i].to_bits());
+            assert_eq!(x[i].to_bits(), want[i].to_bits());
         }
     }
 

@@ -35,7 +35,7 @@
 //! existing `parallel` flag, again without reordering any element's
 //! arithmetic.
 
-use crate::grid::LogGrid;
+use crate::grid::{check_width, LogGrid};
 use crate::PdeError;
 use mdp_math::linalg::tridiag::{FactoredTridiag, ThomasScratch, Tridiag};
 use mdp_model::{ExerciseStyle, GbmMarket, MarketDelta, Product, TickOutcome};
@@ -202,6 +202,7 @@ impl Adi2d {
                 value: maturity,
             }));
         }
+        check_width(self.width)?;
         let dt = maturity / n as f64;
         let r = market.rate();
         let theta = 0.5;
@@ -966,6 +967,19 @@ mod tests {
             tiny.price(&m2, &p2),
             Err(PdeError::GridTooSmall { .. })
         ));
+        for width in [0.0, -1.0, f64::NAN] {
+            let cfg = Adi2d {
+                width,
+                ..Default::default()
+            };
+            assert!(matches!(
+                cfg.price(&m2, &p2),
+                Err(PdeError::Model(mdp_model::ModelError::InvalidParameter {
+                    what: "width",
+                    ..
+                }))
+            ));
+        }
     }
 
     #[test]

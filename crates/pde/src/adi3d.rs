@@ -30,7 +30,7 @@
 //! American exercise is a pointwise projection after each step —
 //! exactly the 2-D engine's treatment lifted one dimension up.
 
-use crate::grid::LogGrid;
+use crate::grid::{check_width, LogGrid};
 use crate::PdeError;
 use mdp_math::linalg::tridiag::{FactoredTridiag, Tridiag};
 use mdp_model::{ExerciseStyle, GbmMarket, MarketDelta, Product, TickOutcome};
@@ -133,6 +133,7 @@ impl Adi3d {
                 value: maturity,
             }));
         }
+        check_width(self.width)?;
         let dt = maturity / n as f64;
         let r = market.rate();
         let theta = 0.5;
@@ -692,6 +693,19 @@ mod tests {
             tiny.price(&m3, &p3),
             Err(PdeError::GridTooSmall { .. })
         ));
+        for width in [0.0, -1.0, f64::NAN] {
+            let cfg = Adi3d {
+                width,
+                ..Default::default()
+            };
+            assert!(matches!(
+                cfg.price(&m3, &p3),
+                Err(PdeError::Model(mdp_model::ModelError::InvalidParameter {
+                    what: "width",
+                    ..
+                }))
+            ));
+        }
     }
 
     #[test]

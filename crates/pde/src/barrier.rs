@@ -1,13 +1,15 @@
 //! One-dimensional barrier-option pricer: Crank–Nicolson on a domain
 //! truncated at the barrier with an absorbing (zero Dirichlet) boundary —
-//! the natural PDE treatment of a continuously monitored knock-out.
+//! the natural PDE treatment of a continuously monitored knock-out. Each
+//! step is the two-sweep θ-step of [`crate::fd1d`].
 //!
 //! This engine and the Reiner–Rubinstein closed form in
 //! `mdp_model::analytic` are implemented independently; the test suite
 //! checks them against each other, which validates both.
 
+use crate::fd1d::ThetaSweep;
 use crate::PdeError;
-use mdp_math::linalg::tridiag::Tridiag;
+use mdp_math::linalg::theta_system;
 use mdp_model::{ExerciseStyle, GbmMarket, Payoff, Product};
 
 /// Configuration of the 1-D barrier finite-difference engine.
@@ -98,14 +100,13 @@ impl Fd1dBarrier {
         let a = diff - conv;
         let bb = -2.0 * diff - r;
         let c = diff + conv;
-        let theta = 0.5;
-
-        let interior = m - 2;
-        let lhs = Tridiag::new(
-            vec![-theta * dt * a; interior],
-            vec![1.0 - theta * dt * bb; interior],
-            vec![-theta * dt * c; interior],
-        );
+        let sweep = ThetaSweep {
+            theta: 0.5,
+            dt,
+            a,
+            b: bb,
+            c,
+        };
 
         // Terminal payoff on the surviving domain.
         let payoff_at = |x: f64| {
@@ -124,11 +125,10 @@ impl Fd1dBarrier {
             values[0] = 0.0;
         }
         let mut nodes = m as u64;
-        let mut rhs = vec![0.0; interior];
         // Reused across every time step (no per-step allocation), with
         // the constant CN system factored once for all steps.
-        let mut sol = vec![0.0; interior];
-        let factored = lhs
+        let mut dp = vec![0.0; m - 2];
+        let factored = theta_system(sweep.theta, dt, a, bb, c, m - 2)
             .factor()
             .map_err(|_| PdeError::GridTooSmall { space: m, time: n })?;
         for step in 1..=n {
@@ -137,23 +137,12 @@ impl Fd1dBarrier {
             // Far boundary: discounted intrinsic (deep OTM for these
             // payoffs ⇒ ≈ 0 for the call's low side, intrinsic for the
             // put's high side — both handled by the same formula).
-            let (lo_b, hi_b) = if up {
+            let bounds = if up {
                 (df * payoff_at(xs[0]), 0.0)
             } else {
                 (0.0, df * payoff_at(xs[m - 1]))
             };
-            for i in 0..interior {
-                let vm = values[i];
-                let v0 = values[i + 1];
-                let vp = values[i + 2];
-                rhs[i] = v0 + (1.0 - theta) * dt * (a * vm + bb * v0 + c * vp);
-            }
-            rhs[0] += theta * dt * a * lo_b;
-            rhs[interior - 1] += theta * dt * c * hi_b;
-            factored.solve_into(&rhs, &mut sol);
-            values[0] = lo_b;
-            values[m - 1] = hi_b;
-            values[1..m - 1].copy_from_slice(&sol);
+            sweep.step(&factored, &mut values, &mut dp, bounds, None);
             nodes += m as u64;
         }
 

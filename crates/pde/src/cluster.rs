@@ -17,7 +17,7 @@
 //! The arithmetic per point matches the sequential engine exactly, so
 //! prices are bit-identical for every rank count.
 
-use crate::grid::LogGrid;
+use crate::grid::{check_width, LogGrid};
 use crate::stencil::explicit_point;
 use crate::PdeError;
 use mdp_cluster::{
@@ -100,6 +100,7 @@ impl ClusterFd1d {
         if m < 3 || n < 1 {
             return Err(PdeError::GridTooSmall { space: m, time: n });
         }
+        check_width(self.width)?;
         let sigma = market.vols()[0];
         let t = product.maturity;
         let grid = LogGrid::new(market.spots()[0], sigma, t, self.width, m);
@@ -415,6 +416,19 @@ mod tests {
         assert!(cfg
             .price(&m2, &rainbow, 2, Machine::ideal(), FaultPlan::new(0), None)
             .is_err());
+        for width in [0.0, -1.0, f64::NAN] {
+            let cfg = ClusterFd1d {
+                width,
+                ..Default::default()
+            };
+            assert!(matches!(
+                cfg.price(&m, &call(), 2, Machine::ideal(), FaultPlan::new(0), None),
+                Err(PdeError::Model(mdp_model::ModelError::InvalidParameter {
+                    what: "width",
+                    ..
+                }))
+            ));
+        }
     }
 
     #[test]

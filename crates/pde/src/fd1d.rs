@@ -10,8 +10,7 @@
 //!   but embarrassingly parallel per step: the classic 2002-era choice
 //!   for distributed PDE sweeps.
 //! * **Crank–Nicolson** (θ=½) — unconditionally stable, second-order,
-//!   one tridiagonal solve per step (Thomas or parallel cyclic
-//!   reduction).
+//!   one tridiagonal solve per step against the plan's Thomas factors.
 //!
 //! Boundary conditions are Dirichlet with discounted intrinsic — exact
 //! for vanilla calls/puts at a 5-standard-deviation boundary to far
@@ -19,8 +18,16 @@
 //!
 //! American exercise: either pointwise **projection** (fast, slightly
 //! biased) or **PSOR** (projected SOR, solves the LCP properly).
+//!
+//! A Crank–Nicolson step (except PSOR Americans) is two sweeps over the
+//! line ([`FactoredTridiag::forward`] / [`FactoredTridiag::backward`]):
+//! the forward sweep builds each right-hand-side row from the previous
+//! level and eliminates it; the backward sweep substitutes, applies the
+//! projection floor and writes the new level. Every row sees the
+//! arithmetic of a build-RHS, solve, project, copy sequence, so prices
+//! are bitwise those of the four-pass step.
 
-use crate::grid::LogGrid;
+use crate::grid::{check_width, LogGrid};
 use crate::stencil::{StencilKernel, TrapezoidSweep};
 use crate::PdeError;
 use mdp_math::linalg::tridiag::{FactoredTridiag, Tridiag};
@@ -127,12 +134,16 @@ pub struct Fd1dPlan {
     cancel: mdp_math::CancelToken,
 }
 
-/// Reusable per-run buffers for [`Fd1dPlan::execute`]: right-hand side,
-/// solution line and the intrinsic surface, sized lazily on first use.
+/// Reusable per-run buffers for [`Fd1dPlan::execute`], sized lazily on
+/// first use.
 #[derive(Debug, Default, Clone)]
 pub struct Fd1dScratch {
+    /// Payoff at every node.
     intrinsic: Vec<f64>,
+    /// Right-hand side of the explicit step-by-step and PSOR steps.
     rhs: Vec<f64>,
+    /// Interior line: the forward sweep's `d'` then the solution (two-
+    /// sweep steps), or the new interior (explicit and PSOR steps).
     sol: Vec<f64>,
     /// Per-level Dirichlet discount table for the trapezoid driver.
     df: Vec<f64>,
@@ -185,6 +196,7 @@ impl Fd1d {
                 value: maturity,
             }));
         }
+        check_width(self.width)?;
         let sigma = market.vols()[0];
         let r = market.rate();
         let mu = market.log_drift(0); // r − q − σ²/2
@@ -409,6 +421,14 @@ impl Fd1dPlan {
         let mut nodes = m as u64;
         let n = self.cfg.time_steps;
 
+        let psor_params = match self.cfg.american {
+            AmericanMethod::Psor {
+                omega,
+                tol,
+                max_iter,
+            } if american => Some((omega, tol, max_iter)),
+            _ => None,
+        };
         if theta == 0.0 && self.cfg.stencil == StencilKernel::Trapezoid {
             // Cache-oblivious trapezoid driver for the explicit scheme:
             // same per-point arithmetic as the step-by-step loop below
@@ -440,88 +460,85 @@ impl Fd1dPlan {
                 values.copy_from_slice(&scratch.pong);
             }
             nodes += (n * m) as u64;
-            return Ok(Fd1dResult {
-                price: values[self.grid.center],
-                values,
-                grid: self.grid.clone(),
-                nodes_processed: nodes,
-            });
-        }
-
-        scratch.rhs.resize(interior, 0.0);
-        scratch.sol.resize(interior, 0.0);
-        let (rhs, sol) = (&mut scratch.rhs, &mut scratch.sol);
-        for step in 1..=self.cfg.time_steps {
-            if self.cancel.is_cancelled() {
-                return Err(PdeError::Cancelled);
+        } else if theta != 0.0 && psor_params.is_none() {
+            // Crank–Nicolson: two sweeps per step.
+            let factored = self
+                .factored
+                .as_ref()
+                .expect("factored at plan time when θ ≠ 0");
+            let sweep = ThetaSweep { theta, dt, a, b, c };
+            let floor = american.then_some(intrinsic.as_slice());
+            scratch.sol.resize(interior, 0.0);
+            for step in 1..=n {
+                if self.cancel.is_cancelled() {
+                    return Err(PdeError::Cancelled);
+                }
+                let tau = step as f64 * dt;
+                let df = (-r * tau).exp();
+                let bounds = (df * intrinsic[0], df * intrinsic[m - 1]);
+                sweep.step(factored, &mut values, &mut scratch.sol, bounds, floor);
+                nodes += m as u64;
             }
-            let tau = step as f64 * dt;
-            // Dirichlet boundaries: discounted intrinsic.
-            let df = (-r * tau).exp();
-            let lo_b = df * intrinsic[0];
-            let hi_b = df * intrinsic[m - 1];
-            // RHS = (I + (1−θ)Δt·L) V^k, with boundary contributions.
-            for i in 0..interior {
-                let vm = values[i];
-                let v0 = values[i + 1];
-                let vp = values[i + 2];
-                rhs[i] = v0 + (1.0 - theta) * dt * (a * vm + b * v0 + c * vp);
-            }
-            rhs[0] += theta * dt * a * lo_b;
-            rhs[interior - 1] += theta * dt * c * hi_b;
+        } else {
+            // Explicit step-by-step, and PSOR Americans.
+            scratch.rhs.resize(interior, 0.0);
+            scratch.sol.resize(interior, 0.0);
+            let (rhs, sol) = (&mut scratch.rhs, &mut scratch.sol);
+            for step in 1..=n {
+                if self.cancel.is_cancelled() {
+                    return Err(PdeError::Cancelled);
+                }
+                let tau = step as f64 * dt;
+                // Dirichlet boundaries: discounted intrinsic.
+                let df = (-r * tau).exp();
+                let lo_b = df * intrinsic[0];
+                let hi_b = df * intrinsic[m - 1];
+                // RHS = (I + (1−θ)Δt·L) V^k, with boundary contributions.
+                for i in 0..interior {
+                    let vm = values[i];
+                    let v0 = values[i + 1];
+                    let vp = values[i + 2];
+                    rhs[i] = v0 + (1.0 - theta) * dt * (a * vm + b * v0 + c * vp);
+                }
+                rhs[0] += theta * dt * a * lo_b;
+                rhs[interior - 1] += theta * dt * c * hi_b;
 
-            if theta == 0.0 {
-                sol.copy_from_slice(rhs);
-            } else if american && matches!(self.cfg.american, AmericanMethod::Psor { .. }) {
-                let AmericanMethod::Psor {
-                    omega,
-                    tol,
-                    max_iter,
-                } = self.cfg.american
-                else {
-                    unreachable!()
+                if theta == 0.0 {
+                    sol.copy_from_slice(rhs);
+                } else {
+                    let (omega, tol, max_iter) =
+                        psor_params.expect("θ ≠ 0 steps here only for PSOR Americans");
+                    // Warm-start PSOR from the previous time level.
+                    sol.copy_from_slice(&values[1..m - 1]);
+                    psor(
+                        &self.lhs,
+                        rhs,
+                        &intrinsic[1..m - 1],
+                        omega,
+                        tol,
+                        max_iter,
+                        sol,
+                    )?;
+                }
+
+                values[0] = if american {
+                    intrinsic[0].max(lo_b)
+                } else {
+                    lo_b
                 };
-                // Warm-start PSOR from the previous time level.
-                sol.copy_from_slice(&values[1..m - 1]);
-                psor(
-                    &self.lhs,
-                    rhs,
-                    &intrinsic[1..m - 1],
-                    omega,
-                    tol,
-                    max_iter,
-                    sol,
-                )?;
-            } else {
-                self.factored
-                    .as_ref()
-                    .expect("factored at plan time when θ ≠ 0")
-                    .solve_into(rhs, sol);
-            }
-
-            if american && matches!(self.cfg.american, AmericanMethod::Projection) {
-                for (v, &intr) in sol.iter_mut().zip(&intrinsic[1..m - 1]) {
-                    *v = v.max(intr);
+                values[m - 1] = if american {
+                    intrinsic[m - 1].max(hi_b)
+                } else {
+                    hi_b
+                };
+                values[1..m - 1].copy_from_slice(sol);
+                if american && theta == 0.0 {
+                    for (v, &intr) in values.iter_mut().zip(intrinsic) {
+                        *v = v.max(intr);
+                    }
                 }
+                nodes += m as u64;
             }
-
-            values[0] = if american {
-                intrinsic[0].max(lo_b)
-            } else {
-                lo_b
-            };
-            values[m - 1] = if american {
-                intrinsic[m - 1].max(hi_b)
-            } else {
-                hi_b
-            };
-            values[1..m - 1].copy_from_slice(sol);
-            if american && theta == 0.0 {
-                for (v, &intr) in values.iter_mut().zip(intrinsic) {
-                    *v = v.max(intr);
-                }
-            }
-            nodes += m as u64;
         }
 
         Ok(Fd1dResult {
@@ -543,8 +560,12 @@ impl Fd1dPlan {
     /// those products go through [`Fd1dPlan::execute`] instead). Every
     /// lane performs exactly the per-element arithmetic of
     /// [`Fd1dPlan::execute`], so each price is **bitwise-identical** to
-    /// its one-shot counterpart; the fused form wins wall-clock by
-    /// vectorising across lanes and amortising the plan.
+    /// its one-shot counterpart.
+    ///
+    /// A one-product ladder runs [`Fd1dPlan::execute`] itself: at one
+    /// lane the panel has nothing to vectorise across and costs more
+    /// than the scalar two-sweep kernel. Two or more lanes take the
+    /// panel.
     pub fn execute_ladder(
         &self,
         products: &[Product],
@@ -570,6 +591,13 @@ impl Fd1dPlan {
                 }));
             }
             scratch.american.push(am);
+        }
+        if let [product] = products {
+            let one = self.execute(product, &mut Fd1dScratch::default())?;
+            return Ok(Fd1dLadderResult {
+                prices: vec![one.price],
+                nodes_processed: one.nodes_processed,
+            });
         }
 
         // Lane-major panels: element (i, lane) lives at i·w + lane, the
@@ -757,6 +785,69 @@ impl Fd1dPlan {
             nodes += (m * w) as u64;
         }
         Ok(nodes)
+    }
+}
+
+/// A θ-scheme line operator `L V_i = a·V_{i−1} + b·V_i + c·V_{i+1}`
+/// stepped by `dt` with implicit weight `theta` ≠ 0.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ThetaSweep {
+    pub(crate) theta: f64,
+    pub(crate) dt: f64,
+    pub(crate) a: f64,
+    pub(crate) b: f64,
+    pub(crate) c: f64,
+}
+
+impl ThetaSweep {
+    /// Advance the whole line `values` one time step in two sweeps
+    /// against `factored`, the Thomas factors of `(I − θΔt·L)` on the
+    /// interior; `dp` is interior-sized working space.
+    ///
+    /// The forward sweep builds each row of
+    /// `(I + (1−θ)Δt·L) V^k` plus the Dirichlet terms of `bounds` (the
+    /// new level's `(low, high)` boundary values) and eliminates it.
+    /// The backward sweep substitutes and writes each node, floored by
+    /// `floor` when given (American projection), and then the two
+    /// boundaries. Bitwise-equal to building the right-hand side,
+    /// solving, projecting and copying in separate passes.
+    pub(crate) fn step(
+        &self,
+        factored: &FactoredTridiag,
+        values: &mut [f64],
+        dp: &mut [f64],
+        (lo_b, hi_b): (f64, f64),
+        floor: Option<&[f64]>,
+    ) {
+        let Self { theta, dt, a, b, c } = *self;
+        let m = values.len();
+        let last = dp.len() - 1;
+        let lo_term = theta * dt * a * lo_b;
+        let hi_term = theta * dt * c * hi_b;
+        factored.forward(dp, |i| {
+            let (vm, v0, vp) = (values[i], values[i + 1], values[i + 2]);
+            let mut d = v0 + (1.0 - theta) * dt * (a * vm + b * v0 + c * vp);
+            // Both terms land on one row when the interior is one point.
+            if i == 0 {
+                d += lo_term;
+            }
+            if i == last {
+                d += hi_term;
+            }
+            d
+        });
+        match floor {
+            Some(floor) => {
+                factored.backward(dp, |i, x| values[i + 1] = x.max(floor[i + 1]));
+                values[0] = floor[0].max(lo_b);
+                values[m - 1] = floor[m - 1].max(hi_b);
+            }
+            None => {
+                factored.backward(dp, |i, x| values[i + 1] = x);
+                values[0] = lo_b;
+                values[m - 1] = hi_b;
+            }
+        }
     }
 }
 
@@ -986,6 +1077,19 @@ mod tests {
         let m2 = GbmMarket::symmetric(2, 100.0, 0.2, 0.0, 0.05, 0.5).unwrap();
         let rainbow = Product::european(Payoff::MaxCall { strike: 100.0 }, 1.0);
         assert!(Fd1d::default().price(&m2, &rainbow).is_err());
+        for width in [0.0, -1.0, f64::NAN] {
+            let cfg = Fd1d {
+                width,
+                ..Default::default()
+            };
+            assert!(matches!(
+                cfg.price(&market(), &call(100.0)),
+                Err(PdeError::Model(mdp_model::ModelError::InvalidParameter {
+                    what: "width",
+                    ..
+                }))
+            ));
+        }
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Log-space spatial grids.
 
+use crate::PdeError;
+
 /// A uniform grid in `x = ln S`, centred on `ln S₀`, spanning
 /// `± width · σ√T` (clamped to a sensible minimum so tiny vols still get
 /// a usable domain).
@@ -11,6 +13,21 @@ pub struct LogGrid {
     pub dx: f64,
     /// Index of the point closest to `ln S₀`.
     pub center: usize,
+}
+
+/// The domain half-width check every plan builder runs before building
+/// its grids: `width` (in standard deviations) must be positive and
+/// finite, or the plan fails with a typed error instead of tripping
+/// [`LogGrid::new`]'s assertion.
+pub(crate) fn check_width(width: f64) -> Result<(), PdeError> {
+    if width.is_finite() && width > 0.0 {
+        Ok(())
+    } else {
+        Err(PdeError::Model(mdp_model::ModelError::InvalidParameter {
+            what: "width",
+            value: width,
+        }))
+    }
 }
 
 impl LogGrid {

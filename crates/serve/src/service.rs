@@ -400,15 +400,18 @@ fn serve_group(inner: &Inner, key: PlanKey, jobs: Vec<Job>, drained: Instant) {
     let market = Arc::clone(&jobs[0].req.market);
     let maturity = jobs[0].req.product.maturity;
 
-    // Plan phase: cache hit (≈ 0 s) or build-and-insert.
+    // Plan phase: cache hit (≈ 0 s) or build-and-insert. The build runs
+    // inside the isolation boundary, like the execute below.
     let t_plan = Instant::now();
     let cached = relock(&inner.cache).get(&key);
     let cache_hit = cached.is_some();
     let plan = match cached {
-        Some(plan) => Ok(plan),
-        None => portfolio.plan_group(&market, maturity).inspect(|plan| {
-            relock(&inner.cache).insert(key, plan.clone());
-        }),
+        Some(plan) => Ok(Ok(plan)),
+        None => catch_unwind(AssertUnwindSafe(|| {
+            portfolio.plan_group(&market, maturity).inspect(|plan| {
+                relock(&inner.cache).insert(key, plan.clone());
+            })
+        })),
     };
     let plan_s = t_plan.elapsed().as_secs_f64();
     let nanos = (plan_s * 1e9) as u64;
@@ -419,8 +422,12 @@ fn serve_group(inner: &Inner, key: PlanKey, jobs: Vec<Job>, drained: Instant) {
     }
 
     let mut plan = match plan {
-        Ok(plan) => plan,
-        Err(e) => {
+        Ok(Ok(plan)) => plan,
+        Err(_) => {
+            isolate_group(inner, mkey, jobs, drained, true);
+            return;
+        }
+        Ok(Err(e)) => {
             // The plan is payoff-independent: a build failure fails
             // every request of the group identically, exactly as
             // per-request plans would have.
@@ -494,20 +501,23 @@ fn serve_group(inner: &Inner, key: PlanKey, jobs: Vec<Job>, drained: Instant) {
                 );
             }
         }
-        Ok(Err(_)) | Err(_) => {
-            // A panic is an engine-health signal; a per-request error
-            // (e.g. one poison payoff in the group) is not.
-            if let Err(payload) = result {
-                inner.counters.add(&inner.counters.panics_caught, 1);
-                inner.breakers.record(mkey, false);
-                drop(payload);
-            }
-            // Isolate the failure: per-request resilient pricing gives
-            // every innocent neighbour its (bitwise-identical) answer.
-            for job in jobs {
-                price_resilient(inner, job, drained, n);
-            }
-        }
+        Ok(Err(_)) => isolate_group(inner, mkey, jobs, drained, false),
+        Err(_) => isolate_group(inner, mkey, jobs, drained, true),
+    }
+}
+
+/// Isolate a failed group: per-request resilient pricing gives every
+/// innocent neighbour its (bitwise-identical) answer. A panic in the
+/// group's plan build or execute is an engine-health signal; a
+/// per-request error (e.g. one poison payoff in the group) is not.
+fn isolate_group(inner: &Inner, mkey: u64, jobs: Vec<Job>, drained: Instant, panicked: bool) {
+    if panicked {
+        inner.counters.add(&inner.counters.panics_caught, 1);
+        inner.breakers.record(mkey, false);
+    }
+    let n = jobs.len();
+    for job in jobs {
+        price_resilient(inner, job, drained, n);
     }
 }
 
@@ -930,6 +940,59 @@ mod tests {
         assert_eq!(stats.completed, 16);
         assert_eq!(stats.shed, 0);
         assert_eq!(stats.degraded + stats.rerouted, 0);
+    }
+
+    #[test]
+    fn bad_width_requests_cost_no_worker() {
+        let cfg = ServeConfig::default();
+        let pricer = Pricer::new(Method::Fd1d(Fd1d::default()));
+        let service = PricingService::start(pricer.clone(), cfg);
+        let widths = [0.0, -1.0, f64::NAN];
+        // More bad requests than workers, so a plan build that killed
+        // its worker would leave later tickets unanswered.
+        let mut tickets: Vec<Ticket> = (0..2 * cfg.workers as u64 + 1)
+            .map(|i| {
+                let bad = Method::Fd1d(Fd1d {
+                    width: widths[i as usize % widths.len()],
+                    ..Fd1d::default()
+                });
+                service.submit(call(i, 100.0).with_method(bad)).unwrap()
+            })
+            .collect();
+        tickets.push(service.submit(call(99, 100.0)).unwrap());
+        let deadline = Instant::now() + Duration::from_secs(60);
+        for t in tickets {
+            let resp = loop {
+                if let Some(resp) = t.try_wait() {
+                    break resp;
+                }
+                assert!(
+                    Instant::now() < deadline,
+                    "ticket {} unanswered: its worker died",
+                    t.id
+                );
+                std::thread::sleep(Duration::from_millis(1));
+            };
+            if resp.id == 99 {
+                let direct = pricer.price(&market(), &call(99, 100.0).product).unwrap();
+                assert_eq!(
+                    resp.outcome.unwrap().price.to_bits(),
+                    direct.price.to_bits()
+                );
+            } else {
+                assert!(
+                    matches!(
+                        resp.outcome,
+                        Err(PriceError::Pde(mdp_pde::PdeError::Model(
+                            mdp_model::ModelError::InvalidParameter { what: "width", .. }
+                        )))
+                    ),
+                    "{:?}",
+                    resp.outcome
+                );
+            }
+        }
+        assert_eq!(service.shutdown().panics_caught, 0);
     }
 
     #[test]
