@@ -1662,7 +1662,7 @@ pub fn t11_serve(effort: Effort) {
 /// Part 2 reads whole-book risk off fused scenario cubes:
 ///
 /// * **FD bump Greeks** — [`RiskCube::greeks`] (one plan, `4d + 2`
-///   scenario rows, spot rows fused into the multi-RHS panel) against
+///   scenario rows, each a patched copy of it) against
 ///   the per-product [`Pricer::greeks`] loop, delta/gamma/vega/rho
 ///   asserted bitwise-equal. (The loop also buys theta — one extra
 ///   pricing in `4d + 4` — which the cube cannot express; its speedup
@@ -1671,10 +1671,6 @@ pub fn t11_serve(effort: Effort) {
 ///   sweep ([`RiskCube::price`]: normals drawn and correlated once,
 ///   per-scenario re-walks) against the plan-per-scenario
 ///   [`RiskCube::price_naive`] oracle, rows asserted bitwise-equal.
-/// * **FD spot panel** — [`RiskCube::price`] on pure spot scenarios vs
-///   the same oracle (reported unguarded: the naive loop already rides
-///   the fused ladder per scenario, so the panel's edge is only the
-///   amortised plan work).
 ///
 /// Timings take the best of `TICK_BENCH_REPS` repetitions per side.
 /// Writes `BENCH_tick.json` so CI can gate the tick and cube speedups
@@ -1891,36 +1887,6 @@ pub fn t12_tick_repricing(effort: Effort) {
         format!("{} fused", mc_cube_res.fused_scenarios),
     ]);
 
-    // Part 2c: FD spot panel vs the naive oracle — reported but not
-    // gated: the oracle already rides the fused ladder per scenario, so
-    // only the plan work is amortised here.
-    let k_fd = effort.scale(8, 16);
-    let spot_scens: Vec<MarketDelta> = (0..k_fd)
-        .map(|k| MarketDelta::Spot {
-            asset: 0,
-            spot: 90.0 + 20.0 * k as f64 / k_fd as f64,
-        })
-        .collect();
-    let (fd_cube_res, fd_panel_s) = best_of(TICK_BENCH_REPS, &|| {
-        fd_cube.price(&m1, &fd_book, &spot_scens).expect("fd cube")
-    });
-    let (fd_naive_res, fd_panel_naive_s) = best_of(TICK_BENCH_REPS, &|| {
-        fd_cube
-            .price_naive(&m1, &fd_book, &spot_scens)
-            .expect("fd naive")
-    });
-    assert_eq!(fd_cube_res.fused_scenarios, k_fd);
-    assert_cube_rows_bitwise(&fd_cube_res, &fd_naive_res, "FD spot cube");
-    let fd_panel_ratio = fd_panel_naive_s / fd_panel_s;
-    t.push(&[
-        "fd spot panel".to_string(),
-        format!("{n_fd} prod × {k_fd} scen"),
-        fmt_sig(fd_panel_naive_s, 3),
-        fmt_sig(fd_panel_s, 3),
-        format!("{fd_panel_ratio:.2}"),
-        format!("{} fused", fd_cube_res.fused_scenarios),
-    ]);
-
     save("t12_tick_repricing", &t);
 
     let json = format!(
@@ -1933,14 +1899,10 @@ pub fn t12_tick_repricing(effort: Effort) {
          \"amortized_speedup\": {greeks_speedup:.3}}},\n    \
          {{\"book\": \"mc_shared_paths\", \"products\": {}, \"scenarios\": {}, \
          \"fused\": {}, \"loop_s\": {mc_naive_s:.6}, \"cube_s\": {mc_cube_s:.6}, \
-         \"amortized_speedup\": {mc_cube_speedup:.3}}}\n  ],\n  \
-         \"spot_panel\": {{\"products\": {n_fd}, \"scenarios\": {k_fd}, \"fused\": {}, \
-         \"naive_s\": {fd_panel_naive_s:.6}, \"panel_s\": {fd_panel_s:.6}, \
-         \"panel_vs_naive\": {fd_panel_ratio:.3}}}\n}}\n",
+         \"amortized_speedup\": {mc_cube_speedup:.3}}}\n  ]\n}}\n",
         mc_book.len(),
         mc_scens.len(),
         mc_cube_res.fused_scenarios,
-        fd_cube_res.fused_scenarios,
     );
     let _ = std::fs::write(crate::out_dir().join("BENCH_tick.json"), json);
 }

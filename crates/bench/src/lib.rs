@@ -3,8 +3,7 @@
 //! Every table (T1–T7) and figure (F1–F6) of the reconstructed
 //! evaluation, plus the ablations (A1–A4), as callable experiments.
 //! The `repro` binary runs them and writes markdown + CSV into
-//! `target/repro/`; the criterion benches reuse the same workload
-//! definitions for wall-clock microbenchmarks.
+//! `target/repro/`.
 //!
 //! See DESIGN.md for the experiment index and EXPERIMENTS.md for the
 //! recorded outcomes.

@@ -1,5 +1,5 @@
-//! Canonical workloads shared by the repro experiments and the criterion
-//! benches, so a bench and a table row always measure the same thing.
+//! Canonical workloads shared by the repro experiments, so every table
+//! row of one kind measures the same thing.
 
 use mdp_core::lattice::cluster::{price_cluster, ClusterLatticeOutcome, Decomposition};
 use mdp_core::mc::cluster_driver::{price_mc_cluster, McClusterOutcome};

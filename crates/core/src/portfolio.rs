@@ -30,8 +30,8 @@
 
 use crate::pricer::{Backend, Method, PriceError, PriceReport, Pricer};
 use mdp_mc::{McEngine, McPlan};
-use mdp_model::{ExerciseStyle, GbmMarket, MarketDelta, Product, TickOutcome};
-use mdp_pde::{AmericanMethod, Fd1dLadderScratch, Fd1dPlan, Fd1dScratch};
+use mdp_model::{GbmMarket, MarketDelta, Product, TickOutcome};
+use mdp_pde::{Fd1dLadderScratch, Fd1dPlan};
 use rayon::prelude::*;
 use std::time::Instant;
 
@@ -199,68 +199,43 @@ impl Portfolio {
         let mut reports: Vec<PriceReport> = Vec::with_capacity(products.len());
         match plan {
             GroupPlan::Fd1d(fd_plan) => {
-                let ladder = match self.pricer.method() {
-                    Method::Fd1d(cfg) => ladder_eligible(cfg, products),
-                    _ => unreachable!("Fd1d plans are built from Fd1d methods"),
-                };
-                if ladder {
-                    let t1 = Instant::now();
-                    let prices: Vec<f64> = if parallel && products.len() > 1 {
-                        // Lanes are independent, so chunked ladders are
-                        // bitwise-equal to one wide ladder.
-                        let n_chunks = products.len().div_ceil(FD_LADDER_CHUNK);
-                        let chunk_prices: Vec<Result<Vec<f64>, mdp_pde::PdeError>> = (0..n_chunks)
-                            .into_par_iter()
-                            .map(|c| {
-                                let lo = c * FD_LADDER_CHUNK;
-                                let hi = (lo + FD_LADDER_CHUNK).min(products.len());
-                                let mut scratch = Fd1dLadderScratch::default();
-                                fd_plan
-                                    .execute_ladder(&products[lo..hi], &mut scratch)
-                                    .map(|r| r.prices)
-                            })
-                            .collect();
-                        let mut all = Vec::with_capacity(products.len());
-                        for r in chunk_prices {
-                            all.extend(r?);
-                        }
-                        all
-                    } else {
-                        let mut scratch = Fd1dLadderScratch::default();
-                        fd_plan.execute_ladder(products, &mut scratch)?.prices
-                    };
-                    let exec_share = t1.elapsed().as_secs_f64() / products.len() as f64;
-                    fused += products.len();
-                    for price in prices {
-                        reports.push(PriceReport {
-                            price,
-                            std_error: None,
-                            time: None,
-                            plan_seconds: plan_s,
-                            execute_seconds: exec_share,
-                            wall_seconds: plan_s + exec_share,
-                            engine,
-                        });
+                let t1 = Instant::now();
+                let prices: Vec<f64> = if parallel && products.len() > 1 {
+                    // Lanes are independent, so chunked ladders are
+                    // bitwise-equal to one wide ladder.
+                    let n_chunks = products.len().div_ceil(FD_LADDER_CHUNK);
+                    let chunk_prices: Vec<Result<Vec<f64>, mdp_pde::PdeError>> = (0..n_chunks)
+                        .into_par_iter()
+                        .map(|c| {
+                            let lo = c * FD_LADDER_CHUNK;
+                            let hi = (lo + FD_LADDER_CHUNK).min(products.len());
+                            let mut scratch = Fd1dLadderScratch::default();
+                            fd_plan
+                                .execute_ladder(&products[lo..hi], &mut scratch)
+                                .map(|r| r.prices)
+                        })
+                        .collect();
+                    let mut all = Vec::with_capacity(products.len());
+                    for r in chunk_prices {
+                        all.extend(r?);
                     }
+                    all
                 } else {
-                    // PSOR iteration counts are payoff-dependent, so
-                    // lanes would interact: per-product solves over the
-                    // shared plan (identical to the one-shot path).
-                    let mut scratch = Fd1dScratch::default();
-                    for p in products {
-                        let t1 = Instant::now();
-                        let price = fd_plan.execute(p, &mut scratch)?.price;
-                        let exec_s = t1.elapsed().as_secs_f64();
-                        reports.push(PriceReport {
-                            price,
-                            std_error: None,
-                            time: None,
-                            plan_seconds: plan_s,
-                            execute_seconds: exec_s,
-                            wall_seconds: plan_s + exec_s,
-                            engine,
-                        });
-                    }
+                    let mut scratch = Fd1dLadderScratch::default();
+                    fd_plan.execute_ladder(products, &mut scratch)?.prices
+                };
+                let exec_share = t1.elapsed().as_secs_f64() / products.len() as f64;
+                fused += products.len();
+                for price in prices {
+                    reports.push(PriceReport {
+                        price,
+                        std_error: None,
+                        time: None,
+                        plan_seconds: plan_s,
+                        execute_seconds: exec_share,
+                        wall_seconds: plan_s + exec_share,
+                        engine,
+                    });
                 }
             }
             GroupPlan::Mc(mc_plan) => {
@@ -376,17 +351,6 @@ impl Portfolio {
             fused,
         })
     }
-}
-
-/// The ladder kernel covers every product of the group unless the
-/// config demands PSOR for an American product (PSOR iteration counts
-/// are payoff-dependent, so lanes would interact).
-pub(crate) fn ladder_eligible(cfg: &mdp_pde::Fd1d, products: &[Product]) -> bool {
-    let psor = matches!(cfg.american, AmericanMethod::Psor { .. });
-    !psor
-        || products
-            .iter()
-            .all(|p| p.exercise == ExerciseStyle::European)
 }
 
 #[cfg(test)]

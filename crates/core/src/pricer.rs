@@ -161,19 +161,6 @@ impl Method {
                     Scheme::Explicit => 0,
                     Scheme::CrankNicolson => 1,
                 });
-                match cfg.american {
-                    mdp_pde::AmericanMethod::Projection => eat(0),
-                    mdp_pde::AmericanMethod::Psor {
-                        omega,
-                        tol,
-                        max_iter,
-                    } => {
-                        eat(1);
-                        eat(omega.to_bits());
-                        eat(tol.to_bits());
-                        eat(max_iter as u64);
-                    }
-                }
                 eat(match cfg.stencil {
                     StencilKernel::Trapezoid => 0,
                     StencilKernel::StepByStep => 1,
@@ -214,7 +201,7 @@ impl Method {
     /// | family | cut | error bound |
     /// |---|---|---|
     /// | MC / QMC / LSMC | paths ÷ 4 | std. error ×2 (O(N^-1/2)) |
-    /// | FD / ADI | grid and steps ≈ halved | O(Δx²)+O(Δt) error ×≈4 |
+    /// | FD / ADI | grid and steps ≈ halved | O(Δx² + Δt²) error ×≈4 |
     /// | lattices | steps ÷ 2 | O(Δt) error ×2 |
     /// | analytic | — | exact; nothing cheaper exists |
     ///
@@ -532,7 +519,7 @@ impl Pricer {
     /// |---|---|---|---|
     /// | any | any | closed form exists | `Analytic` |
     /// | any | any | path-dependent | `MonteCarlo` (200k paths, 50 steps) |
-    /// | 1 | any | terminal | `Fd1d` (Crank–Nicolson) |
+    /// | 1 | any | terminal | `Fd1d::default()` (Crank–Nicolson 241 × 120 with Richardson over its 121 × 60 half grid) |
     /// | 2 | any | terminal | `MultiLattice` (100 steps) |
     /// | 3 | any | terminal | `Adi3d` (41³ grid, 40 steps) |
     /// | ≥4 | European | terminal | `MonteCarlo` (200k paths) |

@@ -5,22 +5,18 @@
 //! base market — and reads bump-and-reprice Greeks straight off the
 //! cube. The point is *where the work goes*:
 //!
-//! * **1-D finite differences** — spot scenarios become extra lanes of
-//!   one [`mdp_pde::Fd1dPlan::execute_spot_cube`] panel sweep: the
-//!   θ-scheme operator is factored **once** and all `K+1` right-hand
-//!   sides (base book + every scenario) ride the same multi-RHS
-//!   transposed Thomas solves.
 //! * **Monte Carlo** — spot/vol/rate scenarios share **one path sweep**
 //!   ([`mdp_mc::McPlan::execute_cube`]): each panel's normals are drawn
 //!   and correlated once, every scenario re-walks it with its own
 //!   drift/diffusion scalars and evaluates every payoff on it.
-//! * **Everything else** (and the scenario kinds a fused kernel cannot
-//!   take, e.g. correlation scenarios under MC) — the base
+//! * **Everything else** (finite differences included, and the scenario
+//!   kinds a fused kernel cannot take, e.g. correlation scenarios under
+//!   MC) — the base
 //!   [`GroupPlan`] is cloned and **patched** per scenario via
 //!   [`GroupPlan::apply_tick`], so each scenario still pays only for the
 //!   plan components its ticked field invalidates.
 //!
-//! All three routes are **bitwise-identical** to [`RiskCube::price_naive`]
+//! Both routes are **bitwise-identical** to [`RiskCube::price_naive`]
 //! — a fresh plan per scenario market — which is the oracle the test
 //! suite pins them against. Greeks read off the cube reuse the exact
 //! bump arithmetic of [`crate::Pricer::greeks`], so for deterministic
@@ -28,16 +24,9 @@
 //! bump-and-reprice loop bit for bit at a fraction of the setup cost.
 
 use crate::greeks::BumpConfig;
-use crate::portfolio::{ladder_eligible, GroupPlan, Portfolio};
-use crate::pricer::{Backend, Method, PriceError, Pricer};
+use crate::portfolio::{GroupPlan, Portfolio};
+use crate::pricer::{Backend, PriceError, Pricer};
 use mdp_model::{GbmMarket, MarketDelta, Product};
-use mdp_pde::Fd1dLadderScratch;
-
-/// Cap on `scenarios × products` lanes swept per FD cube panel. Lanes
-/// are independent, so chunking a wide cube into panels of this many
-/// lanes is bitwise-identical to one huge panel — but keeps the panel's
-/// working set (three `lanes × space_points` matrices) cache-resident.
-const FD_CUBE_PANEL_LANES: usize = 32;
 
 /// A priced scenario cube: the base book plus one price row per
 /// scenario.
@@ -47,9 +36,8 @@ pub struct CubeResult {
     pub base: Vec<f64>,
     /// `scenarios[k][p]` — product `p` repriced under scenario `k`.
     pub scenarios: Vec<Vec<f64>>,
-    /// How many scenarios were priced through a fused cube kernel
-    /// (multi-RHS FD panel or shared-path MC sweep) rather than a
-    /// per-scenario patched plan.
+    /// How many scenarios were priced through a fused cube kernel (the
+    /// shared-path MC sweep) rather than a per-scenario patched plan.
     pub fused_scenarios: usize,
 }
 
@@ -102,25 +90,13 @@ impl RiskCube {
     }
 
     /// Whether `delta` can ride this plan's fused cube kernel.
-    fn scenario_fusable(
-        &self,
-        plan: &GroupPlan,
-        products: &[Product],
-        delta: &MarketDelta,
-    ) -> bool {
+    fn scenario_fusable(plan: &GroupPlan, products: &[Product], delta: &MarketDelta) -> bool {
         match plan {
-            GroupPlan::Fd1d(_) => {
-                matches!(delta, MarketDelta::Spot { asset: 0, .. })
-                    && match self.portfolio.pricer().method() {
-                        Method::Fd1d(cfg) => ladder_eligible(cfg, products),
-                        _ => false,
-                    }
-            }
             GroupPlan::Mc(mc) => {
                 !matches!(delta, MarketDelta::Correlation { .. })
                     && products.iter().all(|p| mc.check_fusable(p).is_ok())
             }
-            GroupPlan::Generic(_) => false,
+            GroupPlan::Fd1d(_) | GroupPlan::Generic(_) => false,
         }
     }
 
@@ -144,47 +120,20 @@ impl RiskCube {
         let parallel = matches!(self.portfolio.pricer().backend_ref(), Backend::Rayon);
 
         let fused_idx: Vec<usize> = (0..scenarios.len())
-            .filter(|&k| self.scenario_fusable(&plan, products, &scenarios[k]))
+            .filter(|&k| Self::scenario_fusable(&plan, products, &scenarios[k]))
             .collect();
         let mut rows: Vec<Option<Vec<f64>>> = vec![None; scenarios.len()];
 
-        if !fused_idx.is_empty() {
-            match &plan {
-                GroupPlan::Fd1d(fd) => {
-                    let spots: Vec<f64> = fused_idx
-                        .iter()
-                        .map(|&k| match &scenarios[k] {
-                            MarketDelta::Spot { spot, .. } => *spot,
-                            _ => unreachable!("FD fuses spot scenarios only"),
-                        })
-                        .collect();
-                    let np = products.len();
-                    // Sweep the scenarios in panels of at most
-                    // [`FD_CUBE_PANEL_LANES`] lanes: the lanes are
-                    // independent, so chunking is bitwise-identical to
-                    // one wide panel, while a full K·P-lane panel
-                    // spills L2 and prices slower than the naive loop.
-                    let per_chunk = (FD_CUBE_PANEL_LANES / np).max(1);
-                    let mut scratch = Fd1dLadderScratch::default();
-                    for (c, chunk) in spots.chunks(per_chunk).enumerate() {
-                        let r = fd.execute_spot_cube(products, chunk, &mut scratch)?;
-                        let base = c * per_chunk;
-                        for (slot, &k) in fused_idx[base..base + chunk.len()].iter().enumerate() {
-                            rows[k] = Some(r.prices[slot * np..(slot + 1) * np].to_vec());
-                        }
-                    }
+        if let GroupPlan::Mc(mc) = &plan {
+            if !fused_idx.is_empty() {
+                let markets: Vec<GbmMarket> = fused_idx
+                    .iter()
+                    .map(|&k| Ok(market.apply_delta(&scenarios[k])?))
+                    .collect::<Result<_, PriceError>>()?;
+                let cube = mc.execute_cube(products, &markets, parallel)?;
+                for (row, &k) in cube.iter().zip(&fused_idx) {
+                    rows[k] = Some(row.iter().map(|r| r.price).collect());
                 }
-                GroupPlan::Mc(mc) => {
-                    let markets: Vec<GbmMarket> = fused_idx
-                        .iter()
-                        .map(|&k| Ok(market.apply_delta(&scenarios[k])?))
-                        .collect::<Result<_, PriceError>>()?;
-                    let cube = mc.execute_cube(products, &markets, parallel)?;
-                    for (row, &k) in cube.iter().zip(&fused_idx) {
-                        rows[k] = Some(row.iter().map(|r| r.price).collect());
-                    }
-                }
-                GroupPlan::Generic(_) => unreachable!("generic plans never fuse"),
             }
         }
 
@@ -372,7 +321,6 @@ mod tests {
             },
         ];
         let fast = cube.price(&market, &products, &scenarios).unwrap();
-        assert_eq!(fast.fused_scenarios, 2, "both spot scenarios fuse");
         let naive = cube.price_naive(&market, &products, &scenarios).unwrap();
         assert_cubes_bitwise(&fast, &naive);
     }

@@ -199,7 +199,7 @@ impl FactoredTridiag {
     pub fn solve_into(&self, d: &[f64], x: &mut [f64]) {
         assert_eq!(d.len(), self.n());
         self.forward(x, |i| d[i]);
-        self.backward(x, |_, _| {});
+        self.backward(x, |_, xi| xi);
     }
 
     /// The forward-elimination half of a solve:
@@ -229,27 +229,30 @@ impl FactoredTridiag {
     /// The back-substitution half of a solve: `x` holds the `d'` of
     /// [`Self::forward`] on entry and the solution on exit
     /// (`x_{n−1} = d'_{n−1}`, `x_i = d'_i − c'_i·x_{i+1}`). Each solved
-    /// `x_i` is also handed to `emit(i, x_i)`, bottom row first, so a
-    /// stepper can post-process and store it inside this pass.
+    /// `x_i` is handed to `emit(i, x_i)`, bottom row first, and the value
+    /// `emit` returns is what is stored and carried into row `i − 1`. A
+    /// plain solve returns `x_i`; a Brennan–Schwartz stepper returns it
+    /// floored at the exercise value, so every row above reads the
+    /// floored row below.
     ///
     /// # Panics
     /// Panics when `x` disagrees with the system size.
-    pub fn backward(&self, x: &mut [f64], mut emit: impl FnMut(usize, f64)) {
+    pub fn backward(&self, x: &mut [f64], mut emit: impl FnMut(usize, f64) -> f64) {
         let n = self.n();
         assert_eq!(x.len(), n);
         let Some((last, rest)) = x.split_last_mut() else {
             return;
         };
-        let mut next = *last;
-        emit(n - 1, next);
+        let mut next = emit(n - 1, *last);
+        *last = next;
         for (i, (x, &cp)) in rest.iter_mut().zip(&self.cp[..n - 1]).enumerate().rev() {
-            next = *x - cp * next;
+            next = emit(i, *x - cp * next);
             *x = next;
-            emit(i, next);
         }
     }
 
-    /// Solve a whole panel of right-hand sides in one pass.
+    /// Solve a whole panel of right-hand sides in one pass:
+    /// [`Self::forward_panel`] then [`Self::backward_panel`].
     ///
     /// `panel` holds `w = panel.len() / n` independent systems in
     /// *transposed* (line-interleaved) layout: row `i` of the panel is
@@ -263,32 +266,70 @@ impl FactoredTridiag {
     /// # Panics
     /// Panics when `panel.len()` is not a multiple of the system size.
     pub fn solve_panel_transposed(&self, panel: &mut [f64]) {
+        self.forward_panel(panel, |_, _| {});
+        self.backward_panel(panel, |_, _| {});
+    }
+
+    /// Lane count of a transposed panel over this system.
+    fn panel_width(&self, panel: &[f64]) -> usize {
         let n = self.n();
         if n == 0 {
             assert!(panel.is_empty(), "panel rows must match system size");
-            return;
+            return 0;
         }
         assert_eq!(panel.len() % n, 0, "panel rows must match system size");
-        let w = panel.len() / n;
-        // Forward sweep: panel row i becomes d'_i for every lane.
-        for lane in &mut panel[..w] {
+        panel.len() / n
+    }
+
+    /// The forward-elimination half of a panel solve, per lane exactly
+    /// [`Self::forward`]: row `i` is first handed to `row(i, lanes)`,
+    /// which may write its right-hand sides in place (a stepper builds
+    /// them inside this pass), and is then eliminated against row `i − 1`.
+    ///
+    /// # Panics
+    /// Panics when `panel.len()` is not a multiple of the system size.
+    pub fn forward_panel(&self, panel: &mut [f64], mut row: impl FnMut(usize, &mut [f64])) {
+        let w = self.panel_width(panel);
+        if w == 0 {
+            return;
+        }
+        let first = &mut panel[..w];
+        row(0, first);
+        for lane in first {
             *lane /= self.piv[0];
         }
-        for i in 1..n {
-            let (prev, cur) = panel[(i - 1) * w..].split_at_mut(w);
+        for i in 1..self.n() {
+            let (prev, cur) = panel[(i - 1) * w..(i + 1) * w].split_at_mut(w);
+            row(i, cur);
             let ai = self.a[i];
             let pivi = self.piv[i];
-            for (x, &xm) in cur[..w].iter_mut().zip(prev.iter()) {
+            for (x, &xm) in cur.iter_mut().zip(prev.iter()) {
                 *x = (*x - ai * xm) / pivi;
             }
         }
-        // Back substitution, row by row upwards.
+    }
+
+    /// The back-substitution half of a panel solve, per lane exactly
+    /// [`Self::backward`]: each solved row is handed to `emit(i, lanes)`,
+    /// bottom row first, and row `i − 1` substitutes whatever `emit`
+    /// left in it (a Brennan–Schwartz stepper floors it in place).
+    ///
+    /// # Panics
+    /// Panics when `panel.len()` is not a multiple of the system size.
+    pub fn backward_panel(&self, panel: &mut [f64], mut emit: impl FnMut(usize, &mut [f64])) {
+        let w = self.panel_width(panel);
+        if w == 0 {
+            return;
+        }
+        let n = self.n();
+        emit(n - 1, &mut panel[(n - 1) * w..]);
         for i in (0..n - 1).rev() {
-            let (cur, next) = panel[i * w..].split_at_mut(w);
+            let (cur, next) = panel[i * w..(i + 2) * w].split_at_mut(w);
             let cpi = self.cp[i];
-            for (x, &xp) in cur.iter_mut().zip(next[..w].iter()) {
+            for (x, &xp) in cur.iter_mut().zip(next.iter()) {
                 *x -= cpi * xp;
             }
+            emit(i, cur);
         }
     }
 }
@@ -417,13 +458,50 @@ mod tests {
         });
         assert_eq!(read, (0..n).collect::<Vec<_>>());
         let mut emitted = Vec::new();
-        fac.backward(&mut x, |i, xi| emitted.push((i, xi)));
+        fac.backward(&mut x, |i, xi| {
+            emitted.push((i, xi));
+            xi
+        });
         assert_eq!(emitted.len(), n);
         for (k, &(i, xi)) in emitted.iter().enumerate() {
             assert_eq!(i, n - 1 - k);
             assert_eq!(xi.to_bits(), want[i].to_bits());
             assert_eq!(x[i].to_bits(), want[i].to_bits());
         }
+    }
+
+    #[test]
+    fn backward_carries_the_emitted_value_into_the_next_row() {
+        // A floored substitution (Brennan–Schwartz): each row must read
+        // the floored row below it, in the scalar and the panel halves.
+        let n = 9;
+        let t = laplacian(n);
+        let fac = t.factor().unwrap();
+        let d: Vec<f64> = (0..n).map(|i| (i as f64 * 0.9).sin()).collect();
+        let floor = 0.05;
+        let mut want = vec![0.0; n];
+        fac.forward(&mut want, |i| d[i]);
+        let dp = want.clone();
+        let plain = t.solve_thomas(&d).unwrap();
+        let mut next = dp[n - 1].max(floor);
+        want[n - 1] = next;
+        for i in (0..n - 1).rev() {
+            // c'_i recovered from an unfloored solve: x_i = d'_i − c'_i·x_{i+1}.
+            let cp = (dp[i] - plain[i]) / plain[i + 1];
+            next = (dp[i] - cp * next).max(floor);
+            want[i] = next;
+        }
+        let mut x = vec![0.0; n];
+        fac.forward(&mut x, |i| d[i]);
+        fac.backward(&mut x, |_, xi| xi.max(floor));
+        let mut panel = d.clone();
+        fac.forward_panel(&mut panel, |_, _| {});
+        fac.backward_panel(&mut panel, |_, row| row[0] = row[0].max(floor));
+        for i in 0..n {
+            assert!((x[i] - want[i]).abs() < 1e-12, "row {i}");
+            assert_eq!(x[i].to_bits(), panel[i].to_bits(), "row {i}");
+        }
+        assert!(x.contains(&floor) && x.iter().any(|&v| v > floor));
     }
 
     #[test]

@@ -1,15 +1,27 @@
 //! One-dimensional barrier-option pricer: Crank–Nicolson on a domain
 //! truncated at the barrier with an absorbing (zero Dirichlet) boundary —
-//! the natural PDE treatment of a continuously monitored knock-out. Each
-//! step is the two-sweep θ-step of [`crate::fd1d`].
+//! the natural PDE treatment of a continuously monitored knock-out.
+//!
+//! Each grid is stepped exactly like a European line of [`crate::fd1d`]
+//! (see its module docs): interior nodes start from the payoff averaged
+//! over their cells, the down-and-out put steps on the mirrored line, and
+//! the price is the Richardson extrapolation `V_h + (V_h − V_2h)/3` of the
+//! fine grid and a half grid (`(m − 1)/2 + 1` points over the same domain,
+//! `n/2` steps). The spot need not be a node, so each grid reads its value
+//! by linear interpolation before the two are combined. With the barrier
+//! pushed to the far edge of an 8σ vanilla domain the engine reproduces
+//! [`crate::Fd1d`] to machine precision once every grid has 41 points or
+//! more; on coarser grids the absorbing boundary's discrete influence
+//! reaches the spot.
 //!
 //! This engine and the Reiner–Rubinstein closed form in
 //! `mdp_model::analytic` are implemented independently; the test suite
 //! checks them against each other, which validates both.
 
-use crate::fd1d::ThetaSweep;
+use crate::fd1d::{half_grid, richardson, Fd1dScratch, Level, Payoff1d};
+use crate::grid::LogGrid;
 use crate::PdeError;
-use mdp_math::linalg::theta_system;
+use mdp_math::CancelToken;
 use mdp_model::{ExerciseStyle, GbmMarket, Payoff, Product};
 
 /// Configuration of the 1-D barrier finite-difference engine.
@@ -71,13 +83,14 @@ impl Fd1dBarrier {
         };
         let m = self.space_points;
         let n = self.time_steps;
-        if m < 3 || n < 1 {
+        // The half grid needs three points and one step.
+        if m < 5 || n < 2 {
             return Err(PdeError::GridTooSmall { space: m, time: n });
         }
+        let (hm, hn) = half_grid(m, n);
         let s0 = market.spots()[0];
         let sigma = market.vols()[0];
         let r = market.rate();
-        let mu = market.log_drift(0);
         let t = product.maturity;
         let x0 = s0.ln();
         let xb = barrier.ln();
@@ -91,68 +104,43 @@ impl Fd1dBarrier {
         // Domain: [x_far, x_barrier] for up-and-out, mirrored otherwise.
         let half = (self.width * sigma * t.sqrt()).max(0.5);
         let (x_lo, x_hi) = if up { (x0 - half, xb) } else { (xb, x0 + half) };
-        let dx = (x_hi - x_lo) / (m - 1) as f64;
-        let xs: Vec<f64> = (0..m).map(|i| x_lo + i as f64 * dx).collect();
-        let dt = t / n as f64;
-
-        let diff = 0.5 * sigma * sigma / (dx * dx);
-        let conv = 0.5 * mu / dx;
-        let a = diff - conv;
-        let bb = -2.0 * diff - r;
-        let c = diff + conv;
-        let sweep = ThetaSweep {
-            theta: 0.5,
-            dt,
-            a,
-            b: bb,
-            c,
-        };
-
-        // Terminal payoff on the surviving domain.
-        let payoff_at = |x: f64| {
-            let s = x.exp();
-            if up {
-                (s - strike).max(0.0)
-            } else {
-                (strike - s).max(0.0)
-            }
-        };
-        let mut values: Vec<f64> = xs.iter().map(|&x| payoff_at(x)).collect();
-        // Absorbing barrier: zero on the barrier-side boundary from the start.
-        if up {
-            values[m - 1] = 0.0;
+        // The vanilla payoff the knock-out pays if it survives.
+        let weights = vec![1.0];
+        let vanilla = if up {
+            Payoff::BasketCall { weights, strike }
         } else {
-            values[0] = 0.0;
-        }
-        let mut nodes = m as u64;
-        // Reused across every time step (no per-step allocation), with
-        // the constant CN system factored once for all steps.
-        let mut dp = vec![0.0; m - 2];
-        let factored = theta_system(sweep.theta, dt, a, bb, c, m - 2)
-            .factor()
-            .map_err(|_| PdeError::GridTooSmall { space: m, time: n })?;
-        for step in 1..=n {
-            let tau = step as f64 * dt;
-            let df = (-r * tau).exp();
-            // Far boundary: discounted intrinsic (deep OTM for these
-            // payoffs ⇒ ≈ 0 for the call's low side, intrinsic for the
-            // put's high side — both handled by the same formula).
-            let bounds = if up {
-                (df * payoff_at(xs[0]), 0.0)
-            } else {
-                (0.0, df * payoff_at(xs[m - 1]))
-            };
-            sweep.step(&factored, &mut values, &mut dp, bounds, None);
-            nodes += m as u64;
-        }
+            Payoff::BasketPut { weights, strike }
+        };
+        let shape = Payoff1d::of(&vanilla)?;
 
-        // Read out at x0 by linear interpolation (x0 need not be a node).
-        let pos = (x0 - x_lo) / dx;
-        let i = (pos.floor() as usize).min(m - 2);
-        let w = pos - i as f64;
-        let price = values[i] * (1.0 - w) + values[i + 1] * w;
+        let mut scratch = Fd1dScratch::default();
+        let mut nodes = 0;
+        let mut at_spot = [0.0; 2];
+        for ((points, steps), v) in [(hm, hn), (m, n)].into_iter().zip(&mut at_spot) {
+            let dx = (x_hi - x_lo) / (points - 1) as f64;
+            let x: Vec<f64> = (0..points).map(|i| x_lo + i as f64 * dx).collect();
+            // x0 need not be a node: read out by linear interpolation.
+            let pos = (x0 - x_lo) / dx;
+            let i = (pos.floor() as usize).min(points - 2);
+            let w = pos - i as f64;
+            let center = (pos.round() as usize).min(points - 1);
+            let grid = LogGrid { x, dx, center };
+            let level = Level::new(grid, steps, t, market, 0.5)?;
+            // Terminal payoff on the surviving domain. The far boundary
+            // is discounted intrinsic (deep OTM for the call's low side,
+            // intrinsic for the put's high side); the barrier side is
+            // absorbing, zero from the start.
+            let point = &mut scratch.intrinsic;
+            point.clear();
+            point.extend(level.spots.iter().map(|&s| vanilla.eval(&[s])));
+            point[if up { points - 1 } else { 0 }] = 0.0;
+            level.solve(shape, false, r, &CancelToken::never(), &mut scratch)?;
+            *v = scratch.values[i] * (1.0 - w) + scratch.values[i + 1] * w;
+            nodes += level.nodes();
+        }
+        let [coarse, fine] = at_spot;
         Ok(BarrierResult {
-            price,
+            price: richardson(fine, coarse).0,
             nodes_processed: nodes,
         })
     }

@@ -6,15 +6,14 @@ use std::fmt;
 /// Failures of the finite-difference engines.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PdeError {
-    /// Grid must have at least 3 spatial points and 1 time step.
+    /// The grid is too small: the explicit scheme needs 3 spatial points
+    /// and 1 time step, Crank–Nicolson (for its half grid) 5 and 2.
     GridTooSmall { space: usize, time: usize },
     /// The explicit scheme's CFL-type stability bound was violated.
     Unstable {
         /// The offending ratio `σ²Δt/Δx²`.
         ratio: f64,
     },
-    /// PSOR failed to converge.
-    NoConvergence { iterations: usize },
     /// Model-layer validation failed.
     Model(ModelError),
     /// The run's cooperative cancel token tripped (deadline expired or
@@ -32,9 +31,6 @@ impl fmt::Display for PdeError {
                 f,
                 "explicit scheme unstable: σ²Δt/Δx² = {ratio:.3} > 0.5; refine time or coarsen space"
             ),
-            PdeError::NoConvergence { iterations } => {
-                write!(f, "PSOR did not converge in {iterations} iterations")
-            }
             PdeError::Model(e) => write!(f, "{e}"),
             PdeError::Cancelled => write!(f, "finite-difference sweep cancelled before completion"),
         }

@@ -6,9 +6,10 @@
 //! comparison (experiment T5) against lattices and Monte Carlo.
 //!
 //! * [`grid`] — log-space spatial grids.
-//! * [`fd1d`] — one-dimensional θ-schemes: explicit Euler,
-//!   Crank–Nicolson via the Thomas solver, American exercise via
-//!   projection or PSOR.
+//! * [`fd1d`] — one-dimensional θ-schemes: explicit Euler, and
+//!   Crank–Nicolson via the Thomas solver with cell-averaged payoffs,
+//!   Brennan–Schwartz early exercise and Richardson extrapolation over
+//!   a half grid.
 //! * [`stencil`] — the cache-oblivious trapezoidal decomposition that
 //!   drives the explicit sweep (bitwise-equal to the retained
 //!   step-by-step oracle).
@@ -35,7 +36,7 @@ pub use barrier::{BarrierResult, Fd1dBarrier};
 pub use cluster::{ClusterFd1d, ClusterFdOutcome};
 pub use error::PdeError;
 pub use fd1d::{
-    AmericanMethod, Fd1d, Fd1dLadderResult, Fd1dLadderScratch, Fd1dPlan, Fd1dResult, Fd1dScratch,
+    cell_average, Fd1d, Fd1dLadderResult, Fd1dLadderScratch, Fd1dPlan, Fd1dResult, Fd1dScratch,
     Scheme,
 };
 pub use grid::LogGrid;

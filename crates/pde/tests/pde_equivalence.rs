@@ -127,7 +127,9 @@ proptest! {
     /// the absorbing condition on a boundary whose influence on the
     /// centre decays like the 8σ Gaussian tail, i.e. below double
     /// precision. The two independently written engines must agree to
-    /// machine precision.
+    /// machine precision. Every grid either engine runs has at least 41
+    /// points (81 points bring a 41-point half grid): across the 8σ on
+    /// a coarser grid the discrete tail is no longer that thin.
     #[test]
     fn far_barrier_recovers_vanilla_to_machine_precision(
         msel in 0usize..3,
@@ -137,7 +139,7 @@ proptest! {
         strike in 80.0f64..120.0,
         up in 0usize..2,
     ) {
-        let m = [41usize, 101, 161][msel];
+        let m = [81usize, 101, 161][msel];
         let width = 8.0;
         let market = GbmMarket::single(100.0, vol, 0.0, rate).unwrap();
         // Same half-width formula as LogGrid, so the barrier lands on

@@ -211,17 +211,15 @@ fn put_row(maturity: f64, strikes: &[f64]) -> Vec<(String, Product)> {
 fn fd_quote_problem_bits() {
     let mut actual = Vec::new();
     // quote-ladder's maturities at three of its strikes, on its default
-    // Crank–Nicolson grid (401 × 400, projection for Americans).
+    // Crank–Nicolson pair (241 × 120 and its 121 × 60 half grid).
     for t in [0.1, 0.25, 0.5, 1.0, 2.0] {
         let row = put_row(t, &[70.0, 100.0, 130.0]);
         actual.extend(observe_fd_row(&format!("t{t}"), Fd1d::default(), &row));
     }
-    // One and two interior rows: both Dirichlet terms land on one row,
-    // or on neighbouring rows. Strike 370.5 is in the money at both
-    // boundaries, so neither term is zero, and its one-row price sits
-    // just below 256, where the order of the two additions shows in the
-    // last bit.
-    for m in [3, 4] {
+    // Half grids of one and two interior rows: both Dirichlet terms
+    // land on one row, or on neighbouring rows. Strike 370.5 is in the
+    // money at both boundaries, so neither term is zero.
+    for m in [5, 7] {
         let cfg = Fd1d {
             space_points: m,
             time_steps: 7,
@@ -233,19 +231,6 @@ fn fd_quote_problem_bits() {
             &put_row(1.0, &[100.0, 370.5]),
         ));
     }
-    // PSOR Americans go through the per-product loop only.
-    let psor = Pricer::new(Method::Fd1d(Fd1d {
-        space_points: 101,
-        time_steps: 50,
-        american: mdp_core::pde::AmericanMethod::Psor {
-            omega: 1.5,
-            tol: 1e-9,
-            max_iter: 10_000,
-        },
-        ..Fd1d::default()
-    }));
-    let r = psor.price(&quote_market(), &put(110.0, 1.0, true)).unwrap();
-    actual.push(("psor.am110".into(), r.price.to_bits()));
     // The knock-out engine's Crank–Nicolson loop.
     for (name, payoff) in [
         (
@@ -271,123 +256,122 @@ fn fd_quote_problem_bits() {
     check(
         &actual,
         &[
-            ("t0.1.eu70.scalar", 0x3e35a4260be6cea2),
-            ("t0.1.eu70.lane", 0x3e35a4260be6cea2),
-            ("t0.1.eu70.panel", 0x3e35a4260be6cea2),
-            ("t0.1.am70.scalar", 0x3e35b1fb976b78ed),
-            ("t0.1.am70.lane", 0x3e35b1fb976b78ed),
-            ("t0.1.am70.panel", 0x3e35b1fb976b78ed),
-            ("t0.1.eu100.scalar", 0x400231ffae7f246d),
-            ("t0.1.eu100.lane", 0x400231ffae7f246d),
-            ("t0.1.eu100.panel", 0x400231ffae7f246d),
-            ("t0.1.am100.scalar", 0x40027ec2f338f737),
-            ("t0.1.am100.lane", 0x40027ec2f338f737),
-            ("t0.1.am100.panel", 0x40027ec2f338f737),
-            ("t0.1.eu130.scalar", 0x403d5a066952c4a2),
-            ("t0.1.eu130.lane", 0x403d5a066952c4a2),
-            ("t0.1.eu130.panel", 0x403d5a066952c4a2),
+            ("t0.1.eu70.scalar", 0x3e32e119797bc805),
+            ("t0.1.eu70.lane", 0x3e32e119797bc805),
+            ("t0.1.eu70.panel", 0x3e32e119797bc805),
+            ("t0.1.am70.scalar", 0x3e32ed5916e113d8),
+            ("t0.1.am70.lane", 0x3e32ed5916e113d8),
+            ("t0.1.am70.panel", 0x3e32ed5916e113d8),
+            ("t0.1.eu100.scalar", 0x40023300a37539fc),
+            ("t0.1.eu100.lane", 0x40023300a37539fc),
+            ("t0.1.eu100.panel", 0x40023300a37539fc),
+            ("t0.1.am100.scalar", 0x40028006a4271b1d),
+            ("t0.1.am100.lane", 0x40028006a4271b1d),
+            ("t0.1.am100.panel", 0x40028006a4271b1d),
+            ("t0.1.eu130.scalar", 0x403d5a0662211331),
+            ("t0.1.eu130.lane", 0x403d5a0662211331),
+            ("t0.1.eu130.panel", 0x403d5a0662211331),
             ("t0.1.am130.scalar", 0x403dfffffffffff4),
             ("t0.1.am130.lane", 0x403dfffffffffff4),
             ("t0.1.am130.panel", 0x403dfffffffffff4),
-            ("t0.25.eu70.scalar", 0x3f2d59757df21821),
-            ("t0.25.eu70.lane", 0x3f2d59757df21821),
-            ("t0.25.eu70.panel", 0x3f2d59757df21821),
-            ("t0.25.am70.scalar", 0x3f2d950d73d8f042),
-            ("t0.25.am70.lane", 0x3f2d950d73d8f042),
-            ("t0.25.am70.panel", 0x3f2d950d73d8f042),
-            ("t0.25.eu100.scalar", 0x400afad2ae4bd5af),
-            ("t0.25.eu100.lane", 0x400afad2ae4bd5af),
-            ("t0.25.eu100.panel", 0x400afad2ae4bd5af),
-            ("t0.25.am100.scalar", 0x400bd5496a3701cc),
-            ("t0.25.am100.lane", 0x400bd5496a3701cc),
-            ("t0.25.am100.panel", 0x400bd5496a3701cc),
-            ("t0.25.eu130.scalar", 0x403c686d77ca9648),
-            ("t0.25.eu130.lane", 0x403c686d77ca9648),
-            ("t0.25.eu130.panel", 0x403c686d77ca9648),
+            ("t0.25.eu70.scalar", 0x3f2d3340b0607560),
+            ("t0.25.eu70.lane", 0x3f2d3340b0607560),
+            ("t0.25.eu70.panel", 0x3f2d3340b0607560),
+            ("t0.25.am70.scalar", 0x3f2d6e9014002c3e),
+            ("t0.25.am70.lane", 0x3f2d6e9014002c3e),
+            ("t0.25.am70.panel", 0x3f2d6e9014002c3e),
+            ("t0.25.eu100.scalar", 0x400afb72ce5710c9),
+            ("t0.25.eu100.lane", 0x400afb72ce5710c9),
+            ("t0.25.eu100.panel", 0x400afb72ce5710c9),
+            ("t0.25.am100.scalar", 0x400bd6912f1e8d24),
+            ("t0.25.am100.lane", 0x400bd6912f1e8d24),
+            ("t0.25.am100.panel", 0x400bd6912f1e8d24),
+            ("t0.25.eu130.scalar", 0x403c686bcad89a03),
+            ("t0.25.eu130.lane", 0x403c686bcad89a03),
+            ("t0.25.eu130.panel", 0x403c686bcad89a03),
             ("t0.25.am130.scalar", 0x403dfffffffffff4),
             ("t0.25.am130.lane", 0x403dfffffffffff4),
             ("t0.25.am130.panel", 0x403dfffffffffff4),
-            ("t0.5.eu70.scalar", 0x3f896f99f0228540),
-            ("t0.5.eu70.lane", 0x3f896f99f0228540),
-            ("t0.5.eu70.panel", 0x3f896f99f0228540),
-            ("t0.5.am70.scalar", 0x3f89e4e4021e3f0d),
-            ("t0.5.am70.lane", 0x3f89e4e4021e3f0d),
-            ("t0.5.am70.panel", 0x3f89e4e4021e3f0d),
-            ("t0.5.eu100.scalar", 0x4011ad5bf89f2434),
-            ("t0.5.eu100.lane", 0x4011ad5bf89f2434),
-            ("t0.5.eu100.panel", 0x4011ad5bf89f2434),
-            ("t0.5.am100.scalar", 0x40129e304a4a9bea),
-            ("t0.5.am100.lane", 0x40129e304a4a9bea),
-            ("t0.5.am100.panel", 0x40129e304a4a9bea),
-            ("t0.5.eu130.scalar", 0x403b18c2cf2c5e60),
-            ("t0.5.eu130.lane", 0x403b18c2cf2c5e60),
-            ("t0.5.eu130.panel", 0x403b18c2cf2c5e60),
+            ("t0.5.eu70.scalar", 0x3f8969aacc006a07),
+            ("t0.5.eu70.lane", 0x3f8969aacc006a07),
+            ("t0.5.eu70.panel", 0x3f8969aacc006a07),
+            ("t0.5.am70.scalar", 0x3f89dfe6b29ce0f8),
+            ("t0.5.am70.lane", 0x3f89dfe6b29ce0f8),
+            ("t0.5.am70.panel", 0x3f89dfe6b29ce0f8),
+            ("t0.5.eu100.scalar", 0x4011adcb29ccdd26),
+            ("t0.5.eu100.lane", 0x4011adcb29ccdd26),
+            ("t0.5.eu100.panel", 0x4011adcb29ccdd26),
+            ("t0.5.am100.scalar", 0x40129f39d3202fdf),
+            ("t0.5.am100.lane", 0x40129f39d3202fdf),
+            ("t0.5.am100.panel", 0x40129f39d3202fdf),
+            ("t0.5.eu130.scalar", 0x403b18bb4254c2d7),
+            ("t0.5.eu130.lane", 0x403b18bb4254c2d7),
+            ("t0.5.eu130.panel", 0x403b18bb4254c2d7),
             ("t0.5.am130.scalar", 0x403dfffffffffff4),
             ("t0.5.am130.lane", 0x403dfffffffffff4),
             ("t0.5.am130.panel", 0x403dfffffffffff4),
-            ("t1.eu70.scalar", 0x3fc027558e168f7a),
-            ("t1.eu70.lane", 0x3fc027558e168f7a),
-            ("t1.eu70.panel", 0x3fc027558e168f7a),
-            ("t1.am70.scalar", 0x3fc0c998e0c73dd8),
-            ("t1.am70.lane", 0x3fc0c998e0c73dd8),
-            ("t1.am70.panel", 0x3fc0c998e0c73dd8),
-            ("t1.eu100.scalar", 0x40164ab2b7d29862),
-            ("t1.eu100.lane", 0x40164ab2b7d29862),
-            ("t1.eu100.panel", 0x40164ab2b7d29862),
-            ("t1.am100.scalar", 0x40185a6b0f28ad10),
-            ("t1.am100.lane", 0x40185a6b0f28ad10),
-            ("t1.am100.panel", 0x40185a6b0f28ad10),
-            ("t1.eu130.scalar", 0x40394cba77e7acf4),
-            ("t1.eu130.lane", 0x40394cba77e7acf4),
-            ("t1.eu130.panel", 0x40394cba77e7acf4),
+            ("t1.eu70.scalar", 0x3fc0260c7959c564),
+            ("t1.eu70.lane", 0x3fc0260c7959c564),
+            ("t1.eu70.panel", 0x3fc0260c7959c564),
+            ("t1.am70.scalar", 0x3fc0c9792b8e61c1),
+            ("t1.am70.lane", 0x3fc0c9792b8e61c1),
+            ("t1.am70.panel", 0x3fc0c9792b8e61c1),
+            ("t1.eu100.scalar", 0x40164b4a98434340),
+            ("t1.eu100.lane", 0x40164b4a98434340),
+            ("t1.eu100.panel", 0x40164b4a98434340),
+            ("t1.am100.scalar", 0x40185c4c35d8346c),
+            ("t1.am100.lane", 0x40185c4c35d8346c),
+            ("t1.am100.panel", 0x40185c4c35d8346c),
+            ("t1.eu130.scalar", 0x40394ca602481705),
+            ("t1.eu130.lane", 0x40394ca602481705),
+            ("t1.eu130.panel", 0x40394ca602481705),
             ("t1.am130.scalar", 0x403dfffffffffff4),
             ("t1.am130.lane", 0x403dfffffffffff4),
             ("t1.am130.panel", 0x403dfffffffffff4),
-            ("t2.eu70.scalar", 0x3fe00e813edb7994),
-            ("t2.eu70.lane", 0x3fe00e813edb7994),
-            ("t2.eu70.panel", 0x3fe00e813edb7994),
-            ("t2.am70.scalar", 0x3fe16b91e9c3530a),
-            ("t2.am70.lane", 0x3fe16b91e9c3530a),
-            ("t2.am70.panel", 0x3fe16b91e9c3530a),
-            ("t2.eu100.scalar", 0x401a7063bfc6f584),
-            ("t2.eu100.lane", 0x401a7063bfc6f584),
-            ("t2.eu100.panel", 0x401a7063bfc6f584),
-            ("t2.am100.scalar", 0x401ee0d04857491a),
-            ("t2.am100.lane", 0x401ee0d04857491a),
-            ("t2.am100.panel", 0x401ee0d04857491a),
-            ("t2.eu130.scalar", 0x4036ff0a08f94732),
-            ("t2.eu130.lane", 0x4036ff0a08f94732),
-            ("t2.eu130.panel", 0x4036ff0a08f94732),
+            ("t2.eu70.scalar", 0x3fe00e21ec2f2c4d),
+            ("t2.eu70.lane", 0x3fe00e21ec2f2c4d),
+            ("t2.eu70.panel", 0x3fe00e21ec2f2c4d),
+            ("t2.am70.scalar", 0x3fe16d2fa70ee362),
+            ("t2.am70.lane", 0x3fe16d2fa70ee362),
+            ("t2.am70.panel", 0x3fe16d2fa70ee362),
+            ("t2.eu100.scalar", 0x401a712ccbe95a6a),
+            ("t2.eu100.lane", 0x401a712ccbe95a6a),
+            ("t2.eu100.panel", 0x401a712ccbe95a6a),
+            ("t2.am100.scalar", 0x401ee442dce03911),
+            ("t2.am100.lane", 0x401ee442dce03911),
+            ("t2.am100.panel", 0x401ee442dce03911),
+            ("t2.eu130.scalar", 0x4036ff11723d9cbb),
+            ("t2.eu130.lane", 0x4036ff11723d9cbb),
+            ("t2.eu130.panel", 0x4036ff11723d9cbb),
             ("t2.am130.scalar", 0x403dfffffffffff4),
             ("t2.am130.lane", 0x403dfffffffffff4),
             ("t2.am130.panel", 0x403dfffffffffff4),
-            ("m3.eu100.scalar", 0x3fd2dcaff3f1a685),
-            ("m3.eu100.lane", 0x3fd2dcaff3f1a685),
-            ("m3.eu100.panel", 0x3fd2dcaff3f1a685),
-            ("m3.am100.scalar", 0x3fd311d33a359aac),
-            ("m3.am100.lane", 0x3fd311d33a359aac),
-            ("m3.am100.panel", 0x3fd311d33a359aac),
-            ("m3.eu370.5.scalar", 0x406f7fd15d6d633b),
-            ("m3.eu370.5.lane", 0x406f7fd15d6d633b),
-            ("m3.eu370.5.panel", 0x406f7fd15d6d633b),
-            ("m3.am370.5.scalar", 0x4070e7ffffffffff),
-            ("m3.am370.5.lane", 0x4070e7ffffffffff),
-            ("m3.am370.5.panel", 0x4070e7ffffffffff),
-            ("m4.eu100.scalar", 0x3fefe10f5050fa14),
-            ("m4.eu100.lane", 0x3fefe10f5050fa14),
-            ("m4.eu100.panel", 0x3fefe10f5050fa14),
-            ("m4.am100.scalar", 0x3ff01ddae2ef6153),
-            ("m4.am100.lane", 0x3ff01ddae2ef6153),
-            ("m4.am100.panel", 0x3ff01ddae2ef6153),
-            ("m4.eu370.5.scalar", 0x406f86093f5e85ec),
-            ("m4.eu370.5.lane", 0x406f86093f5e85ec),
-            ("m4.eu370.5.panel", 0x406f86093f5e85ec),
-            ("m4.am370.5.scalar", 0x4070e7ffffffffff),
-            ("m4.am370.5.lane", 0x4070e7ffffffffff),
-            ("m4.am370.5.panel", 0x4070e7ffffffffff),
-            ("psor.am110", 0x4027ee1c1d6437ad),
-            ("barrier.up_out_call", 0x400aa8f4a525e846),
-            ("barrier.down_out_put", 0x4006d7520ac9c620),
+            ("m5.eu100.scalar", 0x401468d326a9abf7),
+            ("m5.eu100.lane", 0x401468d326a9abf7),
+            ("m5.eu100.panel", 0x401468d326a9abf7),
+            ("m5.am100.scalar", 0x40150e123e92b062),
+            ("m5.am100.lane", 0x40150e123e92b062),
+            ("m5.am100.panel", 0x40150e123e92b062),
+            ("m5.eu370.5.scalar", 0x406f897a274fecd8),
+            ("m5.eu370.5.lane", 0x406f897a274fecd8),
+            ("m5.eu370.5.panel", 0x406f897a274fecd8),
+            ("m5.am370.5.scalar", 0x4070e7ffffffffff),
+            ("m5.am370.5.lane", 0x4070e7ffffffffff),
+            ("m5.am370.5.panel", 0x4070e7ffffffffff),
+            ("m7.eu100.scalar", 0x4013a71a18804028),
+            ("m7.eu100.lane", 0x4013a71a18804028),
+            ("m7.eu100.panel", 0x4013a71a18804028),
+            ("m7.am100.scalar", 0x4014f7d3c79f755f),
+            ("m7.am100.lane", 0x4014f7d3c79f755f),
+            ("m7.am100.panel", 0x4014f7d3c79f755f),
+            ("m7.eu370.5.scalar", 0x406f8d3d949d243f),
+            ("m7.eu370.5.lane", 0x406f8d3d949d243f),
+            ("m7.eu370.5.panel", 0x406f8d3d949d243f),
+            ("m7.am370.5.scalar", 0x4070e7ffffffffff),
+            ("m7.am370.5.lane", 0x4070e7ffffffffff),
+            ("m7.am370.5.panel", 0x4070e7ffffffffff),
+            ("barrier.up_out_call", 0x400aa9e5e42f6873),
+            ("barrier.down_out_put", 0x4006d7a18f4e5335),
         ],
     );
 }

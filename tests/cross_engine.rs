@@ -85,7 +85,7 @@ fn min_call_all_engines() {
     assert!((mc.price - exact).abs() < 3.5 * mc.std_error.unwrap());
 }
 
-/// 1-D American put: binomial, trinomial, BEG, FD-PSOR, LSMC all consistent.
+/// 1-D American put: binomial, trinomial, BEG, FD (Brennan–Schwartz), LSMC all consistent.
 #[test]
 fn american_put_every_engine() {
     let market = GbmMarket::single(100.0, 0.25, 0.0, 0.04).unwrap();
@@ -123,11 +123,6 @@ fn american_put_every_engine() {
     let fd = Pricer::new(Method::Fd1d(Fd1d {
         space_points: 601,
         time_steps: 600,
-        american: mdp_core::pde::AmericanMethod::Psor {
-            omega: 1.5,
-            tol: 1e-8,
-            max_iter: 10_000,
-        },
         ..Default::default()
     }))
     .price(&market, &product)

@@ -107,7 +107,7 @@ fn golden_pde_prices() {
     );
     assert_pinned(
         Fd1d::default().price(&m1, &call).unwrap().price,
-        10.450020496842871,
+        10.45058321360188,
         "cn fd1d",
     );
     let m2 = market(2);

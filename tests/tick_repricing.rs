@@ -171,8 +171,9 @@ proptest! {
         }
     }
 
-    /// The fused risk cube equals the fresh-plan-per-scenario oracle
-    /// bit for bit on swept markets, for both fused engine families.
+    /// The risk cube equals the fresh-plan-per-scenario oracle bit for
+    /// bit on swept markets: finite differences through patched plans,
+    /// Monte Carlo through its fused cube kernel.
     #[test]
     fn risk_cube_matches_naive_oracle_bitwise(
         s0 in 80.0f64..120.0,
@@ -199,7 +200,6 @@ proptest! {
         })));
         let fast = fd_cube.price(&m1, &book, &scenarios_1d).unwrap();
         let naive = fd_cube.price_naive(&m1, &book, &scenarios_1d).unwrap();
-        prop_assert!(fast.fused_scenarios >= 1);
         for (ra, rb) in fast.scenarios.iter().zip(&naive.scenarios) {
             for (a, b) in ra.iter().zip(rb) {
                 prop_assert_eq!(a.to_bits(), b.to_bits());

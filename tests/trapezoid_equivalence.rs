@@ -7,7 +7,7 @@
 //! property tests here compare full engine runs with
 //! [`StencilKernel::Trapezoid`] against [`StencilKernel::StepByStep`]
 //! bit for bit over random stable configurations, European and American
-//! (both projection and PSOR), vanilla and digital payoffs.
+//! (the pointwise floor), vanilla and digital payoffs.
 //!
 //! The 3-D ADI backend has no bitwise oracle; it is cross-checked
 //! against Monte Carlo on a correlated 3-asset basket within the
@@ -15,13 +15,13 @@
 //! terminal payoffs → `adi-3d`) is pinned to price bitwise-identically
 //! to the engine it routes to.
 
-use mdp_core::pde::{AmericanMethod, Scheme};
+use mdp_core::pde::Scheme;
 use mdp_core::prelude::*;
 use proptest::prelude::*;
 
 /// A stable explicit configuration for the given spatial resolution and
 /// vol: the time-step count is chosen so `σ²Δτ/Δx² ≈ 0.45 < ½`.
-fn stable_explicit(m: usize, sigma: f64, stencil: StencilKernel, american: AmericanMethod) -> Fd1d {
+fn stable_explicit(m: usize, sigma: f64, stencil: StencilKernel) -> Fd1d {
     let width = 5.0;
     let half = (width * sigma).max(0.5); // LogGrid clamp at T = 1
     let dx = 2.0 * half / (m - 1) as f64;
@@ -31,7 +31,6 @@ fn stable_explicit(m: usize, sigma: f64, stencil: StencilKernel, american: Ameri
         time_steps: n.max(8),
         width,
         scheme: Scheme::Explicit,
-        american,
         stencil,
     }
 }
@@ -57,10 +56,10 @@ proptest! {
         } else {
             Product::european(payoff, 1.0)
         };
-        let trap = stable_explicit(m, sigma, StencilKernel::Trapezoid, AmericanMethod::Projection)
+        let trap = stable_explicit(m, sigma, StencilKernel::Trapezoid)
             .price(&market, &product)
             .unwrap();
-        let step = stable_explicit(m, sigma, StencilKernel::StepByStep, AmericanMethod::Projection)
+        let step = stable_explicit(m, sigma, StencilKernel::StepByStep)
             .price(&market, &product)
             .unwrap();
         prop_assert_eq!(trap.price.to_bits(), step.price.to_bits());
@@ -68,29 +67,6 @@ proptest! {
         for (x, (a, b)) in trap.values.iter().zip(&step.values).enumerate() {
             prop_assert_eq!(a.to_bits(), b.to_bits(), "grid value at {}", x);
         }
-    }
-
-    /// The PSOR American configuration degenerates to the projection at
-    /// θ = 0 and must hit the same trapezoid fast path bit for bit.
-    #[test]
-    fn trapezoid_bitwise_under_psor_config(
-        m in 31usize..120,
-        sigma in 0.15f64..0.35,
-        strike in 80.0f64..130.0,
-    ) {
-        let market = GbmMarket::single(100.0, sigma, 0.0, 0.05).unwrap();
-        let product = Product::american(
-            Payoff::BasketPut { weights: vec![1.0], strike },
-            1.0,
-        );
-        let psor = AmericanMethod::Psor { omega: 1.4, tol: 1e-10, max_iter: 400 };
-        let trap = stable_explicit(m, sigma, StencilKernel::Trapezoid, psor)
-            .price(&market, &product)
-            .unwrap();
-        let step = stable_explicit(m, sigma, StencilKernel::StepByStep, psor)
-            .price(&market, &product)
-            .unwrap();
-        prop_assert_eq!(trap.price.to_bits(), step.price.to_bits());
     }
 
     /// Discontinuous payoffs stress every cut boundary: digitals must
@@ -109,10 +85,10 @@ proptest! {
             },
             1.0,
         );
-        let trap = stable_explicit(m, 0.25, StencilKernel::Trapezoid, AmericanMethod::Projection)
+        let trap = stable_explicit(m, 0.25, StencilKernel::Trapezoid)
             .price(&market, &product)
             .unwrap();
-        let step = stable_explicit(m, 0.25, StencilKernel::StepByStep, AmericanMethod::Projection)
+        let step = stable_explicit(m, 0.25, StencilKernel::StepByStep)
             .price(&market, &product)
             .unwrap();
         prop_assert_eq!(trap.price.to_bits(), step.price.to_bits());
