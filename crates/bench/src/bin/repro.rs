@@ -1,5 +1,5 @@
-//! Regenerate the evaluation: every table (T1–T7), figure (F1–F6) and
-//! ablation (A1–A4) of DESIGN.md, written to `target/repro/*.{md,csv}`.
+//! Regenerate the evaluation: every table (T1–T15), figure (F1–F6) and
+//! ablation (A2–A5) of DESIGN.md, written to `target/repro/*.{md,csv}`.
 //!
 //! ```text
 //! cargo run --release -p mdp-bench --bin repro            # full suite

@@ -1,84 +1,12 @@
-//! Ablations A1–A5: the design-choice studies DESIGN.md calls out.
+//! Ablations A2–A5: the design-choice studies DESIGN.md calls out.
 
 use crate::workloads::*;
 use crate::{save, Effort};
-use mdp_core::cluster::{collectives, run_spmd, Communicator, Machine, TimeModel};
+use mdp_core::cluster::{Machine, TimeModel};
 use mdp_core::lattice::cluster::Decomposition;
 use mdp_core::prelude::*;
 use mdp_perf::report::fmt_sig;
 use mdp_perf::Table;
-
-/// A1 — collective-algorithm comparison under the machine model.
-pub fn a1_collectives(effort: Effort) {
-    let mut t = Table::new(
-        "A1: allreduce algorithm vs rank count and payload (modelled time, 2002 cluster)",
-        &[
-            "p",
-            "payload [doubles]",
-            "linear [µs]",
-            "doubling [µs]",
-            "ring [µs]",
-            "winner",
-        ],
-    );
-    let procs: &[usize] = match effort {
-        Effort::Quick => &[4, 16],
-        Effort::Full => &[4, 16, 64],
-    };
-    let payloads: &[usize] = match effort {
-        Effort::Quick => &[1, 1024],
-        Effort::Full => &[1, 1024, 131_072],
-    };
-    for &p in procs {
-        for &len in payloads {
-            let run_variant = |which: u8| -> f64 {
-                let results = run_spmd(p, Machine::cluster2002(), move |comm| {
-                    let data = vec![comm.rank() as f64; len];
-                    match which {
-                        0 => {
-                            collectives::allreduce_reduce_bcast(
-                                comm,
-                                &data,
-                                collectives::ReduceOp::Sum,
-                            );
-                        }
-                        1 => {
-                            collectives::allreduce_doubling(
-                                comm,
-                                &data,
-                                collectives::ReduceOp::Sum,
-                            );
-                        }
-                        _ => {
-                            collectives::allreduce_ring(comm, &data, collectives::ReduceOp::Sum);
-                        }
-                    }
-                })
-                .unwrap();
-                TimeModel::from_results(&results).makespan
-            };
-            let lin = run_variant(0);
-            let dbl = run_variant(1);
-            let ring = run_variant(2);
-            let winner = if dbl <= ring && dbl <= lin {
-                "doubling"
-            } else if ring <= lin {
-                "ring"
-            } else {
-                "linear"
-            };
-            t.push(&[
-                p.to_string(),
-                len.to_string(),
-                fmt_sig(lin * 1e6, 4),
-                fmt_sig(dbl * 1e6, 4),
-                fmt_sig(ring * 1e6, 4),
-                winner.to_string(),
-            ]);
-        }
-    }
-    save("a1_collectives", &t);
-}
 
 /// A2 — lattice decomposition granularity.
 pub fn a2_decomposition(effort: Effort) {

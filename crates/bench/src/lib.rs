@@ -1,7 +1,7 @@
 //! # mdp-bench — the reproduction harness
 //!
-//! Every table (T1–T7) and figure (F1–F6) of the reconstructed
-//! evaluation, plus the ablations (A1–A4), as callable experiments.
+//! Every table (T1–T15) and figure (F1–F6) of the reconstructed
+//! evaluation, plus the ablations (A2–A5), as callable experiments.
 //! The `repro` binary runs them and writes markdown + CSV into
 //! `target/repro/`.
 //!

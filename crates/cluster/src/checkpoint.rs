@@ -24,10 +24,9 @@
 //!    steps therefore produce bit-identical intermediate states, and
 //!    the final price is bit-identical to a fault-free run.
 //!
-//! Failure agreement cannot reuse the tree allreduce in
-//! [`crate::collectives`] directly: a tree over the *full* communicator
-//! is not death-robust (contributions routed through the dead rank
-//! would vanish). Instead the exchange runs only among ranks already
+//! Failure agreement cannot reuse the engine's tree allreduce directly:
+//! a tree over the *full* communicator is not death-robust
+//! (contributions routed through the dead rank would vanish). Instead the exchange runs only among ranks already
 //! known to survive the boundary: below
 //! [`AGREE_HIER_THRESHOLD`] survivors, a flat all-to-all of death
 //! bitmasks (O(s²) messages, the original scheme); at or above it, a
@@ -288,10 +287,7 @@ impl Supervisor {
         Supervisor {
             interval,
             store: store.clone(),
-            plan_crashes: comm
-                .fault_plan()
-                .map(|p| p.crashes.clone())
-                .unwrap_or_default(),
+            plan_crashes: comm.fault_plan().crashes.clone(),
             active: (0..comm.size()).collect(),
             engine: CollectiveEngine::for_machine(comm.machine(), comm.size()),
             last_ckpt: None,

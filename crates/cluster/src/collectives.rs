@@ -1,20 +1,16 @@
-//! Collective operations built from point-to-point messages.
+//! The flat collective schedules the [`crate::CollectiveEngine`]
+//! dispatches to, built from point-to-point messages:
 //!
-//! Each collective exists in the algorithmic variants the 2002-era MPI
-//! implementations actually used, because the evaluation's ablation A1
-//! compares them under the machine model:
-//!
-//! | collective | variants | modelled cost (p ranks, n doubles) |
+//! | collective | algorithm | modelled cost (p ranks, n doubles) |
 //! |---|---|---|
-//! | broadcast | binomial tree, linear | ⌈log₂p⌉(α+βn) vs (p−1)(α+βn) |
-//! | reduce | binomial tree, linear | ⌈log₂p⌉(α+βn) vs (p−1)(α+βn) |
-//! | allreduce | recursive doubling, ring, reduce+bcast | log₂p(α+βn) vs 2(p−1)(α+βn/p) |
-//! | barrier | dissemination | ⌈log₂p⌉ α |
-//! | gather/scatter | linear rooted | (p−1)(α+βn) |
-//! | alltoall | pairwise rounds | (p−1)(α+βn) |
+//! | broadcast | binomial tree | ⌈log₂p⌉(α+βn) |
+//! | reduce | binomial tree | ⌈log₂p⌉(α+βn) |
+//! | allreduce | recursive doubling | log₂p(α+βn) |
+//! | gather (variable lengths) | linear rooted | (p−1)(α+βn) |
 //!
-//! The default aliases ([`broadcast`], [`reduce_sum`], [`allreduce_sum`])
-//! pick the tree/doubling variants, which is what MPICH did at the time.
+//! These are what MPICH ran at the time. Outside the crate every
+//! collective goes through the engine, which runs these on uniform
+//! fabrics and its two-level schedules on SMP clusters.
 //!
 //! All functions must be called by **every** rank of the communicator
 //! (standard collective semantics); tags are drawn from the reserved
@@ -25,7 +21,7 @@
 //!
 //! Floating-point addition is commutative but not associative, so the
 //! *shape* of the association tree decides the bits of a reduction.
-//! Every reduction variant here (and every hierarchical algorithm in
+//! Every reduction here (and every hierarchical algorithm in
 //! [`crate::engine`]) commits to one **canonical association**: the one
 //! recursive doubling produces. For `p` ranks with `p2` the largest
 //! power of two ≤ `p` and `rem = p − p2`:
@@ -63,14 +59,8 @@ use crate::topology::TopologyKind;
 
 const T_BCAST: Tag = COLL_TAG_BASE;
 const T_REDUCE: Tag = COLL_TAG_BASE + 1;
-const T_BARRIER: Tag = COLL_TAG_BASE + 2;
 const T_GATHER: Tag = COLL_TAG_BASE + 3;
-const T_SCATTER: Tag = COLL_TAG_BASE + 4;
-const T_ALLTOALL: Tag = COLL_TAG_BASE + 5;
-const T_RING: Tag = COLL_TAG_BASE + 6;
 const T_FOLD: Tag = COLL_TAG_BASE + 7;
-const T_SCAN: Tag = COLL_TAG_BASE + 8;
-const T_RING_CANON: Tag = COLL_TAG_BASE + 9;
 
 /// Charge the deterministic uplink-serialisation stall for a far send
 /// of `payload_len` doubles to `dest` in a schedule stage whose far
@@ -89,10 +79,10 @@ where
     if !m.is_far(rank, dest) {
         return;
     }
-    let node_start = match m.topology {
-        TopologyKind::SmpCluster { node_size } => (rank / node_size) * node_size,
-        _ => return,
+    let TopologyKind::SmpCluster { node_size } = m.topology else {
+        return;
     };
+    let node_start = (rank / node_size) * node_size;
     let pos = (node_start..rank).filter(|&r| sends_far(&m, r)).count();
     if pos > 0 {
         let stall = pos as f64 * m.far_message_time(Message::wire_bytes(payload_len));
@@ -103,9 +93,8 @@ where
 /// Fold `parts` (one buffer per rank, in rank order) with the canonical
 /// association described in the module docs: remainder pre-fold, then a
 /// balanced binary tree over the power-of-two core. This is the
-/// executable definition of the order every reduction variant and
-/// every hierarchical schedule reproduces; reworked linear reductions
-/// call it directly, tests use it as the bitwise oracle.
+/// executable definition of the order every reduction and every
+/// hierarchical schedule reproduces; tests use it as the bitwise oracle.
 ///
 /// # Panics
 /// Panics if `parts` is empty or lengths differ.
@@ -166,26 +155,13 @@ impl ReduceOp {
     }
 }
 
-/// Dissemination barrier: ⌈log₂ p⌉ rounds, each rank sends to
-/// `rank + 2^k` and receives from `rank − 2^k` (mod p).
-pub fn barrier<C: Communicator + ?Sized>(comm: &mut C) {
-    let p = comm.size();
-    let rank = comm.rank();
-    let mut k = 1usize;
-    let mut round: Tag = 0;
-    while k < p {
-        let dest = (rank + k) % p;
-        let src = (rank + p - k) % p;
-        comm.send(dest, T_BARRIER + round * 16, &[]);
-        let _ = comm.recv(src, T_BARRIER + round * 16);
-        k <<= 1;
-        round += 1;
-    }
-}
-
 /// Binomial-tree broadcast from `root`; on non-root ranks `data` is
 /// overwritten with the root's buffer (lengths must match on all ranks).
-pub fn broadcast_tree<C: Communicator + ?Sized>(comm: &mut C, root: usize, data: &mut [f64]) {
+pub(crate) fn broadcast_tree<C: Communicator + ?Sized>(
+    comm: &mut C,
+    root: usize,
+    data: &mut [f64],
+) {
     let p = comm.size();
     let rank = comm.rank();
     assert!(root < p);
@@ -216,23 +192,6 @@ pub fn broadcast_tree<C: Communicator + ?Sized>(comm: &mut C, root: usize, data:
     }
 }
 
-/// Linear broadcast: root sends to every rank individually.
-pub fn broadcast_linear<C: Communicator + ?Sized>(comm: &mut C, root: usize, data: &mut [f64]) {
-    let p = comm.size();
-    let rank = comm.rank();
-    assert!(root < p);
-    if rank == root {
-        for d in 0..p {
-            if d != root {
-                comm.send(d, T_BCAST, data);
-            }
-        }
-    } else {
-        let recvd = comm.recv(root, T_BCAST);
-        data.copy_from_slice(&recvd);
-    }
-}
-
 /// Binomial-tree reduction to `root` in the canonical association:
 /// remainder ranks fold into the power-of-two core first, a binomial
 /// tree reduces the core onto rank 0 with adjacent-block combining,
@@ -241,7 +200,7 @@ pub fn broadcast_linear<C: Communicator + ?Sized>(comm: &mut C, root: usize, dat
 /// binomial (plus one forward hop for non-zero roots), but the result
 /// is bitwise-identical to [`allreduce_doubling`] for every `p` and
 /// `root`. Returns `Some(result)` on the root, `None` elsewhere.
-pub fn reduce_tree<C: Communicator + ?Sized>(
+pub(crate) fn reduce_tree<C: Communicator + ?Sized>(
     comm: &mut C,
     root: usize,
     data: &[f64],
@@ -297,42 +256,10 @@ pub fn reduce_tree<C: Communicator + ?Sized>(
     (rank == root).then(|| comm.recv(0, T_REDUCE))
 }
 
-/// Linear reduction to `root`: root receives from everyone in rank
-/// order and folds the collected parts with [`canonical_fold`] — the
-/// same (p−1) messages and incast cost as the classic running-sum
-/// linear reduce, but bitwise-identical to [`allreduce_doubling`].
-pub fn reduce_linear<C: Communicator + ?Sized>(
-    comm: &mut C,
-    root: usize,
-    data: &[f64],
-    op: ReduceOp,
-) -> Option<Vec<f64>> {
-    let p = comm.size();
-    let rank = comm.rank();
-    assert!(root < p);
-    if rank == root {
-        let mut parts: Vec<Vec<f64>> = Vec::with_capacity(p);
-        for src in 0..p {
-            if src == root {
-                parts.push(data.to_vec());
-            } else {
-                parts.push(comm.recv(src, T_REDUCE));
-            }
-        }
-        Some(canonical_fold(&parts, op))
-    } else {
-        charge_uplink_stall(comm, data.len(), root, |m, r| {
-            r != root && m.is_far(r, root)
-        });
-        comm.send(root, T_REDUCE, data);
-        None
-    }
-}
-
 /// Recursive-doubling allreduce. Handles non-power-of-two sizes by
 /// folding the excess ranks into the power-of-two core first (the
 /// classic MPICH approach).
-pub fn allreduce_doubling<C: Communicator + ?Sized>(
+pub(crate) fn allreduce_doubling<C: Communicator + ?Sized>(
     comm: &mut C,
     data: &[f64],
     op: ReduceOp,
@@ -379,130 +306,9 @@ pub fn allreduce_doubling<C: Communicator + ?Sized>(
     acc
 }
 
-/// Ring allreduce: reduce-scatter pass followed by allgather pass,
-/// 2(p−1) steps each moving ~n/p elements — bandwidth-optimal for large
-/// payloads, latency-heavy for small ones.
-pub fn allreduce_ring<C: Communicator + ?Sized>(
-    comm: &mut C,
-    data: &[f64],
-    op: ReduceOp,
-) -> Vec<f64> {
-    let p = comm.size();
-    let rank = comm.rank();
-    let n = data.len();
-    let mut acc = data.to_vec();
-    if p == 1 || n == 0 {
-        return acc;
-    }
-    let chunk = |i: usize| crate::partition::block_range(n, p, i % p);
-    let next = (rank + 1) % p;
-    let prev = (rank + p - 1) % p;
-    // Reduce-scatter: after p−1 steps, rank r owns the full reduction of
-    // chunk (r+1) mod p. Ring steps are neighbour sends: on an SMP
-    // cluster only the last rank of each node crosses the fabric, so
-    // the uplink never has more than one sender per step.
-    for step in 0..p - 1 {
-        let (slo, shi) = chunk(rank + p - step);
-        let (rlo, rhi) = chunk(rank + p - step - 1);
-        charge_uplink_stall(comm, shi - slo, next, |m, r| m.is_far(r, (r + 1) % p));
-        comm.send(next, T_RING + step as Tag, &acc[slo..shi]);
-        let part = comm.recv(prev, T_RING + step as Tag);
-        op.apply(&mut acc[rlo..rhi], &part);
-    }
-    // Allgather: circulate the finished chunks.
-    for step in 0..p - 1 {
-        let (slo, shi) = chunk(rank + 1 + p - step);
-        let (rlo, rhi) = chunk(rank + p - step);
-        charge_uplink_stall(comm, shi - slo, next, |m, r| m.is_far(r, (r + 1) % p));
-        comm.send(next, T_RING + (p + step) as Tag, &acc[slo..shi]);
-        let part = comm.recv(prev, T_RING + (p + step) as Tag);
-        acc[rlo..rhi].copy_from_slice(&part);
-    }
-    acc
-}
-
-/// Ring allreduce in the canonical association: a neighbour-ring
-/// allgather circulates every rank's *unreduced* contribution for
-/// `p−1` steps, then each rank folds the collected parts with
-/// [`canonical_fold`]. Bitwise-identical to [`allreduce_doubling`]
-/// (unlike [`allreduce_ring`], whose streaming reduce-scatter is
-/// forced into a sequential left-fold association), at the price of
-/// moving whole buffers instead of `n/p` chunks — the natural
-/// small-payload algorithm on ring/mesh topologies, where every hop is
-/// a direct link.
-pub fn allreduce_ring_canonical<C: Communicator + ?Sized>(
-    comm: &mut C,
-    data: &[f64],
-    op: ReduceOp,
-) -> Vec<f64> {
-    let p = comm.size();
-    let rank = comm.rank();
-    if p == 1 {
-        return data.to_vec();
-    }
-    let next = (rank + 1) % p;
-    let prev = (rank + p - 1) % p;
-    let mut parts: Vec<Vec<f64>> = vec![Vec::new(); p];
-    parts[rank] = data.to_vec();
-    for step in 0..p - 1 {
-        let send_idx = (rank + p - step) % p;
-        let recv_idx = (rank + p - step - 1) % p;
-        charge_uplink_stall(comm, parts[send_idx].len(), next, |m, r| {
-            m.is_far(r, (r + 1) % p)
-        });
-        comm.send(next, T_RING_CANON + step as Tag, &parts[send_idx]);
-        parts[recv_idx] = comm.recv(prev, T_RING_CANON + step as Tag);
-    }
-    canonical_fold(&parts, op)
-}
-
-/// Allreduce as tree-reduce to rank 0 followed by tree-broadcast —
-/// the "linear" baseline of ablation A1 in its rooted form.
-pub fn allreduce_reduce_bcast<C: Communicator + ?Sized>(
-    comm: &mut C,
-    data: &[f64],
-    op: ReduceOp,
-) -> Vec<f64> {
-    let mut buf = match reduce_linear(comm, 0, data, op) {
-        Some(v) => v,
-        None => vec![0.0; data.len()],
-    };
-    broadcast_linear(comm, 0, &mut buf);
-    buf
-}
-
-/// Gather equal-length buffers to `root` in rank order. Returns
-/// `Some(concatenated)` on root, `None` elsewhere.
-pub fn gather<C: Communicator + ?Sized>(
-    comm: &mut C,
-    root: usize,
-    data: &[f64],
-) -> Option<Vec<f64>> {
-    let p = comm.size();
-    let rank = comm.rank();
-    assert!(root < p);
-    if rank == root {
-        let mut out = Vec::with_capacity(p * data.len());
-        for src in 0..p {
-            if src == root {
-                out.extend_from_slice(data);
-            } else {
-                out.extend(comm.recv(src, T_GATHER));
-            }
-        }
-        Some(out)
-    } else {
-        charge_uplink_stall(comm, data.len(), root, |m, r| {
-            r != root && m.is_far(r, root)
-        });
-        comm.send(root, T_GATHER, data);
-        None
-    }
-}
-
 /// Gather variable-length buffers to `root` in rank order, returning the
 /// per-rank vectors.
-pub fn gather_varied<C: Communicator + ?Sized>(
+pub(crate) fn gather_varied<C: Communicator + ?Sized>(
     comm: &mut C,
     root: usize,
     data: &[f64],
@@ -527,81 +333,6 @@ pub fn gather_varied<C: Communicator + ?Sized>(
         comm.send(root, T_GATHER, data);
         None
     }
-}
-
-/// Scatter: root supplies one buffer per rank; every rank receives its
-/// own. Non-root ranks pass `None`.
-///
-/// # Panics
-/// Panics if the root does not supply exactly `p` chunks, or a non-root
-/// rank supplies chunks.
-pub fn scatter<C: Communicator + ?Sized>(
-    comm: &mut C,
-    root: usize,
-    chunks: Option<&[Vec<f64>]>,
-) -> Vec<f64> {
-    let p = comm.size();
-    let rank = comm.rank();
-    assert!(root < p);
-    if rank == root {
-        let chunks = chunks.expect("root must supply chunks");
-        assert_eq!(chunks.len(), p, "need one chunk per rank");
-        for (d, c) in chunks.iter().enumerate() {
-            if d != root {
-                comm.send(d, T_SCATTER, c);
-            }
-        }
-        chunks[root].clone()
-    } else {
-        assert!(chunks.is_none(), "non-root ranks must pass None");
-        comm.recv(root, T_SCATTER)
-    }
-}
-
-/// All-to-all personalised exchange: `chunks[d]` goes to rank `d`;
-/// returns the received vector per source rank.
-///
-/// # Panics
-/// Panics if `chunks.len() != p`.
-pub fn alltoall<C: Communicator + ?Sized>(comm: &mut C, chunks: &[Vec<f64>]) -> Vec<Vec<f64>> {
-    let p = comm.size();
-    let rank = comm.rank();
-    assert_eq!(chunks.len(), p, "need one chunk per rank");
-    let mut out: Vec<Vec<f64>> = vec![Vec::new(); p];
-    out[rank] = chunks[rank].clone();
-    // p−1 rounds: in round k exchange with (rank+k) / (rank−k).
-    for k in 1..p {
-        let dest = (rank + k) % p;
-        let src = (rank + p - k) % p;
-        comm.send(dest, T_ALLTOALL + k as Tag, &chunks[dest]);
-        out[src] = comm.recv(src, T_ALLTOALL + k as Tag);
-    }
-    out
-}
-
-/// Default broadcast (binomial tree).
-pub fn broadcast<C: Communicator + ?Sized>(comm: &mut C, root: usize, data: &mut [f64]) {
-    broadcast_tree(comm, root, data);
-}
-
-/// Default sum-reduction to root (binomial tree).
-pub fn reduce_sum<C: Communicator + ?Sized>(
-    comm: &mut C,
-    root: usize,
-    data: &[f64],
-) -> Option<Vec<f64>> {
-    reduce_tree(comm, root, data, ReduceOp::Sum)
-}
-
-/// Default sum-allreduce (recursive doubling).
-pub fn allreduce_sum<C: Communicator + ?Sized>(comm: &mut C, data: &[f64]) -> Vec<f64> {
-    allreduce_doubling(comm, data, ReduceOp::Sum)
-}
-
-/// Default max-allreduce (recursive doubling). Used to agree on the
-/// global virtual makespan and for convergence tests.
-pub fn allreduce_max<C: Communicator + ?Sized>(comm: &mut C, data: &[f64]) -> Vec<f64> {
-    allreduce_doubling(comm, data, ReduceOp::Max)
 }
 
 #[cfg(test)]
@@ -635,21 +366,6 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_linear_matches_tree() {
-        let r = run_spmd(5, Machine::ideal(), |comm| {
-            let mut data = if comm.rank() == 2 {
-                vec![7.0]
-            } else {
-                vec![0.0]
-            };
-            broadcast_linear(comm, 2, &mut data);
-            data[0]
-        })
-        .unwrap();
-        assert!(r.iter().all(|res| res.value == 7.0));
-    }
-
-    #[test]
     fn reduce_tree_sums_rank_values() {
         for &p in SIZES {
             let expected = (0..p).map(|r| r as f64).sum::<f64>();
@@ -666,67 +382,16 @@ mod tests {
     }
 
     #[test]
-    fn reduce_linear_matches_tree() {
-        let r = run_spmd(6, Machine::ideal(), |comm| {
-            reduce_linear(
-                comm,
-                3,
-                &[(comm.rank() * comm.rank()) as f64],
-                ReduceOp::Sum,
-            )
-        })
-        .unwrap();
-        assert_eq!(r[3].value.as_ref().unwrap()[0], 55.0);
-    }
-
-    #[test]
     fn allreduce_doubling_all_sizes() {
         for &p in SIZES {
             let expected = (0..p).map(|r| r as f64).sum::<f64>();
             let r = run_spmd(p, Machine::ideal(), |comm| {
-                allreduce_sum(comm, &[comm.rank() as f64])[0]
+                allreduce_doubling(comm, &[comm.rank() as f64], ReduceOp::Sum)[0]
             })
             .unwrap();
             for res in &r {
                 assert_eq!(res.value, expected, "p={p}");
             }
-        }
-    }
-
-    #[test]
-    fn allreduce_ring_all_sizes_and_lengths() {
-        for &p in SIZES {
-            for n in [0usize, 1, 3, p, 4 * p + 1] {
-                let r = run_spmd(p, Machine::ideal(), move |comm| {
-                    let data: Vec<f64> = (0..n).map(|i| (comm.rank() + i) as f64).collect();
-                    allreduce_ring(comm, &data, ReduceOp::Sum)
-                })
-                .unwrap();
-                let expect: Vec<f64> = (0..n)
-                    .map(|i| (0..p).map(|r| (r + i) as f64).sum())
-                    .collect();
-                for res in &r {
-                    assert_eq!(res.value, expect, "p={p} n={n}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn allreduce_variants_agree() {
-        let p = 7;
-        let r = run_spmd(p, Machine::ideal(), |comm| {
-            let data = vec![comm.rank() as f64; 11];
-            let a = allreduce_doubling(comm, &data, ReduceOp::Sum);
-            let b = allreduce_ring(comm, &data, ReduceOp::Sum);
-            let c = allreduce_reduce_bcast(comm, &data, ReduceOp::Sum);
-            (a, b, c)
-        })
-        .unwrap();
-        for res in &r {
-            let (a, b, c) = &res.value;
-            assert_eq!(a, b);
-            assert_eq!(a, c);
         }
     }
 
@@ -785,47 +450,25 @@ mod tests {
 
     #[test]
     fn reduce_variants_bitwise_match_doubling() {
-        // After the canonical rework, both rooted reductions agree with
-        // the doubling allreduce bit for bit, for every root.
+        // The rooted tree reduction agrees with the doubling allreduce
+        // bit for bit, for every root.
         for &p in &[2usize, 3, 5, 7, 8, 12] {
             for root in [0, p / 2, p - 1] {
                 let r = run_spmd(p, Machine::ideal(), move |comm| {
                     let data = awkward_payload(comm.rank(), 5);
                     let dbl = allreduce_doubling(comm, &data, ReduceOp::Sum);
                     let tree = reduce_tree(comm, root, &data, ReduceOp::Sum);
-                    let lin = reduce_linear(comm, root, &data, ReduceOp::Sum);
-                    (dbl, tree, lin)
+                    (dbl, tree)
                 })
                 .unwrap();
                 for res in &r {
-                    let (dbl, tree, lin) = &res.value;
+                    let (dbl, tree) = &res.value;
                     assert_eq!(tree.is_some(), res.rank == root, "p={p} root={root}");
-                    assert_eq!(lin.is_some(), res.rank == root);
-                    if let (Some(t), Some(l)) = (tree, lin) {
-                        for ((a, b), c) in dbl.iter().zip(t).zip(l) {
+                    if let Some(t) = tree {
+                        for (a, b) in dbl.iter().zip(t) {
                             assert_eq!(a.to_bits(), b.to_bits(), "tree p={p} root={root}");
-                            assert_eq!(a.to_bits(), c.to_bits(), "linear p={p} root={root}");
                         }
                     }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn ring_canonical_bitwise_matches_doubling() {
-        for &p in &[1usize, 2, 3, 5, 8, 13] {
-            let r = run_spmd(p, Machine::ideal(), |comm| {
-                let data = awkward_payload(comm.rank(), 7);
-                let a = allreduce_doubling(comm, &data, ReduceOp::Sum);
-                let b = allreduce_ring_canonical(comm, &data, ReduceOp::Sum);
-                (a, b)
-            })
-            .unwrap();
-            for res in &r {
-                let (a, b) = &res.value;
-                for (x, y) in a.iter().zip(b) {
-                    assert_eq!(x.to_bits(), y.to_bits(), "p={p} rank={}", res.rank);
                 }
             }
         }
@@ -885,18 +528,6 @@ mod tests {
     }
 
     #[test]
-    fn gather_preserves_rank_order() {
-        let r = run_spmd(4, Machine::ideal(), |comm| {
-            gather(comm, 0, &[comm.rank() as f64, -(comm.rank() as f64)])
-        })
-        .unwrap();
-        assert_eq!(
-            r[0].value.as_ref().unwrap(),
-            &vec![0.0, 0.0, 1.0, -1.0, 2.0, -2.0, 3.0, -3.0]
-        );
-    }
-
-    #[test]
     fn gather_varied_lengths() {
         let r = run_spmd(3, Machine::ideal(), |comm| {
             let data = vec![comm.rank() as f64; comm.rank()];
@@ -907,205 +538,5 @@ mod tests {
         assert_eq!(v[0], Vec::<f64>::new());
         assert_eq!(v[1], vec![1.0]);
         assert_eq!(v[2], vec![2.0, 2.0]);
-    }
-
-    #[test]
-    fn scatter_routes_chunks() {
-        let r = run_spmd(3, Machine::ideal(), |comm| {
-            let chunks = if comm.rank() == 0 {
-                Some(vec![vec![0.0], vec![10.0], vec![20.0]])
-            } else {
-                None
-            };
-            scatter(comm, 0, chunks.as_deref())
-        })
-        .unwrap();
-        for (i, res) in r.iter().enumerate() {
-            assert_eq!(res.value, vec![10.0 * i as f64]);
-        }
-    }
-
-    #[test]
-    fn alltoall_transpose() {
-        let p = 4;
-        let r = run_spmd(p, Machine::ideal(), move |comm| {
-            // chunks[d] = [rank*10 + d]
-            let chunks: Vec<Vec<f64>> = (0..p)
-                .map(|d| vec![(comm.rank() * 10 + d) as f64])
-                .collect();
-            alltoall(comm, &chunks)
-        })
-        .unwrap();
-        for (rank, res) in r.iter().enumerate() {
-            for (src, v) in res.value.iter().enumerate() {
-                assert_eq!(v, &vec![(src * 10 + rank) as f64], "rank={rank} src={src}");
-            }
-        }
-    }
-
-    #[test]
-    fn barrier_completes_for_awkward_sizes() {
-        for &p in SIZES {
-            run_spmd(p, Machine::ideal(), |comm| {
-                barrier(comm);
-                barrier(comm);
-            })
-            .unwrap();
-        }
-    }
-
-    #[test]
-    fn tree_broadcast_cheaper_than_linear_in_model() {
-        // Modelled time: binomial log₂p rounds vs p−1 sends at the root.
-        let p = 16;
-        let payload = vec![0.0; 1000];
-        let t_tree = {
-            let payload = payload.clone();
-            let r = run_spmd(p, Machine::cluster2002(), move |comm| {
-                let mut d = payload.clone();
-                broadcast_tree(comm, 0, &mut d);
-            })
-            .unwrap();
-            crate::stats::TimeModel::from_results(&r).makespan
-        };
-        let t_linear = {
-            let r = run_spmd(p, Machine::cluster2002(), move |comm| {
-                let mut d = payload.clone();
-                broadcast_linear(comm, 0, &mut d);
-            })
-            .unwrap();
-            crate::stats::TimeModel::from_results(&r).makespan
-        };
-        assert!(
-            t_tree < t_linear,
-            "tree {t_tree} should beat linear {t_linear}"
-        );
-    }
-
-    #[test]
-    fn ring_beats_doubling_for_large_payloads() {
-        // Bandwidth-dominated regime: ring moves n/p per step.
-        let p = 8;
-        let n = 100_000;
-        let t_ring = {
-            let r = run_spmd(p, Machine::cluster2002(), move |comm| {
-                let data = vec![1.0; n];
-                let _ = allreduce_ring(comm, &data, ReduceOp::Sum);
-            })
-            .unwrap();
-            crate::stats::TimeModel::from_results(&r).makespan
-        };
-        let t_dbl = {
-            let r = run_spmd(p, Machine::cluster2002(), move |comm| {
-                let data = vec![1.0; n];
-                let _ = allreduce_doubling(comm, &data, ReduceOp::Sum);
-            })
-            .unwrap();
-            crate::stats::TimeModel::from_results(&r).makespan
-        };
-        assert!(
-            t_ring < t_dbl,
-            "ring {t_ring} should beat doubling {t_dbl} at n={n}"
-        );
-    }
-
-    #[test]
-    fn doubling_beats_ring_for_tiny_payloads() {
-        // Latency-dominated regime.
-        let p = 8;
-        let t_ring = {
-            let r = run_spmd(p, Machine::cluster2002(), |comm| {
-                let _ = allreduce_ring(comm, &[1.0], ReduceOp::Sum);
-            })
-            .unwrap();
-            crate::stats::TimeModel::from_results(&r).makespan
-        };
-        let t_dbl = {
-            let r = run_spmd(p, Machine::cluster2002(), |comm| {
-                let _ = allreduce_doubling(comm, &[1.0], ReduceOp::Sum);
-            })
-            .unwrap();
-            crate::stats::TimeModel::from_results(&r).makespan
-        };
-        assert!(
-            t_dbl < t_ring,
-            "doubling {t_dbl} should beat ring {t_ring} at n=1"
-        );
-    }
-}
-
-/// Inclusive prefix-sum scan: rank r receives the element-wise sum of
-/// the buffers of ranks `0..=r` (Hillis–Steele doubling: ⌈log₂p⌉ rounds).
-pub fn scan_sum<C: Communicator + ?Sized>(comm: &mut C, data: &[f64]) -> Vec<f64> {
-    let p = comm.size();
-    let rank = comm.rank();
-    let mut acc = data.to_vec();
-    let mut dist = 1usize;
-    let mut round: Tag = 0;
-    while dist < p {
-        // Send my running prefix to rank + dist; receive from rank − dist.
-        if rank + dist < p {
-            comm.send(rank + dist, T_SCAN + round * 16, &acc);
-        }
-        if rank >= dist {
-            let part = comm.recv(rank - dist, T_SCAN + round * 16);
-            ReduceOp::Sum.apply(&mut acc, &part);
-        }
-        dist <<= 1;
-        round += 1;
-    }
-    acc
-}
-
-/// Allgather of equal-length buffers: every rank receives the
-/// concatenation in rank order (tree-gather to rank 0 + broadcast).
-pub fn allgather<C: Communicator + ?Sized>(comm: &mut C, data: &[f64]) -> Vec<f64> {
-    let p = comm.size();
-    let len = data.len();
-    let mut buf = match gather(comm, 0, data) {
-        Some(v) => v,
-        None => vec![0.0; p * len],
-    };
-    broadcast(comm, 0, &mut buf);
-    buf
-}
-
-#[cfg(test)]
-mod scan_tests {
-    use super::*;
-    use crate::machine::Machine;
-    use crate::thread_comm::run_spmd;
-
-    #[test]
-    fn scan_sum_matches_prefix_fold() {
-        for p in [1usize, 2, 3, 5, 8, 13] {
-            let r = run_spmd(p, Machine::ideal(), |comm| {
-                let mine = vec![comm.rank() as f64 + 1.0, 1.0];
-                scan_sum(comm, &mine)
-            })
-            .unwrap();
-            for (rank, res) in r.iter().enumerate() {
-                let expect0: f64 = (0..=rank).map(|k| k as f64 + 1.0).sum();
-                assert_eq!(
-                    res.value,
-                    vec![expect0, rank as f64 + 1.0],
-                    "p={p} rank={rank}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn allgather_concatenates_in_rank_order() {
-        for p in [1usize, 3, 6] {
-            let r = run_spmd(p, Machine::ideal(), |comm| {
-                allgather(comm, &[comm.rank() as f64, -(comm.rank() as f64)])
-            })
-            .unwrap();
-            let expect: Vec<f64> = (0..p).flat_map(|k| vec![k as f64, -(k as f64)]).collect();
-            for res in &r {
-                assert_eq!(res.value, expect, "p={p}");
-            }
-        }
     }
 }

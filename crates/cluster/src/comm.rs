@@ -5,9 +5,9 @@ use crate::message::Tag;
 use crate::stats::CommStats;
 
 /// An SPMD communicator: identity, point-to-point messaging and the
-/// virtual-time hooks. Collective operations live in
-/// [`crate::collectives`] as free functions so that multiple algorithmic
-/// variants can coexist (they are what the ablation experiments compare).
+/// virtual-time hooks. Collective operations are built on top of it by
+/// the [`crate::CollectiveEngine`], which picks the schedule for the
+/// machine's topology.
 ///
 /// The contract mirrors a minimal MPI:
 ///
@@ -76,8 +76,8 @@ pub trait Communicator {
 
 #[cfg(test)]
 mod tests {
-    // Communicator is exercised end-to-end in thread_comm and collectives
-    // tests; here we only pin trait-object safety.
+    // Communicator is exercised end-to-end in the thread_comm, collectives
+    // and engine tests; here we only pin trait-object safety.
     use super::*;
 
     #[test]

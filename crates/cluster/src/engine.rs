@@ -1,4 +1,5 @@
-//! The topology-aware collective engine.
+//! The topology-aware collective engine: the crate's one public way to
+//! run a collective.
 //!
 //! Flat collectives stop scaling long before 1024 ranks: every core
 //! rank of a recursive-doubling butterfly injects into the fabric in
@@ -10,20 +11,19 @@
 //!
 //! | topology | algorithm | why |
 //! |---|---|---|
-//! | `Uniform` | flat recursive doubling | no hierarchy to exploit; identical to the legacy path bit for bit and second for second |
-//! | `Hypercube` | flat recursive doubling | the butterfly partner `rank ^ mask` *is* the dimension-`k` neighbour: flat doubling already runs entirely on near links |
+//! | `Uniform` | flat: recursive doubling, binomial trees, rooted linear gather | no hierarchy to exploit; identical to the legacy path bit for bit and second for second |
 //! | `SmpCluster{g}` | two-level group-leader | one leader per node talks across the fabric; everything else is intra-node |
-//! | `Torus2d{r,c}` | two-level over rows | per-dimension staging: an intra-row stage then a leaders-only inter-row stage |
 //!
 //! # The bitwise contract
 //!
 //! Every engine reduction reproduces the **canonical association** of
-//! [`collectives::canonical_fold`] exactly, for every rank count and
-//! every group size: the two-level schedule's intra-group binomial
-//! tree computes precisely the bottom `log₂ g` levels of the canonical
-//! tree (groups are `g` consecutive ranks, `g` a power of two dividing
-//! the core size), the leader butterfly computes the top levels, and
-//! IEEE-754 commutativity absorbs the operand-order differences. A
+//! [`canonical_fold`](crate::canonical_fold) exactly, for every rank
+//! count and every group size: the two-level schedule's intra-group
+//! binomial tree computes precisely the bottom `log₂ g` levels of the
+//! canonical tree (groups are `g` consecutive ranks, `g` a power of two
+//! dividing the core size), the leader butterfly computes the top
+//! levels, and IEEE-754 commutativity absorbs the operand-order
+//! differences. A
 //! driver may therefore switch between flat and hierarchical
 //! collectives — or between machines with different topologies — and
 //! price bit-for-bit identically.
@@ -54,8 +54,7 @@ fn prev_pow2(p: usize) -> usize {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CollectiveAlgo {
     /// The legacy flat algorithms (recursive doubling, binomial trees,
-    /// rooted linear gathers) — optimal when the fabric is uniform or
-    /// the butterfly maps onto the wiring (hypercube).
+    /// rooted linear gathers) — optimal when the fabric is uniform.
     Flat,
     /// Two-level group-leader schedules over groups of `group`
     /// consecutive ranks (a power of two): intra-group binomial stage,
@@ -106,7 +105,7 @@ impl CollectiveEngine {
         }
         let p2 = prev_pow2(p);
         let group = match machine.topology {
-            TopologyKind::Uniform | TopologyKind::Hypercube => return Self::flat(),
+            TopologyKind::Uniform => return Self::flat(),
             TopologyKind::SmpCluster { node_size } => {
                 if p <= node_size {
                     // Everything is on one node: flat is all-near.
@@ -114,7 +113,6 @@ impl CollectiveEngine {
                 }
                 node_size.min(p2)
             }
-            TopologyKind::Torus2d { rows: _, cols } => prev_pow2(cols.max(1)).min(p2),
         };
         if group >= 2 && group <= p2 {
             Self::two_level(group)
@@ -158,11 +156,6 @@ impl CollectiveEngine {
     /// Sum-allreduce in the canonical order.
     pub fn allreduce_sum<C: Communicator + ?Sized>(&self, comm: &mut C, data: &[f64]) -> Vec<f64> {
         self.allreduce(comm, data, ReduceOp::Sum)
-    }
-
-    /// Max-allreduce in the canonical order.
-    pub fn allreduce_max<C: Communicator + ?Sized>(&self, comm: &mut C, data: &[f64]) -> Vec<f64> {
-        self.allreduce(comm, data, ReduceOp::Max)
     }
 
     /// Broadcast from `root` (identical payload on every rank, so only
@@ -556,10 +549,6 @@ mod tests {
             CollectiveAlgo::Flat
         );
         assert_eq!(
-            CollectiveEngine::for_machine(&Machine::hypercube2002(), p).algo(),
-            CollectiveAlgo::Flat
-        );
-        assert_eq!(
             CollectiveEngine::for_machine(&Machine::smp_cluster2002(8), p).algo(),
             CollectiveAlgo::TwoLevel { group: 8 }
         );
@@ -726,7 +715,7 @@ mod tests {
                     let eng = CollectiveEngine::for_machine(&comm.machine().clone(), comm.size());
                     eng.allreduce_sum(comm, &data)
                 } else {
-                    collectives::allreduce_sum(comm, &data)
+                    collectives::allreduce_doubling(comm, &data, ReduceOp::Sum)
                 };
                 (out, comm.stats())
             })

@@ -99,13 +99,6 @@ impl FaultPlan {
         self
     }
 
-    /// Set the base retransmission timeout (virtual seconds).
-    pub fn with_rto(mut self, rto: f64) -> Self {
-        assert!(rto >= 0.0);
-        self.rto = rto;
-        self
-    }
-
     /// True when the plan can perturb message traffic (drops or
     /// delays); this is what switches sends onto the reliable
     /// ack/retransmit path. Pure crash plans leave point-to-point

@@ -4,18 +4,20 @@
 //! a distributed-memory multiprocessor. This crate recreates that
 //! programming model from scratch:
 //!
-//! * **SPMD execution** — [`run_spmd`] launches `p` ranks as OS threads,
-//!   each holding a [`ThreadComm`]; the same closure runs on every rank
-//!   exactly as an MPI program would (`rank()`, `size()`, `send`, `recv`,
-//!   collectives).
+//! * **SPMD execution** — [`run_spmd_ft`] launches `p` ranks as OS
+//!   threads under a [`FaultPlan`], each holding a [`ThreadComm`]; the
+//!   same closure runs on every rank exactly as an MPI program would
+//!   (`rank()`, `size()`, `send`, `recv`, collectives). [`run_spmd`] is
+//!   the same run under the empty plan.
 //! * **Typed point-to-point messages** through one mailbox per rank (a
 //!   mutex-guarded FIFO shared by the run) with selective receive by
 //!   `(source, tag)` — the MPI envelope discipline.
-//! * **Collectives** ([`collectives`]) — barrier, broadcast, reduce,
-//!   allreduce, gather, scatter and all-to-all, each built from
-//!   point-to-point sends with the classic binomial-tree / recursive
-//!   doubling / ring algorithms (several variants, for the ablation
-//!   experiments).
+//! * **Collectives** through the [`CollectiveEngine`] — broadcast,
+//!   reduce, allreduce and a variable-length gather, each built from
+//!   point-to-point sends: binomial trees and recursive doubling on a
+//!   uniform fabric, two-level group-leader schedules on a cluster of
+//!   SMP nodes. Every schedule reduces in the canonical order of
+//!   [`canonical_fold`], so the choice never moves a bit of a result.
 //! * **A virtual-time execution model** — the substitution for real
 //!   hardware (see DESIGN.md). Each rank owns a virtual clock; computation
 //!   advances it explicitly via [`Communicator::compute`], and every
@@ -32,21 +34,21 @@
 //! curve.
 //!
 //! ```
-//! use mdp_cluster::{run_spmd, Machine, Communicator};
+//! use mdp_cluster::{run_spmd, CollectiveEngine, Communicator, Machine};
 //!
 //! // Sum 0..400 split over 4 ranks, with a modelled 2002-era cluster.
 //! let results = run_spmd(4, Machine::cluster2002(), |comm| {
 //!     let (lo, hi) = mdp_cluster::partition::block_range(400, comm.size(), comm.rank());
 //!     let local: f64 = (lo..hi).map(|i| i as f64).sum();
 //!     comm.compute(1e-9 * (hi - lo) as f64);
-//!     mdp_cluster::collectives::allreduce_sum(comm, &[local])[0]
+//!     CollectiveEngine::flat().allreduce_sum(comm, &[local])[0]
 //! })
 //! .unwrap();
 //! assert!(results.iter().all(|r| r.value == 79800.0));
 //! ```
 
 pub mod checkpoint;
-pub mod collectives;
+mod collectives;
 pub mod comm;
 pub mod engine;
 pub mod error;

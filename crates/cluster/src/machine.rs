@@ -8,9 +8,9 @@
 //!
 //! Since the collective-engine refactor a machine also carries a
 //! [`TopologyKind`] and a second (α, β) pair for **far** links — those
-//! that leave an SMP node or a direct topology link. Legacy presets are
-//! [`TopologyKind::Uniform`] with far == near, so every pre-engine cost
-//! is reproduced bit for bit.
+//! that leave an SMP node. Every preset but
+//! [`Machine::smp_cluster2002`] is [`TopologyKind::Uniform`] with far ==
+//! near, so every pre-engine cost is reproduced bit for bit.
 
 use crate::topology::TopologyKind;
 
@@ -100,7 +100,7 @@ impl Machine {
     /// messages over the 2002-era fabric (50 µs, 100 MB/s) through one
     /// uplink per node. This is the machine the 1024-rank scalability
     /// sweep runs on; concurrent far senders on a node serialise on the
-    /// uplink (see `collectives`).
+    /// uplink (see [`crate::CollectiveEngine`]).
     ///
     /// # Panics
     /// Panics unless `node_size` is a power of two.
@@ -117,24 +117,6 @@ impl Machine {
             recv_deadline: DEFAULT_RECV_DEADLINE,
             topology: TopologyKind::SmpCluster { node_size },
             far_latency: 50e-6,
-            far_inv_bandwidth: 10e-9,
-            collectives: CollectiveChoice::Auto,
-        }
-    }
-
-    /// A hypercube-wired machine with 2002-era link parameters:
-    /// dimension-neighbour messages are direct (near), everything else
-    /// routes through intermediate nodes (far at double latency).
-    /// Recursive doubling runs entirely on near links here.
-    pub fn hypercube2002() -> Self {
-        Machine {
-            name: "hypercube2002",
-            latency: 50e-6,
-            inv_bandwidth: 10e-9,
-            sec_per_unit: 10e-9,
-            recv_deadline: DEFAULT_RECV_DEADLINE,
-            topology: TopologyKind::Hypercube,
-            far_latency: 100e-6,
             far_inv_bandwidth: 10e-9,
             collectives: CollectiveChoice::Auto,
         }
@@ -274,15 +256,6 @@ mod tests {
         assert!(m.message_time_between(0, 7, 1000) < m.message_time_between(0, 8, 1000));
         assert_eq!(m.message_time_between(0, 8, 1000), m.far_message_time(1000));
         assert_eq!(m.message_time_between(1, 5, 1000), m.message_time(1000));
-    }
-
-    #[test]
-    fn hypercube_machine_keeps_doubling_partners_near() {
-        let m = Machine::hypercube2002();
-        for k in 0..6 {
-            assert!(!m.is_far(0, 1 << k), "dimension {k} partner");
-        }
-        assert!(m.is_far(0, 3));
     }
 
     #[test]

@@ -11,7 +11,7 @@ pub const RESERVED_TAG_BASE: Tag = 0xFFFF_0000;
 /// Tag used by the poison-propagation protocol when a rank panics.
 pub const POISON_TAG: Tag = RESERVED_TAG_BASE + 1;
 
-/// Tags used internally by the collective algorithms.
+/// Tags used internally by the engine's flat collective schedules.
 pub const COLL_TAG_BASE: Tag = RESERVED_TAG_BASE + 0x100;
 
 /// Tags used internally by the fault-tolerance layer (failure agreement

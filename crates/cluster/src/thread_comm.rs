@@ -11,13 +11,14 @@
 //! because all *reported* times come from the deterministic virtual
 //! clock, results are identical to a run on a 64-core machine.
 //!
-//! [`run_spmd_ft`] is the fault-tolerant entry point: it threads a
-//! [`FaultPlan`] into every rank's communicator, activating deterministic
-//! message drops/delays (answered by a modelled ack/retransmit layer),
-//! scheduled rank crashes at step boundaries, and the poison-based
-//! failure detection consumed by [`crate::checkpoint::Supervisor`].
-//! When no plan is active every fast path reduces to a single `Option`
-//! check — plain runs are unchanged.
+//! Every run carries a [`FaultPlan`] in each rank's communicator:
+//! [`run_spmd_ft`] takes one, activating deterministic message
+//! drops/delays (answered by a modelled ack/retransmit layer), scheduled
+//! rank crashes at step boundaries, and the poison-based failure
+//! detection consumed by [`crate::checkpoint::Supervisor`]. [`run_spmd`]
+//! and [`run_spmd_traced`] pass the empty plan, which drops, delays and
+//! crashes nothing, so their sends take the plain path and every
+//! fault check answers "no".
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -137,12 +138,18 @@ pub struct ThreadComm {
     pending: HashMap<(usize, Tag), VecDeque<Message>>,
     /// Virtual-time event log, when tracing is enabled.
     trace: Option<Vec<TraceEvent>>,
-    /// Fault-injection state; `None` on plain runs (the zero-cost path).
-    fault: Option<FaultState>,
+    /// Fault-injection state (inert under an empty plan).
+    fault: FaultState,
 }
 
 impl ThreadComm {
-    fn new(rank: usize, size: usize, machine: Machine, mailboxes: Arc<[Mailbox]>) -> Self {
+    fn new(
+        rank: usize,
+        size: usize,
+        machine: Machine,
+        mailboxes: Arc<[Mailbox]>,
+        plan: Arc<FaultPlan>,
+    ) -> Self {
         ThreadComm {
             rank,
             size,
@@ -152,7 +159,11 @@ impl ThreadComm {
             mailboxes,
             pending: HashMap::new(),
             trace: None,
-            fault: None,
+            fault: FaultState {
+                plan,
+                send_seq: vec![0; size],
+                observed_dead: vec![None; size],
+            },
         }
     }
 
@@ -161,18 +172,9 @@ impl ThreadComm {
         self.trace = Some(Vec::new());
     }
 
-    /// Arm the fault-injection layer with a shared plan.
-    fn enable_fault(&mut self, plan: Arc<FaultPlan>) {
-        self.fault = Some(FaultState {
-            plan,
-            send_seq: vec![0; self.size],
-            observed_dead: vec![None; self.size],
-        });
-    }
-
-    /// The active fault plan, if this run is fault-injected.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.fault.as_ref().map(|f| &*f.plan)
+    /// The run's fault plan (empty unless the run is fault-injected).
+    pub fn fault_plan(&self) -> &FaultPlan {
+        &self.fault.plan
     }
 
     fn handle_poison(&self, msg: &Message) -> ! {
@@ -232,9 +234,7 @@ impl ThreadComm {
     /// has a *scheduled* crash (death absorbed, caller continues);
     /// false means an unscheduled failure (caller must cascade).
     fn note_poison(&mut self, msg: &Message) -> bool {
-        let Some(fs) = &mut self.fault else {
-            return false;
-        };
+        let fs = &mut self.fault;
         if fs.plan.crash_step(msg.src).is_none() {
             return false;
         }
@@ -250,13 +250,11 @@ impl ThreadComm {
     /// *only* place crashes fire, which is what keeps recovery free of
     /// in-flight user messages.
     pub fn fault_step(&self, step: usize) {
-        if let Some(fs) = &self.fault {
-            if fs.plan.crash_step(self.rank) == Some(step) {
-                std::panic::panic_any(InjectedCrash {
-                    rank: self.rank,
-                    step,
-                });
-            }
+        if self.fault.plan.crash_step(self.rank) == Some(step) {
+            std::panic::panic_any(InjectedCrash {
+                rank: self.rank,
+                step,
+            });
         }
     }
 
@@ -267,11 +265,9 @@ impl ThreadComm {
     /// cascades, and the deadline still applies.
     pub fn recv_ft(&mut self, src: usize, tag: Tag) -> Result<Vec<f64>, usize> {
         assert!(src < self.size, "recv from rank {src} of {}", self.size);
-        if let Some(fs) = &self.fault {
-            if let Some(t) = fs.observed_dead[src] {
-                self.advance_wait_to(t, src);
-                return Err(src);
-            }
+        if let Some(t) = self.fault.observed_dead[src] {
+            self.advance_wait_to(t, src);
+            return Err(src);
         }
         let msg = if let Some(m) = self.take_pending(src, tag) {
             m
@@ -304,7 +300,7 @@ impl ThreadComm {
     /// costs are virtual time; the decision stream is the plan's, so
     /// the whole exchange replays deterministically.
     fn reliable_send(&mut self, dest: usize, tag: Tag, data: &[f64]) {
-        let fs = self.fault.as_mut().expect("reliable_send needs a plan");
+        let fs = &mut self.fault;
         let plan = Arc::clone(&fs.plan);
         let seq = fs.send_seq[dest];
         fs.send_seq[dest] += 1;
@@ -384,19 +380,13 @@ impl ThreadComm {
     /// scheduling accident, and the fault layer accounts for its death
     /// separately; counting it would make `dropped_msgs` racy.
     fn post(&mut self, dest: usize, msg: Message) {
-        if self.mailboxes[dest].post(msg).is_err() {
-            let scheduled = self
-                .fault
-                .as_ref()
-                .is_some_and(|f| f.plan.crash_step(dest).is_some());
-            if !scheduled {
-                self.stats.dropped_msgs += 1;
-                if let Some(tr) = &mut self.trace {
-                    tr.push(TraceEvent::Drop {
-                        at: self.clock,
-                        dest,
-                    });
-                }
+        if self.mailboxes[dest].post(msg).is_err() && self.fault.plan.crash_step(dest).is_none() {
+            self.stats.dropped_msgs += 1;
+            if let Some(tr) = &mut self.trace {
+                tr.push(TraceEvent::Drop {
+                    at: self.clock,
+                    dest,
+                });
             }
         }
     }
@@ -434,7 +424,7 @@ impl Communicator for ThreadComm {
 
     fn send(&mut self, dest: usize, tag: Tag, data: &[f64]) {
         assert!(dest < self.size, "send to rank {dest} of {}", self.size);
-        if self.fault.as_ref().is_some_and(|f| f.plan.has_chaos()) {
+        if self.fault.plan.has_chaos() {
             return self.reliable_send(dest, tag, data);
         }
         let bytes = Message::wire_bytes(data.len());
@@ -579,7 +569,9 @@ enum Failure {
 }
 
 /// Run `f` on `p` ranks under the given machine model and collect every
-/// rank's result, virtual completion time and counters (ordered by rank).
+/// rank's result, virtual completion time and counters (ordered by rank):
+/// [`run_spmd_ft`] under the empty plan, returning the survivors (every
+/// rank, since nothing is injected).
 ///
 /// If any rank panics, the panic is caught, poison is propagated so peers
 /// blocked in `recv` unwind too, and the whole run returns
@@ -592,7 +584,7 @@ where
     T: Send,
     F: Fn(&mut ThreadComm) -> T + Sync,
 {
-    run_spmd_inner(p, machine, f, false, None).map(|(r, _, _)| r)
+    run_spmd_ft(p, machine, FaultPlan::new(0), f).map(|out| out.survivors)
 }
 
 /// Results plus per-rank event traces from a traced run.
@@ -605,7 +597,7 @@ where
     T: Send,
     F: Fn(&mut ThreadComm) -> T + Sync,
 {
-    run_spmd_inner(p, machine, f, true, None)
+    run_spmd_inner(p, machine, f, true, Arc::new(FaultPlan::new(0)))
         .map(|(r, t, _)| (r, t.expect("tracing was requested")))
 }
 
@@ -630,7 +622,7 @@ where
             return Err(ClusterError::InvalidRank { rank: r, size: p });
         }
     }
-    run_spmd_inner(p, machine, f, false, Some(Arc::new(plan)))
+    run_spmd_inner(p, machine, f, false, Arc::new(plan))
         .map(|(survivors, _, crashed)| FtRunOutcome { survivors, crashed })
 }
 
@@ -640,7 +632,7 @@ fn run_spmd_inner<T, F>(
     machine: Machine,
     f: F,
     traced: bool,
-    plan: Option<Arc<FaultPlan>>,
+    plan: Arc<FaultPlan>,
 ) -> Result<
     (
         Vec<SpmdResult<T>>,
@@ -666,13 +658,11 @@ where
             let mut handles = Vec::with_capacity(p);
             for rank in 0..p {
                 let mailboxes = Arc::clone(&mailboxes);
+                let plan = Arc::clone(plan);
                 handles.push(scope.spawn(move || {
-                    let mut comm = ThreadComm::new(rank, p, machine, mailboxes);
+                    let mut comm = ThreadComm::new(rank, p, machine, mailboxes, plan);
                     if traced {
                         comm.enable_trace();
-                    }
-                    if let Some(pl) = plan {
-                        comm.enable_fault(Arc::clone(pl));
                     }
                     let outcome = catch_unwind(AssertUnwindSafe(|| f(&mut comm)));
                     match outcome {
@@ -1011,10 +1001,17 @@ mod fault_tests {
         let plain = run_spmd(4, Machine::cluster2002(), body).unwrap();
         let ft = run_spmd_ft(4, Machine::cluster2002(), FaultPlan::new(0), body).unwrap();
         assert!(ft.crashed.is_empty());
+        // The empty plan keeps sends on the plain path: one Hockney
+        // charge per message, no acks, no retransmits.
+        let bytes = Message::wire_bytes(1);
+        let clock = 1e-3 + Machine::cluster2002().message_time(bytes);
         for (a, b) in plain.iter().zip(&ft.survivors) {
             assert_eq!(a.value.to_bits(), b.value.to_bits());
             assert_eq!(a.time.to_bits(), b.time.to_bits());
             assert_eq!(a.stats, b.stats);
+            assert_eq!(b.time.to_bits(), clock.to_bits());
+            assert_eq!((b.stats.msgs_sent, b.stats.bytes_sent), (1, bytes as u64));
+            assert_eq!((b.stats.ack_msgs, b.stats.retransmits), (0, 0));
         }
     }
 
@@ -1201,7 +1198,7 @@ mod fault_tests {
 #[cfg(test)]
 mod trace_tests {
     use super::*;
-    use crate::collectives;
+    use crate::collectives::{self, ReduceOp};
     use crate::trace::{render_gantt, summarize, TraceEvent};
 
     #[test]
@@ -1260,7 +1257,7 @@ mod trace_tests {
         // Virtual times must be identical with tracing on or off.
         let body = |comm: &mut ThreadComm| {
             comm.compute(1e-3 * (comm.rank() + 1) as f64);
-            collectives::allreduce_sum(comm, &[comm.rank() as f64])[0]
+            collectives::allreduce_doubling(comm, &[comm.rank() as f64], ReduceOp::Sum)[0]
         };
         let plain = run_spmd(3, Machine::cluster2002(), body).unwrap();
         let (traced, traces) = run_spmd_traced(3, Machine::cluster2002(), body).unwrap();

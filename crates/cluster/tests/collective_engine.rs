@@ -1,7 +1,7 @@
-//! Cross-variant collective equivalence suite.
+//! Cross-schedule collective equivalence suite.
 //!
-//! Every reduction variant in the workspace — flat recursive doubling,
-//! the canonical ring, the rooted trees, and the engine's two-level
+//! Every reduction schedule of the [`CollectiveEngine`] — the flat
+//! recursive doubling and rooted binomial tree, and the two-level
 //! group-leader schedules — must produce **bitwise-identical** vectors:
 //! the canonical fold of the per-rank contributions. This is the
 //! invariant that lets the engine swap algorithms by topology without
@@ -12,8 +12,7 @@
 //! inter-node fabric strictly less than the flat ones.
 
 use mdp_cluster::{
-    canonical_fold, collectives, run_spmd, CollectiveEngine, Communicator, Machine, ReduceOp,
-    TimeModel,
+    canonical_fold, run_spmd, CollectiveEngine, Communicator, Machine, ReduceOp, TimeModel,
 };
 
 /// Deterministic splitmix64-style payload: full-magnitude doubles whose
@@ -52,7 +51,7 @@ fn assert_bits(got: &[f64], want: &[f64], what: &str) {
     }
 }
 
-/// Every allreduce variant at rank count `p` returns the canonical fold.
+/// Every allreduce schedule at rank count `p` returns the canonical fold.
 fn check_allreduce_variants(p: usize, len: usize, salt: u64) {
     for op in [ReduceOp::Sum, ReduceOp::Max, ReduceOp::Min] {
         let want = expected(p, len, salt, op);
@@ -67,13 +66,7 @@ fn check_allreduce_variants(p: usize, len: usize, salt: u64) {
             }
         };
         run("doubling", &|c, d| {
-            collectives::allreduce_doubling(c, d, op)
-        });
-        run("ring-canonical", &|c, d| {
-            collectives::allreduce_ring_canonical(c, d, op)
-        });
-        run("reduce-bcast", &|c, d| {
-            collectives::allreduce_reduce_bcast(c, d, op)
+            CollectiveEngine::flat().allreduce(c, d, op)
         });
         for g in [2usize, 4, 16] {
             if g <= p {
@@ -85,7 +78,7 @@ fn check_allreduce_variants(p: usize, len: usize, salt: u64) {
     }
 }
 
-/// Every rooted reduce variant delivers the canonical fold at the root.
+/// Every rooted reduce schedule delivers the canonical fold at the root.
 fn check_reduce_variants(p: usize, len: usize, salt: u64, root: usize) {
     let op = ReduceOp::Sum;
     let want = expected(p, len, salt, op);
@@ -109,10 +102,7 @@ fn check_reduce_variants(p: usize, len: usize, salt: u64, root: usize) {
         }
     };
     run("reduce-tree", &|c, d| {
-        collectives::reduce_tree(c, root, d, op)
-    });
-    run("reduce-linear", &|c, d| {
-        collectives::reduce_linear(c, root, d, op)
+        CollectiveEngine::flat().reduce(c, root, d, op)
     });
     for g in [2usize, 8] {
         if g <= p {
@@ -123,7 +113,7 @@ fn check_reduce_variants(p: usize, len: usize, salt: u64, root: usize) {
     }
 }
 
-/// Every broadcast variant delivers the root's exact bits everywhere.
+/// Every broadcast schedule delivers the root's exact bits everywhere.
 fn check_broadcast_variants(p: usize, len: usize, salt: u64, root: usize) {
     let want = payload(root, len, salt);
     let run = |name: &str, f: &(dyn Fn(&mut dyn Communicator, &mut [f64]) + Sync)| {
@@ -142,10 +132,7 @@ fn check_broadcast_variants(p: usize, len: usize, salt: u64, root: usize) {
         }
     };
     run("bcast-tree", &|c, d| {
-        collectives::broadcast_tree(c, root, d)
-    });
-    run("bcast-linear", &|c, d| {
-        collectives::broadcast_linear(c, root, d)
+        CollectiveEngine::flat().broadcast(c, root, d)
     });
     for g in [2usize, 8] {
         if g <= p {

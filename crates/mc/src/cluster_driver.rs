@@ -122,7 +122,7 @@ pub fn price_mc_cluster(
             let mut paths = 0u64;
             for &b in &todo[blo..bhi] {
                 local.push(b as f64);
-                local.extend_from_slice(&ctx.simulate_block(b).to_vec());
+                local.extend_from_slice(&ctx.simulate_block_batched(b).to_vec());
                 paths += ctx.config().block_paths(b);
             }
             comm.compute_units(paths as f64 * work_per_path);

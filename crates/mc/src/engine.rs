@@ -299,21 +299,8 @@ impl<'a> RunContext<'a> {
         (self.disc * y, self.disc * x)
     }
 
-    /// Simulate one substream block with the default kernel.
-    ///
-    /// The batched SoA kernel ([`RunContext::simulate_block_batched`]) is
-    /// the default; build with `--features scalar-kernel` to switch every
-    /// driver back to the scalar oracle. Both produce bitwise-identical
-    /// accumulators, so the switch is purely about speed.
-    pub fn simulate_block(&self, block: u64) -> BlockAccum {
-        if cfg!(feature = "scalar-kernel") {
-            self.simulate_block_scalar(block)
-        } else {
-            self.simulate_block_batched(block)
-        }
-    }
-
-    /// Simulate one substream block path-by-path (the scalar oracle).
+    /// Simulate one substream block path-by-path: the scalar oracle the
+    /// equality suites hold the batched kernel to.
     pub fn simulate_block_scalar(&self, block: u64) -> BlockAccum {
         let d = self.stepper.dim;
         let npath = self.stepper.normals_per_path();
@@ -342,10 +329,11 @@ impl<'a> RunContext<'a> {
         acc
     }
 
-    /// Simulate one substream block with the batched SoA kernel: paths in
-    /// panels of [`PANEL`] lanes, normals filled path-major (same draw
-    /// order as the scalar kernel), the correlate as a blocked triangular
-    /// panel multiply, and the payoff fused per lane.
+    /// Simulate one substream block with the batched SoA kernel, the one
+    /// every driver runs: paths in panels of [`PANEL`] lanes, normals
+    /// filled path-major (same draw order as the scalar kernel), the
+    /// correlate as a blocked triangular panel multiply, and the payoff
+    /// fused per lane.
     ///
     /// Bitwise-identical to [`RunContext::simulate_block_scalar`]: every
     /// per-path f64 operation happens in the same order, and lanes push
@@ -534,7 +522,7 @@ impl McPlan {
         // an uncancelled run matches the one-shot path bit for bit.
         let acc = try_merge_in_chunks((0..ctx.num_blocks()).map(|b| -> Result<_, McError> {
             self.check_cancel()?;
-            Ok(ctx.simulate_block(b))
+            Ok(ctx.simulate_block_batched(b))
         }))?;
         Ok(ctx.finish(&acc))
     }
@@ -904,7 +892,7 @@ fn price_rayon_accum(ctx: &RunContext<'_>, cancel: &CancelToken) -> Result<Block
                 if cancel.is_cancelled() {
                     return Err(McError::Cancelled);
                 }
-                chunk.merge(&ctx.simulate_block(b));
+                chunk.merge(&ctx.simulate_block_batched(b));
             }
             Ok(chunk)
         })
@@ -957,7 +945,7 @@ impl McEngine {
     /// chunked order ([`merge_in_chunks`]).
     pub fn price(&self, market: &GbmMarket, product: &Product) -> Result<McResult, McError> {
         let ctx = RunContext::new(market, product, self.config)?;
-        let acc = merge_in_chunks((0..ctx.num_blocks()).map(|b| ctx.simulate_block(b)));
+        let acc = merge_in_chunks((0..ctx.num_blocks()).map(|b| ctx.simulate_block_batched(b)));
         Ok(ctx.finish(&acc))
     }
 

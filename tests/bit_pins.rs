@@ -1,20 +1,22 @@
-//! Bitwise pins of the benchmark's cluster-sweep Monte Carlo and LSMC
-//! problems, and of quote-ladder's finite-difference quotes.
+//! Bitwise pins of the benchmark's four cluster-sweep problems (Monte
+//! Carlo, lattice, explicit FD and LSMC) and of quote-ladder's
+//! finite-difference quotes.
 //!
 //! `golden_regression.rs` pins prices to 1e-10 relative, which a one-ulp
 //! drift passes. These pins are exact: `f64::to_bits` of every price,
 //! standard error and modelled makespan, and the exact message and byte
 //! counts, on fixed markets. Host-side work (RNG seeding, the SPMD
-//! runtime's mailboxes, the LSMC kernel's scratch handling, the FD step's
-//! pass structure and its scalar/panel kernel choice) may change only if
-//! every pin here holds.
+//! runtime's mailboxes and collective schedules, the LSMC kernel's scratch
+//! handling, the FD step's pass structure and its scalar/panel kernel
+//! choice) may change only if every pin here holds.
 //!
 //! On a mismatch the test prints the whole actual table in the pin
 //! format, so an intentional numerical change re-derives it in one run.
 
 use mdp_core::prelude::*;
 
-/// cluster-sweep's modelled machine.
+/// cluster-sweep's modelled machine: its two-level collectives and far
+/// links run at every P above 8.
 fn machine() -> Machine {
     Machine::smp_cluster2002(8)
 }
@@ -53,31 +55,71 @@ fn lsmc_problem() -> (GbmMarket, Product, Method) {
     )
 }
 
-/// Every pinned quantity of one problem, as `(name, bits or count)`.
-fn observe(problem: (GbmMarket, Product, Method)) -> Vec<(String, u64)> {
-    let (market, product, method) = problem;
-    let mut out = Vec::new();
-    let backends = [
+/// The 2-asset European max-call on a 100-step BEG lattice.
+fn lattice_problem() -> (GbmMarket, Product, Method) {
+    (
+        GbmMarket::symmetric(2, 100.0, 0.2, 0.0, 0.05, 0.3).unwrap(),
+        Product::european(Payoff::MaxCall { strike: 100.0 }, 1.0),
+        Method::MultiLattice { steps: 100 },
+    )
+}
+
+/// The 1-asset European put on the explicit 201 × 1000 FD grid.
+fn fd_problem() -> (GbmMarket, Product, Method) {
+    (
+        GbmMarket::symmetric(1, 100.0, 0.2, 0.0, 0.05, 0.3).unwrap(),
+        Product::european(
+            Payoff::BasketPut {
+                weights: vec![1.0],
+                strike: 100.0,
+            },
+            1.0,
+        ),
+        Method::Fd1d(Fd1d {
+            space_points: 201,
+            time_steps: 1_000,
+            scheme: mdp_core::pde::Scheme::Explicit,
+            ..Default::default()
+        }),
+    )
+}
+
+/// A cluster backend on [`machine`], checkpointing every `ckpt` steps.
+fn cluster(ranks: usize, ckpt: Option<usize>) -> Backend {
+    Backend::Cluster {
+        ranks,
+        machine: machine(),
+        checkpoint_interval: ckpt,
+    }
+}
+
+/// The Monte Carlo and LSMC problems' backends.
+fn mc_backends() -> Vec<(&'static str, Backend)> {
+    vec![
         ("seq", Backend::Sequential),
         ("rayon", Backend::Rayon),
-        ("p16", Backend::cluster(16, machine())),
-        (
-            "p64-ckpt4",
-            Backend::Cluster {
-                ranks: 64,
-                machine: machine(),
-                checkpoint_interval: Some(4),
-            },
-        ),
-    ];
+        ("p16", cluster(16, None)),
+        ("p64-ckpt4", cluster(64, Some(4))),
+    ]
+}
+
+/// Every pinned quantity of one problem on each backend, as `(name,
+/// bits or count)`. Engines without a standard error pin none.
+fn observe(
+    problem: (GbmMarket, Product, Method),
+    backends: Vec<(&str, Backend)>,
+) -> Vec<(String, u64)> {
+    let (market, product, method) = problem;
+    let mut out = Vec::new();
     for (name, backend) in backends {
         let r = Pricer::new(method.clone())
             .backend(backend)
             .price(&market, &product)
             .unwrap();
         out.push((format!("{name}.price"), r.price.to_bits()));
-        let se = r.std_error.expect("Monte Carlo reports a standard error");
-        out.push((format!("{name}.std_error"), se.to_bits()));
+        if let Some(se) = r.std_error {
+            out.push((format!("{name}.std_error"), se.to_bits()));
+        }
         if let Some(t) = r.time {
             out.push((format!("{name}.makespan"), t.makespan.to_bits()));
             out.push((format!("{name}.msgs"), t.total_msgs));
@@ -111,7 +153,7 @@ fn check(actual: &[(String, u64)], pinned: &[(&str, u64)]) {
 #[test]
 fn mc_sweep_problem_bits() {
     check(
-        &observe(mc_problem()),
+        &observe(mc_problem(), mc_backends()),
         &[
             ("seq.price", 0x40200b742cc89611),
             ("seq.std_error", 0x3fa3f9f55dce854a),
@@ -134,7 +176,7 @@ fn mc_sweep_problem_bits() {
 #[test]
 fn lsmc_sweep_problem_bits() {
     check(
-        &observe(lsmc_problem()),
+        &observe(lsmc_problem(), mc_backends()),
         &[
             ("seq.price", 0x4022bebd9b6b27de),
             ("seq.std_error", 0x3fb7d391828f5be0),
@@ -150,6 +192,61 @@ fn lsmc_sweep_problem_bits() {
             ("p64-ckpt4.makespan", 0x3f80135569b64977),
             ("p64-ckpt4.msgs", 2016),
             ("p64-ckpt4.bytes", 642240),
+        ],
+    );
+}
+
+#[test]
+fn lattice_sweep_problem_bits() {
+    check(
+        &observe(
+            lattice_problem(),
+            vec![
+                ("seq", Backend::Sequential),
+                ("p16", cluster(16, None)),
+                ("p64", cluster(64, None)),
+                ("p16-ckpt4", cluster(16, Some(4))),
+            ],
+        ),
+        &[
+            ("seq.price", 0x403068061a1d2018),
+            ("p16.price", 0x403068061a1d2018),
+            ("p16.makespan", 0x3f7b822fa3395e24),
+            ("p16.msgs", 1410),
+            ("p16.bytes", 635360),
+            ("p64.price", 0x403068061a1d2018),
+            ("p64.makespan", 0x3f77f97dd23538ea),
+            ("p64.msgs", 4410),
+            ("p64.bytes", 2317728),
+            ("p16-ckpt4.price", 0x403068061a1d2018),
+            ("p16-ckpt4.makespan", 0x3f7bceebbe88191d),
+            ("p16-ckpt4.msgs", 1410),
+            ("p16-ckpt4.bytes", 635360),
+        ],
+    );
+}
+
+#[test]
+fn fd_sweep_problem_bits() {
+    check(
+        &observe(
+            fd_problem(),
+            vec![
+                ("seq", Backend::Sequential),
+                ("p8", cluster(8, None)),
+                ("p8-ckpt4", cluster(8, Some(4))),
+            ],
+        ),
+        &[
+            ("seq.price", 0x401649ddede7fd0d),
+            ("p8.price", 0x401649ddede7fd0d),
+            ("p8.makespan", 0x3f78b379ae5b8c9e),
+            ("p8.msgs", 14007),
+            ("p8.bytes", 336168),
+            ("p8-ckpt4.price", 0x401649ddede7fd0d),
+            ("p8-ckpt4.makespan", 0x3f7adc132a98f4ce),
+            ("p8-ckpt4.msgs", 14007),
+            ("p8-ckpt4.bytes", 336168),
         ],
     );
 }

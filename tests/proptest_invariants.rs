@@ -2,7 +2,7 @@
 //! stack: no-arbitrage relations, estimator invariances, decomposition
 //! algebra, collective semantics.
 
-use mdp_core::cluster::{collectives, partition, Communicator, Machine};
+use mdp_core::cluster::{partition, CollectiveEngine, Communicator, Machine};
 use mdp_core::math::linalg::{Cholesky, Matrix};
 use mdp_core::math::stats::OnlineStats;
 use mdp_core::prelude::*;
@@ -121,8 +121,8 @@ proptest! {
         prop_assert_eq!(total, n);
     }
 
-    /// Allreduce (both algorithms) equals the sequential fold for random
-    /// payloads and rank counts.
+    /// The flat allreduce equals the sequential fold for random payloads
+    /// and rank counts.
     #[test]
     fn allreduce_equals_fold(
         p in 1usize..9,
@@ -140,15 +140,12 @@ proptest! {
         let payloads2 = payloads.clone();
         let results = mdp_core::cluster::run_spmd(p, Machine::ideal(), move |comm| {
             let mine = payloads2[comm.rank()].clone();
-            let a = collectives::allreduce_doubling(comm, &mine, collectives::ReduceOp::Sum);
-            let b = collectives::allreduce_ring(comm, &mine, collectives::ReduceOp::Sum);
-            (a, b)
+            CollectiveEngine::flat().allreduce_sum(comm, &mine)
         })
         .unwrap();
         for r in &results {
             for (i, e) in expect.iter().enumerate() {
-                prop_assert!((r.value.0[i] - e).abs() < 1e-9);
-                prop_assert!((r.value.1[i] - e).abs() < 1e-9);
+                prop_assert!((r.value[i] - e).abs() < 1e-9);
             }
         }
     }
@@ -293,24 +290,5 @@ proptest! {
         prop_assert!(hi >= lo - 1e-12, "{hi} vs {lo}");
         let vanilla = analytic::black_scholes_call(100.0, 100.0, 0.05, 0.0, 0.25, 1.0);
         prop_assert!(hi <= vanilla + 1e-9);
-    }
-
-    /// Scan collective equals the sequential prefix fold for arbitrary
-    /// rank counts.
-    #[test]
-    fn scan_equals_prefix(p in 1usize..9, seed in 0u64..200) {
-        use mdp_core::math::rng::{Rng64, SplitMix64};
-        let mut rng = SplitMix64::new(seed);
-        let values: Vec<f64> = (0..p).map(|_| rng.next_f64() * 4.0 - 2.0).collect();
-        let values2 = values.clone();
-        let results = mdp_core::cluster::run_spmd(p, Machine::ideal(), move |comm| {
-            collectives::scan_sum(comm, &[values2[comm.rank()]])[0]
-        })
-        .unwrap();
-        let mut acc = 0.0;
-        for (rank, r) in results.iter().enumerate() {
-            acc += values[rank];
-            prop_assert!((r.value - acc).abs() < 1e-12, "rank {rank}");
-        }
     }
 }
