@@ -393,8 +393,8 @@ pub fn t5b_pde_kernel_throughput(effort: Effort) {
 /// oracle, and the 3-D ADI backend vs its Monte Carlo baseline.
 ///
 /// Part (a) runs the full explicit FD time loop with the level-by-level
-/// sweep ([`StencilKernel::StepByStep`]) and the recursive trapezoid
-/// decomposition ([`StencilKernel::Trapezoid`]) on grids far past
+/// sweep ([`Fd1dPlan::execute_step_by_step`]) and the recursive trapezoid
+/// decomposition ([`Fd1dPlan::execute`]) on grids far past
 /// last-level-of-interest cache, checks the surfaces are bitwise
 /// identical, and records ns/node for both. The grid sizes use the
 /// tiny-maturity trick: with the `LogGrid` half-width clamped at 0.5,
@@ -406,10 +406,10 @@ pub fn t5b_pde_kernel_throughput(effort: Effort) {
 /// Douglas ADI grid and with Monte Carlo, asserting agreement within
 /// the simulation's own resolution and recording the wall cost of each.
 ///
-/// [`StencilKernel::StepByStep`]: mdp_core::pde::StencilKernel::StepByStep
-/// [`StencilKernel::Trapezoid`]: mdp_core::pde::StencilKernel::Trapezoid
+/// [`Fd1dPlan::execute_step_by_step`]: mdp_core::pde::Fd1dPlan::execute_step_by_step
+/// [`Fd1dPlan::execute`]: mdp_core::pde::Fd1dPlan::execute
 pub fn t13_stencil_throughput(effort: Effort) {
-    use mdp_core::pde::Scheme;
+    use mdp_core::pde::{Fd1dScratch, Scheme};
     use mdp_perf::timing::measure_best;
 
     let mut t = Table::new(
@@ -456,19 +456,26 @@ pub fn t13_stencil_throughput(effort: Effort) {
         } else {
             Product::european(payoff, maturity)
         };
-        let run = |stencil: StencilKernel| {
-            Fd1d {
+        // Both sides plan, then sweep: only the sweep differs.
+        let run = |step_by_step: bool| {
+            let plan = Fd1d {
                 space_points: mpts,
                 time_steps: n,
                 scheme: Scheme::Explicit,
-                stencil,
                 ..Default::default()
             }
-            .price(&m1, &p)
+            .plan(&m1, maturity)
+            .expect("fd1d plan");
+            let scratch = &mut Fd1dScratch::default();
+            if step_by_step {
+                plan.execute_step_by_step(&p, scratch)
+            } else {
+                plan.execute(&p, scratch)
+            }
             .expect("fd1d")
         };
-        let (res_step, secs_step) = measure_best(|| run(StencilKernel::StepByStep), reps);
-        let (res_trap, secs_trap) = measure_best(|| run(StencilKernel::Trapezoid), reps);
+        let (res_step, secs_step) = measure_best(|| run(true), reps);
+        let (res_trap, secs_trap) = measure_best(|| run(false), reps);
         assert_eq!(
             res_step.price.to_bits(),
             res_trap.price.to_bits(),
@@ -1652,7 +1659,7 @@ pub fn t11_serve(effort: Effort) {
 ///
 /// Part 1 replays a deterministic stream of one-field market ticks
 /// (spot and rate) against a live FD book. The incremental path patches
-/// the compiled group plan in place ([`GroupPlan::apply_tick`]) and
+/// the compiled group plan in place ([`PricerPlan::apply_tick`]) and
 /// re-executes the fused strike ladder; the naive path reprices the
 /// book product-by-product on every ticked market, rebuilding state
 /// from scratch each time — the pre-plan-cache serving behaviour. An

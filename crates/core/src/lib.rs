@@ -58,18 +58,16 @@
 //! | [`Method::MultiLattice`] | 1–5 (practically) | both | sequential, rayon, cluster |
 //! | [`Method::MonteCarlo`] | any | European | sequential, rayon, cluster |
 //! | [`Method::Qmc`] | steps·d ≤ 64 | European | sequential |
-//! | [`Method::Lsmc`] | any | American | sequential, cluster |
+//! | [`Method::Lsmc`] | any | American | sequential, rayon, cluster |
 //! | [`Method::Fd1d`] | 1 | both | sequential, cluster (explicit scheme) |
 //! | [`Method::Adi2d`] | 2 | both | sequential, rayon |
 //! | [`Method::Adi3d`] | 3 | both | sequential |
 
-pub mod engine;
 pub mod greeks;
 pub mod portfolio;
 pub mod pricer;
 pub mod riskcube;
 
-pub use engine::{EngineOutcome, EnginePlan, PricingEngine};
 pub use greeks::BumpConfig;
 pub use portfolio::{BatchReport, GroupPlan, Portfolio};
 pub use pricer::{Backend, Method, PriceError, PriceReport, Pricer, PricerPlan};
@@ -88,9 +86,8 @@ pub use mdp_math::CancelToken;
 /// One-stop imports for applications.
 pub mod prelude {
     pub use crate::{
-        Backend, BatchReport, BumpConfig, CancelToken, CubeGreeks, CubeResult, EngineOutcome,
-        EnginePlan, GroupPlan, Method, Portfolio, PriceError, PriceReport, Pricer, PricerPlan,
-        PricingEngine, RiskCube,
+        Backend, BatchReport, BumpConfig, CancelToken, CubeGreeks, CubeResult, GroupPlan, Method,
+        Portfolio, PriceError, PriceReport, Pricer, PricerPlan, RiskCube,
     };
     pub use mdp_cluster::{FaultPlan, Machine, TimeModel};
     pub use mdp_lattice::{BinomialKind, BinomialLattice, MultiLattice, TrinomialLattice};
@@ -98,7 +95,7 @@ pub mod prelude {
     pub use mdp_model::{
         analytic, ExerciseStyle, GbmMarket, Greeks, MarketDelta, Payoff, Product, TickOutcome,
     };
-    pub use mdp_pde::{Adi2d, Adi3d, Fd1d, Fd1dBarrier, StencilKernel};
+    pub use mdp_pde::{Adi2d, Adi3d, Fd1d, Fd1dBarrier};
     pub use mdp_perf::{ScalingCurve, Table};
 }
 

@@ -2,9 +2,10 @@
 //!
 //! [`Portfolio::price_batch`] prices a book of products on one market,
 //! grouping products by **plan key** — the maturity bits mixed with the
-//! pricer's [`Method::cache_key`] (the shared market completes the key;
-//! see [`Portfolio::group_key`]) — so each group pays the engine setup
-//! once. Two groups fuse deeper than plan reuse:
+//! pricer's [`Method::cache_key`](crate::Method::cache_key) (the shared
+//! market completes the key; see [`Portfolio::group_key`]) — so each
+//! group pays the engine setup once. Two groups fuse deeper than plan
+//! reuse:
 //!
 //! * **FD strike ladder** — a group of 1-D products on the same grid
 //!   becomes lanes of one [`mdp_pde::Fd1dPlan::execute_ladder`] call:
@@ -23,15 +24,14 @@
 //! through the SPMD drivers (its setup lives inside each run).
 //!
 //! The group machinery is public so request-driven callers (the
-//! `mdp-serve` coalescer) can compile a [`GroupPlan`] once — or fetch a
+//! `mdp-serve` coalescer) can compile a [`PricerPlan`] once — or fetch a
 //! cached one by its bit-exact key — and route any same-key burst of
 //! requests through [`Portfolio::execute_group`] with the identical
 //! fused kernels.
 
-use crate::pricer::{Backend, Method, PriceError, PriceReport, Pricer};
-use mdp_mc::{McEngine, McPlan};
-use mdp_model::{GbmMarket, MarketDelta, Product, TickOutcome};
-use mdp_pde::{Fd1dLadderScratch, Fd1dPlan};
+use crate::pricer::{Backend, PlanKind, PriceError, PriceReport, Pricer, PricerPlan};
+use mdp_model::{GbmMarket, Product};
+use mdp_pde::Fd1dLadderScratch;
 use rayon::prelude::*;
 use std::time::Instant;
 
@@ -39,6 +39,10 @@ use std::time::Instant;
 /// vectorises across lanes, narrow enough to split a 64-product ladder
 /// over the pool.
 const FD_LADDER_CHUNK: usize = 8;
+
+/// The former name of a group's plan, kept for callers that still
+/// spell it: a group plan is a [`PricerPlan`].
+pub type GroupPlan = PricerPlan;
 
 /// A book of products priced through one [`Pricer`] with plan reuse and
 /// kernel fusion.
@@ -70,64 +74,6 @@ pub struct BatchReport {
     pub fused: usize,
 }
 
-/// The compiled, payoff-independent state shared by one coalesced group
-/// of products: everything [`Portfolio::execute_group`] needs to price
-/// any same-key product.
-///
-/// A `GroupPlan` is `Clone`, so a plan cache can hand out copies; an
-/// executed copy is bitwise-identical to an executed original (the plan
-/// is pure data — grids, factorizations, steppers — and execution never
-/// mutates it beyond scratch buffers).
-#[derive(Debug, Clone)]
-pub enum GroupPlan {
-    /// 1-D finite differences: grid, θ-scheme coefficients and the
-    /// factored tridiagonal, ready for fused multi-RHS strike ladders.
-    Fd1d(Box<Fd1dPlan>),
-    /// Monte Carlo: the correlated stepper, ready for shared-path
-    /// multi-payoff sweeps.
-    Mc(Box<McPlan>),
-    /// Every other method/backend pair: the facade's generic plan
-    /// (planful for ADI/lattice, a recorded one-shot otherwise).
-    Generic(Box<crate::pricer::PricerPlan>),
-}
-
-impl GroupPlan {
-    /// The market the plan currently reflects (after any applied ticks).
-    pub fn market(&self) -> &GbmMarket {
-        match self {
-            GroupPlan::Fd1d(p) => p.market(),
-            GroupPlan::Mc(p) => p.market(),
-            GroupPlan::Generic(p) => p.market(),
-        }
-    }
-
-    /// Patch the plan in place for a one-field market tick, delegating
-    /// to the engine's own incremental repricer. After the patch the
-    /// plan executes **bitwise-identically** to one freshly compiled
-    /// for the ticked market, so a plan cache can patch its entries
-    /// instead of evicting them (see `mdp-serve`).
-    pub fn apply_tick(&mut self, delta: &MarketDelta) -> Result<TickOutcome, PriceError> {
-        match self {
-            GroupPlan::Fd1d(p) => Ok(p.apply_tick(delta)?),
-            GroupPlan::Mc(p) => Ok(p.apply_tick(delta)?),
-            GroupPlan::Generic(p) => p.apply_tick(delta),
-        }
-    }
-
-    /// Install a cooperative cancel token for subsequent executes,
-    /// delegating to the underlying engine plan (see
-    /// [`crate::PricerPlan::set_cancel`] for the polling contract).
-    /// A tripped token surfaces as [`PriceError::DeadlineExceeded`]
-    /// (engine `Cancelled` errors are mapped in the `From` impls).
-    pub fn set_cancel(&mut self, cancel: mdp_math::CancelToken) {
-        match self {
-            GroupPlan::Fd1d(p) => p.set_cancel(cancel),
-            GroupPlan::Mc(p) => p.set_cancel(cancel),
-            GroupPlan::Generic(p) => p.set_cancel(cancel),
-        }
-    }
-}
-
 impl Portfolio {
     /// A portfolio pricer wrapping the given method/backend pair.
     pub fn new(pricer: Pricer) -> Self {
@@ -140,9 +86,10 @@ impl Portfolio {
     }
 
     /// The bit-exact grouping key of a product under this portfolio's
-    /// pricer: the maturity bits mixed with [`Method::cache_key`].
+    /// pricer: the maturity bits mixed with
+    /// [`Method::cache_key`](crate::Method::cache_key).
     ///
-    /// Two products may share a [`GroupPlan`] **iff** their keys are
+    /// Two products may share a [`PricerPlan`] **iff** their keys are
     /// equal and they price on the same market (callers that batch
     /// across markets — the serve-layer coalescer — must additionally
     /// mix in [`GbmMarket::cache_key`]). Within one
@@ -158,29 +105,27 @@ impl Portfolio {
     }
 
     /// Compile the payoff-independent plan shared by every product of a
-    /// same-key group on `market` at horizon `maturity`.
+    /// same-key group on `market` at horizon `maturity`: the pricer's
+    /// own [`Pricer::plan`], except that the rayon backend also holds
+    /// the FD plan its chunked strike ladders run over.
     ///
     /// The plan depends only on `(market, maturity, method, backend)` —
     /// never on the products — so it is safe to cache under the
     /// bit-exact key and reuse for any future same-key group.
-    pub fn plan_group(&self, market: &GbmMarket, maturity: f64) -> Result<GroupPlan, PriceError> {
-        Ok(match (self.pricer.method(), self.pricer.backend_ref()) {
-            (Method::Fd1d(cfg), Backend::Sequential | Backend::Rayon) => {
-                GroupPlan::Fd1d(Box::new(cfg.plan(market, maturity)?))
-            }
-            (Method::MonteCarlo(cfg), Backend::Sequential | Backend::Rayon) => {
-                GroupPlan::Mc(Box::new(McEngine::new(*cfg).plan(market, maturity)?))
-            }
-            _ => GroupPlan::Generic(Box::new(self.pricer.plan(market, maturity)?)),
-        })
+    pub fn plan_group(&self, market: &GbmMarket, maturity: f64) -> Result<PricerPlan, PriceError> {
+        self.pricer.compile(market, maturity, true)
     }
 
     /// Execute a same-maturity group of products over a prebuilt plan.
     ///
     /// Returns the per-product reports in input order plus how many
-    /// products went through a fused multi-product kernel. Every report
-    /// carries `plan_s` as its plan time (the caller measured the build
-    /// — or the cache hit — around [`Portfolio::plan_group`]).
+    /// products went through a fused multi-product kernel: an FD plan
+    /// prices the group as one strike ladder, an MC plan every payoff
+    /// its shared path sweep can take, and every other product runs
+    /// [`PricerPlan::execute`]. The plan runs on the method and backend
+    /// it was compiled for. Every report carries `plan_s` as its plan
+    /// time (the caller measured the build — or the cache hit — around
+    /// [`Portfolio::plan_group`]).
     ///
     /// Prices and standard errors are bitwise-identical to per-product
     /// [`Pricer::price`] calls (for FD on the rayon backend, to the
@@ -189,16 +134,25 @@ impl Portfolio {
     /// the loop would.
     pub fn execute_group(
         &self,
-        plan: &mut GroupPlan,
+        plan: &mut PricerPlan,
         products: &[Product],
         plan_s: f64,
     ) -> Result<(Vec<PriceReport>, usize), PriceError> {
-        let parallel = matches!(self.pricer.backend_ref(), Backend::Rayon);
-        let engine = self.pricer.method().name();
+        let parallel = plan.pricer.backend_ref() == Backend::Rayon;
+        let engine = plan.pricer.method().name();
+        let report = |price, std_error, execute_seconds| PriceReport {
+            price,
+            std_error,
+            time: None,
+            plan_seconds: plan_s,
+            execute_seconds,
+            wall_seconds: plan_s + execute_seconds,
+            engine,
+        };
+        let mut slots: Vec<Option<PriceReport>> = vec![None; products.len()];
         let mut fused = 0usize;
-        let mut reports: Vec<PriceReport> = Vec::with_capacity(products.len());
-        match plan {
-            GroupPlan::Fd1d(fd_plan) => {
+        match &plan.kind {
+            PlanKind::Fd1d(fd_plan, _) => {
                 let t1 = Instant::now();
                 let prices: Vec<f64> = if parallel && products.len() > 1 {
                     // Lanes are independent, so chunked ladders are
@@ -225,73 +179,42 @@ impl Portfolio {
                     fd_plan.execute_ladder(products, &mut scratch)?.prices
                 };
                 let exec_share = t1.elapsed().as_secs_f64() / products.len() as f64;
-                fused += products.len();
-                for price in prices {
-                    reports.push(PriceReport {
-                        price,
-                        std_error: None,
-                        time: None,
-                        plan_seconds: plan_s,
-                        execute_seconds: exec_share,
-                        wall_seconds: plan_s + exec_share,
-                        engine,
-                    });
+                fused = products.len();
+                for (slot, price) in slots.iter_mut().zip(prices) {
+                    *slot = Some(report(price, None, exec_share));
                 }
             }
-            GroupPlan::Mc(mc_plan) => {
-                let (fusable, rest): (Vec<usize>, Vec<usize>) =
-                    (0..products.len()).partition(|&i| mc_plan.check_fusable(&products[i]).is_ok());
-                let mut slots: Vec<Option<PriceReport>> = vec![None; products.len()];
+            PlanKind::Mc(mc_plan) => {
+                let fusable: Vec<usize> = (0..products.len())
+                    .filter(|&i| mc_plan.check_fusable(&products[i]).is_ok())
+                    .collect();
                 if !fusable.is_empty() {
                     let book: Vec<Product> = fusable.iter().map(|&i| products[i].clone()).collect();
                     let t1 = Instant::now();
                     let results = mc_plan.execute_multi(&book, parallel)?;
                     let exec_share = t1.elapsed().as_secs_f64() / book.len() as f64;
-                    fused += book.len();
+                    fused = book.len();
                     for (&i, r) in fusable.iter().zip(results) {
-                        slots[i] = Some(PriceReport {
-                            price: r.price,
-                            std_error: Some(r.std_error),
-                            time: None,
-                            plan_seconds: plan_s,
-                            execute_seconds: exec_share,
-                            wall_seconds: plan_s + exec_share,
-                            engine,
-                        });
+                        slots[i] = Some(report(r.price, Some(r.std_error), exec_share));
                     }
                 }
-                for &i in &rest {
-                    let t1 = Instant::now();
-                    let r = if parallel {
-                        mc_plan.execute_rayon(&products[i])?
-                    } else {
-                        mc_plan.execute(&products[i])?
-                    };
-                    let exec_s = t1.elapsed().as_secs_f64();
-                    slots[i] = Some(PriceReport {
-                        price: r.price,
-                        std_error: Some(r.std_error),
-                        time: None,
-                        plan_seconds: plan_s,
-                        execute_seconds: exec_s,
-                        wall_seconds: plan_s + exec_s,
-                        engine,
-                    });
-                }
-                reports = slots
-                    .into_iter()
-                    .map(|r| r.expect("every index filled"))
-                    .collect();
             }
-            GroupPlan::Generic(pricer_plan) => {
-                for p in products {
-                    let mut rep = pricer_plan.execute(p)?;
-                    rep.plan_seconds = plan_s;
-                    rep.wall_seconds = plan_s + rep.execute_seconds;
-                    reports.push(rep);
-                }
+            _ => {}
+        }
+        // Every other kind, and the MC payoffs the shared sweep cannot
+        // take, price one product at a time.
+        for (slot, product) in slots.iter_mut().zip(products) {
+            if slot.is_none() {
+                let mut rep = plan.execute(product)?;
+                rep.plan_seconds = plan_s;
+                rep.wall_seconds = plan_s + rep.execute_seconds;
+                *slot = Some(rep);
             }
         }
+        let reports = slots
+            .into_iter()
+            .map(|r| r.expect("every index filled"))
+            .collect();
         Ok((reports, fused))
     }
 

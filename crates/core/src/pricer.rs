@@ -8,7 +8,9 @@
 //! plan-then-execute wrapper; callers that price many products on one
 //! market can call [`Pricer::plan`] once and [`PricerPlan::execute`]
 //! per product, paying the setup once — with results bitwise-identical
-//! to one-shot calls. [`crate::Portfolio`] builds on the same split.
+//! to one-shot calls. [`crate::Portfolio`] executes the same plan type
+//! for a whole group of products, fusing the FD strike ladder and the
+//! Monte Carlo shared-path sweep.
 
 use mdp_cluster::{check_policy, CheckpointMode, FaultPlan, Machine, TimeModel};
 use mdp_lattice::{
@@ -25,7 +27,7 @@ use mdp_mc::{
 use mdp_model::{GbmMarket, MarketDelta, ModelError, Product, TickOutcome};
 use mdp_pde::{
     Adi2d, Adi2dPlan, Adi2dScratch, Adi3d, Adi3dPlan, Adi3dScratch, ClusterFd1d, Fd1d, Fd1dBarrier,
-    Fd1dPlan, Fd1dScratch, PdeError, Scheme, StencilKernel,
+    Fd1dPlan, Fd1dScratch, PdeError, Scheme,
 };
 use std::fmt;
 
@@ -161,10 +163,10 @@ impl Method {
                     Scheme::Explicit => 0,
                     Scheme::CrankNicolson => 1,
                 });
-                eat(match cfg.stencil {
-                    StencilKernel::Trapezoid => 0,
-                    StencilKernel::StepByStep => 1,
-                });
+                // The retired explicit-stencil switch's word, held at
+                // its only production value so every FD key keeps its
+                // bits.
+                eat(0);
             }
             Method::Adi2d(cfg) => {
                 eat(8);
@@ -442,7 +444,9 @@ pub struct Pricer {
 }
 
 /// The planned, reusable state behind a [`Pricer`] for one
-/// `(market, maturity)` pair.
+/// `(market, maturity)` pair: the one plan type of the facade, executed
+/// per product by [`PricerPlan::execute`] and per group by
+/// [`crate::Portfolio::execute_group`].
 ///
 /// For the planful method/backend pairs (FD, ADI, BEG lattice and
 /// Monte Carlo on the host backends) this holds the engine's compiled
@@ -450,19 +454,24 @@ pub struct Pricer {
 /// one setup instead of `k`, bitwise-identically. Everything else
 /// (analytic, the 1-D lattices, QMC, LSMC, barrier FD and all cluster
 /// runs) has no reusable market-level state and executes as a one-shot.
+///
+/// A plan is `Clone`, so a plan cache can hand out copies; an executed
+/// copy is bitwise-identical to an executed original (the plan is pure
+/// data — grids, factorizations, steppers — and execution never mutates
+/// it beyond scratch buffers).
 #[derive(Debug, Clone)]
 pub struct PricerPlan {
-    pricer: Pricer,
+    pub(crate) pricer: Pricer,
     market: GbmMarket,
     maturity: f64,
     plan_seconds: f64,
-    kind: PlanKind,
+    pub(crate) kind: PlanKind,
     cancel: mdp_math::CancelToken,
 }
 
 /// Which compiled engine state a [`PricerPlan`] carries.
 #[derive(Debug, Clone)]
-enum PlanKind {
+pub(crate) enum PlanKind {
     Fd1d(Box<Fd1dPlan>, Fd1dScratch),
     Adi2d(Box<Adi2dPlan>, Adi2dScratch),
     Adi3d(Box<Adi3dPlan>, Adi3dScratch),
@@ -551,6 +560,19 @@ impl Pricer {
     /// a mismatch is a typed [`PriceError::Unsupported`], never a wrong
     /// number.
     pub fn plan(&self, market: &GbmMarket, maturity: f64) -> Result<PricerPlan, PriceError> {
+        self.compile(market, maturity, false)
+    }
+
+    /// [`Pricer::plan`], except that `fd_ladder` also compiles the FD
+    /// plan on the rayon backend: the facade has no rayon FD path, but
+    /// [`crate::Portfolio::execute_group`] prices strike ladders over
+    /// that plan in rayon chunks.
+    pub(crate) fn compile(
+        &self,
+        market: &GbmMarket,
+        maturity: f64,
+        fd_ladder: bool,
+    ) -> Result<PricerPlan, PriceError> {
         let start = std::time::Instant::now();
         if !(maturity > 0.0 && maturity.is_finite()) {
             return Err(PriceError::Model(ModelError::InvalidParameter {
@@ -559,16 +581,20 @@ impl Pricer {
             }));
         }
         let kind = match (&self.method, self.backend) {
-            (Method::Fd1d(cfg), Backend::Sequential) => PlanKind::Fd1d(
-                Box::new(cfg.plan(market, maturity)?),
-                Fd1dScratch::default(),
-            ),
+            (Method::Fd1d(cfg), Backend::Sequential | Backend::Rayon)
+                if fd_ladder || self.backend == Backend::Sequential =>
+            {
+                PlanKind::Fd1d(
+                    Box::new(cfg.plan(market, maturity)?),
+                    Fd1dScratch::default(),
+                )
+            }
             (Method::Adi2d(cfg), Backend::Sequential) => PlanKind::Adi2d(
                 Box::new(cfg.plan(market, maturity)?),
                 Adi2dScratch::default(),
             ),
             (Method::Adi2d(cfg), Backend::Rayon) => {
-                // Same cfg rewrite the one-shot rayon path performs.
+                // The rayon backend is the parallel line solves.
                 let mut c = *cfg;
                 c.parallel = true;
                 PlanKind::Adi2d(Box::new(c.plan(market, maturity)?), Adi2dScratch::default())
@@ -608,19 +634,13 @@ impl Pricer {
     }
 
     /// The one-shot dispatch for method/backend pairs without reusable
-    /// planned state (every cluster run among them).
+    /// planned state (every cluster run among them). The planful pairs
+    /// never get here: [`Pricer::plan`] compiles them.
     fn price_one_shot(
         &self,
         market: &GbmMarket,
         product: &Product,
     ) -> Result<(f64, Option<f64>, Option<TimeModel>), PriceError> {
-        let engine = self.method.name();
-        let unsupported_backend = || {
-            Err(PriceError::Unsupported(format!(
-                "{engine} does not support backend {:?}",
-                self.backend
-            )))
-        };
         // The fault schedule of a cluster run; absent a user-supplied
         // plan, a fault-free one. A policy no driver can honour is
         // rejected before any rank starts.
@@ -639,8 +659,6 @@ impl Pricer {
                 })?;
                 (p, None, None)
             }
-            (Method::Analytic, _) => return unsupported_backend(),
-
             (Method::Binomial { steps, kind }, Backend::Sequential) => {
                 let lat = BinomialLattice {
                     kind: *kind,
@@ -648,24 +666,8 @@ impl Pricer {
                 };
                 (lat.price(market, product)?.price, None, None)
             }
-            (Method::Binomial { .. }, _) => return unsupported_backend(),
-
             (Method::Trinomial { steps }, Backend::Sequential) => (
                 TrinomialLattice::new(*steps).price(market, product)?.price,
-                None,
-                None,
-            ),
-            (Method::Trinomial { .. }, _) => return unsupported_backend(),
-
-            (Method::MultiLattice { steps }, Backend::Sequential) => (
-                MultiLattice::new(*steps).price(market, product)?.price,
-                None,
-                None,
-            ),
-            (Method::MultiLattice { steps }, Backend::Rayon) => (
-                MultiLattice::new(*steps)
-                    .price_rayon(market, product)?
-                    .price,
                 None,
                 None,
             ),
@@ -689,15 +691,6 @@ impl Pricer {
                 )?;
                 (out.price, None, Some(out.time))
             }
-
-            (Method::MonteCarlo(cfg), Backend::Sequential) => {
-                let r = McEngine::new(*cfg).price(market, product)?;
-                (r.price, Some(r.std_error), None)
-            }
-            (Method::MonteCarlo(cfg), Backend::Rayon) => {
-                let r = McEngine::new(*cfg).price_rayon(market, product)?;
-                (r.price, Some(r.std_error), None)
-            }
             (
                 Method::MonteCarlo(cfg),
                 Backend::Cluster {
@@ -717,13 +710,10 @@ impl Pricer {
                 )?;
                 (out.result.price, Some(out.result.std_error), Some(out.time))
             }
-
             (Method::Qmc(cfg), Backend::Sequential) => {
                 let r = price_qmc(market, product, *cfg)?;
                 (r.price, Some(r.std_error), None)
             }
-            (Method::Qmc(_), _) => return unsupported_backend(),
-
             (Method::Lsmc(cfg), Backend::Sequential) => {
                 let r = price_lsmc(market, product, *cfg)?;
                 (r.price, Some(r.std_error), None)
@@ -751,10 +741,6 @@ impl Pricer {
                     CheckpointMode::AsyncIncremental,
                 )?;
                 (out.result.price, Some(out.result.std_error), Some(out.time))
-            }
-
-            (Method::Fd1d(cfg), Backend::Sequential) => {
-                (cfg.price(market, product)?.price, None, None)
             }
             (
                 Method::Fd1d(cfg),
@@ -786,27 +772,19 @@ impl Pricer {
                 )?;
                 (out.price, None, Some(out.time))
             }
-            (Method::Fd1d(_), _) => return unsupported_backend(),
-
-            (Method::Adi2d(cfg), Backend::Sequential) => {
-                (cfg.price(market, product)?.price, None, None)
-            }
-            (Method::Adi2d(cfg), Backend::Rayon) => {
-                let mut c = *cfg;
-                c.parallel = true;
-                (c.price(market, product)?.price, None, None)
-            }
-            (Method::Adi2d(_), _) => return unsupported_backend(),
-
-            (Method::Adi3d(cfg), Backend::Sequential) => {
-                (cfg.price(market, product)?.price, None, None)
-            }
-            (Method::Adi3d(_), _) => return unsupported_backend(),
-
             (Method::BarrierFd(cfg), Backend::Sequential) => {
                 (cfg.price(market, product)?.price, None, None)
             }
-            (Method::BarrierFd(_), _) => return unsupported_backend(),
+            // No engine runs the rest: rayon or cluster analytic, 1-D
+            // lattices, QMC and barrier FD; rayon FD-1D; cluster ADI;
+            // rayon ADI-3D.
+            _ => {
+                return Err(PriceError::Unsupported(format!(
+                    "{} does not support backend {:?}",
+                    self.method.name(),
+                    self.backend
+                )))
+            }
         })
     }
 }
@@ -880,7 +858,9 @@ impl PricerPlan {
     }
 
     /// Execute one product over the planned state. Bitwise-identical to
-    /// a one-shot [`Pricer::price`] of the same product.
+    /// a one-shot [`Pricer::price`] of the same product. (The rayon FD
+    /// plan that only [`crate::Portfolio::plan_group`] compiles runs the
+    /// sequential solve here, which its ladder lanes equal bit for bit.)
     pub fn execute(&mut self, product: &Product) -> Result<PriceReport, PriceError> {
         let start = std::time::Instant::now();
         if product.maturity != self.maturity {

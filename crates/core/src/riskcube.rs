@@ -11,10 +11,9 @@
 //!   drift/diffusion scalars and evaluates every payoff on it.
 //! * **Everything else** (finite differences included, and the scenario
 //!   kinds a fused kernel cannot take, e.g. correlation scenarios under
-//!   MC) — the base
-//!   [`GroupPlan`] is cloned and **patched** per scenario via
-//!   [`GroupPlan::apply_tick`], so each scenario still pays only for the
-//!   plan components its ticked field invalidates.
+//!   MC) — the base [`PricerPlan`] is cloned and **patched** per
+//!   scenario via [`PricerPlan::apply_tick`], so each scenario still
+//!   pays only for the plan components its ticked field invalidates.
 //!
 //! Both routes are **bitwise-identical** to [`RiskCube::price_naive`]
 //! — a fresh plan per scenario market — which is the oracle the test
@@ -24,8 +23,8 @@
 //! bump-and-reprice loop bit for bit at a fraction of the setup cost.
 
 use crate::greeks::BumpConfig;
-use crate::portfolio::{GroupPlan, Portfolio};
-use crate::pricer::{Backend, PriceError, Pricer};
+use crate::portfolio::Portfolio;
+use crate::pricer::{Backend, PlanKind, PriceError, Pricer, PricerPlan};
 use mdp_model::{GbmMarket, MarketDelta, Product};
 
 /// A priced scenario cube: the base book plus one price row per
@@ -90,13 +89,13 @@ impl RiskCube {
     }
 
     /// Whether `delta` can ride this plan's fused cube kernel.
-    fn scenario_fusable(plan: &GroupPlan, products: &[Product], delta: &MarketDelta) -> bool {
-        match plan {
-            GroupPlan::Mc(mc) => {
+    fn scenario_fusable(plan: &PricerPlan, products: &[Product], delta: &MarketDelta) -> bool {
+        match &plan.kind {
+            PlanKind::Mc(mc) => {
                 !matches!(delta, MarketDelta::Correlation { .. })
                     && products.iter().all(|p| mc.check_fusable(p).is_ok())
             }
-            GroupPlan::Fd1d(_) | GroupPlan::Generic(_) => false,
+            _ => false,
         }
     }
 
@@ -124,7 +123,7 @@ impl RiskCube {
             .collect();
         let mut rows: Vec<Option<Vec<f64>>> = vec![None; scenarios.len()];
 
-        if let GroupPlan::Mc(mc) = &plan {
+        if let PlanKind::Mc(mc) = &plan.kind {
             if !fused_idx.is_empty() {
                 let markets: Vec<GbmMarket> = fused_idx
                     .iter()

@@ -19,7 +19,8 @@ pub enum MathError {
     /// Cholesky factorisation hit a non-positive pivot: the matrix is not
     /// positive definite (pivot value and index attached).
     NotPositiveDefinite { pivot: f64, index: usize },
-    /// LU/QR factorisation found the matrix singular to working precision.
+    /// A tridiagonal elimination found the matrix singular to working
+    /// precision (zero pivot at `index`).
     Singular { index: usize },
     /// An argument was outside its mathematical domain.
     Domain { what: &'static str, value: f64 },

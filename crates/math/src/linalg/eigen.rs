@@ -202,7 +202,10 @@ mod tests {
         let e = symmetric_eigen(&a).unwrap();
         let trace: f64 = (0..3).map(|i| a[(i, i)]).sum();
         assert!(approx_eq(e.values.iter().sum::<f64>(), trace, 1e-12));
-        let det = crate::linalg::Lu::factor(&a).unwrap().det();
+        // Cofactor expansion along the first row.
+        let det = a[(0, 0)] * (a[(1, 1)] * a[(2, 2)] - a[(1, 2)] * a[(2, 1)])
+            - a[(0, 1)] * (a[(1, 0)] * a[(2, 2)] - a[(1, 2)] * a[(2, 0)])
+            + a[(0, 2)] * (a[(1, 0)] * a[(2, 1)] - a[(1, 1)] * a[(2, 0)]);
         assert!(approx_eq(e.values.iter().product::<f64>(), det, 1e-10));
     }
 

@@ -949,19 +949,6 @@ impl McEngine {
         Ok(ctx.finish(&acc))
     }
 
-    /// Sequential pricing with the batched SoA kernel explicitly —
-    /// bitwise-identical to [`McEngine::price`] and
-    /// [`McEngine::price_rayon`].
-    pub fn price_batched(
-        &self,
-        market: &GbmMarket,
-        product: &Product,
-    ) -> Result<McResult, McError> {
-        let ctx = RunContext::new(market, product, self.config)?;
-        let acc = merge_in_chunks((0..ctx.num_blocks()).map(|b| ctx.simulate_block_batched(b)));
-        Ok(ctx.finish(&acc))
-    }
-
     /// Shared-memory parallel pricing over blocks (rayon). Identical
     /// result to [`McEngine::price`].
     pub fn price_rayon(&self, market: &GbmMarket, product: &Product) -> Result<McResult, McError> {
@@ -1088,15 +1075,17 @@ mod tests {
     fn rayon_bitwise_equals_sequential() {
         let m = GbmMarket::symmetric(3, 100.0, 0.25, 0.01, 0.04, 0.3).unwrap();
         let p = Product::european(Payoff::MaxCall { strike: 105.0 }, 1.0);
-        let eng = McEngine::new(McConfig {
-            paths: 20_000,
-            block_size: 1000,
-            ..Default::default()
-        });
-        let a = eng.price(&m, &p).unwrap();
-        let b = eng.price_rayon(&m, &p).unwrap();
-        assert_eq!(a.price.to_bits(), b.price.to_bits());
-        assert_eq!(a.std_error.to_bits(), b.std_error.to_bits());
+        for block_size in [1000, 300] {
+            let eng = McEngine::new(McConfig {
+                paths: 20_000,
+                block_size,
+                ..Default::default()
+            });
+            let a = eng.price(&m, &p).unwrap();
+            let b = eng.price_rayon(&m, &p).unwrap();
+            assert_eq!(a.price.to_bits(), b.price.to_bits());
+            assert_eq!(a.std_error.to_bits(), b.std_error.to_bits());
+        }
     }
 
     #[test]
@@ -1167,24 +1156,6 @@ mod tests {
                 assert_eq!(scalar.n, batched.n);
             }
         }
-    }
-
-    #[test]
-    fn price_batched_bitwise_equals_price_and_rayon() {
-        let m = GbmMarket::symmetric(3, 100.0, 0.25, 0.01, 0.04, 0.3).unwrap();
-        let p = Product::european(Payoff::MaxCall { strike: 105.0 }, 1.0);
-        let eng = McEngine::new(McConfig {
-            paths: 20_000,
-            block_size: 300,
-            ..Default::default()
-        });
-        let a = eng.price(&m, &p).unwrap();
-        let b = eng.price_batched(&m, &p).unwrap();
-        let c = eng.price_rayon(&m, &p).unwrap();
-        assert_eq!(a.price.to_bits(), b.price.to_bits());
-        assert_eq!(a.price.to_bits(), c.price.to_bits());
-        assert_eq!(a.std_error.to_bits(), b.std_error.to_bits());
-        assert_eq!(a.std_error.to_bits(), c.std_error.to_bits());
     }
 
     #[test]

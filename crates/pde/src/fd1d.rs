@@ -66,7 +66,7 @@
 //! [`crate::ClusterFd1d`] to its Sequential baseline.
 
 use crate::grid::{check_width, LogGrid};
-use crate::stencil::{StencilKernel, TrapezoidSweep};
+use crate::stencil::TrapezoidSweep;
 use crate::PdeError;
 use mdp_math::linalg::theta_system;
 use mdp_math::linalg::tridiag::FactoredTridiag;
@@ -93,9 +93,6 @@ pub struct Fd1d {
     pub width: f64,
     /// θ-scheme.
     pub scheme: Scheme,
-    /// Explicit-sweep driver (θ = 0 only; the implicit schemes always
-    /// step level by level through their line solves).
-    pub stencil: StencilKernel,
 }
 
 impl Default for Fd1d {
@@ -109,7 +106,6 @@ impl Default for Fd1d {
             time_steps: 120,
             width: 5.0,
             scheme: Scheme::CrankNicolson,
-            stencil: StencilKernel::Trapezoid,
         }
     }
 }
@@ -687,7 +683,7 @@ impl Fd1dPlan {
     ) -> Result<Fd1dResult, PdeError> {
         self.check_product(product)?;
         let Some(half) = &self.half else {
-            return self.execute_explicit(product, scratch);
+            return self.execute_explicit(product, scratch, false);
         };
         let shape = Payoff1d::of(&product.payoff)?;
         let american = product.exercise == ExerciseStyle::American;
@@ -713,11 +709,34 @@ impl Fd1dPlan {
         })
     }
 
-    /// The explicit scheme on the fine grid alone, from the point payoff.
+    /// The explicit scheme's level-by-level sweep: the straightforward
+    /// implementation, kept as the oracle that the trapezoid driver of
+    /// [`Fd1dPlan::execute`] must match bit for bit (price, every grid
+    /// value and the node count). Explicit plans only: a
+    /// Crank–Nicolson plan is an `Unsupported` error.
+    pub fn execute_step_by_step(
+        &self,
+        product: &Product,
+        scratch: &mut Fd1dScratch,
+    ) -> Result<Fd1dResult, PdeError> {
+        self.check_product(product)?;
+        if self.half.is_some() {
+            return Err(PdeError::Model(mdp_model::ModelError::Unsupported {
+                engine: "1-D finite differences",
+                why: "the step-by-step sweep runs the explicit scheme only".into(),
+            }));
+        }
+        self.execute_explicit(product, scratch, true)
+    }
+
+    /// The explicit scheme on the fine grid alone, from the point payoff:
+    /// the trapezoid driver, or the level-by-level oracle when
+    /// `step_by_step` is set.
     fn execute_explicit(
         &self,
         product: &Product,
         scratch: &mut Fd1dScratch,
+        step_by_step: bool,
     ) -> Result<Fd1dResult, PdeError> {
         let level = &self.fine;
         let m = level.grid.len();
@@ -735,7 +754,7 @@ impl Fd1dPlan {
         let mut values = intrinsic.clone();
         let nodes = level.nodes();
 
-        if self.cfg.stencil == StencilKernel::Trapezoid {
+        if !step_by_step {
             // Cache-oblivious trapezoid driver: same per-point
             // arithmetic as the step-by-step loop below (see
             // `crate::stencil`), so the result is bitwise-equal — only
@@ -1268,6 +1287,12 @@ mod tests {
         let m2 = GbmMarket::symmetric(2, 100.0, 0.2, 0.0, 0.05, 0.5).unwrap();
         let rainbow = Product::european(Payoff::MaxCall { strike: 100.0 }, 1.0);
         assert!(Fd1d::default().price(&m2, &rainbow).is_err());
+        // The step-by-step oracle has no Crank–Nicolson sweep to check.
+        let cn = Fd1d::default().plan(&market(), 1.0).unwrap();
+        assert!(matches!(
+            cn.execute_step_by_step(&call(100.0), &mut Fd1dScratch::default()),
+            Err(PdeError::Model(mdp_model::ModelError::Unsupported { .. }))
+        ));
         for width in [0.0, -1.0, f64::NAN] {
             let cfg = Fd1d {
                 width,

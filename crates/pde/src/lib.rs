@@ -12,7 +12,7 @@
 //!   a half grid.
 //! * [`stencil`] — the cache-oblivious trapezoidal decomposition that
 //!   drives the explicit sweep (bitwise-equal to the retained
-//!   step-by-step oracle).
+//!   step-by-step oracle, [`Fd1dPlan::execute_step_by_step`]).
 //! * [`adi`] — the two-dimensional Douglas ADI splitting with an
 //!   explicit mixed-derivative term; line solves are independent and run
 //!   in parallel (rayon), which is also where a 2002-era distributed
@@ -40,4 +40,3 @@ pub use fd1d::{
     Scheme,
 };
 pub use grid::LogGrid;
-pub use stencil::StencilKernel;

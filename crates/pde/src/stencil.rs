@@ -27,7 +27,8 @@
 //! the **same arithmetic** the step-by-step sweep uses
 //! (`explicit_point`, shared with both distributed cluster drivers),
 //! so the reordering is across independent work only and results are
-//! **bitwise identical** to the retained oracle.
+//! **bitwise identical** to the retained oracle
+//! ([`Fd1dPlan::execute_step_by_step`](crate::Fd1dPlan::execute_step_by_step)).
 //!
 //! **American options (nonlinear stencil).** Early exercise adds the
 //! pointwise projection `V ← max(V, intrinsic)` after each update — the
@@ -41,20 +42,6 @@
 //! rows depend only on the time level (discounted intrinsic from a
 //! precomputed per-level table built with the oracle's expression), so
 //! they join the trapezoid domain as slope-0 walls.
-
-/// Which driver runs the explicit (θ = 0) sweep in
-/// [`Fd1d`](crate::Fd1d).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StencilKernel {
-    /// Recursive cache-oblivious trapezoid decomposition — the fast
-    /// path, bitwise-equal to [`StencilKernel::StepByStep`] by
-    /// construction.
-    #[default]
-    Trapezoid,
-    /// Level-by-level sweep: the straightforward implementation, kept
-    /// as the oracle the trapezoid kernel is verified against.
-    StepByStep,
-}
 
 /// One explicit-Euler grid-point update `v + Δt·(a·v₋ + b·v + c·v₊)`.
 ///

@@ -1,4 +1,4 @@
-//! The plan cache: LRU over compiled [`GroupPlan`]s.
+//! The plan cache: LRU over compiled [`PricerPlan`]s.
 //!
 //! Keys are bit-exact ([`PlanKey`]), so a hit is *provably* the same
 //! plan the miss path would have built — handing out a clone and
@@ -7,7 +7,7 @@
 //! and Thomas/Cholesky factorization.
 
 use crate::coalesce::PlanKey;
-use mdp_core::GroupPlan;
+use mdp_core::PricerPlan;
 use mdp_model::MarketDelta;
 
 /// Hit/miss/eviction counters of a [`PlanCache`].
@@ -47,7 +47,7 @@ impl CacheStats {
 pub struct PlanCache {
     capacity: usize,
     /// MRU at the back.
-    entries: Vec<(PlanKey, GroupPlan)>,
+    entries: Vec<(PlanKey, PricerPlan)>,
     stats: CacheStats,
 }
 
@@ -65,7 +65,7 @@ impl PlanCache {
     /// Look up a plan, refreshing its recency. Returns a clone — the
     /// caller executes (and mutates scratch) on its own copy, so one
     /// cached plan serves concurrent workers.
-    pub fn get(&mut self, key: &PlanKey) -> Option<GroupPlan> {
+    pub fn get(&mut self, key: &PlanKey) -> Option<PricerPlan> {
         match self.entries.iter().position(|(k, _)| k == key) {
             Some(i) => {
                 self.stats.hits += 1;
@@ -84,7 +84,7 @@ impl PlanCache {
 
     /// Insert (or refresh) a plan, evicting the least-recently-used
     /// entry when over capacity.
-    pub fn insert(&mut self, key: PlanKey, plan: GroupPlan) {
+    pub fn insert(&mut self, key: PlanKey, plan: PricerPlan) {
         if self.capacity == 0 {
             return;
         }
@@ -99,7 +99,7 @@ impl PlanCache {
     }
 
     /// Apply a one-field market tick to every cached plan: each entry
-    /// is **patched in place** via [`GroupPlan::apply_tick`] and re-keyed
+    /// is **patched in place** via [`PricerPlan::apply_tick`] and re-keyed
     /// under its ticked market's fingerprint, so the next burst quoting
     /// the ticked market hits a plan bitwise-identical to a fresh build
     /// — instead of the cache silently serving stale pre-tick plans (or
@@ -151,7 +151,7 @@ mod tests {
     use mdp_core::prelude::*;
     use std::sync::Arc;
 
-    fn plan_for(maturity: f64) -> (PlanKey, GroupPlan) {
+    fn plan_for(maturity: f64) -> (PlanKey, PricerPlan) {
         let market = Arc::new(GbmMarket::single(100.0, 0.2, 0.0, 0.05).unwrap());
         let portfolio = Portfolio::new(Pricer::new(Method::Fd1d(Fd1d::default())));
         let key = crate::coalesce::PlanKey {

@@ -5,7 +5,7 @@
 //! [`mdp_core::Portfolio::price_batch`] groups a book by, extended with
 //! the market fingerprint because independent requests need not share a
 //! snapshot. Same key ⇒ the requests can share one compiled
-//! [`mdp_core::GroupPlan`] and ride one fused kernel call
+//! [`mdp_core::PricerPlan`] and ride one fused kernel call
 //! (multi-RHS Thomas lanes, shared-path MC sweep); different keys —
 //! including the *same* maturity under two different engine
 //! configurations — can never mix.

@@ -11,7 +11,7 @@
 //!   maturity bits × engine-config fingerprint), then route each group
 //!   through the fused batch kernels ([`mdp_core::Portfolio`]'s
 //!   multi-RHS Thomas lanes and shared-path MC sweeps).
-//! * **Plan caching** — compiled [`mdp_core::GroupPlan`]s are kept in
+//! * **Plan caching** — compiled [`mdp_core::PricerPlan`]s are kept in
 //!   an LRU ([`PlanCache`]) keyed by the same bit-exact identity; a hit
 //!   skips grid construction and factorization entirely
 //!   (`plan_seconds ≈ 0`).

@@ -113,8 +113,8 @@ fn mc_bitwise_identical_across_backends_and_ranks() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
-    /// The batched SoA kernel, the scalar oracle, the sequential driver,
-    /// and the rayon driver all produce bitwise-identical prices and
+    /// The sequential and rayon drivers (both on the batched SoA kernel)
+    /// and the scalar oracle all produce bitwise-identical prices and
     /// standard errors for random configurations — including panel
     /// remainders (`block_paths % 64 ≠ 0`) and a ragged last block.
     #[test]
@@ -159,16 +159,13 @@ proptest! {
         };
         let engine = McEngine::new(cfg);
         let seq = engine.price(&m, &p).unwrap();
-        let bat = engine.price_batched(&m, &p).unwrap();
         let ray = engine.price_rayon(&m, &p).unwrap();
         // Scalar oracle, merged in the same canonical chunked order.
         let ctx = RunContext::new(&m, &p, cfg).unwrap();
         let acc = merge_in_chunks((0..ctx.num_blocks()).map(|b| ctx.simulate_block_scalar(b)));
         let sca = ctx.finish(&acc);
-        prop_assert_eq!(seq.price.to_bits(), bat.price.to_bits());
         prop_assert_eq!(seq.price.to_bits(), ray.price.to_bits());
         prop_assert_eq!(seq.price.to_bits(), sca.price.to_bits());
-        prop_assert_eq!(seq.std_error.to_bits(), bat.std_error.to_bits());
         prop_assert_eq!(seq.std_error.to_bits(), ray.std_error.to_bits());
         prop_assert_eq!(seq.std_error.to_bits(), sca.std_error.to_bits());
     }

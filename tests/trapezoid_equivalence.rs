@@ -4,10 +4,12 @@
 //! The trapezoid kernel's contract is *bitwise* equality with the
 //! retained step-by-step oracle — the recursion reorders independent
 //! work only and performs the identical per-point arithmetic — so the
-//! property tests here compare full engine runs with
-//! [`StencilKernel::Trapezoid`] against [`StencilKernel::StepByStep`]
-//! bit for bit over random stable configurations, European and American
-//! (the pointwise floor), vanilla and digital payoffs.
+//! property tests here compare full engine runs (the trapezoid driver)
+//! against [`Fd1dPlan::execute_step_by_step`] bit for bit over random
+//! stable configurations, European and American (the pointwise floor),
+//! vanilla and digital payoffs.
+//!
+//! [`Fd1dPlan::execute_step_by_step`]: mdp_core::pde::Fd1dPlan::execute_step_by_step
 //!
 //! The 3-D ADI backend has no bitwise oracle; it is cross-checked
 //! against Monte Carlo on a correlated 3-asset basket within the
@@ -15,13 +17,13 @@
 //! terminal payoffs → `adi-3d`) is pinned to price bitwise-identically
 //! to the engine it routes to.
 
-use mdp_core::pde::Scheme;
+use mdp_core::pde::{Fd1dResult, Fd1dScratch, Scheme};
 use mdp_core::prelude::*;
 use proptest::prelude::*;
 
 /// A stable explicit configuration for the given spatial resolution and
 /// vol: the time-step count is chosen so `σ²Δτ/Δx² ≈ 0.45 < ½`.
-fn stable_explicit(m: usize, sigma: f64, stencil: StencilKernel) -> Fd1d {
+fn stable_explicit(m: usize, sigma: f64) -> Fd1d {
     let width = 5.0;
     let half = (width * sigma).max(0.5); // LogGrid clamp at T = 1
     let dx = 2.0 * half / (m - 1) as f64;
@@ -31,8 +33,15 @@ fn stable_explicit(m: usize, sigma: f64, stencil: StencilKernel) -> Fd1d {
         time_steps: n.max(8),
         width,
         scheme: Scheme::Explicit,
-        stencil,
     }
+}
+
+/// `cfg` priced by the level-by-level oracle.
+fn step_by_step(cfg: &Fd1d, market: &GbmMarket, product: &Product) -> Fd1dResult {
+    cfg.plan(market, product.maturity)
+        .unwrap()
+        .execute_step_by_step(product, &mut Fd1dScratch::default())
+        .unwrap()
 }
 
 proptest! {
@@ -56,12 +65,9 @@ proptest! {
         } else {
             Product::european(payoff, 1.0)
         };
-        let trap = stable_explicit(m, sigma, StencilKernel::Trapezoid)
-            .price(&market, &product)
-            .unwrap();
-        let step = stable_explicit(m, sigma, StencilKernel::StepByStep)
-            .price(&market, &product)
-            .unwrap();
+        let cfg = stable_explicit(m, sigma);
+        let trap = cfg.price(&market, &product).unwrap();
+        let step = step_by_step(&cfg, &market, &product);
         prop_assert_eq!(trap.price.to_bits(), step.price.to_bits());
         prop_assert_eq!(trap.nodes_processed, step.nodes_processed);
         for (x, (a, b)) in trap.values.iter().zip(&step.values).enumerate() {
@@ -85,12 +91,9 @@ proptest! {
             },
             1.0,
         );
-        let trap = stable_explicit(m, 0.25, StencilKernel::Trapezoid)
-            .price(&market, &product)
-            .unwrap();
-        let step = stable_explicit(m, 0.25, StencilKernel::StepByStep)
-            .price(&market, &product)
-            .unwrap();
+        let cfg = stable_explicit(m, 0.25);
+        let trap = cfg.price(&market, &product).unwrap();
+        let step = step_by_step(&cfg, &market, &product);
         prop_assert_eq!(trap.price.to_bits(), step.price.to_bits());
     }
 }
