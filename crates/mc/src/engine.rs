@@ -1075,17 +1075,15 @@ mod tests {
     fn rayon_bitwise_equals_sequential() {
         let m = GbmMarket::symmetric(3, 100.0, 0.25, 0.01, 0.04, 0.3).unwrap();
         let p = Product::european(Payoff::MaxCall { strike: 105.0 }, 1.0);
-        for block_size in [1000, 300] {
-            let eng = McEngine::new(McConfig {
-                paths: 20_000,
-                block_size,
-                ..Default::default()
-            });
-            let a = eng.price(&m, &p).unwrap();
-            let b = eng.price_rayon(&m, &p).unwrap();
-            assert_eq!(a.price.to_bits(), b.price.to_bits());
-            assert_eq!(a.std_error.to_bits(), b.std_error.to_bits());
-        }
+        let eng = McEngine::new(McConfig {
+            paths: 20_000,
+            block_size: 1000,
+            ..Default::default()
+        });
+        let a = eng.price(&m, &p).unwrap();
+        let b = eng.price_rayon(&m, &p).unwrap();
+        assert_eq!(a.price.to_bits(), b.price.to_bits());
+        assert_eq!(a.std_error.to_bits(), b.std_error.to_bits());
     }
 
     #[test]
@@ -1156,6 +1154,30 @@ mod tests {
                 assert_eq!(scalar.n, batched.n);
             }
         }
+    }
+
+    #[test]
+    fn price_batched_bitwise_equals_price_and_rayon() {
+        // An explicit sequential sweep of the batched SoA block kernel
+        // must agree bit for bit with `price` and `price_rayon`.
+        let m = GbmMarket::symmetric(3, 100.0, 0.25, 0.01, 0.04, 0.3).unwrap();
+        let p = Product::european(Payoff::MaxCall { strike: 105.0 }, 1.0);
+        let cfg = McConfig {
+            paths: 20_000,
+            block_size: 300,
+            ..Default::default()
+        };
+        let eng = McEngine::new(cfg);
+        let a = eng.price(&m, &p).unwrap();
+        let ctx = RunContext::new(&m, &p, cfg).unwrap();
+        let b = ctx.finish(&merge_in_chunks(
+            (0..ctx.num_blocks()).map(|k| ctx.simulate_block_batched(k)),
+        ));
+        let c = eng.price_rayon(&m, &p).unwrap();
+        assert_eq!(a.price.to_bits(), b.price.to_bits());
+        assert_eq!(a.price.to_bits(), c.price.to_bits());
+        assert_eq!(a.std_error.to_bits(), b.std_error.to_bits());
+        assert_eq!(a.std_error.to_bits(), c.std_error.to_bits());
     }
 
     #[test]
