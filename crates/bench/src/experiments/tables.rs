@@ -1179,7 +1179,8 @@ pub fn t8_greeks(effort: Effort) {
     save("t8_greeks", &t);
 }
 
-/// T9 — barrier options and the PDE latency-bound negative result.
+/// T9 — barrier options, and the latency-bound distributed explicit FD
+/// scaling on a deep halo.
 pub fn t9_barriers_and_pde_scaling(effort: Effort) {
     use mdp_core::pde::ClusterFd1d;
 
@@ -1230,8 +1231,15 @@ pub fn t9_barriers_and_pde_scaling(effort: Effort) {
     save("t9a_barriers", &t);
 
     let mut t2 = Table::new(
-        "T9b: distributed explicit FD — a latency-bound kernel (negative result)",
-        &["machine", "p", "T_model [ms]", "speedup"],
+        "T9b: distributed explicit FD — deep halos on a latency-bound kernel",
+        &[
+            "machine",
+            "p",
+            "halo depth",
+            "msgs",
+            "T_model [ms]",
+            "speedup",
+        ],
     );
     let vanilla = vanilla_call();
     let m1 = market(1);
@@ -1250,12 +1258,28 @@ pub fn t9_barriers_and_pde_scaling(effort: Effort) {
             if ranks == 1 {
                 t1v = out.time.makespan;
             }
+            let speedup = t1v / out.time.makespan;
+            // One rank has no neighbour to exchange a halo with.
+            let depth = if ranks == 1 {
+                "-".to_string()
+            } else {
+                cfg.halo_depth(&machine, ranks).to_string()
+            };
             t2.push(&[
                 machine.name.to_string(),
                 ranks.to_string(),
+                depth,
+                out.time.total_msgs.to_string(),
                 fmt_sig(out.time.makespan * 1e3, 4),
-                format!("{:.2}", t1v / out.time.makespan),
+                format!("{speedup:.2}"),
             ]);
+            if ranks == 8 {
+                assert!(
+                    speedup > 1.0,
+                    "{}: the deep halo must let p = 8 beat p = 1 (speedup {speedup:.3})",
+                    machine.name
+                );
+            }
         }
     }
     save("t9b_pde_scaling", &t2);

@@ -1,21 +1,34 @@
 //! Distributed-memory explicit finite differences over `mdp_cluster`.
 //!
 //! The explicit θ=0 scheme is the classic distributed PDE kernel: the
-//! grid is split into contiguous blocks, each step updates every point
-//! from its two neighbours, so ranks exchange **one boundary value with
-//! each side per step** — the tightest halo pattern there is. Unlike
-//! the lattice (whose domain shrinks every step), the PDE grid is
-//! static, so the communication volume is constant per step and the
-//! scaling shape is the cleanest Amdahl curve in the evaluation.
+//! grid is split into contiguous blocks and each step updates every
+//! point from its two neighbours. Exchanging one boundary value with
+//! each side per step makes the run latency-bound on any machine whose
+//! message latency dwarfs a point update, so ranks keep a **deep
+//! halo** instead: `h` ghost points per side, refreshed by one message
+//! of `h` values to each neighbour every `h` steps. Between exchanges
+//! a rank recomputes the shrinking ghost triangle itself — sub-step
+//! `j` of a block updates `[lo − (h − j), hi + (h − j)) ∩ [0, m)` —
+//! the distributed form of the trapezoid the sequential engine sweeps.
+//! Ghost updates are real work and are charged like owned ones.
 //!
-//! Each step posts its halo sends first, updates the ghost-free
-//! interior while the edge values are in flight, and only then
-//! completes the receives and updates the two edge points — so the
-//! modelled message latency is hidden behind interior compute, the same
-//! overlap the lattice cluster driver uses.
+//! The depth is derived from the machine, never set: with `α` the
+//! latency between neighbouring ranks and `c` the modelled cost of one
+//! point update, a block of depth `h` costs `2α/h + (h − 1)·c` per step
+//! (two messages, `h(h − 1)` redundant points), minimised at
+//! `h = √(2α / c)`. See [`ClusterFd1d::halo_depth`]. A machine whose
+//! messages are free gets `h = 1`: one value each way per step.
 //!
-//! The arithmetic per point matches the sequential engine exactly, so
-//! prices are bit-identical for every rank count.
+//! Each block posts its halo sends first, updates the first level's
+//! ghost-free points while the values are in flight, and only then
+//! completes the receives and the rest of the block — so the modelled
+//! message latency is hidden behind interior compute, the same overlap
+//! `mdp_lattice::cluster` uses.
+//!
+//! The arithmetic per point matches the sequential engine exactly and
+//! every owned value is valid at every level of a block, so prices are
+//! bit-identical for every rank count, checkpoints land on any step and
+//! recovery starts a fresh block at the checkpoint it rolls back to.
 
 use crate::grid::{check_width, LogGrid};
 use crate::stencil::explicit_point;
@@ -26,8 +39,11 @@ use mdp_cluster::{
 };
 use mdp_model::{ExerciseStyle, GbmMarket, Product};
 
-/// Tag for boundary exchanges (FIFO per pair keeps steps aligned).
+/// Tag for halo exchanges (FIFO per pair keeps blocks aligned).
 const T_EDGE: u32 = 23;
+
+/// Modelled work units of one point update, ghost points included.
+const POINT_UNITS: f64 = 8.0;
 
 /// Configuration of the distributed explicit engine.
 #[derive(Debug, Clone, Copy)]
@@ -74,7 +90,140 @@ struct FdSetup {
     center: usize,
 }
 
+/// Halo depth over the `active` ranks of an `m`-point grid; see
+/// [`ClusterFd1d::halo_depth`].
+fn halo_depth(machine: &Machine, active: &[usize], m: usize) -> usize {
+    let far = active.windows(2).any(|w| machine.is_far(w[0], w[1]));
+    let alpha = if far {
+        machine.far_latency
+    } else {
+        machine.latency
+    };
+    let optimum = (2.0 * alpha / machine.work_time(POINT_UNITS))
+        .sqrt()
+        .round();
+    (optimum as usize).min(m / active.len()).max(1)
+}
+
+/// One rank's share of the grid under the current active roster.
+struct Shard {
+    /// First owned global point.
+    lo: usize,
+    /// One past the last owned global point.
+    hi: usize,
+    /// Ghost points kept on each side.
+    depth: usize,
+    /// Owner of the points left of `lo`, if any.
+    left: Option<usize>,
+    /// Owner of the points from `hi` on, if any.
+    right: Option<usize>,
+    /// The current and the next level on `[lo − depth, hi + depth)`,
+    /// global point `g` at index `g + depth − lo`.
+    cur: Vec<f64>,
+    next: Vec<f64>,
+}
+
+impl Shard {
+    /// This rank's share of the full grid level `level`, partitioned
+    /// over the supervisor's active ranks.
+    fn new(sup: &Supervisor, rank: usize, machine: &Machine, level: &[f64]) -> Self {
+        let m = level.len();
+        let active = sup.active();
+        let an = active.len();
+        let (lo, hi) = partition::block_range(m, an, sup.dense_index(rank));
+        let depth = halo_depth(machine, active, m);
+        let owner = |g: usize| active[partition::block_owner(m, an, g)];
+        let mut cur = vec![0.0; hi - lo + 2 * depth];
+        cur[depth..depth + hi - lo].copy_from_slice(&level[lo..hi]);
+        Shard {
+            lo,
+            hi,
+            depth,
+            left: (hi > lo && lo > 0).then(|| owner(lo - 1)),
+            right: (hi > lo && hi < m).then(|| owner(hi)),
+            next: vec![0.0; cur.len()],
+            cur,
+        }
+    }
+
+    /// The owned values of the current level.
+    fn owned(&self) -> &[f64] {
+        &self.cur[self.depth..self.depth + self.hi - self.lo]
+    }
+
+    /// Post a block's halo: the `h` owned values at each edge to the
+    /// neighbour on that side.
+    fn send_halo(&self, comm: &mut impl Communicator, h: usize) {
+        let own = self.owned();
+        if let Some(l) = self.left {
+            comm.send(l, T_EDGE, &own[..h]);
+        }
+        if let Some(r) = self.right {
+            comm.send(r, T_EDGE, &own[own.len() - h..]);
+        }
+    }
+
+    /// Receive a block's halo into the `h` ghost points on each side.
+    fn recv_halo(&mut self, comm: &mut impl Communicator, h: usize) {
+        let (d, e) = (self.depth, self.depth + self.hi - self.lo);
+        if let Some(l) = self.left {
+            self.cur[d - h..d].copy_from_slice(&comm.recv(l, T_EDGE));
+        }
+        if let Some(r) = self.right {
+            self.cur[e..e + h].copy_from_slice(&comm.recv(r, T_EDGE));
+        }
+    }
+
+    /// Update the global points `pts` of the next level (discount
+    /// factor `df` on the Dirichlet walls) and return how many.
+    fn update(&mut self, s: &FdSetup, df: f64, pts: impl Iterator<Item = usize>) -> usize {
+        let m = s.m;
+        let mut count = 0;
+        for g in pts {
+            let x = g + self.depth - self.lo;
+            self.next[x] = if g == 0 {
+                df * s.intrinsic[0]
+            } else if g == m - 1 {
+                df * s.intrinsic[m - 1]
+            } else {
+                // Same per-point kernel as the sequential engine and
+                // the trapezoid base case.
+                explicit_point(
+                    s.dt,
+                    s.a,
+                    s.b,
+                    s.c,
+                    self.cur[x - 1],
+                    self.cur[x],
+                    self.cur[x + 1],
+                )
+            };
+            count += 1;
+        }
+        count
+    }
+}
+
 impl ClusterFd1d {
+    /// Halo depth `h` of a fault-free run on `p` ranks of `machine`:
+    /// each rank exchanges `h` values with each neighbour once every
+    /// `h` steps (a run's last block is cut to the steps left).
+    ///
+    /// `h = clamp(round(√(2α / c)), 1, ⌊space_points / p⌋)`, the
+    /// minimiser of the modelled per-step cost `2α/h + (h − 1)·c`:
+    /// `c = machine.work_time(8.0)` is the charge of one point update
+    /// and `α` is the far latency if any two neighbouring ranks sit on
+    /// different nodes, else the near latency. The cap keeps every
+    /// neighbour's block at least `h` points deep. A run that loses
+    /// ranks recomputes `h` over the survivors.
+    ///
+    /// # Panics
+    /// Panics when `p == 0`.
+    pub fn halo_depth(&self, machine: &Machine, p: usize) -> usize {
+        let ranks: Vec<usize> = (0..p).collect();
+        halo_depth(machine, &ranks, self.space_points)
+    }
+
     fn setup(&self, market: &GbmMarket, product: &Product) -> Result<FdSetup, PdeError> {
         product.validate_for(market)?;
         if market.dim() != 1 {
@@ -132,11 +281,11 @@ impl ClusterFd1d {
     /// points each `ckpt_interval` time steps (`None`: never).
     ///
     /// Survivors of a crash repartition the checkpointed grid layer
-    /// over the shrunken rank set and replay; the per-point update is
-    /// owner-independent, so the price is bit-identical to the
-    /// sequential explicit engine with or without faults. A plan that
-    /// crashes ranks needs a checkpoint interval (a typed error
-    /// otherwise).
+    /// over the shrunken rank set, recompute the halo depth and replay
+    /// from a fresh block; the per-point update is owner-independent,
+    /// so the price is bit-identical to the sequential explicit engine
+    /// with or without faults. A plan that crashes ranks needs a
+    /// checkpoint interval (a typed error otherwise).
     pub fn price(
         &self,
         market: &GbmMarket,
@@ -160,109 +309,61 @@ impl ClusterFd1d {
             let rank = comm.rank();
             let mut sup = Supervisor::new(comm, ckpt_interval, &store);
             let m = s.m;
-            let (mut lo, mut hi) =
-                partition::block_range(m, sup.active().len(), sup.dense_index(rank));
-            let mut len = hi - lo;
-            let mut v = vec![0.0; len + 2];
-            v[1..len + 1].copy_from_slice(&s.intrinsic[lo..hi]);
-            comm.compute_units(len as f64 * 2.0);
-            let mut new_v = vec![0.0; len + 2];
+            let mut sh = Shard::new(&sup, rank, &machine, &s.intrinsic);
+            comm.compute_units((sh.hi - sh.lo) as f64 * 2.0);
 
             let mut k = 0usize; // completed time steps == boundary index
+            let mut block_end = 0usize; // step at which the halo runs out
             while k < s.n {
-                if let Some(rec) = sup.boundary(comm, k, || (lo, v[1..len + 1].to_vec())) {
+                // Every step is a boundary, so crashes fire and
+                // checkpoints land mid-block: the owned values are
+                // valid at every level.
+                if let Some(rec) = sup.boundary(comm, k, || (sh.lo, sh.owned().to_vec())) {
                     // Roll back: rebuild the full grid from the pooled
-                    // records and repartition over the survivors.
+                    // records, repartition over the survivors and
+                    // start a fresh block at the checkpoint.
                     let k0 = rec.from_step.expect("boundary 0 always checkpoints");
                     let mut full = vec![0.0; m];
                     for (_, r) in &rec.records {
                         full[r.lo..r.lo + r.data.len()].copy_from_slice(&r.data);
                     }
-                    let (l, h) =
-                        partition::block_range(m, sup.active().len(), sup.dense_index(rank));
-                    lo = l;
-                    hi = h;
-                    len = hi - lo;
-                    v = vec![0.0; len + 2];
-                    v[1..len + 1].copy_from_slice(&full[lo..hi]);
-                    new_v = vec![0.0; len + 2];
+                    sh = Shard::new(&sup, rank, &machine, &full);
                     k = k0;
+                    block_end = k0;
                     continue; // re-enter boundary k0: fresh-era checkpoint
                 }
 
-                let active = sup.active();
-                let an = active.len();
                 let step = k + 1;
-                // Ghost owners under the current active partition.
-                let left_owner = if len > 0 && lo > 0 {
-                    Some(active[partition::block_owner(m, an, lo - 1)])
+                let df = (-s.r * (step as f64 * s.dt)).exp();
+                let (lo, hi) = (sh.lo, sh.hi);
+                // The owned points and `reach` ghost points on each
+                // side, clipped to the grid: sub-step j of an h-deep
+                // block reaches h − j.
+                let ghost_span = |reach: usize| lo.saturating_sub(reach)..(hi + reach).min(m);
+                if k == block_end {
+                    // Open a block: post the halo, then update the
+                    // first level's ghost-free points while it is in
+                    // flight — the virtual-time model charges them
+                    // before the receives, hiding the latency — and
+                    // finish the level once the ghosts arrive.
+                    let h = sh.depth.min(s.n - k);
+                    block_end = k + h;
+                    sh.send_halo(comm, h);
+                    let reads_ghost = |g: usize| g != 0 && g != m - 1 && (g == lo || g + 1 == hi);
+                    let inner = sh.update(&s, df, (lo..hi).filter(|&g| !reads_ghost(g)));
+                    comm.compute_units(inner as f64 * POINT_UNITS);
+                    sh.recv_halo(comm, h);
+                    let edge = sh.update(
+                        &s,
+                        df,
+                        ghost_span(h - 1).filter(|&g| g < lo || g >= hi || reads_ghost(g)),
+                    );
+                    comm.compute_units(edge as f64 * POINT_UNITS);
                 } else {
-                    None
-                };
-                let right_owner = if len > 0 && hi < m {
-                    Some(active[partition::block_owner(m, an, hi)])
-                } else {
-                    None
-                };
-                // A local point needs a ghost value only if it sits at
-                // a block edge with a neighbouring rank *and* is not a
-                // global Dirichlet boundary row (those read no
-                // neighbours at all).
-                let needs_ghost = |kk: usize| {
-                    let gidx = lo + kk;
-                    gidx != 0
-                        && gidx != m - 1
-                        && ((kk == 0 && left_owner.is_some())
-                            || (kk + 1 == len && right_owner.is_some()))
-                };
-                let tau = step as f64 * s.dt;
-                let df = (-s.r * tau).exp();
-                let update = |kk: usize, v: &[f64], new_v: &mut [f64]| {
-                    let gidx = lo + kk;
-                    if gidx == 0 {
-                        new_v[kk + 1] = df * s.intrinsic[0];
-                    } else if gidx == m - 1 {
-                        new_v[kk + 1] = df * s.intrinsic[m - 1];
-                    } else {
-                        // Same per-point kernel as the sequential
-                        // engine and the trapezoid base case.
-                        new_v[kk + 1] =
-                            explicit_point(s.dt, s.a, s.b, s.c, v[kk], v[kk + 1], v[kk + 2]);
-                    }
-                };
-                // Post the halo sends, then update the interior while
-                // the edge values are in flight: the virtual-time model
-                // charges the interior compute before the receives, so
-                // it hides the message latency.
-                if let Some(l) = left_owner {
-                    comm.send(l, T_EDGE, &[v[1]]);
+                    let pts = sh.update(&s, df, ghost_span(block_end - step));
+                    comm.compute_units(pts as f64 * POINT_UNITS);
                 }
-                if let Some(r) = right_owner {
-                    comm.send(r, T_EDGE, &[v[len]]);
-                }
-                let mut interior_pts = 0u64;
-                for kk in 0..len {
-                    if !needs_ghost(kk) {
-                        update(kk, &v, &mut new_v);
-                        interior_pts += 1;
-                    }
-                }
-                comm.compute_units(interior_pts as f64 * 8.0);
-                if let Some(l) = left_owner {
-                    v[0] = comm.recv(l, T_EDGE)[0];
-                }
-                if let Some(r) = right_owner {
-                    v[len + 1] = comm.recv(r, T_EDGE)[0];
-                }
-                let mut edge_pts = 0u64;
-                for kk in 0..len {
-                    if needs_ghost(kk) {
-                        update(kk, &v, &mut new_v);
-                        edge_pts += 1;
-                    }
-                }
-                comm.compute_units(edge_pts as f64 * 8.0);
-                std::mem::swap(&mut v, &mut new_v);
+                std::mem::swap(&mut sh.cur, &mut sh.next);
                 k += 1;
             }
 
@@ -273,7 +374,7 @@ impl ClusterFd1d {
             let owner = active[partition::block_owner(m, active.len(), s.center)];
             let mut price = [0.0];
             if rank == owner {
-                price[0] = v[s.center - lo + 1];
+                price[0] = sh.owned()[s.center - sh.lo];
             }
             sup.broadcast(comm, owner, &mut price);
             price[0]
@@ -335,12 +436,13 @@ mod tests {
     }
 
     #[test]
-    fn explicit_sweep_is_latency_bound_on_the_cluster() {
-        // An instructive *negative* result the era's papers report: the
-        // 1-D explicit sweep exchanges per step but computes almost
-        // nothing per rank, so on a 50 µs-latency machine parallelism
-        // *hurts* — and the CFL bound (Δt ∝ Δx²) forbids buying scaling
-        // with a bigger grid. A low-latency SMP restores some speedup.
+    fn deep_halo_lets_the_cluster_beat_one_rank() {
+        // The era's papers report the 1-D explicit sweep as latency
+        // bound: a one-value exchange per step on a 50 µs machine
+        // costs more than the few points each rank updates, so p = 8
+        // lost to p = 1 (0.31×). A 35-deep halo pays that latency once
+        // every 35 steps for 34 redundant points per side, and the
+        // cluster wins; the 2 µs SMP, on a 7-deep halo, still wins more.
         let m = market();
         let p = call();
         // Stability: σ²Δt/Δx² = 0.04·(1/4000)/(2/400)² = 0.4 ≤ ½.
@@ -349,37 +451,36 @@ mod tests {
             time_steps: 4000,
             ..Default::default()
         };
-        let t1 = cfg
-            .price(&m, &p, 1, Machine::cluster2002(), FaultPlan::new(0), None)
-            .unwrap()
-            .time
-            .makespan;
-        let t8 = cfg
-            .price(&m, &p, 8, Machine::cluster2002(), FaultPlan::new(0), None)
-            .unwrap()
-            .time
-            .makespan;
-        let s8_cluster = t1 / t8;
+        let run = |ranks: usize, machine: Machine| {
+            cfg.price(&m, &p, ranks, machine, FaultPlan::new(0), None)
+                .unwrap()
+                .time
+        };
+        let t8 = run(8, Machine::cluster2002());
+        let s8_cluster = run(1, Machine::cluster2002()).makespan / t8.makespan;
         assert!(
-            s8_cluster < 1.0,
-            "the high-latency cluster should *lose* on this kernel: {s8_cluster}"
+            s8_cluster > 1.0,
+            "a deep halo must let the high-latency cluster win: {s8_cluster}"
         );
-        let t1_smp = cfg
-            .price(&m, &p, 1, Machine::smp(), FaultPlan::new(0), None)
-            .unwrap()
-            .time
-            .makespan;
-        let t8_smp = cfg
-            .price(&m, &p, 8, Machine::smp(), FaultPlan::new(0), None)
-            .unwrap()
-            .time
-            .makespan;
-        let s8_smp = t1_smp / t8_smp;
+        let s8_smp = run(1, Machine::smp()).makespan / run(8, Machine::smp()).makespan;
         assert!(
             s8_smp > s8_cluster,
             "lower latency must help: smp {s8_smp} vs cluster {s8_cluster}"
         );
         assert!(s8_smp <= 8.0 + 1e-9);
+
+        // h = round(√(2·50 µs / 80 ns)) = 35 ≤ ⌊401/8⌋: 35-fold fewer
+        // halo messages than the one-value exchange (which the free
+        // messages of `ideal` keep), up to the last, shorter block.
+        let h = cfg.halo_depth(&Machine::cluster2002(), 8);
+        assert_eq!(h, 35);
+        assert_eq!(cfg.halo_depth(&Machine::ideal(), 8), 1);
+        let bcast = 7; // binomial price broadcast to the other 7 ranks
+        let per_exchange = 2 * 7; // one message each way per neighbour pair
+        let halo_ideal = run(8, Machine::ideal()).total_msgs - bcast;
+        let halo_cluster = t8.total_msgs - bcast;
+        assert_eq!(halo_ideal, 4000 * per_exchange);
+        assert_eq!(halo_cluster, 4000u64.div_ceil(h as u64) * per_exchange);
     }
 
     #[test]

@@ -640,7 +640,11 @@ impl Fd1dPlan {
             }
             MarketDelta::Correlation { .. } => {}
             MarketDelta::Vol { .. } => {
-                *self = self.cfg.plan(&market, maturity)?;
+                // A rebuilt plan is born with the inert token: carry
+                // the installed one across.
+                let mut rebuilt = self.cfg.plan(&market, maturity)?;
+                rebuilt.cancel = self.cancel.clone();
+                *self = rebuilt;
                 return Ok(TickOutcome::Rebuilt);
             }
         }
@@ -1527,6 +1531,32 @@ mod tests {
                 .unwrap(),
             TickOutcome::Rebuilt
         );
+    }
+
+    #[test]
+    fn every_tick_keeps_the_installed_cancel_token() {
+        let ticks = [
+            MarketDelta::Spot {
+                asset: 0,
+                spot: 99.0,
+            },
+            MarketDelta::Rate { rate: 0.01 },
+            MarketDelta::Vol { asset: 0, vol: 0.3 },
+        ];
+        for delta in &ticks {
+            let mut plan = Fd1d::default().plan(&market(), 1.0).unwrap();
+            let token = CancelToken::new();
+            token.cancel();
+            plan.set_cancel(token);
+            plan.apply_tick(delta).unwrap();
+            assert!(
+                matches!(
+                    plan.execute(&call(100.0), &mut Fd1dScratch::default()),
+                    Err(PdeError::Cancelled)
+                ),
+                "{delta:?}"
+            );
+        }
     }
 
     #[test]

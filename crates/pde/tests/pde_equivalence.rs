@@ -5,11 +5,12 @@
 //!   for bit — sequential and rayon — across grid size, payoff,
 //!   correlation sign and exercise style;
 //! * the virtual-cluster explicit sweep must match the sequential
-//!   explicit engine bit for bit for every rank count;
+//!   explicit engine bit for bit for every rank count and machine, and
+//!   exchange its deep halo exactly as often as the depth formula says;
 //! * a knock-out barrier pushed to the far edge of the domain must
 //!   reproduce the vanilla Crank–Nicolson price to machine precision.
 
-use mdp_cluster::{FaultPlan, Machine};
+use mdp_cluster::{partition, run_spmd, CollectiveEngine, FaultPlan, Machine};
 use mdp_model::{GbmMarket, Payoff, Product};
 use mdp_pde::{Adi2d, AdiKernel, ClusterFd1d, Fd1d, Fd1dBarrier, LogGrid, Scheme};
 use proptest::prelude::*;
@@ -82,16 +83,28 @@ proptest! {
     }
 
     /// The distributed explicit sweep re-partitions the same updates,
-    /// so every rank count reproduces the sequential engine bitwise.
+    /// so every rank count (more ranks than points included) on every
+    /// machine shape reproduces the sequential engine bitwise. Whenever
+    /// every rank owns a point, its deep halo costs one message each
+    /// way per neighbour pair every `h` steps plus the price broadcast,
+    /// with `h` re-derived here from the machine.
     #[test]
     fn cluster_explicit_matches_sequential_bitwise(
-        m in 11usize..41,
+        m in 5usize..60,
+        slack in 0usize..120,
+        ranks in 1usize..13,
+        machine_sel in 0usize..4,
         vol in 0.15f64..0.35,
         rate in 0.0f64..0.08,
         strike in 80.0f64..120.0,
-        ranks in 1usize..6,
         put in 0usize..2,
     ) {
+        let machine = [
+            Machine::ideal(),
+            Machine::smp(),
+            Machine::cluster2002(),
+            Machine::smp_cluster2002(8),
+        ][machine_sel];
         let market = GbmMarket::single(100.0, vol, 0.01, rate).unwrap();
         let weights = vec![1.0];
         let payoff = if put == 1 {
@@ -100,9 +113,10 @@ proptest! {
             Payoff::BasketCall { weights, strike }
         };
         let product = Product::european(payoff, 1.0);
-        // Pick a step count that satisfies the CFL bound with margin.
+        // The fewest stable steps (σ²Δt/Δx² ≈ 0.45), plus a random
+        // slack so the last exchange is cut to any length.
         let grid = LogGrid::new(100.0, vol, 1.0, 5.0, m);
-        let n = (2.2 * vol * vol / (grid.dx * grid.dx)).ceil() as usize + 1;
+        let n = (2.2 * vol * vol / (grid.dx * grid.dx)).ceil() as usize + 1 + slack;
         let seq = Fd1d {
             space_points: m,
             time_steps: n,
@@ -116,9 +130,46 @@ proptest! {
             time_steps: n,
             ..Default::default()
         }
-        .price(&market, &product, ranks, Machine::ideal(), FaultPlan::new(0), None)
+        .price(&market, &product, ranks, machine, FaultPlan::new(0), None)
         .unwrap();
-        prop_assert_eq!(seq.price.to_bits(), par.price.to_bits(), "ranks={}", ranks);
+        prop_assert_eq!(
+            seq.price.to_bits(),
+            par.price.to_bits(),
+            "{} ranks={} m={} n={}",
+            machine.name,
+            ranks,
+            m,
+            n
+        );
+
+        if ranks <= m {
+            // h = clamp(round(√(2α / c)), 1, ⌊m / P⌋): α is the far
+            // latency once neighbouring ranks straddle a node.
+            let far = (1..ranks).any(|r| machine.is_far(r - 1, r));
+            let alpha = if far { machine.far_latency } else { machine.latency };
+            let optimum = (2.0 * alpha / machine.work_time(8.0)).sqrt().round() as usize;
+            let h = optimum.min(m / ranks).max(1);
+            let halo = n.div_ceil(h) as u64 * 2 * (ranks as u64 - 1);
+            let owner = partition::block_owner(m, ranks, grid.center);
+            let bcast: u64 = run_spmd(ranks, machine, move |comm| {
+                let mut price = [0.0];
+                CollectiveEngine::for_machine(&machine, ranks).broadcast(comm, owner, &mut price);
+            })
+            .unwrap()
+            .iter()
+            .map(|r| r.stats.msgs_sent)
+            .sum();
+            prop_assert_eq!(
+                par.time.total_msgs,
+                halo + bcast,
+                "{} ranks={} m={} n={} h={}",
+                machine.name,
+                ranks,
+                m,
+                n,
+                h
+            );
+        }
     }
 
     /// A knock-out barrier placed exactly on the far grid boundary —

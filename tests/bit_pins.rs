@@ -226,6 +226,11 @@ fn lattice_sweep_problem_bits() {
     );
 }
 
+/// The explicit sweep exchanges a 7-deep halo on one SMP node (h =
+/// round(√(2·2 µs / 80 ns)) = 7): ⌈1000/7⌉ = 143 exchanges of 14
+/// messages plus the 7-message price broadcast. The last exchange
+/// carries the 6 steps left, so the halo bytes are 142·14·(16 + 7·8) +
+/// 14·(16 + 6·8), and the broadcast adds 7·24.
 #[test]
 fn fd_sweep_problem_bits() {
     check(
@@ -240,13 +245,13 @@ fn fd_sweep_problem_bits() {
         &[
             ("seq.price", 0x401649ddede7fd0d),
             ("p8.price", 0x401649ddede7fd0d),
-            ("p8.makespan", 0x3f78b379ae5b8c9e),
-            ("p8.msgs", 14007),
-            ("p8.bytes", 336168),
+            ("p8.makespan", 0x3f6922c8a44088d5),
+            ("p8.msgs", 2009),
+            ("p8.bytes", 144200),
             ("p8-ckpt4.price", 0x401649ddede7fd0d),
-            ("p8-ckpt4.makespan", 0x3f7adc132a98f4ce),
-            ("p8-ckpt4.msgs", 14007),
-            ("p8-ckpt4.bytes", 336168),
+            ("p8-ckpt4.makespan", 0x3f6d73fb9cbb5918),
+            ("p8-ckpt4.msgs", 2009),
+            ("p8-ckpt4.bytes", 144200),
         ],
     );
 }

@@ -225,10 +225,10 @@ fn golden_virtual_times() {
     );
     assert_eq!(out.time.total_msgs, 192, "message count");
 
-    // Same pin for the distributed explicit FD sweep. Re-derived when
-    // the driver started overlapping halo exchange with interior
-    // compute (PR 3): the per-step compute charge is split around the
-    // receives, so latency hides behind the ghost-free points.
+    // Same pin for the distributed explicit FD sweep. It exchanges a
+    // deep halo, one message of h values each way every h steps, and
+    // splits each exchange's compute charge around the receives, so
+    // latency hides behind the ghost-free points.
     let m1 = GbmMarket::single(100.0, 0.2, 0.0, 0.05).unwrap();
     let call = Product::european(
         Payoff::BasketCall {
@@ -253,10 +253,20 @@ fn golden_virtual_times() {
     .unwrap();
     assert_pinned(
         fd.time.makespan,
-        0.205060980000006,
+        0.01628658,
         "explicit FD makespan m=101 n=2000 p=4",
     );
-    assert_eq!(fd.time.total_msgs, 12003, "FD message count");
+    // h = round(√(2α/c)) = round(√(2·50 µs / 80 ns)) = 35, capped at
+    // ⌊101/4⌋ = 25 so every neighbour owns a full halo; each of the
+    // ⌈2000/h⌉ exchanges sends one message each way between the 3
+    // neighbour pairs, and the price broadcast adds p − 1.
+    let h = ((2.0f64 * 50e-6 / 80e-9).sqrt().round() as usize).min(101 / 4);
+    assert_eq!(h, 25);
+    assert_eq!(
+        fd.time.total_msgs,
+        2000u64.div_ceil(h as u64) * 2 * 3 + 3,
+        "FD message count"
+    );
 }
 
 #[test]
