@@ -127,7 +127,6 @@ pub fn t3_sequential_mc_cost(effort: Effort) {
 /// Besides the table, writes `BENCH_mc_kernel.json` into the output
 /// directory so CI can track the kernel's trajectory across PRs.
 pub fn t3b_batched_kernel_throughput(effort: Effort) {
-    use mdp_core::mc::engine::RunContext;
     use mdp_core::mc::variance::merge_in_chunks;
     use mdp_perf::timing::measure_best;
 
@@ -150,7 +149,8 @@ pub fn t3b_batched_kernel_throughput(effort: Effort) {
             paths,
             ..Default::default()
         };
-        let ctx = RunContext::new(&m, &p, cfg).expect("run context");
+        let plan = McEngine::new(cfg).plan(&m, p.maturity).expect("mc plan");
+        let ctx = plan.context(&p).expect("run context");
         let run = |batched: bool| {
             merge_in_chunks((0..ctx.num_blocks()).map(|b| {
                 if batched {
@@ -1423,8 +1423,10 @@ pub fn t10_portfolio_batch(effort: Effort) {
     let _ = std::fs::write(crate::out_dir().join("BENCH_portfolio.json"), json);
 }
 
-/// T11 — pricing-as-a-service under open-loop load: coalesced service
-/// vs a naive pool of per-request pricers (one plan build each).
+/// T11 — pricing-as-a-service under open-loop load: the default
+/// (coalescing, plan-caching) service vs the same service configured as
+/// a naive pool of per-request pricers (`max_batch: 1, plan_cache: 0`:
+/// one plan build per request).
 ///
 /// A seeded open-loop driver replays the *same* exponential arrival
 /// process against both services at offered loads pinned above the
@@ -1469,16 +1471,25 @@ pub fn t11_serve(effort: Effort) {
         })
         .collect();
 
-    // Calibrate naive capacity with a closed-loop burst: every request
-    // pays its own plan build, the historical pool-of-pricers idiom.
+    let coal_cfg = ServeConfig {
+        workers: WORKERS,
+        ..Default::default()
+    };
+    // The naive pool-of-pricers baseline is the same service with
+    // neither coalescing nor plan caching: every request is served
+    // alone and pays its own plan build.
+    let naive_cfg = ServeConfig {
+        max_batch: 1,
+        plan_cache: 0,
+        ..coal_cfg
+    };
+    // Calibrate naive capacity with a closed-loop burst.
     let calib_n = effort.scale(128, 512);
     let calib = PricingService::start(
         pricer(),
         ServeConfig {
-            workers: WORKERS,
-            coalesce: false,
             queue_capacity: calib_n,
-            ..Default::default()
+            ..naive_cfg
         },
     );
     let t0 = Instant::now();
@@ -1549,14 +1560,12 @@ pub fn t11_serve(effort: Effort) {
     // naive pool is saturated and the ratio is a capacity ratio.
     let mults: &[f64] = &[1.5, 2.5, 4.0];
 
-    let run = |coalesce: bool, offered_rps: f64, seed: u64| -> RunStats {
+    let run = |cfg: ServeConfig, offered_rps: f64, seed: u64| -> RunStats {
         let service = PricingService::start(
             pricer(),
             ServeConfig {
-                workers: WORKERS,
-                coalesce,
                 queue_capacity: 512,
-                ..Default::default()
+                ..cfg
             },
         );
         let mut state = seed;
@@ -1621,8 +1630,8 @@ pub fn t11_serve(effort: Effort) {
     for (k, &mult) in mults.iter().enumerate() {
         let offered_rps = (naive_capacity_rps * mult).max(50.0);
         let seed = 0x5eed_0000 + k as u64;
-        let naive = run(false, offered_rps, seed);
-        let coal = run(true, offered_rps, seed);
+        let naive = run(naive_cfg, offered_rps, seed);
+        let coal = run(coal_cfg, offered_rps, seed);
         let ratio = coal.throughput_rps / naive.throughput_rps;
         table.push(&[
             format!("{mult:.1}x"),
@@ -2023,9 +2032,10 @@ pub fn t14_resilience(effort: Effort) {
     };
     let fd = Method::Fd1d(Fd1d::default());
     let pricer = || Pricer::new(fd.clone());
-    // The overload phase prices per-request MC (no coalescing): each
-    // request costs a real path sweep, so the degraded variant (quarter
-    // paths) is a genuine 4x lever on service capacity.
+    // The overload phase prices per-request MC (every request served
+    // alone, no plan cache): each request costs a real path sweep, so
+    // the degraded variant (quarter paths) is a genuine 4x lever on
+    // service capacity.
     let mc_method = Method::MonteCarlo(McConfig {
         paths: 20_000,
         steps: 20,
@@ -2036,15 +2046,19 @@ pub fn t14_resilience(effort: Effort) {
 
     // --- Phase 1: overload with and without graceful degradation. ---
 
+    let per_request = ServeConfig {
+        workers: WORKERS,
+        max_batch: 1,
+        plan_cache: 0,
+        ..Default::default()
+    };
     // Calibrate per-request capacity with a closed-loop burst.
     let calib_n = effort.scale(64, 256);
     let calib = PricingService::start(
         mc_pricer(),
         ServeConfig {
-            workers: WORKERS,
-            coalesce: false,
             queue_capacity: calib_n,
-            ..Default::default()
+            ..per_request
         },
     );
     let t0 = Instant::now();
@@ -2098,16 +2112,14 @@ pub fn t14_resilience(effort: Effort) {
         let service = PricingService::start(
             mc_pricer(),
             ServeConfig {
-                workers: WORKERS,
-                coalesce: false,
                 queue_capacity: 256,
                 degradation,
-                ..Default::default()
+                ..per_request
             },
         );
-        // Warm the plan cache and the per-engine latency EWMA inside
-        // this instance, so the budget-degradation decision has an
-        // estimate to compare against.
+        // Warm the per-engine latency EWMA inside this instance, so the
+        // budget-degradation decision has an estimate to compare
+        // against.
         let warm: Vec<_> = (0..DISTINCT_STRIKES)
             .map(|i| {
                 service

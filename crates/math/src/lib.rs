@@ -7,10 +7,9 @@
 //! This crate provides the self-contained numerical substrate used by every
 //! pricing engine in the `mdp` workspace:
 //!
-//! * **Random numbers** ([`rng`]) — counter-seeded [`rng::SplitMix64`],
+//! * **Random numbers** ([`rng`]) — counter-seeded [`rng::SplitMix64`] and
 //!   [`rng::Xoshiro256StarStar`] with `jump`/`long_jump` for embarrassingly
-//!   parallel substreams, and [`rng::Pcg64`]; plus Gaussian samplers
-//!   (polar, Box–Muller and inverse-CDF).
+//!   parallel substreams; plus Gaussian samplers (polar and inverse-CDF).
 //! * **Special functions** ([`special`]) — `erf`/`erfc`, the standard normal
 //!   pdf/cdf, a high-accuracy inverse normal cdf (Acklam + Halley
 //!   refinement) and the Drezner–Wesolowsky bivariate normal cdf.
@@ -18,8 +17,8 @@
 //!   Gray-code order with Joe–Kuo direction numbers for the leading
 //!   dimensions, and [`brownian`] for Brownian-bridge path construction.
 //! * **Dense and banded linear algebra** ([`linalg`]) — a small row-major
-//!   [`linalg::Matrix`], Cholesky, partially pivoted LU, Householder QR
-//!   least-squares and tridiagonal (Thomas) solvers.
+//!   [`linalg::Matrix`], Cholesky, a symmetric eigensolver with
+//!   nearest-correlation repair, and tridiagonal (Thomas) solvers.
 //! * **Statistics** ([`stats`]) — Welford online moments with O(1) merging
 //!   for parallel reduction, and confidence intervals.
 //! * **Polynomial bases** ([`poly`]) — monomial/Laguerre/Hermite bases used

@@ -1,14 +1,10 @@
 //! Standard-normal samplers.
 //!
-//! Three interchangeable methods:
+//! Two interchangeable methods:
 //!
 //! * [`NormalPolar`] — Marsaglia's polar method. Exact, rejection-based
 //!   (~1.27 uniforms per normal), branchy. The default for pseudo-random
 //!   Monte Carlo.
-//! * [`BoxMuller`] — trigonometric Box–Muller. Exact, branch-free, slightly
-//!   slower due to `sin`/`cos`; kept both as a cross-check and because it
-//!   consumes exactly two uniforms for two normals (fixed consumption
-//!   matters for some reproducibility schemes).
 //! * [`NormalInverse`] — inverse-CDF transform. The **only** valid choice
 //!   for quasi-Monte Carlo: it is monotone, so it preserves the
 //!   low-discrepancy structure of a Sobol' point set, and it consumes
@@ -254,38 +250,6 @@ impl NormalSampler for NormalPolar {
     }
 }
 
-/// Trigonometric Box–Muller with one cached spare.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BoxMuller {
-    spare: Option<f64>,
-}
-
-impl BoxMuller {
-    /// New sampler with no cached spare.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl NormalSampler for BoxMuller {
-    #[inline]
-    fn sample<R: Rng64>(&mut self, rng: &mut R) -> f64 {
-        if let Some(z) = self.spare.take() {
-            return z;
-        }
-        let u1 = rng.next_open_f64();
-        let u2 = rng.next_f64();
-        let r = (-2.0 * u1.ln()).sqrt();
-        let theta = std::f64::consts::TAU * u2;
-        self.spare = Some(r * theta.sin());
-        r * theta.cos()
-    }
-
-    fn reset(&mut self) {
-        self.spare = None;
-    }
-}
-
 /// Inverse-CDF sampler: `z = Φ⁻¹(u)`.
 ///
 /// Monotone and one-uniform-per-normal; mandatory for QMC.
@@ -345,11 +309,6 @@ mod tests {
     #[test]
     fn polar_moments() {
         check_standard_normal(moments(NormalPolar::new(), 1, 200_000));
-    }
-
-    #[test]
-    fn box_muller_moments() {
-        check_standard_normal(moments(BoxMuller::new(), 2, 200_000));
     }
 
     #[test]

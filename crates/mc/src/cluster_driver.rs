@@ -22,7 +22,7 @@
 //! not depend on which rank owns which block — before or after a
 //! recovery.
 
-use crate::engine::{McConfig, McResult, RunContext};
+use crate::engine::{McConfig, McEngine, McResult};
 use crate::lsmc::{self, LsmcConfig, LsmcResult, RegressionSums};
 use crate::variance::{merge_in_chunks, BlockAccum, ACCUM_WIDTH};
 use crate::McError;
@@ -78,7 +78,9 @@ pub fn price_mc_cluster(
     plan: FaultPlan,
     ckpt_interval: Option<usize>,
 ) -> Result<McClusterOutcome, McError> {
-    let ctx = RunContext::new(market, product, cfg)?;
+    product.validate_for(market)?;
+    let mc_plan = McEngine::new(cfg).plan(market, product.maturity)?;
+    let ctx = mc_plan.context(product)?;
     check_policy(&plan, ckpt_interval).map_err(McError::Unsupported)?;
     let work_per_path = cfg.path_work_units(market.dim());
     let store = CheckpointStore::new();

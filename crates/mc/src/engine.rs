@@ -15,7 +15,7 @@
 
 use crate::panel::{eval_panel, eval_terminal_walked, walk_panel_terminal, CvSpec, PanelScratch};
 use crate::path::{walk_path_with_normals, GbmStepper, SoaPanel, PANEL};
-use crate::variance::{merge_in_chunks, try_merge_in_chunks, BlockAccum, MERGE_CHUNK};
+use crate::variance::{try_merge_in_chunks, BlockAccum, MERGE_CHUNK};
 use crate::McError;
 use mdp_math::rng::{NormalPolar, NormalSampler, Xoshiro256StarStar};
 use mdp_math::CancelToken;
@@ -163,8 +163,7 @@ pub struct RunContext<'a> {
     cv_is_call: bool,
 }
 
-/// Product validation + control-variate setup shared by the one-shot
-/// [`RunContext::new`] and the plan-based [`McPlan::context`].
+/// Product validation + control-variate setup of [`McPlan::context`].
 #[allow(clippy::type_complexity)]
 fn validate_and_cv(
     market: &GbmMarket,
@@ -219,32 +218,7 @@ fn validate_and_cv(
     }
 }
 
-impl<'a> RunContext<'a> {
-    /// Validate and precompute; shared by all drivers.
-    pub fn new(
-        market: &'a GbmMarket,
-        product: &'a Product,
-        cfg: McConfig,
-    ) -> Result<Self, McError> {
-        let (cv_mean, cv_weights, cv_strike, cv_is_call) = validate_and_cv(market, product, &cfg)?;
-        let stepper = GbmStepper::new(market, product.maturity, cfg.steps);
-        let log0 = market.spots().iter().map(|s| s.ln()).collect();
-        Ok(RunContext {
-            market,
-            product,
-            cfg,
-            stepper,
-            log0,
-            streams: cfg.block_streams(),
-            s0_first: market.spots()[0],
-            disc: market.discount(product.maturity),
-            cv_mean,
-            cv_weights,
-            cv_strike,
-            cv_is_call,
-        })
-    }
-
+impl RunContext<'_> {
     /// Discounted payoff (and control, when active) of one path given its
     /// normal vector.
     #[inline]
@@ -486,9 +460,9 @@ impl McPlan {
         &self.cfg
     }
 
-    /// Build the per-product [`RunContext`] from the planned state —
-    /// the same validation as [`RunContext::new`], reusing the plan's
-    /// stepper instead of re-deriving the Cholesky factor.
+    /// Build the per-product [`RunContext`] from the planned state:
+    /// validate the product and set up its control variate, reusing the
+    /// plan's stepper instead of re-deriving the Cholesky factor.
     pub fn context<'a>(&'a self, product: &'a Product) -> Result<RunContext<'a>, McError> {
         if product.maturity != self.maturity {
             return Err(McError::Unsupported(format!(
@@ -514,12 +488,13 @@ impl McPlan {
         })
     }
 
-    /// Price one product over the planned paths, sequentially.
-    /// Bitwise-identical to [`McEngine::price`] on the same inputs.
+    /// Price one product over the planned paths, sequentially: all
+    /// blocks in order, merged in the canonical chunked order.
     pub fn execute(&self, product: &Product) -> Result<McResult, McError> {
         let ctx = self.context(product)?;
-        // `try_merge_in_chunks` folds exactly like `merge_in_chunks`, so
-        // an uncancelled run matches the one-shot path bit for bit.
+        // `try_merge_in_chunks` folds exactly like `merge_in_chunks`, the
+        // order every driver reproduces, so an uncancelled run matches
+        // them bit for bit.
         let acc = try_merge_in_chunks((0..ctx.num_blocks()).map(|b| -> Result<_, McError> {
             self.check_cancel()?;
             Ok(ctx.simulate_block_batched(b))
@@ -528,11 +503,36 @@ impl McPlan {
     }
 
     /// Price one product over the planned paths with rayon-parallel
-    /// blocks. Bitwise-identical to [`McEngine::price_rayon`] (and hence
-    /// to [`McPlan::execute`]).
+    /// blocks. Bitwise-identical to [`McPlan::execute`].
     pub fn execute_rayon(&self, product: &Product) -> Result<McResult, McError> {
         let ctx = self.context(product)?;
-        Ok(ctx.finish(&price_rayon_accum(&ctx, &self.cancel)?))
+        // Parallelise over merge chunks, not blocks: each worker folds
+        // its run of MERGE_CHUNK consecutive blocks into one accumulator,
+        // so only ⌈blocks/64⌉ accumulators are materialised. Rayon's own
+        // reduce order is nondeterministic; folding chunk totals in chunk
+        // order reproduces the canonical association of
+        // `merge_in_chunks` exactly, keeping the result bitwise equal to
+        // the sequential driver.
+        let blocks = ctx.num_blocks();
+        let chunks = blocks.div_ceil(MERGE_CHUNK as u64);
+        let chunk_accs: Vec<BlockAccum> = (0..chunks)
+            .into_par_iter()
+            .map(|c| {
+                let lo = c * MERGE_CHUNK as u64;
+                let hi = (lo + MERGE_CHUNK as u64).min(blocks);
+                let mut chunk = BlockAccum::new();
+                for b in lo..hi {
+                    self.check_cancel()?;
+                    chunk.merge(&ctx.simulate_block_batched(b));
+                }
+                Ok(chunk)
+            })
+            .collect::<Result<Vec<_>, McError>>()?;
+        let mut total = BlockAccum::new();
+        for a in &chunk_accs {
+            total.merge(a);
+        }
+        Ok(ctx.finish(&total))
     }
 
     /// A product is fusable when the paths fully determine its payoff
@@ -870,40 +870,6 @@ struct CubeScenario {
     disc: f64,
 }
 
-/// The chunk-parallel accumulator fold shared by [`McEngine::price_rayon`]
-/// and [`McPlan::execute_rayon`].
-fn price_rayon_accum(ctx: &RunContext<'_>, cancel: &CancelToken) -> Result<BlockAccum, McError> {
-    // Parallelise over merge chunks, not blocks: each worker folds its
-    // run of MERGE_CHUNK consecutive blocks into one accumulator, so
-    // only ⌈blocks/64⌉ accumulators are materialised (the old driver
-    // collected one per block). Rayon's own reduce order is
-    // nondeterministic; folding chunk totals in chunk order reproduces
-    // the canonical association of `merge_in_chunks` exactly, keeping
-    // the result bitwise equal to the sequential driver.
-    let blocks = ctx.num_blocks();
-    let chunks = blocks.div_ceil(MERGE_CHUNK as u64);
-    let chunk_accs: Vec<BlockAccum> = (0..chunks)
-        .into_par_iter()
-        .map(|c| {
-            let lo = c * MERGE_CHUNK as u64;
-            let hi = (lo + MERGE_CHUNK as u64).min(blocks);
-            let mut chunk = BlockAccum::new();
-            for b in lo..hi {
-                if cancel.is_cancelled() {
-                    return Err(McError::Cancelled);
-                }
-                chunk.merge(&ctx.simulate_block_batched(b));
-            }
-            Ok(chunk)
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    let mut total = BlockAccum::new();
-    for a in &chunk_accs {
-        total.merge(a);
-    }
-    Ok(total)
-}
-
 impl McEngine {
     /// Engine with the given configuration.
     pub fn new(config: McConfig) -> Self {
@@ -941,25 +907,26 @@ impl McEngine {
         })
     }
 
-    /// Sequential pricing: all blocks in order, merged in the canonical
-    /// chunked order ([`merge_in_chunks`]).
+    /// Sequential pricing: plan, then [`McPlan::execute`]. The product
+    /// is validated before the plan is built, so its errors come first.
     pub fn price(&self, market: &GbmMarket, product: &Product) -> Result<McResult, McError> {
-        let ctx = RunContext::new(market, product, self.config)?;
-        let acc = merge_in_chunks((0..ctx.num_blocks()).map(|b| ctx.simulate_block_batched(b)));
-        Ok(ctx.finish(&acc))
+        product.validate_for(market)?;
+        self.plan(market, product.maturity)?.execute(product)
     }
 
-    /// Shared-memory parallel pricing over blocks (rayon). Identical
-    /// result to [`McEngine::price`].
+    /// Shared-memory parallel pricing over blocks (rayon): plan, then
+    /// [`McPlan::execute_rayon`]. Identical result to
+    /// [`McEngine::price`].
     pub fn price_rayon(&self, market: &GbmMarket, product: &Product) -> Result<McResult, McError> {
-        let ctx = RunContext::new(market, product, self.config)?;
-        Ok(ctx.finish(&price_rayon_accum(&ctx, &CancelToken::never())?))
+        product.validate_for(market)?;
+        self.plan(market, product.maturity)?.execute_rayon(product)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::variance::merge_in_chunks;
 
     fn call1() -> (GbmMarket, Product) {
         (
@@ -1060,13 +1027,11 @@ mod tests {
             block_size: 8,
             ..Default::default()
         };
-        let ctx = RunContext::new(&m, &p, cfg).unwrap();
         let plan = McEngine::new(cfg).plan(&m, p.maturity).unwrap();
         let planned = plan.context(&p).unwrap();
         let base = Xoshiro256StarStar::seed_from(cfg.seed);
         for k in [0u64, 1, 2, 255, 256] {
             let direct = base.substream(k);
-            assert_eq!(ctx.streams[k as usize], direct, "block {k}");
             assert_eq!(planned.streams[k as usize], direct, "planned block {k}");
         }
     }
@@ -1139,7 +1104,8 @@ mod tests {
                 variance_reduction: vr,
                 ..Default::default()
             };
-            let ctx = RunContext::new(&m, &p, cfg).unwrap();
+            let plan = McEngine::new(cfg).plan(&m, p.maturity).unwrap();
+            let ctx = plan.context(&p).unwrap();
             for b in 0..ctx.num_blocks() {
                 let scalar = ctx.simulate_block_scalar(b);
                 let batched = ctx.simulate_block_batched(b);
@@ -1169,7 +1135,8 @@ mod tests {
         };
         let eng = McEngine::new(cfg);
         let a = eng.price(&m, &p).unwrap();
-        let ctx = RunContext::new(&m, &p, cfg).unwrap();
+        let plan = eng.plan(&m, p.maturity).unwrap();
+        let ctx = plan.context(&p).unwrap();
         let b = ctx.finish(&merge_in_chunks(
             (0..ctx.num_blocks()).map(|k| ctx.simulate_block_batched(k)),
         ));

@@ -106,7 +106,9 @@ impl PlanCache {
     /// dropping everything and repaying every plan build).
     ///
     /// Entries the tick cannot patch (e.g. the delta fails validation
-    /// against that entry's market) are evicted. Returns
+    /// against that entry's market) are evicted, and so is the less
+    /// recently used of two entries the tick lands on one key (plans
+    /// built for two snapshots the tick makes equal). Returns
     /// `(patched, evicted)`; the same counts accumulate in
     /// [`CacheStats::ticks_applied`] / [`CacheStats::tick_evictions`].
     pub fn retain_compatible(&mut self, delta: &MarketDelta) -> (u64, u64) {
@@ -124,6 +126,17 @@ impl PlanCache {
                     false
                 }
             });
+        let mut i = 0;
+        while i < self.entries.len() {
+            let key = self.entries[i].0;
+            if self.entries[i + 1..].iter().any(|(k, _)| *k == key) {
+                self.entries.remove(i);
+                patched -= 1;
+                evicted += 1;
+            } else {
+                i += 1;
+            }
+        }
         self.stats.ticks_applied += patched;
         self.stats.tick_evictions += evicted;
         (patched, evicted)
@@ -182,6 +195,40 @@ mod tests {
         assert_eq!(s.misses, 2);
         assert!((s.hit_rate() - 3.0 / 5.0).abs() < 1e-12);
         assert_eq!(cache.len(), 2);
+    }
+
+    #[test]
+    fn a_tick_that_lands_two_plans_on_one_key_keeps_one() {
+        let portfolio = Portfolio::new(Pricer::new(Method::Fd1d(Fd1d::default())));
+        let entry = |spot: f64| {
+            let market = GbmMarket::single(spot, 0.2, 0.0, 0.05).unwrap();
+            let key = PlanKey::of(
+                &market,
+                &Product::european(
+                    Payoff::BasketPut {
+                        weights: vec![1.0],
+                        strike: 100.0,
+                    },
+                    1.0,
+                ),
+                portfolio.pricer().method(),
+            );
+            (key, portfolio.plan_group(&market, 1.0).unwrap())
+        };
+        let mut cache = PlanCache::new(4);
+        let (k100, p100) = entry(100.0);
+        let (k101, p101) = entry(101.0);
+        cache.insert(k100, p100);
+        cache.insert(k101, p101);
+        let delta = MarketDelta::Spot {
+            asset: 0,
+            spot: 102.0,
+        };
+        assert_eq!(cache.retain_compatible(&delta), (1, 1));
+        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.stats().ticks_applied, 1);
+        assert_eq!(cache.stats().tick_evictions, 1);
+        assert!(cache.get(&entry(102.0).0).is_some());
     }
 
     #[test]

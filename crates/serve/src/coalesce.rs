@@ -39,12 +39,12 @@ impl PlanKey {
 
 /// Group a drained batch of jobs by plan key, preserving arrival order
 /// within each group and the order of first arrival across groups.
-pub(crate) fn group_jobs(jobs: Vec<Job>) -> Vec<(PlanKey, Vec<Job>)> {
-    let mut groups: Vec<(PlanKey, Vec<Job>)> = Vec::new();
+pub(crate) fn group_jobs(jobs: Vec<Job>) -> Vec<Vec<Job>> {
+    let mut groups: Vec<Vec<Job>> = Vec::new();
     for job in jobs {
-        match groups.iter_mut().find(|(k, _)| *k == job.key) {
-            Some((_, v)) => v.push(job),
-            None => groups.push((job.key, vec![job])),
+        match groups.iter_mut().find(|g| g[0].key == job.key) {
+            Some(g) => g.push(job),
+            None => groups.push(vec![job]),
         }
     }
     groups

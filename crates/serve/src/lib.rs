@@ -10,7 +10,10 @@
 //!   by the bit-exact plan key ([`PlanKey`]: market fingerprint ×
 //!   maturity bits × engine-config fingerprint), then route each group
 //!   through the fused batch kernels ([`mdp_core::Portfolio`]'s
-//!   multi-RHS Thomas lanes and shared-path MC sweeps).
+//!   multi-RHS Thomas lanes and shared-path MC sweeps). Every request
+//!   takes this one path: a lone request is a group of one, and the
+//!   naive pool-of-pricers baseline is a configuration
+//!   (`max_batch: 1, plan_cache: 0`), not a second code path.
 //! * **Plan caching** — compiled [`mdp_core::PricerPlan`]s are kept in
 //!   an LRU ([`PlanCache`]) keyed by the same bit-exact identity; a hit
 //!   skips grid construction and factorization entirely
@@ -27,9 +30,11 @@
 //!   reclaimed with zero engine cost, in-flight work aborts at the
 //!   engine's next poll, both typed
 //!   [`mdp_core::PriceError::DeadlineExceeded`].
-//! * **Retries + circuit breakers** — engine faults (worker panics,
-//!   non-finite outputs) are retried under a budget with exponential
-//!   backoff and deterministic jitter ([`RetryPolicy`]); per-engine
+//! * **Retries + circuit breakers** — a group that fails serves each
+//!   member again alone, so one bad request cannot fail its
+//!   neighbours; a lone request retries engine faults (worker panics,
+//!   non-finite outputs) under a budget with exponential backoff and
+//!   deterministic jitter ([`RetryPolicy`]); per-engine
 //!   [breakers](breaker) trip on sustained failure and the router
 //!   answers from the `auto()` table's alternative engine instead.
 //! * **Graceful degradation** — when no healthy engine fits (breaker

@@ -128,11 +128,13 @@ pub struct PriceResponse {
     /// Seconds the request waited in the admission queue before a
     /// worker drained it.
     pub queue_seconds: f64,
-    /// Seconds from drain to response (plan lookup/build + execute,
-    /// amortised share of the request's coalesced group).
+    /// Seconds from drain to response: plan lookup or build plus an
+    /// equal share of the group's execute. A lone request also counts
+    /// its earlier attempts and their backoff.
     pub service_seconds: f64,
     /// How many same-key requests the coalescer fused into the batch
-    /// this response rode in (1 = priced alone).
+    /// this response rode in (1 = priced alone). A request served again
+    /// alone after its group failed reports the failed group's size.
     pub batch_size: usize,
     /// Whether the plan came out of the cache (`plan` phase skipped).
     pub cache_hit: bool,
@@ -179,7 +181,9 @@ impl Ticket {
 /// `j ∈ [0.5, 1.5)` is a pure hash of `(jitter_seed, request id, a)` —
 /// replayable, yet decorrelated across requests so retry storms
 /// don't synchronise. Only engine faults (panics, non-finite outputs)
-/// are retryable; deadline expiries and validation errors are not.
+/// are retryable; deadline expiries and validation errors are not. Only
+/// a request served alone retries: a group that fails serves each of
+/// its members again alone first.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Total execution attempts per request (1 = no retries).
@@ -237,15 +241,15 @@ pub struct ServeConfig {
     /// Bounded admission queue: submissions beyond this many in-flight
     /// requests shed with [`ServeError::Overloaded`].
     pub queue_capacity: usize,
-    /// Coalesce drained requests into same-key groups routed through
-    /// the fused batch kernels. `false` is the naive pool-of-pricers
-    /// baseline: every request pays its own plan.
-    pub coalesce: bool,
     /// Upper bound on requests one worker drains per cycle (bounds the
-    /// latency cost of riding a very large batch).
+    /// latency cost of riding a very large batch). The drained requests
+    /// are grouped by plan key and each group rides the fused batch
+    /// kernels; `1` serves every request alone. With `plan_cache: 0` as
+    /// well, this is the naive pool-of-pricers baseline: every request
+    /// pays its own plan.
     pub max_batch: usize,
     /// Plan-cache capacity in entries (distinct `(market, maturity,
-    /// method)` keys); `0` disables caching. Ignored in naive mode.
+    /// method)` keys); `0` disables caching.
     pub plan_cache: usize,
     /// Retry budget and backoff for retryable engine faults.
     pub retry: RetryPolicy,
@@ -269,7 +273,6 @@ impl Default for ServeConfig {
         ServeConfig {
             workers: 2,
             queue_capacity: 4096,
-            coalesce: true,
             max_batch: 256,
             plan_cache: 64,
             retry: RetryPolicy::default(),

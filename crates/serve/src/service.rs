@@ -3,18 +3,26 @@
 //! layer — deadlines with cooperative cancellation, budgeted retries,
 //! per-engine circuit breakers, and explicit graceful degradation.
 //!
+//! Every request takes one path. A worker drains up to `max_batch`
+//! jobs, groups them by [`PlanKey`], and serves each group — a lone
+//! request is a group of one — through the same routine:
+//!
 //! ```text
 //! submit ──▶ [priority lanes] ──▶ worker: drain ─▶ reclaim expired (0 work)
 //!    │                                  │
 //!    └─ Overloaded (shed)               ▼
+//!                     peel off fault-targeted jobs, group the rest by PlanKey
+//!                                       │
+//!                                       ▼  per group (a lone request: a group of one)
 //!                             route: breaker open? ──▶ reroute (auto table)
 //!                                    budget < EWMA? ──▶ degrade (tagged)
-//!                                        │
-//!                                        ▼
-//!                         coalesce by PlanKey ─▶ execute under catch_unwind
-//!                                        │            │ cancel token polls
-//!                                        ▼            ▼
-//!                                  respond        panic/NaN → retry w/ backoff
+//!                                       │
+//!                                       ▼
+//!                  plan: cache hit or build ─▶ execute_group under catch_unwind
+//!                                       │                 │ cancel token polls
+//!                                       ▼                 ▼
+//!                                    respond   group failed → each member again, alone
+//!                                              lone panic/NaN → retry w/ backoff
 //! ```
 //!
 //! Every `Ok` response tagged [`Fidelity::Full`] is bitwise-identical
@@ -132,11 +140,7 @@ impl PricingService {
             cv: Condvar::new(),
             cfg,
             base: pricer,
-            cache: Mutex::new(PlanCache::new(if cfg.coalesce {
-                cfg.plan_cache
-            } else {
-                0
-            })),
+            cache: Mutex::new(PlanCache::new(cfg.plan_cache)),
             counters: Counters::default(),
             breakers: BreakerRegistry::new(cfg.breaker),
             ewma: Mutex::new(HashMap::new()),
@@ -286,11 +290,7 @@ fn worker_loop(inner: Arc<Inner>) {
                 }
                 state = inner.cv.wait(state).unwrap_or_else(PoisonError::into_inner);
             }
-            let take = if inner.cfg.coalesce {
-                inner.cfg.max_batch.max(1).min(state.len)
-            } else {
-                1
-            };
+            let take = inner.cfg.max_batch.max(1).min(state.len);
             state.drain(take)
         };
         // More work may remain; wake a sibling before pricing.
@@ -301,365 +301,208 @@ fn worker_loop(inner: Arc<Inner>) {
         let (live, expired): (Vec<Job>, Vec<Job>) = batch
             .into_iter()
             .partition(|j| j.deadline.is_none_or(|d| drained < d));
-        for job in expired {
-            inner.counters.add(&inner.counters.deadline_pre, 1);
-            let queue_seconds = (drained - job.enqueued).as_secs_f64();
-            respond(
-                &inner,
-                job,
-                Err(PriceError::DeadlineExceeded),
-                queue_seconds,
-                0.0,
-                1,
-                false,
-                Fidelity::Full,
-                0,
-            );
+        inner
+            .counters
+            .add(&inner.counters.deadline_pre, expired.len() as u64);
+        fail_all(
+            &inner,
+            expired,
+            PriceError::DeadlineExceeded,
+            drained,
+            Served::new(1, 0),
+        );
+        // Peel off fault-targeted jobs, so injected chaos cannot fail
+        // innocent neighbours; group the rest by plan key.
+        let (faulted, clean): (Vec<Job>, Vec<Job>) = match inner.cfg.fault {
+            Some(fp) if fp.has_chaos() => live
+                .into_iter()
+                .partition(|j| fp.roll(j.req.id, 1).is_some()),
+            _ => (Vec::new(), live),
+        };
+        for job in faulted {
+            serve(&inner, vec![job], drained, 1);
         }
-        if live.is_empty() {
-            continue;
-        }
-        if inner.cfg.coalesce {
-            serve_coalesced(&inner, live, drained);
-        } else {
-            for job in live {
-                price_resilient(&inner, job, drained, 1);
-            }
+        for jobs in group_jobs(clean) {
+            let n = jobs.len();
+            inner.counters.add(&inner.counters.groups, 1);
+            inner
+                .counters
+                .add(&inner.counters.grouped_requests, n as u64);
+            serve(&inner, jobs, drained, n);
         }
     }
 }
 
-/// The coalesced path: peel off fault-targeted jobs (so injected
-/// chaos cannot fail innocent neighbours), group the rest by plan key,
-/// and execute each group through the fused kernels.
-fn serve_coalesced(inner: &Inner, batch: Vec<Job>, drained: Instant) {
-    let (faulted, clean): (Vec<Job>, Vec<Job>) = match inner.cfg.fault {
-        Some(fp) if fp.has_chaos() => batch
-            .into_iter()
-            .partition(|j| fp.roll(j.req.id, 1).is_some()),
-        _ => (Vec::new(), batch),
-    };
-    for job in faulted {
-        price_resilient(inner, job, drained, 1);
-    }
-    for (key, jobs) in group_jobs(clean) {
-        serve_group(inner, key, jobs, drained);
-    }
-}
-
-/// Execute one same-key group: route (breaker / budget), plan (cache
-/// hit or build), execute fused under panic isolation, respond.
-fn serve_group(inner: &Inner, key: PlanKey, jobs: Vec<Job>, drained: Instant) {
+/// Serve one same-key group of jobs; a lone request is a group of one.
+///
+/// Each attempt routes the group (breaker, budget), takes its plan from
+/// the cache or builds and caches it, and runs
+/// [`Portfolio::execute_group`] inside the isolation boundary. A typed
+/// plan error answers the whole group, because plans are
+/// payoff-independent. Any other failure of a group of several serves
+/// each member again as a group of one, so innocent neighbours still get
+/// their answers. Only a lone request retries engine faults (panics,
+/// non-finite prices), within [`crate::RetryPolicy`] and with
+/// deterministic backoff; since it never splits, recursion stops after
+/// one level.
+///
+/// `batch_size` is what the answers report: the group's own size, or,
+/// for a member served again, the size of the group that failed.
+fn serve(inner: &Inner, jobs: Vec<Job>, drained: Instant, batch_size: usize) {
     let n = jobs.len();
-    inner.counters.add(&inner.counters.groups, 1);
-    inner
-        .counters
-        .add(&inner.counters.grouped_requests, n as u64);
-
-    let requested = method_of(inner, &jobs[0].req);
-    let remaining = group_budget(&jobs, drained);
-    let route = decide_route(
-        inner,
-        &jobs[0].req.market,
-        &jobs[0].req.product,
-        &requested,
-        remaining,
-        n as u64,
-    );
-    let (method, fidelity) = match route {
-        Ok(r) => r,
-        Err(e) => {
-            for job in jobs {
-                let queue_seconds = (drained - job.enqueued).as_secs_f64();
-                respond(
-                    inner,
-                    job,
-                    Err(e.clone()),
-                    queue_seconds,
-                    0.0,
-                    n,
-                    false,
-                    Fidelity::Full,
-                    1,
-                );
-            }
-            return;
-        }
-    };
-    // A rerouted/degraded method is a different engine identity: its
-    // plans live under their own cache key and can never alias the
-    // full-fidelity entries.
-    let key = if fidelity == Fidelity::Full {
-        key
-    } else {
-        PlanKey::of(&jobs[0].req.market, &jobs[0].req.product, &method)
-    };
-    let mkey = method.cache_key();
-    let pricer = Pricer::new(method).backend(inner.base.backend_ref());
-    let portfolio = Portfolio::new(pricer);
-    let market = Arc::clone(&jobs[0].req.market);
-    let maturity = jobs[0].req.product.maturity;
-
-    // Plan phase: cache hit (≈ 0 s) or build-and-insert. The build runs
-    // inside the isolation boundary, like the execute below.
-    let t_plan = Instant::now();
-    let cached = relock(&inner.cache).get(&key);
-    let cache_hit = cached.is_some();
-    let plan = match cached {
-        Some(plan) => Ok(Ok(plan)),
-        None => catch_unwind(AssertUnwindSafe(|| {
-            portfolio.plan_group(&market, maturity).inspect(|plan| {
-                relock(&inner.cache).insert(key, plan.clone());
-            })
-        })),
-    };
-    let plan_s = t_plan.elapsed().as_secs_f64();
-    let nanos = (plan_s * 1e9) as u64;
-    if cache_hit {
-        inner.counters.add(&inner.counters.plan_nanos_hit, nanos);
-    } else {
-        inner.counters.add(&inner.counters.plan_nanos_miss, nanos);
-    }
-
-    let mut plan = match plan {
-        Ok(Ok(plan)) => plan,
-        Err(_) => {
-            isolate_group(inner, mkey, jobs, drained, true);
-            return;
-        }
-        Ok(Err(e)) => {
-            // The plan is payoff-independent: a build failure fails
-            // every request of the group identically, exactly as
-            // per-request plans would have.
-            for job in jobs {
-                let queue_seconds = (drained - job.enqueued).as_secs_f64();
-                respond(
-                    inner,
-                    job,
-                    Err(e.clone()),
-                    queue_seconds,
-                    plan_s,
-                    n,
-                    false,
-                    Fidelity::Full,
-                    1,
-                );
-            }
-            return;
-        }
-    };
-
+    let head = &jobs[0];
+    let requested = method_of(inner, &head.req);
     // The group's cancel token: the latest member deadline, so the run
     // aborts only once no member can still use the result. Mixed
     // groups (any member without a deadline) run uncancelled.
-    plan.set_cancel(group_token(&jobs));
-
-    let products: Vec<_> = jobs.iter().map(|j| j.req.product.clone()).collect();
-    let t_exec = Instant::now();
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        portfolio.execute_group(&mut plan, &products, plan_s)
-    }));
-    let exec_elapsed = t_exec.elapsed().as_secs_f64();
-    match result {
-        Ok(Ok((reports, fused))) => {
-            inner.counters.add(&inner.counters.fused, fused as u64);
-            inner.breakers.record(mkey, true);
-            update_ewma(inner, mkey, exec_elapsed / n as f64);
-            let exec_share = exec_elapsed / n as f64;
-            for (job, report) in jobs.into_iter().zip(reports) {
-                let queue_seconds = (drained - job.enqueued).as_secs_f64();
-                respond(
-                    inner,
-                    job,
-                    Ok(report),
-                    queue_seconds,
-                    plan_s + exec_share,
-                    n,
-                    cache_hit,
-                    fidelity,
-                    1,
-                );
-            }
-        }
-        Ok(Err(PriceError::DeadlineExceeded)) => {
-            // The group token tripped: it carries the *latest* member
-            // deadline, so every member's budget is gone. Partial
-            // engine state was discarded by the abort.
-            inner.counters.add(&inner.counters.deadline_mid, n as u64);
-            for job in jobs {
-                let queue_seconds = (drained - job.enqueued).as_secs_f64();
-                respond(
-                    inner,
-                    job,
-                    Err(PriceError::DeadlineExceeded),
-                    queue_seconds,
-                    plan_s + exec_elapsed / n as f64,
-                    n,
-                    cache_hit,
-                    fidelity,
-                    1,
-                );
-            }
-        }
-        Ok(Err(_)) => isolate_group(inner, mkey, jobs, drained, false),
-        Err(_) => isolate_group(inner, mkey, jobs, drained, true),
-    }
-}
-
-/// Isolate a failed group: per-request resilient pricing gives every
-/// innocent neighbour its (bitwise-identical) answer. A panic in the
-/// group's plan build or execute is an engine-health signal; a
-/// per-request error (e.g. one poison payoff in the group) is not.
-fn isolate_group(inner: &Inner, mkey: u64, jobs: Vec<Job>, drained: Instant, panicked: bool) {
-    if panicked {
-        inner.counters.add(&inner.counters.panics_caught, 1);
-        inner.breakers.record(mkey, false);
-    }
-    let n = jobs.len();
-    for job in jobs {
-        price_resilient(inner, job, drained, n);
-    }
-}
-
-/// Price one job with the full resilience loop: deadline checks,
-/// breaker routing, fault injection, panic isolation, budgeted retries
-/// with deterministic backoff.
-fn price_resilient(inner: &Inner, job: Job, drained: Instant, batch_size: usize) {
-    let queue_seconds = (drained - job.enqueued).as_secs_f64();
-    let requested = method_of(inner, &job.req);
+    let token = group_token(&jobs);
+    let products: Vec<Product> = jobs.iter().map(|j| j.req.product.clone()).collect();
     let t0 = Instant::now();
-    let max_attempts = inner.cfg.retry.max_attempts.max(1);
     let mut attempt = 0u32;
     loop {
         attempt += 1;
-        // Budget gone? Answer typed without spending engine work.
-        if let Some(d) = job.deadline {
-            if Instant::now() >= d {
-                let c = if attempt == 1 {
-                    &inner.counters.deadline_pre
-                } else {
-                    &inner.counters.deadline_mid
-                };
-                inner.counters.add(c, 1);
-                respond(
-                    inner,
-                    job,
-                    Err(PriceError::DeadlineExceeded),
-                    queue_seconds,
-                    t0.elapsed().as_secs_f64(),
-                    batch_size,
-                    false,
-                    Fidelity::Full,
-                    attempt - 1,
-                );
-                return;
-            }
+        let mut served = Served::new(batch_size, attempt);
+        // Every member's budget gone? Answer typed without engine work.
+        if token.is_cancelled() {
+            let c = if attempt == 1 {
+                &inner.counters.deadline_pre
+            } else {
+                &inner.counters.deadline_mid
+            };
+            inner.counters.add(c, n as u64);
+            served.service_seconds = t0.elapsed().as_secs_f64();
+            served.attempts = attempt - 1;
+            return fail_all(inner, jobs, PriceError::DeadlineExceeded, drained, served);
         }
-        let remaining = job.deadline.map(|d| d - Instant::now());
+        let remaining = group_budget(&jobs, Instant::now());
         let route = decide_route(
             inner,
-            &job.req.market,
-            &job.req.product,
+            &head.req.market,
+            &head.req.product,
             &requested,
             remaining,
-            1,
+            n as u64,
         );
         let (method, fidelity) = match route {
             Ok(r) => r,
             Err(e) => {
-                respond(
-                    inner,
-                    job,
-                    Err(e),
-                    queue_seconds,
-                    t0.elapsed().as_secs_f64(),
-                    batch_size,
-                    false,
-                    Fidelity::Full,
-                    attempt,
-                );
-                return;
+                served.service_seconds = t0.elapsed().as_secs_f64();
+                return fail_all(inner, jobs, e, drained, served);
             }
+        };
+        served.fidelity = fidelity;
+        // A rerouted/degraded method is a different engine identity: its
+        // plans live under their own cache key and can never alias the
+        // full-fidelity entries.
+        let key = if fidelity == Fidelity::Full {
+            head.key
+        } else {
+            PlanKey::of(&head.req.market, &head.req.product, &method)
         };
         let mkey = method.cache_key();
         let engine = method.name();
-        let fault = inner.cfg.fault.and_then(|fp| fp.roll(job.req.id, attempt));
+        let portfolio = Portfolio::new(Pricer::new(method).backend(inner.base.backend_ref()));
+        let fault = match &jobs[..] {
+            [job] => inner.cfg.fault.and_then(|fp| fp.roll(job.req.id, attempt)),
+            // Fault-targeted requests were peeled off before grouping.
+            _ => None,
+        };
         if fault.is_some() {
             inner.counters.add(&inner.counters.faults_injected, 1);
         }
-        let pricer = Pricer::new(method).backend(inner.base.backend_ref());
-        let token = job
-            .deadline
-            .map_or_else(CancelToken::never, CancelToken::with_deadline);
-        let market = Arc::clone(&job.req.market);
-        let product = job.req.product.clone();
-        let stall = inner.cfg.fault.map(|fp| fp.stall);
+        let (mut plan_s, mut exec_s) = (0.0, 0.0);
         // The isolation boundary: anything the engine (or an injected
-        // fault) throws is caught here and classified below; the
-        // worker thread itself never dies.
+        // fault) throws is caught here and classified below; the worker
+        // thread itself never dies. The outer `Result` is the plan
+        // phase's, the inner one the execute's.
         let caught = catch_unwind(AssertUnwindSafe(|| {
             match fault {
                 Some(Fault::Stall) => {
-                    std::thread::sleep(stall.unwrap_or(Duration::ZERO));
+                    std::thread::sleep(inner.cfg.fault.map_or(Duration::ZERO, |fp| fp.stall));
                 }
                 Some(Fault::Panic) => panic!("injected worker panic"),
                 _ => {}
             }
-            let mut plan = pricer.plan(&market, product.maturity)?;
+            // Plan phase: cache hit (≈ 0 s) or build-and-insert.
+            let t_plan = Instant::now();
+            let cached = relock(&inner.cache).get(&key);
+            served.cache_hit = cached.is_some();
+            let plan = match cached {
+                Some(plan) => Ok(plan),
+                None => portfolio
+                    .plan_group(&head.req.market, head.req.product.maturity)
+                    .inspect(|plan| relock(&inner.cache).insert(key, plan.clone())),
+            };
+            plan_s = t_plan.elapsed().as_secs_f64();
+            let mut plan = plan?;
             plan.set_cancel(token.clone());
-            let mut report = plan.execute(&product)?;
-            if matches!(fault, Some(Fault::Poison)) {
-                report.price = f64::NAN;
-            }
-            // Core's own post-condition can't see the poison (it flips
-            // the price after execute returned), so re-check here.
-            if !report.price.is_finite() {
-                return Err(PriceError::Numerical {
-                    engine,
-                    value: report.price,
-                });
-            }
-            Ok(report)
+            let t_exec = Instant::now();
+            let executed = portfolio.execute_group(&mut plan, &products, plan_s);
+            exec_s = t_exec.elapsed().as_secs_f64();
+            Ok(executed.and_then(|(mut reports, fused)| {
+                if fault == Some(Fault::Poison) {
+                    reports[0].price = f64::NAN;
+                }
+                // The fused kernels leave the finite-price post-condition
+                // to the caller, and the poison lands after execute.
+                match reports.iter().find(|r| !r.price.is_finite()) {
+                    Some(r) => Err(PriceError::Numerical {
+                        engine,
+                        value: r.price,
+                    }),
+                    None => Ok((reports, fused)),
+                }
+            }))
         }));
-        let outcome: Result<PriceReport, PriceError> = match caught {
-            Ok(r) => r,
+        let plan_nanos = if served.cache_hit {
+            &inner.counters.plan_nanos_hit
+        } else {
+            &inner.counters.plan_nanos_miss
+        };
+        inner.counters.add(plan_nanos, (plan_s * 1e9) as u64);
+        // Service time: the plan plus an equal share of the execute —
+        // everything since the group came up (for a lone request that
+        // includes earlier attempts, backoff and stalls) less the other
+        // members' shares.
+        served.service_seconds = t0.elapsed().as_secs_f64() - exec_s * (n - 1) as f64 / n as f64;
+        let outcome = match caught {
+            Ok(Ok(executed)) => executed,
+            // The plan is payoff-independent: a build failure fails every
+            // member identically, exactly as per-request plans would have.
+            Ok(Err(e)) => return fail_all(inner, jobs, e, drained, served),
             Err(payload) => {
                 inner.counters.add(&inner.counters.panics_caught, 1);
                 Err(PriceError::Panicked(panic_message(payload)))
             }
         };
         match outcome {
-            Ok(report) => {
+            Ok((reports, fused)) => {
+                inner.counters.add(&inner.counters.fused, fused as u64);
                 inner.breakers.record(mkey, true);
-                update_ewma(inner, mkey, report.execute_seconds);
-                respond(
-                    inner,
-                    job,
-                    Ok(report),
-                    queue_seconds,
-                    t0.elapsed().as_secs_f64(),
-                    batch_size,
-                    false,
-                    fidelity,
-                    attempt,
-                );
+                update_ewma(inner, mkey, exec_s / n as f64);
+                for (job, report) in jobs.into_iter().zip(reports) {
+                    respond(inner, job, Ok(report), drained, served);
+                }
                 return;
             }
             Err(PriceError::DeadlineExceeded) => {
-                // The token tripped mid-execute; the budget is gone, so
-                // a retry could only fail the same way.
-                inner.counters.add(&inner.counters.deadline_mid, 1);
-                respond(
-                    inner,
-                    job,
-                    Err(PriceError::DeadlineExceeded),
-                    queue_seconds,
-                    t0.elapsed().as_secs_f64(),
-                    batch_size,
-                    false,
-                    fidelity,
-                    attempt,
-                );
+                // The token tripped mid-execute. It carries the *latest*
+                // member deadline, so every member's budget is gone and a
+                // retry could only fail the same way.
+                inner.counters.add(&inner.counters.deadline_mid, n as u64);
+                return fail_all(inner, jobs, PriceError::DeadlineExceeded, drained, served);
+            }
+            Err(e) if n > 1 => {
+                // Isolate the failure: each member is served again alone
+                // and gets its own (bitwise-identical) answer. A panic is
+                // an engine-health signal; a per-request error (e.g. one
+                // poison payoff in the group) is not.
+                if matches!(e, PriceError::Panicked(_)) {
+                    inner.breakers.record(mkey, false);
+                }
+                for job in jobs {
+                    serve(inner, vec![job], drained, n);
+                }
                 return;
             }
             Err(e @ (PriceError::Panicked(_) | PriceError::Numerical { .. })) => {
@@ -668,48 +511,25 @@ fn price_resilient(inner: &Inner, job: Job, drained: Instant, batch_size: usize)
                 if matches!(e, PriceError::Numerical { .. }) {
                     inner.counters.add(&inner.counters.numerical, 1);
                 }
-                if attempt < max_attempts {
+                if attempt < inner.cfg.retry.max_attempts.max(1) {
                     inner.counters.add(&inner.counters.retries, 1);
-                    backoff_sleep(inner, job.req.id, attempt, job.deadline);
+                    backoff_sleep(inner, head.req.id, attempt, head.deadline);
                     continue;
                 }
-                respond(
-                    inner,
-                    job,
-                    Err(e),
-                    queue_seconds,
-                    t0.elapsed().as_secs_f64(),
-                    batch_size,
-                    false,
-                    fidelity,
-                    attempt,
-                );
-                return;
+                return fail_all(inner, jobs, e, drained, served);
             }
-            Err(e) => {
-                // Deterministic request errors (validation, unsupported
-                // combinations): retrying cannot change the answer, and
-                // they say nothing about engine health.
-                respond(
-                    inner,
-                    job,
-                    Err(e),
-                    queue_seconds,
-                    t0.elapsed().as_secs_f64(),
-                    batch_size,
-                    false,
-                    fidelity,
-                    attempt,
-                );
-                return;
-            }
+            // Deterministic request errors (validation, unsupported
+            // combinations): retrying cannot change the answer, and they
+            // say nothing about engine health.
+            Err(e) => return fail_all(inner, jobs, e, drained, served),
         }
     }
 }
 
-/// Pick the engine for a request (or same-key group): the requested
-/// method when its breaker admits and the budget suffices; otherwise
-/// reroute via the `auto()` table, then degrade, then fail typed.
+/// Pick the engine for a same-key group (a lone request included): the
+/// requested method when its breaker admits and the budget suffices;
+/// otherwise reroute via the `auto()` table, then degrade, then fail
+/// typed.
 fn decide_route(
     inner: &Inner,
     market: &GbmMarket,
@@ -847,22 +667,40 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn respond(
-    inner: &Inner,
-    job: Job,
-    outcome: Result<PriceReport, mdp_core::PriceError>,
-    queue_seconds: f64,
+/// The telemetry every member of one served group reports alike.
+#[derive(Debug, Clone, Copy)]
+struct Served {
     service_seconds: f64,
     batch_size: usize,
     cache_hit: bool,
     fidelity: Fidelity,
     attempts: u32,
+}
+
+impl Served {
+    /// Nothing spent yet, no cache hit, full fidelity.
+    fn new(batch_size: usize, attempts: u32) -> Self {
+        Served {
+            service_seconds: 0.0,
+            batch_size,
+            cache_hit: false,
+            fidelity: Fidelity::Full,
+            attempts,
+        }
+    }
+}
+
+fn respond(
+    inner: &Inner,
+    job: Job,
+    outcome: Result<PriceReport, PriceError>,
+    drained: Instant,
+    served: Served,
 ) {
     if outcome.is_err() {
         inner.counters.add(&inner.counters.errors, 1);
     } else {
-        match fidelity {
+        match served.fidelity {
             Fidelity::Full => {}
             Fidelity::Rerouted { .. } => inner.counters.add(&inner.counters.rerouted, 1),
             Fidelity::Degraded { .. } => inner.counters.add(&inner.counters.degraded, 1),
@@ -873,13 +711,20 @@ fn respond(
     let _ = job.tx.send(PriceResponse {
         id: job.req.id,
         outcome,
-        queue_seconds,
-        service_seconds,
-        batch_size,
-        cache_hit,
-        fidelity,
-        attempts,
+        queue_seconds: (drained - job.enqueued).as_secs_f64(),
+        service_seconds: served.service_seconds,
+        batch_size: served.batch_size,
+        cache_hit: served.cache_hit,
+        fidelity: served.fidelity,
+        attempts: served.attempts,
     });
+}
+
+/// Answer every member of a group with the same error.
+fn fail_all(inner: &Inner, jobs: Vec<Job>, e: PriceError, drained: Instant, served: Served) {
+    for job in jobs {
+        respond(inner, job, Err(e.clone()), drained, served);
+    }
 }
 
 #[cfg(test)]
@@ -993,6 +838,40 @@ mod tests {
             }
         }
         assert_eq!(service.shutdown().panics_caught, 0);
+    }
+
+    #[test]
+    fn naive_config_serves_each_request_alone_and_builds_its_plan() {
+        // `max_batch: 1, plan_cache: 0` is the naive baseline: a same-key
+        // burst still prices bitwise, but as groups of one, each paying
+        // its own plan build.
+        let pricer = Pricer::new(Method::Fd1d(Fd1d::default()));
+        let service = PricingService::start(
+            pricer.clone(),
+            ServeConfig {
+                max_batch: 1,
+                plan_cache: 0,
+                ..Default::default()
+            },
+        );
+        let n = 12u64;
+        let tickets: Vec<_> = (0..n)
+            .map(|i| service.submit(call(i, 90.0 + i as f64)).unwrap())
+            .collect();
+        for (i, t) in tickets.into_iter().enumerate() {
+            let resp = t.wait().unwrap();
+            let direct = pricer
+                .price(&market(), &call(0, 90.0 + i as f64).product)
+                .unwrap();
+            assert_eq!(
+                resp.outcome.unwrap().price.to_bits(),
+                direct.price.to_bits()
+            );
+        }
+        let stats = service.shutdown();
+        assert_eq!((stats.cache.hits, stats.cache.misses), (0, n));
+        assert_eq!(stats.groups, n);
+        assert_eq!(stats.mean_batch(), 1.0);
     }
 
     #[test]
@@ -1331,7 +1210,7 @@ mod tests {
             Pricer::new(slow_fd()),
             ServeConfig {
                 workers: 1,
-                coalesce: false,
+                max_batch: 1,
                 ..Default::default()
             },
         );

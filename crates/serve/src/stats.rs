@@ -44,9 +44,11 @@ pub struct ServiceStats {
     pub shed: u64,
     /// Responses whose outcome was a pricing error.
     pub errors: u64,
-    /// Coalesced groups executed.
+    /// Same-key groups drained and served (a lone request is a group
+    /// of one). Fault-targeted requests, peeled off before grouping, and
+    /// members served again after their group failed are not counted.
     pub groups: u64,
-    /// Requests that rode coalesced groups (group sizes summed).
+    /// Requests in those groups (group sizes summed).
     pub grouped_requests: u64,
     /// Requests priced through a fused multi-product kernel.
     pub fused: u64,

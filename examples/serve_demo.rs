@@ -46,11 +46,12 @@ fn main() {
     let market = Arc::new(GbmMarket::single(100.0, 0.25, 0.01, 0.05).unwrap());
     let strikes: Vec<f64> = (0..64).map(|i| 70.0 + i as f64).collect();
 
-    // Naive baseline: a pool of per-request pricers, one plan build each.
+    // Naive baseline: every request served alone, one plan build each.
     let naive = PricingService::start(
         Pricer::new(Method::Fd1d(Fd1d::default())),
         ServeConfig {
-            coalesce: false,
+            max_batch: 1,
+            plan_cache: 0,
             ..Default::default()
         },
     );

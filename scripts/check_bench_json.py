@@ -66,7 +66,7 @@ def check_portfolio():
 
 
 def check_serve():
-    """Serve JSON gates coalesced throughput and latency percentiles."""
+    """Serve JSON gates coalesced throughput, latency percentiles and the naive baseline."""
     f = artifact("BENCH_serve.json")
     doc = json.load(open(f))
     points = doc["load_points"]
@@ -77,6 +77,15 @@ def check_serve():
         for side in ("naive", "coalesced"):
             for field in ("p50_ms", "p99_ms", "throughput_rps"):
                 assert field in p[side], f"load {p['offered_mult']}x {side} lacks {field}"
+        # The naive baseline is a configuration of the one serving path:
+        # it must stay uncached and unbatched.
+        naive = p["naive"]
+        assert naive["cache_hits"] == 0, (
+            f"load {p['offered_mult']}x: naive side hit the plan cache {naive['cache_hits']} times"
+        )
+        assert naive["mean_batch"] == 1.0, (
+            f"load {p['offered_mult']}x: naive side mean batch {naive['mean_batch']} != 1"
+        )
     hits = sum(p["coalesced"]["cache_hits"] for p in points)
     assert hits > 0, "plan cache never hit across the sweep"
 

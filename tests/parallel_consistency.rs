@@ -3,7 +3,6 @@
 
 use mdp_core::cluster::{Machine, TimeModel};
 use mdp_core::lattice::cluster::{price_cluster, Decomposition};
-use mdp_core::mc::engine::RunContext;
 use mdp_core::mc::variance::merge_in_chunks;
 use mdp_core::prelude::*;
 use proptest::prelude::*;
@@ -161,7 +160,8 @@ proptest! {
         let seq = engine.price(&m, &p).unwrap();
         let ray = engine.price_rayon(&m, &p).unwrap();
         // Scalar oracle, merged in the same canonical chunked order.
-        let ctx = RunContext::new(&m, &p, cfg).unwrap();
+        let plan = engine.plan(&m, p.maturity).unwrap();
+        let ctx = plan.context(&p).unwrap();
         let acc = merge_in_chunks((0..ctx.num_blocks()).map(|b| ctx.simulate_block_scalar(b)));
         let sca = ctx.finish(&acc);
         prop_assert_eq!(seq.price.to_bits(), ray.price.to_bits());
