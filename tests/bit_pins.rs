@@ -1,6 +1,6 @@
 //! Bitwise pins of the benchmark's four cluster-sweep problems (Monte
-//! Carlo, lattice, explicit FD and LSMC) and of quote-ladder's
-//! finite-difference quotes.
+//! Carlo, lattice, explicit FD and LSMC), of quote-ladder's
+//! finite-difference quotes, and of the 2-D and 3-D Douglas ADI engines.
 //!
 //! `golden_regression.rs` pins prices to 1e-10 relative, which a one-ulp
 //! drift passes. These pins are exact: `f64::to_bits` of every price,
@@ -8,7 +8,7 @@
 //! counts, on fixed markets. Host-side work (RNG seeding, the SPMD
 //! runtime's mailboxes and collective schedules, the LSMC kernel's scratch
 //! handling, the FD step's pass structure and its scalar/panel kernel
-//! choice) may change only if every pin here holds.
+//! choice, the ADI stage loops) may change only if every pin here holds.
 //!
 //! On a mismatch the test prints the whole actual table in the pin
 //! format, so an intentional numerical change re-derives it in one run.
@@ -139,7 +139,7 @@ fn check(actual: &[(String, u64)], pinned: &[(&str, u64)]) {
         let table: String = actual
             .iter()
             .map(|(n, v)| {
-                if n.ends_with(".msgs") || n.ends_with(".bytes") {
+                if n.ends_with(".msgs") || n.ends_with(".bytes") || n.ends_with(".nodes") {
                     format!("            (\"{n}\", {v}),\n")
                 } else {
                     format!("            (\"{n}\", {v:#018x}),\n")
@@ -474,6 +474,239 @@ fn fd_quote_problem_bits() {
             ("m7.am370.5.panel", 0x4070e7ffffffffff),
             ("barrier.up_out_call", 0x400aa9e5e42f6873),
             ("barrier.down_out_put", 0x4006d7a18f4e5335),
+        ],
+    );
+}
+
+/// A symmetric `d`-asset market at pairwise correlation `rho`.
+fn adi_market(d: usize, rho: f64) -> GbmMarket {
+    GbmMarket::symmetric(d, 100.0, 0.2, 0.0, 0.05, rho).unwrap()
+}
+
+/// `to_bits` of each ADI price through `Pricer` on every backend the
+/// method runs on, plus the node count of the engine's own one-shot
+/// `price` (which `PriceReport` does not carry).
+fn observe_adi(
+    tag: &str,
+    method: Method,
+    backends: &[(&str, Backend)],
+    market: &GbmMarket,
+    product: &Product,
+    nodes: u64,
+) -> Vec<(String, u64)> {
+    let mut out = Vec::new();
+    for (name, backend) in backends {
+        let r = Pricer::new(method.clone())
+            .backend(*backend)
+            .price(market, product)
+            .unwrap();
+        out.push((format!("{tag}.{name}"), r.price.to_bits()));
+    }
+    out.push((format!("{tag}.nodes"), nodes));
+    out
+}
+
+/// The spot, vol, rate and correlation ticks applied in turn to one
+/// `PricerPlan` on a `d`-asset market; the price bits after each.
+fn observe_adi_ticks(tag: &str, method: Method, d: usize, product: &Product) -> Vec<(String, u64)> {
+    let mut corr = mdp_core::math::linalg::Matrix::identity(d);
+    for i in 0..d {
+        for j in 0..d {
+            if i != j {
+                corr[(i, j)] = 0.15;
+            }
+        }
+    }
+    let ticks = [
+        (
+            "spot",
+            MarketDelta::Spot {
+                asset: d - 1,
+                spot: 104.5,
+            },
+        ),
+        (
+            "vol",
+            MarketDelta::Vol {
+                asset: 0,
+                vol: 0.27,
+            },
+        ),
+        ("rate", MarketDelta::Rate { rate: 0.031 }),
+        ("corr", MarketDelta::Correlation { correlation: corr }),
+    ];
+    let mut plan = Pricer::new(method)
+        .plan(&adi_market(d, 0.3), product.maturity)
+        .unwrap();
+    let mut out = Vec::new();
+    for (name, delta) in &ticks {
+        plan.apply_tick(delta).unwrap();
+        let r = plan.execute(product).unwrap();
+        out.push((format!("{tag}.tick.{name}"), r.price.to_bits()));
+    }
+    out
+}
+
+/// The 2-D and 3-D Douglas ADI engines on their default grids and on a
+/// small grid with a ragged last tile each: a European (max-call in
+/// 2-D, basket call in 3-D) and an American min-put at both
+/// correlation signs, 2-D on Sequential and Rayon; then four ticks on
+/// one plan per dimension, and the methods' cache keys.
+#[test]
+fn adi_problem_bits() {
+    let mut actual = Vec::new();
+    let both = [("seq", Backend::Sequential), ("rayon", Backend::Rayon)];
+    let seq = [("seq", Backend::Sequential)];
+    let american_min_put = Product::american(Payoff::MinPut { strike: 110.0 }, 1.0);
+    for (space_points, time_steps) in [(101, 100), (71, 20)] {
+        let cfg = Adi2d {
+            space_points,
+            time_steps,
+            ..Adi2d::default()
+        };
+        for rho in [-0.4, 0.3] {
+            let market = adi_market(2, rho);
+            for (name, product) in [
+                (
+                    "eu",
+                    Product::european(Payoff::MaxCall { strike: 100.0 }, 1.0),
+                ),
+                ("am", american_min_put.clone()),
+            ] {
+                let nodes = cfg.price(&market, &product).unwrap().nodes_processed;
+                actual.extend(observe_adi(
+                    &format!("2d.m{space_points}n{time_steps}.rho{rho}.{name}"),
+                    Method::Adi2d(cfg),
+                    &both,
+                    &market,
+                    &product,
+                    nodes,
+                ));
+            }
+        }
+    }
+    for (space_points, time_steps) in [(41, 40), (37, 7)] {
+        let cfg = Adi3d {
+            space_points,
+            time_steps,
+            ..Adi3d::default()
+        };
+        for rho in [-0.2, 0.4] {
+            let market = adi_market(3, rho);
+            for (name, product) in [
+                (
+                    "eu",
+                    Product::european(
+                        Payoff::BasketCall {
+                            weights: vec![1.0 / 3.0; 3],
+                            strike: 100.0,
+                        },
+                        1.0,
+                    ),
+                ),
+                ("am", american_min_put.clone()),
+            ] {
+                let nodes = cfg.price(&market, &product).unwrap().nodes_processed;
+                actual.extend(observe_adi(
+                    &format!("3d.m{space_points}n{time_steps}.rho{rho}.{name}"),
+                    Method::Adi3d(cfg),
+                    &seq,
+                    &market,
+                    &product,
+                    nodes,
+                ));
+            }
+        }
+    }
+    let small2 = Adi2d {
+        space_points: 71,
+        time_steps: 20,
+        ..Adi2d::default()
+    };
+    let small3 = Adi3d {
+        space_points: 37,
+        time_steps: 7,
+        ..Adi3d::default()
+    };
+    actual.extend(observe_adi_ticks(
+        "2d",
+        Method::Adi2d(small2),
+        2,
+        &american_min_put,
+    ));
+    actual.extend(observe_adi_ticks(
+        "3d",
+        Method::Adi3d(small3),
+        3,
+        &american_min_put,
+    ));
+    for (name, method) in [
+        ("2d.default", Method::Adi2d(Adi2d::default())),
+        (
+            "2d.parallel",
+            Method::Adi2d(Adi2d {
+                parallel: true,
+                ..Adi2d::default()
+            }),
+        ),
+        ("3d.default", Method::Adi3d(Adi3d::default())),
+    ] {
+        actual.push((format!("{name}.cache_key"), method.cache_key()));
+    }
+    check(
+        &actual,
+        &[
+            ("2d.m101n100.rho-0.4.eu.seq", 0x4032e8bdc63f7c81),
+            ("2d.m101n100.rho-0.4.eu.rayon", 0x4032e8bdc63f7c81),
+            ("2d.m101n100.rho-0.4.eu.nodes", 1030301),
+            ("2d.m101n100.rho-0.4.am.seq", 0x403377ffc1f9bdd0),
+            ("2d.m101n100.rho-0.4.am.rayon", 0x403377ffc1f9bdd0),
+            ("2d.m101n100.rho-0.4.am.nodes", 1030301),
+            ("2d.m101n100.rho0.3.eu.seq", 0x40306e3fc615463c),
+            ("2d.m101n100.rho0.3.eu.rayon", 0x40306e3fc615463c),
+            ("2d.m101n100.rho0.3.eu.nodes", 1030301),
+            ("2d.m101n100.rho0.3.am.seq", 0x4030eb11ca0fc9f6),
+            ("2d.m101n100.rho0.3.am.rayon", 0x4030eb11ca0fc9f6),
+            ("2d.m101n100.rho0.3.am.nodes", 1030301),
+            ("2d.m71n20.rho-0.4.eu.seq", 0x4032e863b1e547db),
+            ("2d.m71n20.rho-0.4.eu.rayon", 0x4032e863b1e547db),
+            ("2d.m71n20.rho-0.4.eu.nodes", 105861),
+            ("2d.m71n20.rho-0.4.am.seq", 0x40337344be403ade),
+            ("2d.m71n20.rho-0.4.am.rayon", 0x40337344be403ade),
+            ("2d.m71n20.rho-0.4.am.nodes", 105861),
+            ("2d.m71n20.rho0.3.eu.seq", 0x40306945cce4aab3),
+            ("2d.m71n20.rho0.3.eu.rayon", 0x40306945cce4aab3),
+            ("2d.m71n20.rho0.3.eu.nodes", 105861),
+            ("2d.m71n20.rho0.3.am.seq", 0x4030d7bbc813af63),
+            ("2d.m71n20.rho0.3.am.rayon", 0x4030d7bbc813af63),
+            ("2d.m71n20.rho0.3.am.nodes", 105861),
+            ("3d.m41n40.rho-0.2.eu.seq", 0x4019f2fb2d6ea58c),
+            ("3d.m41n40.rho-0.2.eu.nodes", 2825761),
+            ("3d.m41n40.rho-0.2.am.seq", 0x403738ddc7e5d10b),
+            ("3d.m41n40.rho-0.2.am.nodes", 2825761),
+            ("3d.m41n40.rho0.4.eu.seq", 0x402191db29c715e4),
+            ("3d.m41n40.rho0.4.eu.nodes", 2825761),
+            ("3d.m41n40.rho0.4.am.seq", 0x403336c4efa6f91b),
+            ("3d.m41n40.rho0.4.am.nodes", 2825761),
+            ("3d.m37n7.rho-0.2.eu.seq", 0x4019c57036ad6736),
+            ("3d.m37n7.rho-0.2.eu.nodes", 405224),
+            ("3d.m37n7.rho-0.2.am.seq", 0x40372ab3298de33e),
+            ("3d.m37n7.rho-0.2.am.nodes", 405224),
+            ("3d.m37n7.rho0.4.eu.seq", 0x4021a856667a848b),
+            ("3d.m37n7.rho0.4.eu.nodes", 405224),
+            ("3d.m37n7.rho0.4.am.seq", 0x4032ed257a2aaa25),
+            ("3d.m37n7.rho0.4.am.nodes", 405224),
+            ("2d.tick.spot", 0x402ed2d35a4814d8),
+            ("2d.tick.vol", 0x4031b2d08e214064),
+            ("2d.tick.rate", 0x4032eb63e2e90673),
+            ("2d.tick.corr", 0x40338e03c4525956),
+            ("3d.tick.spot", 0x4032bb7ee3d629a5),
+            ("3d.tick.vol", 0x4034aab81cf69a27),
+            ("3d.tick.rate", 0x40362b4e55d55fac),
+            ("3d.tick.corr", 0x4037545355c80d9d),
+            ("2d.default.cache_key", 0xc67927d142edf9f8),
+            ("2d.parallel.cache_key", 0x15773d9956031239),
+            ("3d.default.cache_key", 0x52f2ff16e579175a),
         ],
     );
 }
