@@ -240,7 +240,9 @@ pub fn f5_weak_scaling(effort: Effort) {
         ],
     );
     let procs: &[usize] = &[1, 2, 4, 8, 16, 32];
-    // Monte Carlo: paths ∝ p.
+    // Monte Carlo: paths ∝ p; its (p, scaled speedup) points feed the
+    // Gustafson fit.
+    let mut mc_points = Vec::new();
     {
         let m = market_vol(5, 0.3);
         let p = basket_call(5);
@@ -259,6 +261,7 @@ pub fn f5_weak_scaling(effort: Effort) {
             }
             // Scaled speedup: how much more work per unit time vs p=1.
             let scaled = ranks as f64 * t1 / out.time.makespan;
+            mc_points.push((ranks, scaled));
             t.push(&[
                 "mc d=5".to_string(),
                 ranks.to_string(),
@@ -299,9 +302,15 @@ pub fn f5_weak_scaling(effort: Effort) {
             ]);
         }
     }
-    // Gustafson fit on the MC series as the headline number.
     save("f5_weak_scaling", &t);
-    let _ = laws::gustafson_speedup(0.0, 1); // referenced in EXPERIMENTS.md
+    // Gustafson fit on the MC series as the headline number.
+    let f = laws::fit_gustafson(&mc_points).expect("MC rows at p > 1");
+    let p_max = procs[procs.len() - 1];
+    println!(
+        "Gustafson fit on the MC series: serial fraction f' = {f:.4} \
+         (predicted scaled speedup {:.1} at p = {p_max})\n",
+        laws::gustafson_speedup(f, p_max)
+    );
 }
 
 /// F6 — isoefficiency: work to hold efficiency as p grows.

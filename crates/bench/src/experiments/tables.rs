@@ -297,23 +297,24 @@ pub fn t4b_lattice_kernel_throughput(effort: Effort) {
 
 /// T5b — factor-once blocked ADI kernel vs the per-line scalar oracle.
 ///
-/// Runs the full Douglas ADI time loop with the per-line Thomas kernel
-/// ([`AdiKernel::Scalar`]) and with the factor-once multi-RHS blocked
-/// kernel ([`AdiKernel::Blocked`]), checks the prices are bitwise
-/// identical, and records ns/node for both. Besides the table, writes
-/// `BENCH_pde_kernel.json` into the output directory so CI can track
-/// the kernel's trajectory across PRs.
+/// Runs the full Douglas ADI time loop in two and three dimensions with
+/// the per-line Thomas oracle ([`AdiPlan::execute_per_line`]) and with
+/// the factor-once multi-RHS blocked kernel ([`AdiPlan::execute`]),
+/// checks the prices are bitwise identical, and records ns/node for
+/// both. Besides the table, writes `BENCH_pde_kernel.json` into the
+/// output directory so CI can gate the kernel in each dimension.
 ///
-/// [`AdiKernel::Scalar`]: mdp_core::pde::AdiKernel::Scalar
-/// [`AdiKernel::Blocked`]: mdp_core::pde::AdiKernel::Blocked
+/// [`AdiPlan::execute_per_line`]: mdp_core::pde::AdiPlan::execute_per_line
+/// [`AdiPlan::execute`]: mdp_core::pde::AdiPlan::execute
 pub fn t5b_pde_kernel_throughput(effort: Effort) {
-    use mdp_core::pde::AdiKernel;
+    use mdp_core::pde::{AdiPlan, AdiScratch};
     use mdp_perf::timing::measure_best;
 
     let mut t = Table::new(
-        "T5b: blocked ADI kernel vs per-line scalar oracle — ns/node (2 assets)",
+        "T5b: blocked ADI kernel vs per-line scalar oracle — ns/node",
         &[
             "product",
+            "d",
             "grid",
             "N",
             "scalar ns/node",
@@ -321,45 +322,62 @@ pub fn t5b_pde_kernel_throughput(effort: Effort) {
             "speedup",
         ],
     );
-    let cases: &[(&str, usize, usize)] = match effort {
-        Effort::Quick => &[("eu max-call", 101, 100), ("am min-put", 101, 100)],
+    let am_3d = ("am min-put", 3, 41, 40);
+    let cases: &[(&str, usize, usize, usize)] = match effort {
+        Effort::Quick => &[
+            ("eu max-call", 2, 101, 100),
+            ("am min-put", 2, 101, 100),
+            am_3d,
+        ],
         Effort::Full => &[
-            ("eu max-call", 101, 100),
-            ("am min-put", 101, 100),
-            ("eu max-call", 151, 150),
-            ("am min-put", 201, 200),
+            ("eu max-call", 2, 101, 100),
+            ("am min-put", 2, 101, 100),
+            ("eu max-call", 2, 151, 150),
+            ("am min-put", 2, 201, 200),
+            am_3d,
         ],
     };
     // Best-of-k: both kernels are deterministic, so the minimum over
     // repetitions strips scheduler noise symmetrically from both sides
     // of the ratio.
     let reps = effort.scale(2, 4);
-    let m2 = market(2);
     let mut json = String::from(
         "{\n  \"experiment\": \"t5b\",\n  \"unit\": \"ns_per_node\",\n  \"results\": [\n",
     );
-    for (i, &(name, mpts, n)) in cases.iter().enumerate() {
+    for (i, &(name, d, mpts, n)) in cases.iter().enumerate() {
         let p = if name.starts_with("am") {
             american_min_put()
         } else {
             max_call()
         };
-        let run = |kernel: AdiKernel| {
-            Adi2d {
-                space_points: mpts,
-                time_steps: n,
-                kernel,
-                ..Default::default()
+        let mk = market(d);
+        // Each timed run plans and executes, as a one-shot price does.
+        let plan = || -> AdiPlan {
+            match d {
+                2 => Adi2d {
+                    space_points: mpts,
+                    time_steps: n,
+                    ..Default::default()
+                }
+                .plan(&mk, p.maturity),
+                _ => Adi3d {
+                    space_points: mpts,
+                    time_steps: n,
+                    ..Default::default()
+                }
+                .plan(&mk, p.maturity),
             }
-            .price(&m2, &p)
-            .expect("adi")
+            .expect("adi plan")
         };
-        let (res_s, secs_s) = measure_best(|| run(AdiKernel::Scalar), reps);
-        let (res_b, secs_b) = measure_best(|| run(AdiKernel::Blocked), reps);
+        let (res_s, secs_s) = measure_best(|| plan().execute_per_line(&p).expect("adi"), reps);
+        let (res_b, secs_b) = measure_best(
+            || plan().execute(&p, &mut AdiScratch::default()).expect("adi"),
+            reps,
+        );
         assert_eq!(
             res_s.price.to_bits(),
             res_b.price.to_bits(),
-            "kernels disagree on {name} at {mpts}²"
+            "kernels disagree on {name} at {mpts}^{d}"
         );
         let nodes = res_s.nodes_processed as f64;
         let ns_s = secs_s * 1e9 / nodes;
@@ -367,18 +385,19 @@ pub fn t5b_pde_kernel_throughput(effort: Effort) {
         let speedup = ns_s / ns_b;
         assert!(
             speedup >= 1.0,
-            "blocked ADI kernel regressed on {name} at {mpts}²: {speedup:.2}x"
+            "blocked ADI kernel regressed on {name} at {mpts}^{d}: {speedup:.2}x"
         );
         t.push(&[
             name.to_string(),
-            format!("{mpts}x{mpts}"),
+            d.to_string(),
+            format!("{mpts}^{d}"),
             n.to_string(),
             fmt_sig(ns_s, 3),
             fmt_sig(ns_b, 3),
             format!("{speedup:.2}"),
         ]);
         json.push_str(&format!(
-            "    {{\"product\": \"{name}\", \"grid\": {mpts}, \"steps\": {n}, \
+            "    {{\"product\": \"{name}\", \"dim\": {d}, \"grid\": {mpts}, \"steps\": {n}, \
              \"scalar_ns_per_node\": {ns_s:.1}, \"blocked_ns_per_node\": {ns_b:.1}, \
              \"speedup\": {speedup:.2}}}{}\n",
             if i + 1 < cases.len() { "," } else { "" },
@@ -1423,6 +1442,67 @@ pub fn t10_portfolio_batch(effort: Effort) {
     let _ = std::fs::write(crate::out_dir().join("BENCH_portfolio.json"), json);
 }
 
+/// Closed-loop capacity of one service configuration, in requests per
+/// second: the median rate of three bursts of `burst` requests, each
+/// started after [`CALIBRATION_WARM_UP`] of unmeasured bursts.
+fn closed_loop_capacity(
+    pricer: Pricer,
+    cfg: mdp_serve::ServeConfig,
+    market: &std::sync::Arc<GbmMarket>,
+    burst: usize,
+    product_for: impl Fn(usize) -> Product,
+) -> f64 {
+    use mdp_serve::{PriceRequest, PricingService, ServeConfig};
+    use std::time::Instant;
+    let service = PricingService::start(
+        pricer,
+        ServeConfig {
+            queue_capacity: burst,
+            ..cfg
+        },
+    );
+    let start = Instant::now();
+    let mut rates = Vec::new();
+    for round in 0.. {
+        let t0 = Instant::now();
+        let tickets: Vec<_> = (0..burst)
+            .map(|i| {
+                let request = PriceRequest::new(
+                    (round * burst + i) as u64,
+                    std::sync::Arc::clone(market),
+                    product_for(i),
+                );
+                service
+                    .submit(request)
+                    .expect("calibration queue sized to the burst")
+            })
+            .collect();
+        for t in tickets {
+            t.wait()
+                .expect("calibration response")
+                .outcome
+                .expect("calibration price");
+        }
+        if t0 - start >= CALIBRATION_WARM_UP {
+            rates.push(burst as f64 / t0.elapsed().as_secs_f64());
+            if rates.len() == 3 {
+                break;
+            }
+        }
+    }
+    service.shutdown();
+    rates.sort_by(f64::total_cmp);
+    rates[1]
+}
+
+/// How long [`closed_loop_capacity`] loads the service before it
+/// measures. After the host has idled, a fresh process serves at about
+/// half speed for its first ~1.3 s of load (measured on the 2-core
+/// benchmark host: T11's FD bursts ran at 2.4k req/s, then 4.6k), and a
+/// calibration inside that window pins T11's and T14's "overload" load
+/// points below capacity.
+const CALIBRATION_WARM_UP: std::time::Duration = std::time::Duration::from_secs(2);
+
 /// T11 — pricing-as-a-service under open-loop load: the default
 /// (coalescing, plan-caching) service vs the same service configured as
 /// a naive pool of per-request pricers (`max_batch: 1, plan_cache: 0`:
@@ -1483,35 +1563,13 @@ pub fn t11_serve(effort: Effort) {
         plan_cache: 0,
         ..coal_cfg
     };
-    // Calibrate naive capacity with a closed-loop burst.
-    let calib_n = effort.scale(128, 512);
-    let calib = PricingService::start(
+    let naive_capacity_rps = closed_loop_capacity(
         pricer(),
-        ServeConfig {
-            queue_capacity: calib_n,
-            ..naive_cfg
-        },
+        naive_cfg,
+        &market,
+        effort.scale(128, 512),
+        product_for,
     );
-    let t0 = Instant::now();
-    let tickets: Vec<_> = (0..calib_n)
-        .map(|i| {
-            calib
-                .submit(PriceRequest::new(
-                    i as u64,
-                    Arc::clone(&market),
-                    product_for(i),
-                ))
-                .expect("calibration queue sized to the burst")
-        })
-        .collect();
-    for t in tickets {
-        t.wait()
-            .expect("calibration response")
-            .outcome
-            .expect("calibration price");
-    }
-    let naive_capacity_rps = calib_n as f64 / t0.elapsed().as_secs_f64();
-    calib.shutdown();
 
     let mut table = Table::new(
         "T11: pricing service under open-loop load — coalesced vs naive pool",
@@ -2052,35 +2110,13 @@ pub fn t14_resilience(effort: Effort) {
         plan_cache: 0,
         ..Default::default()
     };
-    // Calibrate per-request capacity with a closed-loop burst.
-    let calib_n = effort.scale(64, 256);
-    let calib = PricingService::start(
+    let capacity_rps = closed_loop_capacity(
         mc_pricer(),
-        ServeConfig {
-            queue_capacity: calib_n,
-            ..per_request
-        },
+        per_request,
+        &market,
+        effort.scale(64, 256),
+        product_for,
     );
-    let t0 = Instant::now();
-    let tickets: Vec<_> = (0..calib_n)
-        .map(|i| {
-            calib
-                .submit(PriceRequest::new(
-                    i as u64,
-                    Arc::clone(&market),
-                    product_for(i),
-                ))
-                .expect("calibration queue sized to the burst")
-        })
-        .collect();
-    for t in tickets {
-        t.wait()
-            .expect("calibration response")
-            .outcome
-            .expect("calibration price");
-    }
-    let capacity_rps = calib_n as f64 / t0.elapsed().as_secs_f64();
-    calib.shutdown();
 
     // Per-request deadline: a handful of mean service times, so early
     // arrivals finish full-fidelity and queue-delayed ones face the

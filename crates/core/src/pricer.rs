@@ -26,8 +26,8 @@ use mdp_mc::{
 };
 use mdp_model::{GbmMarket, MarketDelta, ModelError, Product, TickOutcome};
 use mdp_pde::{
-    Adi2d, Adi2dPlan, Adi2dScratch, Adi3d, Adi3dPlan, Adi3dScratch, ClusterFd1d, Fd1d, Fd1dBarrier,
-    Fd1dPlan, Fd1dScratch, PdeError, Scheme,
+    Adi2d, Adi3d, AdiPlan, AdiScratch, ClusterFd1d, Fd1d, Fd1dBarrier, Fd1dPlan, Fd1dScratch,
+    PdeError, Scheme,
 };
 use std::fmt;
 
@@ -174,10 +174,9 @@ impl Method {
                 eat(cfg.time_steps as u64);
                 eat(cfg.width.to_bits());
                 eat(cfg.parallel as u64);
-                eat(match cfg.kernel {
-                    mdp_pde::AdiKernel::Blocked => 0,
-                    mdp_pde::AdiKernel::Scalar => 1,
-                });
+                // The retired per-line oracle switch's word, held at its
+                // only production value so every ADI key keeps its bits.
+                eat(0);
             }
             Method::Adi3d(cfg) => {
                 eat(10);
@@ -473,8 +472,7 @@ pub struct PricerPlan {
 #[derive(Debug, Clone)]
 pub(crate) enum PlanKind {
     Fd1d(Box<Fd1dPlan>, Fd1dScratch),
-    Adi2d(Box<Adi2dPlan>, Adi2dScratch),
-    Adi3d(Box<Adi3dPlan>, Adi3dScratch),
+    Adi(Box<AdiPlan>, AdiScratch),
     Lattice(Box<LatticePlan>, LatticeScratch),
     Mc(Box<McPlan>),
     OneShot,
@@ -589,20 +587,17 @@ impl Pricer {
                     Fd1dScratch::default(),
                 )
             }
-            (Method::Adi2d(cfg), Backend::Sequential) => PlanKind::Adi2d(
-                Box::new(cfg.plan(market, maturity)?),
-                Adi2dScratch::default(),
-            ),
-            (Method::Adi2d(cfg), Backend::Rayon) => {
+            (Method::Adi2d(cfg), Backend::Sequential | Backend::Rayon) => {
                 // The rayon backend is the parallel line solves.
-                let mut c = *cfg;
-                c.parallel = true;
-                PlanKind::Adi2d(Box::new(c.plan(market, maturity)?), Adi2dScratch::default())
+                let cfg = Adi2d {
+                    parallel: cfg.parallel || self.backend == Backend::Rayon,
+                    ..*cfg
+                };
+                PlanKind::Adi(Box::new(cfg.plan(market, maturity)?), AdiScratch::default())
             }
-            (Method::Adi3d(cfg), Backend::Sequential) => PlanKind::Adi3d(
-                Box::new(cfg.plan(market, maturity)?),
-                Adi3dScratch::default(),
-            ),
+            (Method::Adi3d(cfg), Backend::Sequential) => {
+                PlanKind::Adi(Box::new(cfg.plan(market, maturity)?), AdiScratch::default())
+            }
             (Method::MultiLattice { steps }, Backend::Sequential | Backend::Rayon) => {
                 PlanKind::Lattice(
                     Box::new(MultiLattice::new(*steps).plan(market, maturity)?),
@@ -819,8 +814,7 @@ impl PricerPlan {
     pub fn set_cancel(&mut self, cancel: mdp_math::CancelToken) {
         match &mut self.kind {
             PlanKind::Fd1d(plan, _) => plan.set_cancel(cancel.clone()),
-            PlanKind::Adi2d(plan, _) => plan.set_cancel(cancel.clone()),
-            PlanKind::Adi3d(plan, _) => plan.set_cancel(cancel.clone()),
+            PlanKind::Adi(plan, _) => plan.set_cancel(cancel.clone()),
             PlanKind::Lattice(plan, _) => plan.set_cancel(cancel.clone()),
             PlanKind::Mc(plan) => plan.set_cancel(cancel.clone()),
             PlanKind::OneShot => {}
@@ -846,8 +840,7 @@ impl PricerPlan {
         let market = self.market.apply_delta(delta)?;
         let outcome = match &mut self.kind {
             PlanKind::Fd1d(plan, _) => plan.apply_tick(delta)?,
-            PlanKind::Adi2d(plan, _) => plan.apply_tick(delta)?,
-            PlanKind::Adi3d(plan, _) => plan.apply_tick(delta)?,
+            PlanKind::Adi(plan, _) => plan.apply_tick(delta)?,
             PlanKind::Lattice(plan, _) => plan.apply_tick(delta)?,
             PlanKind::Mc(plan) => plan.apply_tick(delta)?,
             PlanKind::OneShot => TickOutcome::Patched,
@@ -881,11 +874,7 @@ impl PricerPlan {
                 product.validate_for(&self.market)?;
                 (plan.execute(product, scratch)?.price, None, None)
             }
-            PlanKind::Adi2d(plan, scratch) => {
-                product.validate_for(&self.market)?;
-                (plan.execute(product, scratch)?.price, None, None)
-            }
-            PlanKind::Adi3d(plan, scratch) => (plan.execute(product, scratch)?.price, None, None),
+            PlanKind::Adi(plan, scratch) => (plan.execute(product, scratch)?.price, None, None),
             PlanKind::Lattice(plan, scratch) => {
                 (plan.execute(product, parallel, scratch)?.price, None, None)
             }

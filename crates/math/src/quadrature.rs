@@ -1,4 +1,4 @@
-//! Numerical quadrature: Gauss–Legendre rules and adaptive Simpson.
+//! Numerical quadrature: Gauss–Legendre rules.
 //!
 //! Used by the analytic reference prices (bivariate normal cdf via
 //! Plackett's identity, continuous averaging) and by tests that need
@@ -66,50 +66,6 @@ impl GaussLegendre {
     }
 }
 
-/// Adaptive Simpson quadrature of `f` over `[a, b]` to absolute
-/// tolerance `tol`.
-///
-/// A robust general-purpose fallback for integrands with localised
-/// features; recursion depth is capped at 50 (≈10^15 subdivision).
-pub fn adaptive_simpson<F: FnMut(f64) -> f64>(mut f: F, a: f64, b: f64, tol: f64) -> f64 {
-    fn simpson(fa: f64, fm: f64, fb: f64, a: f64, b: f64) -> f64 {
-        (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    }
-    #[allow(clippy::too_many_arguments)]
-    fn recurse<F: FnMut(f64) -> f64>(
-        f: &mut F,
-        a: f64,
-        b: f64,
-        fa: f64,
-        fm: f64,
-        fb: f64,
-        whole: f64,
-        tol: f64,
-        depth: u32,
-    ) -> f64 {
-        let m = 0.5 * (a + b);
-        let lm = 0.5 * (a + m);
-        let rm = 0.5 * (m + b);
-        let flm = f(lm);
-        let frm = f(rm);
-        let left = simpson(fa, flm, fm, a, m);
-        let right = simpson(fm, frm, fb, m, b);
-        let delta = left + right - whole;
-        if depth >= 50 || delta.abs() <= 15.0 * tol {
-            left + right + delta / 15.0
-        } else {
-            recurse(f, a, m, fa, flm, fm, left, tol / 2.0, depth + 1)
-                + recurse(f, m, b, fm, frm, fb, right, tol / 2.0, depth + 1)
-        }
-    }
-    let fa = f(a);
-    let fb = f(b);
-    let m = 0.5 * (a + b);
-    let fm = f(m);
-    let whole = simpson(fa, fm, fb, a, b);
-    recurse(&mut f, a, b, fa, fm, fb, whole, tol, 0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,19 +112,6 @@ mod tests {
         for i in 0..5 {
             assert!(approx_eq(gl.nodes[i], -gl.nodes[9 - i], 1e-14));
         }
-    }
-
-    #[test]
-    fn simpson_matches_analytic() {
-        let v = adaptive_simpson(|x| (x * x).sin(), 0.0, 2.0, 1e-10);
-        // Fresnel-type integral ∫_0^2 sin(x²)dx ≈ 0.804776489343756.
-        assert!(approx_eq(v, 0.804776489343756, 1e-8), "{v}");
-    }
-
-    #[test]
-    fn simpson_handles_reversed_tolerance_scaling() {
-        let v = adaptive_simpson(|x| 1.0 / (1.0 + x * x), 0.0, 1.0, 1e-12);
-        assert!(approx_eq(v, std::f64::consts::FRAC_PI_4, 1e-10), "{v}");
     }
 
     #[test]

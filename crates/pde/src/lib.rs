@@ -13,16 +13,14 @@
 //! * [`stencil`] — the cache-oblivious trapezoidal decomposition that
 //!   drives the explicit sweep (bitwise-equal to the retained
 //!   step-by-step oracle, [`Fd1dPlan::execute_step_by_step`]).
-//! * [`adi`] — the two-dimensional Douglas ADI splitting with an
-//!   explicit mixed-derivative term; line solves are independent and run
-//!   in parallel (rayon), which is also where a 2002-era distributed
-//!   code would split them.
-//! * [`adi3d`] — the three-dimensional Douglas splitting for correlated
-//!   three-asset baskets, built on the same factored multi-RHS
-//!   transposed-panel machinery per axis.
+//! * [`adi`] — one Douglas ADI splitting for correlated two- and
+//!   three-asset products ([`Adi2d`], [`Adi3d`]): explicit mixed
+//!   terms, then one implicit stage per axis solved as factored
+//!   multi-RHS transposed panels, with the per-line Thomas oracle
+//!   [`AdiPlan::execute_per_line`]. The 2-D line solves also run under
+//!   rayon, which is where a 2002-era distributed code would split them.
 
 pub mod adi;
-pub mod adi3d;
 pub mod barrier;
 pub mod cluster;
 pub mod error;
@@ -30,8 +28,7 @@ pub mod fd1d;
 pub mod grid;
 pub mod stencil;
 
-pub use adi::{Adi2d, Adi2dPlan, Adi2dResult, Adi2dScratch, AdiKernel};
-pub use adi3d::{Adi3d, Adi3dPlan, Adi3dResult, Adi3dScratch};
+pub use adi::{Adi2d, Adi3d, AdiKernel, AdiPlan, AdiResult, AdiScratch};
 pub use barrier::{BarrierResult, Fd1dBarrier};
 pub use cluster::{ClusterFd1d, ClusterFdOutcome};
 pub use error::PdeError;

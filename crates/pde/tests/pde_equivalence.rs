@@ -1,8 +1,9 @@
 //! Property sweep of the PDE engines' equality-by-construction
 //! discipline, mirroring the lattice `driver_equivalence` suite:
 //!
-//! * the ADI blocked kernel must match the per-line scalar oracle bit
-//!   for bit — sequential and rayon — across grid size, payoff,
+//! * the ADI blocked kernel must match the per-line scalar oracle
+//!   (`AdiPlan::execute_per_line`) bit for bit — in two and three
+//!   dimensions, and on the 2-D rayon tiles — across grid size, payoff,
 //!   correlation sign and exercise style;
 //! * the virtual-cluster explicit sweep must match the sequential
 //!   explicit engine bit for bit for every rank count and machine, and
@@ -12,17 +13,18 @@
 
 use mdp_cluster::{partition, run_spmd, CollectiveEngine, FaultPlan, Machine};
 use mdp_model::{GbmMarket, Payoff, Product};
-use mdp_pde::{Adi2d, AdiKernel, ClusterFd1d, Fd1d, Fd1dBarrier, LogGrid, Scheme};
+use mdp_pde::{Adi2d, Adi3d, AdiScratch, ClusterFd1d, Fd1d, Fd1dBarrier, LogGrid, Scheme};
 use proptest::prelude::*;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Random grid, market, payoff, correlation sign and exercise
-    /// style: all four ADI variants (scalar/blocked × seq/rayon) agree
-    /// to the last bit.
+    /// Random dimension, grid, market, payoff, correlation sign and
+    /// exercise style: the blocked kernel (sequential, and rayon in
+    /// 2-D) agrees with the per-line oracle to the last bit.
     #[test]
     fn adi_kernels_and_drivers_bitwise_equal(
+        dsel in 0usize..2,
         msel in 0usize..4,
         steps in 1usize..7,
         vol in 0.15f64..0.35,
@@ -32,10 +34,11 @@ proptest! {
         payoff_kind in 0usize..4,
         american in 0usize..2,
     ) {
-        // Include a size with a ragged last panel tile (71 → 69
-        // interior = 2 full 32-lane tiles + 5 lanes).
-        let m = [7usize, 21, 41, 71][msel];
-        let market = match GbmMarket::symmetric(2, 100.0, vol, 0.01, rate, rho) {
+        // Include sizes with a ragged last panel tile (71 → 69
+        // interior = 2 full 32-lane tiles + 5 lanes; 35 → 32 + 1).
+        let d = 2 + dsel;
+        let m = if d == 2 { [7usize, 21, 41, 71] } else { [5usize, 9, 21, 35] }[msel];
+        let market = match GbmMarket::symmetric(d, 100.0, vol, 0.01, rate, rho) {
             Ok(mk) => mk,
             Err(_) => return Ok(()),
         };
@@ -44,7 +47,7 @@ proptest! {
             1 => Payoff::MinPut { strike },
             2 => Payoff::GeometricCall { strike },
             _ => Payoff::BasketCall {
-                weights: Product::equal_weights(2),
+                weights: Product::equal_weights(d),
                 strike,
             },
         };
@@ -53,30 +56,36 @@ proptest! {
         } else {
             Product::european(payoff, 1.0)
         };
-        let run = |kernel: AdiKernel, parallel: bool| {
-            Adi2d {
+        let adi2d = |parallel: bool| Adi2d {
+            space_points: m,
+            time_steps: steps,
+            parallel,
+            ..Default::default()
+        };
+        let plans = if d == 2 {
+            vec![adi2d(false).plan(&market, 1.0), adi2d(true).plan(&market, 1.0)]
+        } else {
+            vec![Adi3d {
                 space_points: m,
                 time_steps: steps,
-                parallel,
-                kernel,
                 ..Default::default()
             }
-            .price(&market, &product)
-            .unwrap()
+            .plan(&market, 1.0)]
         };
-        let oracle = run(AdiKernel::Scalar, false);
-        for (kernel, parallel) in [
-            (AdiKernel::Scalar, true),
-            (AdiKernel::Blocked, false),
-            (AdiKernel::Blocked, true),
-        ] {
-            let r = run(kernel, parallel);
+        let oracle = plans[0].as_ref().unwrap().execute_per_line(&product).unwrap();
+        for (i, plan) in plans.iter().enumerate() {
+            let r = plan
+                .as_ref()
+                .unwrap()
+                .execute(&product, &mut AdiScratch::default())
+                .unwrap();
             prop_assert_eq!(
                 oracle.price.to_bits(),
                 r.price.to_bits(),
-                "{:?} parallel={}",
-                kernel,
-                parallel
+                "d={} m={} parallel={}",
+                d,
+                m,
+                i == 1
             );
             prop_assert_eq!(oracle.nodes_processed, r.nodes_processed);
         }

@@ -55,30 +55,6 @@ where
     Some((hi, work(hi)))
 }
 
-/// The full isoefficiency curve over a processor sweep.
-pub fn isoefficiency_curve<T, W>(
-    time: T,
-    work: W,
-    procs: &[usize],
-    target: f64,
-    n_lo: u64,
-    n_hi: u64,
-) -> Vec<(usize, Option<(u64, f64)>)>
-where
-    T: Fn(u64, usize) -> f64 + Copy,
-    W: Fn(u64) -> f64 + Copy,
-{
-    procs
-        .iter()
-        .map(|&p| {
-            (
-                p,
-                isoefficiency_point(time, work, p, target, n_lo, n_hi, 1e-3),
-            )
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,8 +114,14 @@ mod tests {
     #[test]
     fn curve_is_monotone_in_p() {
         let time = model(2.0);
-        let curve = isoefficiency_curve(time, |n| n as f64, &[2, 4, 8, 16, 32], 0.7, 1, 1 << 40);
-        let ws: Vec<f64> = curve.iter().map(|(_, r)| r.unwrap().1).collect();
+        let ws: Vec<f64> = [2, 4, 8, 16, 32]
+            .iter()
+            .map(|&p| {
+                isoefficiency_point(time, |n| n as f64, p, 0.7, 1, 1 << 40, 1e-3)
+                    .unwrap()
+                    .1
+            })
+            .collect();
         for w in ws.windows(2) {
             assert!(w[1] > w[0], "{ws:?}");
         }

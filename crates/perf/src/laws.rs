@@ -8,12 +8,6 @@ pub fn amdahl_speedup(f: f64, p: usize) -> f64 {
     1.0 / (f + (1.0 - f) / p as f64)
 }
 
-/// Amdahl's asymptotic limit `1/f` (infinite processors).
-pub fn amdahl_limit(f: f64) -> f64 {
-    assert!(f > 0.0);
-    1.0 / f
-}
-
 /// Gustafson scaled speedup with serial fraction `f'` (measured on the
 /// parallel machine): `S = p − f'·(p − 1)`.
 pub fn gustafson_speedup(f: f64, p: usize) -> f64 {
@@ -80,7 +74,6 @@ mod tests {
         assert!((amdahl_speedup(0.1, 1_000_000) - 10.0).abs() < 0.01);
         assert_eq!(amdahl_speedup(0.0, 16), 16.0);
         assert_eq!(amdahl_speedup(1.0, 16), 1.0);
-        assert_eq!(amdahl_limit(0.25), 4.0);
     }
 
     #[test]

@@ -37,11 +37,21 @@ def has_text(f, needle):
 
 
 def check_kernel_speedups():
-    """Kernel bench JSONs record speedups."""
+    """Kernel bench JSONs record speedups; the ADI kernel has a row in
+    each dimension and beats its per-line oracle on every row."""
     for name in ("BENCH_mc_kernel.json", "BENCH_lattice_kernel.json", "BENCH_pde_kernel.json"):
         f = artifact(name)
         if not has_text(f, '"speedup"'):
             fail(f'bench artifact {f} lacks a "speedup" field')
+    rows = json.load(open(artifact("BENCH_pde_kernel.json")))["results"]
+    dims = {row.get("dim") for row in rows}
+    for d in (2, 3):
+        assert d in dims, f"BENCH_pde_kernel.json has no {d}-D row"
+    for row in rows:
+        s = row["speedup"]
+        assert s >= 1.0, (
+            f"{row['product']} {row['grid']}^{row['dim']}: blocked ADI speedup {s} < 1.0"
+        )
 
 
 def check_fault_tolerance():

@@ -14,6 +14,8 @@
 //!   central differences), and MC cube deltas must agree with the
 //!   pathwise estimator within statistical tolerance (documented at the
 //!   assertion).
+//! * **Cancel tokens** — every planful engine plan keeps its installed
+//!   cancel token through every kind of tick.
 
 use mdp_core::math::linalg::Matrix;
 use mdp_core::mc::pathwise_delta;
@@ -305,5 +307,92 @@ fn lattice_cube_greeks_match_bump_loop_bitwise() {
         assert_eq!(g.delta[i].to_bits(), reference.delta[i].to_bits());
         assert_eq!(g.gamma[i].to_bits(), reference.gamma[i].to_bits());
         assert_eq!(g.vega[i].to_bits(), reference.vega[i].to_bits());
+    }
+}
+
+/// Every planful engine keeps the cancel token installed on its plan
+/// across each kind of tick: after a spot, vol, rate and (for d ≥ 2)
+/// correlation tick, a tripped token still stops the run with the
+/// engine's typed `Cancelled`. A tick that rebuilds an axis or a whole
+/// plan (a vol tick) is where a token used to be dropped.
+#[test]
+fn every_planful_engine_keeps_its_cancel_token_across_ticks() {
+    use mdp_core::lattice::{LatticeError, LatticeScratch};
+    use mdp_core::mc::McError;
+    use mdp_core::pde::{AdiScratch, Fd1dScratch, PdeError};
+
+    let tripped = || {
+        let token = CancelToken::new();
+        token.cancel();
+        token
+    };
+    for d in 1..=3 {
+        let market = GbmMarket::symmetric(d, 100.0, 0.2, 0.0, 0.05, 0.3).unwrap();
+        let product = Product::american(
+            Payoff::BasketPut {
+                weights: Product::equal_weights(d),
+                strike: 100.0,
+            },
+            1.0,
+        );
+        let mut specs = vec![
+            TickSpec::Spot(d - 1, 104.0),
+            TickSpec::Vol(0, 0.27),
+            TickSpec::Rate(0.03),
+        ];
+        if d >= 2 {
+            specs.push(TickSpec::Corr(0.2));
+        }
+        for spec in &specs {
+            let delta = to_delta(spec, d);
+            let tag = format!("d={d} {spec:?}");
+            if d == 1 {
+                let mut fd = Fd1d::default().plan(&market, 1.0).unwrap();
+                fd.set_cancel(tripped());
+                fd.apply_tick(&delta).unwrap();
+                let r = fd.execute(&product, &mut Fd1dScratch::default());
+                assert!(matches!(r, Err(PdeError::Cancelled)), "fd {tag}");
+            } else {
+                let mut adi = if d == 2 {
+                    Adi2d {
+                        space_points: 21,
+                        time_steps: 5,
+                        ..Default::default()
+                    }
+                    .plan(&market, 1.0)
+                } else {
+                    Adi3d {
+                        space_points: 11,
+                        time_steps: 5,
+                        ..Default::default()
+                    }
+                    .plan(&market, 1.0)
+                }
+                .unwrap();
+                adi.set_cancel(tripped());
+                adi.apply_tick(&delta).unwrap();
+                let r = adi.execute(&product, &mut AdiScratch::default());
+                assert!(matches!(r, Err(PdeError::Cancelled)), "adi {tag}");
+            }
+            let mut lattice = MultiLattice::new(16).plan(&market, 1.0).unwrap();
+            lattice.set_cancel(tripped());
+            lattice.apply_tick(&delta).unwrap();
+            let r = lattice.execute(&product, false, &mut LatticeScratch::default());
+            assert!(matches!(r, Err(LatticeError::Cancelled)), "lattice {tag}");
+
+            let european = Product::european(product.payoff.clone(), 1.0);
+            let mut mc = McEngine::new(McConfig {
+                paths: 1_024,
+                ..Default::default()
+            })
+            .plan(&market, 1.0)
+            .unwrap();
+            mc.set_cancel(tripped());
+            mc.apply_tick(&delta).unwrap();
+            assert!(
+                matches!(mc.execute(&european), Err(McError::Cancelled)),
+                "mc {tag}"
+            );
+        }
     }
 }

@@ -1,5 +1,5 @@
 //! Equivalence suite for the cache-oblivious explicit stencil and the
-//! 3-D ADI backend.
+//! 3-D ADI route.
 //!
 //! The trapezoid kernel's contract is *bitwise* equality with the
 //! retained step-by-step oracle — the recursion reorders independent
@@ -11,11 +11,12 @@
 //!
 //! [`Fd1dPlan::execute_step_by_step`]: mdp_core::pde::Fd1dPlan::execute_step_by_step
 //!
-//! The 3-D ADI backend has no bitwise oracle; it is cross-checked
-//! against Monte Carlo on a correlated 3-asset basket within the
-//! statistical tolerance, and the widened `Pricer::auto` row (3-asset
-//! terminal payoffs → `adi-3d`) is pinned to price bitwise-identically
-//! to the engine it routes to.
+//! The 3-D ADI engine's bitwise oracle, `AdiPlan::execute_per_line`, is
+//! checked in `crates/pde/tests/pde_equivalence.rs`; here it is
+//! cross-checked against Monte Carlo on a correlated 3-asset basket
+//! within the statistical tolerance, and the widened `Pricer::auto` row
+//! (3-asset terminal payoffs → `adi-3d`) is pinned to price
+//! bitwise-identically to the engine it routes to.
 
 use mdp_core::pde::{Fd1dResult, Fd1dScratch, Scheme};
 use mdp_core::prelude::*;
