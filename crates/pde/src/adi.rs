@@ -876,7 +876,7 @@ impl<'a, const D: usize> Kernel<'a, D> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use mdp_math::approx_eq;
     use mdp_model::{analytic, Payoff};
@@ -910,9 +910,14 @@ mod tests {
             .unwrap()
     }
 
-    #[test]
-    fn geometric_call_matches_closed_form() {
-        for (d, m, tol) in [(2, 101, 5e-3), (3, 61, 1e-2)] {
+    /// Test bodies shared by the two front doors: the same-named tests
+    /// below run each at d = 2 (`Adi2d`), `crate::adi3d::tests` at
+    /// d = 3 (`Adi3d`).
+    pub(crate) mod per_dim {
+        use super::*;
+
+        pub(crate) fn geometric_call_matches_closed_form(d: usize) {
+            let (m, tol) = if d == 2 { (101, 5e-3) } else { (61, 1e-2) };
             let mk = market(d, 0.5);
             let p = Product::european(Payoff::GeometricCall { strike: 100.0 }, 1.0);
             let exact = analytic::geometric_basket_call(&mk, &vec![1.0 / d as f64; d], 100.0, 1.0);
@@ -923,6 +928,182 @@ mod tests {
                 r.price
             );
         }
+
+        pub(crate) fn apply_tick_bitwise_equals_fresh_plan(d: usize) {
+            // Grid, steps, correlation before and after its tick, and the
+            // assets of the first and last spot ticks; the vol tick moves
+            // the last axis.
+            let (m, n, rho, rho_tick, first, last) = if d == 2 {
+                (61, 30, 0.5, 0.25, 0, 1)
+            } else {
+                (15, 6, 0.4, 0.2, 1, 0)
+            };
+            let m0 = market(d, rho);
+            let p = Product::european(Payoff::GeometricCall { strike: 100.0 }, 1.0);
+            let mut corr = mdp_math::linalg::Matrix::identity(d);
+            for a in 0..d {
+                for b in 0..d {
+                    if a != b {
+                        corr[(a, b)] = rho_tick;
+                    }
+                }
+            }
+            let ticks = [
+                MarketDelta::Spot {
+                    asset: first,
+                    spot: 103.0,
+                },
+                MarketDelta::Vol {
+                    asset: d - 1,
+                    vol: 0.26,
+                },
+                MarketDelta::Rate { rate: 0.035 },
+                MarketDelta::Correlation { correlation: corr },
+                MarketDelta::Spot {
+                    asset: last,
+                    spot: 97.5,
+                },
+            ];
+            let mut ticked = plan(d, m, n, &m0);
+            let mut mk = m0;
+            for delta in &ticks {
+                assert_eq!(ticked.apply_tick(delta).unwrap(), TickOutcome::Patched);
+                mk = mk.apply_delta(delta).unwrap();
+                let fresh = plan(d, m, n, &mk);
+                let pt = ticked.execute(&p, &mut AdiScratch::default()).unwrap();
+                let pf = fresh.execute(&p, &mut AdiScratch::default()).unwrap();
+                assert_eq!(pt.price.to_bits(), pf.price.to_bits(), "d={d} {delta:?}");
+            }
+        }
+
+        pub(crate) fn american_min_put_dominates_european(d: usize) {
+            let m = if d == 2 { 101 } else { 41 };
+            let mk = market(d, 0.3);
+            let pay = Payoff::MinPut { strike: 110.0 };
+            let eu = price(d, m, m - 1, &mk, &Product::european(pay.clone(), 1.0));
+            let am = price(d, m, m - 1, &mk, &Product::american(pay, 1.0));
+            assert!(am.price >= eu.price - 1e-9, "d={d}");
+            assert!(
+                am.price >= 10.0 - 1e-9,
+                "d={d}: at least intrinsic: {}",
+                am.price
+            );
+            if d == 2 {
+                // European reference from the closed form.
+                let exact = analytic::min_put_two_assets(
+                    100.0, 0.0, 0.2, 100.0, 0.0, 0.2, 0.3, 0.05, 110.0, 1.0,
+                );
+                assert!(approx_eq(eu.price, exact, 2e-2), "{} vs {exact}", eu.price);
+            }
+        }
+
+        pub(crate) fn agrees_with_beg_lattice(d: usize) {
+            let (m, n, steps, tol) = if d == 2 {
+                (121, 100, 100, 2e-2)
+            } else {
+                (51, 50, 50, 5e-2)
+            };
+            let mk = market(d, 0.5);
+            let p = Product::american(Payoff::MaxCall { strike: 100.0 }, 1.0);
+            let lattice = mdp_lattice::MultiLattice::new(steps)
+                .price(&mk, &p)
+                .unwrap();
+            let pde = price(d, m, n, &mk, &p);
+            assert!(
+                approx_eq(pde.price, lattice.price, tol),
+                "d={d}: pde {} vs lattice {}",
+                pde.price,
+                lattice.price
+            );
+        }
+
+        pub(crate) fn rejects_bad_inputs(d: usize) {
+            let front_door = |width: f64, space_points: usize, mk: &GbmMarket, p: &Product| {
+                if d == 2 {
+                    Adi2d {
+                        width,
+                        space_points,
+                        ..Default::default()
+                    }
+                    .price(mk, p)
+                } else {
+                    Adi3d {
+                        width,
+                        space_points,
+                        ..Default::default()
+                    }
+                    .price(mk, p)
+                }
+            };
+            let call = Product::european(Payoff::MaxCall { strike: 100.0 }, 1.0);
+            let asian = Product::european(Payoff::AsianCall { strike: 100.0 }, 1.0);
+            let too_few_assets = if d == 2 {
+                GbmMarket::single(100.0, 0.2, 0.0, 0.05).unwrap()
+            } else {
+                market(2, 0.3)
+            };
+            assert!(
+                front_door(5.0, 21, &too_few_assets, &call).is_err(),
+                "d={d}"
+            );
+            let mk = market(d, 0.0);
+            assert!(front_door(5.0, 21, &mk, &asian).is_err(), "d={d}");
+            assert!(
+                matches!(
+                    front_door(5.0, 3, &mk, &call),
+                    Err(PdeError::GridTooSmall { .. })
+                ),
+                "d={d}"
+            );
+            for width in [0.0, -1.0, f64::NAN] {
+                assert!(
+                    matches!(
+                        front_door(width, 21, &mk, &call),
+                        Err(PdeError::Model(ModelError::InvalidParameter {
+                            what: "width",
+                            ..
+                        }))
+                    ),
+                    "d={d} width={width}"
+                );
+            }
+        }
+
+        pub(crate) fn plan_execute_bitwise_matches_one_shot(d: usize) {
+            let (m, n) = if d == 2 { (61, 20) } else { (15, 8) };
+            let mk = market(d, 0.3);
+            let plan = plan(d, m, n, &mk);
+            let mut scratch = AdiScratch::default();
+            for p in [
+                Product::european(Payoff::MaxCall { strike: 100.0 }, 1.0),
+                Product::american(Payoff::MinPut { strike: 110.0 }, 1.0),
+            ] {
+                let one_shot = price(d, m, n, &mk, &p);
+                let a = plan.execute(&p, &mut scratch).unwrap();
+                let b = plan.execute(&p, &mut scratch).unwrap();
+                assert_eq!(a.price.to_bits(), one_shot.price.to_bits(), "d={d}");
+                assert_eq!(b.price.to_bits(), one_shot.price.to_bits(), "d={d}");
+                assert_eq!(a.nodes_processed, one_shot.nodes_processed, "d={d}");
+            }
+            let short = Product::european(Payoff::MaxCall { strike: 100.0 }, 0.5);
+            assert!(plan.execute(&short, &mut scratch).is_err(), "d={d}");
+        }
+
+        pub(crate) fn node_accounting(d: usize) {
+            let (m, nodes) = if d == 2 { (11, 121 * 4) } else { (7, 343 * 4) };
+            let mk = market(d, 0.0);
+            let p = Product::european(Payoff::MaxCall { strike: 100.0 }, 1.0);
+            let plan = plan(d, m, 3, &mk);
+            let blocked = plan.execute(&p, &mut AdiScratch::default()).unwrap();
+            assert_eq!(blocked.nodes_processed, nodes, "d={d}");
+            let oracle = plan.execute_per_line(&p).unwrap();
+            assert_eq!(oracle.nodes_processed, nodes, "d={d}");
+        }
+    }
+
+    #[test]
+    fn geometric_call_matches_closed_form() {
+        per_dim::geometric_call_matches_closed_form(2);
     }
 
     #[test]
@@ -944,44 +1125,7 @@ mod tests {
 
     #[test]
     fn apply_tick_bitwise_equals_fresh_plan() {
-        for (d, m, n) in [(2, 61, 30), (3, 15, 6)] {
-            let m0 = market(d, 0.4);
-            let p = Product::european(Payoff::GeometricCall { strike: 100.0 }, 1.0);
-            let mut corr = mdp_math::linalg::Matrix::identity(d);
-            for a in 0..d {
-                for b in 0..d {
-                    if a != b {
-                        corr[(a, b)] = 0.2;
-                    }
-                }
-            }
-            let ticks = [
-                MarketDelta::Spot {
-                    asset: d - 1,
-                    spot: 103.0,
-                },
-                MarketDelta::Vol {
-                    asset: 1,
-                    vol: 0.26,
-                },
-                MarketDelta::Rate { rate: 0.035 },
-                MarketDelta::Correlation { correlation: corr },
-                MarketDelta::Spot {
-                    asset: 0,
-                    spot: 97.5,
-                },
-            ];
-            let mut ticked = plan(d, m, n, &m0);
-            let mut mk = m0;
-            for delta in &ticks {
-                assert_eq!(ticked.apply_tick(delta).unwrap(), TickOutcome::Patched);
-                mk = mk.apply_delta(delta).unwrap();
-                let fresh = plan(d, m, n, &mk);
-                let pt = ticked.execute(&p, &mut AdiScratch::default()).unwrap();
-                let pf = fresh.execute(&p, &mut AdiScratch::default()).unwrap();
-                assert_eq!(pt.price.to_bits(), pf.price.to_bits(), "d={d} {delta:?}");
-            }
-        }
+        per_dim::apply_tick_bitwise_equals_fresh_plan(2);
     }
 
     #[test]
@@ -1055,123 +1199,26 @@ mod tests {
 
     #[test]
     fn american_min_put_dominates_european() {
-        for (d, m) in [(2, 101), (3, 41)] {
-            let mk = market(d, 0.3);
-            let pay = Payoff::MinPut { strike: 110.0 };
-            let eu = price(d, m, m - 1, &mk, &Product::european(pay.clone(), 1.0));
-            let am = price(d, m, m - 1, &mk, &Product::american(pay, 1.0));
-            assert!(am.price >= eu.price - 1e-9, "d={d}");
-            assert!(
-                am.price >= 10.0 - 1e-9,
-                "d={d}: at least intrinsic: {}",
-                am.price
-            );
-            if d == 2 {
-                // European reference from the closed form.
-                let exact = analytic::min_put_two_assets(
-                    100.0, 0.0, 0.2, 100.0, 0.0, 0.2, 0.3, 0.05, 110.0, 1.0,
-                );
-                assert!(approx_eq(eu.price, exact, 2e-2), "{} vs {exact}", eu.price);
-            }
-        }
+        per_dim::american_min_put_dominates_european(2);
     }
 
     #[test]
     fn agrees_with_beg_lattice() {
-        for (d, m, n, steps, tol) in [(2, 121, 100, 100, 2e-2), (3, 51, 50, 50, 5e-2)] {
-            let mk = market(d, 0.5);
-            let p = Product::american(Payoff::MaxCall { strike: 100.0 }, 1.0);
-            let lattice = mdp_lattice::MultiLattice::new(steps)
-                .price(&mk, &p)
-                .unwrap();
-            let pde = price(d, m, n, &mk, &p);
-            assert!(
-                approx_eq(pde.price, lattice.price, tol),
-                "d={d}: pde {} vs lattice {}",
-                pde.price,
-                lattice.price
-            );
-        }
+        per_dim::agrees_with_beg_lattice(2);
     }
 
     #[test]
     fn rejects_bad_inputs() {
-        let m1 = GbmMarket::single(100.0, 0.2, 0.0, 0.05).unwrap();
-        let call = Product::european(Payoff::MaxCall { strike: 100.0 }, 1.0);
-        let asian = Product::european(Payoff::AsianCall { strike: 100.0 }, 1.0);
-        let front_doors = |width: f64, space_points: usize, mk: &GbmMarket, p: &Product| {
-            [
-                Adi2d {
-                    width,
-                    space_points,
-                    ..Default::default()
-                }
-                .price(mk, p),
-                Adi3d {
-                    width,
-                    space_points,
-                    ..Default::default()
-                }
-                .price(mk, p),
-            ]
-        };
-        for r in front_doors(5.0, 21, &m1, &call) {
-            assert!(r.is_err());
-        }
-        for d in [2, 3] {
-            let mk = market(d, 0.0);
-            let r = &front_doors(5.0, 21, &mk, &asian)[d - 2];
-            assert!(r.is_err(), "d={d}");
-            let r = &front_doors(5.0, 3, &mk, &call)[d - 2];
-            assert!(matches!(r, Err(PdeError::GridTooSmall { .. })), "d={d}");
-            for width in [0.0, -1.0, f64::NAN] {
-                let r = &front_doors(width, 21, &mk, &call)[d - 2];
-                assert!(
-                    matches!(
-                        r,
-                        Err(PdeError::Model(ModelError::InvalidParameter {
-                            what: "width",
-                            ..
-                        }))
-                    ),
-                    "d={d} width={width}"
-                );
-            }
-        }
+        per_dim::rejects_bad_inputs(2);
     }
 
     #[test]
     fn plan_execute_bitwise_matches_one_shot() {
-        for (d, m, n) in [(2, 61, 20), (3, 15, 8)] {
-            let mk = market(d, 0.3);
-            let plan = plan(d, m, n, &mk);
-            let mut scratch = AdiScratch::default();
-            for p in [
-                Product::european(Payoff::MaxCall { strike: 100.0 }, 1.0),
-                Product::american(Payoff::MinPut { strike: 110.0 }, 1.0),
-            ] {
-                let one_shot = price(d, m, n, &mk, &p);
-                let a = plan.execute(&p, &mut scratch).unwrap();
-                let b = plan.execute(&p, &mut scratch).unwrap();
-                assert_eq!(a.price.to_bits(), one_shot.price.to_bits(), "d={d}");
-                assert_eq!(b.price.to_bits(), one_shot.price.to_bits(), "d={d}");
-                assert_eq!(a.nodes_processed, one_shot.nodes_processed, "d={d}");
-            }
-            let short = Product::european(Payoff::MaxCall { strike: 100.0 }, 0.5);
-            assert!(plan.execute(&short, &mut scratch).is_err(), "d={d}");
-        }
+        per_dim::plan_execute_bitwise_matches_one_shot(2);
     }
 
     #[test]
     fn node_accounting() {
-        for (d, m, nodes) in [(2, 11, 121 * 4), (3, 7, 343 * 4)] {
-            let mk = market(d, 0.0);
-            let p = Product::european(Payoff::MaxCall { strike: 100.0 }, 1.0);
-            let plan = plan(d, m, 3, &mk);
-            let blocked = plan.execute(&p, &mut AdiScratch::default()).unwrap();
-            assert_eq!(blocked.nodes_processed, nodes, "d={d}");
-            let oracle = plan.execute_per_line(&p).unwrap();
-            assert_eq!(oracle.nodes_processed, nodes, "d={d}");
-        }
+        per_dim::node_accounting(2);
     }
 }

@@ -37,3 +37,48 @@ pub use fd1d::{
     Scheme,
 };
 pub use grid::LogGrid;
+
+/// The three-asset runs (`Adi3d`) of the per-dimension bodies in
+/// [`adi`]'s unit tests; the same-named tests in `adi::tests` run them
+/// with two assets.
+#[cfg(test)]
+mod adi3d {
+    mod tests {
+        use crate::adi::tests::per_dim;
+
+        #[test]
+        fn agrees_with_beg_lattice() {
+            per_dim::agrees_with_beg_lattice(3);
+        }
+
+        #[test]
+        fn american_min_put_dominates_european() {
+            per_dim::american_min_put_dominates_european(3);
+        }
+
+        #[test]
+        fn apply_tick_bitwise_equals_fresh_plan() {
+            per_dim::apply_tick_bitwise_equals_fresh_plan(3);
+        }
+
+        #[test]
+        fn geometric_call_matches_closed_form() {
+            per_dim::geometric_call_matches_closed_form(3);
+        }
+
+        #[test]
+        fn node_accounting() {
+            per_dim::node_accounting(3);
+        }
+
+        #[test]
+        fn plan_execute_bitwise_matches_one_shot() {
+            per_dim::plan_execute_bitwise_matches_one_shot(3);
+        }
+
+        #[test]
+        fn rejects_bad_inputs() {
+            per_dim::rejects_bad_inputs(3);
+        }
+    }
+}
