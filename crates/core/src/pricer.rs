@@ -874,7 +874,10 @@ impl PricerPlan {
                 product.validate_for(&self.market)?;
                 (plan.execute(product, scratch)?.price, None, None)
             }
-            PlanKind::Adi(plan, scratch) => (plan.execute(product, scratch)?.price, None, None),
+            PlanKind::Adi(plan, scratch) => {
+                product.validate_for(&self.market)?;
+                (plan.execute(product, scratch)?.price, None, None)
+            }
             PlanKind::Lattice(plan, scratch) => {
                 (plan.execute(product, parallel, scratch)?.price, None, None)
             }
@@ -1259,6 +1262,32 @@ mod tests {
                     ..
                 })
             ));
+        }
+    }
+
+    #[test]
+    fn pde_plans_validate_the_product_before_dispatch() {
+        // A basket with one weight too many is the caller's model error
+        // on every planful PDE kind, not an engine error.
+        for (d, method) in [
+            (1, Method::Fd1d(Fd1d::default())),
+            (2, Method::Adi2d(Adi2d::default())),
+            (3, Method::Adi3d(Adi3d::default())),
+        ] {
+            let m = GbmMarket::symmetric(d, 100.0, 0.2, 0.0, 0.05, 0.0).unwrap();
+            let p = Product::european(
+                Payoff::BasketCall {
+                    weights: vec![1.0 / (d + 1) as f64; d + 1],
+                    strike: 100.0,
+                },
+                1.0,
+            );
+            let mut plan = Pricer::new(method).plan(&m, 1.0).unwrap();
+            let e = plan.execute(&p).unwrap_err();
+            assert!(
+                matches!(e, PriceError::Model(ModelError::DimensionMismatch { .. })),
+                "d={d}: {e:?}"
+            );
         }
     }
 

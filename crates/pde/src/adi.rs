@@ -904,10 +904,24 @@ pub(crate) mod tests {
         .unwrap()
     }
 
+    /// The one-shot `price` of the `d`-asset front door on an `m`-point
+    /// grid with `n` steps.
     fn price(d: usize, m: usize, n: usize, mk: &GbmMarket, p: &Product) -> AdiResult {
-        plan(d, m, n, mk)
-            .execute(p, &mut AdiScratch::default())
-            .unwrap()
+        match d {
+            2 => Adi2d {
+                space_points: m,
+                time_steps: n,
+                ..Default::default()
+            }
+            .price(mk, p),
+            _ => Adi3d {
+                space_points: m,
+                time_steps: n,
+                ..Default::default()
+            }
+            .price(mk, p),
+        }
+        .unwrap()
     }
 
     /// Test bodies shared by the two front doors: the same-named tests
@@ -1078,6 +1092,7 @@ pub(crate) mod tests {
                 Product::european(Payoff::MaxCall { strike: 100.0 }, 1.0),
                 Product::american(Payoff::MinPut { strike: 110.0 }, 1.0),
             ] {
+                // `Adi2d::price` or `Adi3d::price`.
                 let one_shot = price(d, m, n, &mk, &p);
                 let a = plan.execute(&p, &mut scratch).unwrap();
                 let b = plan.execute(&p, &mut scratch).unwrap();
@@ -1093,10 +1108,8 @@ pub(crate) mod tests {
             let (m, nodes) = if d == 2 { (11, 121 * 4) } else { (7, 343 * 4) };
             let mk = market(d, 0.0);
             let p = Product::european(Payoff::MaxCall { strike: 100.0 }, 1.0);
-            let plan = plan(d, m, 3, &mk);
-            let blocked = plan.execute(&p, &mut AdiScratch::default()).unwrap();
-            assert_eq!(blocked.nodes_processed, nodes, "d={d}");
-            let oracle = plan.execute_per_line(&p).unwrap();
+            assert_eq!(price(d, m, 3, &mk, &p).nodes_processed, nodes, "d={d}");
+            let oracle = plan(d, m, 3, &mk).execute_per_line(&p).unwrap();
             assert_eq!(oracle.nodes_processed, nodes, "d={d}");
         }
     }
@@ -1147,11 +1160,11 @@ pub(crate) mod tests {
 
     #[test]
     fn blocked_kernel_matches_scalar_oracle_bitwise() {
-        // Both correlation signs, both exercise styles and the 2-D rayon
-        // tiles, on interior widths of 69 and 35 (ragged last tiles), 3
-        // (one narrow tile), 32 (one full tile) and 33 (a full tile and
-        // a one-lane tile), where the tile lookups between stages change
-        // shape. The whole final value grid must match, not only the
+        // Both correlation signs (ρ = −0.4 in 2-D, −0.2 in 3-D), both
+        // exercise styles and the 2-D rayon tiles, on interior widths of
+        // 69 and 35 (ragged last tiles), 3 (one narrow tile), 32 (one
+        // full tile) and 33 (a full tile and a one-lane tile), where the
+        // tile lookups between stages change shape. The whole final value grid must match, not only the
         // price at its centre: a one-ulp slip near a face rarely reaches
         // the centre on grids this small.
         let grid_bits = |plan: &AdiPlan, p: &Product, per_line: bool| {
@@ -1163,7 +1176,8 @@ pub(crate) mod tests {
         let ragged = [(2, 71, 20), (3, 37, 5)];
         let small = [2, 3].map(|d| [(d, 5, 3), (d, 34, 3), (d, 35, 3)]);
         for (d, m, n) in ragged.into_iter().chain(small.into_iter().flatten()) {
-            for rho in [-0.2, 0.3] {
+            let rhos = if d == 2 { [-0.4, 0.3] } else { [-0.2, 0.3] };
+            for rho in rhos {
                 let mk = market(d, rho);
                 for (pay, american) in [
                     (Payoff::MaxCall { strike: 100.0 }, false),
