@@ -2446,10 +2446,7 @@ pub fn t15_cluster_scale(effort: Effort) {
             "hier far msgs",
         ],
     );
-    let mc_procs: &[usize] = match effort {
-        Effort::Quick => &[4, 16, 64, 256],
-        Effort::Full => &[4, 16, 64, 256, 1024],
-    };
+    let mc_procs: &[usize] = &[4, 16, 64, 256, 1024];
     let lat_procs: &[usize] = match effort {
         Effort::Quick => &[4, 16, 64],
         Effort::Full => &[4, 16, 64, 256],

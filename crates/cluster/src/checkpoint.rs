@@ -77,7 +77,6 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use crate::comm::Communicator;
 use crate::engine::CollectiveEngine;
 use crate::fault::FaultPlan;
 use crate::message::{Message, Tag, FT_TAG_BASE};
@@ -140,10 +139,10 @@ pub struct CheckpointRecord {
 /// A model of stable storage shared by all ranks (the cluster's
 /// parallel file system). Snapshots are keyed by `(rank, step, era)`
 /// and never overwritten: a survivor replaying past a boundary writes
-/// a *new-era* record there, so a slower survivor can still read the
-/// old era's complete pool — overwriting in place would race. Writes
-/// are charged to the writer's virtual clock by
-/// [`ThreadComm::checkpoint_write`].
+/// a *new-era* record there, so a survivor that runs later in the
+/// schedule can still read the old era's complete pool — overwriting
+/// in place would hand it the wrong era. Writes are charged to the
+/// writer's virtual clock by [`ThreadComm::checkpoint_write`].
 #[derive(Debug, Clone, Default)]
 pub struct CheckpointStore {
     inner: Arc<Mutex<CheckpointMap>>,
@@ -168,14 +167,16 @@ impl CheckpointStore {
 
     /// All snapshots taken at `step` in `era`, sorted by rank. The
     /// reader names the era it recovered in — selecting "newest" would
-    /// race with fast survivors that already replayed past this
-    /// boundary and deposited next-era records.
+    /// pick up next-era records from survivors that ran earlier in the
+    /// schedule and already replayed past this boundary.
     ///
     /// Safe for survivors to call during recovery: every era-`era`
     /// participant of the failure-agreement exchange wrote its
-    /// boundary snapshot before exchanging, and the dying rank wrote
-    /// its snapshot before reaching the crash injection point, so the
-    /// lock acquisition happens-after every relevant write.
+    /// boundary snapshot before sending its mask, and the dying rank
+    /// wrote its snapshot before its crash posted the poison marker. A
+    /// survivor reads only after receiving all of those, and a receive
+    /// runs only after the send it consumes, so every relevant write
+    /// precedes the read in the run's schedule.
     pub fn read_step(&self, step: usize, era: usize) -> Vec<(usize, CheckpointRecord)> {
         let mut v: Vec<(usize, CheckpointRecord)> = self
             .inner
@@ -353,7 +354,7 @@ impl Supervisor {
     ///
     /// `snapshot` produces `(lo, data)` for this rank's shard; it is
     /// only invoked when a checkpoint is due at this boundary.
-    pub fn boundary(
+    pub async fn boundary(
         &mut self,
         comm: &mut ThreadComm,
         step: usize,
@@ -408,7 +409,7 @@ impl Supervisor {
         // Stable storage must be consistent before survivors read the
         // recovery pool: settle the in-flight background write.
         self.flush(comm);
-        let newly_dead = self.agree_on_dead(comm, step);
+        let newly_dead = self.agree_on_dead(comm, step).await;
         if newly_dead.is_empty() {
             return None;
         }
@@ -432,11 +433,11 @@ impl Supervisor {
     /// Broadcast `data` from `root` to every active rank. While the full
     /// roster is alive this is the machine's [`CollectiveEngine`]
     /// schedule; after a death, the active-list fan-out.
-    pub fn broadcast(&self, comm: &mut ThreadComm, root: usize, data: &mut [f64]) {
+    pub async fn broadcast(&self, comm: &mut ThreadComm, root: usize, data: &mut [f64]) {
         if self.active.len() == comm.size() {
-            self.engine.broadcast(comm, root, data);
+            self.engine.broadcast(comm, root, data).await;
         } else {
-            let out = broadcast_active(comm, &self.active, root, data);
+            let out = broadcast_active(comm, &self.active, root, data).await;
             data.copy_from_slice(&out);
         }
     }
@@ -444,16 +445,16 @@ impl Supervisor {
     /// Gather every active rank's `data` to `root` in rank order:
     /// `Some(parts)` on `root`, `None` elsewhere. Same schedule rule as
     /// [`Supervisor::broadcast`].
-    pub fn gather_varied(
+    pub async fn gather_varied(
         &self,
         comm: &mut ThreadComm,
         root: usize,
         data: &[f64],
     ) -> Option<Vec<Vec<f64>>> {
         if self.active.len() == comm.size() {
-            self.engine.gather_varied(comm, root, data)
+            self.engine.gather_varied(comm, root, data).await
         } else {
-            let parts = gather_active(comm, &self.active, root, data);
+            let parts = gather_active(comm, &self.active, root, data).await;
             (comm.rank() == root).then_some(parts)
         }
     }
@@ -465,9 +466,9 @@ impl Supervisor {
     /// survivor and unions them. The result — identical on all
     /// survivors — is the list of ranks to bury. Only deaths scheduled
     /// at or before `step` are reported, so a poison marker consumed
-    /// early from a wall-clock-ahead rank never leaks into an earlier
-    /// boundary's agreement.
-    fn agree_on_dead(&self, comm: &mut ThreadComm, step: usize) -> Vec<usize> {
+    /// early from a rank that ran ahead in the schedule never leaks
+    /// into an earlier boundary's agreement.
+    async fn agree_on_dead(&self, comm: &mut ThreadComm, step: usize) -> Vec<usize> {
         let me = comm.rank();
         let size = comm.size();
         let due: Vec<usize> = self
@@ -486,7 +487,7 @@ impl Supervisor {
         for &d in &due {
             // The dying rank sends nothing at this boundary; only its
             // poison marker can resolve this receive.
-            if comm.recv_ft(d, AGREE_TAG).is_err() {
+            if comm.recv_ft(d, AGREE_TAG).await.is_err() {
                 dead[d] = true;
             }
         }
@@ -501,7 +502,7 @@ impl Supervisor {
             .filter(|&r| !matches!(self.crash_step_of(r), Some(c) if c <= step) || r == me)
             .collect();
         if alive.len() >= AGREE_HIER_THRESHOLD {
-            let union = hierarchical_union(comm, &alive, &mask);
+            let union = hierarchical_union(comm, &alive, &mask).await;
             for (i, v) in union.iter().enumerate() {
                 if *v != 0.0 {
                     dead[i] = true;
@@ -515,10 +516,10 @@ impl Supervisor {
                 // Plain receive: an expected survivor always sends its
                 // mask before it can die (its scheduled crash, if any,
                 // is at a later boundary). `recv_ft` would be wrong
-                // here — it resolves early-observed poison from a
-                // wall-clock-ahead rank whose *future* death must not
-                // surface yet.
-                let theirs = comm.recv(r, AGREE_TAG);
+                // here — it resolves early-observed poison from a rank
+                // that ran ahead in the schedule, whose *future* death
+                // must not surface yet.
+                let theirs = comm.recv(r, AGREE_TAG).await;
                 for (i, v) in theirs.iter().enumerate() {
                     if *v != 0.0 {
                         dead[i] = true;
@@ -537,7 +538,7 @@ impl Supervisor {
 /// fans back out. Every relay is a guaranteed survivor, so no
 /// contribution can vanish. Returns the element-wise union on every
 /// participant.
-fn hierarchical_union(comm: &mut ThreadComm, roster: &[usize], mask: &[f64]) -> Vec<f64> {
+async fn hierarchical_union(comm: &mut ThreadComm, roster: &[usize], mask: &[f64]) -> Vec<f64> {
     let me = comm.rank();
     let mi = roster
         .iter()
@@ -557,10 +558,10 @@ fn hierarchical_union(comm: &mut ThreadComm, roster: &[usize], mask: &[f64]) -> 
     };
     if me != leader {
         comm.send(leader, AGREE_UP_TAG, mask);
-        return comm.recv(leader, AGREE_DOWN_TAG);
+        return comm.recv(leader, AGREE_DOWN_TAG).await;
     }
     for &member in &roster[gstart + 1..gend] {
-        let theirs = comm.recv(member, AGREE_UP_TAG);
+        let theirs = comm.recv(member, AGREE_UP_TAG).await;
         or_into(&mut acc, &theirs);
     }
     let n_groups = roster.len().div_ceil(AGREE_GROUP);
@@ -572,7 +573,7 @@ fn hierarchical_union(comm: &mut ThreadComm, roster: &[usize], mask: &[f64]) -> 
     }
     for og in 0..n_groups {
         if og != gi {
-            let theirs = comm.recv(roster[og * AGREE_GROUP], AGREE_X_TAG);
+            let theirs = comm.recv(roster[og * AGREE_GROUP], AGREE_X_TAG).await;
             or_into(&mut acc, &theirs);
         }
     }
@@ -618,7 +619,7 @@ const BCAST_TREE_THRESHOLD: usize = 64;
 /// active-list indices instead — linear below [`BCAST_TREE_THRESHOLD`]
 /// ranks, a binomial tree at or above (O(log s) depth instead of an
 /// O(s) root serial fan-out).
-fn broadcast_active(
+async fn broadcast_active(
     comm: &mut ThreadComm,
     active: &[usize],
     root: usize,
@@ -634,7 +635,7 @@ fn broadcast_active(
             }
             data.to_vec()
         } else {
-            comm.recv(root, BCAST_TAG)
+            comm.recv(root, BCAST_TAG).await
         };
     }
     let me = comm.rank();
@@ -656,7 +657,7 @@ fn broadcast_active(
                 comm.send(active[(vdest + ri) % n], BCAST_TAG, &out);
             }
         } else if vi < 2 * mask {
-            out = comm.recv(active[(vi - mask + ri) % n], BCAST_TAG);
+            out = comm.recv(active[(vi - mask + ri) % n], BCAST_TAG).await;
         }
         mask <<= 1;
     }
@@ -665,23 +666,22 @@ fn broadcast_active(
 
 /// Gather each active rank's `data` to `root` (linear, in active-list
 /// order). Returns the per-rank payloads on `root`, empty elsewhere.
-fn gather_active(
+async fn gather_active(
     comm: &mut ThreadComm,
     active: &[usize],
     root: usize,
     data: &[f64],
 ) -> Vec<Vec<f64>> {
     if comm.rank() == root {
-        active
-            .iter()
-            .map(|&r| {
-                if r == root {
-                    data.to_vec()
-                } else {
-                    comm.recv(r, GATHER_TAG)
-                }
-            })
-            .collect()
+        let mut parts = Vec::with_capacity(active.len());
+        for &r in active {
+            parts.push(if r == root {
+                data.to_vec()
+            } else {
+                comm.recv(r, GATHER_TAG).await
+            });
+        }
+        parts
     } else {
         comm.send(root, GATHER_TAG, data);
         Vec::new()
@@ -740,7 +740,7 @@ mod tests {
     fn checkpoint_write_charges_virtual_time() {
         let store = CheckpointStore::new();
         let st = store.clone();
-        let r = run_spmd(1, Machine::cluster2002(), move |comm| {
+        let r = run_spmd(1, Machine::cluster2002(), async move |comm| {
             comm.checkpoint_write(
                 &st,
                 CheckpointRecord {
@@ -763,14 +763,16 @@ mod tests {
     fn supervisor_checkpoints_on_interval_only() {
         let store = CheckpointStore::new();
         let st = store.clone();
-        let out = run_spmd_ft(2, Machine::ideal(), FaultPlan::new(0), move |comm| {
+        let out = run_spmd_ft(2, Machine::ideal(), FaultPlan::new(0), async move |comm| {
             let mut sup = Supervisor::new(comm, Some(4), &st);
             let mut snaps = 0;
             for step in 0..10 {
-                let r = sup.boundary(comm, step, || {
-                    snaps += 1;
-                    (comm_rank_lo(step), vec![step as f64])
-                });
+                let r = sup
+                    .boundary(comm, step, || {
+                        snaps += 1;
+                        (comm_rank_lo(step), vec![step as f64])
+                    })
+                    .await;
                 assert!(r.is_none(), "no crashes scheduled");
             }
             (snaps, sup.last_checkpoint())
@@ -786,10 +788,10 @@ mod tests {
     fn no_interval_never_checkpoints_and_needs_no_crashes() {
         let store = CheckpointStore::new();
         let st = store.clone();
-        let out = run_spmd_ft(2, Machine::ideal(), FaultPlan::new(0), move |comm| {
+        let out = run_spmd_ft(2, Machine::ideal(), FaultPlan::new(0), async move |comm| {
             let mut sup = Supervisor::new(comm, None, &st);
             for step in 0..10 {
-                assert!(sup.boundary(comm, step, || unreachable!()).is_none());
+                assert!(sup.boundary(comm, step, || unreachable!()).await.is_none());
             }
             sup.last_checkpoint()
         })
@@ -812,13 +814,13 @@ mod tests {
         let store = CheckpointStore::new();
         let st = store.clone();
         let plan = FaultPlan::new(0).with_crash(1, 5);
-        let out = run_spmd_ft(4, Machine::cluster2002(), plan, move |comm| {
+        let out = run_spmd_ft(4, Machine::cluster2002(), plan, async move |comm| {
             let me = comm.rank() as f64;
             let mut sup = Supervisor::new(comm, Some(4), &st);
             let mut recovered_at = None;
             let mut step = 0;
             while step < 10 {
-                if let Some(rec) = sup.boundary(comm, step, || (0, vec![me])) {
+                if let Some(rec) = sup.boundary(comm, step, || (0, vec![me])).await {
                     recovered_at = Some((step, rec.from_step, rec.records.len()));
                     step = rec.from_step.expect("checkpoint exists");
                     continue;
@@ -843,12 +845,12 @@ mod tests {
         let t: Vec<u64> = out.survivors.iter().map(|s| s.time.to_bits()).collect();
         let st2 = store.clone();
         let plan2 = FaultPlan::new(0).with_crash(1, 5);
-        let out2 = run_spmd_ft(4, Machine::cluster2002(), plan2, move |comm| {
+        let out2 = run_spmd_ft(4, Machine::cluster2002(), plan2, async move |comm| {
             let me = comm.rank() as f64;
             let mut sup = Supervisor::new(comm, Some(4), &st2);
             let mut step = 0;
             while step < 10 {
-                if let Some(rec) = sup.boundary(comm, step, || (0, vec![me])) {
+                if let Some(rec) = sup.boundary(comm, step, || (0, vec![me])).await {
                     step = rec.from_step.unwrap();
                     continue;
                 }
@@ -867,11 +869,11 @@ mod tests {
         let store = CheckpointStore::new();
         let st = store.clone();
         let plan = FaultPlan::new(0).with_crash(3, 2).with_crash(1, 6);
-        let out = run_spmd_ft(4, Machine::cluster2002(), plan, move |comm| {
+        let out = run_spmd_ft(4, Machine::cluster2002(), plan, async move |comm| {
             let mut sup = Supervisor::new(comm, Some(2), &st);
             let mut step = 0;
             while step < 8 {
-                if let Some(rec) = sup.boundary(comm, step, || (0, vec![0.0])) {
+                if let Some(rec) = sup.boundary(comm, step, || (0, vec![0.0])).await {
                     step = rec.from_step.unwrap();
                     continue;
                 }
@@ -897,16 +899,21 @@ mod tests {
         let run = |mode: CheckpointMode| {
             let store = CheckpointStore::new();
             let st = store.clone();
-            let out = run_spmd_ft(2, Machine::cluster2002(), FaultPlan::new(0), move |comm| {
-                let mut sup = Supervisor::new_with_mode(comm, Some(1), &st, mode);
-                let data = vec![1.25; 4096];
-                for step in 0..8 {
-                    sup.boundary(comm, step, || (0, data.clone()));
-                    comm.compute(1e-3);
-                }
-                sup.flush(comm);
-                comm.stats().ckpt_time
-            })
+            let out = run_spmd_ft(
+                2,
+                Machine::cluster2002(),
+                FaultPlan::new(0),
+                async move |comm| {
+                    let mut sup = Supervisor::new_with_mode(comm, Some(1), &st, mode);
+                    let data = vec![1.25; 4096];
+                    for step in 0..8 {
+                        sup.boundary(comm, step, || (0, data.clone())).await;
+                        comm.compute(1e-3);
+                    }
+                    sup.flush(comm);
+                    comm.stats().ckpt_time
+                },
+            )
             .unwrap();
             out.survivors[0].value
         };
@@ -922,14 +929,14 @@ mod tests {
         let store = CheckpointStore::new();
         let st = store.clone();
         let plan = FaultPlan::new(0).with_crash(1, 5);
-        let out = run_spmd_ft(4, Machine::cluster2002(), plan, move |comm| {
+        let out = run_spmd_ft(4, Machine::cluster2002(), plan, async move |comm| {
             let me = comm.rank() as f64;
             let mut sup =
                 Supervisor::new_with_mode(comm, Some(4), &st, CheckpointMode::AsyncIncremental);
             let mut recovered = None;
             let mut step = 0;
             while step < 10 {
-                if let Some(rec) = sup.boundary(comm, step, || (0, vec![me; 64])) {
+                if let Some(rec) = sup.boundary(comm, step, || (0, vec![me; 64])).await {
                     recovered = Some((step, rec.from_step, rec.records.len()));
                     step = rec.from_step.expect("checkpoint exists");
                     continue;
@@ -973,11 +980,11 @@ mod tests {
         let store = CheckpointStore::new();
         let st = store.clone();
         let plan = FaultPlan::new(0).with_crash(17, 3).with_crash(40, 3);
-        let out = run_spmd_ft(72, Machine::cluster2002(), plan, move |comm| {
+        let out = run_spmd_ft(72, Machine::cluster2002(), plan, async move |comm| {
             let mut sup = Supervisor::new(comm, Some(2), &st);
             let mut step = 0;
             while step < 6 {
-                if let Some(rec) = sup.boundary(comm, step, || (0, vec![0.0])) {
+                if let Some(rec) = sup.boundary(comm, step, || (0, vec![0.0])).await {
                     step = rec.from_step.unwrap();
                     continue;
                 }
@@ -997,7 +1004,7 @@ mod tests {
     #[test]
     fn broadcast_active_tree_delivers_above_threshold() {
         let p = 80;
-        let r = run_spmd(p, Machine::cluster2002(), move |comm| {
+        let r = run_spmd(p, Machine::cluster2002(), async move |comm| {
             // Roster skips rank 7 to exercise the dense-index mapping.
             let active: Vec<usize> = (0..p).filter(|&r| r != 7).collect();
             if comm.rank() == 7 {
@@ -1008,7 +1015,7 @@ mod tests {
             } else {
                 vec![]
             };
-            broadcast_active(comm, &active, 3, &data)
+            broadcast_active(comm, &active, 3, &data).await
         })
         .unwrap();
         for res in &r {
@@ -1020,13 +1027,13 @@ mod tests {
 
     #[test]
     fn subgroup_collectives_cover_active_set() {
-        let r = run_spmd(4, Machine::cluster2002(), |comm| {
+        let r = run_spmd(4, Machine::cluster2002(), async |comm| {
             let active = [0usize, 2, 3]; // rank 1 sits out
             if comm.rank() == 1 {
                 return (vec![], vec![]);
             }
-            let got = broadcast_active(comm, &active, 0, &[7.5]);
-            let gathered = gather_active(comm, &active, 0, &[comm.rank() as f64]);
+            let got = broadcast_active(comm, &active, 0, &[7.5]).await;
+            let gathered = gather_active(comm, &active, 0, &[comm.rank() as f64]).await;
             (got, gathered.into_iter().flatten().collect::<Vec<f64>>())
         })
         .unwrap();

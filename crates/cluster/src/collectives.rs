@@ -47,14 +47,14 @@
 //! before a far send it charges a deterministic serialisation stall of
 //! `pos × far_message_time` virtual seconds, where `pos` is the
 //! rank's position among its node's far senders of that stage (see
-//! [`Communicator::link_stall`]). On `Uniform` machines no message is
+//! [`ThreadComm::link_stall`]). On `Uniform` machines no message is
 //! far and nothing changes; flat collectives at large P on SMP
 //! clusters pay heavily, which is what the topology-aware engine
 //! avoids.
 
-use crate::comm::Communicator;
 use crate::machine::Machine;
 use crate::message::{Message, Tag, COLL_TAG_BASE};
+use crate::thread_comm::ThreadComm;
 use crate::topology::TopologyKind;
 
 const T_BCAST: Tag = COLL_TAG_BASE;
@@ -69,9 +69,12 @@ const T_FOLD: Tag = COLL_TAG_BASE + 7;
 ///
 /// Only ranks on multi-rank nodes ([`TopologyKind::SmpCluster`]) can
 /// share an uplink; everywhere else this is free.
-pub(crate) fn charge_uplink_stall<C, F>(comm: &mut C, payload_len: usize, dest: usize, sends_far: F)
-where
-    C: Communicator + ?Sized,
+pub(crate) fn charge_uplink_stall<F>(
+    comm: &mut ThreadComm,
+    payload_len: usize,
+    dest: usize,
+    sends_far: F,
+) where
     F: Fn(&Machine, usize) -> bool,
 {
     let m = *comm.machine();
@@ -157,11 +160,7 @@ impl ReduceOp {
 
 /// Binomial-tree broadcast from `root`; on non-root ranks `data` is
 /// overwritten with the root's buffer (lengths must match on all ranks).
-pub(crate) fn broadcast_tree<C: Communicator + ?Sized>(
-    comm: &mut C,
-    root: usize,
-    data: &mut [f64],
-) {
+pub(crate) async fn broadcast_tree(comm: &mut ThreadComm, root: usize, data: &mut [f64]) {
     let p = comm.size();
     let rank = comm.rank();
     assert!(root < p);
@@ -185,7 +184,7 @@ pub(crate) fn broadcast_tree<C: Communicator + ?Sized>(
         } else if vr < 2 * mask {
             let vsrc = vr - mask;
             let src = (vsrc + root) % p;
-            let recvd = comm.recv(src, T_BCAST);
+            let recvd = comm.recv(src, T_BCAST).await;
             data.copy_from_slice(&recvd);
         }
         mask <<= 1;
@@ -200,8 +199,8 @@ pub(crate) fn broadcast_tree<C: Communicator + ?Sized>(
 /// binomial (plus one forward hop for non-zero roots), but the result
 /// is bitwise-identical to [`allreduce_doubling`] for every `p` and
 /// `root`. Returns `Some(result)` on the root, `None` elsewhere.
-pub(crate) fn reduce_tree<C: Communicator + ?Sized>(
-    comm: &mut C,
+pub(crate) async fn reduce_tree(
+    comm: &mut ThreadComm,
     root: usize,
     data: &[f64],
     op: ReduceOp,
@@ -220,10 +219,14 @@ pub(crate) fn reduce_tree<C: Communicator + ?Sized>(
     if rank >= p2 {
         charge_uplink_stall(comm, n, rank - p2, |m, r| r >= p2 && m.is_far(r, r - p2));
         comm.send(rank - p2, T_FOLD, &acc);
-        return (rank == root).then(|| comm.recv(0, T_REDUCE));
+        return if rank == root {
+            Some(comm.recv(0, T_REDUCE).await)
+        } else {
+            None
+        };
     }
     if rank < rem {
-        let part = comm.recv(rank + p2, T_FOLD);
+        let part = comm.recv(rank + p2, T_FOLD).await;
         op.apply(&mut acc, &part);
     }
     // Binomial reduce of the core onto rank 0: at round `mask` the odd
@@ -240,7 +243,7 @@ pub(crate) fn reduce_tree<C: Communicator + ?Sized>(
             break;
         }
         if rank + mask < p2 {
-            let part = comm.recv(rank + mask, T_REDUCE);
+            let part = comm.recv(rank + mask, T_REDUCE).await;
             op.apply(&mut acc, &part);
         }
         mask <<= 1;
@@ -253,14 +256,18 @@ pub(crate) fn reduce_tree<C: Communicator + ?Sized>(
         comm.send(root, T_REDUCE, &acc);
         return None;
     }
-    (rank == root).then(|| comm.recv(0, T_REDUCE))
+    if rank == root {
+        Some(comm.recv(0, T_REDUCE).await)
+    } else {
+        None
+    }
 }
 
 /// Recursive-doubling allreduce. Handles non-power-of-two sizes by
 /// folding the excess ranks into the power-of-two core first (the
 /// classic MPICH approach).
-pub(crate) fn allreduce_doubling<C: Communicator + ?Sized>(
-    comm: &mut C,
+pub(crate) async fn allreduce_doubling(
+    comm: &mut ThreadComm,
     data: &[f64],
     op: ReduceOp,
 ) -> Vec<f64> {
@@ -279,11 +286,11 @@ pub(crate) fn allreduce_doubling<C: Communicator + ?Sized>(
         charge_uplink_stall(comm, n, rank - p2, |m, r| r >= p2 && m.is_far(r, r - p2));
         comm.send(rank - p2, T_FOLD, &acc);
         // Wait for the final result in phase 3.
-        acc = comm.recv(rank - p2, T_FOLD);
+        acc = comm.recv(rank - p2, T_FOLD).await;
         return acc;
     }
     if rank < rem {
-        let part = comm.recv(rank + p2, T_FOLD);
+        let part = comm.recv(rank + p2, T_FOLD).await;
         op.apply(&mut acc, &part);
     }
     // Phase 2: recursive doubling among the p2 core ranks. Every core
@@ -294,7 +301,7 @@ pub(crate) fn allreduce_doubling<C: Communicator + ?Sized>(
         let partner = rank ^ mask;
         charge_uplink_stall(comm, n, partner, |m, r| r < p2 && m.is_far(r, r ^ mask));
         comm.send(partner, T_REDUCE + mask as Tag * 16, &acc);
-        let part = comm.recv(partner, T_REDUCE + mask as Tag * 16);
+        let part = comm.recv(partner, T_REDUCE + mask as Tag * 16).await;
         op.apply(&mut acc, &part);
         mask <<= 1;
     }
@@ -308,8 +315,8 @@ pub(crate) fn allreduce_doubling<C: Communicator + ?Sized>(
 
 /// Gather variable-length buffers to `root` in rank order, returning the
 /// per-rank vectors.
-pub(crate) fn gather_varied<C: Communicator + ?Sized>(
-    comm: &mut C,
+pub(crate) async fn gather_varied(
+    comm: &mut ThreadComm,
     root: usize,
     data: &[f64],
 ) -> Option<Vec<Vec<f64>>> {
@@ -322,7 +329,7 @@ pub(crate) fn gather_varied<C: Communicator + ?Sized>(
             if src == root {
                 out.push(data.to_vec());
             } else {
-                out.push(comm.recv(src, T_GATHER));
+                out.push(comm.recv(src, T_GATHER).await);
             }
         }
         Some(out)
@@ -348,13 +355,13 @@ mod tests {
     fn broadcast_tree_delivers_to_all_roots() {
         for &p in SIZES {
             for root in [0, p - 1, p / 2] {
-                let r = run_spmd(p, Machine::ideal(), move |comm| {
+                let r = run_spmd(p, Machine::ideal(), async move |comm| {
                     let mut data = if comm.rank() == root {
                         vec![3.25, -1.5, 42.0]
                     } else {
                         vec![0.0; 3]
                     };
-                    broadcast_tree(comm, root, &mut data);
+                    broadcast_tree(comm, root, &mut data).await;
                     data
                 })
                 .unwrap();
@@ -369,8 +376,8 @@ mod tests {
     fn reduce_tree_sums_rank_values() {
         for &p in SIZES {
             let expected = (0..p).map(|r| r as f64).sum::<f64>();
-            let r = run_spmd(p, Machine::ideal(), move |comm| {
-                reduce_tree(comm, 0, &[comm.rank() as f64, 1.0], ReduceOp::Sum)
+            let r = run_spmd(p, Machine::ideal(), async move |comm| {
+                reduce_tree(comm, 0, &[comm.rank() as f64, 1.0], ReduceOp::Sum).await
             })
             .unwrap();
             let root_val = r[0].value.clone().expect("root gets the result");
@@ -385,8 +392,8 @@ mod tests {
     fn allreduce_doubling_all_sizes() {
         for &p in SIZES {
             let expected = (0..p).map(|r| r as f64).sum::<f64>();
-            let r = run_spmd(p, Machine::ideal(), |comm| {
-                allreduce_doubling(comm, &[comm.rank() as f64], ReduceOp::Sum)[0]
+            let r = run_spmd(p, Machine::ideal(), async |comm| {
+                allreduce_doubling(comm, &[comm.rank() as f64], ReduceOp::Sum).await[0]
             })
             .unwrap();
             for res in &r {
@@ -413,9 +420,9 @@ mod tests {
         for &p in &[1usize, 2, 3, 5, 6, 7, 12, 16] {
             let parts: Vec<Vec<f64>> = (0..p).map(|r| awkward_payload(r, 9)).collect();
             let oracle = canonical_fold(&parts, ReduceOp::Sum);
-            let r = run_spmd(p, Machine::ideal(), |comm| {
+            let r = run_spmd(p, Machine::ideal(), async |comm| {
                 let data = awkward_payload(comm.rank(), 9);
-                allreduce_doubling(comm, &data, ReduceOp::Sum)
+                allreduce_doubling(comm, &data, ReduceOp::Sum).await
             })
             .unwrap();
             for res in &r {
@@ -434,9 +441,9 @@ mod tests {
         for &p in &[3usize, 5, 6, 7, 12, 257] {
             let parts: Vec<Vec<f64>> = (0..p).map(|r| awkward_payload(r, 3)).collect();
             let oracle = canonical_fold(&parts, ReduceOp::Sum);
-            let r = run_spmd(p, Machine::ideal(), |comm| {
+            let r = run_spmd(p, Machine::ideal(), async |comm| {
                 let data = awkward_payload(comm.rank(), 3);
-                allreduce_doubling(comm, &data, ReduceOp::Sum)
+                allreduce_doubling(comm, &data, ReduceOp::Sum).await
             })
             .unwrap();
             assert_eq!(r.len(), p);
@@ -454,10 +461,10 @@ mod tests {
         // bit for bit, for every root.
         for &p in &[2usize, 3, 5, 7, 8, 12] {
             for root in [0, p / 2, p - 1] {
-                let r = run_spmd(p, Machine::ideal(), move |comm| {
+                let r = run_spmd(p, Machine::ideal(), async move |comm| {
                     let data = awkward_payload(comm.rank(), 5);
-                    let dbl = allreduce_doubling(comm, &data, ReduceOp::Sum);
-                    let tree = reduce_tree(comm, root, &data, ReduceOp::Sum);
+                    let dbl = allreduce_doubling(comm, &data, ReduceOp::Sum).await;
+                    let tree = reduce_tree(comm, root, &data, ReduceOp::Sum).await;
                     (dbl, tree)
                 })
                 .unwrap();
@@ -476,11 +483,11 @@ mod tests {
 
     #[test]
     fn uniform_machines_never_stall_on_uplinks() {
-        let r = run_spmd(8, Machine::cluster2002(), |comm| {
+        let r = run_spmd(8, Machine::cluster2002(), async |comm| {
             let data = awkward_payload(comm.rank(), 64);
-            let _ = allreduce_doubling(comm, &data, ReduceOp::Sum);
+            let _ = allreduce_doubling(comm, &data, ReduceOp::Sum).await;
             let mut b = data.clone();
-            broadcast_tree(comm, 0, &mut b);
+            broadcast_tree(comm, 0, &mut b).await;
             comm.stats()
         })
         .unwrap();
@@ -495,9 +502,9 @@ mod tests {
         // On a 2-node SMP cluster, the high-mask butterfly round puts
         // all four ranks of a node on one uplink: ranks with a higher
         // intra-node position must stall longer.
-        let r = run_spmd(8, Machine::smp_cluster2002(4), |comm| {
+        let r = run_spmd(8, Machine::smp_cluster2002(4), async |comm| {
             let data = awkward_payload(comm.rank(), 16);
-            let _ = allreduce_doubling(comm, &data, ReduceOp::Sum);
+            let _ = allreduce_doubling(comm, &data, ReduceOp::Sum).await;
             comm.stats()
         })
         .unwrap();
@@ -515,10 +522,10 @@ mod tests {
 
     #[test]
     fn allreduce_max_and_min() {
-        let r = run_spmd(5, Machine::ideal(), |comm| {
+        let r = run_spmd(5, Machine::ideal(), async |comm| {
             let v = comm.rank() as f64;
-            let mx = allreduce_doubling(comm, &[v], ReduceOp::Max)[0];
-            let mn = allreduce_doubling(comm, &[v], ReduceOp::Min)[0];
+            let mx = allreduce_doubling(comm, &[v], ReduceOp::Max).await[0];
+            let mn = allreduce_doubling(comm, &[v], ReduceOp::Min).await[0];
             (mx, mn)
         })
         .unwrap();
@@ -529,9 +536,9 @@ mod tests {
 
     #[test]
     fn gather_varied_lengths() {
-        let r = run_spmd(3, Machine::ideal(), |comm| {
+        let r = run_spmd(3, Machine::ideal(), async |comm| {
             let data = vec![comm.rank() as f64; comm.rank()];
-            gather_varied(comm, 1, &data)
+            gather_varied(comm, 1, &data).await
         })
         .unwrap();
         let v = r[1].value.as_ref().unwrap();

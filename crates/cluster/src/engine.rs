@@ -29,9 +29,9 @@
 //! price bit-for-bit identically.
 
 use crate::collectives::{self, ReduceOp};
-use crate::comm::Communicator;
 use crate::machine::{CollectiveChoice, Machine};
 use crate::message::{Tag, ENGINE_TAG_BASE};
+use crate::thread_comm::ThreadComm;
 use crate::topology::TopologyKind;
 
 const T_EFOLD: Tag = ENGINE_TAG_BASE;
@@ -141,58 +141,53 @@ impl CollectiveEngine {
     }
 
     /// Allreduce in the canonical order.
-    pub fn allreduce<C: Communicator + ?Sized>(
-        &self,
-        comm: &mut C,
-        data: &[f64],
-        op: ReduceOp,
-    ) -> Vec<f64> {
+    pub async fn allreduce(&self, comm: &mut ThreadComm, data: &[f64], op: ReduceOp) -> Vec<f64> {
         match self.group_for(comm.size()) {
-            None => collectives::allreduce_doubling(comm, data, op),
-            Some(g) => two_level_allreduce(comm, data, op, g),
+            None => collectives::allreduce_doubling(comm, data, op).await,
+            Some(g) => two_level_allreduce(comm, data, op, g).await,
         }
     }
 
     /// Sum-allreduce in the canonical order.
-    pub fn allreduce_sum<C: Communicator + ?Sized>(&self, comm: &mut C, data: &[f64]) -> Vec<f64> {
-        self.allreduce(comm, data, ReduceOp::Sum)
+    pub async fn allreduce_sum(&self, comm: &mut ThreadComm, data: &[f64]) -> Vec<f64> {
+        self.allreduce(comm, data, ReduceOp::Sum).await
     }
 
     /// Broadcast from `root` (identical payload on every rank, so only
     /// the schedule — not the data — depends on the algorithm).
-    pub fn broadcast<C: Communicator + ?Sized>(&self, comm: &mut C, root: usize, data: &mut [f64]) {
+    pub async fn broadcast(&self, comm: &mut ThreadComm, root: usize, data: &mut [f64]) {
         match self.group_for(comm.size()) {
-            None => collectives::broadcast_tree(comm, root, data),
-            Some(g) => two_level_broadcast(comm, root, data, g),
+            None => collectives::broadcast_tree(comm, root, data).await,
+            Some(g) => two_level_broadcast(comm, root, data, g).await,
         }
     }
 
     /// Rooted reduction in the canonical order. Returns `Some` on root.
-    pub fn reduce<C: Communicator + ?Sized>(
+    pub async fn reduce(
         &self,
-        comm: &mut C,
+        comm: &mut ThreadComm,
         root: usize,
         data: &[f64],
         op: ReduceOp,
     ) -> Option<Vec<f64>> {
         match self.group_for(comm.size()) {
-            None => collectives::reduce_tree(comm, root, data, op),
-            Some(g) => two_level_reduce(comm, root, data, op, g),
+            None => collectives::reduce_tree(comm, root, data, op).await,
+            Some(g) => two_level_reduce(comm, root, data, op, g).await,
         }
     }
 
     /// Gather variable-length per-rank buffers to `root` in rank order.
     /// The two-level schedule bundles each group's parts at its leader
     /// (length-prefixed) and ships one message per group to the root.
-    pub fn gather_varied<C: Communicator + ?Sized>(
+    pub async fn gather_varied(
         &self,
-        comm: &mut C,
+        comm: &mut ThreadComm,
         root: usize,
         data: &[f64],
     ) -> Option<Vec<Vec<f64>>> {
         match self.group_for(comm.size()) {
-            None => collectives::gather_varied(comm, root, data),
-            Some(g) => two_level_gather_varied(comm, root, data, g),
+            None => collectives::gather_varied(comm, root, data).await,
+            Some(g) => two_level_gather_varied(comm, root, data, g).await,
         }
     }
 }
@@ -200,8 +195,8 @@ impl CollectiveEngine {
 /// Two-level allreduce: remainder fold, intra-group binomial reduce to
 /// the group leaders, leader butterfly, intra-group broadcast,
 /// remainder return. Bitwise-identical to flat recursive doubling.
-fn two_level_allreduce<C: Communicator + ?Sized>(
-    comm: &mut C,
+async fn two_level_allreduce(
+    comm: &mut ThreadComm,
     data: &[f64],
     op: ReduceOp,
     g: usize,
@@ -221,10 +216,10 @@ fn two_level_allreduce<C: Communicator + ?Sized>(
     if rank >= p2 {
         collectives::charge_uplink_stall(comm, n, rank - p2, |m, r| r >= p2 && m.is_far(r, r - p2));
         comm.send(rank - p2, T_EFOLD, &acc);
-        return comm.recv(rank - p2, T_EFOLD);
+        return comm.recv(rank - p2, T_EFOLD).await;
     }
     if rank < rem {
-        let part = comm.recv(rank + p2, T_EFOLD);
+        let part = comm.recv(rank + p2, T_EFOLD).await;
         op.apply(&mut acc, &part);
     }
     let local = rank % g;
@@ -241,7 +236,7 @@ fn two_level_allreduce<C: Communicator + ?Sized>(
             break;
         }
         if local + mask < g {
-            let part = comm.recv(rank + mask, T_EUP);
+            let part = comm.recv(rank + mask, T_EUP).await;
             op.apply(&mut acc, &part);
         }
         mask <<= 1;
@@ -257,7 +252,7 @@ fn two_level_allreduce<C: Communicator + ?Sized>(
                 r < p2 && r % g == 0 && m.is_far(r, r ^ lmask)
             });
             comm.send(partner, T_EX + round * 16, &acc);
-            let part = comm.recv(partner, T_EX + round * 16);
+            let part = comm.recv(partner, T_EX + round * 16).await;
             op.apply(&mut acc, &part);
             lmask <<= 1;
             round += 1;
@@ -276,7 +271,7 @@ fn two_level_allreduce<C: Communicator + ?Sized>(
                 comm.send(dest, T_EDOWN, &acc);
             }
         } else if local < 2 * mask {
-            acc = comm.recv(rank - mask, T_EDOWN);
+            acc = comm.recv(rank - mask, T_EDOWN).await;
         }
         mask <<= 1;
     }
@@ -292,8 +287,8 @@ fn two_level_allreduce<C: Communicator + ?Sized>(
 /// [`two_level_allreduce`] minus the distribution stages, with the
 /// leader stage shaped as a binomial onto rank 0 and a final forward
 /// hop to a non-zero root.
-fn two_level_reduce<C: Communicator + ?Sized>(
-    comm: &mut C,
+async fn two_level_reduce(
+    comm: &mut ThreadComm,
     root: usize,
     data: &[f64],
     op: ReduceOp,
@@ -313,10 +308,14 @@ fn two_level_reduce<C: Communicator + ?Sized>(
     if rank >= p2 {
         collectives::charge_uplink_stall(comm, n, rank - p2, |m, r| r >= p2 && m.is_far(r, r - p2));
         comm.send(rank - p2, T_EFOLD, &acc);
-        return (rank == root).then(|| comm.recv(0, T_ER));
+        return if rank == root {
+            Some(comm.recv(0, T_ER).await)
+        } else {
+            None
+        };
     }
     if rank < rem {
-        let part = comm.recv(rank + p2, T_EFOLD);
+        let part = comm.recv(rank + p2, T_EFOLD).await;
         op.apply(&mut acc, &part);
     }
     let local = rank % g;
@@ -332,7 +331,7 @@ fn two_level_reduce<C: Communicator + ?Sized>(
             break;
         }
         if local + mask < g {
-            let part = comm.recv(rank + mask, T_EUP);
+            let part = comm.recv(rank + mask, T_EUP).await;
             op.apply(&mut acc, &part);
         }
         mask <<= 1;
@@ -356,7 +355,7 @@ fn two_level_reduce<C: Communicator + ?Sized>(
                 break;
             }
             if li + lm < nl {
-                let part = comm.recv((li + lm) * g, T_EUP);
+                let part = comm.recv((li + lm) * g, T_EUP).await;
                 op.apply(&mut acc, &part);
             }
             lm <<= 1;
@@ -370,19 +369,18 @@ fn two_level_reduce<C: Communicator + ?Sized>(
         comm.send(root, T_ER, &acc);
         return None;
     }
-    (rank == root).then(|| comm.recv(0, T_ER))
+    if rank == root {
+        Some(comm.recv(0, T_ER).await)
+    } else {
+        None
+    }
 }
 
 /// Two-level broadcast: root → its group leader, binomial over the
 /// leaders, binomial within each group. When the root is not a leader
 /// it receives a (redundant, identical) copy in the intra-group stage,
 /// which keeps the schedule uniform across ranks.
-fn two_level_broadcast<C: Communicator + ?Sized>(
-    comm: &mut C,
-    root: usize,
-    data: &mut [f64],
-    g: usize,
-) {
+async fn two_level_broadcast(comm: &mut ThreadComm, root: usize, data: &mut [f64], g: usize) {
     let p = comm.size();
     let rank = comm.rank();
     assert!(root < p);
@@ -395,7 +393,7 @@ fn two_level_broadcast<C: Communicator + ?Sized>(
         if rank == root {
             comm.send(rl, T_EB0, data);
         } else if rank == rl {
-            let v = comm.recv(root, T_EB0);
+            let v = comm.recv(root, T_EB0).await;
             data.copy_from_slice(&v);
         }
     }
@@ -422,7 +420,7 @@ fn two_level_broadcast<C: Communicator + ?Sized>(
                 }
             } else if vl < 2 * mask {
                 let src = ((vl - mask + vroot) % nl) * g;
-                let v = comm.recv(src, T_EB1);
+                let v = comm.recv(src, T_EB1).await;
                 data.copy_from_slice(&v);
             }
             mask <<= 1;
@@ -439,7 +437,7 @@ fn two_level_broadcast<C: Communicator + ?Sized>(
                 comm.send(gstart + local + mask, T_EB2, data);
             }
         } else if local < 2 * mask {
-            let v = comm.recv(gstart + local - mask, T_EB2);
+            let v = comm.recv(gstart + local - mask, T_EB2).await;
             data.copy_from_slice(&v);
         }
         mask <<= 1;
@@ -449,8 +447,8 @@ fn two_level_broadcast<C: Communicator + ?Sized>(
 /// Two-level variable-length gather: group members send to their
 /// leader, leaders bundle `[len, payload]` per member in rank order and
 /// ship one message per group to the root.
-fn two_level_gather_varied<C: Communicator + ?Sized>(
-    comm: &mut C,
+async fn two_level_gather_varied(
+    comm: &mut ThreadComm,
     root: usize,
     data: &[f64],
     g: usize,
@@ -481,7 +479,7 @@ fn two_level_gather_varied<C: Communicator + ?Sized>(
                 bundle.push(data.len() as f64);
                 bundle.extend_from_slice(data);
             } else {
-                let part = comm.recv(member, T_EG0);
+                let part = comm.recv(member, T_EG0).await;
                 bundle.push(part.len() as f64);
                 bundle.extend(part);
             }
@@ -506,7 +504,7 @@ fn two_level_gather_varied<C: Communicator + ?Sized>(
         let packed = if lstart == gstart && is_leader {
             std::mem::take(&mut bundle)
         } else {
-            comm.recv(lstart, T_EG1)
+            comm.recv(lstart, T_EG1).await
         };
         let mut off = 0usize;
         #[allow(clippy::needless_range_loop)]
@@ -572,11 +570,11 @@ mod tests {
     fn two_level_allreduce_bitwise_matches_flat() {
         for &p in &[4usize, 6, 8, 12, 16, 24, 33] {
             for &group in &[2usize, 4, 8] {
-                let r = run_spmd(p, Machine::ideal(), move |comm| {
+                let r = run_spmd(p, Machine::ideal(), async move |comm| {
                     let data = awkward_payload(comm.rank(), 9);
-                    let flat = collectives::allreduce_doubling(comm, &data, ReduceOp::Sum);
+                    let flat = collectives::allreduce_doubling(comm, &data, ReduceOp::Sum).await;
                     let eng = CollectiveEngine::two_level(group);
-                    let two = eng.allreduce(comm, &data, ReduceOp::Sum);
+                    let two = eng.allreduce(comm, &data, ReduceOp::Sum).await;
                     (flat, two)
                 })
                 .unwrap();
@@ -599,11 +597,11 @@ mod tests {
     fn two_level_reduce_bitwise_matches_flat_any_root() {
         for &p in &[5usize, 8, 12, 16] {
             for root in [0, p / 2, p - 1] {
-                let r = run_spmd(p, Machine::ideal(), move |comm| {
+                let r = run_spmd(p, Machine::ideal(), async move |comm| {
                     let data = awkward_payload(comm.rank(), 4);
-                    let flat = collectives::allreduce_doubling(comm, &data, ReduceOp::Sum);
+                    let flat = collectives::allreduce_doubling(comm, &data, ReduceOp::Sum).await;
                     let eng = CollectiveEngine::two_level(4);
-                    let two = eng.reduce(comm, root, &data, ReduceOp::Sum);
+                    let two = eng.reduce(comm, root, &data, ReduceOp::Sum).await;
                     (flat, two)
                 })
                 .unwrap();
@@ -624,13 +622,15 @@ mod tests {
     fn two_level_broadcast_delivers_any_root() {
         for &p in &[4usize, 7, 12, 16] {
             for root in [0, 1, p - 1] {
-                let r = run_spmd(p, Machine::ideal(), move |comm| {
+                let r = run_spmd(p, Machine::ideal(), async move |comm| {
                     let mut data = if comm.rank() == root {
                         vec![1.5, -2.25, 99.0]
                     } else {
                         vec![0.0; 3]
                     };
-                    CollectiveEngine::two_level(4).broadcast(comm, root, &mut data);
+                    CollectiveEngine::two_level(4)
+                        .broadcast(comm, root, &mut data)
+                        .await;
                     data
                 })
                 .unwrap();
@@ -645,9 +645,11 @@ mod tests {
     fn two_level_gather_varied_preserves_rank_order() {
         for &p in &[4usize, 7, 12] {
             for root in [0, 2, p - 1] {
-                let r = run_spmd(p, Machine::ideal(), move |comm| {
+                let r = run_spmd(p, Machine::ideal(), async move |comm| {
                     let data = vec![comm.rank() as f64; comm.rank() % 3 + 1];
-                    CollectiveEngine::two_level(4).gather_varied(comm, root, &data)
+                    CollectiveEngine::two_level(4)
+                        .gather_varied(comm, root, &data)
+                        .await
                 })
                 .unwrap();
                 for res in &r {
@@ -667,9 +669,9 @@ mod tests {
         let p = 64;
         let machine = Machine::smp_cluster2002(8);
         let run = |engine: CollectiveEngine| {
-            let r = run_spmd(p, machine, move |comm| {
+            let r = run_spmd(p, machine, async move |comm| {
                 let data = awkward_payload(comm.rank(), 16);
-                let out = engine.allreduce_sum(comm, &data);
+                let out = engine.allreduce_sum(comm, &data).await;
                 (out[0], comm.stats())
             })
             .unwrap();
@@ -709,13 +711,13 @@ mod tests {
     fn engine_on_uniform_machine_is_cost_identical_to_flat_collectives() {
         let p = 8;
         let run = |use_engine: bool| {
-            let r = run_spmd(p, Machine::cluster2002(), move |comm| {
+            let r = run_spmd(p, Machine::cluster2002(), async move |comm| {
                 let data = awkward_payload(comm.rank(), 8);
                 let out = if use_engine {
                     let eng = CollectiveEngine::for_machine(&comm.machine().clone(), comm.size());
-                    eng.allreduce_sum(comm, &data)
+                    eng.allreduce_sum(comm, &data).await
                 } else {
-                    collectives::allreduce_doubling(comm, &data, ReduceOp::Sum)
+                    collectives::allreduce_doubling(comm, &data, ReduceOp::Sum).await
                 };
                 (out, comm.stats())
             })

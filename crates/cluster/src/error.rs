@@ -11,19 +11,16 @@ pub enum ClusterError {
     ZeroRanks,
     /// A rank index was out of range for the communicator size.
     InvalidRank { rank: usize, size: usize },
-    /// A blocking `recv` exceeded the [`crate::Machine::recv_deadline`]
-    /// without a matching message arriving — the run is wedged
-    /// (mismatched send/recv program, or a peer vanished without
-    /// poisoning us). Milliseconds so the variant stays `Eq`.
-    DeadlineExceeded {
-        /// Rank whose `recv` timed out.
+    /// Every unfinished rank waits in a receive that no send can
+    /// satisfy any more (a mismatched send/recv program): the run can
+    /// never progress. Names the lowest such rank's receive.
+    Deadlock {
+        /// Rank whose `recv` can never complete.
         rank: usize,
         /// Rank it was waiting on.
         src: usize,
         /// Tag it was waiting for.
         tag: crate::message::Tag,
-        /// Host wall-clock milliseconds waited before giving up.
-        waited_ms: u64,
     },
 }
 
@@ -41,17 +38,8 @@ impl fmt::Display for ClusterError {
             ClusterError::InvalidRank { rank, size } => {
                 write!(f, "rank {rank} out of range for size {size}")
             }
-            ClusterError::DeadlineExceeded {
-                rank,
-                src,
-                tag,
-                waited_ms,
-            } => {
-                write!(
-                    f,
-                    "rank {rank} exceeded its recv deadline waiting {waited_ms} ms \
-                     for src {src} tag {tag}"
-                )
+            ClusterError::Deadlock { rank, src, tag } => {
+                write!(f, "rank {rank} deadlocked waiting for src {src} tag {tag}")
             }
         }
     }
@@ -72,16 +60,15 @@ mod tests {
     }
 
     #[test]
-    fn deadline_display_names_the_blocked_pair() {
-        let e = ClusterError::DeadlineExceeded {
+    fn deadlock_display_names_the_blocked_pair() {
+        let e = ClusterError::Deadlock {
             rank: 1,
             src: 3,
             tag: 7,
-            waited_ms: 250,
         };
         let s = e.to_string();
         assert!(s.contains("rank 1"));
         assert!(s.contains("src 3"));
-        assert!(s.contains("250 ms"));
+        assert!(s.contains("tag 7"));
     }
 }

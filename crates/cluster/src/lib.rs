@@ -4,14 +4,17 @@
 //! a distributed-memory multiprocessor. This crate recreates that
 //! programming model from scratch:
 //!
-//! * **SPMD execution** — [`run_spmd_ft`] launches `p` ranks as OS
-//!   threads under a [`FaultPlan`], each holding a [`ThreadComm`]; the
-//!   same closure runs on every rank exactly as an MPI program would
-//!   (`rank()`, `size()`, `send`, `recv`, collectives). [`run_spmd`] is
-//!   the same run under the empty plan.
-//! * **Typed point-to-point messages** through one mailbox per rank (a
-//!   mutex-guarded FIFO shared by the run) with selective receive by
-//!   `(source, tag)` — the MPI envelope discipline.
+//! * **SPMD execution** — [`run_spmd_ft`] runs `p` ranks under a
+//!   [`FaultPlan`], each holding a [`ThreadComm`]; the same `async`
+//!   closure runs on every rank exactly as an MPI program would
+//!   (`rank()`, `size()`, `send`, `recv(..).await`, collectives).
+//!   [`run_spmd`] is the same run under the empty plan. Every rank is a
+//!   task on the calling thread: a FIFO scheduler polls the ready ranks,
+//!   and a receive on an empty inbox yields to the next one.
+//! * **Typed point-to-point messages** through one inbox per rank with
+//!   selective receive by `(source, tag)` — the MPI envelope
+//!   discipline. A receive that no send can ever satisfy fails at once
+//!   with [`ClusterError::Deadlock`].
 //! * **Collectives** through the [`CollectiveEngine`] — broadcast,
 //!   reduce, allreduce and a variable-length gather, each built from
 //!   point-to-point sends: binomial trees and recursive doubling on a
@@ -20,12 +23,11 @@
 //!   [`canonical_fold`], so the choice never moves a bit of a result.
 //! * **A virtual-time execution model** — the substitution for real
 //!   hardware (see DESIGN.md). Each rank owns a virtual clock; computation
-//!   advances it explicitly via [`Communicator::compute`], and every
+//!   advances it explicitly via [`ThreadComm::compute`], and every
 //!   message advances it by the Hockney cost `α + β·bytes` of the chosen
 //!   [`Machine`]. Message timestamps travel with the payload, so the
-//!   virtual time of a run is **deterministic** — independent of how the
-//!   host OS schedules the worker threads, and therefore reproducible on
-//!   any machine, including this single-core build host.
+//!   virtual time of a run is **deterministic** — independent of the
+//!   order in which ranks run, and therefore reproducible on any machine.
 //!
 //! The modelled execution time of a run is the `max` over ranks of each
 //! rank's clock at finish; parallel speedup reported by the benches is
@@ -34,14 +36,14 @@
 //! curve.
 //!
 //! ```
-//! use mdp_cluster::{run_spmd, CollectiveEngine, Communicator, Machine};
+//! use mdp_cluster::{run_spmd, CollectiveEngine, Machine};
 //!
 //! // Sum 0..400 split over 4 ranks, with a modelled 2002-era cluster.
-//! let results = run_spmd(4, Machine::cluster2002(), |comm| {
+//! let results = run_spmd(4, Machine::cluster2002(), async |comm| {
 //!     let (lo, hi) = mdp_cluster::partition::block_range(400, comm.size(), comm.rank());
 //!     let local: f64 = (lo..hi).map(|i| i as f64).sum();
 //!     comm.compute(1e-9 * (hi - lo) as f64);
-//!     CollectiveEngine::flat().allreduce_sum(comm, &[local])[0]
+//!     CollectiveEngine::flat().allreduce_sum(comm, &[local]).await[0]
 //! })
 //! .unwrap();
 //! assert!(results.iter().all(|r| r.value == 79800.0));
@@ -49,7 +51,6 @@
 
 pub mod checkpoint;
 mod collectives;
-pub mod comm;
 pub mod engine;
 pub mod error;
 pub mod fault;
@@ -65,7 +66,6 @@ pub use checkpoint::{
     check_policy, CheckpointMode, CheckpointRecord, CheckpointStore, Recovery, Supervisor,
 };
 pub use collectives::{canonical_fold, ReduceOp};
-pub use comm::Communicator;
 pub use engine::{CollectiveAlgo, CollectiveEngine};
 pub use error::ClusterError;
 pub use fault::{FaultPlan, InjectedCrash};

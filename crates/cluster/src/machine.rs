@@ -37,13 +37,6 @@ pub struct Machine {
     /// engines use [`Machine::work_time`] to convert counted work into
     /// virtual seconds.
     pub sec_per_unit: f64,
-    /// *Wall-clock* (host) seconds a blocking `recv` may wait before the
-    /// run is declared wedged and aborted with
-    /// [`crate::ClusterError::DeadlineExceeded`]. This is host time, not
-    /// virtual time: it bounds real deadlocks (mismatched send/recv
-    /// programs, a peer that died without poisoning us), not the modelled
-    /// communication cost.
-    pub recv_deadline: f64,
     /// Interconnect topology; decides which rank pairs are near/far and
     /// which collective algorithms the engine selects.
     pub topology: TopologyKind,
@@ -55,10 +48,6 @@ pub struct Machine {
     pub collectives: CollectiveChoice,
 }
 
-/// Default `recv` deadline: generous enough that only a genuine deadlock
-/// ever reaches it (the old hard-coded constant, now per-[`Machine`]).
-pub const DEFAULT_RECV_DEADLINE: f64 = 120.0;
-
 impl Machine {
     /// Uniform-topology machine with the given near parameters; far
     /// links are identical to near ones, which makes every cost
@@ -69,7 +58,6 @@ impl Machine {
             latency,
             inv_bandwidth,
             sec_per_unit,
-            recv_deadline: DEFAULT_RECV_DEADLINE,
             topology: TopologyKind::Uniform,
             far_latency: latency,
             far_inv_bandwidth: inv_bandwidth,
@@ -114,7 +102,6 @@ impl Machine {
             latency: 2e-6,
             inv_bandwidth: 0.5e-9,
             sec_per_unit: 10e-9,
-            recv_deadline: DEFAULT_RECV_DEADLINE,
             topology: TopologyKind::SmpCluster { node_size },
             far_latency: 50e-6,
             far_inv_bandwidth: 10e-9,
@@ -128,16 +115,6 @@ impl Machine {
         self.latency *= f;
         self.far_latency *= f;
         self.name = "custom";
-        self
-    }
-
-    /// Copy of `self` with the `recv` deadline set to `seconds` of host
-    /// wall-clock time. Chaos/fault tests shorten this so a wedged run
-    /// surfaces as a typed [`crate::ClusterError::DeadlineExceeded`]
-    /// quickly instead of stalling the suite.
-    pub fn with_recv_deadline(mut self, seconds: f64) -> Self {
-        assert!(seconds > 0.0, "deadline must be positive");
-        self.recv_deadline = seconds;
         self
     }
 

@@ -1,15 +1,19 @@
-//! Thread-backed SPMD runtime.
+//! The SPMD runtime: every rank is a task on the calling thread.
 //!
-//! [`run_spmd`] launches one OS thread per rank. Ranks exchange
-//! [`Message`]s through one mailbox table shared by the whole run:
-//! `mailboxes[r]` is rank r's unbounded inbox, a mutex-guarded FIFO plus
-//! a condvar that a sender signals only while its owner is waiting.
-//! Every send appends under the lock, so messages from one source arrive
-//! in send order — the MPI non-overtaking guarantee — and a receive
-//! selects by `(source, tag)`, buffering the rest. Oversubscription is
-//! fine: on the single-core build host 64 ranks simply time-slice, and
-//! because all *reported* times come from the deterministic virtual
-//! clock, results are identical to a run on a 64-core machine.
+//! [`run_spmd_ft`] runs one `async` rank body per rank, each holding its
+//! own [`ThreadComm`], under a FIFO scheduler on the calling thread. A
+//! rank runs until it finishes or waits in a receive on an empty inbox;
+//! then the next ready rank runs. A send appends to the receiver's inbox
+//! and makes a waiting receiver ready again, so messages from one source
+//! arrive in send order — the MPI non-overtaking guarantee — and a
+//! receive selects by `(source, tag)`, buffering the rest. All *reported*
+//! times come from the virtual clock that message timestamps carry, so
+//! any run order gives the same results; FIFO fixes one order, and a run
+//! replays identically on any host.
+//!
+//! Deadlock is a fact, not a timeout: when no rank is ready and some
+//! still wait, no send can ever arrive, and each waiting receive fails
+//! at once with [`ClusterError::Deadlock`].
 //!
 //! Every run carries a [`FaultPlan`] in each rank's communicator:
 //! [`run_spmd_ft`] takes one, activating deterministic message
@@ -20,13 +24,14 @@
 //! crashes nothing, so their sends take the plain path and every
 //! fault check answers "no".
 
-use std::collections::HashMap;
-use std::collections::VecDeque;
+use std::cell::RefCell;
+use std::collections::{HashMap, VecDeque};
+use std::future::{poll_fn, Future};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, Instant};
+use std::pin::{pin, Pin};
+use std::rc::Rc;
+use std::task::{Context, Poll, Waker};
 
-use crate::comm::Communicator;
 use crate::error::ClusterError;
 use crate::fault::{FaultPlan, InjectedCrash};
 use crate::machine::Machine;
@@ -34,88 +39,81 @@ use crate::message::{Message, Tag, POISON_TAG};
 use crate::stats::{CommStats, SpmdResult, TimeModel};
 use crate::trace::TraceEvent;
 
-/// One rank's inbox in the run's mailbox table.
-#[derive(Default)]
-struct Mailbox {
-    slot: Mutex<Slot>,
-    /// Signalled by a sender when the owner waits on an empty queue.
-    arrived: Condvar,
-}
-
-/// The lock-guarded state of a [`Mailbox`].
+/// One rank's inbox and scheduling state.
 #[derive(Default)]
 struct Slot {
     /// Arrived messages, oldest first.
-    queue: VecDeque<Message>,
-    /// The owner sleeps on `arrived`; the next sender must signal it.
+    inbox: VecDeque<Message>,
+    /// The rank waits in a receive on its empty inbox.
     waiting: bool,
-    /// The owner has finished: sends are refused, as to a gone inbox.
-    closed: bool,
+    /// The rank's body has returned or unwound: sends are refused.
+    finished: bool,
 }
 
-impl Mailbox {
-    /// The slot, whatever a panicking holder left behind: every update
-    /// under the lock is a single queue or flag write, so it is always
-    /// consistent.
-    fn lock(&self) -> MutexGuard<'_, Slot> {
-        self.slot.lock().unwrap_or_else(PoisonError::into_inner)
+/// What the ranks of one run share: every inbox and the ready queue.
+struct Scheduler {
+    slots: Vec<Slot>,
+    /// Ranks to poll, in the order they became ready.
+    ready: VecDeque<usize>,
+    /// No rank was ready while some waited: receives fail, not wait.
+    deadlocked: bool,
+}
+
+impl Scheduler {
+    fn new(p: usize) -> Self {
+        Scheduler {
+            slots: (0..p).map(|_| Slot::default()).collect(),
+            ready: (0..p).collect(),
+            deadlocked: false,
+        }
     }
 
-    /// Append `msg`, waking the owner if it waits. Hands the message
-    /// back when the owner has finished.
-    fn post(&self, msg: Message) -> Result<(), Message> {
-        let mut slot = self.lock();
-        if slot.closed {
+    /// Append `msg` to `dest`'s inbox, making `dest` ready if it waits.
+    /// Hands the message back when `dest` has finished.
+    fn deliver(&mut self, dest: usize, msg: Message) -> Result<(), Message> {
+        let slot = &mut self.slots[dest];
+        if slot.finished {
             return Err(msg);
         }
-        slot.queue.push_back(msg);
-        let wake = std::mem::take(&mut slot.waiting);
-        drop(slot);
-        if wake {
-            self.arrived.notify_one();
+        slot.inbox.push_back(msg);
+        if std::mem::take(&mut slot.waiting) {
+            self.ready.push_back(dest);
         }
         Ok(())
     }
 
-    /// The oldest message, waiting up to `deadline` for one to arrive;
-    /// `None` if none arrives in time.
-    fn take(&self, deadline: Duration) -> Option<Message> {
-        let mut slot = self.lock();
-        if let Some(msg) = slot.queue.pop_front() {
-            return Some(msg);
-        }
-        let until = Instant::now().checked_add(deadline);
-        loop {
-            // A deadline past the clock's range never expires.
-            let left = until.map_or(deadline, |u| u.saturating_duration_since(Instant::now()));
-            if left.is_zero() {
-                return None;
-            }
-            slot.waiting = true;
-            slot = self
-                .arrived
-                .wait_timeout(slot, left)
-                .unwrap_or_else(PoisonError::into_inner)
-                .0;
-            slot.waiting = false;
-            if let Some(msg) = slot.queue.pop_front() {
-                return Some(msg);
+    /// The next rank to poll. With none ready, every waiting rank is
+    /// made ready under the deadlock flag; `None` once no rank waits.
+    fn next(&mut self) -> Option<usize> {
+        if self.ready.is_empty() {
+            self.deadlocked = true;
+            for (rank, slot) in self.slots.iter_mut().enumerate() {
+                if std::mem::take(&mut slot.waiting) {
+                    self.ready.push_back(rank);
+                }
             }
         }
+        self.ready.pop_front()
     }
 
-    /// Refuse further messages and drop the queued ones.
-    fn close(&self) {
-        let mut slot = self.lock();
-        slot.closed = true;
-        slot.queue.clear();
+    /// Refuse further messages to `rank` and free its unread ones.
+    fn finish(&mut self, rank: usize) {
+        let slot = &mut self.slots[rank];
+        slot.finished = true;
+        slot.inbox = VecDeque::new();
     }
+}
+
+/// Panic payload of a rank unwound by the poison marker of a peer whose
+/// failure the plan did not schedule.
+struct PeerFailed {
+    peer: usize,
 }
 
 /// Per-rank fault-injection state: the shared plan plus the counters
 /// and observations that drive deterministic replay.
 struct FaultState {
-    plan: Arc<FaultPlan>,
+    plan: Rc<FaultPlan>,
     /// Per-destination message sequence numbers (inputs to the plan's
     /// drop/delay coins, so the fault stream is order-deterministic).
     send_seq: Vec<u64>,
@@ -125,15 +123,33 @@ struct FaultState {
     observed_dead: Vec<Option<f64>>,
 }
 
-/// Per-rank communicator handle (see [`Communicator`] for semantics).
+/// One rank's communicator: identity, point-to-point messaging and the
+/// virtual-time hooks. The collectives are built on it by the
+/// [`crate::CollectiveEngine`], which picks the schedule for the
+/// machine's topology.
+///
+/// The contract mirrors a minimal MPI:
+///
+/// * [`send`](Self::send) never blocks (unbounded buffering);
+/// * [`recv`](Self::recv) waits until a matching `(src, tag)` message
+///   arrives, with out-of-order arrivals buffered — MPI's
+///   non-overtaking envelope matching;
+/// * each call also advances the rank's **virtual clock** by the machine
+///   model's cost for the operation, and tallies [`CommStats`].
+///
+/// # Panics
+///
+/// `recv` panics when a poison marker from a failed peer arrives, and
+/// when the run deadlocks; the SPMD runner converts either unwinding
+/// into a [`ClusterError`].
 pub struct ThreadComm {
     rank: usize,
     size: usize,
     machine: Machine,
     clock: f64,
     stats: CommStats,
-    /// The run's mailbox table; `mailboxes[d]` is rank d's inbox.
-    mailboxes: Arc<[Mailbox]>,
+    /// The run's inboxes and ready queue, shared by every rank.
+    sched: Rc<RefCell<Scheduler>>,
     /// Out-of-order arrivals, keyed by envelope, FIFO within a key.
     pending: HashMap<(usize, Tag), VecDeque<Message>>,
     /// Virtual-time event log, when tracing is enabled.
@@ -147,8 +163,8 @@ impl ThreadComm {
         rank: usize,
         size: usize,
         machine: Machine,
-        mailboxes: Arc<[Mailbox]>,
-        plan: Arc<FaultPlan>,
+        sched: Rc<RefCell<Scheduler>>,
+        plan: Rc<FaultPlan>,
     ) -> Self {
         ThreadComm {
             rank,
@@ -156,7 +172,7 @@ impl ThreadComm {
             machine,
             clock: 0.0,
             stats: CommStats::default(),
-            mailboxes,
+            sched,
             pending: HashMap::new(),
             trace: None,
             fault: FaultState {
@@ -167,9 +183,29 @@ impl ThreadComm {
         }
     }
 
-    /// Enable event tracing for this rank.
-    fn enable_trace(&mut self) {
-        self.trace = Some(Vec::new());
+    /// This rank's id in `0..size()`.
+    pub fn rank(&self) -> usize {
+        self.rank
+    }
+
+    /// Number of ranks.
+    pub fn size(&self) -> usize {
+        self.size
+    }
+
+    /// The machine model this run executes under.
+    pub fn machine(&self) -> &Machine {
+        &self.machine
+    }
+
+    /// Current virtual time of this rank.
+    pub fn now(&self) -> f64 {
+        self.clock
+    }
+
+    /// Snapshot of the communication counters.
+    pub fn stats(&self) -> CommStats {
+        self.stats
     }
 
     /// The run's fault plan (empty unless the run is fault-injected).
@@ -177,31 +213,179 @@ impl ThreadComm {
         &self.fault.plan
     }
 
-    fn handle_poison(&self, msg: &Message) -> ! {
-        panic!(
-            "rank {}: peer rank {} failed, aborting SPMD section",
-            self.rank, msg.src
-        );
-    }
-
-    /// The next message in this rank's inbox, in arrival order; a wait
-    /// longer than the machine's receive deadline fails the receive of
-    /// `(src, tag)` with [`ClusterError::DeadlineExceeded`].
-    fn next_message(&self, src: usize, tag: Tag) -> Message {
-        let deadline = Duration::from_secs_f64(self.machine.recv_deadline);
-        match self.mailboxes[self.rank].take(deadline) {
-            Some(msg) => msg,
-            None => self.deadline_panic(src, tag),
+    /// Advance this rank's virtual clock by `seconds` of computation.
+    pub fn compute(&mut self, seconds: f64) {
+        debug_assert!(seconds >= 0.0, "negative compute time");
+        let start = self.clock;
+        self.clock += seconds;
+        self.stats.compute_time += seconds;
+        if let Some(tr) = &mut self.trace {
+            // Coalesce back-to-back compute so traces stay compact.
+            if let Some(TraceEvent::Compute { end, .. }) = tr.last_mut() {
+                if (*end - start).abs() < 1e-15 {
+                    *end = self.clock;
+                    return;
+                }
+            }
+            tr.push(TraceEvent::Compute {
+                start,
+                end: self.clock,
+            });
         }
     }
 
-    fn deadline_panic(&self, src: usize, tag: Tag) -> ! {
-        std::panic::panic_any(ClusterError::DeadlineExceeded {
-            rank: self.rank,
-            src,
+    /// Advance the clock by `units` abstract work units priced by the
+    /// machine model.
+    pub fn compute_units(&mut self, units: f64) {
+        self.compute(self.machine.work_time(units));
+    }
+
+    /// Stall this rank's virtual clock for `seconds` behind co-node
+    /// senders sharing one uplink, booked as wait time and in the
+    /// `link_stall_time` counter. The collectives charge this *before* a
+    /// far send whenever several ranks of one SMP node inject into the
+    /// fabric in the same schedule stage; a flat butterfly at large P
+    /// pays it heavily, a hierarchical collective (one leader per node)
+    /// barely at all.
+    pub fn link_stall(&mut self, seconds: f64) {
+        debug_assert!(seconds >= 0.0);
+        if seconds > 0.0 {
+            self.clock += seconds;
+            self.stats.wait_time += seconds;
+            self.stats.link_stall_time += seconds;
+        }
+    }
+
+    /// Send `data` to `dest` with `tag`; never blocks.
+    ///
+    /// Virtual cost (charged to the sender): `α + β·wire_bytes`. Under
+    /// a plan with message chaos the reliable-delivery layer adds
+    /// retransmits, backoff and an ack.
+    pub fn send(&mut self, dest: usize, tag: Tag, data: &[f64]) {
+        assert!(dest < self.size, "send to rank {dest} of {}", self.size);
+        if self.fault.plan.has_chaos() {
+            return self.reliable_send(dest, tag, data);
+        }
+        let bytes = Message::wire_bytes(data.len());
+        let cost = self.machine.message_time_between(self.rank, dest, bytes);
+        self.charge_send(dest, bytes, cost);
+        let msg = Message {
+            src: self.rank,
             tag,
-            waited_ms: (self.machine.recv_deadline * 1e3) as u64,
-        });
+            data: data.into(),
+            sent_at: self.clock,
+            poison: false,
+        };
+        self.post(dest, msg);
+    }
+
+    /// Wait until a message with envelope `(src, tag)` arrives and
+    /// return its payload.
+    ///
+    /// Virtual cost: the receiver's clock becomes
+    /// `max(own clock, sender delivery time)` — waiting is free, arrival
+    /// cannot precede the modelled delivery. A poison marker from a rank
+    /// with a scheduled crash is recorded and the wait goes on; one from
+    /// an unscheduled failure unwinds this rank.
+    pub async fn recv(&mut self, src: usize, tag: Tag) -> Vec<f64> {
+        match self.receive(src, tag, false).await {
+            Ok(data) => data,
+            Err(_) => unreachable!("only recv_ft resolves a death"),
+        }
+    }
+
+    /// Fault-aware receive: like [`ThreadComm::recv`] but a poison
+    /// marker from a rank with a scheduled crash resolves to
+    /// `Err(dead_rank)` (after advancing the clock to the death time)
+    /// instead of waiting on. Poison from unscheduled failures still
+    /// cascades, and a deadlock still fails the receive.
+    pub async fn recv_ft(&mut self, src: usize, tag: Tag) -> Result<Vec<f64>, usize> {
+        self.receive(src, tag, true).await
+    }
+
+    /// Inject this rank's scheduled crash if the plan says to die at
+    /// `step`. Drivers call this at every step boundary; it is the
+    /// *only* place crashes fire, which is what keeps recovery free of
+    /// in-flight user messages.
+    pub fn fault_step(&self, step: usize) {
+        if self.fault.plan.crash_step(self.rank) == Some(step) {
+            std::panic::panic_any(InjectedCrash {
+                rank: self.rank,
+                step,
+            });
+        }
+    }
+
+    /// Charge `seconds` of checkpoint-write time to this rank's clock
+    /// (used by [`crate::checkpoint`]).
+    pub(crate) fn charge_checkpoint(&mut self, seconds: f64) {
+        self.clock += seconds;
+        self.stats.ckpt_time += seconds;
+    }
+
+    /// The receive behind [`recv`](Self::recv) (`ft` false) and
+    /// [`recv_ft`](Self::recv_ft) (`ft` true).
+    async fn receive(&mut self, src: usize, tag: Tag, ft: bool) -> Result<Vec<f64>, usize> {
+        assert!(src < self.size, "recv from rank {src} of {}", self.size);
+        if ft {
+            if let Some(t) = self.fault.observed_dead[src] {
+                self.advance_wait_to(t, src);
+                return Err(src);
+            }
+        }
+        let msg = match self.take_pending(src, tag) {
+            Some(m) => m,
+            None => loop {
+                let m = self.next_message(src, tag).await;
+                if m.poison {
+                    // A scheduled death is merely recorded (the recovery
+                    // protocol acts on it at the next boundary, at a
+                    // deterministic virtual time); an unscheduled one
+                    // cascades.
+                    if !self.note_poison(&m) {
+                        std::panic::panic_any(PeerFailed { peer: m.src });
+                    }
+                    if ft && m.src == src {
+                        self.advance_wait_to(m.sent_at, src);
+                        return Err(src);
+                    }
+                } else if m.src == src && m.tag == tag {
+                    break m;
+                } else {
+                    self.pending.entry((m.src, m.tag)).or_default().push_back(m);
+                }
+            },
+        };
+        // Clock: arrival cannot precede the modelled delivery time.
+        self.advance_wait_to(msg.sent_at, src);
+        Ok(msg.data.into_vec())
+    }
+
+    /// The next message in this rank's inbox, in arrival order. On an
+    /// empty inbox the rank waits until a send makes it ready again; in
+    /// a deadlocked run the receive of `(src, tag)` fails with
+    /// [`ClusterError::Deadlock`] instead.
+    async fn next_message(&self, src: usize, tag: Tag) -> Message {
+        poll_fn(|_| {
+            let mut sched = self.sched.borrow_mut();
+            if sched.deadlocked {
+                drop(sched);
+                std::panic::panic_any(ClusterError::Deadlock {
+                    rank: self.rank,
+                    src,
+                    tag,
+                });
+            }
+            let slot = &mut sched.slots[self.rank];
+            match slot.inbox.pop_front() {
+                Some(msg) => Poll::Ready(msg),
+                None => {
+                    slot.waiting = true;
+                    Poll::Pending
+                }
+            }
+        })
+        .await
     }
 
     /// Take the oldest buffered message matching the envelope, if any.
@@ -245,52 +429,25 @@ impl ThreadComm {
         true
     }
 
-    /// Inject this rank's scheduled crash if the plan says to die at
-    /// `step`. Drivers call this at every step boundary; it is the
-    /// *only* place crashes fire, which is what keeps recovery free of
-    /// in-flight user messages.
-    pub fn fault_step(&self, step: usize) {
-        if self.fault.plan.crash_step(self.rank) == Some(step) {
-            std::panic::panic_any(InjectedCrash {
-                rank: self.rank,
-                step,
+    /// Charge one transmission of `bytes` to `dest` costing `cost`.
+    fn charge_send(&mut self, dest: usize, bytes: usize, cost: f64) {
+        let start = self.clock;
+        self.clock += cost;
+        self.stats.send_time += cost;
+        self.stats.msgs_sent += 1;
+        self.stats.bytes_sent += bytes as u64;
+        if let Some(tr) = &mut self.trace {
+            tr.push(TraceEvent::Send {
+                start,
+                end: self.clock,
+                dest,
+                bytes,
             });
         }
-    }
-
-    /// Fault-aware receive: like [`Communicator::recv`] but a poison
-    /// marker from a rank with a scheduled crash resolves to
-    /// `Err(dead_rank)` (after advancing the clock to the death time)
-    /// instead of panicking. Poison from unscheduled failures still
-    /// cascades, and the deadline still applies.
-    pub fn recv_ft(&mut self, src: usize, tag: Tag) -> Result<Vec<f64>, usize> {
-        assert!(src < self.size, "recv from rank {src} of {}", self.size);
-        if let Some(t) = self.fault.observed_dead[src] {
-            self.advance_wait_to(t, src);
-            return Err(src);
+        if self.machine.is_far(self.rank, dest) {
+            self.stats.far_msgs += 1;
+            self.stats.far_bytes += bytes as u64;
         }
-        let msg = if let Some(m) = self.take_pending(src, tag) {
-            m
-        } else {
-            loop {
-                let m = self.next_message(src, tag);
-                if m.poison {
-                    if !self.note_poison(&m) {
-                        self.handle_poison(&m);
-                    }
-                    if m.src == src {
-                        self.advance_wait_to(m.sent_at, src);
-                        return Err(src);
-                    }
-                } else if m.src == src && m.tag == tag {
-                    break m;
-                } else {
-                    self.pending.entry((m.src, m.tag)).or_default().push_back(m);
-                }
-            }
-        };
-        self.advance_wait_to(msg.sent_at, src);
-        Ok(msg.data.into_vec())
     }
 
     /// Reliable delivery under an active chaos plan: each transmission
@@ -300,10 +457,9 @@ impl ThreadComm {
     /// costs are virtual time; the decision stream is the plan's, so
     /// the whole exchange replays deterministically.
     fn reliable_send(&mut self, dest: usize, tag: Tag, data: &[f64]) {
-        let fs = &mut self.fault;
-        let plan = Arc::clone(&fs.plan);
-        let seq = fs.send_seq[dest];
-        fs.send_seq[dest] += 1;
+        let plan = Rc::clone(&self.fault.plan);
+        let seq = self.fault.send_seq[dest];
+        self.fault.send_seq[dest] += 1;
         let bytes = Message::wire_bytes(data.len());
         let cost = self.machine.message_time_between(self.rank, dest, bytes);
         let ack_cost = self
@@ -311,25 +467,9 @@ impl ThreadComm {
             .message_time_between(dest, self.rank, Message::wire_bytes(0));
         let mut attempt = 0u32;
         loop {
-            let start = self.clock;
-            self.clock += cost;
-            self.stats.send_time += cost;
-            self.stats.msgs_sent += 1;
-            self.stats.bytes_sent += bytes as u64;
-            if let Some(tr) = &mut self.trace {
-                tr.push(TraceEvent::Send {
-                    start,
-                    end: self.clock,
-                    dest,
-                    bytes,
-                });
-            }
+            self.charge_send(dest, bytes, cost);
             if attempt > 0 {
                 self.stats.retransmits += 1;
-            }
-            if self.machine.is_far(self.rank, dest) {
-                self.stats.far_msgs += 1;
-                self.stats.far_bytes += bytes as u64;
             }
             if !plan.drops(self.rank, dest, seq, attempt) {
                 // Delivered: pay for the ack round-trip, then inject.
@@ -347,13 +487,7 @@ impl ThreadComm {
                 return;
             }
             // Dropped on the wire: count it, back off, retransmit.
-            self.stats.dropped_msgs += 1;
-            if let Some(tr) = &mut self.trace {
-                tr.push(TraceEvent::Drop {
-                    at: self.clock,
-                    dest,
-                });
-            }
+            self.note_drop(dest);
             let backoff = plan.rto * (1u64 << attempt.min(32)) as f64;
             self.clock += backoff;
             self.stats.backoff_time += backoff;
@@ -367,150 +501,26 @@ impl ThreadComm {
         }
     }
 
-    /// Charge `seconds` of checkpoint-write time to this rank's clock
-    /// (used by [`crate::checkpoint`]).
-    pub(crate) fn charge_checkpoint(&mut self, seconds: f64) {
-        self.clock += seconds;
-        self.stats.ckpt_time += seconds;
-    }
-
-    /// Post `msg` to `dest`'s mailbox, accounting for a finished rank.
-    /// A send to a rank with a *scheduled* crash is never counted as
-    /// dropped — whether its thread has really exited yet is a host
-    /// scheduling accident, and the fault layer accounts for its death
-    /// separately; counting it would make `dropped_msgs` racy.
+    /// Append `msg` to `dest`'s inbox, accounting for a finished rank:
+    /// its inbox is gone, so the message is counted as dropped and
+    /// traced rather than vanishing silently — unless the plan scheduled
+    /// `dest`'s crash, whose death the fault layer accounts for apart.
     fn post(&mut self, dest: usize, msg: Message) {
-        if self.mailboxes[dest].post(msg).is_err() && self.fault.plan.crash_step(dest).is_none() {
-            self.stats.dropped_msgs += 1;
-            if let Some(tr) = &mut self.trace {
-                tr.push(TraceEvent::Drop {
-                    at: self.clock,
-                    dest,
-                });
-            }
-        }
-    }
-}
-
-impl Drop for ThreadComm {
-    /// A finished rank's inbox is gone: later sends to it are refused
-    /// (and counted as dropped) and its unread messages are freed.
-    fn drop(&mut self) {
-        self.mailboxes[self.rank].close();
-    }
-}
-
-impl Communicator for ThreadComm {
-    fn rank(&self) -> usize {
-        self.rank
-    }
-
-    fn size(&self) -> usize {
-        self.size
-    }
-
-    fn machine(&self) -> &Machine {
-        &self.machine
-    }
-
-    fn link_stall(&mut self, seconds: f64) {
-        debug_assert!(seconds >= 0.0);
-        if seconds > 0.0 {
-            self.clock += seconds;
-            self.stats.wait_time += seconds;
-            self.stats.link_stall_time += seconds;
+        let refused = self.sched.borrow_mut().deliver(dest, msg).is_err();
+        if refused && self.fault.plan.crash_step(dest).is_none() {
+            self.note_drop(dest);
         }
     }
 
-    fn send(&mut self, dest: usize, tag: Tag, data: &[f64]) {
-        assert!(dest < self.size, "send to rank {dest} of {}", self.size);
-        if self.fault.plan.has_chaos() {
-            return self.reliable_send(dest, tag, data);
-        }
-        let bytes = Message::wire_bytes(data.len());
-        let cost = self.machine.message_time_between(self.rank, dest, bytes);
-        let start = self.clock;
-        self.clock += cost;
-        self.stats.send_time += cost;
+    /// Count and trace one message to `dest` that was lost.
+    fn note_drop(&mut self, dest: usize) {
+        self.stats.dropped_msgs += 1;
         if let Some(tr) = &mut self.trace {
-            tr.push(TraceEvent::Send {
-                start,
-                end: self.clock,
+            tr.push(TraceEvent::Drop {
+                at: self.clock,
                 dest,
-                bytes,
             });
         }
-        self.stats.msgs_sent += 1;
-        self.stats.bytes_sent += bytes as u64;
-        if self.machine.is_far(self.rank, dest) {
-            self.stats.far_msgs += 1;
-            self.stats.far_bytes += bytes as u64;
-        }
-        let msg = Message {
-            src: self.rank,
-            tag,
-            data: data.into(),
-            sent_at: self.clock,
-            poison: false,
-        };
-        // Unbounded mailbox: never blocks; a send to a finished rank is
-        // counted as dropped (and traced) rather than vanishing silently.
-        self.post(dest, msg);
-    }
-
-    fn recv(&mut self, src: usize, tag: Tag) -> Vec<f64> {
-        assert!(src < self.size, "recv from rank {src} of {}", self.size);
-        let msg = if let Some(m) = self.take_pending(src, tag) {
-            m
-        } else {
-            loop {
-                let m = self.next_message(src, tag);
-                if m.poison {
-                    // A scheduled death is merely recorded (the recovery
-                    // protocol acts on it at the next boundary, at a
-                    // deterministic virtual time); an unscheduled one
-                    // cascades as before.
-                    if !self.note_poison(&m) {
-                        self.handle_poison(&m);
-                    }
-                } else if m.src == src && m.tag == tag {
-                    break m;
-                } else {
-                    self.pending.entry((m.src, m.tag)).or_default().push_back(m);
-                }
-            }
-        };
-        // Clock: arrival cannot precede the modelled delivery time.
-        self.advance_wait_to(msg.sent_at, src);
-        msg.data.into_vec()
-    }
-
-    fn compute(&mut self, seconds: f64) {
-        debug_assert!(seconds >= 0.0, "negative compute time");
-        let start = self.clock;
-        self.clock += seconds;
-        self.stats.compute_time += seconds;
-        if let Some(tr) = &mut self.trace {
-            // Coalesce back-to-back compute so traces stay compact.
-            if let Some(TraceEvent::Compute { end, .. }) = tr.last_mut() {
-                if (*end - start).abs() < 1e-15 {
-                    *end = self.clock;
-                    return;
-                }
-            }
-            tr.push(TraceEvent::Compute {
-                start,
-                end: self.clock,
-            });
-        }
-    }
-
-    fn now(&self) -> f64 {
-        self.clock
-    }
-
-    fn stats(&self) -> CommStats {
-        self.stats
     }
 }
 
@@ -557,32 +567,20 @@ impl<T> FtRunOutcome<T> {
     }
 }
 
-/// How one rank's execution ended, for the classification pass.
-enum Failure {
-    /// A genuine panic (assertion, bug, cascade poison).
-    Panic { msg: String, cascade: bool },
-    /// A `recv` deadline fired — the typed error to surface.
-    Deadline(ClusterError),
-    /// A crash scheduled by the fault plan (boxed: `CommStats` makes it
-    /// the dominant variant size).
-    Injected(Box<CrashInfo>),
-}
-
-/// Run `f` on `p` ranks under the given machine model and collect every
-/// rank's result, virtual completion time and counters (ordered by rank):
-/// [`run_spmd_ft`] under the empty plan, returning the survivors (every
-/// rank, since nothing is injected).
+/// Run the `async` rank body `f` on `p` ranks under the given machine
+/// model and collect every rank's result, virtual completion time and
+/// counters (ordered by rank): [`run_spmd_ft`] under the empty plan,
+/// returning the survivors (every rank, since nothing is injected).
 ///
 /// If any rank panics, the panic is caught, poison is propagated so peers
-/// blocked in `recv` unwind too, and the whole run returns
+/// waiting in `recv` unwind too, and the whole run returns
 /// [`ClusterError::RanksFailed`] listing the *originally* failing ranks
 /// (cascade victims are reported only if no originator is identifiable).
-/// A rank that exceeds its [`Machine::recv_deadline`] surfaces as
-/// [`ClusterError::DeadlineExceeded`].
+/// A run in which every unfinished rank waits on a receive no send can
+/// satisfy returns [`ClusterError::Deadlock`].
 pub fn run_spmd<T, F>(p: usize, machine: Machine, f: F) -> Result<Vec<SpmdResult<T>>, ClusterError>
 where
-    T: Send,
-    F: Fn(&mut ThreadComm) -> T + Sync,
+    F: AsyncFn(&mut ThreadComm) -> T,
 {
     run_spmd_ft(p, machine, FaultPlan::new(0), f).map(|out| out.survivors)
 }
@@ -594,11 +592,9 @@ pub type TracedRun<T> = (Vec<SpmdResult<T>>, Vec<Vec<TraceEvent>>);
 /// (see [`crate::trace`]) for timeline analysis.
 pub fn run_spmd_traced<T, F>(p: usize, machine: Machine, f: F) -> Result<TracedRun<T>, ClusterError>
 where
-    T: Send,
-    F: Fn(&mut ThreadComm) -> T + Sync,
+    F: AsyncFn(&mut ThreadComm) -> T,
 {
-    run_spmd_inner(p, machine, f, true, Arc::new(FaultPlan::new(0)))
-        .map(|(r, t, _)| (r, t.expect("tracing was requested")))
+    run_spmd_inner(p, machine, f, true, FaultPlan::new(0)).map(|(r, t, _)| (r, t))
 }
 
 /// [`run_spmd`] under a [`FaultPlan`]: scheduled crashes are caught and
@@ -607,6 +603,11 @@ where
 /// survivors (≥ 1 required) carry the result. With every rank crashed
 /// the run degrades to a clean [`ClusterError::RanksFailed`] listing
 /// the injected crashes.
+///
+/// # Panics
+///
+/// Panics if a rank body awaits a future other than this runtime's
+/// receives and that future never completes.
 pub fn run_spmd_ft<T, F>(
     p: usize,
     machine: Machine,
@@ -614,16 +615,32 @@ pub fn run_spmd_ft<T, F>(
     f: F,
 ) -> Result<FtRunOutcome<T>, ClusterError>
 where
-    T: Send,
-    F: Fn(&mut ThreadComm) -> T + Sync,
+    F: AsyncFn(&mut ThreadComm) -> T,
 {
     if let Some(r) = plan.max_crash_rank() {
         if r >= p {
             return Err(ClusterError::InvalidRank { rank: r, size: p });
         }
     }
-    run_spmd_inner(p, machine, f, false, Arc::new(plan))
+    run_spmd_inner(p, machine, f, false, plan)
         .map(|(survivors, _, crashed)| FtRunOutcome { survivors, crashed })
+}
+
+/// A rank's task: its body's outcome, and the communicator it ran on.
+type Task<'a, T> = Pin<Box<dyn Future<Output = (std::thread::Result<T>, ThreadComm)> + 'a>>;
+
+/// Poll `body` to completion, turning a panic in any poll into
+/// `Err(payload)`.
+async fn catch_panics<F: Future>(body: F) -> std::thread::Result<F::Output> {
+    let mut body = pin!(body);
+    poll_fn(
+        |cx| match catch_unwind(AssertUnwindSafe(|| body.as_mut().poll(cx))) {
+            Ok(Poll::Pending) => Poll::Pending,
+            Ok(Poll::Ready(value)) => Poll::Ready(Ok(value)),
+            Err(payload) => Poll::Ready(Err(payload)),
+        },
+    )
+    .await
 }
 
 #[allow(clippy::type_complexity)]
@@ -632,122 +649,113 @@ fn run_spmd_inner<T, F>(
     machine: Machine,
     f: F,
     traced: bool,
-    plan: Arc<FaultPlan>,
-) -> Result<
-    (
-        Vec<SpmdResult<T>>,
-        Option<Vec<Vec<TraceEvent>>>,
-        Vec<CrashInfo>,
-    ),
-    ClusterError,
->
+    plan: FaultPlan,
+) -> Result<(Vec<SpmdResult<T>>, Vec<Vec<TraceEvent>>, Vec<CrashInfo>), ClusterError>
 where
-    T: Send,
-    F: Fn(&mut ThreadComm) -> T + Sync,
+    F: AsyncFn(&mut ThreadComm) -> T,
 {
     if p == 0 {
         return Err(ClusterError::ZeroRanks);
     }
-    // One mailbox per rank, shared by every rank of the run.
-    let mailboxes: Arc<[Mailbox]> = (0..p).map(|_| Mailbox::default()).collect();
-
+    let sched = Rc::new(RefCell::new(Scheduler::new(p)));
+    let plan = Rc::new(plan);
     let f = &f;
-    let plan = &plan;
-    let results: Vec<Result<(SpmdResult<T>, Vec<TraceEvent>), (usize, Failure)>> =
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(p);
-            for rank in 0..p {
-                let mailboxes = Arc::clone(&mailboxes);
-                let plan = Arc::clone(plan);
-                handles.push(scope.spawn(move || {
-                    let mut comm = ThreadComm::new(rank, p, machine, mailboxes, plan);
-                    if traced {
-                        comm.enable_trace();
-                    }
-                    let outcome = catch_unwind(AssertUnwindSafe(|| f(&mut comm)));
-                    match outcome {
-                        Ok(value) => Ok((
-                            SpmdResult {
-                                rank,
-                                value,
-                                time: comm.clock,
-                                stats: comm.stats,
-                            },
-                            comm.trace.take().unwrap_or_default(),
-                        )),
-                        Err(payload) => {
-                            // Poison everyone else so blocked recvs unwind
-                            // (or, under a plan, observe the death).
-                            for (d, mailbox) in comm.mailboxes.iter().enumerate() {
-                                if d != rank {
-                                    let _ = mailbox.post(Message {
-                                        src: rank,
-                                        tag: POISON_TAG,
-                                        data: Box::new([]),
-                                        sent_at: comm.clock,
-                                        poison: true,
-                                    });
-                                }
-                            }
-                            let failure = if let Some(c) = payload.downcast_ref::<InjectedCrash>() {
-                                Failure::Injected(Box::new(CrashInfo {
-                                    rank,
-                                    step: c.step,
-                                    time: comm.clock,
-                                    stats: comm.stats,
-                                }))
-                            } else if let Some(e) = payload.downcast_ref::<ClusterError>() {
-                                Failure::Deadline(e.clone())
-                            } else {
-                                let msg = panic_message(payload.as_ref());
-                                let cascade = msg.contains("aborting SPMD section");
-                                Failure::Panic { msg, cascade }
-                            };
-                            Err((rank, failure))
-                        }
-                    }
-                }));
+    let mut tasks: Vec<Option<Task<'_, T>>> = (0..p)
+        .map(|rank| {
+            let mut comm = ThreadComm::new(rank, p, machine, Rc::clone(&sched), Rc::clone(&plan));
+            if traced {
+                comm.trace = Some(Vec::new());
             }
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker thread itself must not die"))
-                .collect()
-        });
+            let task: Task<'_, T> = Box::pin(async move {
+                let outcome = catch_panics(f(&mut comm)).await;
+                (outcome, comm)
+            });
+            Some(task)
+        })
+        .collect();
+    let mut finished: Vec<Option<(std::thread::Result<T>, ThreadComm)>> =
+        (0..p).map(|_| None).collect();
+    let mut cx = Context::from_waker(Waker::noop());
+    loop {
+        let Some(rank) = sched.borrow_mut().next() else {
+            break;
+        };
+        let task = tasks[rank].as_mut().expect("a ready rank has not finished");
+        let Poll::Ready((outcome, comm)) = task.as_mut().poll(&mut cx) else {
+            continue;
+        };
+        tasks[rank] = None;
+        let mut sched = sched.borrow_mut();
+        sched.finish(rank);
+        if outcome.is_err() {
+            // Poison every unfinished rank so its receives unwind (or,
+            // under a plan, observe the death).
+            for dest in (0..p).filter(|&d| d != rank) {
+                let _ = sched.deliver(
+                    dest,
+                    Message {
+                        src: rank,
+                        tag: POISON_TAG,
+                        data: Box::new([]),
+                        sent_at: comm.clock,
+                        poison: true,
+                    },
+                );
+            }
+        }
+        finished[rank] = Some((outcome, comm));
+    }
 
-    let mut ok = Vec::with_capacity(p);
+    let mut results = Vec::with_capacity(p);
+    let mut traces = Vec::new();
     let mut originators = Vec::new();
     let mut cascades = Vec::new();
     let mut crashes = Vec::new();
-    let mut deadline = None;
-    for r in results {
-        match r {
-            Ok(v) => ok.push(v),
-            Err((rank, Failure::Panic { msg, cascade: true })) => cascades.push((rank, msg)),
-            Err((
-                rank,
-                Failure::Panic {
-                    msg,
-                    cascade: false,
-                },
-            )) => originators.push((rank, msg)),
-            Err((_, Failure::Deadline(e))) => {
-                if deadline.is_none() {
-                    deadline = Some(e);
-                }
+    let mut deadlock = None;
+    for (rank, done) in finished.into_iter().enumerate() {
+        let (outcome, comm) = done.expect("rank body awaited a future outside the runtime");
+        let payload = match outcome {
+            Ok(value) => {
+                results.push(SpmdResult {
+                    rank,
+                    value,
+                    time: comm.clock,
+                    stats: comm.stats,
+                });
+                traces.extend(comm.trace);
+                continue;
             }
-            Err((_, Failure::Injected(ci))) => crashes.push(*ci),
+            Err(payload) => payload,
+        };
+        if let Some(c) = payload.downcast_ref::<InjectedCrash>() {
+            crashes.push(CrashInfo {
+                rank,
+                step: c.step,
+                time: comm.clock,
+                stats: comm.stats,
+            });
+        } else if let Some(e) = payload.downcast_ref::<ClusterError>() {
+            deadlock.get_or_insert_with(|| e.clone());
+        } else if let Some(c) = payload.downcast_ref::<PeerFailed>() {
+            let msg = format!(
+                "rank {rank}: peer rank {} failed, aborting SPMD section",
+                c.peer
+            );
+            cascades.push((rank, msg));
+        } else {
+            originators.push((rank, panic_message(payload.as_ref())));
         }
     }
     if !originators.is_empty() {
         return Err(ClusterError::RanksFailed(originators));
     }
-    if let Some(e) = deadline {
+    if let Some(e) = deadlock {
         return Err(e);
     }
     if !cascades.is_empty() {
         return Err(ClusterError::RanksFailed(cascades));
     }
-    if ok.is_empty() && !crashes.is_empty() {
+    if results.is_empty() && !crashes.is_empty() {
         // Every rank died on schedule: degrade to a clean failure.
         return Err(ClusterError::RanksFailed(
             crashes
@@ -756,10 +764,7 @@ where
                 .collect(),
         ));
     }
-    ok.sort_by_key(|(r, _)| r.rank);
-    crashes.sort_by_key(|c| c.rank);
-    let (res, traces): (Vec<_>, Vec<_>) = ok.into_iter().unzip();
-    Ok((res, if traced { Some(traces) } else { None }, crashes))
+    Ok((results, traces, crashes))
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -776,50 +781,9 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 mod tests {
     use super::*;
 
-    fn msg(src: usize, tag: Tag) -> Message {
-        Message {
-            src,
-            tag,
-            data: Box::new([]),
-            sent_at: 0.0,
-            poison: false,
-        }
-    }
-
-    #[test]
-    fn mailbox_is_fifo_times_out_and_refuses_when_closed() {
-        let mailbox = Mailbox::default();
-        for tag in 0..3 {
-            mailbox.post(msg(0, tag)).unwrap();
-        }
-        mailbox.post(msg(1, 9)).unwrap();
-        let order: Vec<(usize, Tag)> = (0..4)
-            .map(|_| mailbox.take(Duration::from_secs(1)).unwrap())
-            .map(|m| (m.src, m.tag))
-            .collect();
-        assert_eq!(order, vec![(0, 0), (0, 1), (0, 2), (1, 9)]);
-        assert!(mailbox.take(Duration::from_millis(10)).is_none());
-        // A post from another thread wakes a waiting owner: the poster
-        // waits until the owner sleeps on the empty queue.
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                while !mailbox.lock().waiting {
-                    std::thread::yield_now();
-                }
-                mailbox.post(msg(2, 4)).unwrap();
-            });
-            let m = mailbox.take(Duration::from_secs(10)).unwrap();
-            assert_eq!((m.src, m.tag), (2, 4));
-        });
-        mailbox.post(msg(0, 5)).unwrap();
-        mailbox.close();
-        assert!(mailbox.post(msg(0, 6)).is_err());
-        assert!(mailbox.take(Duration::from_millis(1)).is_none());
-    }
-
     #[test]
     fn single_rank_runs_sequentially() {
-        let r = run_spmd(1, Machine::ideal(), |comm| {
+        let r = run_spmd(1, Machine::ideal(), async |comm| {
             comm.compute(1.5);
             comm.rank() * 10 + comm.size()
         })
@@ -832,19 +796,19 @@ mod tests {
     #[test]
     fn zero_ranks_rejected() {
         assert_eq!(
-            run_spmd(0, Machine::ideal(), |_| ()).unwrap_err(),
+            run_spmd(0, Machine::ideal(), async |_| ()).unwrap_err(),
             ClusterError::ZeroRanks
         );
     }
 
     #[test]
     fn ping_pong_transfers_payload() {
-        let r = run_spmd(2, Machine::cluster2002(), |comm| {
+        let r = run_spmd(2, Machine::cluster2002(), async |comm| {
             if comm.rank() == 0 {
                 comm.send(1, 7, &[1.0, 2.0, 3.0]);
-                comm.recv(1, 8)
+                comm.recv(1, 8).await
             } else {
-                let v = comm.recv(0, 7);
+                let v = comm.recv(0, 7).await;
                 let doubled: Vec<f64> = v.iter().map(|x| x * 2.0).collect();
                 comm.send(0, 8, &doubled);
                 doubled
@@ -858,13 +822,13 @@ mod tests {
     #[test]
     fn virtual_clock_is_deterministic_across_runs() {
         let times = |_: ()| {
-            run_spmd(4, Machine::cluster2002(), |comm| {
+            run_spmd(4, Machine::cluster2002(), async |comm| {
                 // Ring shift: each rank sends to the next, receives from prev.
                 let next = (comm.rank() + 1) % comm.size();
                 let prev = (comm.rank() + comm.size() - 1) % comm.size();
                 comm.compute(1e-3 * (comm.rank() + 1) as f64);
                 comm.send(next, 1, &[comm.rank() as f64]);
-                let v = comm.recv(prev, 1);
+                let v = comm.recv(prev, 1).await;
                 v[0]
             })
             .unwrap()
@@ -879,13 +843,13 @@ mod tests {
 
     #[test]
     fn clock_respects_message_delivery_time() {
-        let r = run_spmd(2, Machine::cluster2002(), |comm| {
+        let r = run_spmd(2, Machine::cluster2002(), async |comm| {
             if comm.rank() == 0 {
                 comm.compute(1.0); // sender is busy 1s before sending
                 comm.send(1, 1, &[0.0]);
             } else {
                 // Receiver idles; its clock must jump to ≥ 1s + msg cost.
-                let _ = comm.recv(0, 1);
+                let _ = comm.recv(0, 1).await;
             }
             comm.now()
         })
@@ -901,15 +865,15 @@ mod tests {
 
     #[test]
     fn out_of_order_tags_are_buffered() {
-        let r = run_spmd(2, Machine::ideal(), |comm| {
+        let r = run_spmd(2, Machine::ideal(), async |comm| {
             if comm.rank() == 0 {
                 comm.send(1, 10, &[10.0]);
                 comm.send(1, 20, &[20.0]);
                 0.0
             } else {
                 // Receive in the opposite order.
-                let b = comm.recv(0, 20);
-                let a = comm.recv(0, 10);
+                let b = comm.recv(0, 20).await;
+                let a = comm.recv(0, 10).await;
                 a[0] + b[0]
             }
         })
@@ -919,14 +883,18 @@ mod tests {
 
     #[test]
     fn same_envelope_preserves_fifo() {
-        let r = run_spmd(2, Machine::ideal(), |comm| {
+        let r = run_spmd(2, Machine::ideal(), async |comm| {
             if comm.rank() == 0 {
                 for k in 0..5 {
                     comm.send(1, 3, &[k as f64]);
                 }
                 vec![]
             } else {
-                (0..5).map(|_| comm.recv(0, 3)[0]).collect::<Vec<f64>>()
+                let mut got = Vec::new();
+                for _ in 0..5 {
+                    got.push(comm.recv(0, 3).await[0]);
+                }
+                got
             }
         })
         .unwrap();
@@ -935,12 +903,12 @@ mod tests {
 
     #[test]
     fn rank_panic_reports_originator() {
-        let err = run_spmd(3, Machine::ideal(), |comm| {
+        let err = run_spmd(3, Machine::ideal(), async |comm| {
             if comm.rank() == 1 {
                 panic!("injected failure");
             }
-            // Other ranks block on rank 1 and must be unwound by poison.
-            let _ = comm.recv(1, 99);
+            // Other ranks wait on rank 1 and must be unwound by poison.
+            let _ = comm.recv(1, 99).await;
         })
         .unwrap_err();
         match err {
@@ -954,12 +922,33 @@ mod tests {
     }
 
     #[test]
+    fn own_failure_message_is_not_mistaken_for_a_cascade() {
+        // A rank's own panic is an originator whatever its text says;
+        // only a poison marker's unwinding is a cascade.
+        let err = run_spmd(3, Machine::ideal(), async |comm| match comm.rank() {
+            0 => panic!("aborting SPMD section: bad shard"),
+            1 => panic!("boom"),
+            _ => {
+                let _ = comm.recv(0, 1).await;
+            }
+        })
+        .unwrap_err();
+        assert_eq!(
+            err,
+            ClusterError::RanksFailed(vec![
+                (0, "aborting SPMD section: bad shard".to_string()),
+                (1, "boom".to_string()),
+            ])
+        );
+    }
+
+    #[test]
     fn stats_count_messages_and_bytes() {
-        let r = run_spmd(2, Machine::cluster2002(), |comm| {
+        let r = run_spmd(2, Machine::cluster2002(), async |comm| {
             if comm.rank() == 0 {
                 comm.send(1, 1, &[0.0; 10]);
             } else {
-                let _ = comm.recv(0, 1);
+                let _ = comm.recv(0, 1).await;
             }
         })
         .unwrap();
@@ -971,15 +960,32 @@ mod tests {
     #[test]
     fn many_ranks_oversubscribed() {
         // 32 ranks on however few cores: must still complete and agree.
-        let r = run_spmd(32, Machine::ideal(), |comm| {
+        let r = run_spmd(32, Machine::ideal(), async |comm| {
             let next = (comm.rank() + 1) % comm.size();
             let prev = (comm.rank() + comm.size() - 1) % comm.size();
             comm.send(next, 1, &[comm.rank() as f64]);
-            comm.recv(prev, 1)[0] as usize
+            comm.recv(prev, 1).await[0] as usize
         })
         .unwrap();
         for (i, res) in r.iter().enumerate() {
             assert_eq!(res.value, (i + 32 - 1) % 32);
+        }
+    }
+
+    #[test]
+    fn every_rank_runs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let r = run_spmd(1024, Machine::ideal(), async |comm| {
+            let next = (comm.rank() + 1) % comm.size();
+            let prev = (comm.rank() + comm.size() - 1) % comm.size();
+            comm.send(next, 1, &[comm.rank() as f64]);
+            let got = comm.recv(prev, 1).await[0] as usize;
+            (got, std::thread::current().id())
+        })
+        .unwrap();
+        assert_eq!(r.len(), 1024);
+        for (i, res) in r.iter().enumerate() {
+            assert_eq!(res.value, ((i + 1023) % 1024, caller), "rank {i}");
         }
     }
 }
@@ -991,12 +997,12 @@ mod fault_tests {
 
     #[test]
     fn empty_plan_matches_plain_run_bitwise() {
-        let body = |comm: &mut ThreadComm| {
+        let body = async |comm: &mut ThreadComm| {
             let next = (comm.rank() + 1) % comm.size();
             let prev = (comm.rank() + comm.size() - 1) % comm.size();
             comm.compute(1e-3);
             comm.send(next, 1, &[comm.rank() as f64]);
-            comm.recv(prev, 1)[0]
+            comm.recv(prev, 1).await[0]
         };
         let plain = run_spmd(4, Machine::cluster2002(), body).unwrap();
         let ft = run_spmd_ft(4, Machine::cluster2002(), FaultPlan::new(0), body).unwrap();
@@ -1019,14 +1025,18 @@ mod fault_tests {
     fn drops_force_retransmits_and_still_deliver() {
         let plan = FaultPlan::new(11).with_drops(0.4);
         let run = |plan: FaultPlan| {
-            run_spmd_ft(2, Machine::cluster2002(), plan, |comm| {
+            run_spmd_ft(2, Machine::cluster2002(), plan, async |comm| {
                 if comm.rank() == 0 {
                     for k in 0..20 {
                         comm.send(1, 2, &[k as f64]);
                     }
                     0.0
                 } else {
-                    (0..20).map(|_| comm.recv(0, 2)[0]).sum::<f64>()
+                    let mut sum = 0.0;
+                    for _ in 0..20 {
+                        sum += comm.recv(0, 2).await[0];
+                    }
+                    sum
                 }
             })
             .unwrap()
@@ -1050,12 +1060,12 @@ mod fault_tests {
     #[test]
     fn delays_stretch_receiver_wait_deterministically() {
         let plan = FaultPlan::new(5).with_delays(1.0, 1e-2);
-        let out = run_spmd_ft(2, Machine::cluster2002(), plan, |comm| {
+        let out = run_spmd_ft(2, Machine::cluster2002(), plan, async |comm| {
             if comm.rank() == 0 {
                 comm.send(1, 1, &[1.0]);
                 0.0
             } else {
-                comm.recv(0, 1)[0]
+                comm.recv(0, 1).await[0]
             }
         })
         .unwrap();
@@ -1067,11 +1077,11 @@ mod fault_tests {
     #[test]
     fn exhausted_retries_fail_the_sender_cleanly() {
         let plan = FaultPlan::new(3).with_drops(0.999).with_max_retries(2);
-        let err = run_spmd_ft(2, Machine::cluster2002(), plan, |comm| {
+        let err = run_spmd_ft(2, Machine::cluster2002(), plan, async |comm| {
             if comm.rank() == 0 {
                 comm.send(1, 1, &[0.0]);
             } else {
-                let _ = comm.recv(0, 1);
+                let _ = comm.recv(0, 1).await;
             }
         })
         .unwrap_err();
@@ -1088,7 +1098,7 @@ mod fault_tests {
     #[test]
     fn scheduled_crash_is_reported_not_fatal() {
         let plan = FaultPlan::new(0).with_crash(1, 3);
-        let out = run_spmd_ft(2, Machine::cluster2002(), plan, |comm| {
+        let out = run_spmd_ft(2, Machine::cluster2002(), plan, async |comm| {
             for step in 0..6 {
                 comm.fault_step(step);
                 comm.compute(1e-4);
@@ -1109,7 +1119,7 @@ mod fault_tests {
     #[test]
     fn all_ranks_crashed_degrades_cleanly() {
         let plan = FaultPlan::new(0).with_crash(0, 1).with_crash(1, 1);
-        let err = run_spmd_ft(2, Machine::ideal(), plan, |comm| {
+        let err = run_spmd_ft(2, Machine::ideal(), plan, async |comm| {
             for step in 0..4 {
                 comm.fault_step(step);
                 comm.compute(1e-5);
@@ -1128,17 +1138,17 @@ mod fault_tests {
     #[test]
     fn crash_rank_out_of_range_is_rejected() {
         let plan = FaultPlan::new(0).with_crash(5, 1);
-        let err = run_spmd_ft(2, Machine::ideal(), plan, |_| ()).unwrap_err();
+        let err = run_spmd_ft(2, Machine::ideal(), plan, async |_| ()).unwrap_err();
         assert_eq!(err, ClusterError::InvalidRank { rank: 5, size: 2 });
     }
 
     #[test]
     fn recv_ft_resolves_scheduled_death() {
         let plan = FaultPlan::new(0).with_crash(0, 0);
-        let out = run_spmd_ft(2, Machine::cluster2002(), plan, |comm| {
+        let out = run_spmd_ft(2, Machine::cluster2002(), plan, async |comm| {
             comm.compute(1e-3 * comm.rank() as f64);
             comm.fault_step(0);
-            match comm.recv_ft(0, 9) {
+            match comm.recv_ft(0, 9).await {
                 Ok(_) => panic!("rank 0 never sends"),
                 Err(dead) => dead as f64,
             }
@@ -1151,47 +1161,61 @@ mod fault_tests {
     }
 
     #[test]
-    fn deadline_surfaces_as_typed_error() {
-        let machine = Machine::ideal().with_recv_deadline(0.2);
-        let err = run_spmd(1, machine, |comm| {
-            // Nobody will ever send this.
-            let _ = comm.recv(0, 42);
+    fn unsatisfiable_receive_is_a_typed_deadlock() {
+        // Rank 2 finishes without sending; ranks 0 and 1 then wait on
+        // receives nothing can satisfy. The run fails at once, naming
+        // the lowest waiting rank's receive.
+        let err = run_spmd(3, Machine::ideal(), async |comm| match comm.rank() {
+            0 => drop(comm.recv(1, 7).await),
+            1 => drop(comm.recv(2, 8).await),
+            _ => {}
         })
         .unwrap_err();
-        match err {
-            ClusterError::DeadlineExceeded {
-                rank,
-                src,
-                tag,
-                waited_ms,
-            } => {
-                assert_eq!((rank, src, tag), (0, 0, 42));
-                assert_eq!(waited_ms, 200);
+        assert_eq!(
+            err,
+            ClusterError::Deadlock {
+                rank: 0,
+                src: 1,
+                tag: 7
             }
-            other => panic!("unexpected {other:?}"),
-        }
+        );
+        // A lone rank waiting on itself deadlocks the same way.
+        let err = run_spmd(1, Machine::ideal(), async |comm| {
+            let _ = comm.recv(0, 42).await;
+        })
+        .unwrap_err();
+        assert_eq!(
+            err,
+            ClusterError::Deadlock {
+                rank: 0,
+                src: 0,
+                tag: 42
+            }
+        );
     }
 
     #[test]
     fn dropped_send_to_finished_rank_is_counted() {
-        let r = run_spmd(2, Machine::ideal(), |comm| {
+        // Rank 1 sends once and returns; rank 0 sends to it only after
+        // that receive, when rank 1 has finished, so each of its three
+        // sends is refused and counted — unless the plan scheduled rank
+        // 1's crash, which the fault layer accounts for instead.
+        let body = async |comm: &mut ThreadComm| {
             if comm.rank() == 0 {
-                // Rank 1 exits immediately; once its inbox is gone our
-                // sends are counted as dropped. Spin until observed so
-                // the test is scheduling-independent.
-                let mut tries = 0;
-                while comm.stats().dropped_msgs == 0 && tries < 1_000_000 {
-                    comm.send(1, 1, &[0.0]);
-                    tries += 1;
-                    std::thread::yield_now();
+                let _ = comm.recv(1, 1).await;
+                for _ in 0..3 {
+                    comm.send(1, 2, &[0.0]);
                 }
-                comm.stats().dropped_msgs
             } else {
-                0
+                comm.send(0, 1, &[0.0]);
             }
-        })
-        .unwrap();
-        assert!(r[0].value > 0, "drop to gone inbox must be counted");
+            comm.stats().dropped_msgs
+        };
+        let r = run_spmd(2, Machine::ideal(), body).unwrap();
+        assert_eq!((r[0].value, r[1].value), (3, 0));
+        let plan = FaultPlan::new(0).with_crash(1, 99);
+        let out = run_spmd_ft(2, Machine::ideal(), plan, body).unwrap();
+        assert_eq!(out.survivors[0].value, 0);
     }
 }
 
@@ -1203,12 +1227,12 @@ mod trace_tests {
 
     #[test]
     fn traced_run_records_all_event_kinds() {
-        let (results, traces) = run_spmd_traced(2, Machine::cluster2002(), |comm| {
+        let (results, traces) = run_spmd_traced(2, Machine::cluster2002(), async |comm| {
             comm.compute(1e-3);
             if comm.rank() == 0 {
                 comm.send(1, 5, &[1.0, 2.0]);
             } else {
-                let _ = comm.recv(0, 5);
+                let _ = comm.recv(0, 5).await;
             }
             comm.compute(5e-4);
         })
@@ -1242,7 +1266,7 @@ mod trace_tests {
 
     #[test]
     fn back_to_back_compute_coalesces() {
-        let (_, traces) = run_spmd_traced(1, Machine::ideal(), |comm| {
+        let (_, traces) = run_spmd_traced(1, Machine::ideal(), async |comm| {
             for _ in 0..10 {
                 comm.compute(1e-4);
             }
@@ -1255,9 +1279,9 @@ mod trace_tests {
     #[test]
     fn untraced_run_unchanged_and_trace_render_smoke() {
         // Virtual times must be identical with tracing on or off.
-        let body = |comm: &mut ThreadComm| {
+        let body = async |comm: &mut ThreadComm| {
             comm.compute(1e-3 * (comm.rank() + 1) as f64);
-            collectives::allreduce_doubling(comm, &[comm.rank() as f64], ReduceOp::Sum)[0]
+            collectives::allreduce_doubling(comm, &[comm.rank() as f64], ReduceOp::Sum).await[0]
         };
         let plain = run_spmd(3, Machine::cluster2002(), body).unwrap();
         let (traced, traces) = run_spmd_traced(3, Machine::cluster2002(), body).unwrap();

@@ -7,20 +7,20 @@
 //! number: determinism under faults is the contract the recovery
 //! protocol is built on.
 
-use mdp_cluster::{run_spmd_ft, CheckpointStore, Communicator, FaultPlan, Machine, Supervisor};
+use mdp_cluster::{run_spmd_ft, CheckpointStore, FaultPlan, Machine, Supervisor};
 use proptest::prelude::*;
 
 /// A 4-rank ring exchange: every rank sends 8 tagged values around the
 /// ring and sums what it receives. Returns `(sum, final clock)`.
 fn ring_run(plan: FaultPlan) -> Vec<(f64, f64)> {
-    run_spmd_ft(4, Machine::cluster2002(), plan, |comm| {
+    run_spmd_ft(4, Machine::cluster2002(), plan, async |comm| {
         let rank = comm.rank();
         let next = (rank + 1) % 4;
         let prev = (rank + 3) % 4;
         let mut acc = 0.0;
         for round in 0..8 {
             comm.send(next, 1, &[(rank * 8 + round) as f64]);
-            acc += comm.recv(prev, 1)[0];
+            acc += comm.recv(prev, 1).await[0];
         }
         (acc, comm.now())
     })
@@ -84,12 +84,12 @@ proptest! {
         }
         let store = CheckpointStore::new();
         let expected = expected_active.clone();
-        let out = run_spmd_ft(p, Machine::cluster2002(), plan, move |comm| {
+        let out = run_spmd_ft(p, Machine::cluster2002(), plan, async move |comm| {
             let mut sup = Supervisor::new(comm, Some(3), &store);
             let me = comm.rank() as f64;
             let mut step = 0;
             while step < steps {
-                if let Some(rec) = sup.boundary(comm, step, || (0, vec![me])) {
+                if let Some(rec) = sup.boundary(comm, step, || (0, vec![me])).await {
                     step = rec.from_step.expect("boundary 0 checkpoints");
                     continue;
                 }
@@ -133,12 +133,12 @@ proptest! {
         };
         let run = |plan: FaultPlan| {
             let store = CheckpointStore::new();
-            run_spmd_ft(4, Machine::cluster2002(), plan, move |comm| {
+            run_spmd_ft(4, Machine::cluster2002(), plan, async move |comm| {
                 let mut sup = Supervisor::new(comm, Some(2), &store);
                 let me = comm.rank() as f64;
                 let mut step = 0;
                 while step < 8 {
-                    if let Some(rec) = sup.boundary(comm, step, || (0, vec![me])) {
+                    if let Some(rec) = sup.boundary(comm, step, || (0, vec![me])).await {
                         step = rec.from_step.expect("boundary 0 checkpoints");
                         continue;
                     }

@@ -11,9 +11,7 @@
 //! SMP-cluster fabric the hierarchical schedules must cross the
 //! inter-node fabric strictly less than the flat ones.
 
-use mdp_cluster::{
-    canonical_fold, run_spmd, CollectiveEngine, Communicator, Machine, ReduceOp, TimeModel,
-};
+use mdp_cluster::{canonical_fold, run_spmd, CollectiveEngine, Machine, ReduceOp, TimeModel};
 
 /// Deterministic splitmix64-style payload: full-magnitude doubles whose
 /// sum is association-sensitive, so any ordering slip shows up in bits.
@@ -40,10 +38,6 @@ fn expected(p: usize, len: usize, salt: u64, op: ReduceOp) -> Vec<f64> {
     canonical_fold(&parts, op)
 }
 
-/// A collective body run identically on every rank: `(comm, local data)`
-/// in, that rank's result out.
-type CollectiveFn<'a, R> = dyn Fn(&mut dyn Communicator, &[f64]) -> R + Sync + 'a;
-
 fn assert_bits(got: &[f64], want: &[f64], what: &str) {
     assert_eq!(got.len(), want.len(), "{what}: length");
     for (i, (g, w)) in got.iter().zip(want).enumerate() {
@@ -55,24 +49,20 @@ fn assert_bits(got: &[f64], want: &[f64], what: &str) {
 fn check_allreduce_variants(p: usize, len: usize, salt: u64) {
     for op in [ReduceOp::Sum, ReduceOp::Max, ReduceOp::Min] {
         let want = expected(p, len, salt, op);
-        let run = |name: &str, f: &CollectiveFn<'_, Vec<f64>>| {
-            let results = run_spmd(p, Machine::ideal(), |comm| {
+        let run = |name: &str, engine: CollectiveEngine| {
+            let results = run_spmd(p, Machine::ideal(), async |comm| {
                 let data = payload(comm.rank(), len, salt);
-                f(comm, &data)
+                engine.allreduce(comm, &data, op).await
             })
             .unwrap();
             for r in &results {
                 assert_bits(&r.value, &want, &format!("{name} p={p} rank={}", r.rank));
             }
         };
-        run("doubling", &|c, d| {
-            CollectiveEngine::flat().allreduce(c, d, op)
-        });
+        run("doubling", CollectiveEngine::flat());
         for g in [2usize, 4, 16] {
             if g <= p {
-                run(&format!("two-level g={g}"), &|c, d| {
-                    CollectiveEngine::two_level(g).allreduce(c, d, op)
-                });
+                run(&format!("two-level g={g}"), CollectiveEngine::two_level(g));
             }
         }
     }
@@ -82,10 +72,10 @@ fn check_allreduce_variants(p: usize, len: usize, salt: u64) {
 fn check_reduce_variants(p: usize, len: usize, salt: u64, root: usize) {
     let op = ReduceOp::Sum;
     let want = expected(p, len, salt, op);
-    let run = |name: &str, f: &CollectiveFn<'_, Option<Vec<f64>>>| {
-        let results = run_spmd(p, Machine::ideal(), |comm| {
+    let run = |name: &str, engine: CollectiveEngine| {
+        let results = run_spmd(p, Machine::ideal(), async |comm| {
             let data = payload(comm.rank(), len, salt);
-            f(comm, &data)
+            engine.reduce(comm, root, &data, op).await
         })
         .unwrap();
         for r in &results {
@@ -101,14 +91,13 @@ fn check_reduce_variants(p: usize, len: usize, salt: u64, root: usize) {
             }
         }
     };
-    run("reduce-tree", &|c, d| {
-        CollectiveEngine::flat().reduce(c, root, d, op)
-    });
+    run("reduce-tree", CollectiveEngine::flat());
     for g in [2usize, 8] {
         if g <= p {
-            run(&format!("two-level reduce g={g}"), &|c, d| {
-                CollectiveEngine::two_level(g).reduce(c, root, d, op)
-            });
+            run(
+                &format!("two-level reduce g={g}"),
+                CollectiveEngine::two_level(g),
+            );
         }
     }
 }
@@ -116,14 +105,14 @@ fn check_reduce_variants(p: usize, len: usize, salt: u64, root: usize) {
 /// Every broadcast schedule delivers the root's exact bits everywhere.
 fn check_broadcast_variants(p: usize, len: usize, salt: u64, root: usize) {
     let want = payload(root, len, salt);
-    let run = |name: &str, f: &(dyn Fn(&mut dyn Communicator, &mut [f64]) + Sync)| {
-        let results = run_spmd(p, Machine::ideal(), |comm| {
+    let run = |name: &str, engine: CollectiveEngine| {
+        let results = run_spmd(p, Machine::ideal(), async |comm| {
             let mut data = if comm.rank() == root {
                 payload(root, len, salt)
             } else {
                 vec![0.0; len]
             };
-            f(comm, &mut data);
+            engine.broadcast(comm, root, &mut data).await;
             data
         })
         .unwrap();
@@ -131,14 +120,13 @@ fn check_broadcast_variants(p: usize, len: usize, salt: u64, root: usize) {
             assert_bits(&r.value, &want, &format!("{name} p={p} rank={}", r.rank));
         }
     };
-    run("bcast-tree", &|c, d| {
-        CollectiveEngine::flat().broadcast(c, root, d)
-    });
+    run("bcast-tree", CollectiveEngine::flat());
     for g in [2usize, 8] {
         if g <= p {
-            run(&format!("two-level bcast g={g}"), &|c, d| {
-                CollectiveEngine::two_level(g).broadcast(c, root, d)
-            });
+            run(
+                &format!("two-level bcast g={g}"),
+                CollectiveEngine::two_level(g),
+            );
         }
     }
 }
@@ -166,9 +154,9 @@ fn all_variants_agree_bitwise_at_awkward_large_rank_counts() {
 fn gather_varied_two_level_matches_flat_exactly() {
     for (p, g) in [(12usize, 4usize), (33, 8), (257, 16)] {
         let run = |engine: CollectiveEngine| {
-            run_spmd(p, Machine::ideal(), move |comm| {
+            run_spmd(p, Machine::ideal(), async move |comm| {
                 let data = payload(comm.rank(), 1 + comm.rank() % 5, 7);
-                engine.gather_varied(comm, 3, &data)
+                engine.gather_varied(comm, 3, &data).await
             })
             .unwrap()
         };
@@ -191,12 +179,12 @@ fn hierarchical_collectives_cross_the_fabric_less_at_scale() {
     let p = 256usize;
     let machine = Machine::smp_cluster2002(8);
     let totals = |engine: CollectiveEngine| {
-        let results = run_spmd(p, machine, move |comm| {
+        let results = run_spmd(p, machine, async move |comm| {
             let data = payload(comm.rank(), 4, 11);
-            let s = engine.allreduce_sum(comm, &data);
+            let s = engine.allreduce_sum(comm, &data).await;
             let mut b = s.clone();
-            engine.broadcast(comm, 0, &mut b);
-            engine.reduce(comm, 0, &b, ReduceOp::Sum);
+            engine.broadcast(comm, 0, &mut b).await;
+            engine.reduce(comm, 0, &b, ReduceOp::Sum).await;
             s
         })
         .unwrap();

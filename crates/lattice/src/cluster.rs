@@ -37,8 +37,8 @@
 use crate::multidim::{branch_probabilities, StepCtx, StepScratch};
 use crate::LatticeError;
 use mdp_cluster::{
-    check_policy, partition, run_spmd_ft, CheckpointStore, Communicator, FaultPlan, Machine,
-    Supervisor, ThreadComm, TimeModel,
+    check_policy, partition, run_spmd_ft, CheckpointStore, FaultPlan, Machine, Supervisor,
+    ThreadComm, TimeModel,
 };
 use mdp_model::{GbmMarket, Product};
 
@@ -137,7 +137,7 @@ pub fn price_cluster(
     let d = market.dim();
     let store = CheckpointStore::new();
 
-    let outcome = run_spmd_ft(p, machine, plan, |comm| {
+    let outcome = run_spmd_ft(p, machine, plan, async |comm| {
         run_rank(
             comm,
             market,
@@ -150,6 +150,7 @@ pub fn price_cluster(
             &store,
             ckpt_interval,
         )
+        .await
     })
     .map_err(|e| unsupported(e.to_string()))?;
 
@@ -174,7 +175,7 @@ pub fn price_cluster(
 /// expects. Rows are owned over the supervisor's active list: rank
 /// `active[j]` owns dense share `j` of `active.len()`.
 #[allow(clippy::too_many_arguments)]
-fn run_rank(
+async fn run_rank(
     comm: &mut ThreadComm,
     market: &GbmMarket,
     product: &Product,
@@ -215,7 +216,7 @@ fn run_rank(
     let mut k = 0usize; // completed lattice steps == boundary index
     while k < n {
         let snap_lo = owned_next.first().copied().unwrap_or(0);
-        if let Some(rec) = sup.boundary(comm, k, || (snap_lo, values.clone())) {
+        if let Some(rec) = sup.boundary(comm, k, || (snap_lo, values.clone())).await {
             // Roll back: rebuild the checkpointed layer from the
             // pooled records and repartition it over the survivors
             // (checkpointed runs are Block, so shards are contiguous).
@@ -343,7 +344,7 @@ fn run_rank(
             if recv_rows.is_empty() {
                 continue;
             }
-            let buf = comm.recv(active[j], T_HALO);
+            let buf = comm.recv(active[j], T_HALO).await;
             debug_assert_eq!(buf.len(), recv_rows.len() * row_next);
             for (m, &row) in recv_rows.iter().enumerate() {
                 let wslot = slot_of(&needed, row);
@@ -374,7 +375,7 @@ fn run_rank(
     let active = sup.active();
     let root = active[owner_of_row0(decomp, active.len())];
     let mut price = [if rank == root { values[0] } else { 0.0 }];
-    sup.broadcast(comm, root, &mut price);
+    sup.broadcast(comm, root, &mut price).await;
     price[0]
 }
 

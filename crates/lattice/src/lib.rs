@@ -13,7 +13,7 @@
 //!   (rayon) backward induction.
 //! * [`cluster`] — the distributed-memory algorithm: block decomposition
 //!   of the lattice along the first asset axis with one-row halo
-//!   exchanges per time step, written against `mdp_cluster::Communicator`
+//!   exchanges per time step, written against `mdp_cluster::ThreadComm`
 //!   exactly like the MPI original; the virtual-time model turns its
 //!   communication structure into the speedup curves of experiments
 //!   T2/F1/F2.

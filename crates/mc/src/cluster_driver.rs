@@ -27,8 +27,8 @@ use crate::lsmc::{self, LsmcConfig, LsmcResult, RegressionSums};
 use crate::variance::{merge_in_chunks, BlockAccum, ACCUM_WIDTH};
 use crate::McError;
 use mdp_cluster::{
-    check_policy, partition, run_spmd_ft, CheckpointMode, CheckpointStore, Communicator, FaultPlan,
-    Machine, Supervisor, TimeModel,
+    check_policy, partition, run_spmd_ft, CheckpointMode, CheckpointStore, FaultPlan, Machine,
+    Supervisor, TimeModel,
 };
 use mdp_model::{GbmMarket, Product};
 
@@ -86,7 +86,7 @@ pub fn price_mc_cluster(
     let store = CheckpointStore::new();
     let entry = 1 + ACCUM_WIDTH;
 
-    let outcome = run_spmd_ft(p, machine, plan, |comm| {
+    let outcome = run_spmd_ft(p, machine, plan, async |comm| {
         let blocks = ctx.num_blocks() as usize;
         let rank = comm.rank();
         let mut sup = Supervisor::new(comm, ckpt_interval, &store);
@@ -99,7 +99,7 @@ pub fn price_mc_cluster(
 
         let mut t = 0usize; // completed batches == boundary index
         while t < BATCHES {
-            if let Some(rec) = sup.boundary(comm, t, || (0, local.clone())) {
+            if let Some(rec) = sup.boundary(comm, t, || (0, local.clone())).await {
                 // Roll back: share the pooled completed pairs (the
                 // victim's included) evenly over the survivors, and
                 // re-spread the blocks the checkpoint lacks.
@@ -137,13 +137,13 @@ pub fn price_mc_cluster(
         // broadcast the total.
         let root = sup.active()[0];
         let mut merged = [0.0; ACCUM_WIDTH];
-        if let Some(parts) = sup.gather_varied(comm, root, &local) {
+        if let Some(parts) = sup.gather_varied(comm, root, &local).await {
             let entries = by_block(&parts, entry);
             debug_assert_eq!(entries.len(), blocks, "every block exactly once");
             merged =
                 merge_in_chunks(entries.iter().map(|e| BlockAccum::from_slice(&e[1..]))).to_vec();
         }
-        sup.broadcast(comm, root, &mut merged);
+        sup.broadcast(comm, root, &mut merged).await;
         BlockAccum::from_slice(&merged)
     })
     .map_err(|e| McError::Unsupported(e.to_string()))?;
@@ -212,7 +212,7 @@ pub fn price_lsmc_cluster(
     // Every rank, recovery included, seeds its blocks from this table.
     let streams = lsmc::block_streams(&cfg);
 
-    let outcome = run_spmd_ft(p, machine, plan, |comm| {
+    let outcome = run_spmd_ft(p, machine, plan, async |comm| {
         let blocks = lsmc::num_blocks(&cfg) as usize;
         let rank = comm.rank();
         let mut sup = Supervisor::new_with_mode(comm, ckpt_interval, &store, mode);
@@ -227,12 +227,15 @@ pub fn price_lsmc_cluster(
 
         let mut j = 0usize; // processed dates == boundary index
         while j < cfg.steps - 1 {
-            if let Some(rec) = sup.boundary(comm, j, || {
-                (
-                    blo as usize,
-                    encode_sweep_state(&cfg, blo, bhi, &cashflow, &cf_time),
-                )
-            }) {
+            if let Some(rec) = sup
+                .boundary(comm, j, || {
+                    (
+                        blo as usize,
+                        encode_sweep_state(&cfg, blo, bhi, &cashflow, &cf_time),
+                    )
+                })
+                .await
+            {
                 // Roll back: restore every block's sweep state from the
                 // pooled records, repartition over the survivors and
                 // re-simulate the newly owned panels.
@@ -278,7 +281,7 @@ pub fn price_lsmc_cluster(
             // first active rank — a partition-independent association.
             let root = sup.active()[0];
             let mut merged = vec![0.0; sums_width];
-            if let Some(parts) = sup.gather_varied(comm, root, &payload) {
+            if let Some(parts) = sup.gather_varied(comm, root, &payload).await {
                 let entries = by_block(&parts, 1 + sums_width);
                 debug_assert_eq!(entries.len(), blocks, "every block exactly once");
                 for e in &entries {
@@ -287,7 +290,7 @@ pub fn price_lsmc_cluster(
                     }
                 }
             }
-            sup.broadcast(comm, root, &mut merged);
+            sup.broadcast(comm, root, &mut merged).await;
 
             if let Some(beta) = RegressionSums::from_slice(k, &merged).solve(cfg.ridge) {
                 kernel.exercise(layer, t, &beta, &mut cashflow, &mut cf_time);
@@ -312,14 +315,14 @@ pub fn price_lsmc_cluster(
         }
         let root = sup.active()[0];
         let mut stats = [0.0; 3];
-        if let Some(parts) = sup.gather_varied(comm, root, &payload) {
+        if let Some(parts) = sup.gather_varied(comm, root, &payload).await {
             for e in by_block(&parts, 4) {
                 stats[0] += e[1];
                 stats[1] += e[2];
                 stats[2] += e[3];
             }
         }
-        sup.broadcast(comm, root, &mut stats);
+        sup.broadcast(comm, root, &mut stats).await;
         stats
     })
     .map_err(|e| McError::Unsupported(e.to_string()))?;

@@ -19,12 +19,10 @@
 pub mod analytic;
 pub mod error;
 pub mod greeks;
-pub mod implied;
 pub mod market;
 pub mod product;
 
 pub use error::ModelError;
 pub use greeks::Greeks;
-pub use implied::{implied_vol, OptionSide};
 pub use market::{GbmMarket, MarketDelta, TickOutcome};
 pub use product::{ExerciseStyle, PathDependence, Payoff, Product};

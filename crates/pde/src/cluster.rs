@@ -34,8 +34,8 @@ use crate::grid::{check_width, LogGrid};
 use crate::stencil::explicit_point;
 use crate::PdeError;
 use mdp_cluster::{
-    check_policy, partition, run_spmd_ft, CheckpointStore, Communicator, FaultPlan, Machine,
-    Supervisor, TimeModel,
+    check_policy, partition, run_spmd_ft, CheckpointStore, FaultPlan, Machine, Supervisor,
+    ThreadComm, TimeModel,
 };
 use mdp_model::{ExerciseStyle, GbmMarket, Product};
 
@@ -153,7 +153,7 @@ impl Shard {
 
     /// Post a block's halo: the `h` owned values at each edge to the
     /// neighbour on that side.
-    fn send_halo(&self, comm: &mut impl Communicator, h: usize) {
+    fn send_halo(&self, comm: &mut ThreadComm, h: usize) {
         let own = self.owned();
         if let Some(l) = self.left {
             comm.send(l, T_EDGE, &own[..h]);
@@ -164,13 +164,13 @@ impl Shard {
     }
 
     /// Receive a block's halo into the `h` ghost points on each side.
-    fn recv_halo(&mut self, comm: &mut impl Communicator, h: usize) {
+    async fn recv_halo(&mut self, comm: &mut ThreadComm, h: usize) {
         let (d, e) = (self.depth, self.depth + self.hi - self.lo);
         if let Some(l) = self.left {
-            self.cur[d - h..d].copy_from_slice(&comm.recv(l, T_EDGE));
+            self.cur[d - h..d].copy_from_slice(&comm.recv(l, T_EDGE).await);
         }
         if let Some(r) = self.right {
-            self.cur[e..e + h].copy_from_slice(&comm.recv(r, T_EDGE));
+            self.cur[e..e + h].copy_from_slice(&comm.recv(r, T_EDGE).await);
         }
     }
 
@@ -305,7 +305,7 @@ impl ClusterFd1d {
         check_policy(&plan, ckpt_interval).map_err(unsupported)?;
         let store = CheckpointStore::new();
 
-        let outcome = run_spmd_ft(p, machine, plan, |comm| {
+        let outcome = run_spmd_ft(p, machine, plan, async |comm| {
             let rank = comm.rank();
             let mut sup = Supervisor::new(comm, ckpt_interval, &store);
             let m = s.m;
@@ -318,7 +318,7 @@ impl ClusterFd1d {
                 // Every step is a boundary, so crashes fire and
                 // checkpoints land mid-block: the owned values are
                 // valid at every level.
-                if let Some(rec) = sup.boundary(comm, k, || (sh.lo, sh.owned().to_vec())) {
+                if let Some(rec) = sup.boundary(comm, k, || (sh.lo, sh.owned().to_vec())).await {
                     // Roll back: rebuild the full grid from the pooled
                     // records, repartition over the survivors and
                     // start a fresh block at the checkpoint.
@@ -352,7 +352,7 @@ impl ClusterFd1d {
                     let reads_ghost = |g: usize| g != 0 && g != m - 1 && (g == lo || g + 1 == hi);
                     let inner = sh.update(&s, df, (lo..hi).filter(|&g| !reads_ghost(g)));
                     comm.compute_units(inner as f64 * POINT_UNITS);
-                    sh.recv_halo(comm, h);
+                    sh.recv_halo(comm, h).await;
                     let edge = sh.update(
                         &s,
                         df,
@@ -376,7 +376,7 @@ impl ClusterFd1d {
             if rank == owner {
                 price[0] = sh.owned()[s.center - sh.lo];
             }
-            sup.broadcast(comm, owner, &mut price);
+            sup.broadcast(comm, owner, &mut price).await;
             price[0]
         })
         .map_err(|e| unsupported(e.to_string()))?;

@@ -160,9 +160,11 @@ proptest! {
             let h = optimum.min(m / ranks).max(1);
             let halo = n.div_ceil(h) as u64 * 2 * (ranks as u64 - 1);
             let owner = partition::block_owner(m, ranks, grid.center);
-            let bcast: u64 = run_spmd(ranks, machine, move |comm| {
+            let bcast: u64 = run_spmd(ranks, machine, async move |comm| {
                 let mut price = [0.0];
-                CollectiveEngine::for_machine(&machine, ranks).broadcast(comm, owner, &mut price);
+                CollectiveEngine::for_machine(&machine, ranks)
+                    .broadcast(comm, owner, &mut price)
+                    .await;
             })
             .unwrap()
             .iter()

@@ -8,7 +8,7 @@
 //! ```
 
 use mdp_core::cluster::trace::{render_gantt, summarize};
-use mdp_core::cluster::{run_spmd_traced, CollectiveEngine, Communicator};
+use mdp_core::cluster::{run_spmd_traced, CollectiveEngine};
 use mdp_core::prelude::*;
 use mdp_perf::laws;
 
@@ -99,9 +99,11 @@ fn main() {
     // 6 ranks do imbalanced compute then allreduce: the Gantt makes the
     // straggler-wait structure visible at a glance.
     println!("Timeline of one imbalanced compute + allreduce round (6 ranks):\n");
-    let (results, traces) = run_spmd_traced(6, machine, |comm| {
+    let (results, traces) = run_spmd_traced(6, machine, async |comm| {
         comm.compute(0.5e-3 * (comm.rank() + 1) as f64);
-        CollectiveEngine::flat().allreduce_sum(comm, &[comm.rank() as f64])[0]
+        CollectiveEngine::flat()
+            .allreduce_sum(comm, &[comm.rank() as f64])
+            .await[0]
     })
     .expect("traced run");
     print!("{}", render_gantt(&traces, 64));

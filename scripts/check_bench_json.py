@@ -159,6 +159,7 @@ def check_cluster_scale():
     assert sweep, "no sweep rows"
     at_scale = [r for r in sweep if r["engine"] == "mc" and r["p"] >= 256]
     assert at_scale, "sweep never reached P >= 256"
+    assert any(r["p"] == 1024 for r in at_scale), "mc sweep has no P = 1024 row"
     for r in at_scale:
         assert r["ratio"] >= 1.0, (
             f"p={r['p']}: hierarchical/flat makespan ratio {r['ratio']} < 1.0"

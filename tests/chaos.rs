@@ -1,13 +1,17 @@
-//! Driver-level chaos suite: random seeded fault plans over all three
-//! distributed pricing drivers.
+//! Driver-level chaos suite: fault plans over the distributed pricing
+//! drivers.
 //!
 //! The contract under test: whatever faults a plan injects, each
 //! driver either returns a price **bit-identical** to the fault-free
 //! run (recovery succeeded) or a clean typed error (all ranks died) —
-//! never a hang, never a silently wrong number.
+//! never a hang, never a silently wrong number. The properties draw
+//! random seeded plans; because every run follows one deterministic
+//! schedule, the `*_recovers_from_every_crash_site` tests also
+//! enumerate every (rank, boundary) crash of a small run per driver.
 
+use mdp_core::cluster::CheckpointMode;
 use mdp_core::lattice::cluster::{price_cluster, Decomposition};
-use mdp_core::mc::cluster_driver::price_mc_cluster;
+use mdp_core::mc::cluster_driver::{price_lsmc_cluster, price_mc_cluster, BATCHES};
 use mdp_core::pde::cluster::ClusterFd1d;
 use mdp_core::prelude::*;
 use proptest::prelude::*;
@@ -165,4 +169,129 @@ proptest! {
             prop_assert!(ft.time.total_retransmits >= ft.time.total_dropped.min(1));
         }
     }
+}
+
+/// Ranks of the exhaustive crash-site runs.
+const P: usize = 4;
+
+/// Crash every rank of a `P`-rank run, one at a time, at each of its
+/// `boundaries` step boundaries. `run(plan)` returns the price bits,
+/// the crashes that fired and the time model; each crashed run must
+/// price like `reference`, report exactly its crash, and replay to an
+/// equal time model.
+fn check_every_crash_site(
+    boundaries: usize,
+    reference: u64,
+    run: impl Fn(FaultPlan) -> (u64, Vec<(usize, usize)>, TimeModel),
+) {
+    for rank in 0..P {
+        for step in 0..boundaries {
+            let plan = FaultPlan::new(0).with_crash(rank, step);
+            let (bits, crashed, time) = run(plan.clone());
+            assert_eq!(bits, reference, "price after crash ({rank}, {step})");
+            assert_eq!(crashed, vec![(rank, step)]);
+            assert_eq!(run(plan).2, time, "replay of crash ({rank}, {step})");
+        }
+    }
+}
+
+#[test]
+fn lattice_recovers_from_every_crash_site() {
+    let (m, prod, n) = (market2(), maxcall(), 16);
+    let run = |plan: FaultPlan, interval: Option<usize>| {
+        let machine = Machine::cluster2002();
+        price_cluster(
+            &m,
+            &prod,
+            n,
+            P,
+            machine,
+            Decomposition::Block,
+            plan,
+            interval,
+        )
+        .unwrap()
+    };
+    let reference = run(FaultPlan::new(0), None).price.to_bits();
+    // Interval 3 does not divide the 16 steps.
+    check_every_crash_site(n, reference, |plan| {
+        let out = run(plan, Some(3));
+        (out.price.to_bits(), out.crashed, out.time)
+    });
+}
+
+#[test]
+fn mc_recovers_from_every_crash_site() {
+    let m = market2();
+    let prod = Product::european(
+        Payoff::BasketCall {
+            weights: Product::equal_weights(2),
+            strike: 100.0,
+        },
+        1.0,
+    );
+    let cfg = McConfig {
+        paths: 2_000,
+        block_size: 125,
+        ..Default::default()
+    };
+    let run = |plan: FaultPlan, interval: Option<usize>| {
+        price_mc_cluster(&m, &prod, cfg, P, Machine::cluster2002(), plan, interval).unwrap()
+    };
+    let reference = run(FaultPlan::new(0), None).result.price.to_bits();
+    // Interval 3 does not divide the 16 batches.
+    check_every_crash_site(BATCHES, reference, |plan| {
+        let out = run(plan, Some(3));
+        (out.result.price.to_bits(), out.crashed, out.time)
+    });
+}
+
+#[test]
+fn fd_recovers_from_every_crash_site() {
+    let m = GbmMarket::single(100.0, 0.2, 0.0, 0.05).unwrap();
+    let prod = Product::european(
+        Payoff::BasketCall {
+            weights: vec![1.0],
+            strike: 100.0,
+        },
+        1.0,
+    );
+    let cfg = ClusterFd1d {
+        space_points: 51,
+        time_steps: 200,
+        ..Default::default()
+    };
+    let run = |plan: FaultPlan, interval: Option<usize>| {
+        cfg.price(&m, &prod, P, Machine::cluster2002(), plan, interval)
+            .unwrap()
+    };
+    let reference = run(FaultPlan::new(0), None).price.to_bits();
+    // Interval 7 does not divide the 200 steps.
+    check_every_crash_site(cfg.time_steps, reference, |plan| {
+        let out = run(plan, Some(7));
+        (out.price.to_bits(), out.crashed, out.time)
+    });
+}
+
+#[test]
+fn lsmc_recovers_from_every_crash_site() {
+    let m = market2();
+    let prod = Product::american(Payoff::MinPut { strike: 100.0 }, 1.0);
+    let cfg = LsmcConfig {
+        paths: 1_000,
+        steps: 8,
+        block_size: 125,
+        ..Default::default()
+    };
+    let run = |plan: FaultPlan, interval: Option<usize>| {
+        let (machine, sync) = (Machine::cluster2002(), CheckpointMode::Sync);
+        price_lsmc_cluster(&m, &prod, cfg, P, machine, plan, interval, sync).unwrap()
+    };
+    let reference = run(FaultPlan::new(0), None).result.price.to_bits();
+    // One boundary per exercise date before the last; interval 3
+    // divides neither the 7 boundaries nor the 8 dates.
+    check_every_crash_site(cfg.steps - 1, reference, |plan| {
+        let out = run(plan, Some(3));
+        (out.result.price.to_bits(), out.crashed, out.time)
+    });
 }

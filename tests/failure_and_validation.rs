@@ -2,7 +2,7 @@
 //! right errors at the facade, and rank failures in the SPMD substrate
 //! are contained and reported rather than hanging the run.
 
-use mdp_core::cluster::{self, ClusterError, Communicator, Machine};
+use mdp_core::cluster::{self, ClusterError, Machine};
 use mdp_core::prelude::*;
 
 #[test]
@@ -55,12 +55,12 @@ fn engine_capability_errors_are_specific() {
 
 #[test]
 fn rank_panic_is_reported_not_hung() {
-    let err = cluster::run_spmd(4, Machine::ideal(), |comm| {
+    let err = cluster::run_spmd(4, Machine::ideal(), async |comm| {
         if comm.rank() == 2 {
             panic!("injected rank failure");
         }
         // Everyone else blocks on the failed rank and must be poisoned.
-        let _ = comm.recv(2, 1);
+        let _ = comm.recv(2, 1).await;
     })
     .unwrap_err();
     match err {
@@ -75,11 +75,11 @@ fn rank_panic_is_reported_not_hung() {
 
 #[test]
 fn multiple_rank_failures_all_reported() {
-    let err = cluster::run_spmd(5, Machine::ideal(), |comm| {
+    let err = cluster::run_spmd(5, Machine::ideal(), async |comm| {
         if comm.rank() % 2 == 0 {
             panic!("rank {} down", comm.rank());
         }
-        let _ = comm.recv((comm.rank() + 1) % comm.size(), 1);
+        let _ = comm.recv((comm.rank() + 1) % comm.size(), 1).await;
     })
     .unwrap_err();
     match err {
@@ -120,7 +120,7 @@ fn negative_beg_probabilities_rejected_cleanly() {
 #[test]
 fn zero_rank_run_rejected() {
     assert_eq!(
-        cluster::run_spmd(0, Machine::ideal(), |_| ()).unwrap_err(),
+        cluster::run_spmd(0, Machine::ideal(), async |_| ()).unwrap_err(),
         ClusterError::ZeroRanks
     );
 }

@@ -1,13 +1,11 @@
 //! Integration coverage of the extension set: Greeks through the facade,
-//! pathwise deltas, barrier and lookback products, implied volatility
-//! round-trips through engine prices, and correlation repair feeding a
-//! pricing pipeline end to end.
+//! pathwise deltas, barrier and lookback products, and correlation
+//! repair feeding a pricing pipeline end to end.
 
 use mdp_core::greeks::BumpConfig;
 use mdp_core::math::linalg::{nearest_correlation, Matrix};
 use mdp_core::mc::pathwise::pathwise_delta;
 use mdp_core::model::greeks::black_scholes_call_greeks;
-use mdp_core::model::implied::{implied_vol, OptionSide};
 use mdp_core::prelude::*;
 
 #[test]
@@ -34,28 +32,6 @@ fn bump_and_pathwise_deltas_agree_with_each_other() {
             pw.delta[i]
         );
     }
-}
-
-#[test]
-fn implied_vol_round_trips_engine_prices() {
-    // Price with CN finite differences, invert with the closed form:
-    // the recovered vol must be the input vol up to the engine's own
-    // discretisation error.
-    let sigma = 0.27;
-    let m = GbmMarket::single(100.0, sigma, 0.0, 0.05).unwrap();
-    let p = Product::european(
-        Payoff::BasketCall {
-            weights: vec![1.0],
-            strike: 105.0,
-        },
-        1.0,
-    );
-    let price = Pricer::new(Method::Fd1d(Fd1d::default()))
-        .price(&m, &p)
-        .unwrap()
-        .price;
-    let iv = implied_vol(OptionSide::Call, price, 100.0, 105.0, 0.05, 0.0, 1.0).unwrap();
-    assert!((iv - sigma).abs() < 5e-4, "{iv} vs {sigma}");
 }
 
 #[test]
