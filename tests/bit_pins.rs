@@ -710,3 +710,224 @@ fn adi_problem_bits() {
         ],
     );
 }
+
+/// The backends each LSMC variant is pinned on: Sequential, Rayon, and
+/// four ranks on [`machine`] that checkpoint every three dates while
+/// rank 2 crashes at date boundary 5 and is recovered.
+fn lsmc_variant_pricers(method: Method) -> Vec<(&'static str, Pricer)> {
+    let pricer = Pricer::new(method);
+    vec![
+        ("seq", pricer.clone()),
+        ("rayon", pricer.clone().backend(Backend::Rayon)),
+        (
+            "p4-crash",
+            pricer
+                .backend(cluster(4, Some(3)))
+                .fault_plan(FaultPlan::new(17).with_crash(2, 5)),
+        ),
+    ]
+}
+
+/// LSMC beyond cluster-sweep's two-asset monomial problem: one and
+/// three assets, the Laguerre and Hermite bases, degree 3, and a deep
+/// out-of-the-money put whose dates 1–10 hold fewer than `2k` = 8
+/// in-the-money paths (none before date 8, then 3, 3 and 7), so their
+/// regression returns no fit and the date exercises nothing; dates
+/// 11–15 hold 11 to 27 and do exercise.
+#[test]
+fn lsmc_variant_bits() {
+    use mdp_core::math::poly::BasisKind;
+    let american_put = |d: usize, strike: f64| {
+        Product::american(
+            Payoff::BasketPut {
+                weights: Product::equal_weights(d),
+                strike,
+            },
+            1.0,
+        )
+    };
+    let lsmc = |paths: u64, steps: usize, degree: usize, basis: BasisKind| {
+        Method::Lsmc(LsmcConfig {
+            paths,
+            steps,
+            degree,
+            basis,
+            block_size: 256,
+            ..Default::default()
+        })
+    };
+    let variants = [
+        (
+            "d1.laguerre3",
+            GbmMarket::single(100.0, 0.2, 0.0, 0.05).unwrap(),
+            american_put(1, 110.0),
+            lsmc(4_096, 12, 3, BasisKind::Laguerre),
+        ),
+        (
+            "d1.sparse_itm",
+            GbmMarket::single(100.0, 0.2, 0.0, 0.05).unwrap(),
+            american_put(1, 70.0),
+            lsmc(1_024, 16, 3, BasisKind::Monomial),
+        ),
+        (
+            "d3.hermite3",
+            GbmMarket::symmetric(3, 100.0, 0.25, 0.01, 0.05, 0.3).unwrap(),
+            Product::american(Payoff::MinPut { strike: 100.0 }, 1.0),
+            lsmc(3_072, 10, 3, BasisKind::Hermite),
+        ),
+        (
+            "d3.monomial3",
+            GbmMarket::symmetric(3, 100.0, 0.2, 0.0, 0.05, 0.4).unwrap(),
+            american_put(3, 105.0),
+            lsmc(3_072, 10, 3, BasisKind::Monomial),
+        ),
+    ];
+    let mut actual = Vec::new();
+    for (tag, market, product, method) in variants {
+        for (name, pricer) in lsmc_variant_pricers(method) {
+            let r = pricer.price(&market, &product).unwrap();
+            actual.push((format!("{tag}.{name}.price"), r.price.to_bits()));
+            let se = r.std_error.expect("LSMC reports a standard error");
+            actual.push((format!("{tag}.{name}.std_error"), se.to_bits()));
+            if let Some(t) = r.time {
+                actual.push((format!("{tag}.{name}.makespan"), t.makespan.to_bits()));
+                actual.push((format!("{tag}.{name}.msgs"), t.total_msgs));
+                actual.push((format!("{tag}.{name}.bytes"), t.total_bytes));
+            }
+        }
+    }
+    check(
+        &actual,
+        &[
+            ("d1.laguerre3.seq.price", 0x40280ed6672aa291),
+            ("d1.laguerre3.seq.std_error", 0x3fc16a78c6e21dfc),
+            ("d1.laguerre3.rayon.price", 0x40280ed6672aa291),
+            ("d1.laguerre3.rayon.std_error", 0x3fc16a78c6e21dfc),
+            ("d1.laguerre3.p4-crash.price", 0x40280ed6672aa28e),
+            ("d1.laguerre3.p4-crash.std_error", 0x3fc16a78c6e21dc4),
+            ("d1.laguerre3.p4-crash.makespan", 0x3f856ded65c0f173),
+            ("d1.laguerre3.p4-crash.msgs", 78),
+            ("d1.laguerre3.p4-crash.bytes", 31848),
+            ("d1.sparse_itm.seq.price", 0x3fbfdedf820be866),
+            ("d1.sparse_itm.seq.std_error", 0x3f9c23c75e70e093),
+            ("d1.sparse_itm.rayon.price", 0x3fbfdedf820be866),
+            ("d1.sparse_itm.rayon.std_error", 0x3f9c23c75e70e093),
+            ("d1.sparse_itm.p4-crash.price", 0x3fbfdedf820be864),
+            ("d1.sparse_itm.p4-crash.std_error", 0x3f9c23c75e70e06d),
+            ("d1.sparse_itm.p4-crash.makespan", 0x3f7214233c5eefc2),
+            ("d1.sparse_itm.p4-crash.msgs", 94),
+            ("d1.sparse_itm.p4-crash.bytes", 15416),
+            ("d3.hermite3.seq.price", 0x402f155862e66fdf),
+            ("d3.hermite3.seq.std_error", 0x3fc9a1bbb4c46de5),
+            ("d3.hermite3.rayon.price", 0x402f155862e66fdf),
+            ("d3.hermite3.rayon.std_error", 0x3fc9a1bbb4c46de5),
+            ("d3.hermite3.p4-crash.price", 0x402f155862e66fdc),
+            ("d3.hermite3.p4-crash.std_error", 0x3fc9a1bbb4c46df4),
+            ("d3.hermite3.p4-crash.makespan", 0x3fa4d179c0f25f41),
+            ("d3.hermite3.p4-crash.msgs", 70),
+            ("d3.hermite3.p4-crash.bytes", 178232),
+            ("d3.monomial3.seq.price", 0x401c47418b5a1658),
+            ("d3.monomial3.seq.std_error", 0x3fbce715c6b01482),
+            ("d3.monomial3.rayon.price", 0x401c47418b5a1658),
+            ("d3.monomial3.rayon.std_error", 0x3fbce715c6b01482),
+            ("d3.monomial3.p4-crash.price", 0x401c47418b5a1657),
+            ("d3.monomial3.p4-crash.std_error", 0x3fbce715c6b0145b),
+            ("d3.monomial3.p4-crash.makespan", 0x3fa4d179c0f25f41),
+            ("d3.monomial3.p4-crash.msgs", 70),
+            ("d3.monomial3.p4-crash.bytes", 178232),
+        ],
+    );
+}
+
+/// The distributed lattice beyond cluster-sweep's two-asset Block runs:
+/// a three-asset American on twelve ranks (two SMP nodes), the
+/// block-cyclic decomposition, more ranks than rows, and a checkpointed
+/// run that recovers from a crash. Each is pinned next to the
+/// Sequential price of its problem.
+#[test]
+fn lattice_driver_variant_bits() {
+    use mdp_core::lattice::cluster::{price_cluster, Decomposition};
+    let two = GbmMarket::symmetric(2, 100.0, 0.2, 0.0, 0.05, 0.3).unwrap();
+    let three = GbmMarket::symmetric(3, 100.0, 0.25, 0.02, 0.05, 0.3).unwrap();
+    let max_call = Product::european(Payoff::MaxCall { strike: 100.0 }, 1.0);
+    let min_put = Product::american(Payoff::MinPut { strike: 105.0 }, 1.0);
+    let block = Decomposition::Block;
+    let runs = [
+        (
+            "am3.p12",
+            &three,
+            &min_put,
+            20,
+            12,
+            block,
+            FaultPlan::new(0),
+            None,
+        ),
+        (
+            "cyclic2.p3",
+            &two,
+            &max_call,
+            24,
+            3,
+            Decomposition::Cyclic(2),
+            FaultPlan::new(0),
+            None,
+        ),
+        (
+            "rows5.p8",
+            &two,
+            &max_call,
+            4,
+            8,
+            block,
+            FaultPlan::new(0),
+            None,
+        ),
+        (
+            "ckpt4.crash.p4",
+            &two,
+            &min_put,
+            32,
+            4,
+            block,
+            FaultPlan::new(7).with_crash(1, 10),
+            Some(4),
+        ),
+    ];
+    let mut actual = Vec::new();
+    for (tag, market, product, steps, ranks, decomp, plan, ckpt) in runs {
+        let seq = MultiLattice::new(steps).price(market, product).unwrap();
+        actual.push((format!("{tag}.seq.price"), seq.price.to_bits()));
+        let out =
+            price_cluster(market, product, steps, ranks, machine(), decomp, plan, ckpt).unwrap();
+        actual.push((format!("{tag}.price"), out.price.to_bits()));
+        actual.push((format!("{tag}.makespan"), out.time.makespan.to_bits()));
+        actual.push((format!("{tag}.msgs"), out.time.total_msgs));
+        actual.push((format!("{tag}.bytes"), out.time.total_bytes));
+    }
+    check(
+        &actual,
+        &[
+            ("am3.p12.seq.price", 0x403465746f7ecbbc),
+            ("am3.p12.price", 0x403465746f7ecbbc),
+            ("am3.p12.makespan", 0x3f565893e241f668),
+            ("am3.p12.msgs", 176),
+            ("am3.p12.bytes", 280544),
+            ("cyclic2.p3.seq.price", 0x40304af4fe95d1fe),
+            ("cyclic2.p3.price", 0x40304af4fe95d1fe),
+            ("cyclic2.p3.makespan", 0x3f2b11a94abc91c4),
+            ("cyclic2.p3.msgs", 65),
+            ("cyclic2.p3.bytes", 21232),
+            ("rows5.p8.seq.price", 0x402f0df65760ef14),
+            ("rows5.p8.price", 0x402f0df65760ef14),
+            ("rows5.p8.makespan", 0x3eefb7a2bb78b3e8),
+            ("rows5.p8.msgs", 17),
+            ("rows5.p8.bytes", 648),
+            ("ckpt4.crash.p4.seq.price", 0x402a0a46a47c80ce),
+            ("ckpt4.crash.p4.price", 0x402a0a46a47c80ce),
+            ("ckpt4.crash.p4.makespan", 0x3f3b9e0d9409af25),
+            ("ckpt4.crash.p4.msgs", 91),
+            ("ckpt4.crash.p4.bytes", 13864),
+        ],
+    );
+}
