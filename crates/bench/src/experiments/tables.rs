@@ -193,7 +193,7 @@ pub fn t3b_batched_kernel_throughput(effort: Effort) {
 /// `BENCH_lattice_kernel.json` into the output directory so CI can track
 /// the kernel's trajectory across PRs.
 pub fn t4b_lattice_kernel_throughput(effort: Effort) {
-    use mdp_core::lattice::multidim::{branch_probabilities, StepCtx, StepScratch};
+    use mdp_core::lattice::multidim::StepScratch;
     use mdp_perf::timing::measure_best;
 
     let mut t = Table::new(
@@ -221,15 +221,17 @@ pub fn t4b_lattice_kernel_throughput(effort: Effort) {
     for (i, &(d, n)) in cases.iter().enumerate() {
         let m = market(d);
         let p = max_call();
-        let dt = p.maturity / n as f64;
-        let probs = branch_probabilities(&m, dt).expect("valid probabilities");
-        let disc = (-m.rate() * dt).exp();
+        // The plan (probabilities, discount, every step's spot ladders)
+        // is built outside the timed runs, so they time the kernels.
+        let plan = MultiLattice::new(n)
+            .plan(&m, p.maturity)
+            .expect("valid plan");
         // Full backward induction from the terminal layer, mirroring
-        // `MultiLattice::run` but parameterised by which slab kernel
+        // `LatticePlan::execute` but parameterised by which slab kernel
         // fills the new layer; returns the root value so the two
         // variants can be compared bitwise.
         let run = |blocked: bool| -> f64 {
-            let term_ctx = StepCtx::new(&m, &p, n, n, &probs, disc);
+            let term_ctx = plan.step_ctx(&p, n);
             let term_row = term_ctx.row_cur();
             let mut values = vec![0.0; (n + 1) * term_row];
             let mut spare = vec![0.0; (n as u128).pow(d as u32) as usize];
@@ -238,7 +240,7 @@ pub fn t4b_lattice_kernel_throughput(effort: Effort) {
                 term_ctx.eval_terminal_slab(j0, out, &mut scratch);
             }
             for step in (0..n).rev() {
-                let ctx = StepCtx::new(&m, &p, n, step, &probs, disc);
+                let ctx = plan.step_ctx(&p, step);
                 let row_cur = ctx.row_cur();
                 let len = (step + 1) * row_cur;
                 for (j0, out) in spare[..len].chunks_mut(row_cur).enumerate() {

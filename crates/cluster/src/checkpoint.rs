@@ -75,6 +75,7 @@
 //! time as a checkpointed fault-free run minus the checkpoint writes.
 
 use std::collections::HashMap;
+use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 
 use crate::engine::CollectiveEngine;
@@ -254,7 +255,9 @@ pub struct Supervisor {
     interval: Option<usize>,
     store: CheckpointStore,
     plan_crashes: Vec<(usize, usize)>,
-    active: Vec<usize>,
+    /// The live ranks, ascending: the run's shared roster until the
+    /// first death, then this rank's own shrunken copy.
+    active: Rc<[usize]>,
     /// The full roster's schedules, used while no rank has died.
     engine: CollectiveEngine,
     last_ckpt: Option<usize>,
@@ -289,7 +292,7 @@ impl Supervisor {
             interval,
             store: store.clone(),
             plan_crashes: comm.fault_plan().crashes.clone(),
-            active: (0..comm.size()).collect(),
+            active: comm.roster(),
             engine: CollectiveEngine::for_machine(comm.machine(), comm.size()),
             last_ckpt: None,
             era: 0,
@@ -413,7 +416,12 @@ impl Supervisor {
         if newly_dead.is_empty() {
             return None;
         }
-        self.active.retain(|r| !newly_dead.contains(r));
+        self.active = self
+            .active
+            .iter()
+            .copied()
+            .filter(|r| !newly_dead.contains(r))
+            .collect();
         // Read the pool of the era we are leaving, *then* bump the era
         // so replayed boundaries deposit fresh records alongside it.
         let records = match self.last_ckpt {

@@ -33,18 +33,21 @@ pub fn block_owner(n: usize, p: usize, i: usize) -> usize {
 }
 
 /// Indices of `0..n` owned by `rank` under block-cyclic decomposition
-/// with the given `block` size (ablation A2 compares this against the
-/// contiguous layout for lattice slabs).
-pub fn cyclic_indices(n: usize, p: usize, rank: usize, block: usize) -> Vec<usize> {
+/// with the given `block` size, ascending (ablation A2 compares this
+/// against the contiguous layout for lattice slabs).
+///
+/// # Panics
+/// Panics when `p == 0`, `rank >= p` or `block == 0`.
+pub fn cyclic_indices(
+    n: usize,
+    p: usize,
+    rank: usize,
+    block: usize,
+) -> impl Iterator<Item = usize> {
     assert!(p > 0 && rank < p && block > 0);
-    let mut idx = Vec::new();
-    let mut start = rank * block;
-    while start < n {
-        let end = (start + block).min(n);
-        idx.extend(start..end);
-        start += p * block;
-    }
-    idx
+    (rank * block..n)
+        .step_by(p * block)
+        .flat_map(move |start| start..(start + block).min(n))
 }
 
 #[cfg(test)]
@@ -119,7 +122,7 @@ mod tests {
 
     #[test]
     fn cyclic_block_one_interleaves() {
-        let idx = cyclic_indices(7, 3, 1, 1);
+        let idx: Vec<usize> = cyclic_indices(7, 3, 1, 1).collect();
         assert_eq!(idx, vec![1, 4]);
     }
 

@@ -111,15 +111,19 @@ struct PeerFailed {
 }
 
 /// Per-rank fault-injection state: the shared plan plus the counters
-/// and observations that drive deterministic replay.
+/// and observations that drive deterministic replay. Each per-peer
+/// table is sized only under a plan that reads it, so a fault-free run
+/// holds no O(p) state per rank.
 struct FaultState {
     plan: Rc<FaultPlan>,
     /// Per-destination message sequence numbers (inputs to the plan's
     /// drop/delay coins, so the fault stream is order-deterministic).
+    /// Empty unless the plan has message chaos.
     send_seq: Vec<u64>,
     /// Death clock of each rank whose poison marker we have consumed,
     /// for ranks with a *scheduled* crash. Unscheduled poison keeps the
-    /// fail-fast cascade semantics of plain runs.
+    /// fail-fast cascade semantics of plain runs. Empty unless the plan
+    /// schedules crashes.
     observed_dead: Vec<Option<f64>>,
 }
 
@@ -144,7 +148,6 @@ struct FaultState {
 /// into a [`ClusterError`].
 pub struct ThreadComm {
     rank: usize,
-    size: usize,
     machine: Machine,
     clock: f64,
     stats: CommStats,
@@ -156,19 +159,22 @@ pub struct ThreadComm {
     trace: Option<Vec<TraceEvent>>,
     /// Fault-injection state (inert under an empty plan).
     fault: FaultState,
+    /// Every rank of the run, `0..size`, one list shared by all ranks;
+    /// its length is the rank count.
+    roster: Rc<[usize]>,
 }
 
 impl ThreadComm {
     fn new(
         rank: usize,
-        size: usize,
         machine: Machine,
         sched: Rc<RefCell<Scheduler>>,
         plan: Rc<FaultPlan>,
+        roster: Rc<[usize]>,
     ) -> Self {
+        let per_peer = |needed: bool| if needed { roster.len() } else { 0 };
         ThreadComm {
             rank,
-            size,
             machine,
             clock: 0.0,
             stats: CommStats::default(),
@@ -176,10 +182,11 @@ impl ThreadComm {
             pending: HashMap::new(),
             trace: None,
             fault: FaultState {
+                send_seq: vec![0; per_peer(plan.has_chaos())],
+                observed_dead: vec![None; per_peer(!plan.crashes.is_empty())],
                 plan,
-                send_seq: vec![0; size],
-                observed_dead: vec![None; size],
             },
+            roster,
         }
     }
 
@@ -190,7 +197,12 @@ impl ThreadComm {
 
     /// Number of ranks.
     pub fn size(&self) -> usize {
-        self.size
+        self.roster.len()
+    }
+
+    /// Every rank of the run, `0..size()`, as one list all ranks share.
+    pub(crate) fn roster(&self) -> Rc<[usize]> {
+        Rc::clone(&self.roster)
     }
 
     /// The machine model this run executes under.
@@ -262,7 +274,7 @@ impl ThreadComm {
     /// a plan with message chaos the reliable-delivery layer adds
     /// retransmits, backoff and an ack.
     pub fn send(&mut self, dest: usize, tag: Tag, data: &[f64]) {
-        assert!(dest < self.size, "send to rank {dest} of {}", self.size);
+        assert!(dest < self.size(), "send to rank {dest} of {}", self.size());
         if self.fault.plan.has_chaos() {
             return self.reliable_send(dest, tag, data);
         }
@@ -326,9 +338,9 @@ impl ThreadComm {
     /// The receive behind [`recv`](Self::recv) (`ft` false) and
     /// [`recv_ft`](Self::recv_ft) (`ft` true).
     async fn receive(&mut self, src: usize, tag: Tag, ft: bool) -> Result<Vec<f64>, usize> {
-        assert!(src < self.size, "recv from rank {src} of {}", self.size);
+        assert!(src < self.size(), "recv from rank {src} of {}", self.size());
         if ft {
-            if let Some(t) = self.fault.observed_dead[src] {
+            if let Some(&Some(t)) = self.fault.observed_dead.get(src) {
                 self.advance_wait_to(t, src);
                 return Err(src);
             }
@@ -659,10 +671,17 @@ where
     }
     let sched = Rc::new(RefCell::new(Scheduler::new(p)));
     let plan = Rc::new(plan);
+    let roster: Rc<[usize]> = (0..p).collect();
     let f = &f;
     let mut tasks: Vec<Option<Task<'_, T>>> = (0..p)
         .map(|rank| {
-            let mut comm = ThreadComm::new(rank, p, machine, Rc::clone(&sched), Rc::clone(&plan));
+            let mut comm = ThreadComm::new(
+                rank,
+                machine,
+                Rc::clone(&sched),
+                Rc::clone(&plan),
+                Rc::clone(&roster),
+            );
             if traced {
                 comm.trace = Some(Vec::new());
             }
@@ -1019,6 +1038,35 @@ mod fault_tests {
             assert_eq!((b.stats.msgs_sent, b.stats.bytes_sent), (1, bytes as u64));
             assert_eq!((b.stats.ack_msgs, b.stats.retransmits), (0, 0));
         }
+    }
+
+    #[test]
+    fn per_peer_fault_state_is_sized_to_the_plan() {
+        // (send_seq, observed_dead) lengths of each rank.
+        let sizes = |plan: FaultPlan| {
+            let out = run_spmd_ft(4, Machine::ideal(), plan, async |comm| {
+                let roster = comm.roster().as_ptr() as usize;
+                (
+                    comm.fault.send_seq.len(),
+                    comm.fault.observed_dead.len(),
+                    roster,
+                )
+            })
+            .unwrap();
+            let rosters: Vec<usize> = out.survivors.iter().map(|r| r.value.2).collect();
+            assert!(
+                rosters.iter().all(|&r| r == rosters[0]),
+                "one shared roster"
+            );
+            out.survivors
+                .iter()
+                .map(|r| (r.value.0, r.value.1))
+                .collect::<Vec<_>>()
+        };
+        // The empty plan leaves a rank no per-peer fault state.
+        assert_eq!(sizes(FaultPlan::new(0)), vec![(0, 0); 4]);
+        assert_eq!(sizes(FaultPlan::new(1).with_drops(0.1)), vec![(4, 0); 4]);
+        assert_eq!(sizes(FaultPlan::new(2).with_crash(3, 9)), vec![(0, 4); 4]);
     }
 
     #[test]

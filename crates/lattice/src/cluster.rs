@@ -27,14 +27,19 @@
 //! Because ownership is a pure function of `(step, p, rank)`, every rank
 //! derives the full communication pattern locally — no coordination
 //! messages, exactly like the static decompositions of the era's MPI
-//! codes.
+//! codes. Each rank keeps its row lists in buffers it reuses every step.
+//!
+//! Every rank reads one [`LatticePlan`], built before the ranks start:
+//! its branch probabilities, discount and every step's spot ladders are
+//! the Sequential engine's, computed once per run rather than once per
+//! rank and step.
 //!
 //! The one SPMD body runs under a [`Supervisor`]: it writes coordinated
 //! checkpoints when the run has an interval and, after a crash,
 //! repartitions the last checkpointed layer over the survivors (the
 //! fault model is in DESIGN.md).
 
-use crate::multidim::{branch_probabilities, StepCtx, StepScratch};
+use crate::multidim::{LatticePlan, MultiLattice, StepScratch};
 use crate::LatticeError;
 use mdp_cluster::{
     check_policy, partition, run_spmd_ft, CheckpointStore, FaultPlan, Machine, Supervisor,
@@ -55,14 +60,16 @@ pub enum Decomposition {
 }
 
 impl Decomposition {
-    /// Rows of a `rows`-row grid owned by `rank` (sorted ascending).
-    fn owned(self, rows: usize, p: usize, rank: usize) -> Vec<usize> {
+    /// Rows of a `rows`-row grid owned by `rank` (sorted ascending),
+    /// written over `out`.
+    fn owned(self, rows: usize, p: usize, rank: usize, out: &mut Vec<usize>) {
+        out.clear();
         match self {
             Decomposition::Block => {
                 let (lo, hi) = partition::block_range(rows, p, rank);
-                (lo..hi).collect()
+                out.extend(lo..hi);
             }
-            Decomposition::Cyclic(b) => partition::cyclic_indices(rows, p, rank, b),
+            Decomposition::Cyclic(b) => out.extend(partition::cyclic_indices(rows, p, rank, b)),
         }
     }
 }
@@ -131,26 +138,11 @@ pub fn price_cluster(
         ));
     }
     check_policy(&plan, ckpt_interval).map_err(unsupported)?;
-    let dt = product.maturity / steps as f64;
-    let probs = branch_probabilities(market, dt)?;
-    let disc = (-market.rate() * dt).exp();
-    let d = market.dim();
+    let lattice = MultiLattice::new(steps).plan(market, product.maturity)?;
     let store = CheckpointStore::new();
 
     let outcome = run_spmd_ft(p, machine, plan, async |comm| {
-        run_rank(
-            comm,
-            market,
-            product,
-            steps,
-            &probs,
-            disc,
-            d,
-            decomp,
-            &store,
-            ckpt_interval,
-        )
-        .await
+        run_rank(comm, &lattice, product, decomp, &store, ckpt_interval).await
     })
     .map_err(|e| unsupported(e.to_string()))?;
 
@@ -174,20 +166,16 @@ pub fn price_cluster(
 /// grows monotonically — the ascending index [`Supervisor::boundary`]
 /// expects. Rows are owned over the supervisor's active list: rank
 /// `active[j]` owns dense share `j` of `active.len()`.
-#[allow(clippy::too_many_arguments)]
 async fn run_rank(
     comm: &mut ThreadComm,
-    market: &GbmMarket,
+    lattice: &LatticePlan,
     product: &Product,
-    steps: usize,
-    probs: &[f64],
-    disc: f64,
-    d: usize,
     decomp: Decomposition,
     store: &CheckpointStore,
     interval: Option<usize>,
 ) -> f64 {
-    let n = steps;
+    let n = lattice.steps();
+    let d = lattice.market().dim();
     let rank = comm.rank();
     let mut sup = Supervisor::new(comm, interval, store);
     let mut me = sup.dense_index(rank);
@@ -198,11 +186,20 @@ async fn run_rank(
     let mut two_rows: Vec<f64> = Vec::new();
     let mut send_buf: Vec<f64> = Vec::new();
     let mut spare: Vec<f64> = Vec::new();
+    // Row lists: this rank's rows of the next and current grids, the
+    // next-grid rows it reads, and a peer's rows, needs and the rows
+    // one message carries.
+    let mut owned_next: Vec<usize> = Vec::new();
+    let mut owned_cur: Vec<usize> = Vec::new();
+    let mut needed: Vec<usize> = Vec::new();
+    let mut peer_rows: Vec<usize> = Vec::new();
+    let mut peer_needed: Vec<usize> = Vec::new();
+    let mut shared: Vec<usize> = Vec::new();
 
     // Terminal layer over the (initially full) active set.
-    let term_ctx = StepCtx::new(market, product, n, n, probs, disc);
+    let term_ctx = lattice.step_ctx(product, n);
     let mut row_len_next = term_ctx.row_cur();
-    let mut owned_next = decomp.owned(n + 1, sup.active().len(), me);
+    decomp.owned(n + 1, sup.active().len(), me, &mut owned_next);
     let mut values: Vec<f64> = vec![0.0; owned_next.len() * row_len_next];
     for (slot, &j0) in owned_next.iter().enumerate() {
         term_ctx.eval_terminal_slab(
@@ -222,13 +219,13 @@ async fn run_rank(
             // (checkpointed runs are Block, so shards are contiguous).
             let k0 = rec.from_step.expect("boundary 0 always checkpoints");
             let layer_rows = n - k0 + 1;
-            let row_len = StepCtx::new(market, product, n, n - k0, probs, disc).row_cur();
+            let row_len = lattice.step_ctx(product, n - k0).row_cur();
             let mut full = vec![0.0; layer_rows * row_len];
             for (_, r) in &rec.records {
                 full[r.lo * row_len..r.lo * row_len + r.data.len()].copy_from_slice(&r.data);
             }
             me = sup.dense_index(rank);
-            owned_next = decomp.owned(layer_rows, sup.active().len(), me);
+            decomp.owned(layer_rows, sup.active().len(), me, &mut owned_next);
             let lo = owned_next.first().copied().unwrap_or(0);
             values = full[lo * row_len..lo * row_len + owned_next.len() * row_len].to_vec();
             row_len_next = row_len;
@@ -239,15 +236,15 @@ async fn run_rank(
         let step = n - 1 - k;
         let active = sup.active();
         let a = active.len();
-        let ctx = StepCtx::new(market, product, n, step, probs, disc);
+        let ctx = lattice.step_ctx(product, step);
         let row_cur = ctx.row_cur();
         let row_next = ctx.row_next;
         debug_assert_eq!(row_next, row_len_next);
         let next_rows_total = step + 2;
 
-        let owned_cur = decomp.owned(step + 1, a, me);
+        decomp.owned(step + 1, a, me, &mut owned_cur);
         // Rows of the next grid this rank needs: children of owned rows.
-        let needed = needed_rows(&owned_cur, next_rows_total);
+        needed_rows(&owned_cur, next_rows_total, &mut needed);
 
         // --- Post the halo sends -----------------------------------
         // For each candidate peer, the intersection of their needs
@@ -267,15 +264,15 @@ async fn run_rank(
             if j == me {
                 continue;
             }
-            let their_cur = decomp.owned(step + 1, a, j);
-            let their_needed = needed_rows(&their_cur, next_rows_total);
-            let send_rows = intersect(&their_needed, &owned_next);
-            if send_rows.is_empty() {
+            decomp.owned(step + 1, a, j, &mut peer_rows);
+            needed_rows(&peer_rows, next_rows_total, &mut peer_needed);
+            intersect(&peer_needed, &owned_next, &mut shared);
+            if shared.is_empty() {
                 continue;
             }
             send_buf.clear();
-            send_buf.reserve(send_rows.len() * row_next);
-            for &row in &send_rows {
+            send_buf.reserve(shared.len() * row_next);
+            for &row in &shared {
                 let slot = slot_of(&owned_next, row);
                 send_buf.extend_from_slice(&values[slot * row_next..(slot + 1) * row_next]);
             }
@@ -339,14 +336,14 @@ async fn run_rank(
             if j == me {
                 continue;
             }
-            let their_owned_next = decomp.owned(step + 2, a, j);
-            let recv_rows = intersect(&needed, &their_owned_next);
-            if recv_rows.is_empty() {
+            decomp.owned(step + 2, a, j, &mut peer_rows);
+            intersect(&needed, &peer_rows, &mut shared);
+            if shared.is_empty() {
                 continue;
             }
             let buf = comm.recv(active[j], T_HALO).await;
-            debug_assert_eq!(buf.len(), recv_rows.len() * row_next);
-            for (m, &row) in recv_rows.iter().enumerate() {
+            debug_assert_eq!(buf.len(), shared.len() * row_next);
+            for (m, &row) in shared.iter().enumerate() {
                 let wslot = slot_of(&needed, row);
                 window[wslot * row_next..(wslot + 1) * row_next]
                     .copy_from_slice(&buf[m * row_next..(m + 1) * row_next]);
@@ -364,7 +361,7 @@ async fn run_rank(
         comm.compute_units(boundary_nodes as f64 * node_work(d));
 
         std::mem::swap(&mut values, &mut spare);
-        owned_next = owned_cur;
+        std::mem::swap(&mut owned_next, &mut owned_cur);
         row_len_next = row_cur;
         k += 1;
     }
@@ -382,11 +379,9 @@ async fn run_rank(
 /// The rank owning row 0 of a 1-row grid under the decomposition.
 fn owner_of_row0(decomp: Decomposition, p: usize) -> usize {
     match decomp {
-        // Block ownership is pure arithmetic — no O(p) scan.
         Decomposition::Block => partition::block_owner(1, p, 0),
-        Decomposition::Cyclic(_) => (0..p)
-            .find(|&r| decomp.owned(1, p, r).first() == Some(&0))
-            .expect("some rank owns row 0"),
+        // Blocks of `b` rows are dealt round-robin from rank 0.
+        Decomposition::Cyclic(_) => 0,
     }
 }
 
@@ -420,9 +415,10 @@ fn recv_candidates(needed: &[usize], rows_next: usize, p: usize) -> std::ops::Ra
     }
 }
 
-/// Sorted unique child rows `{j, j+1}` of the owned rows, clipped.
-fn needed_rows(owned_cur: &[usize], next_total: usize) -> Vec<usize> {
-    let mut v = Vec::with_capacity(owned_cur.len() + 1);
+/// Sorted unique child rows `{j, j+1}` of the owned rows, clipped,
+/// written over `v`.
+fn needed_rows(owned_cur: &[usize], next_total: usize, v: &mut Vec<usize>) {
+    v.clear();
     for &j in owned_cur {
         for cand in [j, j + 1] {
             if cand < next_total && v.last() != Some(&cand) {
@@ -434,12 +430,11 @@ fn needed_rows(owned_cur: &[usize], next_total: usize) -> Vec<usize> {
             }
         }
     }
-    v
 }
 
-/// Intersection of two sorted slices.
-fn intersect(a: &[usize], b: &[usize]) -> Vec<usize> {
-    let mut out = Vec::new();
+/// Intersection of two sorted slices, written over `out`.
+fn intersect(a: &[usize], b: &[usize], out: &mut Vec<usize>) {
+    out.clear();
     let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {
         match a[i].cmp(&b[j]) {
@@ -452,7 +447,6 @@ fn intersect(a: &[usize], b: &[usize]) -> Vec<usize> {
             }
         }
     }
-    out
 }
 
 /// Position of `row` in a sorted slice (must exist).
@@ -752,12 +746,24 @@ mod tests {
         );
     }
 
+    fn children(owned_cur: &[usize], next_total: usize) -> Vec<usize> {
+        let mut v = Vec::new();
+        needed_rows(owned_cur, next_total, &mut v);
+        v
+    }
+
+    fn common(a: &[usize], b: &[usize]) -> Vec<usize> {
+        let mut out = Vec::new();
+        intersect(a, b, &mut out);
+        out
+    }
+
     #[test]
     fn helper_functions() {
-        assert_eq!(needed_rows(&[0, 1, 2], 5), vec![0, 1, 2, 3]);
-        assert_eq!(needed_rows(&[4], 5), vec![4]);
-        assert_eq!(needed_rows(&[0, 2], 5), vec![0, 1, 2, 3]);
-        assert_eq!(intersect(&[1, 3, 5], &[2, 3, 5, 7]), vec![3, 5]);
+        assert_eq!(children(&[0, 1, 2], 5), vec![0, 1, 2, 3]);
+        assert_eq!(children(&[4], 5), vec![4]);
+        assert_eq!(children(&[0, 2], 5), vec![0, 1, 2, 3]);
+        assert_eq!(common(&[1, 3, 5], &[2, 3, 5, 7]), vec![3, 5]);
         assert_eq!(owner_of_row0(Decomposition::Block, 4), 0);
         assert_eq!(owner_of_row0(Decomposition::Cyclic(2), 4), 0);
     }
@@ -777,7 +783,7 @@ mod tests {
                     let sc = send_candidates(lo_n, hi_n, rows_cur, p);
                     let (cl, ch) = partition::block_range(rows_cur, p, rank);
                     let owned_cur: Vec<usize> = (cl..ch).collect();
-                    let needed = needed_rows(&owned_cur, rows_next);
+                    let needed = children(&owned_cur, rows_next);
                     let rc = recv_candidates(&needed, rows_next, p);
                     for r in 0..p {
                         if r == rank {
@@ -785,13 +791,13 @@ mod tests {
                         }
                         let (tl, th) = partition::block_range(rows_cur, p, r);
                         let their_cur: Vec<usize> = (tl..th).collect();
-                        let their_needed = needed_rows(&their_cur, rows_next);
-                        if !intersect(&their_needed, &owned_next).is_empty() {
+                        let their_needed = children(&their_cur, rows_next);
+                        if !common(&their_needed, &owned_next).is_empty() {
                             assert!(sc.contains(&r), "send p={p} step={step} {rank}->{r}");
                         }
                         let (nl, nh) = partition::block_range(rows_next, p, r);
                         let theirs_next: Vec<usize> = (nl..nh).collect();
-                        if !intersect(&needed, &theirs_next).is_empty() {
+                        if !common(&needed, &theirs_next).is_empty() {
                             assert!(rc.contains(&r), "recv p={p} step={step} {rank}<-{r}");
                         }
                     }

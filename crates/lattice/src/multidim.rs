@@ -80,33 +80,78 @@ pub struct MultiLatticeResult {
     pub branch_evals: u64,
 }
 
-/// Per-step context shared by all drivers: probabilities, strides,
-/// discounting and spot tables.
+/// Per-step context shared by all drivers. It borrows everything from a
+/// [`LatticePlan`] ([`LatticePlan::step_ctx`]): the probabilities and
+/// discount, and the step's index geometry and spot ladders, so taking
+/// one costs no allocation.
 pub struct StepCtx<'a> {
     /// Current step n (grid has `(n+1)^d` nodes).
     pub step: usize,
     dim: usize,
     disc: f64,
-    probs: Vec<f64>,
-    /// Child offset within the *inner* (axes ≥ 1) index space of the
-    /// next grid, and whether the branch moves axis 0 up.
-    branch_offsets: Vec<(usize, usize)>,
+    probs: &'a [f64],
+    /// See [`StepShape::branch_starts`].
+    branch_starts: &'a [usize],
+    /// See [`StepShape::inner_strides`].
+    inner_strides: &'a [usize],
+    /// Nodes per axis-0 row of the current grid.
+    row_cur: usize,
+    /// Nodes per axis-0 row of the next grid.
+    pub row_next: usize,
+    /// Per-axis spot ladders at this step: `spots[i][jᵢ]`.
+    spot_tables: &'a [Vec<f64>],
+    product: &'a Product,
+    american: bool,
+}
+
+/// Index geometry of one step of a d-asset lattice; it depends on the
+/// dimension and the step only.
+#[derive(Debug, Clone)]
+struct StepShape {
     /// Per-branch start offset into a two-row window of the next grid:
-    /// `up0·row_next + off` — the base every run adds its outer offset
-    /// to. Precomputed so the run loop carries no per-branch arithmetic.
+    /// `up0·row_next + off`, where `up0` says whether the branch moves
+    /// axis 0 up and `off` is the child's offset in the next grid's
+    /// inner (axes ≥ 1) index space — the base every run adds its outer
+    /// offset to. Precomputed so the run loop carries no per-branch
+    /// arithmetic.
     branch_starts: Vec<usize>,
     /// Inner strides of the next grid: axis `k ≥ 1` has stride
     /// `(step+2)^{d−1−k}`, stored at `inner_strides[k−1]` (innermost is
     /// stride 1 — the run axis).
     inner_strides: Vec<usize>,
-    /// Row sizes: nodes per axis-0 row in the current and next grids.
+    /// Nodes per axis-0 row of the current grid.
     row_cur: usize,
     /// Nodes per axis-0 row of the next grid.
-    pub row_next: usize,
-    /// Per-axis spot ladders at this step: `spots[i][jᵢ]`.
-    spot_tables: Vec<Vec<f64>>,
-    product: &'a Product,
-    american: bool,
+    row_next: usize,
+}
+
+impl StepShape {
+    fn new(d: usize, step: usize) -> Self {
+        // The next grid has step+2 points per axis, axis 0 outermost.
+        let next_pts = step + 2;
+        let mut inner_strides = vec![1usize; d - 1];
+        for k in (0..d.saturating_sub(2)).rev() {
+            inner_strides[k] = inner_strides[k + 1] * next_pts;
+        }
+        let row_next = inner_strides.first().map_or(1, |s| s * next_pts);
+        let branch_starts = (0..1usize << d)
+            .map(|m| {
+                let up0 = (m >> (d - 1)) & 1; // axis 0 uses the top bit
+                let mut off = 0usize;
+                for i in 1..d {
+                    let bit = (m >> (d - 1 - i)) & 1;
+                    off += bit * inner_strides[i - 1];
+                }
+                up0 * row_next + off
+            })
+            .collect();
+        StepShape {
+            branch_starts,
+            inner_strides,
+            row_cur: (step + 1).pow((d - 1) as u32),
+            row_next,
+        }
+    }
 }
 
 /// Reusable per-worker workspace for the slab kernels: the outer-axis
@@ -143,12 +188,11 @@ thread_local! {
     static TLS_SCRATCH: RefCell<StepScratch> = RefCell::new(StepScratch::new());
 }
 
-/// Per-axis spot ladders at one step: `ladders[i][jᵢ] = s0ᵢ·e^{σᵢ√Δt(2jᵢ−n)}`
-/// — exactly the arithmetic [`StepCtx::new`] performs, exposed so a
-/// [`LatticePlan`] can precompute every step's ladders once and share
-/// them across executes (the tables depend on the market and horizon,
-/// never the payoff).
-pub fn spot_ladders(market: &GbmMarket, maturity: f64, steps: usize, step: usize) -> Vec<Vec<f64>> {
+/// Per-axis spot ladders at one step: `ladders[i][jᵢ] = s0ᵢ·e^{σᵢ√Δt(2jᵢ−n)}`.
+/// A [`LatticePlan`] computes every step's ladders once and shares them
+/// across executes and ranks (the tables depend on the market and
+/// horizon, never the payoff).
+fn spot_ladders(market: &GbmMarket, maturity: f64, steps: usize, step: usize) -> Vec<Vec<f64>> {
     let dt = maturity / steps as f64;
     let sqdt = dt.sqrt();
     (0..market.dim())
@@ -162,79 +206,7 @@ pub fn spot_ladders(market: &GbmMarket, maturity: f64, steps: usize, step: usize
         .collect()
 }
 
-impl<'a> StepCtx<'a> {
-    /// Build the context for step `n` of an N-step, d-asset lattice.
-    pub fn new(
-        market: &GbmMarket,
-        product: &'a Product,
-        steps: usize,
-        step: usize,
-        probs: &[f64],
-        disc: f64,
-    ) -> Self {
-        let spot_tables = spot_ladders(market, product.maturity, steps, step);
-        Self::with_tables(market, product, step, probs, disc, spot_tables)
-    }
-
-    /// Build the context for step `n` from precomputed spot ladders
-    /// ([`spot_ladders`]); the plan/execute path uses this to skip the
-    /// per-step `exp` ladder rebuild.
-    pub fn with_tables(
-        market: &GbmMarket,
-        product: &'a Product,
-        step: usize,
-        probs: &[f64],
-        disc: f64,
-        spot_tables: Vec<Vec<f64>>,
-    ) -> Self {
-        let d = market.dim();
-        // Strides of the next grid (step+2 points per axis), axis 0
-        // outermost; inner strides exclude axis 0.
-        let next_pts = step + 2;
-        let mut strides = vec![1usize; d];
-        for i in (0..d - 1).rev() {
-            strides[i] = strides[i + 1] * next_pts;
-        }
-        let row_next = strides[0];
-        let row_cur = (step + 1).pow((d - 1) as u32);
-        let branch_offsets: Vec<(usize, usize)> = (0..1usize << d)
-            .map(|m| {
-                let up0 = (m >> (d - 1)) & 1; // axis 0 uses the top bit
-                let mut off = 0usize;
-                for i in 1..d {
-                    let bit = (m >> (d - 1 - i)) & 1;
-                    off += bit * strides[i];
-                }
-                (up0, off)
-            })
-            .collect();
-        let branch_starts = branch_offsets
-            .iter()
-            .map(|&(up0, off)| up0 * row_next + off)
-            .collect();
-        // Inner strides of the next grid (axis k≥1 has stride next_pts^{d-1-k}).
-        let mut inner_strides = vec![1usize; d.saturating_sub(1)];
-        if d >= 2 {
-            for k in (0..d - 2).rev() {
-                inner_strides[k] = inner_strides[k + 1] * next_pts;
-            }
-        }
-        StepCtx {
-            step,
-            dim: d,
-            disc,
-            probs: probs.to_vec(),
-            branch_offsets,
-            branch_starts,
-            inner_strides,
-            row_cur,
-            row_next,
-            spot_tables,
-            product,
-            american: product.exercise == ExerciseStyle::American,
-        }
-    }
-
+impl StepCtx<'_> {
     /// Nodes per axis-0 row of the current grid.
     pub fn row_cur(&self) -> usize {
         self.row_cur
@@ -318,7 +290,7 @@ impl<'a> StepCtx<'a> {
         }
         self.for_each_run(j0, out, scratch, |run, base, spot, inner_spots| {
             run.fill(0.0);
-            for (p, start) in self.probs.iter().zip(&self.branch_starts) {
+            for (p, start) in self.probs.iter().zip(self.branch_starts) {
                 let src = &next_two_rows[start + base..][..run.len()];
                 for (o, s) in run.iter_mut().zip(src) {
                     *o += p * s;
@@ -357,14 +329,10 @@ impl<'a> StepCtx<'a> {
             spot[s] = self.spot_tables[s][0];
         }
         for o in out.iter_mut() {
-            let base: usize = idx
-                .iter()
-                .zip(&self.inner_strides)
-                .map(|(j, s)| j * s)
-                .sum();
+            let base: usize = idx.iter().zip(self.inner_strides).map(|(j, s)| j * s).sum();
             let mut acc = 0.0;
-            for (p, (up0, off)) in self.probs.iter().zip(&self.branch_offsets) {
-                acc += p * next_two_rows[up0 * self.row_next + base + off];
+            for (p, start) in self.probs.iter().zip(self.branch_starts) {
+                acc += p * next_two_rows[start + base];
             }
             let mut v = self.disc * acc;
             if self.american {
@@ -447,8 +415,8 @@ impl MultiLattice {
 
     /// Build the payoff-independent plan for this lattice on a market
     /// with horizon `maturity`: branch probabilities, per-step discount
-    /// and every step's spot ladders, computed once and shared by all
-    /// executes.
+    /// and every step's spot ladders and index geometry, computed once
+    /// and shared by all executes (and by every rank of a cluster run).
     pub fn plan(&self, market: &GbmMarket, maturity: f64) -> Result<LatticePlan, LatticeError> {
         if self.steps == 0 {
             return Err(LatticeError::ZeroSteps);
@@ -474,6 +442,9 @@ impl MultiLattice {
         let ladders = (0..=self.steps)
             .map(|step| spot_ladders(market, maturity, self.steps, step))
             .collect();
+        let shapes = (0..=self.steps)
+            .map(|step| StepShape::new(market.dim(), step))
+            .collect();
         Ok(LatticePlan {
             lat: self.clone(),
             market: market.clone(),
@@ -481,6 +452,7 @@ impl MultiLattice {
             probs,
             disc,
             ladders,
+            shapes,
             cancel: mdp_math::CancelToken::never(),
         })
     }
@@ -524,8 +496,8 @@ impl MultiLattice {
 }
 
 /// Planned state of a BEG lattice run: branch probabilities, per-step
-/// discount factor and every step's spot ladders — all independent of
-/// the payoff. Build once with [`MultiLattice::plan`], execute per
+/// discount factor, and every step's spot ladders and index geometry —
+/// all independent of the payoff. Build once with [`MultiLattice::plan`], execute per
 /// product with [`LatticePlan::execute`]; results are bitwise-identical
 /// to the one-shot [`MultiLattice::price`] /
 /// [`MultiLattice::price_rayon`].
@@ -538,6 +510,8 @@ pub struct LatticePlan {
     disc: f64,
     /// `ladders[step][axis][jᵢ]` — per-step spot ladders.
     ladders: Vec<Vec<Vec<f64>>>,
+    /// `shapes[step]` — per-step index geometry (no tick changes it).
+    shapes: Vec<StepShape>,
     /// Cooperative cancellation, polled once per time step. Inert by
     /// default; the serving layer installs a live token per request.
     cancel: mdp_math::CancelToken,
@@ -623,6 +597,27 @@ impl LatticePlan {
         Ok(TickOutcome::Patched)
     }
 
+    /// The context of step `step` for `product`, borrowing the plan's
+    /// branch probabilities, discount and that step's geometry and spot
+    /// ladders. The product must fit the plan's market, as
+    /// [`LatticePlan::execute`] checks.
+    pub fn step_ctx<'a>(&'a self, product: &'a Product, step: usize) -> StepCtx<'a> {
+        let shape = &self.shapes[step];
+        StepCtx {
+            step,
+            dim: self.market.dim(),
+            disc: self.disc,
+            probs: &self.probs,
+            branch_starts: &shape.branch_starts,
+            inner_strides: &shape.inner_strides,
+            row_cur: shape.row_cur,
+            row_next: shape.row_next,
+            spot_tables: &self.ladders[step],
+            product,
+            american: product.exercise == ExerciseStyle::American,
+        }
+    }
+
     /// Run planned backward induction for one product. Bitwise-identical
     /// to the corresponding one-shot price on the same inputs.
     pub fn execute(
@@ -647,16 +642,13 @@ impl LatticePlan {
                 ),
             }));
         }
-        let market = &self.market;
-        let (probs, disc) = (&self.probs, self.disc);
-        let d = market.dim();
+        let d = self.market.dim();
         let n = self.lat.steps;
 
         // Two ping-pong grid buffers sized once at the two largest
         // layers (terminal (n+1)^d and its predecessor n^d); every step
         // writes into a prefix of the spare buffer and swaps.
-        let term_ctx =
-            StepCtx::with_tables(market, product, n, probs, disc, self.ladders[n].clone());
+        let term_ctx = self.step_ctx(product, n);
         let term_row = term_ctx.row_cur();
         let LatticeScratch {
             values,
@@ -686,14 +678,7 @@ impl LatticePlan {
             if self.cancel.is_cancelled() {
                 return Err(LatticeError::Cancelled);
             }
-            let ctx = StepCtx::with_tables(
-                market,
-                product,
-                step,
-                probs,
-                disc,
-                self.ladders[step].clone(),
-            );
+            let ctx = self.step_ctx(product, step);
             let row_cur = ctx.row_cur();
             let row_next = ctx.row_next;
             let len = (step + 1) * row_cur;
@@ -860,12 +845,10 @@ mod tests {
     /// demand bitwise-equal rows.
     fn assert_kernels_agree(d: usize, steps: usize, product: &Product) {
         let m = GbmMarket::symmetric(d, 100.0, 0.25, 0.01, 0.04, 0.2).unwrap();
-        let dt = product.maturity / steps as f64;
-        let probs = branch_probabilities(&m, dt).unwrap();
-        let disc = (-m.rate() * dt).exp();
+        let plan = MultiLattice::new(steps).plan(&m, product.maturity).unwrap();
         let step = steps - 1; // largest interior step
-        let next_ctx = StepCtx::new(&m, product, steps, steps, &probs, disc);
-        let ctx = StepCtx::new(&m, product, steps, step, &probs, disc);
+        let next_ctx = plan.step_ctx(product, steps);
+        let ctx = plan.step_ctx(product, step);
         let mut scratch = StepScratch::new();
         let row_next = ctx.row_next;
         let mut next = vec![0.0; (steps + 1) * row_next];

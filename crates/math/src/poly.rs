@@ -29,30 +29,40 @@ pub fn eval_basis(kind: BasisKind, x: f64, count: usize, out: &mut [f64]) {
         return;
     }
     out[0] = 1.0;
-    if count == 1 {
-        return;
-    }
+    let terms = &mut out[1..count];
     match kind {
-        BasisKind::Monomial => {
-            for k in 1..count {
-                out[k] = out[k - 1] * x;
-            }
-        }
-        BasisKind::Laguerre => {
-            out[1] = 1.0 - x;
-            for k in 1..count - 1 {
-                // (k+1) L_{k+1} = (2k+1-x) L_k − k L_{k-1}
-                out[k + 1] =
-                    (((2 * k + 1) as f64 - x) * out[k] - k as f64 * out[k - 1]) / (k + 1) as f64;
-            }
-        }
-        BasisKind::Hermite => {
-            out[1] = x;
-            for k in 1..count - 1 {
-                // He_{k+1} = x He_k − k He_{k-1}
-                out[k + 1] = x * out[k] - k as f64 * out[k - 1];
-            }
-        }
+        BasisKind::Monomial => recur(terms, x, |_, p, _| p * x),
+        BasisKind::Laguerre => recur(terms, 1.0 - x, |k, p, q| laguerre_next(k, x, p, q)),
+        BasisKind::Hermite => recur(terms, x, |k, p, q| hermite_next(k, x, p, q)),
+    }
+}
+
+/// `L_{k+1}` from `p = L_k` and `q = L_{k−1}`:
+/// `(k+1) L_{k+1} = (2k+1−x) L_k − k L_{k−1}`.
+#[inline(always)]
+fn laguerre_next(k: usize, x: f64, p: f64, q: f64) -> f64 {
+    (((2 * k + 1) as f64 - x) * p - k as f64 * q) / (k + 1) as f64
+}
+
+/// `He_{k+1} = x He_k − k He_{k−1}` from `p = He_k` and `q = He_{k−1}`.
+#[inline(always)]
+fn hermite_next(k: usize, x: f64, p: f64, q: f64) -> f64 {
+    x * p - k as f64 * q
+}
+
+/// Write `P_1 … P_n` into `out` (`n = out.len()`) from `P_0 = 1`,
+/// `P_1 = first` and `P_{k+1} = next(k, P_k, P_{k−1})`.
+#[inline(always)]
+fn recur(out: &mut [f64], first: f64, next: impl Fn(usize, f64, f64) -> f64) {
+    let Some((p1, rest)) = out.split_first_mut() else {
+        return;
+    };
+    *p1 = first;
+    let (mut q, mut p) = (1.0, first);
+    for (k, o) in (1..).zip(rest) {
+        let n = next(k, p, q);
+        *o = n;
+        (q, p) = (p, n);
     }
 }
 
@@ -96,32 +106,45 @@ impl TensorBasis {
         1 + self.dim * self.degree + cross
     }
 
-    /// Evaluate at the asset vector `x`, writing `self.size()` values.
+    /// Evaluate at the asset vector `x`, writing `self.size()` values:
+    /// the constant, asset i's terms `1..=degree` at
+    /// `out[1 + i·degree ..]`, then the cross terms `x_i·x_j` (`i < j`)
+    /// in row order. Each term is the recurrence [`eval_basis`] runs, so
+    /// the values are its bits.
     ///
     /// # Panics
     /// Panics if `x.len() != dim` or `out.len() != size()`.
     pub fn eval(&self, x: &[f64], out: &mut [f64]) {
         assert_eq!(x.len(), self.dim);
         assert_eq!(out.len(), self.size());
-        let deg = self.degree;
-        // Asset i's terms 1..=deg live at out[1 + i·deg ..]. Its scalar
-        // basis, constant included, is written one slot earlier, so the
-        // constant lands on asset i − 1's last term; going from the last
-        // asset down, asset i − 1 overwrites that slot next, and asset
-        // 0's constant becomes out[0]. No scratch buffer is needed.
-        for (i, &xi) in x.iter().enumerate().rev() {
-            eval_basis(self.kind, xi, deg + 1, &mut out[i * deg..=(i + 1) * deg]);
-        }
-        let mut pos = 1 + self.dim * deg;
-        if self.cross_terms {
-            for i in 0..self.dim {
-                for j in (i + 1)..self.dim {
-                    out[pos] = x[i] * x[j];
-                    pos += 1;
+        let (scalar, cross) = out.split_at_mut(1 + self.dim * self.degree);
+        scalar[0] = 1.0;
+        // The family is matched once per call, not once per asset.
+        let assets = scalar[1..].chunks_exact_mut(self.degree).zip(x);
+        match self.kind {
+            BasisKind::Monomial => {
+                for (terms, &xi) in assets {
+                    recur(terms, xi, |_, p, _| p * xi);
+                }
+            }
+            BasisKind::Laguerre => {
+                for (terms, &xi) in assets {
+                    recur(terms, 1.0 - xi, |k, p, q| laguerre_next(k, xi, p, q));
+                }
+            }
+            BasisKind::Hermite => {
+                for (terms, &xi) in assets {
+                    recur(terms, xi, |k, p, q| hermite_next(k, xi, p, q));
                 }
             }
         }
-        debug_assert_eq!(pos, self.size());
+        // Without cross terms `cross` is empty and nothing is written.
+        let mut cells = cross.iter_mut();
+        for (i, &xi) in x.iter().enumerate() {
+            for (&xj, cell) in x[i + 1..].iter().zip(cells.by_ref()) {
+                *cell = xi * xj;
+            }
+        }
     }
 }
 

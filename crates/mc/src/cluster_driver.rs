@@ -223,7 +223,7 @@ pub fn price_lsmc_cluster(
         let (mut blo, mut bhi) = (lo0 as u64, hi0 as u64);
         let mut panel = lsmc::simulate_panel(market, product, &cfg, &streams, blo..bhi);
         comm.compute_units(panel.paths as f64 * sim_work);
-        let (mut cashflow, mut cf_time) = kernel.terminal(&panel);
+        let (mut cashflow, mut cf_time) = kernel.terminal(&mut panel);
 
         let mut j = 0usize; // processed dates == boundary index
         while j < cfg.steps - 1 {
@@ -262,7 +262,11 @@ pub fn price_lsmc_cluster(
             }
 
             let t = cfg.steps - 1 - j; // exercise date, steps−1 .. 1
-            let layer = &panel.spots[t - 1];
+
+            // The scan is all the sweep reads of this date's spot layer,
+            // so it takes the layer; a rollback re-simulates the whole
+            // owned panel.
+            kernel.scan(std::mem::take(&mut panel.spots[t - 1]));
             // Per-block normal-equation sums (block-local path order is
             // fixed, so each block's sums are owner-independent).
             let mut payload: Vec<f64> = Vec::new();
@@ -270,7 +274,7 @@ pub fn price_lsmc_cluster(
             for b in blo..bhi {
                 let nb = lsmc::block_paths(&cfg, b) as usize;
                 let mut sums = RegressionSums::new(k);
-                kernel.regression_sums(layer, t, &cashflow, &cf_time, off..off + nb, &mut sums);
+                kernel.regression_sums(t, &cashflow, &cf_time, off..off + nb, &mut sums);
                 payload.push(b as f64);
                 payload.extend(sums.to_vec());
                 off += nb;
@@ -293,7 +297,7 @@ pub fn price_lsmc_cluster(
             sup.broadcast(comm, root, &mut merged).await;
 
             if let Some(beta) = RegressionSums::from_slice(k, &merged).solve(cfg.ridge) {
-                kernel.exercise(layer, t, &beta, &mut cashflow, &mut cf_time);
+                kernel.exercise(t, &beta, &mut cashflow, &mut cf_time);
             }
             j += 1;
         }

@@ -62,8 +62,9 @@ impl Default for LsmcConfig {
 /// Result of an LSMC run.
 #[derive(Debug, Clone, Copy)]
 pub struct LsmcResult {
-    /// Price estimate (a low-biased exercise-policy estimate, as usual
-    /// for plain LSMC).
+    /// Price estimate: the in-sample estimate of plain LSMC, which
+    /// regresses and exercises on the same paths (foresight bias can
+    /// push it up, a sub-optimal exercise policy down).
     pub price: f64,
     /// Standard error of the cashflow mean.
     pub std_error: f64,
@@ -241,28 +242,44 @@ impl RegressionSums {
 /// sweep ([`backward_sweep`]) and the cluster driver (which runs them
 /// per substream block over its share of the panel). Cashflows are
 /// valued at their exercise date `cf_time`, discounted on demand.
+///
+/// Each exercise date makes one pass over the paths:
+/// [`SweepKernel::scan`] takes the date's spot layer, finds its
+/// in-the-money paths and keeps each one's index, intrinsic value and
+/// normalised spots `s/s0` (the spots in the layer's own buffer);
+/// [`SweepKernel::regression_sums`] and [`SweepKernel::exercise`] read
+/// only that cache.
 pub struct SweepKernel<'a> {
     payoff: &'a Payoff,
     spots0: &'a [f64],
     basis: TensorBasis,
-    disc_dt: f64,
+    /// `disc_pow[n]` = `e^{−r·Δt}` to the power `n`, for `n ∈ 0..=steps`.
+    disc_pow: Vec<f64>,
     phi: Vec<f64>,
+    /// The scanned date's in-the-money paths, ascending.
+    itm: Vec<usize>,
+    /// Their intrinsic values.
+    intrinsic: Vec<f64>,
+    /// Their normalised spots, `d` per path: the scanned layer,
+    /// compacted in place.
     x: Vec<f64>,
 }
 
 impl<'a> SweepKernel<'a> {
     /// The kernel for one run.
     pub fn new(market: &'a GbmMarket, product: &'a Product, cfg: &LsmcConfig) -> Self {
-        let d = market.dim();
-        let basis = TensorBasis::new(d, cfg.degree, cfg.basis);
+        let basis = TensorBasis::new(market.dim(), cfg.degree, cfg.basis);
         let dt = product.maturity / cfg.steps as f64;
+        let disc_dt = (-market.rate() * dt).exp();
         SweepKernel {
             payoff: &product.payoff,
             spots0: market.spots(),
             phi: vec![0.0; basis.size()],
             basis,
-            disc_dt: (-market.rate() * dt).exp(),
-            x: vec![0.0; d],
+            disc_pow: (0..=cfg.steps).map(|n| disc_dt.powi(n as i32)).collect(),
+            itm: Vec::new(),
+            intrinsic: Vec::new(),
+            x: Vec::new(),
         }
     }
 
@@ -272,67 +289,75 @@ impl<'a> SweepKernel<'a> {
     }
 
     /// Terminal cashflows of every path of `panel`, with their date.
-    pub fn terminal(&self, panel: &PathPanel) -> (Vec<f64>, Vec<u32>) {
-        let d = panel.dim;
-        let last = &panel.spots[panel.steps - 1];
-        let cashflow = (0..panel.paths)
-            .map(|p| self.payoff.eval(&last[p * d..(p + 1) * d]))
+    /// The last spot layer is read only here, so it is released.
+    pub fn terminal(&self, panel: &mut PathPanel) -> (Vec<f64>, Vec<u32>) {
+        let last = std::mem::take(&mut panel.spots[panel.steps - 1]);
+        let cashflow = last
+            .chunks_exact(panel.dim)
+            .map(|s| self.payoff.eval(s))
             .collect();
         (cashflow, vec![panel.steps as u32; panel.paths])
     }
 
-    /// Basis row of the normalised spots `s` into the scratch `phi`.
-    fn eval_basis(&mut self, s: &[f64]) {
-        for (xi, (si, s0)) in self.x.iter_mut().zip(s.iter().zip(self.spots0)) {
-            *xi = si / s0;
+    /// One date's pass over every path of its spot `layer`: cache the
+    /// in-the-money paths (positive intrinsic value) for
+    /// [`SweepKernel::regression_sums`] and [`SweepKernel::exercise`].
+    /// The layer's buffer becomes the cache of normalised spots: the
+    /// `k`-th in-the-money path is at or after slot `k`, so each one's
+    /// spots are read before its slot, or a later path's, is written.
+    pub fn scan(&mut self, mut layer: Vec<f64>) {
+        let d = self.spots0.len();
+        self.itm.clear();
+        self.intrinsic.clear();
+        for p in 0..layer.len() / d {
+            let intrinsic = self.payoff.eval(&layer[p * d..(p + 1) * d]);
+            if intrinsic > 0.0 {
+                let slot = self.itm.len() * d;
+                for (i, s0) in self.spots0.iter().enumerate() {
+                    layer[slot + i] = layer[p * d + i] / s0;
+                }
+                self.itm.push(p);
+                self.intrinsic.push(intrinsic);
+            }
         }
-        self.basis.eval(&self.x, &mut self.phi);
+        layer.truncate(self.itm.len() * d);
+        self.x = layer;
     }
 
-    /// Add the in-the-money paths `paths` of date `t` (spot layer
-    /// `layer`) to `sums`, each regressed on its cashflow discounted to
-    /// date `t`.
+    /// Add the scanned in-the-money paths among `paths` to `sums`, each
+    /// regressed on its cashflow discounted to date `t`.
     pub fn regression_sums(
         &mut self,
-        layer: &[f64],
         t: usize,
         cashflow: &[f64],
         cf_time: &[u32],
         paths: Range<usize>,
         sums: &mut RegressionSums,
     ) {
-        let d = self.x.len();
-        for p in paths {
-            let s = &layer[p * d..(p + 1) * d];
-            if self.payoff.eval(s) > 0.0 {
-                self.eval_basis(s);
-                let y = cashflow[p] * self.disc_dt.powi((cf_time[p] - t as u32) as i32);
-                sums.push(&self.phi, y);
-            }
+        let d = self.spots0.len();
+        let lo = self.itm.partition_point(|&p| p < paths.start);
+        let hi = self.itm.partition_point(|&p| p < paths.end);
+        for (&p, x) in self.itm[lo..hi]
+            .iter()
+            .zip(self.x[lo * d..].chunks_exact(d))
+        {
+            self.basis.eval(x, &mut self.phi);
+            let y = cashflow[p] * self.disc_pow[(cf_time[p] - t as u32) as usize];
+            sums.push(&self.phi, y);
         }
     }
 
-    /// Exercise at date `t` on every path whose intrinsic value beats
-    /// the continuation fitted by `beta`.
-    pub fn exercise(
-        &mut self,
-        layer: &[f64],
-        t: usize,
-        beta: &[f64],
-        cashflow: &mut [f64],
-        cf_time: &mut [u32],
-    ) {
-        let d = self.x.len();
-        for p in 0..cashflow.len() {
-            let s = &layer[p * d..(p + 1) * d];
-            let intrinsic = self.payoff.eval(s);
-            if intrinsic > 0.0 {
-                self.eval_basis(s);
-                let continuation: f64 = beta.iter().zip(&self.phi).map(|(b, f)| b * f).sum();
-                if intrinsic >= continuation {
-                    cashflow[p] = intrinsic;
-                    cf_time[p] = t as u32;
-                }
+    /// Exercise at date `t` on every scanned in-the-money path whose
+    /// intrinsic value beats the continuation fitted by `beta`.
+    pub fn exercise(&mut self, t: usize, beta: &[f64], cashflow: &mut [f64], cf_time: &mut [u32]) {
+        let d = self.spots0.len();
+        let cached = self.itm.iter().zip(&self.intrinsic);
+        for ((&p, &intrinsic), x) in cached.zip(self.x.chunks_exact(d)) {
+            self.basis.eval(x, &mut self.phi);
+            let continuation: f64 = beta.iter().zip(&self.phi).map(|(b, f)| b * f).sum();
+            if intrinsic >= continuation {
+                cashflow[p] = intrinsic;
+                cf_time[p] = t as u32;
             }
         }
     }
@@ -342,29 +367,30 @@ impl<'a> SweepKernel<'a> {
         cashflow
             .iter()
             .zip(cf_time)
-            .map(|(cf, t)| cf * self.disc_dt.powi(*t as i32))
+            .map(|(cf, &t)| cf * self.disc_pow[t as usize])
             .collect()
     }
 }
 
 /// Run the backward LSMC sweep over a simulated panel, regressing each
 /// date on all of its paths, and return the final per-path discounted
-/// cashflows (valued at time 0).
+/// cashflows (valued at time 0). Each date's spot layer is released as
+/// soon as it is read.
 pub fn backward_sweep(
     market: &GbmMarket,
     product: &Product,
     cfg: &LsmcConfig,
-    panel: &PathPanel,
+    mut panel: PathPanel,
 ) -> Vec<f64> {
     let mut kernel = SweepKernel::new(market, product, cfg);
-    let (mut cashflow, mut cf_time) = kernel.terminal(panel);
+    let (mut cashflow, mut cf_time) = kernel.terminal(&mut panel);
     // Backward over exercise dates t = steps−1 .. 1.
     for t in (1..cfg.steps).rev() {
-        let layer = &panel.spots[t - 1];
+        kernel.scan(std::mem::take(&mut panel.spots[t - 1]));
         let mut sums = RegressionSums::new(kernel.basis_size());
-        kernel.regression_sums(layer, t, &cashflow, &cf_time, 0..panel.paths, &mut sums);
+        kernel.regression_sums(t, &cashflow, &cf_time, 0..panel.paths, &mut sums);
         if let Some(beta) = sums.solve(cfg.ridge) {
-            kernel.exercise(layer, t, &beta, &mut cashflow, &mut cf_time);
+            kernel.exercise(t, &beta, &mut cashflow, &mut cf_time);
         }
     }
     kernel.discounted(&cashflow, &cf_time)
@@ -379,7 +405,7 @@ pub fn price_lsmc(
     validate(market, product, &cfg)?;
     let streams = block_streams(&cfg);
     let panel = simulate_panel(market, product, &cfg, &streams, 0..num_blocks(&cfg));
-    let discounted = backward_sweep(market, product, &cfg, &panel);
+    let discounted = backward_sweep(market, product, &cfg, panel);
     Ok(summarise(&discounted, product, market))
 }
 
@@ -418,7 +444,7 @@ pub fn price_lsmc_rayon(
         paths: total,
         spots,
     };
-    let discounted = backward_sweep(market, product, &cfg, &panel);
+    let discounted = backward_sweep(market, product, &cfg, panel);
     Ok(summarise(&discounted, product, market))
 }
 
