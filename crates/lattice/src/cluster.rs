@@ -183,7 +183,6 @@ async fn run_rank(
     // Per-rank buffers, allocated once and reused every time step.
     let mut scratch = StepScratch::new();
     let mut window: Vec<f64> = Vec::new();
-    let mut two_rows: Vec<f64> = Vec::new();
     let mut send_buf: Vec<f64> = Vec::new();
     let mut spare: Vec<f64> = Vec::new();
     // Row lists: this rank's rows of the next and current grids, the
@@ -296,24 +295,19 @@ async fn run_rank(
         // message latency behind computation.
         spare.clear();
         spare.resize(owned_cur.len() * row_cur, 0.0);
-        two_rows.clear();
-        two_rows.resize(2 * row_next, 0.0);
         let child_is_local = |row: usize| owned_next.binary_search(&row).is_ok();
         let sweep = |j0: usize,
                      slot: usize,
                      window: &[f64],
                      spare: &mut [f64],
-                     two_rows: &mut [f64],
                      scratch: &mut StepScratch| {
+            // Rows j0 and j0 + 1 are both needed, and `needed` is sorted
+            // and unique, so they are adjacent in the window.
             let w0 = slot_of(&needed, j0);
-            let w1 = slot_of(&needed, j0 + 1);
-            // The two rows are contiguous in the window for block
-            // decomposition; copy defensively for the general case.
-            two_rows[..row_next].copy_from_slice(&window[w0 * row_next..(w0 + 1) * row_next]);
-            two_rows[row_next..].copy_from_slice(&window[w1 * row_next..(w1 + 1) * row_next]);
+            debug_assert_eq!(needed[w0 + 1], j0 + 1);
             ctx.compute_slab(
                 j0,
-                two_rows,
+                &window[w0 * row_next..(w0 + 2) * row_next],
                 &mut spare[slot * row_cur..(slot + 1) * row_cur],
                 scratch,
             );
@@ -321,7 +315,7 @@ async fn run_rank(
         let mut interior_nodes = 0u64;
         for (slot, &j0) in owned_cur.iter().enumerate() {
             if child_is_local(j0) && child_is_local(j0 + 1) {
-                sweep(j0, slot, &window, &mut spare, &mut two_rows, &mut scratch);
+                sweep(j0, slot, &window, &mut spare, &mut scratch);
                 interior_nodes += row_cur as u64;
             }
         }
@@ -354,7 +348,7 @@ async fn run_rank(
         let mut boundary_nodes = 0u64;
         for (slot, &j0) in owned_cur.iter().enumerate() {
             if !(child_is_local(j0) && child_is_local(j0 + 1)) {
-                sweep(j0, slot, &window, &mut spare, &mut two_rows, &mut scratch);
+                sweep(j0, slot, &window, &mut spare, &mut scratch);
                 boundary_nodes += row_cur as u64;
             }
         }
