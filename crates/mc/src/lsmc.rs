@@ -81,7 +81,8 @@ pub struct PathPanel {
     pub steps: usize,
     /// Paths.
     pub paths: usize,
-    /// `steps` layers, each `paths·dim` values.
+    /// `steps` layers, each `paths·dim` values. The backward sweep
+    /// takes each layer when it reaches the layer's date.
     pub spots: Vec<Vec<f64>>,
 }
 
@@ -303,8 +304,8 @@ impl<'a> SweepKernel<'a> {
     /// in-the-money paths (positive intrinsic value) for
     /// [`SweepKernel::regression_sums`] and [`SweepKernel::exercise`].
     /// The layer's buffer becomes the cache of normalised spots: the
-    /// `k`-th in-the-money path is at or after slot `k`, so each one's
-    /// spots are read before its slot, or a later path's, is written.
+    /// `k`-th in-the-money path has index `p ≥ k`, so its spots move
+    /// down to slot `k` only after every path up to `p` has been read.
     pub fn scan(&mut self, mut layer: Vec<f64>) {
         let d = self.spots0.len();
         self.itm.clear();
