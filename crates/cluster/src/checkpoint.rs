@@ -24,11 +24,11 @@
 //!    steps therefore produce bit-identical intermediate states, and
 //!    the final price is bit-identical to a fault-free run.
 //!
-//! Failure agreement cannot reuse the engine's tree allreduce directly:
+//! Failure agreement cannot reuse the engine's collectives directly:
 //! a tree over the *full* communicator is not death-robust
-//! (contributions routed through the dead rank would vanish). Instead the exchange runs only among ranks already
-//! known to survive the boundary: below
-//! [`AGREE_HIER_THRESHOLD`] survivors, a flat all-to-all of death
+//! (contributions routed through the dead rank would vanish). Instead
+//! the exchange runs only among ranks already known to survive the
+//! boundary: below [`AGREE_HIER_THRESHOLD`] survivors, a flat all-to-all of death
 //! bitmasks (O(s²) messages, the original scheme); at or above it, a
 //! two-level group-leader union — members ship their mask to a group
 //! leader, the leaders exchange group unions pairwise, then fan the

@@ -1,49 +1,37 @@
 //! The topology-aware collective engine: the crate's one public way to
 //! run a collective.
 //!
-//! Flat collectives stop scaling long before 1024 ranks: every core
-//! rank of a recursive-doubling butterfly injects into the fabric in
-//! every high-mask round, so on a cluster of SMP nodes a whole node's
-//! worth of senders serialises on one uplink, and the flat all-to-all
-//! patterns of the failure-agreement and gather paths are O(p²). The
-//! [`CollectiveEngine`] keys a *hierarchical* schedule off the
-//! machine's [`TopologyKind`]:
+//! Flat collectives stop scaling long before 1024 ranks: every rank of
+//! a flat gather sends its part straight to the root, so on a cluster
+//! of SMP nodes a whole node's worth of senders serialises on one
+//! uplink, and a flat broadcast tree crosses the fabric on most of its
+//! edges. The [`CollectiveEngine`] keys a *hierarchical* schedule off
+//! the machine's [`TopologyKind`]:
 //!
 //! | topology | algorithm | why |
 //! |---|---|---|
-//! | `Uniform` | flat: recursive doubling, binomial trees, rooted linear gather | no hierarchy to exploit; identical to the legacy path bit for bit and second for second |
+//! | `Uniform` | flat: binomial-tree broadcast, rooted linear gather | no hierarchy to exploit; identical to the legacy path bit for bit and second for second |
 //! | `SmpCluster{g}` | two-level group-leader | one leader per node talks across the fabric; everything else is intra-node |
 //!
-//! # The bitwise contract
-//!
-//! Every engine reduction reproduces the **canonical association** of
-//! [`canonical_fold`](crate::canonical_fold) exactly, for every rank
-//! count and every group size: the two-level schedule's intra-group
-//! binomial tree computes precisely the bottom `log₂ g` levels of the
-//! canonical tree (groups are `g` consecutive ranks, `g` a power of two
-//! dividing the core size), the leader butterfly computes the top
-//! levels, and IEEE-754 commutativity absorbs the operand-order
-//! differences. A
-//! driver may therefore switch between flat and hierarchical
-//! collectives — or between machines with different topologies — and
-//! price bit-for-bit identically.
+//! Neither collective computes on the data: a broadcast delivers the
+//! root's bits and a gather delivers every rank's part in rank order,
+//! whichever schedule runs. The drivers reduce by gathering
+//! block-tagged parts to one rank, folding them there in global block
+//! order and broadcasting the result, so a driver may switch between
+//! flat and hierarchical collectives — or between machines with
+//! different topologies — and price bit for bit identically.
 
-use crate::collectives::{self, ReduceOp};
+use crate::collectives;
 use crate::machine::{CollectiveChoice, Machine};
 use crate::message::{Tag, ENGINE_TAG_BASE};
 use crate::thread_comm::ThreadComm;
 use crate::topology::TopologyKind;
 
-const T_EFOLD: Tag = ENGINE_TAG_BASE;
-const T_EUP: Tag = ENGINE_TAG_BASE + 1;
-const T_EX: Tag = ENGINE_TAG_BASE + 2;
-const T_EDOWN: Tag = ENGINE_TAG_BASE + 3;
 const T_EB0: Tag = ENGINE_TAG_BASE + 4;
 const T_EB1: Tag = ENGINE_TAG_BASE + 5;
 const T_EB2: Tag = ENGINE_TAG_BASE + 6;
 const T_EG0: Tag = ENGINE_TAG_BASE + 7;
 const T_EG1: Tag = ENGINE_TAG_BASE + 8;
-const T_ER: Tag = ENGINE_TAG_BASE + 9;
 
 /// Largest power of two ≤ `p` (`p ≥ 1`).
 fn prev_pow2(p: usize) -> usize {
@@ -53,12 +41,12 @@ fn prev_pow2(p: usize) -> usize {
 /// The algorithm family a [`CollectiveEngine`] runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CollectiveAlgo {
-    /// The legacy flat algorithms (recursive doubling, binomial trees,
-    /// rooted linear gathers) — optimal when the fabric is uniform.
+    /// The legacy flat algorithms (binomial-tree broadcast, rooted
+    /// linear gather) — optimal when the fabric is uniform.
     Flat,
     /// Two-level group-leader schedules over groups of `group`
-    /// consecutive ranks (a power of two): intra-group binomial stage,
-    /// leaders-only inter-group stage, intra-group distribution stage.
+    /// consecutive ranks (a power of two): only the group leaders
+    /// exchange messages across groups.
     TwoLevel {
         /// Ranks per group; a power of two.
         group: usize,
@@ -67,9 +55,9 @@ pub enum CollectiveAlgo {
 
 /// Topology-aware collective engine: one object that every distributed
 /// driver routes its collectives through. Construction inspects the
-/// machine ([`CollectiveEngine::for_machine`]); all operations preserve
-/// the canonical reduction order, so the algorithm choice changes
-/// virtual time and message counts but never a price.
+/// machine ([`CollectiveEngine::for_machine`]); neither collective
+/// computes on the data, so the algorithm choice changes virtual time
+/// and message counts but never a price.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CollectiveEngine {
     algo: CollectiveAlgo,
@@ -127,9 +115,8 @@ impl CollectiveEngine {
     }
 
     /// Effective group size for `p` ranks: the configured group clamped
-    /// to divide the power-of-two core (both are powers of two, so the
-    /// min divides). Returns `None` when the schedule degenerates to
-    /// flat (group < 2 or a single group would remain).
+    /// to the largest power of two ≤ `p`. Returns `None` when the
+    /// schedule degenerates to flat (group < 2 or a single rank).
     fn group_for(&self, p: usize) -> Option<usize> {
         match self.algo {
             CollectiveAlgo::Flat => None,
@@ -140,39 +127,12 @@ impl CollectiveEngine {
         }
     }
 
-    /// Allreduce in the canonical order.
-    pub async fn allreduce(&self, comm: &mut ThreadComm, data: &[f64], op: ReduceOp) -> Vec<f64> {
-        match self.group_for(comm.size()) {
-            None => collectives::allreduce_doubling(comm, data, op).await,
-            Some(g) => two_level_allreduce(comm, data, op, g).await,
-        }
-    }
-
-    /// Sum-allreduce in the canonical order.
-    pub async fn allreduce_sum(&self, comm: &mut ThreadComm, data: &[f64]) -> Vec<f64> {
-        self.allreduce(comm, data, ReduceOp::Sum).await
-    }
-
     /// Broadcast from `root` (identical payload on every rank, so only
     /// the schedule — not the data — depends on the algorithm).
     pub async fn broadcast(&self, comm: &mut ThreadComm, root: usize, data: &mut [f64]) {
         match self.group_for(comm.size()) {
             None => collectives::broadcast_tree(comm, root, data).await,
             Some(g) => two_level_broadcast(comm, root, data, g).await,
-        }
-    }
-
-    /// Rooted reduction in the canonical order. Returns `Some` on root.
-    pub async fn reduce(
-        &self,
-        comm: &mut ThreadComm,
-        root: usize,
-        data: &[f64],
-        op: ReduceOp,
-    ) -> Option<Vec<f64>> {
-        match self.group_for(comm.size()) {
-            None => collectives::reduce_tree(comm, root, data, op).await,
-            Some(g) => two_level_reduce(comm, root, data, op, g).await,
         }
     }
 
@@ -189,190 +149,6 @@ impl CollectiveEngine {
             None => collectives::gather_varied(comm, root, data).await,
             Some(g) => two_level_gather_varied(comm, root, data, g).await,
         }
-    }
-}
-
-/// Two-level allreduce: remainder fold, intra-group binomial reduce to
-/// the group leaders, leader butterfly, intra-group broadcast,
-/// remainder return. Bitwise-identical to flat recursive doubling.
-async fn two_level_allreduce(
-    comm: &mut ThreadComm,
-    data: &[f64],
-    op: ReduceOp,
-    g: usize,
-) -> Vec<f64> {
-    let p = comm.size();
-    let rank = comm.rank();
-    let n = data.len();
-    let mut acc = data.to_vec();
-    if p == 1 {
-        return acc;
-    }
-    let p2 = prev_pow2(p);
-    let rem = p - p2;
-    debug_assert!(g.is_power_of_two() && g <= p2);
-    // Phase 1: remainder fold — the same schedule as flat doubling, so
-    // the canonical leaves are identical.
-    if rank >= p2 {
-        collectives::charge_uplink_stall(comm, n, rank - p2, |m, r| r >= p2 && m.is_far(r, r - p2));
-        comm.send(rank - p2, T_EFOLD, &acc);
-        return comm.recv(rank - p2, T_EFOLD).await;
-    }
-    if rank < rem {
-        let part = comm.recv(rank + p2, T_EFOLD).await;
-        op.apply(&mut acc, &part);
-    }
-    let local = rank % g;
-    // Phase 2a: binomial reduce onto the group leader — the bottom
-    // log₂ g levels of the canonical tree (adjacent-block combining).
-    let mut mask = 1usize;
-    while mask < g {
-        if local & mask != 0 {
-            let dest = rank - mask;
-            collectives::charge_uplink_stall(comm, n, dest, |m, r| {
-                r < p2 && (r % g) & mask != 0 && (r % g) & (mask - 1) == 0 && m.is_far(r, r - mask)
-            });
-            comm.send(dest, T_EUP, &acc);
-            break;
-        }
-        if local + mask < g {
-            let part = comm.recv(rank + mask, T_EUP).await;
-            op.apply(&mut acc, &part);
-        }
-        mask <<= 1;
-    }
-    // Phase 2b: butterfly over the leaders with masks g, 2g, … — the
-    // top levels of the canonical tree. One sender per node.
-    if local == 0 {
-        let mut lmask = g;
-        let mut round: Tag = 0;
-        while lmask < p2 {
-            let partner = rank ^ lmask;
-            collectives::charge_uplink_stall(comm, n, partner, |m, r| {
-                r < p2 && r % g == 0 && m.is_far(r, r ^ lmask)
-            });
-            comm.send(partner, T_EX + round * 16, &acc);
-            let part = comm.recv(partner, T_EX + round * 16).await;
-            op.apply(&mut acc, &part);
-            lmask <<= 1;
-            round += 1;
-        }
-    }
-    // Phase 2c: binomial broadcast of the result within each group.
-    let mut mask = 1usize;
-    while mask < g {
-        if local < mask {
-            if local + mask < g {
-                let dest = rank + mask;
-                collectives::charge_uplink_stall(comm, n, dest, |m, r| {
-                    let l = r % g;
-                    r < p2 && l < mask && l + mask < g && m.is_far(r, r + mask)
-                });
-                comm.send(dest, T_EDOWN, &acc);
-            }
-        } else if local < 2 * mask {
-            acc = comm.recv(rank - mask, T_EDOWN).await;
-        }
-        mask <<= 1;
-    }
-    // Phase 3: return to the remainder ranks.
-    if rank < rem {
-        collectives::charge_uplink_stall(comm, n, rank + p2, |m, r| r < rem && m.is_far(r, r + p2));
-        comm.send(rank + p2, T_EFOLD, &acc);
-    }
-    acc
-}
-
-/// Two-level rooted reduce in the canonical order: the same schedule as
-/// [`two_level_allreduce`] minus the distribution stages, with the
-/// leader stage shaped as a binomial onto rank 0 and a final forward
-/// hop to a non-zero root.
-async fn two_level_reduce(
-    comm: &mut ThreadComm,
-    root: usize,
-    data: &[f64],
-    op: ReduceOp,
-    g: usize,
-) -> Option<Vec<f64>> {
-    let p = comm.size();
-    let rank = comm.rank();
-    let n = data.len();
-    assert!(root < p);
-    let mut acc = data.to_vec();
-    if p == 1 {
-        return Some(acc);
-    }
-    let p2 = prev_pow2(p);
-    let rem = p - p2;
-    // Phase 1: remainder fold.
-    if rank >= p2 {
-        collectives::charge_uplink_stall(comm, n, rank - p2, |m, r| r >= p2 && m.is_far(r, r - p2));
-        comm.send(rank - p2, T_EFOLD, &acc);
-        return if rank == root {
-            Some(comm.recv(0, T_ER).await)
-        } else {
-            None
-        };
-    }
-    if rank < rem {
-        let part = comm.recv(rank + p2, T_EFOLD).await;
-        op.apply(&mut acc, &part);
-    }
-    let local = rank % g;
-    // Phase 2a: binomial reduce onto the group leader.
-    let mut mask = 1usize;
-    while mask < g {
-        if local & mask != 0 {
-            let dest = rank - mask;
-            collectives::charge_uplink_stall(comm, n, dest, |m, r| {
-                r < p2 && (r % g) & mask != 0 && (r % g) & (mask - 1) == 0 && m.is_far(r, r - mask)
-            });
-            comm.send(dest, T_EUP, &acc);
-            break;
-        }
-        if local + mask < g {
-            let part = comm.recv(rank + mask, T_EUP).await;
-            op.apply(&mut acc, &part);
-        }
-        mask <<= 1;
-    }
-    // Phase 2b: binomial reduce over the leaders onto rank 0 (adjacent
-    // leader-block combining = the top canonical levels).
-    if local == 0 {
-        let li = rank / g;
-        let nl = p2 / g;
-        let mut lm = 1usize;
-        while lm < nl {
-            if li & lm != 0 {
-                let dest = (li - lm) * g;
-                collectives::charge_uplink_stall(comm, n, dest, |m, r| {
-                    r < p2 && r % g == 0 && {
-                        let i = r / g;
-                        i & lm != 0 && i & (lm - 1) == 0 && m.is_far(r, (i - lm) * g)
-                    }
-                });
-                comm.send(dest, T_EUP, &acc);
-                break;
-            }
-            if li + lm < nl {
-                let part = comm.recv((li + lm) * g, T_EUP).await;
-                op.apply(&mut acc, &part);
-            }
-            lm <<= 1;
-        }
-    }
-    // Rank 0 holds the canonical result; forward to a non-zero root.
-    if root == 0 {
-        return (rank == 0).then_some(acc);
-    }
-    if rank == 0 {
-        comm.send(root, T_ER, &acc);
-        return None;
-    }
-    if rank == root {
-        Some(comm.recv(0, T_ER).await)
-    } else {
-        None
     }
 }
 
@@ -567,58 +343,6 @@ mod tests {
     }
 
     #[test]
-    fn two_level_allreduce_bitwise_matches_flat() {
-        for &p in &[4usize, 6, 8, 12, 16, 24, 33] {
-            for &group in &[2usize, 4, 8] {
-                let r = run_spmd(p, Machine::ideal(), async move |comm| {
-                    let data = awkward_payload(comm.rank(), 9);
-                    let flat = collectives::allreduce_doubling(comm, &data, ReduceOp::Sum).await;
-                    let eng = CollectiveEngine::two_level(group);
-                    let two = eng.allreduce(comm, &data, ReduceOp::Sum).await;
-                    (flat, two)
-                })
-                .unwrap();
-                for res in &r {
-                    let (flat, two) = &res.value;
-                    for (a, b) in flat.iter().zip(two) {
-                        assert_eq!(
-                            a.to_bits(),
-                            b.to_bits(),
-                            "p={p} group={group} rank={}",
-                            res.rank
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn two_level_reduce_bitwise_matches_flat_any_root() {
-        for &p in &[5usize, 8, 12, 16] {
-            for root in [0, p / 2, p - 1] {
-                let r = run_spmd(p, Machine::ideal(), async move |comm| {
-                    let data = awkward_payload(comm.rank(), 4);
-                    let flat = collectives::allreduce_doubling(comm, &data, ReduceOp::Sum).await;
-                    let eng = CollectiveEngine::two_level(4);
-                    let two = eng.reduce(comm, root, &data, ReduceOp::Sum).await;
-                    (flat, two)
-                })
-                .unwrap();
-                for res in &r {
-                    let (flat, two) = &res.value;
-                    assert_eq!(two.is_some(), res.rank == root, "p={p} root={root}");
-                    if let Some(t) = two {
-                        for (a, b) in flat.iter().zip(t) {
-                            assert_eq!(a.to_bits(), b.to_bits(), "p={p} root={root}");
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn two_level_broadcast_delivers_any_root() {
         for &p in &[4usize, 7, 12, 16] {
             for root in [0, 1, p - 1] {
@@ -664,6 +388,19 @@ mod tests {
         }
     }
 
+    /// One round of the drivers' reduction: gather every rank's part to
+    /// rank 0, fold the parts there in rank order, broadcast the sum.
+    async fn gather_fold_broadcast(
+        engine: CollectiveEngine,
+        comm: &mut ThreadComm,
+        data: &[f64],
+    ) -> f64 {
+        let parts = engine.gather_varied(comm, 0, data).await;
+        let mut total = [parts.map_or(0.0, |parts| parts.iter().flatten().sum())];
+        engine.broadcast(comm, 0, &mut total).await;
+        total[0]
+    }
+
     #[test]
     fn hierarchical_beats_flat_on_smp_cluster_makespan_and_far_msgs() {
         let p = 64;
@@ -671,8 +408,8 @@ mod tests {
         let run = |engine: CollectiveEngine| {
             let r = run_spmd(p, machine, async move |comm| {
                 let data = awkward_payload(comm.rank(), 16);
-                let out = engine.allreduce_sum(comm, &data).await;
-                (out[0], comm.stats())
+                let total = gather_fold_broadcast(engine, comm, &data).await;
+                (total, comm.stats())
             })
             .unwrap();
             let tm = TimeModel::from_results(
@@ -702,7 +439,8 @@ mod tests {
             two.total_far_msgs,
             flat.total_far_msgs
         );
-        assert!(two.total_msgs < flat.total_msgs);
+        // Both schedules send p − 1 messages per collective.
+        assert_eq!(two.total_msgs, flat.total_msgs);
         assert_eq!(two.total_link_stall, 0.0, "leaders never share an uplink");
         assert!(flat.total_link_stall > 0.0);
     }
@@ -712,14 +450,23 @@ mod tests {
         let p = 8;
         let run = |use_engine: bool| {
             let r = run_spmd(p, Machine::cluster2002(), async move |comm| {
-                let data = awkward_payload(comm.rank(), 8);
-                let out = if use_engine {
-                    let eng = CollectiveEngine::for_machine(&comm.machine().clone(), comm.size());
-                    eng.allreduce_sum(comm, &data).await
+                let data = awkward_payload(comm.rank(), comm.rank() + 1);
+                let mut b = if comm.rank() == 2 {
+                    awkward_payload(2, 8)
                 } else {
-                    collectives::allreduce_doubling(comm, &data, ReduceOp::Sum).await
+                    vec![0.0; 8]
                 };
-                (out, comm.stats())
+                let parts = if use_engine {
+                    let eng = CollectiveEngine::for_machine(&comm.machine().clone(), comm.size());
+                    let parts = eng.gather_varied(comm, 2, &data).await;
+                    eng.broadcast(comm, 2, &mut b).await;
+                    parts
+                } else {
+                    let parts = collectives::gather_varied(comm, 2, &data).await;
+                    collectives::broadcast_tree(comm, 2, &mut b).await;
+                    parts
+                };
+                (parts, b, comm.stats())
             })
             .unwrap();
             r.iter()
@@ -730,9 +477,10 @@ mod tests {
         let b = run(true);
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.0 .0, y.0 .0);
+            assert_eq!(x.0 .1, y.0 .1);
             assert_eq!(x.1.to_bits(), y.1.to_bits(), "virtual clocks must match");
-            assert_eq!(x.0 .1.msgs_sent, y.0 .1.msgs_sent);
-            assert_eq!(x.0 .1.bytes_sent, y.0 .1.bytes_sent);
+            assert_eq!(x.0 .2.msgs_sent, y.0 .2.msgs_sent);
+            assert_eq!(x.0 .2.bytes_sent, y.0 .2.bytes_sent);
         }
     }
 }

@@ -11,7 +11,7 @@
 //!
 //! Crashes are injected at *step boundaries* only (the coordination
 //! points where drivers call [`crate::ThreadComm::fault_step`]): a rank
-//! whose plan says `(rank, k)` panics with an [`InjectedCrash`] payload
+//! whose plan says `(rank, k)` unwinds with an [`InjectedCrash`] payload
 //! when it reaches boundary `k`, after writing any checkpoint due at
 //! that boundary. Restricting crashes to boundaries keeps the recovery
 //! protocol simple — every send inside a step is matched by a receive

@@ -15,12 +15,13 @@
 //!   selective receive by `(source, tag)` — the MPI envelope
 //!   discipline. A receive that no send can ever satisfy fails at once
 //!   with [`ClusterError::Deadlock`].
-//! * **Collectives** through the [`CollectiveEngine`] — broadcast,
-//!   reduce, allreduce and a variable-length gather, each built from
-//!   point-to-point sends: binomial trees and recursive doubling on a
-//!   uniform fabric, two-level group-leader schedules on a cluster of
-//!   SMP nodes. Every schedule reduces in the canonical order of
-//!   [`canonical_fold`], so the choice never moves a bit of a result.
+//! * **Collectives** through the [`CollectiveEngine`] — a broadcast and
+//!   a variable-length gather, each built from point-to-point sends: a
+//!   binomial tree and a linear gather on a uniform fabric, two-level
+//!   group-leader schedules on a cluster of SMP nodes. Neither computes
+//!   on the data, so the choice never moves a bit of a result. A
+//!   reduction gathers the parts to one rank, folds them there in a
+//!   fixed order and broadcasts the result, as every driver does.
 //! * **A virtual-time execution model** — the substitution for real
 //!   hardware (see DESIGN.md). Each rank owns a virtual clock; computation
 //!   advances it explicitly via [`ThreadComm::compute`], and every
@@ -38,12 +39,18 @@
 //! ```
 //! use mdp_cluster::{run_spmd, CollectiveEngine, Machine};
 //!
-//! // Sum 0..400 split over 4 ranks, with a modelled 2002-era cluster.
+//! // Sum 0..400 split over 4 ranks, with a modelled 2002-era cluster:
+//! // gather the partial sums to rank 0, fold them there in rank order,
+//! // broadcast the total.
 //! let results = run_spmd(4, Machine::cluster2002(), async |comm| {
 //!     let (lo, hi) = mdp_cluster::partition::block_range(400, comm.size(), comm.rank());
 //!     let local: f64 = (lo..hi).map(|i| i as f64).sum();
 //!     comm.compute(1e-9 * (hi - lo) as f64);
-//!     CollectiveEngine::flat().allreduce_sum(comm, &[local]).await[0]
+//!     let engine = CollectiveEngine::flat();
+//!     let parts = engine.gather_varied(comm, 0, &[local]).await;
+//!     let mut total = [parts.map_or(0.0, |parts| parts.iter().flatten().sum())];
+//!     engine.broadcast(comm, 0, &mut total).await;
+//!     total[0]
 //! })
 //! .unwrap();
 //! assert!(results.iter().all(|r| r.value == 79800.0));
@@ -65,7 +72,6 @@ pub mod trace;
 pub use checkpoint::{
     check_policy, CheckpointMode, CheckpointRecord, CheckpointStore, Recovery, Supervisor,
 };
-pub use collectives::{canonical_fold, ReduceOp};
 pub use engine::{CollectiveAlgo, CollectiveEngine};
 pub use error::ClusterError;
 pub use fault::{FaultPlan, InjectedCrash};

@@ -27,7 +27,7 @@
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::future::{poll_fn, Future};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::pin::{pin, Pin};
 use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
@@ -143,9 +143,9 @@ struct FaultState {
 ///
 /// # Panics
 ///
-/// `recv` panics when a poison marker from a failed peer arrives, and
-/// when the run deadlocks; the SPMD runner converts either unwinding
-/// into a [`ClusterError`].
+/// `recv` unwinds when a poison marker from a failed peer arrives, and
+/// when the run deadlocks, without running the panic hook; the SPMD
+/// runner converts either unwinding into a [`ClusterError`].
 pub struct ThreadComm {
     rank: usize,
     machine: Machine,
@@ -256,9 +256,9 @@ impl ThreadComm {
     /// senders sharing one uplink, booked as wait time and in the
     /// `link_stall_time` counter. The collectives charge this *before* a
     /// far send whenever several ranks of one SMP node inject into the
-    /// fabric in the same schedule stage; a flat butterfly at large P
-    /// pays it heavily, a hierarchical collective (one leader per node)
-    /// barely at all.
+    /// fabric in the same schedule stage; a flat gather at large P pays
+    /// it heavily, a hierarchical collective (one leader per node) not
+    /// at all.
     pub fn link_stall(&mut self, seconds: f64) {
         debug_assert!(seconds >= 0.0);
         if seconds > 0.0 {
@@ -318,13 +318,15 @@ impl ThreadComm {
     /// Inject this rank's scheduled crash if the plan says to die at
     /// `step`. Drivers call this at every step boundary; it is the
     /// *only* place crashes fire, which is what keeps recovery free of
-    /// in-flight user messages.
+    /// in-flight user messages. The crash unwinds with an
+    /// [`InjectedCrash`] payload without running the panic hook: the
+    /// runner catches it and reports a [`CrashInfo`].
     pub fn fault_step(&self, step: usize) {
         if self.fault.plan.crash_step(self.rank) == Some(step) {
-            std::panic::panic_any(InjectedCrash {
+            resume_unwind(Box::new(InjectedCrash {
                 rank: self.rank,
                 step,
-            });
+            }));
         }
     }
 
@@ -355,7 +357,7 @@ impl ThreadComm {
                     // deterministic virtual time); an unscheduled one
                     // cascades.
                     if !self.note_poison(&m) {
-                        std::panic::panic_any(PeerFailed { peer: m.src });
+                        resume_unwind(Box::new(PeerFailed { peer: m.src }));
                     }
                     if ft && m.src == src {
                         self.advance_wait_to(m.sent_at, src);
@@ -382,11 +384,11 @@ impl ThreadComm {
             let mut sched = self.sched.borrow_mut();
             if sched.deadlocked {
                 drop(sched);
-                std::panic::panic_any(ClusterError::Deadlock {
+                resume_unwind(Box::new(ClusterError::Deadlock {
                     rank: self.rank,
                     src,
                     tag,
-                });
+                }));
             }
             let slot = &mut sched.slots[self.rank];
             match slot.inbox.pop_front() {
@@ -1270,7 +1272,7 @@ mod fault_tests {
 #[cfg(test)]
 mod trace_tests {
     use super::*;
-    use crate::collectives::{self, ReduceOp};
+    use crate::collectives;
     use crate::trace::{render_gantt, summarize, TraceEvent};
 
     #[test]
@@ -1329,7 +1331,9 @@ mod trace_tests {
         // Virtual times must be identical with tracing on or off.
         let body = async |comm: &mut ThreadComm| {
             comm.compute(1e-3 * (comm.rank() + 1) as f64);
-            collectives::allreduce_doubling(comm, &[comm.rank() as f64], ReduceOp::Sum).await[0]
+            let mut data = [comm.rank() as f64];
+            collectives::broadcast_tree(comm, 2, &mut data).await;
+            data[0]
         };
         let plain = run_spmd(3, Machine::cluster2002(), body).unwrap();
         let (traced, traces) = run_spmd_traced(3, Machine::cluster2002(), body).unwrap();

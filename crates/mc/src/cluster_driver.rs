@@ -772,7 +772,7 @@ mod tests {
 
     #[test]
     fn accum_width_matches() {
-        // The allreduce payload and the accumulator must stay in sync.
+        // The gathered payload and the accumulator must stay in sync.
         assert_eq!(BlockAccum::new().to_vec().len(), ACCUM_WIDTH);
     }
 

@@ -24,7 +24,8 @@
 //!   replicates for an honest error bar.
 //! * [`lsmc`] — Longstaff–Schwartz least-squares Monte Carlo for
 //!   American/Bermudan products, with the distributed-regression variant
-//!   (local normal equations + allreduce) used by the cluster driver.
+//!   (local normal equations gathered to one rank, folded there in
+//!   block order and broadcast back) used by the cluster driver.
 //! * [`cluster_driver`] — the message-passing SPMD drivers for both
 //!   European MC and LSMC with virtual-time accounting (experiments
 //!   T3/F3/T7).

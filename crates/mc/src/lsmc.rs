@@ -157,7 +157,9 @@ pub fn block_streams(cfg: &LsmcConfig) -> Vec<Xoshiro256StarStar> {
 
 /// Normal-equation sums for one exercise date: `XᵀX` (packed
 /// row-major `k×k`) and `Xᵀy` (`k`), plus the ITM count. Merge by
-/// addition — this is exactly what the cluster driver allreduces.
+/// addition — the cluster driver gathers one per block to the first
+/// active rank, folds them there in global block order and broadcasts
+/// the total.
 ///
 /// `XᵀX` is symmetric, so only its upper triangle (`j ≥ i`) is
 /// accumulated and the lower cells stay zero. A full accumulation would

@@ -1,9 +1,11 @@
 //! Mergeable accumulators for plain and control-variate estimation.
 //!
 //! Parallel drivers reduce accumulators, never samples. Everything here
-//! merges by **element-wise addition**, so a distributed reduction is a
-//! plain `allreduce_sum` over a fixed-width vector — exactly the
-//! `MPI_Allreduce(MPI_SUM)` of the original codes.
+//! merges by **element-wise addition** over a fixed-width vector, so a
+//! distributed reduction gathers the per-block vectors to one rank,
+//! adds them there in global block order and broadcasts the sum — the
+//! reduction of the original codes' `MPI_Allreduce(MPI_SUM)`, in an
+//! order that does not depend on the rank count.
 
 /// Sums for an estimator with an optional control variate:
 /// primary sample `y` (discounted payoff) and control `x` with known

@@ -43,7 +43,7 @@ fn main() {
     println!("  binomial (N=2000)   : {:.4}", binomial.price);
     println!("  CN finite difference: {:.4}", pde.price);
     println!(
-        "  LSMC (50k × 50 dates): {:.4} ± {:.4}  (low-biased policy estimate)",
+        "  LSMC (50k × 50 dates): {:.4} ± {:.4}  (in-sample estimate)",
         lsmc.price,
         lsmc.std_error.unwrap()
     );
@@ -109,5 +109,8 @@ fn main() {
             tm.comm_fraction() * 100.0
         );
     }
-    println!("\nThe per-date allreduce of the regression caps the speedup — Amdahl in action.");
+    println!(
+        "\nThe per-date reduction of the regression sums (gathered to one rank, folded\n\
+         there, broadcast back) caps the speedup — Amdahl in action."
+    );
 }

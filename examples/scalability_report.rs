@@ -96,14 +96,17 @@ fn main() {
     );
 
     // --- A per-rank timeline of a bulk-synchronous round --------------
-    // 6 ranks do imbalanced compute then allreduce: the Gantt makes the
+    // 6 ranks do imbalanced compute, then reduce as the drivers do
+    // (gather to rank 0, fold there, broadcast): the Gantt makes the
     // straggler-wait structure visible at a glance.
-    println!("Timeline of one imbalanced compute + allreduce round (6 ranks):\n");
+    println!("Timeline of one imbalanced compute + reduction round (6 ranks):\n");
     let (results, traces) = run_spmd_traced(6, machine, async |comm| {
         comm.compute(0.5e-3 * (comm.rank() + 1) as f64);
-        CollectiveEngine::flat()
-            .allreduce_sum(comm, &[comm.rank() as f64])
-            .await[0]
+        let engine = CollectiveEngine::flat();
+        let parts = engine.gather_varied(comm, 0, &[comm.rank() as f64]).await;
+        let mut total = [parts.map_or(0.0, |parts| parts.iter().flatten().sum())];
+        engine.broadcast(comm, 0, &mut total).await;
+        total[0]
     })
     .expect("traced run");
     print!("{}", render_gantt(&traces, 64));

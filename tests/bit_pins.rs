@@ -6,7 +6,7 @@
 //! drift passes. These pins are exact: `f64::to_bits` of every price,
 //! standard error and modelled makespan, and the exact message and byte
 //! counts, on fixed markets. Host-side work (RNG seeding, the SPMD
-//! runtime's mailboxes and collective schedules, the LSMC kernel's scratch
+//! runtime's inboxes and collective schedules, the LSMC kernel's scratch
 //! handling, the FD step's pass structure and its scalar/panel kernel
 //! choice, the ADI stage loops) may change only if every pin here holds.
 //!

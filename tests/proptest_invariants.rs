@@ -121,31 +121,55 @@ proptest! {
         prop_assert_eq!(total, n);
     }
 
-    /// The flat allreduce equals the sequential fold for random payloads
-    /// and rank counts.
+    /// Both collective schedules deliver exact bits for random rank
+    /// counts, part lengths and roots: the gather hands the root every
+    /// rank's payload in rank order (and the other ranks nothing), the
+    /// broadcast hands every rank the root's payload. The drivers'
+    /// block-order folds rely on both.
     #[test]
-    fn allreduce_equals_fold(
-        p in 1usize..9,
-        len in 0usize..20,
+    fn gather_and_broadcast_deliver_exact_payloads(
+        p in 1usize..33,
+        max_len in 0usize..21,
+        root_pick in 0usize..1024,
+        group_log in 1u32..5,
         seed in 0u64..500,
     ) {
         use mdp_core::math::rng::{Rng64, SplitMix64};
         let mut rng = SplitMix64::new(seed);
         let payloads: Vec<Vec<f64>> = (0..p)
-            .map(|_| (0..len).map(|_| rng.next_f64() * 10.0 - 5.0).collect())
+            .map(|_| {
+                let len = rng.next_u64() as usize % (max_len + 1);
+                (0..len).map(|_| rng.next_f64() * 10.0 - 5.0).collect()
+            })
             .collect();
-        let expect: Vec<f64> = (0..len)
-            .map(|i| payloads.iter().map(|v| v[i]).sum())
-            .collect();
-        let payloads2 = payloads.clone();
-        let results = mdp_core::cluster::run_spmd(p, Machine::ideal(), async move |comm| {
-            let mine = payloads2[comm.rank()].clone();
-            CollectiveEngine::flat().allreduce_sum(comm, &mine).await
-        })
-        .unwrap();
-        for r in &results {
-            for (i, e) in expect.iter().enumerate() {
-                prop_assert!((r.value[i] - e).abs() < 1e-9);
+        let root = root_pick % p;
+        let same_bits = |a: &[f64], b: &[f64]| {
+            a.iter().map(|x| x.to_bits()).eq(b.iter().map(|x| x.to_bits()))
+        };
+        for engine in [CollectiveEngine::flat(), CollectiveEngine::two_level(1 << group_log)] {
+            let payloads2 = payloads.clone();
+            let results = mdp_core::cluster::run_spmd(p, Machine::ideal(), async move |comm| {
+                let rank = comm.rank();
+                let gathered = engine.gather_varied(comm, root, &payloads2[rank]).await;
+                let mut data = if rank == root {
+                    payloads2[root].clone()
+                } else {
+                    vec![0.0; payloads2[root].len()]
+                };
+                engine.broadcast(comm, root, &mut data).await;
+                (gathered, data)
+            })
+            .unwrap();
+            for r in &results {
+                let (gathered, data) = &r.value;
+                prop_assert_eq!(gathered.is_some(), r.rank == root);
+                if let Some(parts) = gathered {
+                    prop_assert_eq!(parts.len(), p);
+                    for (part, want) in parts.iter().zip(&payloads) {
+                        prop_assert!(same_bits(part, want), "{:?}: gathered part moved", engine);
+                    }
+                }
+                prop_assert!(same_bits(data, &payloads[root]), "{:?}: broadcast moved", engine);
             }
         }
     }
