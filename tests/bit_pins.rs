@@ -1,6 +1,7 @@
 //! Bitwise pins of the benchmark's four cluster-sweep problems (Monte
 //! Carlo, lattice, explicit FD and LSMC), of quote-ladder's
-//! finite-difference quotes, and of the 2-D and 3-D Douglas ADI engines.
+//! finite-difference quotes, of the 2-D and 3-D Douglas ADI engines and
+//! of bridged multi-step QMC.
 //!
 //! `golden_regression.rs` pins prices to 1e-10 relative, which a one-ulp
 //! drift passes. These pins are exact: `f64::to_bits` of every price,
@@ -928,6 +929,64 @@ fn lattice_driver_variant_bits() {
             ("ckpt4.crash.p4.makespan", 0x3f3b9e0d9409af25),
             ("ckpt4.crash.p4.msgs", 91),
             ("ckpt4.crash.p4.bytes", 13864),
+        ],
+    );
+}
+
+/// Randomised QMC at steps > 1, where every point runs the Brownian
+/// bridge: a 16-date Asian call on one asset and a 4-date basket call on
+/// two, each over 4,096 points × 2 replicates; and the cache keys of the
+/// default config and of both problems' configs.
+#[test]
+fn qmc_problem_bits() {
+    let cfg = |steps| QmcConfig {
+        points: 4_096,
+        steps,
+        replicates: 2,
+        ..Default::default()
+    };
+    let problems = [
+        (
+            "asian",
+            GbmMarket::single(100.0, 0.3, 0.0, 0.05).unwrap(),
+            Product::european(Payoff::AsianCall { strike: 100.0 }, 1.0),
+            cfg(16),
+        ),
+        (
+            "basket",
+            GbmMarket::symmetric(2, 100.0, 0.25, 0.0, 0.05, 0.3).unwrap(),
+            Product::european(
+                Payoff::BasketCall {
+                    weights: vec![0.5; 2],
+                    strike: 100.0,
+                },
+                1.0,
+            ),
+            cfg(4),
+        ),
+    ];
+    let mut actual = vec![(
+        "default.cache_key".to_string(),
+        Method::Qmc(QmcConfig::default()).cache_key(),
+    )];
+    for (name, market, product, cfg) in problems {
+        let r = Pricer::new(Method::Qmc(cfg))
+            .price(&market, &product)
+            .unwrap();
+        actual.push((format!("{name}.price"), r.price.to_bits()));
+        actual.push((format!("{name}.std_error"), r.std_error.unwrap().to_bits()));
+        actual.push((format!("{name}.cache_key"), Method::Qmc(cfg).cache_key()));
+    }
+    check(
+        &actual,
+        &[
+            ("default.cache_key", 0x5ee20bbb3439dfc8),
+            ("asian.price", 0x4020b038b2d4cd6b),
+            ("asian.std_error", 0x3f7180a38a2ce800),
+            ("asian.cache_key", 0x1c5f214ce5b34c43),
+            ("basket.price", 0x40250e771f52aeed),
+            ("basket.std_error", 0x3f796139f582b000),
+            ("basket.cache_key", 0x2dd61e3df2f2e237),
         ],
     );
 }
