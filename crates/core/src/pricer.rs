@@ -134,11 +134,11 @@ impl Method {
                 eat(cfg.steps as u64);
                 eat(cfg.replicates as u64);
                 eat(cfg.seed);
-                eat(cfg.brownian_bridge as u64);
-                eat(match cfg.sequence {
-                    mdp_mc::qmc::QmcSequence::Sobol => 0,
-                    mdp_mc::qmc::QmcSequence::Halton => 1,
-                });
+                // The retired Brownian-bridge and point-sequence switches'
+                // words, held at their only production values (bridged,
+                // Sobol') so every QMC key keeps its bits.
+                eat(1);
+                eat(0);
             }
             Method::Lsmc(cfg) => {
                 eat(6);
@@ -882,11 +882,7 @@ impl PricerPlan {
                 (plan.execute(product, parallel, scratch)?.price, None, None)
             }
             PlanKind::Mc(plan) => {
-                let r = if parallel {
-                    plan.execute_rayon(product)?
-                } else {
-                    plan.execute(product)?
-                };
+                let r = plan.execute(product, parallel)?;
                 (r.price, Some(r.std_error), None)
             }
             PlanKind::OneShot => self.pricer.price_one_shot(&self.market, product)?,

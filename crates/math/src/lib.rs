@@ -33,7 +33,6 @@ pub mod cancel;
 pub mod error;
 pub mod fastmath;
 pub mod fingerprint;
-pub mod halton;
 pub mod linalg;
 pub mod poly;
 pub mod quadrature;

@@ -13,9 +13,9 @@
 //! ([`Xoshiro256StarStar::substreams`](mdp_math::rng::Xoshiro256StarStar::substreams)),
 //! so seeding a run of B blocks costs B − 1 jumps on any backend.
 
-use crate::panel::{eval_panel, eval_terminal_walked, walk_panel_terminal, CvSpec, PanelScratch};
+use crate::panel::{eval_panel, eval_terminal_walked, CvSpec, PanelScratch};
 use crate::path::{walk_path_with_normals, GbmStepper, SoaPanel, PANEL};
-use crate::variance::{try_merge_in_chunks, BlockAccum, MERGE_CHUNK};
+use crate::variance::{BlockAccum, MERGE_CHUNK};
 use crate::McError;
 use mdp_math::rng::{NormalPolar, NormalSampler, Xoshiro256StarStar};
 use mdp_math::CancelToken;
@@ -416,7 +416,8 @@ impl RunContext<'_> {
 /// ([`McPlan::execute_multi`]): each panel of paths is walked once and
 /// every payoff is evaluated on it, which is bitwise-identical to
 /// walking the paths once per product because the paths never depend on
-/// the payoff.
+/// the payoff. Every execute folds its blocks through the same chunked
+/// sweep, so the sequential and rayon modes return the same bits.
 #[derive(Debug, Clone)]
 pub struct McPlan {
     market: GbmMarket,
@@ -437,22 +438,12 @@ impl McPlan {
         self.maturity
     }
 
-    /// Install a cooperative cancel token. The drivers poll it once per
+    /// Install a cooperative cancel token. The sweep polls it once per
     /// path block; a tripped token aborts the run with
     /// [`McError::Cancelled`]. Runs that complete are bitwise-identical
     /// to runs without a token.
     pub fn set_cancel(&mut self, cancel: CancelToken) {
         self.cancel = cancel;
-    }
-
-    /// Poll the plan's cancel token at a block boundary.
-    #[inline]
-    fn check_cancel(&self) -> Result<(), McError> {
-        if self.cancel.is_cancelled() {
-            Err(McError::Cancelled)
-        } else {
-            Ok(())
-        }
     }
 
     /// The run configuration.
@@ -488,51 +479,64 @@ impl McPlan {
         })
     }
 
-    /// Price one product over the planned paths, sequentially: all
-    /// blocks in order, merged in the canonical chunked order.
-    pub fn execute(&self, product: &Product) -> Result<McResult, McError> {
-        let ctx = self.context(product)?;
-        // `try_merge_in_chunks` folds exactly like `merge_in_chunks`, the
-        // order every driver reproduces, so an uncancelled run matches
-        // them bit for bit.
-        let acc = try_merge_in_chunks((0..ctx.num_blocks()).map(|b| -> Result<_, McError> {
-            self.check_cancel()?;
-            Ok(ctx.simulate_block_batched(b))
-        }))?;
-        Ok(ctx.finish(&acc))
+    /// Run `block` on every block of the sample set and fold what it
+    /// pushes, per accumulator, in the **canonical chunked order**.
+    ///
+    /// Each block gets `width` zeroed accumulators. Each run of
+    /// [`MERGE_CHUNK`] consecutive blocks folds into a chunk total in
+    /// block order, then the chunk totals fold in chunk order: exactly
+    /// the association of [`crate::variance::merge_in_chunks`], with which
+    /// the cluster driver folds its gathered blocks. With `parallel` the
+    /// chunks run as rayon tasks, so only `⌈blocks/64⌉` chunk totals are
+    /// materialised and rayon's own reduce order never touches the
+    /// result: both modes return the same bits. The cancel token is
+    /// polled before each block.
+    fn sweep<F>(&self, width: usize, parallel: bool, block: F) -> Result<Vec<BlockAccum>, McError>
+    where
+        F: Fn(u64, &mut [BlockAccum]) + Sync,
+    {
+        let blocks = self.cfg.num_blocks();
+        let run_chunk = |c: u64| -> Result<Vec<BlockAccum>, McError> {
+            let lo = c * MERGE_CHUNK as u64;
+            let mut chunk = vec![BlockAccum::new(); width];
+            let mut accs = vec![BlockAccum::new(); width];
+            for b in lo..(lo + MERGE_CHUNK as u64).min(blocks) {
+                if self.cancel.is_cancelled() {
+                    return Err(McError::Cancelled);
+                }
+                accs.fill(BlockAccum::new());
+                block(b, &mut accs);
+                for (t, a) in chunk.iter_mut().zip(&accs) {
+                    t.merge(a);
+                }
+            }
+            Ok(chunk)
+        };
+        let chunks = 0..blocks.div_ceil(MERGE_CHUNK as u64);
+        let chunk_totals: Vec<Vec<BlockAccum>> = if parallel {
+            chunks
+                .into_par_iter()
+                .map(run_chunk)
+                .collect::<Result<_, _>>()?
+        } else {
+            chunks.map(run_chunk).collect::<Result<_, _>>()?
+        };
+        let mut totals = vec![BlockAccum::new(); width];
+        for chunk in &chunk_totals {
+            for (t, a) in totals.iter_mut().zip(chunk) {
+                t.merge(a);
+            }
+        }
+        Ok(totals)
     }
 
-    /// Price one product over the planned paths with rayon-parallel
-    /// blocks. Bitwise-identical to [`McPlan::execute`].
-    pub fn execute_rayon(&self, product: &Product) -> Result<McResult, McError> {
+    /// Price one product over the planned paths with the batched block
+    /// kernel, folded by the sweep; `parallel` runs its chunks on rayon.
+    /// Both modes return the same bits as [`McEngine::price`].
+    pub fn execute(&self, product: &Product, parallel: bool) -> Result<McResult, McError> {
         let ctx = self.context(product)?;
-        // Parallelise over merge chunks, not blocks: each worker folds
-        // its run of MERGE_CHUNK consecutive blocks into one accumulator,
-        // so only ⌈blocks/64⌉ accumulators are materialised. Rayon's own
-        // reduce order is nondeterministic; folding chunk totals in chunk
-        // order reproduces the canonical association of
-        // `merge_in_chunks` exactly, keeping the result bitwise equal to
-        // the sequential driver.
-        let blocks = ctx.num_blocks();
-        let chunks = blocks.div_ceil(MERGE_CHUNK as u64);
-        let chunk_accs: Vec<BlockAccum> = (0..chunks)
-            .into_par_iter()
-            .map(|c| {
-                let lo = c * MERGE_CHUNK as u64;
-                let hi = (lo + MERGE_CHUNK as u64).min(blocks);
-                let mut chunk = BlockAccum::new();
-                for b in lo..hi {
-                    self.check_cancel()?;
-                    chunk.merge(&ctx.simulate_block_batched(b));
-                }
-                Ok(chunk)
-            })
-            .collect::<Result<Vec<_>, McError>>()?;
-        let mut total = BlockAccum::new();
-        for a in &chunk_accs {
-            total.merge(a);
-        }
-        Ok(ctx.finish(&total))
+        let acc = self.sweep(1, parallel, |b, acc| acc[0] = ctx.simulate_block_batched(b))?;
+        Ok(ctx.finish(&acc[0]))
     }
 
     /// A product is fusable when the paths fully determine its payoff
@@ -564,41 +568,10 @@ impl McPlan {
         Ok(())
     }
 
-    /// Simulate one substream block, whose RNG starts at `rng`, once and
-    /// evaluate every payoff on its panels, pushing each payoff's
-    /// discounted values into its own accumulator in lane order — per
-    /// payoff exactly the stream [`RunContext::simulate_block_batched`]
-    /// produces.
-    fn simulate_block_multi(
-        &self,
-        block: u64,
-        mut rng: Xoshiro256StarStar,
-        payoffs: &[&Payoff],
-        accs: &mut [BlockAccum],
-    ) {
-        let mut sampler = NormalPolar::new();
-        let mut panel = SoaPanel::new(&self.stepper, PANEL);
-        let mut scratch = PanelScratch::new(self.stepper.dim, PANEL);
-        let d = self.stepper.dim;
-        let total = self.cfg.block_paths(block);
-        let mut done = 0u64;
-        while done < total {
-            let n = (total - done).min(PANEL as u64) as usize;
-            panel.fill_normals(&mut sampler, &mut rng, n);
-            walk_panel_terminal(&self.stepper, &self.log0, &mut panel, n);
-            for (payoff, acc) in payoffs.iter().zip(accs.iter_mut()) {
-                eval_terminal_walked(payoff, &panel, &mut scratch, d, n);
-                for lane in 0..n {
-                    acc.push(self.disc * scratch.ys[lane]);
-                }
-            }
-            done += n as u64;
-        }
-    }
-
-    /// Price a book of products over **one shared path sweep**: every
-    /// block's panels are walked once and all payoffs are evaluated on
-    /// them. Each product's result is bitwise-identical to its own
+    /// Price a book of products over **one shared path sweep**: the
+    /// one-scenario cube over the plan's own market, so every block's
+    /// panels are walked once and all payoffs are evaluated on them.
+    /// Each product's result is bitwise-identical to its own
     /// [`McPlan::execute`] / [`McEngine::price`] run, sequential or
     /// parallel.
     pub fn execute_multi(
@@ -606,63 +579,8 @@ impl McPlan {
         products: &[Product],
         parallel: bool,
     ) -> Result<Vec<McResult>, McError> {
-        for product in products {
-            self.check_fusable(product)?;
-        }
-        let k = products.len();
-        if k == 0 {
-            return Ok(Vec::new());
-        }
-        let payoffs: Vec<&Payoff> = products.iter().map(|p| &p.payoff).collect();
-        let blocks = self.cfg.num_blocks();
-        let streams = self.cfg.block_streams();
-        // Reproduce the canonical chunked merge of `merge_in_chunks` /
-        // `price_rayon` per payoff: blocks fold into MERGE_CHUNK-sized
-        // chunk totals in block order, chunk totals fold in chunk order.
-        let chunks = blocks.div_ceil(MERGE_CHUNK as u64);
-        let run_chunk = |c: u64| -> Result<Vec<BlockAccum>, McError> {
-            let lo = c * MERGE_CHUNK as u64;
-            let hi = (lo + MERGE_CHUNK as u64).min(blocks);
-            let mut chunk: Vec<BlockAccum> = (0..k).map(|_| BlockAccum::new()).collect();
-            let mut per_block: Vec<BlockAccum> = (0..k).map(|_| BlockAccum::new()).collect();
-            for b in lo..hi {
-                self.check_cancel()?;
-                for a in per_block.iter_mut() {
-                    *a = BlockAccum::new();
-                }
-                self.simulate_block_multi(b, streams[b as usize], &payoffs, &mut per_block);
-                for (t, a) in chunk.iter_mut().zip(&per_block) {
-                    t.merge(a);
-                }
-            }
-            Ok(chunk)
-        };
-        let chunk_accs: Vec<Vec<BlockAccum>> = if parallel {
-            (0..chunks)
-                .into_par_iter()
-                .map(run_chunk)
-                .collect::<Result<_, _>>()?
-        } else {
-            (0..chunks).map(run_chunk).collect::<Result<_, _>>()?
-        };
-        let mut totals: Vec<BlockAccum> = (0..k).map(|_| BlockAccum::new()).collect();
-        for chunk in &chunk_accs {
-            for (t, a) in totals.iter_mut().zip(chunk) {
-                t.merge(a);
-            }
-        }
-        Ok(totals
-            .iter()
-            .map(|acc| {
-                let (price, std_error) = acc.plain_estimate();
-                McResult {
-                    price,
-                    std_error,
-                    paths: acc.n as u64,
-                    variance_ratio: 1.0,
-                }
-            })
-            .collect())
+        let mut rows = self.execute_cube(products, std::slice::from_ref(&self.market), parallel)?;
+        Ok(rows.pop().unwrap_or_default())
     }
 
     /// The market the plan was built for (after any applied ticks).
@@ -707,8 +625,8 @@ impl McPlan {
     /// scenario**, evaluating every payoff on each walk. `accs` is
     /// scenario-major: `accs[s·k + p]` receives payoff `p` under
     /// scenario `s`, in the exact lane order
-    /// [`McPlan::simulate_block_multi`] would produce for a plan ticked
-    /// to that scenario.
+    /// [`RunContext::simulate_block_batched`] would produce for that
+    /// payoff on a plan ticked to that scenario.
     fn simulate_block_cube(
         &self,
         block: u64,
@@ -755,9 +673,9 @@ impl McPlan {
     /// payoff on it.
     ///
     /// Results are scenario-major: `out[s][p]` is product `p` under
-    /// `scenarios[s]`, **bitwise-identical** to
-    /// [`McPlan::execute_multi`] on a plan built (or ticked) for that
-    /// scenario market, sequential or parallel.
+    /// `scenarios[s]`, **bitwise-identical** to [`McPlan::execute`] of
+    /// that product on a plan built (or ticked) for that scenario
+    /// market, sequential or parallel.
     ///
     /// Scenario markets must share the base plan's dimension, and their
     /// Cholesky factors must match the base factor bit for bit (spot,
@@ -804,43 +722,10 @@ impl McPlan {
             })
             .collect::<Result<Vec<_>, _>>()?;
         let payoffs: Vec<&Payoff> = products.iter().map(|p| &p.payoff).collect();
-        let m = scens.len() * k;
-        let blocks = self.cfg.num_blocks();
         let streams = self.cfg.block_streams();
-        // Same canonical chunked merge as `execute_multi`, per
-        // (scenario, payoff) accumulator.
-        let chunks = blocks.div_ceil(MERGE_CHUNK as u64);
-        let run_chunk = |c: u64| -> Result<Vec<BlockAccum>, McError> {
-            let lo = c * MERGE_CHUNK as u64;
-            let hi = (lo + MERGE_CHUNK as u64).min(blocks);
-            let mut chunk: Vec<BlockAccum> = (0..m).map(|_| BlockAccum::new()).collect();
-            let mut per_block: Vec<BlockAccum> = (0..m).map(|_| BlockAccum::new()).collect();
-            for b in lo..hi {
-                self.check_cancel()?;
-                for a in per_block.iter_mut() {
-                    *a = BlockAccum::new();
-                }
-                self.simulate_block_cube(b, streams[b as usize], &scens, &payoffs, &mut per_block);
-                for (t, a) in chunk.iter_mut().zip(&per_block) {
-                    t.merge(a);
-                }
-            }
-            Ok(chunk)
-        };
-        let chunk_accs: Vec<Vec<BlockAccum>> = if parallel {
-            (0..chunks)
-                .into_par_iter()
-                .map(run_chunk)
-                .collect::<Result<_, _>>()?
-        } else {
-            (0..chunks).map(run_chunk).collect::<Result<_, _>>()?
-        };
-        let mut totals: Vec<BlockAccum> = (0..m).map(|_| BlockAccum::new()).collect();
-        for chunk in &chunk_accs {
-            for (t, a) in totals.iter_mut().zip(chunk) {
-                t.merge(a);
-            }
-        }
+        let totals = self.sweep(scens.len() * k, parallel, |b, accs| {
+            self.simulate_block_cube(b, streams[b as usize], &scens, &payoffs, accs)
+        })?;
         Ok(totals
             .chunks(k)
             .map(|row| {
@@ -911,15 +796,15 @@ impl McEngine {
     /// is validated before the plan is built, so its errors come first.
     pub fn price(&self, market: &GbmMarket, product: &Product) -> Result<McResult, McError> {
         product.validate_for(market)?;
-        self.plan(market, product.maturity)?.execute(product)
+        self.plan(market, product.maturity)?.execute(product, false)
     }
 
     /// Shared-memory parallel pricing over blocks (rayon): plan, then
-    /// [`McPlan::execute_rayon`]. Identical result to
+    /// [`McPlan::execute`] with `parallel`. Identical result to
     /// [`McEngine::price`].
     pub fn price_rayon(&self, market: &GbmMarket, product: &Product) -> Result<McResult, McError> {
         product.validate_for(market)?;
-        self.plan(market, product.maturity)?.execute_rayon(product)
+        self.plan(market, product.maturity)?.execute(product, true)
     }
 }
 
@@ -1167,16 +1052,16 @@ mod tests {
             ),
         ] {
             let one_shot = eng.price(&m, &p).unwrap();
-            let a = plan.execute(&p).unwrap();
-            let b = plan.execute(&p).unwrap();
-            let r = plan.execute_rayon(&p).unwrap();
+            let a = plan.execute(&p, false).unwrap();
+            let b = plan.execute(&p, false).unwrap();
+            let r = plan.execute(&p, true).unwrap();
             assert_eq!(a.price.to_bits(), one_shot.price.to_bits());
             assert_eq!(b.price.to_bits(), one_shot.price.to_bits());
             assert_eq!(r.price.to_bits(), one_shot.price.to_bits());
             assert_eq!(a.std_error.to_bits(), one_shot.std_error.to_bits());
         }
         let short = Product::european(Payoff::MaxCall { strike: 105.0 }, 0.5);
-        assert!(plan.execute(&short).is_err());
+        assert!(plan.execute(&short, false).is_err());
     }
 
     #[test]
@@ -1192,17 +1077,98 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         plan.set_cancel(token);
-        assert!(matches!(plan.execute(&p), Err(McError::Cancelled)));
-        assert!(matches!(plan.execute_rayon(&p), Err(McError::Cancelled)));
-        assert!(matches!(
-            plan.execute_multi(std::slice::from_ref(&p), false),
-            Err(McError::Cancelled)
-        ));
+        let scenarios = [m.clone(), m.with_spot(0, 101.0).unwrap()];
+        for parallel in [false, true] {
+            assert!(matches!(
+                plan.execute(&p, parallel),
+                Err(McError::Cancelled)
+            ));
+            assert!(matches!(
+                plan.execute_multi(std::slice::from_ref(&p), parallel),
+                Err(McError::Cancelled)
+            ));
+            assert!(matches!(
+                plan.execute_cube(std::slice::from_ref(&p), &scenarios, parallel),
+                Err(McError::Cancelled)
+            ));
+        }
         // A fresh (inert) token restores normal, bitwise-stable pricing.
         plan.set_cancel(CancelToken::never());
-        let a = plan.execute(&p).unwrap();
+        let a = plan.execute(&p, false).unwrap();
         let b = eng.price(&m, &p).unwrap();
         assert_eq!(a.price.to_bits(), b.price.to_bits());
+    }
+
+    /// Block counts on both sides of the 64-block merge chunk, each run
+    /// ending in a ragged block: every execute, in both modes, returns
+    /// the bits of the scalar oracle folded by `merge_in_chunks`; the
+    /// shared-path book matches per-product runs, and a two-scenario
+    /// cube matches plans ticked to each scenario.
+    #[test]
+    fn sweep_matches_oracle_at_chunk_boundaries() {
+        let m = GbmMarket::symmetric(2, 100.0, 0.25, 0.01, 0.04, 0.3).unwrap();
+        let products = [
+            Product::european(Payoff::MaxCall { strike: 105.0 }, 1.0),
+            Product::european(
+                Payoff::BasketPut {
+                    weights: Product::equal_weights(2),
+                    strike: 100.0,
+                },
+                1.0,
+            ),
+        ];
+        let deltas = [
+            MarketDelta::Spot {
+                asset: 0,
+                spot: 101.0,
+            },
+            MarketDelta::Vol {
+                asset: 1,
+                vol: 0.31,
+            },
+        ];
+        let bits = |r: &McResult| (r.price.to_bits(), r.std_error.to_bits(), r.paths);
+        for blocks in [1u64, 63, 64, 65, 128, 129] {
+            let plan = McEngine::new(McConfig {
+                paths: blocks * 9 - 4,
+                block_size: 9,
+                ..Default::default()
+            })
+            .plan(&m, 1.0)
+            .unwrap();
+            assert_eq!(plan.config().num_blocks(), blocks);
+            let oracle: Vec<_> = products
+                .iter()
+                .map(|p| {
+                    let ctx = plan.context(p).unwrap();
+                    let acc = merge_in_chunks((0..blocks).map(|b| ctx.simulate_block_scalar(b)));
+                    bits(&ctx.finish(&acc))
+                })
+                .collect();
+            let ticked: Vec<McPlan> = deltas
+                .iter()
+                .map(|delta| {
+                    let mut t = plan.clone();
+                    t.apply_tick(delta).unwrap();
+                    t
+                })
+                .collect();
+            let scenarios: Vec<GbmMarket> = ticked.iter().map(|t| t.market().clone()).collect();
+            for parallel in [false, true] {
+                let tag = format!("{blocks} blocks, parallel {parallel}");
+                for (p, want) in products.iter().zip(&oracle) {
+                    assert_eq!(bits(&plan.execute(p, parallel).unwrap()), *want, "{tag}");
+                }
+                let multi = plan.execute_multi(&products, parallel).unwrap();
+                assert_eq!(multi.iter().map(bits).collect::<Vec<_>>(), oracle, "{tag}");
+                let cube = plan.execute_cube(&products, &scenarios, parallel).unwrap();
+                for (t, row) in ticked.iter().zip(&cube) {
+                    for (p, r) in products.iter().zip(row) {
+                        assert_eq!(bits(r), bits(&t.execute(p, false).unwrap()), "{tag}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -1524,8 +1490,8 @@ mod lookback_engine_tests {
             let outcome = ticked.apply_tick(delta).unwrap();
             assert!(!outcome.rebuilt(), "MC ticks are always patches");
             let fresh = eng.plan(ticked.market(), 1.0).unwrap();
-            let a = ticked.execute(&p).unwrap();
-            let b = fresh.execute(&p).unwrap();
+            let a = ticked.execute(&p, false).unwrap();
+            let b = fresh.execute(&p, false).unwrap();
             assert_eq!(a.price.to_bits(), b.price.to_bits(), "{delta:?}");
             assert_eq!(a.std_error.to_bits(), b.std_error.to_bits());
         }

@@ -13,21 +13,9 @@ use crate::panel::{eval_panel, PanelScratch};
 use crate::path::{GbmStepper, SoaPanel, PANEL};
 use crate::McError;
 use mdp_math::brownian::BrownianBridge;
-use mdp_math::halton::HaltonSequence;
-use mdp_math::rng::{NormalInverse, Rng64, SplitMix64};
+use mdp_math::rng::NormalInverse;
 use mdp_math::sobol::SobolSequence;
 use mdp_model::{ExerciseStyle, GbmMarket, Product};
-
-/// Which low-discrepancy family drives the run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QmcSequence {
-    /// Sobol' digital nets with digital-shift randomisation (default).
-    #[default]
-    Sobol,
-    /// Halton with Cranley–Patterson rotation. Kept for cross-checks;
-    /// degrades in high dimension (see `mdp_math::halton`).
-    Halton,
-}
 
 /// Configuration of a randomised QMC run.
 #[derive(Debug, Clone, Copy)]
@@ -40,11 +28,6 @@ pub struct QmcConfig {
     pub replicates: u32,
     /// Seed for the digital shifts.
     pub seed: u64,
-    /// Use Brownian-bridge ordering (false = incremental ordering, for
-    /// the ablation that shows why the bridge matters).
-    pub brownian_bridge: bool,
-    /// Low-discrepancy family.
-    pub sequence: QmcSequence,
 }
 
 impl Default for QmcConfig {
@@ -54,47 +37,6 @@ impl Default for QmcConfig {
             steps: 1,
             replicates: 8,
             seed: 0x50B0,
-            brownian_bridge: true,
-            sequence: QmcSequence::Sobol,
-        }
-    }
-}
-
-/// A randomised low-discrepancy point source: one replicate's stream.
-enum PointSource {
-    Sobol(SobolSequence),
-    /// Halton with a Cranley–Patterson rotation vector.
-    Halton(HaltonSequence, Vec<f64>),
-}
-
-impl PointSource {
-    fn new(seq: QmcSequence, dim: usize, seed: u64) -> Result<Self, McError> {
-        match seq {
-            QmcSequence::Sobol => {
-                let mut s = SobolSequence::scrambled(dim, seed)
-                    .map_err(|e| McError::Unsupported(e.to_string()))?;
-                s.skip(1); // skip the (shifted) origin uniformly across replicates
-                Ok(PointSource::Sobol(s))
-            }
-            QmcSequence::Halton => {
-                let h =
-                    HaltonSequence::new(dim).map_err(|e| McError::Unsupported(e.to_string()))?;
-                let mut rng = SplitMix64::new(seed ^ 0x4A17);
-                let shift = (0..dim).map(|_| rng.next_f64()).collect();
-                Ok(PointSource::Halton(h, shift))
-            }
-        }
-    }
-
-    fn next_point(&mut self, out: &mut [f64]) {
-        match self {
-            PointSource::Sobol(s) => s.next_point(out),
-            PointSource::Halton(h, shift) => {
-                h.next_point(out);
-                for (x, sh) in out.iter_mut().zip(shift.iter()) {
-                    *x = (*x + sh).fract();
-                }
-            }
         }
     }
 }
@@ -163,7 +105,9 @@ pub fn price_qmc(
     let mut scratch = PanelScratch::new(d, PANEL);
 
     for rep in 0..cfg.replicates {
-        let mut seq = PointSource::new(cfg.sequence, sobol_dim, cfg.seed ^ ((rep as u64) << 32))?;
+        let mut seq = SobolSequence::scrambled(sobol_dim, cfg.seed ^ ((rep as u64) << 32))
+            .map_err(|e| McError::Unsupported(e.to_string()))?;
+        seq.skip(1); // skip the (shifted) origin uniformly across replicates
         let mut sum = 0.0;
         let mut remaining = cfg.points;
         while remaining > 0 {
@@ -173,23 +117,17 @@ pub fn price_qmc(
                 // Coordinate layout: index (level ℓ, asset i) ↦ ℓ·d + i so
                 // the leading Sobol' dimensions cover every asset's coarse
                 // levels.
-                if cfg.brownian_bridge {
-                    for asset in 0..d {
-                        for (l, z) in zcol.iter_mut().enumerate() {
-                            *z = NormalInverse::transform(clamp_open(point[l * d + asset]));
-                        }
-                        bridge.build_path(&zcol, &mut wcol);
-                        // Convert the Brownian path to per-step standardised
-                        // increments for the exact stepper.
-                        let mut prev = 0.0;
-                        for (s, w) in wcol.iter().enumerate() {
-                            normals[s * d + asset] = (w - prev) / sq_dt;
-                            prev = *w;
-                        }
+                for asset in 0..d {
+                    for (l, z) in zcol.iter_mut().enumerate() {
+                        *z = NormalInverse::transform(clamp_open(point[l * d + asset]));
                     }
-                } else {
-                    for (k, z) in normals.iter_mut().enumerate() {
-                        *z = NormalInverse::transform(clamp_open(point[k]));
+                    bridge.build_path(&zcol, &mut wcol);
+                    // Convert the Brownian path to per-step standardised
+                    // increments for the exact stepper.
+                    let mut prev = 0.0;
+                    for (s, w) in wcol.iter().enumerate() {
+                        normals[s * d + asset] = (w - prev) / sq_dt;
+                        prev = *w;
                     }
                 }
                 panel.set_lane_normals(lane, &normals);
@@ -307,59 +245,6 @@ mod tests {
     }
 
     #[test]
-    fn bridge_ordering_helps_path_dependent_payoffs() {
-        // Asian option with 16 monitoring dates in 1 asset: effective
-        // dimension is low under the bridge, high without it.
-        let m = GbmMarket::single(100.0, 0.3, 0.0, 0.05).unwrap();
-        let p = Product::european(Payoff::AsianCall { strike: 100.0 }, 1.0);
-        // Reference from a big bridged run.
-        let reference = price_qmc(
-            &m,
-            &p,
-            QmcConfig {
-                points: 32_768,
-                steps: 16,
-                replicates: 4,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let with = price_qmc(
-            &m,
-            &p,
-            QmcConfig {
-                points: 2048,
-                steps: 16,
-                replicates: 6,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let without = price_qmc(
-            &m,
-            &p,
-            QmcConfig {
-                points: 2048,
-                steps: 16,
-                replicates: 6,
-                brownian_bridge: false,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        // Both unbiased; the bridge should have the smaller replicate
-        // scatter.
-        assert!((with.price - reference.price).abs() < 0.05);
-        assert!((without.price - reference.price).abs() < 0.2);
-        assert!(
-            with.std_error <= without.std_error * 1.2,
-            "bridge {} vs raw {}",
-            with.std_error,
-            without.std_error
-        );
-    }
-
-    #[test]
     fn deterministic_given_seed() {
         let (m, p) = basket5();
         let cfg = QmcConfig {
@@ -395,67 +280,5 @@ mod tests {
         .is_err());
         let am = Product::american(Payoff::MaxCall { strike: 1.0 }, 1.0);
         assert!(price_qmc(&m, &am, QmcConfig::default()).is_err());
-    }
-}
-
-#[cfg(test)]
-mod halton_tests {
-    use super::*;
-    use mdp_model::{analytic, Payoff, Product};
-
-    #[test]
-    fn halton_matches_sobol_and_closed_form_in_low_dim() {
-        let m = GbmMarket::symmetric(3, 100.0, 0.25, 0.0, 0.05, 0.3).unwrap();
-        let p = Product::european(Payoff::GeometricCall { strike: 100.0 }, 1.0);
-        let exact = analytic::geometric_basket_call(&m, &Product::equal_weights(3), 100.0, 1.0);
-        let halton = price_qmc(
-            &m,
-            &p,
-            QmcConfig {
-                points: 8192,
-                replicates: 4,
-                sequence: QmcSequence::Halton,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(
-            (halton.price - exact).abs() < 4.0 * halton.std_error + 5e-3,
-            "halton {} vs {exact} (se {})",
-            halton.price,
-            halton.std_error
-        );
-        let sobol = price_qmc(
-            &m,
-            &p,
-            QmcConfig {
-                points: 8192,
-                replicates: 4,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!((halton.price - sobol.price).abs() < 0.02);
-    }
-
-    #[test]
-    fn halton_deterministic_per_seed() {
-        let m = GbmMarket::single(100.0, 0.2, 0.0, 0.05).unwrap();
-        let p = Product::european(
-            Payoff::BasketCall {
-                weights: vec![1.0],
-                strike: 100.0,
-            },
-            1.0,
-        );
-        let cfg = QmcConfig {
-            points: 1024,
-            replicates: 2,
-            sequence: QmcSequence::Halton,
-            ..Default::default()
-        };
-        let a = price_qmc(&m, &p, cfg).unwrap();
-        let b = price_qmc(&m, &p, cfg).unwrap();
-        assert_eq!(a.price.to_bits(), b.price.to_bits());
     }
 }

@@ -41,7 +41,9 @@ pub const MERGE_CHUNK: usize = 64;
 /// sequential, rayon, message-passing — must associate the reduction the
 /// same way to stay bitwise identical. Two levels (rather than one flat
 /// fold) let the parallel drivers materialise only `⌈blocks/64⌉` chunk
-/// accumulators instead of one per block.
+/// accumulators instead of one per block. The cluster driver folds its
+/// gathered blocks here; `McPlan`'s block sweep runs the same fold one
+/// chunk at a time.
 pub fn merge_in_chunks<I: IntoIterator<Item = BlockAccum>>(accs: I) -> BlockAccum {
     let mut total = BlockAccum::new();
     let mut chunk = BlockAccum::new();
@@ -59,36 +61,6 @@ pub fn merge_in_chunks<I: IntoIterator<Item = BlockAccum>>(accs: I) -> BlockAccu
         total.merge(&chunk);
     }
     total
-}
-
-/// Fallible variant of [`merge_in_chunks`]: identical two-level fold
-/// over the `Ok` payloads, short-circuiting on the first `Err`.
-///
-/// Because [`BlockAccum::merge`] is element-wise addition starting from
-/// all-zero accumulators, a run in which every item is `Ok` produces a
-/// result bitwise identical to `merge_in_chunks` over the same blocks —
-/// cancellable drivers can therefore share the canonical reduction
-/// order with the infallible ones.
-pub fn try_merge_in_chunks<E, I>(accs: I) -> Result<BlockAccum, E>
-where
-    I: IntoIterator<Item = Result<BlockAccum, E>>,
-{
-    let mut total = BlockAccum::new();
-    let mut chunk = BlockAccum::new();
-    let mut in_chunk = 0usize;
-    for a in accs {
-        chunk.merge(&a?);
-        in_chunk += 1;
-        if in_chunk == MERGE_CHUNK {
-            total.merge(&chunk);
-            chunk = BlockAccum::new();
-            in_chunk = 0;
-        }
-    }
-    if in_chunk > 0 {
-        total.merge(&chunk);
-    }
-    Ok(total)
 }
 
 impl BlockAccum {
@@ -263,38 +235,6 @@ mod tests {
         assert_eq!(got.sum_y.to_bits(), want.sum_y.to_bits());
         assert_eq!(got.sum_xy.to_bits(), want.sum_xy.to_bits());
         assert_eq!(got.n, want.n);
-    }
-
-    #[test]
-    fn try_merge_matches_infallible_merge_bitwise() {
-        let blocks: Vec<BlockAccum> = (0..200)
-            .map(|i| {
-                let mut a = BlockAccum::new();
-                a.push_cv((i as f64 * 0.37).sin(), (i as f64 * 0.11).cos());
-                a
-            })
-            .collect();
-        let want = merge_in_chunks(blocks.iter().copied());
-        let got: Result<BlockAccum, ()> = try_merge_in_chunks(blocks.iter().copied().map(Ok));
-        let got = got.unwrap();
-        assert_eq!(got.sum_y.to_bits(), want.sum_y.to_bits());
-        assert_eq!(got.sum_yy.to_bits(), want.sum_yy.to_bits());
-        assert_eq!(got.sum_xy.to_bits(), want.sum_xy.to_bits());
-        assert_eq!(got.n, want.n);
-    }
-
-    #[test]
-    fn try_merge_short_circuits_on_error() {
-        let items = (0..10).map(|i| {
-            if i == 3 {
-                Err("stop")
-            } else {
-                let mut a = BlockAccum::new();
-                a.push(i as f64);
-                Ok(a)
-            }
-        });
-        assert_eq!(try_merge_in_chunks(items), Err("stop"));
     }
 
     #[test]

@@ -390,7 +390,7 @@ fn every_planful_engine_keeps_its_cancel_token_across_ticks() {
             mc.set_cancel(tripped());
             mc.apply_tick(&delta).unwrap();
             assert!(
-                matches!(mc.execute(&european), Err(McError::Cancelled)),
+                matches!(mc.execute(&european, false), Err(McError::Cancelled)),
                 "mc {tag}"
             );
         }
