@@ -2,11 +2,12 @@
 //!
 //! Paths are split into blocks of [`McConfig::block_size`]; block `b`
 //! draws exclusively from RNG substream `b` of the seed. A driver — the
-//! sequential loop here, the rayon loop, or the message-passing driver in
-//! [`crate::cluster_driver`] — only decides *who computes which blocks*;
-//! the sample set is fixed by `(seed, paths, block_size)` alone. Every
-//! backend therefore returns the **same price to the last bit**, which
-//! turns "the parallel code is correct" into an equality test.
+//! block sweep here, sequential or on rayon, or the message-passing
+//! driver in [`crate::cluster_driver`] — only decides *who computes
+//! which blocks*; the sample set is fixed by `(seed, paths, block_size)`
+//! alone. Every backend therefore returns the **same price to the last
+//! bit**, which turns "the parallel code is correct" into an equality
+//! test.
 //!
 //! Every driver reads the block start states from one table built per
 //! run with one jump per block
@@ -1527,12 +1528,11 @@ mod lookback_engine_tests {
             let cube = plan.execute_cube(&products, &scenarios, parallel).unwrap();
             assert_eq!(cube.len(), scenarios.len());
             for (scen, row) in scenarios.iter().zip(&cube) {
-                let naive = eng
-                    .plan(scen, 1.0)
-                    .unwrap()
-                    .execute_multi(&products, false)
-                    .unwrap();
-                for (a, b) in row.iter().zip(&naive) {
+                // Per-product runs, not `execute_multi`: that is the
+                // one-scenario cube itself.
+                let naive = eng.plan(scen, 1.0).unwrap();
+                for (a, p) in row.iter().zip(&products) {
+                    let b = naive.execute(p, false).unwrap();
                     assert_eq!(a.price.to_bits(), b.price.to_bits());
                     assert_eq!(a.std_error.to_bits(), b.std_error.to_bits());
                     assert_eq!(a.paths, b.paths);
