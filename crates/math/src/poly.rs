@@ -106,43 +106,77 @@ impl TensorBasis {
         1 + self.dim * self.degree + cross
     }
 
-    /// Evaluate at the asset vector `x`, writing `self.size()` values:
-    /// the constant, asset i's terms `1..=degree` at
-    /// `out[1 + i·degree ..]`, then the cross terms `x_i·x_j` (`i < j`)
-    /// in row order. Each term is the recurrence [`eval_basis`] runs, so
-    /// the values are its bits.
+    /// Evaluate at `n` points held as columns: asset `i`'s coordinates
+    /// are `x[i·stride..i·stride + n]`, and function `j`'s values go to
+    /// `out[j·stride..j·stride + n]`. The functions are the constant,
+    /// asset i's terms `1..=degree` at `1 + i·degree ..`, then the cross
+    /// terms `x_i·x_j` (`i < j`) in row order. Each column runs the
+    /// recurrence [`eval_basis`] runs, one point per lane, so every value
+    /// is its bits.
     ///
     /// # Panics
-    /// Panics if `x.len() != dim` or `out.len() != size()`.
-    pub fn eval(&self, x: &[f64], out: &mut [f64]) {
-        assert_eq!(x.len(), self.dim);
-        assert_eq!(out.len(), self.size());
-        let (scalar, cross) = out.split_at_mut(1 + self.dim * self.degree);
-        scalar[0] = 1.0;
-        // The family is matched once per call, not once per asset.
-        let assets = scalar[1..].chunks_exact_mut(self.degree).zip(x);
-        match self.kind {
-            BasisKind::Monomial => {
-                for (terms, &xi) in assets {
-                    recur(terms, xi, |_, p, _| p * xi);
-                }
+    /// Panics if `n > stride`, or if `x` is shorter than `dim` columns or
+    /// `out` shorter than `size()` columns.
+    pub fn eval_columns(&self, x: &[f64], stride: usize, n: usize, out: &mut [f64]) {
+        assert!(n <= stride);
+        assert!(x.len() >= self.dim * stride);
+        assert!(out.len() >= self.size() * stride);
+        let col = |j: usize| j * stride..j * stride + n;
+        out[col(0)].fill(1.0);
+        let (scalar, cross) = out.split_at_mut((1 + self.dim * self.degree) * stride);
+        // The family is matched once per asset, not once per point.
+        for i in 0..self.dim {
+            let xi = &x[col(i)];
+            let terms = &mut scalar[(1 + i * self.degree) * stride..][..self.degree * stride];
+            match self.kind {
+                BasisKind::Monomial => recur_columns(terms, stride, xi, |x| x, |_, x, p, _| p * x),
+                BasisKind::Laguerre => recur_columns(terms, stride, xi, |x| 1.0 - x, laguerre_next),
+                BasisKind::Hermite => recur_columns(terms, stride, xi, |x| x, hermite_next),
             }
-            BasisKind::Laguerre => {
-                for (terms, &xi) in assets {
-                    recur(terms, 1.0 - xi, |k, p, q| laguerre_next(k, xi, p, q));
-                }
-            }
-            BasisKind::Hermite => {
-                for (terms, &xi) in assets {
-                    recur(terms, xi, |k, p, q| hermite_next(k, xi, p, q));
+        }
+        if !self.cross_terms {
+            return;
+        }
+        let mut cells = cross.chunks_mut(stride);
+        for i in 0..self.dim {
+            for j in i + 1..self.dim {
+                let cell = &mut cells.next().expect("size() counts every pair")[..n];
+                for ((o, &a), &b) in cell.iter_mut().zip(&x[col(i)]).zip(&x[col(j)]) {
+                    *o = a * b;
                 }
             }
         }
-        // Without cross terms `cross` is empty and nothing is written.
-        let mut cells = cross.iter_mut();
-        for (i, &xi) in x.iter().enumerate() {
-            for (&xj, cell) in x[i + 1..].iter().zip(cells.by_ref()) {
-                *cell = xi * xj;
+    }
+}
+
+/// Column form of [`recur`]: write `P_1 … P_m` at the points `x` into
+/// the `m = terms.len() / stride` columns of `terms`, column `k − 1`
+/// holding `P_k`, from `P_0 = 1`, `P_1 = first(x)` and
+/// `P_{k+1} = next(k, x, P_k, P_{k−1})`.
+#[inline(always)]
+fn recur_columns(
+    terms: &mut [f64],
+    stride: usize,
+    x: &[f64],
+    first: impl Fn(f64) -> f64,
+    next: impl Fn(usize, f64, f64, f64) -> f64,
+) {
+    let n = x.len();
+    for (o, &xr) in terms[..n].iter_mut().zip(x) {
+        *o = first(xr);
+    }
+    for k in 1..terms.len() / stride {
+        let (done, rest) = terms.split_at_mut(k * stride);
+        let p = &done[(k - 1) * stride..][..n];
+        let out = &mut rest[..n];
+        if k == 1 {
+            for ((o, &xr), &pr) in out.iter_mut().zip(x).zip(p) {
+                *o = next(k, xr, pr, 1.0);
+            }
+        } else {
+            let q = &done[(k - 2) * stride..][..n];
+            for (((o, &xr), &pr), &qr) in out.iter_mut().zip(x).zip(p).zip(q) {
+                *o = next(k, xr, pr, qr);
             }
         }
     }
@@ -195,7 +229,7 @@ mod tests {
         assert_eq!(b.size(), 10);
         let x = [2.0, 3.0, 5.0];
         let mut out = vec![0.0; 10];
-        b.eval(&x, &mut out);
+        b.eval_columns(&x, 1, 1, &mut out);
         assert_eq!(out[0], 1.0);
         assert_eq!(&out[1..3], &[2.0, 4.0]); // x1, x1²
         assert_eq!(&out[3..5], &[3.0, 9.0]);
@@ -205,26 +239,53 @@ mod tests {
 
     #[test]
     fn tensor_basis_equals_per_asset_scalar_bases_bitwise() {
-        let x = [0.93, 1.07, 1.21];
+        // The column evaluator against `eval_basis` per point: every
+        // family, d 1–3, degree 1–4, row counts around the 32-row tile,
+        // columns strided wider than the rows, and the slots past each
+        // column's rows left as they were.
+        const STRIDE: usize = 40;
+        let point = |r: usize, i: usize| 0.55 + 0.031 * ((7 * r + 13 * i) % 29) as f64;
+        let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
         for kind in [BasisKind::Monomial, BasisKind::Laguerre, BasisKind::Hermite] {
             for dim in 1..=3 {
                 for degree in 1..=4 {
                     let b = TensorBasis::new(dim, degree, kind);
-                    let mut out = vec![f64::NAN; b.size()];
-                    b.eval(&x[..dim], &mut out);
-                    let mut expect = vec![1.0];
-                    let mut scalar = vec![0.0; degree + 1];
-                    for &xi in &x[..dim] {
-                        eval_basis(kind, xi, degree + 1, &mut scalar);
-                        expect.extend_from_slice(&scalar[1..]);
-                    }
-                    for i in 0..dim {
-                        for j in i + 1..dim {
-                            expect.push(x[i] * x[j]);
+                    for n in [0, 1, 31, 32, 33] {
+                        let mut x = vec![f64::NAN; dim * STRIDE];
+                        for i in 0..dim {
+                            for r in 0..n {
+                                x[i * STRIDE + r] = point(r, i);
+                            }
                         }
+                        let mut out = vec![f64::NAN; b.size() * STRIDE];
+                        b.eval_columns(&x, STRIDE, n, &mut out);
+                        let mut scalar = vec![0.0; degree + 1];
+                        for r in 0..n {
+                            let xr: Vec<f64> = (0..dim).map(|i| point(r, i)).collect();
+                            let mut expect = vec![1.0];
+                            for &xi in &xr {
+                                eval_basis(kind, xi, degree + 1, &mut scalar);
+                                expect.extend_from_slice(&scalar[1..]);
+                            }
+                            for i in 0..dim {
+                                for j in i + 1..dim {
+                                    expect.push(xr[i] * xr[j]);
+                                }
+                            }
+                            let got: Vec<f64> =
+                                (0..b.size()).map(|j| out[j * STRIDE + r]).collect();
+                            assert_eq!(
+                                bits(&got),
+                                bits(&expect),
+                                "{kind:?} d={dim} deg={degree} n={n} row {r}"
+                            );
+                        }
+                        assert!(
+                            out.chunks_exact(STRIDE)
+                                .all(|c| c[n..].iter().all(|v| v.is_nan())),
+                            "{kind:?} d={dim} deg={degree} n={n}: wrote past the rows"
+                        );
                     }
-                    let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-                    assert_eq!(bits(&out), bits(&expect), "{kind:?} d={dim} deg={degree}");
                 }
             }
         }
@@ -235,7 +296,7 @@ mod tests {
         let b = TensorBasis::new(1, 3, BasisKind::Laguerre);
         assert_eq!(b.size(), 4);
         let mut out = vec![0.0; 4];
-        b.eval(&[1.0], &mut out);
+        b.eval_columns(&[1.0], 1, 1, &mut out);
         // Layout: [1, L1(1), L2(1), L3(1)] with L1(1) = 0, L2(1) = −0.5.
         assert!(approx_eq(out[1], 0.0, 1e-15));
         assert!(approx_eq(out[2], -0.5, 1e-14));
@@ -246,6 +307,6 @@ mod tests {
     fn tensor_basis_wrong_input_length_panics() {
         let b = TensorBasis::new(2, 2, BasisKind::Monomial);
         let mut out = vec![0.0; b.size()];
-        b.eval(&[1.0], &mut out);
+        b.eval_columns(&[1.0], 1, 1, &mut out);
     }
 }

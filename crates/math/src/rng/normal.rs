@@ -3,8 +3,9 @@
 //! Two interchangeable methods:
 //!
 //! * [`NormalPolar`] — Marsaglia's polar method. Exact, rejection-based
-//!   (~1.27 uniforms per normal), branchy. The default for pseudo-random
-//!   Monte Carlo.
+//!   (~1.27 uniforms per normal). Its bulk fills accept candidate pairs
+//!   without a branch on the draw. The default for pseudo-random Monte
+//!   Carlo.
 //! * [`NormalInverse`] — inverse-CDF transform. The **only** valid choice
 //!   for quasi-Monte Carlo: it is monotone, so it preserves the
 //!   low-discrepancy structure of a Sobol' point set, and it consumes
@@ -89,6 +90,34 @@ impl NormalPolar {
     }
 }
 
+/// Fill `us`, `vs` and `ss` with accepted polar pairs `(u, v)` and
+/// their `s = u² + v²`, in draw order.
+///
+/// Each round draws exactly as many candidate pairs as slots are still
+/// empty, stores every candidate at the write index and advances the
+/// index only past an accepted one (`0 < s < 1`), so no branch depends
+/// on a draw; a rejected candidate is overwritten by the next. The slots
+/// still empty need at least that many more candidates, so a
+/// one-pair-at-a-time rejection loop draws every one of them too: the
+/// RNG advances exactly as in that loop.
+#[inline]
+fn accept_pairs<R: Rng64>(rng: &mut R, us: &mut [f64], vs: &mut [f64], ss: &mut [f64]) {
+    let pairs = us.len();
+    let mut j = 0;
+    while j < pairs {
+        let lacking = pairs - j;
+        for _ in 0..lacking {
+            let u = 2.0 * rng.next_f64() - 1.0;
+            let v = 2.0 * rng.next_f64() - 1.0;
+            let s = u * u + v * v;
+            us[j] = u;
+            vs[j] = v;
+            ss[j] = s;
+            j += usize::from((s > 0.0) & (s < 1.0));
+        }
+    }
+}
+
 impl NormalSampler for NormalPolar {
     #[inline]
     fn sample<R: Rng64>(&mut self, rng: &mut R) -> f64 {
@@ -108,13 +137,14 @@ impl NormalSampler for NormalPolar {
     }
 
     /// Bulk fill in three phases so the per-pair transform vectorizes:
-    /// collect accepted `(u, v, s)` tuples with the scalar rejection
-    /// loop, evaluate `f = √(−2·ln s / s)` over the whole chunk (a
-    /// branch-free loop LLVM turns into SIMD), then write the pair
-    /// stream out in order. The RNG draw order, the per-element
-    /// arithmetic and the spare-carry semantics are exactly those of
-    /// repeated [`NormalSampler::sample`] calls, so the output is
-    /// bitwise identical to the default `fill` — just faster.
+    /// collect a chunk of accepted `(u, v, s)` tuples with the
+    /// branch-free acceptance pass `accept_pairs`, evaluate
+    /// `f = √(−2·ln s / s)` over the whole chunk (a loop LLVM turns into
+    /// SIMD), then write the pair stream out in order. The RNG draw
+    /// order, the per-element arithmetic and the spare-carry semantics
+    /// are exactly those of repeated [`NormalSampler::sample`] calls, so
+    /// the output and the RNG's state afterwards are bitwise those of
+    /// the default `fill` — just faster.
     fn fill<R: Rng64>(&mut self, rng: &mut R, dst: &mut [f64]) {
         const CHUNK: usize = 256;
         // Small fills (the scalar kernel's per-path draws) are cheaper
@@ -136,19 +166,7 @@ impl NormalSampler for NormalPolar {
         let mut fs = [0.0; CHUNK];
         while i < dst.len() {
             let pairs = ((dst.len() - i).div_ceil(2)).min(CHUNK);
-            for j in 0..pairs {
-                loop {
-                    let u = 2.0 * rng.next_f64() - 1.0;
-                    let v = 2.0 * rng.next_f64() - 1.0;
-                    let s = u * u + v * v;
-                    if s > 0.0 && s < 1.0 {
-                        us[j] = u;
-                        vs[j] = v;
-                        fs[j] = s;
-                        break;
-                    }
-                }
-            }
+            accept_pairs(rng, &mut us[..pairs], &mut vs[..pairs], &mut fs[..pairs]);
             for f in fs[..pairs].iter_mut() {
                 let s = *f;
                 *f = (-2.0 * ln64(s) / s).sqrt();
@@ -215,19 +233,7 @@ impl NormalSampler for NormalPolar {
         let mut fs = [0.0; CHUNK];
         while emitted < total {
             let pairs = ((total - emitted).div_ceil(2)).min(CHUNK);
-            for j in 0..pairs {
-                loop {
-                    let u = 2.0 * rng.next_f64() - 1.0;
-                    let v = 2.0 * rng.next_f64() - 1.0;
-                    let s = u * u + v * v;
-                    if s > 0.0 && s < 1.0 {
-                        us[j] = u;
-                        vs[j] = v;
-                        fs[j] = s;
-                        break;
-                    }
-                }
-            }
+            accept_pairs(rng, &mut us[..pairs], &mut vs[..pairs], &mut fs[..pairs]);
             for f in fs[..pairs].iter_mut() {
                 let s = *f;
                 *f = (-2.0 * ln64(s) / s).sqrt();
@@ -356,6 +362,45 @@ mod tests {
                 let via_sample: Vec<f64> = (0..len).map(|_| b.sample(&mut rng_b)).collect();
                 for (x, y) in via_fill.iter().zip(&via_sample) {
                     assert_eq!(x.to_bits(), y.to_bits());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn polar_fills_advance_the_rng_exactly_as_repeated_sample() {
+        // Comparing variates alone would miss a fill that drew one
+        // candidate pair too many; the RNG's next u64, and the spare the
+        // sampler keeps, must be those of repeated sample() calls too.
+        // Lengths straddle the 32-variate small-fill threshold and the
+        // 256-pair chunk, with and without a spare carried in.
+        let bits = |v: &[f64]| v.iter().map(|z| z.to_bits()).collect::<Vec<_>>();
+        for len in [1usize, 31, 32, 255, 256, 257, 513] {
+            for carry in [false, true] {
+                let seed = 2 * len as u64 + u64::from(carry);
+                let mut oracle = NormalPolar::new();
+                let mut rng_o = Xoshiro256StarStar::seed_from(seed);
+                if carry {
+                    oracle.sample(&mut rng_o);
+                }
+                let want: Vec<f64> = (0..len).map(|_| oracle.sample(&mut rng_o)).collect();
+                let after = (rng_o.next_u64(), oracle.sample(&mut rng_o).to_bits());
+                // `fill`, then `fill_transposed` as one column and as one row.
+                for shape in [None, Some((len, 1)), Some((1, len))] {
+                    let mut s = NormalPolar::new();
+                    let mut rng = Xoshiro256StarStar::seed_from(seed);
+                    if carry {
+                        s.sample(&mut rng);
+                    }
+                    let mut got = vec![0.0; len];
+                    match shape {
+                        None => s.fill(&mut rng, &mut got),
+                        Some((n, rows)) => s.fill_transposed(&mut rng, &mut got, n, n, rows),
+                    }
+                    let ctx = format!("len {len} carry {carry} shape {shape:?}");
+                    assert_eq!(bits(&got), bits(&want), "{ctx}");
+                    let next = (rng.next_u64(), s.sample(&mut rng).to_bits());
+                    assert_eq!(next, after, "{ctx}");
                 }
             }
         }

@@ -334,12 +334,7 @@ pub fn price_lsmc_cluster(
     let [n, sum, sum_sq] = outcome.survivors[0].value;
     let mean = sum / n;
     let var = (sum_sq - n * mean * mean) / (n - 1.0);
-    let intrinsic = product.payoff.eval(market.spots());
-    let result = LsmcResult {
-        price: mean.max(intrinsic),
-        std_error: (var.max(0.0) / n).sqrt(),
-        paths: n as u64,
-    };
+    let result = lsmc::finish(mean, var.max(0.0), n, product, market);
     Ok(LsmcClusterOutcome {
         result,
         time: outcome.time_model(),

@@ -16,7 +16,7 @@
 //! (experiment T7). Both drivers run the per-date loops of
 //! [`SweepKernel`].
 
-use crate::path::GbmStepper;
+use crate::path::{walk_panel, GbmStepper, SoaPanel, PANEL};
 use crate::McError;
 use mdp_math::linalg::{Cholesky, Matrix};
 use mdp_math::poly::{BasisKind, TensorBasis};
@@ -92,9 +92,13 @@ pub struct PathPanel {
 /// passes all of them, a rank passes its share — and `streams` is the
 /// run's table of block start states ([`block_streams`]).
 ///
-/// Each block's normals come from one bulk [`NormalPolar::fill`], which
-/// yields the same variates as drawing each path's `steps·d` normals in
-/// turn, so the panel does not depend on how the draws are batched.
+/// Each block runs through [`SoaPanel`]s of up to [`PANEL`] paths, one
+/// path per lane. A panel's normals come from one bulk
+/// [`SoaPanel::fill_normals`], which draws its paths' `steps·d` normals
+/// in turn, so a block draws the same variates however its paths are
+/// batched. [`GbmStepper::step_panel`] performs [`GbmStepper::step`]'s
+/// operations on every lane, and each spot is `f64::exp` of its
+/// log-spot.
 pub fn simulate_panel(
     market: &GbmMarket,
     product: &Product,
@@ -105,33 +109,36 @@ pub fn simulate_panel(
     let d = market.dim();
     let stepper = GbmStepper::new(market, product.maturity, cfg.steps);
     let log0: Vec<f64> = market.spots().iter().map(|s| s.ln()).collect();
-    let num_paths: u64 = blocks.clone().map(|b| block_paths(cfg, b)).sum();
-    let mut spots = vec![vec![0.0; num_paths as usize * d]; cfg.steps];
+    let sizes = blocks.clone().map(|b| block_paths(cfg, b) as usize);
+    let num_paths: usize = sizes.clone().sum();
+    let widest = sizes.max().unwrap_or(0);
+    let mut spots = vec![vec![0.0; num_paths * d]; cfg.steps];
     let mut sampler = NormalPolar::new();
-    let per_path = cfg.steps * d;
-    let mut normals = Vec::new();
-    let mut log_buf = vec![0.0; d];
-    let mut path_idx = 0usize;
+    let mut panel = SoaPanel::new(&stepper, widest.clamp(1, PANEL));
+    let mut first = 0usize; // the current panel's first path
     for b in blocks {
         let mut rng = streams[b as usize];
         sampler.reset();
-        normals.resize(block_paths(cfg, b) as usize * per_path, 0.0);
-        sampler.fill(&mut rng, &mut normals);
-        for path in normals.chunks_exact(per_path) {
-            log_buf.copy_from_slice(&log0);
-            for (layer, z) in spots.iter_mut().zip(path.chunks_exact(d)) {
-                stepper.step(&mut log_buf, z);
-                for (i, l) in log_buf.iter().enumerate() {
-                    layer[path_idx * d + i] = l.exp();
+        let block_end = first + block_paths(cfg, b) as usize;
+        while first < block_end {
+            let n = (block_end - first).min(panel.lanes());
+            panel.fill_normals(&mut sampler, &mut rng, n);
+            walk_panel(&stepper, &log0, &mut panel, n, |step, panel| {
+                let layer = &mut spots[step][first * d..(first + n) * d];
+                for i in 0..d {
+                    let lanes = layer[i..].iter_mut().step_by(d);
+                    for (s, l) in lanes.zip(panel.log_row(i)) {
+                        *s = l.exp();
+                    }
                 }
-            }
-            path_idx += 1;
+            });
+            first += n;
         }
     }
     PathPanel {
         dim: d,
         steps: cfg.steps,
-        paths: num_paths as usize,
+        paths: num_paths,
         spots,
     }
 }
@@ -188,18 +195,51 @@ impl RegressionSums {
         }
     }
 
-    /// Rank-1 update with basis row `phi` and target `y`.
-    #[inline]
-    pub fn push(&mut self, phi: &[f64], y: f64) {
-        debug_assert_eq!(phi.len(), self.k);
-        for (i, &pi) in phi.iter().enumerate() {
-            let row = &mut self.xtx[i * self.k + i..(i + 1) * self.k];
-            for (cell, &pj) in row.iter_mut().zip(&phi[i..]) {
-                *cell += pi * pj;
+    /// Add one tile of `n` rows: column `j < k` of `cols`
+    /// (`cols[j·stride..j·stride + n]`) holds basis function `j` at the
+    /// rows, and column `k` their targets `y`.
+    ///
+    /// Each upper-triangle cell of `XᵀX` and each `Xᵀy` entry continues
+    /// from its stored value and adds its products row by row, so tiles
+    /// chain exactly as one rank-1 update per row would. The cells run
+    /// four to a pass over the rows, four independent add chains.
+    ///
+    /// # Panics
+    /// Panics if `n > stride` or `cols` is shorter than `k + 1` columns.
+    fn add_tile(&mut self, cols: &[f64], stride: usize, n: usize) {
+        let k = self.k;
+        assert!(n <= stride && cols.len() >= (k + 1) * stride);
+        let col = |c: usize| &cols[c * stride..c * stride + n];
+        // Cell (i, j) is XᵀX's for j < k and Xᵀy's entry i for j = k.
+        let mut cells = (0..k).flat_map(|i| (i..=k).map(move |j| (i, j)));
+        while let Some(first) = cells.next() {
+            let quad = [Some(first), cells.next(), cells.next(), cells.next()];
+            // A missing cell runs as a dummy chain and is not stored.
+            let pairs = quad.map(|c| c.unwrap_or(first));
+            let mut acc = pairs.map(|(i, j)| *self.cell(i, j));
+            let a = pairs.map(|(i, _)| col(i));
+            let b = pairs.map(|(_, j)| col(j));
+            for r in 0..n {
+                for m in 0..4 {
+                    acc[m] += a[m][r] * b[m][r];
+                }
             }
-            self.xty[i] += pi * y;
+            for (c, v) in quad.into_iter().zip(acc) {
+                if let Some((i, j)) = c {
+                    *self.cell(i, j) = v;
+                }
+            }
         }
-        self.count += 1.0;
+        // Adding 1.0 per row is exact, so this is the per-row count.
+        self.count += n as f64;
+    }
+
+    fn cell(&mut self, i: usize, j: usize) -> &mut f64 {
+        if j < self.k {
+            &mut self.xtx[i * self.k + j]
+        } else {
+            &mut self.xty[i]
+        }
     }
 
     /// Flatten to `k·k + k + 1` values for message passing.
@@ -241,6 +281,9 @@ impl RegressionSums {
     }
 }
 
+/// Rows per tile of [`SweepKernel`]'s regression and exercise passes.
+const TILE: usize = 32;
+
 /// The per-date loops of the backward sweep, shared by the sequential
 /// sweep ([`backward_sweep`]) and the cluster driver (which runs them
 /// per substream block over its share of the panel). Cashflows are
@@ -251,14 +294,16 @@ impl RegressionSums {
 /// in-the-money paths and keeps each one's index, intrinsic value and
 /// normalised spots `s/s0` (the spots in the layer's own buffer);
 /// [`SweepKernel::regression_sums`] and [`SweepKernel::exercise`] read
-/// only that cache.
+/// only that cache, 32 rows at a time: they gather a tile's spots into
+/// one column per asset, evaluate the basis one column per function
+/// ([`TensorBasis::eval_columns`]) and run each sum over the tile's rows
+/// in row order.
 pub struct SweepKernel<'a> {
     payoff: &'a Payoff,
     spots0: &'a [f64],
     basis: TensorBasis,
     /// `disc_pow[n]` = `e^{−r·Δt}` to the power `n`, for `n ∈ 0..=steps`.
     disc_pow: Vec<f64>,
-    phi: Vec<f64>,
     /// The scanned date's in-the-money paths, ascending.
     itm: Vec<usize>,
     /// Their intrinsic values.
@@ -266,6 +311,12 @@ pub struct SweepKernel<'a> {
     /// Their normalised spots, `d` per path: the scanned layer,
     /// compacted in place.
     x: Vec<f64>,
+    /// One tile's normalised spots, a column of [`TILE`] per asset.
+    tile_x: Vec<f64>,
+    /// One tile's basis values, a column of [`TILE`] per function, and
+    /// one more column: the regression targets, or the fitted
+    /// continuation values.
+    tile_phi: Vec<f64>,
 }
 
 impl<'a> SweepKernel<'a> {
@@ -277,7 +328,8 @@ impl<'a> SweepKernel<'a> {
         SweepKernel {
             payoff: &product.payoff,
             spots0: market.spots(),
-            phi: vec![0.0; basis.size()],
+            tile_x: vec![0.0; market.dim() * TILE],
+            tile_phi: vec![0.0; (basis.size() + 1) * TILE],
             basis,
             disc_pow: (0..=cfg.steps).map(|n| disc_dt.powi(n as i32)).collect(),
             itm: Vec::new(),
@@ -305,26 +357,47 @@ impl<'a> SweepKernel<'a> {
     /// One date's pass over every path of its spot `layer`: cache the
     /// in-the-money paths (positive intrinsic value) for
     /// [`SweepKernel::regression_sums`] and [`SweepKernel::exercise`].
-    /// The layer's buffer becomes the cache of normalised spots: the
-    /// `k`-th in-the-money path has index `p ≥ k`, so its spots move
-    /// down to slot `k` only after every path up to `p` has been read.
+    /// The layer's buffer becomes the cache of normalised spots: every
+    /// path `p` is written to the next free slot, which is at most `p`,
+    /// after every path up to `p` has been read, and the slot count
+    /// advances only past an in-the-money path. No branch depends on the
+    /// payoff; an out-of-the-money path's slot is overwritten by the next
+    /// path or cut off at the end.
     pub fn scan(&mut self, mut layer: Vec<f64>) {
         let d = self.spots0.len();
-        self.itm.clear();
-        self.intrinsic.clear();
-        for p in 0..layer.len() / d {
+        let paths = layer.len() / d;
+        self.itm.resize(paths, 0);
+        self.intrinsic.resize(paths, 0.0);
+        let mut len = 0;
+        for p in 0..paths {
             let intrinsic = self.payoff.eval(&layer[p * d..(p + 1) * d]);
-            if intrinsic > 0.0 {
-                let slot = self.itm.len() * d;
-                for (i, s0) in self.spots0.iter().enumerate() {
-                    layer[slot + i] = layer[p * d + i] / s0;
-                }
-                self.itm.push(p);
-                self.intrinsic.push(intrinsic);
+            for (i, s0) in self.spots0.iter().enumerate() {
+                layer[len * d + i] = layer[p * d + i] / s0;
+            }
+            self.itm[len] = p;
+            self.intrinsic[len] = intrinsic;
+            len += usize::from(intrinsic > 0.0);
+        }
+        self.itm.truncate(len);
+        self.intrinsic.truncate(len);
+        layer.truncate(len * d);
+        self.x = layer;
+    }
+
+    /// Gather the scanned rows `rows` (at most [`TILE`]) into the tile's
+    /// asset columns and evaluate the basis into its function columns.
+    fn eval_tile(&mut self, rows: Range<usize>) {
+        let d = self.spots0.len();
+        for (r, x) in self.x[rows.start * d..rows.end * d]
+            .chunks_exact(d)
+            .enumerate()
+        {
+            for (i, &xi) in x.iter().enumerate() {
+                self.tile_x[i * TILE + r] = xi;
             }
         }
-        layer.truncate(self.itm.len() * d);
-        self.x = layer;
+        self.basis
+            .eval_columns(&self.tile_x, TILE, rows.len(), &mut self.tile_phi);
     }
 
     /// Add the scanned in-the-money paths among `paths` to `sums`, each
@@ -337,30 +410,42 @@ impl<'a> SweepKernel<'a> {
         paths: Range<usize>,
         sums: &mut RegressionSums,
     ) {
-        let d = self.spots0.len();
+        let k = self.basis.size();
         let lo = self.itm.partition_point(|&p| p < paths.start);
         let hi = self.itm.partition_point(|&p| p < paths.end);
-        for (&p, x) in self.itm[lo..hi]
-            .iter()
-            .zip(self.x[lo * d..].chunks_exact(d))
-        {
-            self.basis.eval(x, &mut self.phi);
-            let y = cashflow[p] * self.disc_pow[(cf_time[p] - t as u32) as usize];
-            sums.push(&self.phi, y);
+        for start in (lo..hi).step_by(TILE) {
+            let rows = start..hi.min(start + TILE);
+            self.eval_tile(rows.clone());
+            let y = &mut self.tile_phi[k * TILE..][..rows.len()];
+            for (y, &p) in y.iter_mut().zip(&self.itm[rows.clone()]) {
+                *y = cashflow[p] * self.disc_pow[(cf_time[p] - t as u32) as usize];
+            }
+            sums.add_tile(&self.tile_phi, TILE, rows.len());
         }
     }
 
     /// Exercise at date `t` on every scanned in-the-money path whose
     /// intrinsic value beats the continuation fitted by `beta`.
     pub fn exercise(&mut self, t: usize, beta: &[f64], cashflow: &mut [f64], cf_time: &mut [u32]) {
-        let d = self.spots0.len();
-        let cached = self.itm.iter().zip(&self.intrinsic);
-        for ((&p, &intrinsic), x) in cached.zip(self.x.chunks_exact(d)) {
-            self.basis.eval(x, &mut self.phi);
-            let continuation: f64 = beta.iter().zip(&self.phi).map(|(b, f)| b * f).sum();
-            if intrinsic >= continuation {
-                cashflow[p] = intrinsic;
-                cf_time[p] = t as u32;
+        let k = self.basis.size();
+        for start in (0..self.itm.len()).step_by(TILE) {
+            let rows = start..self.itm.len().min(start + TILE);
+            self.eval_tile(rows.clone());
+            let (phi, continuation) = self.tile_phi.split_at_mut(k * TILE);
+            let continuation = &mut continuation[..rows.len()];
+            // −0.0 is where `Iterator::sum::<f64>` starts.
+            continuation.fill(-0.0);
+            for (b, f) in beta.iter().zip(phi.chunks_exact(TILE)) {
+                for (c, fr) in continuation.iter_mut().zip(f) {
+                    *c += b * fr;
+                }
+            }
+            let cached = self.itm[rows.clone()].iter().zip(&self.intrinsic[rows]);
+            for ((&p, &intrinsic), &c) in cached.zip(continuation.iter()) {
+                if intrinsic >= c {
+                    cashflow[p] = intrinsic;
+                    cf_time[p] = t as u32;
+                }
             }
         }
     }
@@ -475,6 +560,9 @@ pub fn validate(market: &GbmMarket, product: &Product, cfg: &LsmcConfig) -> Resu
     if cfg.degree == 0 {
         return Err(McError::Unsupported("basis degree must be ≥ 1".into()));
     }
+    if cfg.block_size == 0 {
+        return Err(McError::Unsupported("block_size must be positive".into()));
+    }
     Ok(())
 }
 
@@ -487,12 +575,25 @@ pub fn summarise(discounted: &[f64], product: &Product, market: &GbmMarket) -> L
         .map(|c| (c - mean) * (c - mean))
         .sum::<f64>()
         / (n - 1.0);
+    finish(mean, var, n, product, market)
+}
+
+/// The result from the cashflows' mean and sample variance over `n`
+/// paths: the price floored by immediate exercise, and a standard error
+/// of 0 below two paths, as the European engine reports.
+pub(crate) fn finish(
+    mean: f64,
+    var: f64,
+    n: f64,
+    product: &Product,
+    market: &GbmMarket,
+) -> LsmcResult {
     // An American option is worth at least immediate exercise.
     let intrinsic = product.payoff.eval(market.spots());
     LsmcResult {
         price: mean.max(intrinsic),
-        std_error: (var / n).sqrt(),
-        paths: discounted.len() as u64,
+        std_error: if n < 2.0 { 0.0 } else { (var / n).sqrt() },
+        paths: n as u64,
     }
 }
 
@@ -633,11 +734,56 @@ mod tests {
         );
     }
 
+    /// The per-row rank-1 update the tile accumulate must reproduce.
+    fn push(sums: &mut RegressionSums, phi: &[f64], y: f64) {
+        let k = sums.k;
+        for i in 0..k {
+            for j in i..k {
+                sums.xtx[i * k + j] += phi[i] * phi[j];
+            }
+            sums.xty[i] += phi[i] * y;
+        }
+        sums.count += 1.0;
+    }
+
+    /// Rows as tile columns: `rows[r]` is `(φ, y)`; column `j < k` holds
+    /// `φ_j`, column `k` the targets, each `stride` wide.
+    fn tile(rows: &[(Vec<f64>, f64)], k: usize, stride: usize) -> Vec<f64> {
+        let mut cols = vec![f64::NAN; (k + 1) * stride];
+        for (r, (phi, y)) in rows.iter().enumerate() {
+            for (j, &f) in phi.iter().enumerate() {
+                cols[j * stride + r] = f;
+            }
+            cols[k * stride + r] = *y;
+        }
+        cols
+    }
+
+    /// The tensor basis at one point, built from `eval_basis` per asset.
+    fn basis_row(kind: BasisKind, degree: usize, x: &[f64]) -> Vec<f64> {
+        let mut row = vec![1.0];
+        let mut scalar = vec![0.0; degree + 1];
+        for &xi in x {
+            mdp_math::poly::eval_basis(kind, xi, degree + 1, &mut scalar);
+            row.extend_from_slice(&scalar[1..]);
+        }
+        for i in 0..x.len() {
+            for j in i + 1..x.len() {
+                row.push(x[i] * x[j]);
+            }
+        }
+        row
+    }
+
+    fn sum_bits(s: &RegressionSums) -> Vec<u64> {
+        s.to_vec().iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
     fn regression_sums_roundtrip_and_merge() {
         let mut a = RegressionSums::new(3);
-        a.push(&[1.0, 2.0, 3.0], 4.0);
-        a.push(&[0.5, -1.0, 2.0], -1.0);
+        let rows = [(vec![1.0, 2.0, 3.0], 4.0), (vec![0.5, -1.0, 2.0], -1.0)];
+        a.add_tile(&tile(&rows, 3, 2), 2, 2);
         let b = RegressionSums::from_slice(3, &a.to_vec());
         assert_eq!(a.xtx, b.xtx);
         assert_eq!(a.xty, b.xty);
@@ -645,13 +791,125 @@ mod tests {
     }
 
     #[test]
+    fn tile_accumulate_equals_per_row_rank_one_updates() {
+        // Row counts around the 32-row tile and its four-cell passes,
+        // from non-zero sums, for basis sizes whose cell counts leave
+        // every remainder mod 4; each tile strided wider than its rows.
+        let value = |r: usize, j: usize| 0.3 + 0.17 * ((5 * r + 11 * j) % 23) as f64 - 1.9;
+        for k in [1, 2, 3, 4, 6, 10] {
+            for n in [0, 1, 31, 32, 33, 65] {
+                let rows: Vec<(Vec<f64>, f64)> = (0..n)
+                    .map(|r| ((0..k).map(|j| value(r, j)).collect(), value(r, k)))
+                    .collect();
+                let start: Vec<f64> = (0..k * k + k + 1).map(|v| 0.25 * v as f64 - 3.0).collect();
+                let mut oracle = RegressionSums::from_slice(k, &start);
+                for (phi, y) in &rows {
+                    push(&mut oracle, phi, *y);
+                }
+                let mut tiled = RegressionSums::from_slice(k, &start);
+                for chunk in rows.chunks(32) {
+                    tiled.add_tile(&tile(chunk, k, 40), 40, chunk.len());
+                }
+                assert_eq!(sum_bits(&tiled), sum_bits(&oracle), "k={k} rows={n}");
+            }
+        }
+    }
+
+    #[test]
+    fn tiled_sweep_equals_per_row_oracle_across_tile_edges() {
+        // Blocks of 77 paths, so each date's in-the-money rows of a block
+        // straddle a tile edge; the cluster driver's per-block sums and
+        // the exercise pass must equal per-row loops bit for bit.
+        let m = GbmMarket::symmetric(2, 100.0, 0.25, 0.0, 0.05, 0.3).unwrap();
+        let p = Product::american(Payoff::MinPut { strike: 104.0 }, 1.0);
+        let cfg = LsmcConfig {
+            paths: 1_000,
+            steps: 6,
+            block_size: 77,
+            basis: BasisKind::Laguerre,
+            degree: 3,
+            ..Default::default()
+        };
+        let streams = block_streams(&cfg);
+        let mut panel = simulate_panel(&m, &p, &cfg, &streams, 0..num_blocks(&cfg));
+        let layers = panel.spots.clone();
+        let mut kernel = SweepKernel::new(&m, &p, &cfg);
+        let k = kernel.basis_size();
+        let (mut cashflow, mut cf_time) = kernel.terminal(&mut panel);
+        let (mut cf_oracle, mut t_oracle) = (cashflow.clone(), cf_time.clone());
+        let dt = p.maturity / cfg.steps as f64;
+        let disc = (-m.rate() * dt).exp();
+        let mut straddled = false;
+        for t in (1..cfg.steps).rev() {
+            kernel.scan(layers[t - 1].clone());
+            let mut total = RegressionSums::new(k);
+            for b in 0..num_blocks(&cfg) {
+                let lo = (b * cfg.block_size) as usize;
+                let paths = lo..lo + block_paths(&cfg, b) as usize;
+                let mut sums = RegressionSums::new(k);
+                kernel.regression_sums(t, &cashflow, &cf_time, paths.clone(), &mut sums);
+                let mut oracle = RegressionSums::new(k);
+                for path in paths {
+                    let s = &layers[t - 1][path * 2..path * 2 + 2];
+                    if p.payoff.eval(s) > 0.0 {
+                        let x: Vec<f64> = s.iter().zip(m.spots()).map(|(s, s0)| s / s0).collect();
+                        let y = cf_oracle[path] * disc.powi((t_oracle[path] - t as u32) as i32);
+                        push(&mut oracle, &basis_row(cfg.basis, cfg.degree, &x), y);
+                    }
+                }
+                assert_eq!(sum_bits(&sums), sum_bits(&oracle), "date {t} block {b}");
+                straddled |= oracle.count > 32.0 && oracle.count % 32.0 != 0.0;
+                merge(&mut total, &sums);
+            }
+            let Some(beta) = total.solve(cfg.ridge) else {
+                continue;
+            };
+            kernel.exercise(t, &beta, &mut cashflow, &mut cf_time);
+            for path in 0..cfg.paths as usize {
+                let s = &layers[t - 1][path * 2..path * 2 + 2];
+                let intrinsic = p.payoff.eval(s);
+                if intrinsic > 0.0 {
+                    let x: Vec<f64> = s.iter().zip(m.spots()).map(|(s, s0)| s / s0).collect();
+                    let phi = basis_row(cfg.basis, cfg.degree, &x);
+                    let continuation: f64 = beta.iter().zip(&phi).map(|(b, f)| b * f).sum();
+                    if intrinsic >= continuation {
+                        cf_oracle[path] = intrinsic;
+                        t_oracle[path] = t as u32;
+                    }
+                }
+            }
+            assert_eq!(cf_time, t_oracle, "date {t}");
+            let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&cashflow), bits(&cf_oracle), "date {t}");
+        }
+        assert!(
+            straddled,
+            "no block's in-the-money rows crossed a tile edge"
+        );
+    }
+
+    /// Fold `part` into `total` cell by cell, as the cluster root does.
+    fn merge(total: &mut RegressionSums, part: &RegressionSums) {
+        for (m, v) in total.xtx.iter_mut().zip(&part.xtx) {
+            *m += v;
+        }
+        for (m, v) in total.xty.iter_mut().zip(&part.xty) {
+            *m += v;
+        }
+        total.count += part.count;
+    }
+
+    #[test]
     fn regression_solves_known_system() {
         // y = 2 + 3x fitted exactly.
         let mut s = RegressionSums::new(2);
-        for i in 0..10 {
-            let x = i as f64;
-            s.push(&[1.0, x], 2.0 + 3.0 * x);
-        }
+        let rows: Vec<(Vec<f64>, f64)> = (0..10)
+            .map(|i| {
+                let x = i as f64;
+                (vec![1.0, x], 2.0 + 3.0 * x)
+            })
+            .collect();
+        s.add_tile(&tile(&rows, 2, 10), 10, 10);
         let beta = s.solve(0.0).unwrap();
         assert!((beta[0] - 2.0).abs() < 1e-9);
         assert!((beta[1] - 3.0).abs() < 1e-9);
@@ -686,6 +944,62 @@ mod tests {
             }
         )
         .is_err());
+    }
+
+    /// One configuration priced on Sequential, Rayon and a 2-rank cluster.
+    fn every_backend(
+        m: &GbmMarket,
+        p: &Product,
+        cfg: LsmcConfig,
+    ) -> [Result<LsmcResult, McError>; 3] {
+        use mdp_cluster::{CheckpointMode, FaultPlan, Machine};
+        let cluster = crate::cluster_driver::price_lsmc_cluster(
+            m,
+            p,
+            cfg,
+            2,
+            Machine::ideal(),
+            FaultPlan::new(0),
+            None,
+            CheckpointMode::Sync,
+        );
+        [
+            price_lsmc(m, p, cfg),
+            price_lsmc_rayon(m, p, cfg),
+            cluster.map(|o| o.result),
+        ]
+    }
+
+    #[test]
+    fn zero_block_size_is_a_typed_error_on_every_backend() {
+        let (m, p) = american_put_1d();
+        let cfg = LsmcConfig {
+            block_size: 0,
+            ..Default::default()
+        };
+        for (backend, r) in every_backend(&m, &p, cfg).into_iter().enumerate() {
+            match r {
+                Err(McError::Unsupported(why)) => assert!(why.contains("block_size"), "{why}"),
+                other => panic!("backend {backend}: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn one_path_reports_zero_standard_error_on_every_backend() {
+        // As the European engine does below two paths, and one price.
+        let (m, p) = american_put_1d();
+        let cfg = LsmcConfig {
+            paths: 1,
+            steps: 4,
+            ..Default::default()
+        };
+        let results = every_backend(&m, &p, cfg).map(|r| r.unwrap());
+        for r in &results {
+            assert_eq!(r.std_error.to_bits(), 0.0f64.to_bits(), "{r:?}");
+            assert_eq!(r.price.to_bits(), results[0].price.to_bits(), "{r:?}");
+            assert_eq!(r.paths, 1);
+        }
     }
 }
 

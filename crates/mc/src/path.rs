@@ -347,6 +347,11 @@ impl SoaPanel {
         }
     }
 
+    /// Asset `i`'s log-spot row.
+    pub(crate) fn log_row(&self, i: usize) -> &[f64] {
+        &self.log[i * self.lanes..(i + 1) * self.lanes]
+    }
+
     /// Asset `i`'s spot row (valid after the matching `exp_row`/`exp_all`).
     pub fn spot_row(&self, i: usize) -> &[f64] {
         &self.spot[i * self.lanes..(i + 1) * self.lanes]
