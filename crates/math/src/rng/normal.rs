@@ -3,9 +3,9 @@
 //! Two interchangeable methods:
 //!
 //! * [`NormalPolar`] — Marsaglia's polar method. Exact, rejection-based
-//!   (~1.27 uniforms per normal). Its bulk fills accept candidate pairs
-//!   without a branch on the draw. The default for pseudo-random Monte
-//!   Carlo.
+//!   (~1.27 uniforms per normal). Its transposed panel fill accepts
+//!   candidate pairs without a branch on the draw. The default for
+//!   pseudo-random Monte Carlo.
 //! * [`NormalInverse`] — inverse-CDF transform. The **only** valid choice
 //!   for quasi-Monte Carlo: it is monotone, so it preserves the
 //!   low-discrepancy structure of a Sobol' point set, and it consumes
@@ -90,34 +90,6 @@ impl NormalPolar {
     }
 }
 
-/// Fill `us`, `vs` and `ss` with accepted polar pairs `(u, v)` and
-/// their `s = u² + v²`, in draw order.
-///
-/// Each round draws exactly as many candidate pairs as slots are still
-/// empty, stores every candidate at the write index and advances the
-/// index only past an accepted one (`0 < s < 1`), so no branch depends
-/// on a draw; a rejected candidate is overwritten by the next. The slots
-/// still empty need at least that many more candidates, so a
-/// one-pair-at-a-time rejection loop draws every one of them too: the
-/// RNG advances exactly as in that loop.
-#[inline]
-fn accept_pairs<R: Rng64>(rng: &mut R, us: &mut [f64], vs: &mut [f64], ss: &mut [f64]) {
-    let pairs = us.len();
-    let mut j = 0;
-    while j < pairs {
-        let lacking = pairs - j;
-        for _ in 0..lacking {
-            let u = 2.0 * rng.next_f64() - 1.0;
-            let v = 2.0 * rng.next_f64() - 1.0;
-            let s = u * u + v * v;
-            us[j] = u;
-            vs[j] = v;
-            ss[j] = s;
-            j += usize::from((s > 0.0) & (s < 1.0));
-        }
-    }
-}
-
 impl NormalSampler for NormalPolar {
     #[inline]
     fn sample<R: Rng64>(&mut self, rng: &mut R) -> f64 {
@@ -136,63 +108,16 @@ impl NormalSampler for NormalPolar {
         }
     }
 
-    /// Bulk fill in three phases so the per-pair transform vectorizes:
-    /// collect a chunk of accepted `(u, v, s)` tuples with the
-    /// branch-free acceptance pass `accept_pairs`, evaluate
-    /// `f = √(−2·ln s / s)` over the whole chunk (a loop LLVM turns into
-    /// SIMD), then write the pair stream out in order. The RNG draw
-    /// order, the per-element arithmetic and the spare-carry semantics
-    /// are exactly those of repeated [`NormalSampler::sample`] calls, so
-    /// the output and the RNG's state afterwards are bitwise those of
-    /// the default `fill` — just faster.
-    fn fill<R: Rng64>(&mut self, rng: &mut R, dst: &mut [f64]) {
-        const CHUNK: usize = 256;
-        // Small fills (the scalar kernel's per-path draws) are cheaper
-        // one sample at a time than paying the chunk buffers' setup.
-        // Same variate stream either way — this is purely a speed fork.
-        if dst.len() < 32 {
-            for x in dst {
-                *x = self.sample(rng);
-            }
-            return;
-        }
-        let mut i = 0;
-        if let Some(z) = self.spare.take() {
-            dst[i] = z;
-            i += 1;
-        }
-        let mut us = [0.0; CHUNK];
-        let mut vs = [0.0; CHUNK];
-        let mut fs = [0.0; CHUNK];
-        while i < dst.len() {
-            let pairs = ((dst.len() - i).div_ceil(2)).min(CHUNK);
-            accept_pairs(rng, &mut us[..pairs], &mut vs[..pairs], &mut fs[..pairs]);
-            for f in fs[..pairs].iter_mut() {
-                let s = *f;
-                *f = (-2.0 * ln64(s) / s).sqrt();
-            }
-            let whole = pairs.min((dst.len() - i) / 2);
-            for j in 0..whole {
-                dst[i + 2 * j] = us[j] * fs[j];
-                dst[i + 2 * j + 1] = vs[j] * fs[j];
-            }
-            i += 2 * whole;
-            if whole < pairs {
-                // Odd tail: first variate of the last pair goes out, the
-                // second becomes the spare — same as `sample` would do.
-                dst[i] = us[whole] * fs[whole];
-                self.spare = Some(vs[whole] * fs[whole]);
-                i += 1;
-            }
-        }
-    }
-
-    /// Transposed bulk fill with the same three phases as `fill`, but
-    /// phase 3 scatters each variate straight to its panel slot
-    /// `dst[k·stride + p]` instead of staging contiguously — the
+    /// Transposed bulk fill in three phases so the per-pair transform
+    /// vectorizes: collect a chunk of accepted `(u, v, s)` tuples
+    /// without a branch on the draw, evaluate `f = √(−2·ln s / s)` over
+    /// the whole chunk (a loop LLVM turns into SIMD), then scatter each
+    /// variate straight to its panel slot `dst[k·stride + p]` — the
     /// `(p, k)` cursor advances in the draw order, so no divisions and
-    /// no second transpose pass. Variate stream, arithmetic and
-    /// spare-carry are again exactly those of repeated `sample` calls.
+    /// no transpose pass. The RNG draw order, the per-element arithmetic
+    /// and the spare-carry are exactly those of repeated
+    /// [`NormalSampler::sample`] calls, so the output and the RNG's
+    /// state afterwards are bitwise those of the default method.
     fn fill_transposed<R: Rng64>(
         &mut self,
         rng: &mut R,
@@ -233,7 +158,26 @@ impl NormalSampler for NormalPolar {
         let mut fs = [0.0; CHUNK];
         while emitted < total {
             let pairs = ((total - emitted).div_ceil(2)).min(CHUNK);
-            accept_pairs(rng, &mut us[..pairs], &mut vs[..pairs], &mut fs[..pairs]);
+            // Each round draws exactly as many candidate pairs as slots
+            // are still empty, stores every candidate at the write index
+            // and advances the index only past an accepted one
+            // (`0 < s < 1`); a rejected candidate is overwritten by the
+            // next. The empty slots need at least that many more
+            // candidates, so a one-pair-at-a-time rejection loop draws
+            // every one of them too: the RNG advances exactly as there.
+            let mut j = 0;
+            while j < pairs {
+                let lacking = pairs - j;
+                for _ in 0..lacking {
+                    let u = 2.0 * rng.next_f64() - 1.0;
+                    let v = 2.0 * rng.next_f64() - 1.0;
+                    let s = u * u + v * v;
+                    us[j] = u;
+                    vs[j] = v;
+                    fs[j] = s;
+                    j += usize::from((s > 0.0) & (s < 1.0));
+                }
+            }
             for f in fs[..pairs].iter_mut() {
                 let s = *f;
                 *f = (-2.0 * ln64(s) / s).sqrt();
@@ -244,7 +188,8 @@ impl NormalSampler for NormalPolar {
                 emit!(vs[j] * fs[j]);
             }
             if whole < pairs {
-                // Odd tail, as in `fill`: first out, second cached.
+                // Odd tail: the first variate of the last pair goes out,
+                // the second becomes the spare, as `sample` does.
                 emit!(us[whole] * fs[whole]);
                 self.spare = Some(vs[whole] * fs[whole]);
             }
@@ -348,17 +293,19 @@ mod tests {
 
     #[test]
     fn polar_bulk_fill_is_bitwise_equal_to_repeated_sample() {
-        // The three-phase bulk fill must reproduce the exact variate
-        // stream of repeated sample() calls — odd lengths, zero-length
-        // calls and the spare carried across calls included.
-        for lens in [vec![7usize, 1, 0, 12, 3], vec![513, 2, 255], vec![1]] {
+        // The three-phase bulk fill, laid out as one path of `len` draws,
+        // must reproduce the exact variate stream of repeated sample()
+        // calls — odd lengths, zero-length calls, calls on either side of
+        // the small-fill threshold and the spare carried across calls
+        // included.
+        for lens in [vec![7usize, 1, 0, 12, 3], vec![513, 2, 255, 33], vec![1]] {
             let mut a = NormalPolar::new();
             let mut rng_a = Xoshiro256StarStar::seed_from(99);
             let mut b = NormalPolar::new();
             let mut rng_b = Xoshiro256StarStar::seed_from(99);
             for len in lens {
                 let mut via_fill = vec![0.0; len];
-                a.fill(&mut rng_a, &mut via_fill);
+                a.fill_transposed(&mut rng_a, &mut via_fill, 1, 1, len);
                 let via_sample: Vec<f64> = (0..len).map(|_| b.sample(&mut rng_b)).collect();
                 for (x, y) in via_fill.iter().zip(&via_sample) {
                     assert_eq!(x.to_bits(), y.to_bits());
@@ -373,7 +320,8 @@ mod tests {
         // candidate pair too many; the RNG's next u64, and the spare the
         // sampler keeps, must be those of repeated sample() calls too.
         // Lengths straddle the 32-variate small-fill threshold and the
-        // 256-pair chunk, with and without a spare carried in.
+        // 256-pair chunk, with and without a spare carried in. `fill`
+        // itself is the trait's repeated `sample`.
         let bits = |v: &[f64]| v.iter().map(|z| z.to_bits()).collect::<Vec<_>>();
         for len in [1usize, 31, 32, 255, 256, 257, 513] {
             for carry in [false, true] {
@@ -385,19 +333,17 @@ mod tests {
                 }
                 let want: Vec<f64> = (0..len).map(|_| oracle.sample(&mut rng_o)).collect();
                 let after = (rng_o.next_u64(), oracle.sample(&mut rng_o).to_bits());
-                // `fill`, then `fill_transposed` as one column and as one row.
-                for shape in [None, Some((len, 1)), Some((1, len))] {
+                // `fill_transposed` as one row of `len` paths and as one
+                // path of `len` rows.
+                for (n, rows) in [(len, 1), (1, len)] {
                     let mut s = NormalPolar::new();
                     let mut rng = Xoshiro256StarStar::seed_from(seed);
                     if carry {
                         s.sample(&mut rng);
                     }
                     let mut got = vec![0.0; len];
-                    match shape {
-                        None => s.fill(&mut rng, &mut got),
-                        Some((n, rows)) => s.fill_transposed(&mut rng, &mut got, n, n, rows),
-                    }
-                    let ctx = format!("len {len} carry {carry} shape {shape:?}");
+                    s.fill_transposed(&mut rng, &mut got, n, n, rows);
+                    let ctx = format!("len {len} carry {carry} paths {n} rows {rows}");
                     assert_eq!(bits(&got), bits(&want), "{ctx}");
                     let next = (rng.next_u64(), s.sample(&mut rng).to_bits());
                     assert_eq!(next, after, "{ctx}");

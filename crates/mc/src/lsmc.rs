@@ -201,8 +201,7 @@ impl RegressionSums {
     ///
     /// Each upper-triangle cell of `XᵀX` and each `Xᵀy` entry continues
     /// from its stored value and adds its products row by row, so tiles
-    /// chain exactly as one rank-1 update per row would. The cells run
-    /// four to a pass over the rows, four independent add chains.
+    /// chain exactly as one rank-1 update per row would.
     ///
     /// # Panics
     /// Panics if `n > stride` or `cols` is shorter than `k + 1` columns.
@@ -210,36 +209,23 @@ impl RegressionSums {
         let k = self.k;
         assert!(n <= stride && cols.len() >= (k + 1) * stride);
         let col = |c: usize| &cols[c * stride..c * stride + n];
-        // Cell (i, j) is XᵀX's for j < k and Xᵀy's entry i for j = k.
-        let mut cells = (0..k).flat_map(|i| (i..=k).map(move |j| (i, j)));
-        while let Some(first) = cells.next() {
-            let quad = [Some(first), cells.next(), cells.next(), cells.next()];
-            // A missing cell runs as a dummy chain and is not stored.
-            let pairs = quad.map(|c| c.unwrap_or(first));
-            let mut acc = pairs.map(|(i, j)| *self.cell(i, j));
-            let a = pairs.map(|(i, _)| col(i));
-            let b = pairs.map(|(_, j)| col(j));
-            for r in 0..n {
-                for m in 0..4 {
-                    acc[m] += a[m][r] * b[m][r];
+        for i in 0..k {
+            // Cell (i, j) is XᵀX's for j < k and Xᵀy's entry i for j = k.
+            for j in i..=k {
+                let cell = if j < k {
+                    &mut self.xtx[i * k + j]
+                } else {
+                    &mut self.xty[i]
+                };
+                let mut acc = *cell;
+                for (a, b) in col(i).iter().zip(col(j)) {
+                    acc += a * b;
                 }
-            }
-            for (c, v) in quad.into_iter().zip(acc) {
-                if let Some((i, j)) = c {
-                    *self.cell(i, j) = v;
-                }
+                *cell = acc;
             }
         }
         // Adding 1.0 per row is exact, so this is the per-row count.
         self.count += n as f64;
-    }
-
-    fn cell(&mut self, i: usize, j: usize) -> &mut f64 {
-        if j < self.k {
-            &mut self.xtx[i * self.k + j]
-        } else {
-            &mut self.xty[i]
-        }
     }
 
     /// Flatten to `k·k + k + 1` values for message passing.
@@ -357,30 +343,25 @@ impl<'a> SweepKernel<'a> {
     /// One date's pass over every path of its spot `layer`: cache the
     /// in-the-money paths (positive intrinsic value) for
     /// [`SweepKernel::regression_sums`] and [`SweepKernel::exercise`].
-    /// The layer's buffer becomes the cache of normalised spots: every
-    /// path `p` is written to the next free slot, which is at most `p`,
-    /// after every path up to `p` has been read, and the slot count
-    /// advances only past an in-the-money path. No branch depends on the
-    /// payoff; an out-of-the-money path's slot is overwritten by the next
-    /// path or cut off at the end.
+    /// The layer's buffer becomes the cache of normalised spots: the
+    /// `k`-th in-the-money path has index `p ≥ k`, so its spots move
+    /// down to slot `k` only after every path up to `p` has been read.
     pub fn scan(&mut self, mut layer: Vec<f64>) {
         let d = self.spots0.len();
-        let paths = layer.len() / d;
-        self.itm.resize(paths, 0);
-        self.intrinsic.resize(paths, 0.0);
-        let mut len = 0;
-        for p in 0..paths {
+        self.itm.clear();
+        self.intrinsic.clear();
+        for p in 0..layer.len() / d {
             let intrinsic = self.payoff.eval(&layer[p * d..(p + 1) * d]);
-            for (i, s0) in self.spots0.iter().enumerate() {
-                layer[len * d + i] = layer[p * d + i] / s0;
+            if intrinsic > 0.0 {
+                let slot = self.itm.len() * d;
+                for (i, s0) in self.spots0.iter().enumerate() {
+                    layer[slot + i] = layer[p * d + i] / s0;
+                }
+                self.itm.push(p);
+                self.intrinsic.push(intrinsic);
             }
-            self.itm[len] = p;
-            self.intrinsic[len] = intrinsic;
-            len += usize::from(intrinsic > 0.0);
         }
-        self.itm.truncate(len);
-        self.intrinsic.truncate(len);
-        layer.truncate(len * d);
+        layer.truncate(self.itm.len() * d);
         self.x = layer;
     }
 
@@ -792,9 +773,8 @@ mod tests {
 
     #[test]
     fn tile_accumulate_equals_per_row_rank_one_updates() {
-        // Row counts around the 32-row tile and its four-cell passes,
-        // from non-zero sums, for basis sizes whose cell counts leave
-        // every remainder mod 4; each tile strided wider than its rows.
+        // Row counts around the 32-row tile, from non-zero sums, for
+        // basis sizes 1–10; each tile strided wider than its rows.
         let value = |r: usize, j: usize| 0.3 + 0.17 * ((5 * r + 11 * j) % 23) as f64 - 1.9;
         for k in [1, 2, 3, 4, 6, 10] {
             for n in [0, 1, 31, 32, 33, 65] {
